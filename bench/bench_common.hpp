@@ -1,8 +1,7 @@
-// Shared scaffolding for the registry-driven figure benches: scenario
-// helpers over the harness cache and the exp sweep engine, plus report
-// emission. Machine builders, scale/mesh env handling and the registry live
-// in src/bench; derived-metric math (normalization, geomeans) lives in
-// exp::sweep.
+// Shared scaffolding for the registry-driven figure benches: worker-pool
+// options for the exp sweep engine, plus report emission. Machine builders,
+// scale/mesh env handling and the registry live in src/bench; derived-metric
+// math (normalization, geomeans) lives in exp::sweep.
 #pragma once
 
 #include <cstdio>
@@ -17,60 +16,21 @@
 #include "exp/plan.hpp"
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
-#include "harness/cache.hpp"
 #include "harness/runner.hpp"
 
 namespace atacsim::bench {
 
 using harness::Outcome;
-using harness::Scenario;
 
 // Geomean semantics are part of the printed figures; the one true
 // implementation lives with the other derived-metric math in exp::sweep.
 using exp::sweep::geomean;
-
-/// A scenario cell at the bench scale (the base config most figure sweeps
-/// start from).
-inline Scenario scenario(const std::string& app, const MachineParams& mp,
-                         double scale = bench_scale()) {
-  Scenario s;
-  s.app = app;
-  s.mp = mp;
-  s.scale = scale;
-  return s;
-}
-
-inline Outcome run(const std::string& app, const MachineParams& mp,
-                   double scale = bench_scale()) {
-  return harness::run_scenario_cached(scenario(app, mp, scale),
-                                      /*allow_failure=*/true);
-}
-
-/// Registers one (app, machine) cell on a plan at the bench scale.
-inline exp::ExperimentPlan::Handle plan_cell(exp::ExperimentPlan& plan,
-                                             const std::string& app,
-                                             const MachineParams& mp,
-                                             double scale = bench_scale()) {
-  return plan.add(scenario(app, mp, scale), /*allow_failure=*/true);
-}
 
 /// Worker-pool options from the driver context.
 inline exp::ExecOptions exec_options(const Context& ctx) {
   exp::ExecOptions opt;
   opt.jobs = ctx.jobs;
   return opt;
-}
-
-/// Executes a figure's plan on the worker pool.
-inline exp::PlanResult execute(const exp::ExperimentPlan& plan, int jobs) {
-  exp::ExecOptions opt;
-  opt.jobs = jobs;
-  return plan.run(opt);
-}
-
-inline exp::PlanResult execute(const exp::ExperimentPlan& plan,
-                               const Context& ctx) {
-  return plan.run(exec_options(ctx));
 }
 
 /// Runs a scenario sweep on the worker pool.

@@ -8,7 +8,7 @@
 // re-synchronizes with the global event clock on every miss, wait or
 // periodic yield. Data itself lives in host memory; simulated addresses are
 // obtained by translating the host pointer through the machine's
-// deterministic first-touch frame table (see sim::Machine::frame_for_line),
+// deterministic first-touch frame table (see sim::Machine::frame_for),
 // with a small per-core direct-mapped TLB in front so the translation stays
 // off the L1-hit fast path's critical cost.
 #pragma once
@@ -102,7 +102,7 @@ class CoreCtx {
       // Periodic forced yield bounds local-clock drift.
       if (c->tracer_) c->tracer_->record(c->self_, addr, is_write, c->local_time_);
       if ((++c->fast_ops_ & 1023u) == 0) return false;
-      if (!c->cache_->fast_access(c->addr_of(addr), is_write)) return false;
+      if (!c->cache_->fast_access(addr, is_write)) return false;
       c->advance(c->machine_->params().l1_hit_cycles);
       ++c->instructions_;
       return true;
@@ -154,9 +154,6 @@ class CoreCtx {
   };
 
  private:
-  friend struct AccessAwaiter;
-  Addr addr_of(Addr a) const { return a; }
-
   /// Host pointer -> deterministic simulated address (granule-level
   /// first-touch frames, per-core TLB; see sim::Machine::frame_for).
   Addr translate(const void* p) {

@@ -5,18 +5,17 @@
 
 #include "obs/log.hpp"
 #include "obs/series.hpp"
+#include "sim/machine.hpp"
 
-namespace {
-atacsim::Addr dbg_line() {
-  static const atacsim::Addr v = [] {
+namespace atacsim::mem {
+
+Addr trace_line() {
+  static const Addr v = [] {
     const char* e = std::getenv("ATACSIM_TRACE_LINE");
     return e ? std::strtoull(e, nullptr, 16) : 0ull;
   }();
   return v;
 }
-}  // namespace
-
-namespace atacsim::mem {
 
 const char* to_string(CohType t) {
   switch (t) {
@@ -38,20 +37,18 @@ const char* to_string(CohType t) {
   return "?";
 }
 
-CacheController::CacheController(CoreId self, MemEnv env, const HomeMap* homes)
+CacheController::CacheController(CoreId self, sim::Machine& m)
     : self_(self),
-      env_(std::move(env)),
-      homes_(homes),
-      l1d_(env_.params->l1d_size_KB, env_.params->l1_assoc,
-           env_.params->line_size_B),
-      l2_(env_.params->l2_size_KB, env_.params->l2_assoc,
-          env_.params->line_size_B),
-      last_bcast_seq_(static_cast<std::size_t>(homes->num_slices()), 0),
-      deferred_unicasts_(static_cast<std::size_t>(homes->num_slices())) {}
+      machine_(m),
+      l1d_(m.params().l1d_size_KB, m.params().l1_assoc,
+           m.params().line_size_B),
+      l2_(m.params().l2_size_KB, m.params().l2_assoc, m.params().line_size_B),
+      last_bcast_seq_(static_cast<std::size_t>(m.homes().num_slices()), 0),
+      deferred_unicasts_(static_cast<std::size_t>(m.homes().num_slices())) {}
 
 Cycle CacheController::send(const CohMsg& m) {
-  const Cycle t = std::max(env_.now(), send_free_);
-  send_free_ = env_.send(t, m);
+  const Cycle t = std::max(machine_.now(), send_free_);
+  send_free_ = machine_.send(t, m);
   return t;
 }
 
@@ -63,20 +60,20 @@ bool CacheController::fast_access(Addr addr, bool write) {
   const bool l2_ok = write ? (l2 == LineState::kModified)
                            : (l2 != LineState::kInvalid);
   if (!l2_ok) return false;
-  auto& ctr = *env_.counters;
+  auto& ctr = machine_.mem_counters();
   write ? ++ctr.l1d_writes : ++ctr.l1d_reads;
   if (write) ++ctr.l2_writes;  // write-through
   l1d_.lookup(line);           // LRU bump
-  if (env_.obs)
-    env_.obs->record_mem(
-        write, static_cast<std::uint64_t>(env_.params->l1_hit_cycles));
+  if (auto* observer = machine_.observer())
+    observer->record_mem(
+        write, static_cast<std::uint64_t>(machine_.params().l1_hit_cycles));
   return true;
 }
 
 void CacheController::access(Addr addr, bool write, DoneFn done) {
   const Addr line = l2_.line_of(addr);
-  const Cycle now = env_.now();
-  auto& ctr = *env_.counters;
+  const Cycle now = machine_.now();
+  auto& ctr = machine_.mem_counters();
 
   // L1-D probe (energy + fast path).
   write ? ++ctr.l1d_writes : ++ctr.l1d_reads;
@@ -87,11 +84,11 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
   if (l1 != LineState::kInvalid && l2_ok) {
     // Stores write through to the L2 (energy only).
     if (write) ++ctr.l2_writes;
-    if (env_.obs)
-      env_.obs->record_mem(
-          write, static_cast<std::uint64_t>(env_.params->l1_hit_cycles));
-    env_.schedule(now + env_.params->l1_hit_cycles,
-                  [done, t = now + env_.params->l1_hit_cycles] { done(t); });
+    if (auto* observer = machine_.observer())
+      observer->record_mem(
+          write, static_cast<std::uint64_t>(machine_.params().l1_hit_cycles));
+    const Cycle t = now + machine_.params().l1_hit_cycles;
+    machine_.events().schedule(t, [done, t] { done(t); });
     return;
   }
 
@@ -100,10 +97,10 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
   if (l2_ok) {
     // L2 hit: refill L1 (subset; silent L1 replacement is fine).
     l1d_.install(line, l2);
-    const Cycle t = now + env_.params->l2_hit_cycles;
-    if (env_.obs)
-      env_.obs->record_mem(write, static_cast<std::uint64_t>(t - now));
-    env_.schedule(t, [done, t] { done(t); });
+    const Cycle t = now + machine_.params().l2_hit_cycles;
+    if (auto* observer = machine_.observer())
+      observer->record_mem(write, static_cast<std::uint64_t>(t - now));
+    machine_.events().schedule(t, [done, t] { done(t); });
     return;
   }
 
@@ -127,8 +124,8 @@ void CacheController::issue_request(Addr line, bool exclusive) {
   m.type = exclusive ? CohType::kExReq : CohType::kShReq;
   m.line = line;
   m.src = self_;
-  const HubId slice = homes_->slice_of(line);
-  m.dst = homes_->slice_core(slice);
+  const HubId slice = machine_.homes().slice_of(line);
+  m.dst = machine_.homes().slice_core(slice);
   m.requester = self_;
   m.dir_slice = slice;
   send(m);
@@ -137,8 +134,8 @@ void CacheController::issue_request(Addr line, bool exclusive) {
 void CacheController::wait_for_change(Addr addr, DoneFn cb) {
   const Addr line = l2_.line_of(addr);
   if (l2_.peek(line) == LineState::kInvalid) {
-    const Cycle t = env_.now() + 1;
-    env_.schedule(t, [cb = std::move(cb), t] { cb(t); });
+    const Cycle t = machine_.now() + 1;
+    machine_.events().schedule(t, [cb = std::move(cb), t] { cb(t); });
     return;
   }
   change_waiters_[line].push_back(std::move(cb));
@@ -149,25 +146,25 @@ void CacheController::notify_change(Addr line) {
   if (it == change_waiters_.end()) return;
   auto waiters = std::move(it->second);
   change_waiters_.erase(it);
-  const Cycle t = env_.now() + 1;
+  const Cycle t = machine_.now() + 1;
   for (auto& cb : waiters)
-    env_.schedule(t, [cb = std::move(cb), t] { cb(t); });
+    machine_.events().schedule(t, [cb = std::move(cb), t] { cb(t); });
 }
 
 void CacheController::evict(Addr line, LineState state) {
   l1d_.invalidate(line);
   notify_change(line);
-  const HubId slice = homes_->slice_of(line);
+  const HubId slice = machine_.homes().slice_of(line);
   CohMsg m;
   m.line = line;
   m.src = self_;
-  m.dst = homes_->slice_core(slice);
+  m.dst = machine_.homes().slice_core(slice);
   m.dir_slice = slice;
   if (state == LineState::kModified) {
     m.type = CohType::kDirtyWb;
     m.carries_data = true;
     send(m);
-  } else if (env_.params->coherence == CoherenceKind::kAckwise) {
+  } else if (machine_.params().coherence == CoherenceKind::kAckwise) {
     // ACKwise cannot support silent evictions (paper Sec. V-F).
     m.type = CohType::kEvictNotify;
     send(m);
@@ -177,10 +174,10 @@ void CacheController::evict(Addr line, LineState state) {
 
 void CacheController::fill(const CohMsg& rep) {
   const Addr line = rep.line;
-  if (dbg_line() && line == dbg_line())
+  if (trace_line() && line == trace_line())
     obs::log::debugf(
         "[%llu] core%d fill type=%d seq=%u buffered=%zu",
-        (unsigned long long)env_.now(), self_, (int)rep.type, rep.seq,
+        (unsigned long long)machine_.now(), self_, (int)rep.type, rep.seq,
         mshr_.count(line) ? mshr_.at(line).buffered_bcast_invs.size() : 0ul);
   const LineState st = (rep.type == CohType::kExRep) ? LineState::kModified
                                                      : LineState::kShared;
@@ -190,18 +187,17 @@ void CacheController::fill(const CohMsg& rep) {
 
   if (auto victim = l2_.install(line, st)) evict(victim->line, victim->state);
   l1d_.install(line, st);
-  ++env_.counters->l2_writes;  // line fill
+  ++machine_.mem_counters().l2_writes;  // line fill
 
-  const Cycle t = env_.now() + env_.params->l2_hit_cycles;
+  const Cycle t = machine_.now() + machine_.params().l2_hit_cycles;
   std::vector<Waiter> retry;
   for (auto& w : entry.waiters) {
     if (w.write && st != LineState::kModified) {
       retry.push_back(std::move(w));
     } else {
-      if (env_.obs)
-        env_.obs->record_mem(w.write,
-                             static_cast<std::uint64_t>(t - w.issued));
-      env_.schedule(t, [done = std::move(w.done), t] { done(t); });
+      if (auto* observer = machine_.observer())
+        observer->record_mem(w.write, static_cast<std::uint64_t>(t - w.issued));
+      machine_.events().schedule(t, [done = std::move(w.done), t] { done(t); });
     }
   }
 
@@ -231,9 +227,9 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
                                   bool suppress_ack) {
   const Addr line = m.line;
   const LineState prev = l2_.peek(line);
-  if (dbg_line() && line == dbg_line())
+  if (trace_line() && line == trace_line())
     obs::log::debugf("[%llu] core%d process_inv prev=%d bcast=%d extra=%llu sup=%d",
-                     (unsigned long long)env_.now(), self_, (int)prev,
+                     (unsigned long long)machine_.now(), self_, (int)prev,
                      (int)m.is_broadcast(), (unsigned long long)extra_delay,
                      (int)suppress_ack);
   const bool present = prev != LineState::kInvalid;
@@ -249,7 +245,7 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
   // or not the line is present, because silent evictions leave the pointer
   // list stale. A core whose own ExReq triggered this invalidation round
   // still acks if it held the line (it is part of the sharer count).
-  const bool dirkb = env_.params->coherence == CoherenceKind::kDirKB;
+  const bool dirkb = machine_.params().coherence == CoherenceKind::kDirKB;
   const bool must_ack = (present || dirkb) && !suppress_ack;
   if (must_ack) {
     CohMsg ack;
@@ -265,7 +261,8 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
     if (extra_delay == 0) {
       send(ack);
     } else {
-      env_.schedule(env_.now() + extra_delay, [this, ack] { send(ack); });
+      machine_.events().schedule(machine_.now() + extra_delay,
+                                 [this, ack] { send(ack); });
     }
   }
 
@@ -341,10 +338,10 @@ void CacheController::process_unicast_from_dir(const CohMsg& m) {
 }
 
 void CacheController::handle(const CohMsg& m) {
-  if (dbg_line() && m.line == dbg_line())
+  if (trace_line() && m.line == trace_line())
     obs::log::debugf(
         "[%llu] core%d handle %s mshr=%d wantex=%d",
-        (unsigned long long)env_.now(), self_, to_string(m.type),
+        (unsigned long long)machine_.now(), self_, to_string(m.type),
         (int)mshr_.count(m.line),
         mshr_.count(m.line) ? (int)mshr_.at(m.line).want_exclusive : -1);
   if (m.type == CohType::kInvReq && m.is_broadcast()) {
@@ -357,7 +354,7 @@ void CacheController::handle(const CohMsg& m) {
       // Ack now (the line is absent; nothing to invalidate yet) and only
       // defer the invalidation-ordering side of the message.
       bool acked = false;
-      if (env_.params->coherence == CoherenceKind::kDirKB) {
+      if (machine_.params().coherence == CoherenceKind::kDirKB) {
         CohMsg ack;
         ack.type = CohType::kInvAck;
         ack.line = m.line;

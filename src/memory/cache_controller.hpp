@@ -15,8 +15,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/params.hpp"
 #include "memory/cache_array.hpp"
 #include "memory/protocol.hpp"
+
+namespace atacsim::sim {
+class Machine;
+}
 
 namespace atacsim::mem {
 
@@ -42,7 +47,9 @@ class CacheController {
  public:
   using DoneFn = std::function<void(Cycle)>;
 
-  CacheController(CoreId self, MemEnv env, const HomeMap* homes);
+  /// Talks to the world through `m` — its event queue, clock, counters,
+  /// home map and network — which owns this controller and outlives it.
+  CacheController(CoreId self, sim::Machine& m);
 
   /// Core-side entry: performs a timed load/store of the line containing
   /// `addr`; `done` fires (via the event queue) when the access commits.
@@ -121,8 +128,7 @@ class CacheController {
   void bump_seq_and_release(HubId slice, std::uint16_t seq);
 
   CoreId self_;
-  MemEnv env_;
-  const HomeMap* homes_;
+  sim::Machine& machine_;
   CacheArray l1d_;
   CacheArray l2_;
   std::unordered_map<Addr, Mshr> mshr_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/machine.hpp"
+
 namespace atacsim::mem {
 namespace {
 // Directory tag/state access latency per handled message.
@@ -57,33 +59,36 @@ void SharerSet::clear() {
 // MemController
 // ---------------------------------------------------------------------------
 
-MemController::MemController(MemEnv* env) : env_(env) {
-  const auto& p = *env_->params;
+MemController::MemController(EventQueue& events, MemCounters& counters,
+                             const MachineParams& mp)
+    : events_(events), counters_(counters), mp_(mp) {
   // 5 GB/s at 1 GHz = 5 B/cycle; a 64 B line serializes for ~13 cycles.
-  const double bytes_per_cycle = p.mem_bw_GBps_per_ctrl / p.freq_GHz;
-  line_cycles_ = static_cast<Cycle>(p.line_size_B / bytes_per_cycle + 0.5);
+  const double bytes_per_cycle = mp.mem_bw_GBps_per_ctrl / mp.freq_GHz;
+  line_cycles_ = static_cast<Cycle>(mp.line_size_B / bytes_per_cycle + 0.5);
   if (line_cycles_ == 0) line_cycles_ = 1;
 }
 
 void MemController::request(bool write, std::function<void(Cycle)> done) {
-  auto& ctr = *env_->counters;
-  write ? ++ctr.dram_writes : ++ctr.dram_reads;
-  const Cycle start = bw_.acquire(env_->now(), line_cycles_);
-  const Cycle ready = start + line_cycles_ + env_->params->mem_latency_cycles;
-  env_->schedule(ready, [done = std::move(done), ready] { done(ready); });
+  write ? ++counters_.dram_writes : ++counters_.dram_reads;
+  const Cycle start = bw_.acquire(events_.now(), line_cycles_);
+  const Cycle ready = start + line_cycles_ + mp_.mem_latency_cycles;
+  events_.schedule(ready, [done = std::move(done), ready] { done(ready); });
 }
 
 // ---------------------------------------------------------------------------
 // DirectorySlice
 // ---------------------------------------------------------------------------
 
-DirectorySlice::DirectorySlice(HubId slice, CoreId self_core, MemEnv env)
-    : slice_(slice), self_(self_core), env_(std::move(env)), dram_(&env_) {}
+DirectorySlice::DirectorySlice(HubId slice, CoreId self_core, sim::Machine& m)
+    : slice_(slice),
+      self_(self_core),
+      machine_(m),
+      dram_(m.events(), m.mem_counters(), m.params()) {}
 
 DirectorySlice::LineInfo& DirectorySlice::info(Addr line) {
   auto it = dir_.find(line);
   if (it == dir_.end())
-    it = dir_.emplace(line, LineInfo(env_.params->num_hw_sharers)).first;
+    it = dir_.emplace(line, LineInfo(machine_.params().num_hw_sharers)).first;
   return it->second;
 }
 
@@ -101,8 +106,8 @@ CohMsg DirectorySlice::make(CohType t, Addr line, CoreId dst,
 }
 
 Cycle DirectorySlice::send(const CohMsg& m) {
-  const Cycle t = std::max(env_.now() + kDirAccessCycles, send_free_);
-  send_free_ = env_.send(t, m);
+  const Cycle t = std::max(machine_.now() + kDirAccessCycles, send_free_);
+  send_free_ = machine_.send(t, m);
   return t;
 }
 
@@ -119,7 +124,7 @@ void DirectorySlice::fetch_dram(Addr line) {
 }
 
 void DirectorySlice::start_txn(const CohMsg& req) {
-  ++env_.counters->dir_reads;
+  ++machine_.mem_counters().dir_reads;
   LineInfo& li = info(req.line);
   Txn& txn = active_[req.line];
   txn.req = req;
@@ -160,20 +165,20 @@ void DirectorySlice::start_txn(const CohMsg& req) {
   // ("fetched explicitly from main memory", Sec. IV-C-1); acknowledgements
   // stay short coherence messages.
   if (li.data_valid) txn.have_data = true;
-  const bool ackwise = env_.params->coherence == CoherenceKind::kAckwise;
+  const bool ackwise = machine_.params().coherence == CoherenceKind::kAckwise;
   if (li.sharers.global()) {
     ++seq_;
-    ++env_.counters->bcast_invalidations;
+    ++machine_.mem_counters().bcast_invalidations;
     CohMsg inv = make(CohType::kInvReq, req.line, kBroadcastCore,
                       req.requester);
     inv.seq = seq_;
     txn.pending_acks =
-        ackwise ? li.sharers.count() : env_.params->num_cores;
+        ackwise ? li.sharers.count() : machine_.params().num_cores;
     send(inv);
   } else {
     txn.pending_acks = static_cast<int>(li.sharers.pointers().size());
     for (CoreId s : li.sharers.pointers()) {
-      ++env_.counters->invalidations_sent;
+      ++machine_.mem_counters().invalidations_sent;
       send(make(CohType::kInvReq, req.line, s, req.requester));
     }
   }
@@ -196,7 +201,7 @@ void DirectorySlice::maybe_complete(Addr line) {
 void DirectorySlice::complete(Addr line) {
   Txn txn = std::move(active_.at(line));
   active_.erase(line);
-  ++env_.counters->dir_writes;
+  ++machine_.mem_counters().dir_writes;
   LineInfo& li = info(line);
 
   CohMsg rep = make(txn.req.type == CohType::kShReq ? CohType::kShRep
@@ -216,7 +221,7 @@ void DirectorySlice::complete(Addr line) {
   }
   send(rep);
 
-  if (env_.post_txn) env_.post_txn(line, slice_);
+  machine_.txn_done(line, slice_);
 
   // Serve the next queued request for this line immediately — leaving a
   // cycle gap would let a newly arriving request clobber the queued one's
@@ -242,7 +247,7 @@ void DirectorySlice::handle(const CohMsg& m) {
       return;
     }
     case CohType::kEvictNotify: {
-      ++env_.counters->dir_writes;
+      ++machine_.mem_counters().dir_writes;
       LineInfo& li = info(m.line);
       const bool was_sharer = li.sharers.remove(m.src);
       auto it = active_.find(m.line);
@@ -256,7 +261,7 @@ void DirectorySlice::handle(const CohMsg& m) {
       return;
     }
     case CohType::kDirtyWb: {
-      ++env_.counters->dir_writes;
+      ++machine_.mem_counters().dir_writes;
       LineInfo& li = info(m.line);
       // The line is committed to DRAM (and refreshes the home data buffer).
       li.data_valid = true;
@@ -322,13 +327,6 @@ void DirectorySlice::handle(const CohMsg& m) {
     default:
       assert(false && "unexpected message at directory");
   }
-}
-
-
-bool DirectorySlice::LineProbe::covers(CoreId c) const {
-  if (global) return true;
-  if (c == owner) return true;
-  return std::find(ptrs.begin(), ptrs.end(), c) != ptrs.end();
 }
 
 DirectorySlice::LineProbe DirectorySlice::probe_line(Addr line) const {

@@ -4,15 +4,25 @@
 // directory slice + one memory controller per cluster, at the hub tile).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.hpp"
+#include "common/params.hpp"
 #include "memory/cache_array.hpp"
 #include "memory/protocol.hpp"
 #include "network/ledger.hpp"
+
+namespace atacsim {
+class EventQueue;
+}
+namespace atacsim::sim {
+class Machine;
+}
 
 namespace atacsim::mem {
 
@@ -44,20 +54,24 @@ class SharerSet {
 /// serialization channel (Table I).
 class MemController {
  public:
-  MemController(MemEnv* env);
+  MemController(EventQueue& events, MemCounters& counters,
+                const MachineParams& mp);
   /// Fetch or write back one line; `done` fires when the data is available
   /// (fetch) or committed (write-back).
   void request(bool write, std::function<void(Cycle)> done);
 
  private:
-  MemEnv* env_;
+  EventQueue& events_;
+  MemCounters& counters_;
+  const MachineParams& mp_;
   net::Channel bw_;
   Cycle line_cycles_;
 };
 
 class DirectorySlice {
  public:
-  DirectorySlice(HubId slice, CoreId self_core, MemEnv env);
+  /// `m` owns this slice and outlives it; see CacheController.
+  DirectorySlice(HubId slice, CoreId self_core, sim::Machine& m);
 
   /// Network-side entry for every message addressed to this slice.
   void handle(const CohMsg& m);
@@ -77,7 +91,10 @@ class DirectorySlice {
     std::vector<CoreId> ptrs;
 
     /// True when the directory accounts for a copy at `c`.
-    bool covers(CoreId c) const;
+    bool covers(CoreId c) const {
+      return global || c == owner ||
+             std::find(ptrs.begin(), ptrs.end(), c) != ptrs.end();
+    }
   };
   /// Snapshot of `line` as this slice tracks it (Invalid default state if
   /// the line was never touched here).
@@ -137,7 +154,7 @@ class DirectorySlice {
 
   HubId slice_;
   CoreId self_;
-  MemEnv env_;
+  sim::Machine& machine_;
   MemController dram_;
   std::unordered_map<Addr, LineInfo> dir_;
   std::unordered_map<Addr, Txn> active_;

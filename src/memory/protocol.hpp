@@ -12,15 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
-#include "common/counters.hpp"
-#include "common/params.hpp"
 #include "common/types.hpp"
-
-namespace atacsim::obs {
-class RunObserver;
-}
 
 namespace atacsim::mem {
 
@@ -47,6 +40,10 @@ enum class CohType : std::uint8_t {
 
 const char* to_string(CohType t);
 
+/// Line address whose messages the protocol tracer logs at debug level, from
+/// the hex ATACSIM_TRACE_LINE env variable; 0 when unset (tracing off).
+Addr trace_line();
+
 struct CohMsg {
   CohType type{};
   Addr line = 0;          ///< line-aligned address
@@ -59,34 +56,6 @@ struct CohMsg {
   bool dram_write = false;  ///< for kDramReq: write-back vs fetch
 
   bool is_broadcast() const { return dst == kBroadcastCore; }
-};
-
-/// Hooks a memory component uses to talk to the world. The Machine wires
-/// these into the event queue and the network model.
-struct MemEnv {
-  const MachineParams* params = nullptr;
-  MemCounters* counters = nullptr;
-
-  /// Telemetry (src/obs), not owned; null keeps the completion paths at a
-  /// single pointer test. Feeds the per-op-type memory latency histograms.
-  obs::RunObserver* obs = nullptr;
-
-  /// Schedules `fn` to run at simulated cycle `t` (clamped to now).
-  std::function<void(Cycle t, std::function<void()> fn)> schedule;
-
-  /// Sends `m` into the network no earlier than cycle `t`. The receiver's
-  /// handler is invoked (via the event queue) at the delivery cycle, once
-  /// per receiver for broadcasts. Returns the cycle at which the sender's
-  /// port is free again (back-pressure; callers serialize their sends on it).
-  std::function<Cycle(Cycle t, const CohMsg& m)> send;
-
-  /// Optional validation hook (src/check): fires after a directory
-  /// transaction on `line` completes, so the machine can cross-check
-  /// directory tracking against every cache. Null when validation is off.
-  std::function<void(Addr line, HubId slice)> post_txn;
-
-  Cycle now() const { return now_fn(); }
-  std::function<Cycle()> now_fn;
 };
 
 /// 16-bit sequence numbers with TCP-style wraparound ordering.

@@ -169,16 +169,10 @@ Cycle AtacModel::inject(Cycle t, const NetPacket& p,
     return enet_.send_unicast(t, p.src, p.dst, flits, deliver,
                               /*count_traffic=*/true, p.cls);
 
-  Cycle tail = t;
-  DeliveryFn track = [&](CoreId r, Cycle arr) {
-    tail = arr;
-    deliver(r, arr);
-  };
   // Sender is free once its flits have left the source NIC; approximate
   // with the ENet leg's injection serialization.
   const Cycle sender_free = t + flits;
-  const Cycle done = onet_unicast(t, p.src, p.dst, flits, track);
-  (void)done;
+  const Cycle tail = onet_unicast(t, p.src, p.dst, flits, deliver);
   ++counters_.unicast_packets;
   counters_.flits_injected += flits;
   counters_.unicast_flits_offered += flits;

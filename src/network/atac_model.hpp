@@ -49,7 +49,8 @@ class AtacModel : public NetworkModel {
   std::uint64_t onet_bcast_packets() const { return onet_bcasts_; }
 
  private:
-  /// ENet leg + ONet SWMR + receive-net leg for a unicast.
+  /// ENet leg + ONet SWMR + receive-net leg for a unicast; returns the
+  /// tail-delivery cycle.
   Cycle onet_unicast(Cycle t, CoreId src, CoreId dst, int flits,
                      const DeliveryFn& deliver);
   Cycle onet_broadcast(Cycle t, CoreId src, int flits,

@@ -9,14 +9,6 @@
 #include "obs/series.hpp"
 
 namespace {
-atacsim::Addr trace_line() {
-  static const atacsim::Addr v = [] {
-    const char* e = std::getenv("ATACSIM_TRACE_LINE");
-    return e ? std::strtoull(e, nullptr, 16) : 0ull;
-  }();
-  return v;
-}
-
 // Hoisted out of the per-event paths: getenv on every delivered message is
 // measurable, and getenv is not guaranteed safe against concurrent
 // setenv when machines run on multiple threads.
@@ -36,24 +28,6 @@ std::vector<CoreId> Machine::slice_cores(const MachineParams& mp) {
   return cores;
 }
 
-mem::MemEnv Machine::make_env() {
-  mem::MemEnv env;
-  env.params = &mp_;
-  env.counters = &mem_counters_;
-  env.obs = obs_;
-  env.schedule = [this](Cycle t, std::function<void()> fn) {
-    events_.schedule(t, std::move(fn));
-  };
-  env.send = [this](Cycle t, const mem::CohMsg& m) { return send_msg(t, m); };
-  env.now_fn = [this] { return events_.now(); };
-  // Envs are copied into caches/directories at construction, so the hook
-  // checks the live flag through `this` rather than baking it in.
-  env.post_txn = [this](Addr line, HubId slice) {
-    if (validate_) validate_coherence(line, slice);
-  };
-  return env;
-}
-
 Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
     : mp_(mp),
       geom_(mp),
@@ -63,12 +37,11 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
   mp_.validate();
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
-    caches_.push_back(
-        std::make_unique<mem::CacheController>(c, make_env(), &homes_));
+    caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
   dirs_.reserve(static_cast<std::size_t>(geom_.num_clusters()));
   for (HubId h = 0; h < geom_.num_clusters(); ++h)
-    dirs_.push_back(std::make_unique<mem::DirectorySlice>(
-        h, geom_.hub_core(h), make_env()));
+    dirs_.push_back(
+        std::make_unique<mem::DirectorySlice>(h, geom_.hub_core(h), *this));
   if (obs_) {
     net_->set_observer(obs_);
     std::vector<net::ChannelUsage> usage;
@@ -103,7 +76,7 @@ void Machine::finalize_obs() {
 }
 
 void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
-  if ((trace_line() && m.line == trace_line()) ||
+  if ((mem::trace_line() && m.line == mem::trace_line()) ||
       (trace_inv() &&
        (m.type == mem::CohType::kInvReq || m.type == mem::CohType::kInvAck))) {
     obs::log::debugf("[%llu] DLVR %s line=%llx ->core%d (from %d) seq=%u",
@@ -131,8 +104,8 @@ void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
   });
 }
 
-Cycle Machine::send_msg(Cycle t, const mem::CohMsg& m) {
-  if ((trace_line() && m.line == trace_line()) ||
+Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
+  if ((mem::trace_line() && m.line == mem::trace_line()) ||
       (trace_inv() && m.type == mem::CohType::kInvReq)) {
     obs::log::debugf("[%llu] SEND %s line=%llx %d->%d req=%d seq=%u data=%d",
                      (unsigned long long)t, mem::to_string(m.type),

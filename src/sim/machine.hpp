@@ -1,6 +1,8 @@
 // The Machine: wires the event queue, the selected network model, the
 // per-core cache controllers and the per-cluster directory slices (with
-// co-located memory controllers) into one simulated chip.
+// co-located memory controllers) into one simulated chip. Caches and
+// directories hold a reference to the Machine that builds them and call it
+// directly for the clock, the event queue, the counters and the network.
 //
 // This is the memory-system view of the machine; `core/` layers coroutine
 // execution contexts and the synchronization library on top.
@@ -30,6 +32,9 @@ class Machine {
   /// latency recording in the network and memory layers. Null keeps every
   /// hot path at a single pointer test.
   explicit Machine(const MachineParams& mp, obs::RunObserver* obs = nullptr);
+  // Caches, directories and the epoch hook hold this Machine's address.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   EventQueue& events() { return events_; }
   const MachineParams& params() const { return mp_; }
@@ -51,6 +56,21 @@ class Machine {
 
   NetCounters& net_counters() { return net_->counters(); }
   MemCounters& mem_counters() { return mem_counters_; }
+  /// Telemetry observer, or null when telemetry is off.
+  obs::RunObserver* observer() const { return obs_; }
+
+  /// Sends `m` into the network no earlier than cycle `t`. The receiver's
+  /// handler runs (via the event queue) at the delivery cycle, once per
+  /// receiver for broadcasts. Returns the cycle at which the sender's port
+  /// is free again (back-pressure; callers serialize their sends on it).
+  Cycle send(Cycle t, const mem::CohMsg& m);
+
+  /// A directory transaction on `line` at `slice` completed: with
+  /// validation on (the live flag, so set_validation takes effect mid-run),
+  /// cross-checks directory tracking against every cache.
+  void txn_done(Addr line, HubId slice) {
+    if (validate_) validate_coherence(line, slice);
+  }
 
   /// Drains the event queue; returns false if the safety cycle limit hit.
   /// Once drained with validation on, runs the end-of-run probes (flow
@@ -102,9 +122,7 @@ class Machine {
   }
 
  private:
-  Cycle send_msg(Cycle t, const mem::CohMsg& m);
   void deliver(CoreId receiver, const mem::CohMsg& m, Cycle at);
-  mem::MemEnv make_env();
   static std::vector<CoreId> slice_cores(const MachineParams& mp);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.

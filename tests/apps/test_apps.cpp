@@ -25,6 +25,12 @@ struct Case {
   CoherenceKind coh;
 };
 
+// Names the parameter in the ctest name; without it gtest prints the struct's
+// raw bytes, whose pointer changes from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.app << '/' << to_string(c.net) << '/' << to_string(c.coh);
+}
+
 class AppCorrectness : public ::testing::TestWithParam<Case> {};
 
 TEST_P(AppCorrectness, RunsAndVerifies) {

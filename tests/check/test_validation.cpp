@@ -145,6 +145,31 @@ TEST(MutationCoherence, PointerOverflowAndForeignModifiedAreCaught) {
   }
 }
 
+TEST(MutationCoherence, ProbeFollowsTheLiveValidationFlag) {
+  // Directories report finished transactions to the Machine, which reads its
+  // validation flag at that moment: switching validation off mid-run
+  // silences the coherence probe, and switching it back on re-arms it.
+  Machine m(tiny());
+  ASSERT_TRUE(m.validation());  // env default took effect
+  const Addr a = 0x40000;
+  access_and_drain(m, 1, a, false);
+  access_and_drain(m, 2, a, false);
+  const Addr line = m.cache(1).l2().line_of(a);
+  m.directory(m.homes().slice_of(line)).debug_corrupt_forget_line(line);
+
+  // Cores 1 and 2 now hold copies the directory does not track.
+  m.set_validation(false);
+  EXPECT_NO_THROW(access_and_drain(m, 3, a, false));
+
+  m.set_validation(true);
+  try {
+    access_and_drain(m, 0, a, true);
+    FAIL() << "coherence probe did not fire after re-arming";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kCoherence);
+  }
+}
+
 // --------------------------------------------------------- flow probe fires
 
 TEST(MutationFlow, LostFlitsAreCaught) {
@@ -237,8 +262,10 @@ TEST(MutationEnergy, TotalsMustSumFromComponents) {
   EXPECT_NO_THROW(check_energy_stats(consistent(), "clean"));
 
   // Tamper with the exported total: it no longer matches its components.
+  // Named: a range-for over a temporary's items() would read freed memory.
+  const StatList clean = consistent();
   StatList wrong;
-  for (const auto& [k, v] : consistent().items())
+  for (const auto& [k, v] : clean.items())
     wrong.add(k, k == "energy_network" ? v + 1e-3 : v);
   try {
     check_energy_stats(wrong, "tampered");

@@ -30,28 +30,17 @@ TEST(HomeMap, InterleavesLinesAcrossAllSlices) {
   EXPECT_EQ(hm.slice_core(5), cores[5]);
 }
 
-class MemCtrlHarness {
- public:
-  MemCtrlHarness() {
-    env_.params = &mp_;
-    env_.counters = &ctr_;
-    env_.schedule = [this](Cycle t, std::function<void()> fn) {
-      evq_.schedule(t, std::move(fn));
-    };
-    env_.send = [](Cycle t, const CohMsg&) { return t; };
-    env_.now_fn = [this] { return evq_.now(); };
-  }
+struct MemCtrlHarness {
   MachineParams mp_ = MachineParams::paper();
   MemCounters ctr_;
-  MemEnv env_;
   EventQueue evq_;
+  MemController mc{evq_, ctr_, mp_};
 };
 
 TEST(MemController, SingleFetchTakesLatencyPlusSerialization) {
   MemCtrlHarness h;
-  MemController mc(&h.env_);
   Cycle done = 0;
-  mc.request(false, [&](Cycle t) { done = t; });
+  h.mc.request(false, [&](Cycle t) { done = t; });
   h.evq_.run();
   // 64 B / 5 B-per-cycle = 13 cycles + 100 cycles latency.
   EXPECT_EQ(done, 113u);
@@ -60,10 +49,9 @@ TEST(MemController, SingleFetchTakesLatencyPlusSerialization) {
 
 TEST(MemController, BandwidthChannelSerializesBursts) {
   MemCtrlHarness h;
-  MemController mc(&h.env_);
   std::vector<Cycle> done;
   for (int i = 0; i < 4; ++i)
-    mc.request(false, [&](Cycle t) { done.push_back(t); });
+    h.mc.request(false, [&](Cycle t) { done.push_back(t); });
   h.evq_.run();
   ASSERT_EQ(done.size(), 4u);
   // Latency overlaps but the 13-cycle line transfers serialize.
@@ -75,8 +63,7 @@ TEST(MemController, BandwidthChannelSerializesBursts) {
 
 TEST(MemController, WritesCountSeparately) {
   MemCtrlHarness h;
-  MemController mc(&h.env_);
-  mc.request(true, [](Cycle) {});
+  h.mc.request(true, [](Cycle) {});
   h.evq_.run();
   EXPECT_EQ(h.ctr_.dram_writes, 1u);
   EXPECT_EQ(h.ctr_.dram_reads, 0u);
