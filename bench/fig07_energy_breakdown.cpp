@@ -17,36 +17,24 @@ using namespace atacsim::bench;
 
 namespace {
 
+/// Per-component mean over the benchmarks of the chip's network and cache
+/// energy (the components Fig. 7 plots).
 power::EnergyBreakdown average_energy(const exp::sweep::SweepResult& res,
                                       std::size_t config,
                                       std::size_t num_apps) {
   power::EnergyBreakdown sum;
   for (std::size_t a = 0; a < num_apps; ++a) {
     const auto& e = res.at({config, a}).energy;
-    sum.laser += e.laser;
-    sum.ring_tuning += e.ring_tuning;
-    sum.optical_other += e.optical_other;
-    sum.enet_dynamic += e.enet_dynamic;
-    sum.enet_static += e.enet_static;
-    sum.recvnet += e.recvnet;
-    sum.hub += e.hub;
-    sum.l1i += e.l1i;
-    sum.l1d += e.l1d;
-    sum.l2 += e.l2;
-    sum.directory += e.directory;
+#define ATACSIM_X(f) sum.f += e.f;
+    ATACSIM_NETWORK_ENERGY_FIELDS(ATACSIM_X)
+    ATACSIM_CACHE_ENERGY_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   }
   const double n = static_cast<double>(num_apps);
-  sum.laser /= n;
-  sum.ring_tuning /= n;
-  sum.optical_other /= n;
-  sum.enet_dynamic /= n;
-  sum.enet_static /= n;
-  sum.recvnet /= n;
-  sum.hub /= n;
-  sum.l1i /= n;
-  sum.l1d /= n;
-  sum.l2 /= n;
-  sum.directory /= n;
+#define ATACSIM_X(f) sum.f /= n;
+  ATACSIM_NETWORK_ENERGY_FIELDS(ATACSIM_X)
+  ATACSIM_CACHE_ENERGY_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   return sum;
 }
 

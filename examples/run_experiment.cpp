@@ -2,8 +2,8 @@
 // configuration and print a full performance/traffic/energy report.
 //
 //   $ ./build/examples/run_experiment --app radix --net atac --scale 0.5
-//   $ ./build/examples/run_experiment --app fmm --net emesh-bcast \
-//         --coherence dirkb --sharers 8
+//   $ ./build/examples/run_experiment --app fmm --net emesh-bcast
+//   $ ./build/examples/run_experiment --app fmm --coherence dirkb --sharers 8
 //   $ ./build/examples/run_experiment --config my_machine.cfg --app fft
 //   $ ./build/examples/run_experiment --list
 //

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "apps/app.hpp"
+#include "harness/runner.hpp"
 
 namespace atacsim::bench {
 
@@ -43,23 +44,12 @@ MachineParams base_machine() {
 }
 
 MachineParams atac_plus(PhotonicFlavor f) {
-  auto mp = base_machine();
-  mp.network = NetworkKind::kAtacPlus;
-  mp.photonics = f;
-  return mp;
+  return harness::atac_plus(f, base_machine());
 }
 
-MachineParams emesh_bcast() {
-  auto mp = base_machine();
-  mp.network = NetworkKind::kEMeshBCast;
-  return mp;
-}
+MachineParams emesh_bcast() { return harness::emesh_bcast(base_machine()); }
 
-MachineParams emesh_pure() {
-  auto mp = base_machine();
-  mp.network = NetworkKind::kEMeshPure;
-  return mp;
-}
+MachineParams emesh_pure() { return harness::emesh_pure(base_machine()); }
 
 void print_header(const char* fig, const char* what) {
   const auto mp = base_machine();

@@ -25,8 +25,8 @@ double bench_scale();
 /// malformed value.
 MachineParams base_machine();
 
-// Standard paper configurations on the bench machine (identical to the
-// harness:: builders at the default 1024-core mesh).
+// Standard paper configurations on the bench machine: the harness::
+// builders applied to base_machine().
 MachineParams atac_plus(PhotonicFlavor f = PhotonicFlavor::kDefault);
 MachineParams emesh_bcast();
 MachineParams emesh_pure();

@@ -117,20 +117,9 @@ bool close(double a, double b) {
 }  // namespace
 
 void check_energy(const power::EnergyBreakdown& e, const std::string& context) {
-  energy_component(e.laser, "laser", context);
-  energy_component(e.ring_tuning, "ring_tuning", context);
-  energy_component(e.optical_other, "optical_other", context);
-  energy_component(e.enet_dynamic, "enet_dynamic", context);
-  energy_component(e.enet_static, "enet_static", context);
-  energy_component(e.recvnet, "recvnet", context);
-  energy_component(e.hub, "hub", context);
-  energy_component(e.l1i, "l1i", context);
-  energy_component(e.l1d, "l1d", context);
-  energy_component(e.l2, "l2", context);
-  energy_component(e.directory, "directory", context);
-  energy_component(e.dram, "dram", context);
-  energy_component(e.core_dd, "core_dd", context);
-  energy_component(e.core_ndd, "core_ndd", context);
+#define ATACSIM_X(f) energy_component(e.f, #f, context);
+  ATACSIM_ENERGY_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
 }
 
 void check_energy_stats(const StatList& st, const std::string& context) {
@@ -152,20 +141,16 @@ void check_energy_stats(const StatList& st, const std::string& context) {
       raise(Probe::kEnergy, "report", 0, kInvalidCore, os.str());
     }
   };
-  const double network =
-      st.get("energy_laser") + st.get("energy_ring_tuning") +
-      st.get("energy_optical_other") + st.get("energy_enet_dynamic") +
-      st.get("energy_enet_static") + st.get("energy_recvnet") +
-      st.get("energy_hub");
-  const double caches = st.get("energy_l1i") + st.get("energy_l1d") +
-                        st.get("energy_l2") + st.get("energy_directory");
-  sum_check("energy_network", network);
-  sum_check("energy_caches", caches);
+  // The subtotals are summed in EnergyBreakdown's order, from the lists
+  // that also name the report columns.
+#define ATACSIM_X(f) +st.get("energy_" #f)
+  sum_check("energy_network", 0.0 ATACSIM_NETWORK_ENERGY_FIELDS(ATACSIM_X));
+  sum_check("energy_caches", 0.0 ATACSIM_CACHE_ENERGY_FIELDS(ATACSIM_X));
   sum_check("energy_chip_no_core",
             st.get("energy_network") + st.get("energy_caches"));
-  sum_check("energy_chip", st.get("energy_chip_no_core") +
-                               st.get("energy_core_dd") +
-                               st.get("energy_core_ndd"));
+  sum_check("energy_chip", st.get("energy_chip_no_core")
+                               ATACSIM_CORE_ENERGY_FIELDS(ATACSIM_X));
+#undef ATACSIM_X
 }
 
 void check_epoch_totals(const NetCounters& sum_net,

@@ -3,15 +3,18 @@
 // toolflow as the paper (Sec. V-A).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/stats.hpp"
 
 // X-macro field lists: every plain uint64 counter field, in declaration
-// order. Consumers that must stay in lockstep with the structs (NetCounters
-// ::add, the obs epoch sampler's deltas, the check kObs probe) expand these
-// instead of hand-listing fields, so adding a counter cannot silently skip
-// a layer. The packet_latency Accumulator is intentionally not listed.
+// order. These lists are the one place that names the counters: every layer
+// that walks them (NetCounters::add, the obs epoch sampler's deltas, the
+// check kObs probe, the scenario cache, the report columns, the perfbench
+// digest) expands them instead of hand-listing fields, and the
+// static_asserts below fail to compile when a struct field is missing from
+// its list. The packet_latency Accumulator is intentionally not listed.
 #define ATACSIM_NET_COUNTER_FIELDS(X) \
   X(enet_router_flits)                \
   X(enet_link_flits)                  \
@@ -112,5 +115,20 @@ struct CoreCounters {
   std::uint64_t instructions = 0;
   std::uint64_t busy_cycles = 0;  ///< cycles cores spent not stalled
 };
+
+// A struct field missing from its list changes the byte count and fails
+// the build here.
+#define ATACSIM_X(f) +sizeof(std::uint64_t)
+static_assert(0 ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X) ==
+                  offsetof(NetCounters, packet_latency),
+              "ATACSIM_NET_COUNTER_FIELDS must list every NetCounters field");
+static_assert(offsetof(NetCounters, packet_latency) + sizeof(Accumulator) ==
+                  sizeof(NetCounters),
+              "packet_latency must stay the last NetCounters field");
+static_assert(0 ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X) == sizeof(MemCounters),
+              "ATACSIM_MEM_COUNTER_FIELDS must list every MemCounters field");
+static_assert(0 ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X) == sizeof(CoreCounters),
+              "ATACSIM_CORE_COUNTER_FIELDS must list every CoreCounters field");
+#undef ATACSIM_X
 
 }  // namespace atacsim

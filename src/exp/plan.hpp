@@ -30,11 +30,10 @@ int default_jobs();
 /// exp layer (cache hits and coalesced singleflight waiters excluded).
 std::uint64_t simulations_executed();
 
-/// Thread-safe drop-in for harness::run_scenario_cached: consults the
-/// on-disk cache, coalesces concurrent misses for the same scenario key via
-/// in-process singleflight, and recomputes energy for the caller's photonic
-/// flavour. Sets *cache_hit (when non-null) to whether the counters came
-/// from disk.
+/// Thread-safe cached run of one scenario: consults the on-disk cache,
+/// coalesces concurrent misses for the same scenario key via in-process
+/// singleflight, and recomputes energy for the caller's photonic flavour.
+/// Sets *cache_hit (when non-null) to whether the counters came from disk.
 harness::Outcome run_scenario_shared(const harness::Scenario& s,
                                      bool allow_failure = true,
                                      bool* cache_hit = nullptr);

@@ -1,22 +1,21 @@
 #include "exp/report.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <ostream>
 
 #include "check/probes.hpp"
+#include "obs/json.hpp"
 
 namespace atacsim::exp::report {
 namespace fs = std::filesystem;
+using obs::json::escape;
+using obs::json::num;
 
 StatList outcome_stats(const harness::Outcome& o) {
   StatList st;
   const auto& r = o.run;
-  const auto& n = r.net;
-  const auto& m = r.mem;
   const auto& e = o.energy;
   auto u = [&](const char* k, std::uint64_t v) {
     st.add(k, static_cast<double>(v));
@@ -28,56 +27,21 @@ StatList outcome_stats(const harness::Outcome& o) {
   st.add("avg_ipc", r.avg_ipc);
   u("busy_cycles", r.core.busy_cycles);
   st.add("wall_seconds", o.wall_seconds);
-  // network counters
-  u("enet_router_flits", n.enet_router_flits);
-  u("enet_link_flits", n.enet_link_flits);
-  u("recvnet_link_flits", n.recvnet_link_flits);
-  u("hub_flits", n.hub_flits);
-  u("onet_flits_sent", n.onet_flits_sent);
-  u("onet_flit_receptions", n.onet_flit_receptions);
-  u("onet_selects", n.onet_selects);
-  u("laser_unicast_cycles", n.laser_unicast_cycles);
-  u("laser_bcast_cycles", n.laser_bcast_cycles);
-  u("unicast_packets", n.unicast_packets);
-  u("bcast_packets", n.bcast_packets);
-  u("flits_injected", n.flits_injected);
-  u("recv_unicast_flits", n.recv_unicast_flits);
-  u("recv_bcast_flits", n.recv_bcast_flits);
-  u("unicast_flits_offered", n.unicast_flits_offered);
-  u("bcast_flits_offered", n.bcast_flits_offered);
-  // memory counters
-  u("l1i_accesses", m.l1i_accesses);
-  u("l1d_reads", m.l1d_reads);
-  u("l1d_writes", m.l1d_writes);
-  u("l2_reads", m.l2_reads);
-  u("l2_writes", m.l2_writes);
-  u("dir_reads", m.dir_reads);
-  u("dir_writes", m.dir_writes);
-  u("dram_reads", m.dram_reads);
-  u("dram_writes", m.dram_writes);
-  u("l1d_misses", m.l1d_misses);
-  u("l2_misses", m.l2_misses);
-  u("invalidations_sent", m.invalidations_sent);
-  u("bcast_invalidations", m.bcast_invalidations);
+  // network and memory counters
+#define ATACSIM_X(f) u(#f, r.net.f);
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) u(#f, r.mem.f);
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   // ATAC+ link stats
   st.add("swmr_utilization", o.swmr_utilization);
   u("onet_unicasts", o.onet_unicasts);
   u("onet_bcasts", o.onet_bcasts);
-  // energy (Joules)
-  st.add("energy_laser", e.laser);
-  st.add("energy_ring_tuning", e.ring_tuning);
-  st.add("energy_optical_other", e.optical_other);
-  st.add("energy_enet_dynamic", e.enet_dynamic);
-  st.add("energy_enet_static", e.enet_static);
-  st.add("energy_recvnet", e.recvnet);
-  st.add("energy_hub", e.hub);
-  st.add("energy_l1i", e.l1i);
-  st.add("energy_l1d", e.l1d);
-  st.add("energy_l2", e.l2);
-  st.add("energy_directory", e.directory);
-  st.add("energy_dram", e.dram);
-  st.add("energy_core_dd", e.core_dd);
-  st.add("energy_core_ndd", e.core_ndd);
+  // energy (Joules): every component, then the subtotals
+#define ATACSIM_X(f) st.add("energy_" #f, e.f);
+  ATACSIM_ENERGY_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   st.add("energy_network", e.network());
   st.add("energy_caches", e.caches());
   st.add("energy_chip_no_core", e.chip_no_core());
@@ -92,46 +56,6 @@ StatList outcome_stats(const harness::Outcome& o) {
     check::check_energy_stats(st, o.app + " on " + o.config);
   return st;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// %.17g round-trips doubles exactly; JSON has no Inf/NaN literals, so
-/// guard them as null.
-std::string num(double v) {
-  if (v != v || v == std::numeric_limits<double>::infinity() ||
-      v == -std::numeric_limits<double>::infinity())
-    return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 Report Report::from_plan(const std::string& name, const PlanResult& r) {
   Report rep;
@@ -150,7 +74,7 @@ Report Report::from_plan(const std::string& name, const PlanResult& r) {
 
 void write_json(std::ostream& os, const Report& r) {
   os << "{\n"
-     << "  \"name\": \"" << json_escape(r.name) << "\",\n"
+     << "  \"name\": \"" << escape(r.name) << "\",\n"
      << "  \"schema\": \"atacsim-exp-report-v1\",\n"
      << "  \"jobs\": " << r.jobs << ",\n"
      << "  \"cells\": " << r.cells << ",\n"
@@ -160,14 +84,14 @@ void write_json(std::ostream& os, const Report& r) {
      << "  \"outcomes\": [";
   for (std::size_t i = 0; i < r.rows.size(); ++i) {
     const auto& o = r.rows[i];
-    os << (i ? ",\n" : "\n") << "    {\"app\": \"" << json_escape(o.app)
-       << "\", \"config\": \"" << json_escape(o.config)
+    os << (i ? ",\n" : "\n") << "    {\"app\": \"" << escape(o.app)
+       << "\", \"config\": \"" << escape(o.config)
        << "\", \"finished\": " << (o.finished ? "true" : "false")
-       << ", \"verify_msg\": \"" << json_escape(o.verify_msg)
+       << ", \"verify_msg\": \"" << escape(o.verify_msg)
        << "\", \"stats\": {";
     bool first = true;
     for (const auto& [k, v] : o.stats.items()) {
-      os << (first ? "" : ", ") << "\"" << json_escape(k) << "\": " << num(v);
+      os << (first ? "" : ", ") << "\"" << escape(k) << "\": " << num(v);
       first = false;
     }
     os << "}}";
@@ -205,21 +129,6 @@ void write_csv(std::ostream& os, const Report& r) {
     }
     os << '\n';
   }
-}
-
-void write_json(std::ostream& os, const std::string& name,
-                const PlanResult& r) {
-  write_json(os, Report::from_plan(name, r));
-}
-
-void write_csv(std::ostream& os,
-               const std::vector<harness::Outcome>& outcomes) {
-  Report rep;
-  rep.rows.reserve(outcomes.size());
-  for (const auto& o : outcomes)
-    rep.rows.push_back(
-        Row{o.app, o.config, o.finished, o.verify_msg, outcome_stats(o)});
-  write_csv(os, rep);
 }
 
 std::string report_dir() {

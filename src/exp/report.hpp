@@ -34,9 +34,6 @@ namespace atacsim::exp::report {
 /// breakdown, and the paper's derived metrics (seconds, EDP, ...).
 StatList outcome_stats(const harness::Outcome& o);
 
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string json_escape(const std::string& s);
-
 /// One serialized report row ("outcome" in the v1 schema).
 struct Row {
   std::string app;
@@ -62,12 +59,6 @@ struct Report {
 
 void write_json(std::ostream& os, const Report& r);
 void write_csv(std::ostream& os, const Report& r);
-
-// Back-compatible plan-level entry points (equivalent to from_plan + write).
-void write_json(std::ostream& os, const std::string& name,
-                const PlanResult& r);
-void write_csv(std::ostream& os,
-               const std::vector<harness::Outcome>& outcomes);
 
 /// Report directory: $ATACSIM_REPORT_DIR if set, else "bench_reports".
 std::string report_dir();

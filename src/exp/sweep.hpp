@@ -1,7 +1,7 @@
 // Declarative parameter sweeps: the paper's evaluation is a grid of
 // (application x machine-parameter x traffic-parameter) studies, and every
 // figure/table bench declares its grid as a SweepSpec instead of hand-rolling
-// nested loops over run_scenario_cached.
+// nested loops over scenario runs.
 //
 // A SweepAxis is a named list of labelled points, each a typed setter over
 // the sweep cell (the harness Scenario for application runs, the synthetic

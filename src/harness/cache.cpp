@@ -9,8 +9,7 @@
 #include <map>
 #include <sstream>
 
-#include "obs/options.hpp"
-#include "power/energy_model.hpp"
+#include "common/counters.hpp"
 
 namespace atacsim::harness {
 namespace fs = std::filesystem;
@@ -68,8 +67,6 @@ namespace {
 
 void store(std::ostream& os, const Outcome& o) {
   const auto& r = o.run;
-  const auto& n = r.net;
-  const auto& m = r.mem;
   std::map<std::string, double> kv = {
       {"finished", o.finished ? 1.0 : 0.0},
       {"wall_seconds", o.wall_seconds},
@@ -80,36 +77,13 @@ void store(std::ostream& os, const Outcome& o) {
       {"total_instructions", static_cast<double>(r.total_instructions)},
       {"avg_ipc", r.avg_ipc},
       {"busy_cycles", static_cast<double>(r.core.busy_cycles)},
-      {"enet_router_flits", static_cast<double>(n.enet_router_flits)},
-      {"enet_link_flits", static_cast<double>(n.enet_link_flits)},
-      {"recvnet_link_flits", static_cast<double>(n.recvnet_link_flits)},
-      {"hub_flits", static_cast<double>(n.hub_flits)},
-      {"onet_flits_sent", static_cast<double>(n.onet_flits_sent)},
-      {"onet_flit_receptions", static_cast<double>(n.onet_flit_receptions)},
-      {"onet_selects", static_cast<double>(n.onet_selects)},
-      {"laser_unicast_cycles", static_cast<double>(n.laser_unicast_cycles)},
-      {"laser_bcast_cycles", static_cast<double>(n.laser_bcast_cycles)},
-      {"unicast_packets", static_cast<double>(n.unicast_packets)},
-      {"bcast_packets", static_cast<double>(n.bcast_packets)},
-      {"flits_injected", static_cast<double>(n.flits_injected)},
-      {"recv_unicast_flits", static_cast<double>(n.recv_unicast_flits)},
-      {"recv_bcast_flits", static_cast<double>(n.recv_bcast_flits)},
-      {"unicast_flits_offered", static_cast<double>(n.unicast_flits_offered)},
-      {"bcast_flits_offered", static_cast<double>(n.bcast_flits_offered)},
-      {"l1i_accesses", static_cast<double>(m.l1i_accesses)},
-      {"l1d_reads", static_cast<double>(m.l1d_reads)},
-      {"l1d_writes", static_cast<double>(m.l1d_writes)},
-      {"l2_reads", static_cast<double>(m.l2_reads)},
-      {"l2_writes", static_cast<double>(m.l2_writes)},
-      {"dir_reads", static_cast<double>(m.dir_reads)},
-      {"dir_writes", static_cast<double>(m.dir_writes)},
-      {"dram_reads", static_cast<double>(m.dram_reads)},
-      {"dram_writes", static_cast<double>(m.dram_writes)},
-      {"l1d_misses", static_cast<double>(m.l1d_misses)},
-      {"l2_misses", static_cast<double>(m.l2_misses)},
-      {"invalidations_sent", static_cast<double>(m.invalidations_sent)},
-      {"bcast_invalidations", static_cast<double>(m.bcast_invalidations)},
   };
+#define ATACSIM_X(f) kv[#f] = static_cast<double>(r.net.f);
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) kv[#f] = static_cast<double>(r.mem.f);
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   os << "verify_msg=" << o.verify_msg << '\n';
   os.precision(17);  // counters are exact integers stored as doubles
   for (const auto& [key, v] : kv) os << key << '=' << v << '\n';
@@ -146,37 +120,12 @@ bool load(std::istream& is, Outcome& o) {
   r.avg_ipc = g("avg_ipc");
   r.core.instructions = r.total_instructions;
   r.core.busy_cycles = gu("busy_cycles");
-  auto& n = r.net;
-  n.enet_router_flits = gu("enet_router_flits");
-  n.enet_link_flits = gu("enet_link_flits");
-  n.recvnet_link_flits = gu("recvnet_link_flits");
-  n.hub_flits = gu("hub_flits");
-  n.onet_flits_sent = gu("onet_flits_sent");
-  n.onet_flit_receptions = gu("onet_flit_receptions");
-  n.onet_selects = gu("onet_selects");
-  n.laser_unicast_cycles = gu("laser_unicast_cycles");
-  n.laser_bcast_cycles = gu("laser_bcast_cycles");
-  n.unicast_packets = gu("unicast_packets");
-  n.bcast_packets = gu("bcast_packets");
-  n.flits_injected = gu("flits_injected");
-  n.recv_unicast_flits = gu("recv_unicast_flits");
-  n.recv_bcast_flits = gu("recv_bcast_flits");
-  n.unicast_flits_offered = gu("unicast_flits_offered");
-  n.bcast_flits_offered = gu("bcast_flits_offered");
-  auto& m = r.mem;
-  m.l1i_accesses = gu("l1i_accesses");
-  m.l1d_reads = gu("l1d_reads");
-  m.l1d_writes = gu("l1d_writes");
-  m.l2_reads = gu("l2_reads");
-  m.l2_writes = gu("l2_writes");
-  m.dir_reads = gu("dir_reads");
-  m.dir_writes = gu("dir_writes");
-  m.dram_reads = gu("dram_reads");
-  m.dram_writes = gu("dram_writes");
-  m.l1d_misses = gu("l1d_misses");
-  m.l2_misses = gu("l2_misses");
-  m.invalidations_sent = gu("invalidations_sent");
-  m.bcast_invalidations = gu("bcast_invalidations");
+#define ATACSIM_X(f) r.net.f = gu(#f);
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) r.mem.f = gu(#f);
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   return true;
 }
 
@@ -216,26 +165,6 @@ void store_cached(const Scenario& s, const Outcome& o) {
   std::error_code ec;
   fs::rename(tmp, file, ec);
   if (ec) fs::remove(tmp, ec);
-}
-
-Outcome run_scenario_cached(const Scenario& s, bool allow_failure) {
-  Outcome o;
-  // Telemetry artifacts (series, histograms, trace) only exist when the
-  // simulation actually executes, so an obs-armed run bypasses the cache
-  // LOAD — the fresh result is still stored for later unarmed runs.
-  const bool loaded = !obs::options().enabled && try_load_cached(s, o);
-  if (!loaded) {
-    o = run_scenario(s, allow_failure);
-    store_cached(s, o);
-  } else {
-    // Recompute energy for the (possibly different) photonic flavour.
-    const power::EnergyModel em(s.mp);
-    o.energy = em.compute(o.run.net, o.run.mem, o.run.core,
-                          static_cast<double>(o.run.completion_cycles));
-    if (!allow_failure && !o.verify_msg.empty())
-      throw std::runtime_error(s.app + ": " + o.verify_msg);
-  }
-  return o;
 }
 
 }  // namespace atacsim::harness

@@ -31,11 +31,6 @@ bool try_load_cached(const Scenario& s, Outcome& o);
 /// deterministic.
 void store_cached(const Scenario& s, const Outcome& o);
 
-/// Like run_scenario(), but consults/updates the on-disk cache. Not
-/// coalesced: two concurrent callers with the same key may both simulate
-/// (see exp::run_scenario_shared for the singleflight version).
-Outcome run_scenario_cached(const Scenario& s, bool allow_failure = false);
-
 /// Cache directory in use.
 std::string cache_dir();
 

@@ -28,23 +28,20 @@ double Outcome::bcast_recv_fraction() const {
   return (b + u) > 0 ? b / (b + u) : 0.0;
 }
 
-MachineParams atac_plus(PhotonicFlavor f) {
-  auto mp = MachineParams::paper();
-  mp.network = NetworkKind::kAtacPlus;
-  mp.photonics = f;
-  return mp;
+MachineParams atac_plus(PhotonicFlavor f, MachineParams base) {
+  base.network = NetworkKind::kAtacPlus;
+  base.photonics = f;
+  return base;
 }
 
-MachineParams emesh_bcast() {
-  auto mp = MachineParams::paper();
-  mp.network = NetworkKind::kEMeshBCast;
-  return mp;
+MachineParams emesh_bcast(MachineParams base) {
+  base.network = NetworkKind::kEMeshBCast;
+  return base;
 }
 
-MachineParams emesh_pure() {
-  auto mp = MachineParams::paper();
-  mp.network = NetworkKind::kEMeshPure;
-  return mp;
+MachineParams emesh_pure(MachineParams base) {
+  base.network = NetworkKind::kEMeshPure;
+  return base;
 }
 
 std::string config_name(const MachineParams& mp) {

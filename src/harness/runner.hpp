@@ -61,9 +61,12 @@ power::EnergyBreakdown recompute_energy(const Outcome& o,
                                         const TechBundle& tb);
 
 // --- standard paper configurations -------------------------------------
-MachineParams atac_plus(PhotonicFlavor f = PhotonicFlavor::kDefault);
-MachineParams emesh_bcast();
-MachineParams emesh_pure();
+// The paper's three networks on `base` (the 1024-core machine by default;
+// bench:: passes its possibly smaller bench machine).
+MachineParams atac_plus(PhotonicFlavor f = PhotonicFlavor::kDefault,
+                        MachineParams base = MachineParams::paper());
+MachineParams emesh_bcast(MachineParams base = MachineParams::paper());
+MachineParams emesh_pure(MachineParams base = MachineParams::paper());
 /// Short human-readable config label ("ATAC+", "EMesh-BCast", ...).
 std::string config_name(const MachineParams& mp);
 

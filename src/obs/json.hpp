@@ -1,6 +1,8 @@
 // Minimal recursive-descent JSON parser for the obs schema validators and
 // the atacsim-obs-check tool. Parses the full RFC 8259 grammar into a
 // simple ordered DOM; not performance-critical (artifacts are small).
+// Also the one scalar writer (string escaping, number formatting) that
+// every JSON and CSV artifact of the simulator is written with.
 #pragma once
 
 #include <string>
@@ -37,5 +39,13 @@ struct Value {
 /// Parses `text` into `out`. On failure returns false and, when `err` is
 /// non-null, describes the first problem (with byte offset).
 bool parse(const std::string& text, Value& out, std::string* err = nullptr);
+
+/// String escaping per RFC 8259 (quotes, backslash, control chars); the
+/// caller adds the surrounding quotes.
+std::string escape(const std::string& s);
+
+/// %.17g, which round-trips doubles exactly; JSON has no Inf/NaN literals,
+/// so those are written as null.
+std::string num(double v);
 
 }  // namespace atacsim::obs::json

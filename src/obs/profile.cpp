@@ -1,13 +1,15 @@
 #include "obs/profile.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <limits>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "obs/options.hpp"
 
 namespace atacsim::obs {
+
+using json::escape;
+using json::num;
 
 namespace {
 
@@ -15,15 +17,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string num(double v) {
-  if (v != v || v == std::numeric_limits<double>::infinity() ||
-      v == -std::numeric_limits<double>::infinity())
-    return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -77,14 +70,14 @@ void SelfProfile::write_json(std::ostream& os, const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\n"
      << "  \"schema\": \"atacsim-obs-profile-v1\",\n"
-     << "  \"name\": \"" << name << "\",\n"
+     << "  \"name\": \"" << escape(name) << "\",\n"
      << "  \"deterministic\": false,\n"
      << "  \"phases\": {";
   bool first = true;
   for (const auto& [n, ph] : phases_) {
-    os << (first ? "\n" : ",\n") << "    \"" << n << "\": {\"wall_seconds\": "
-       << num(ph.wall_s) << ", \"events\": " << ph.events
-       << ", \"events_per_second\": "
+    os << (first ? "\n" : ",\n") << "    \"" << escape(n)
+       << "\": {\"wall_seconds\": " << num(ph.wall_s)
+       << ", \"events\": " << ph.events << ", \"events_per_second\": "
        << num(ph.wall_s > 0 ? static_cast<double>(ph.events) / ph.wall_s : 0)
        << "}";
     first = false;

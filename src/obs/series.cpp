@@ -1,11 +1,14 @@
 #include "obs/series.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <limits>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace atacsim::obs {
+
+using json::escape;
+using json::num;
 
 namespace {
 
@@ -50,39 +53,6 @@ bool all_zero(const NetCounters& n, const MemCounters& m,
   for (const Cycle v : chan) acc |= v;
   for (const std::uint64_t v : core_busy) acc |= v;
   return acc == 0;
-}
-
-/// %.17g round-trips doubles; JSON has no Inf/NaN, guard as null.
-std::string num(double v) {
-  if (v != v || v == std::numeric_limits<double>::infinity() ||
-      v == -std::numeric_limits<double>::infinity())
-    return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -16,6 +16,37 @@
 #include "power/cache_model.hpp"
 #include "power/core_model.hpp"
 
+// X-macro lists of the EnergyBreakdown components in declaration order, the
+// counterpart of counters.hpp's counter lists: the subtotals below, the
+// report columns, the energy probes and the Fig. 7 average expand these, and
+// the static_assert after the struct fails to compile when a component is
+// missing from ATACSIM_ENERGY_FIELDS. Adding a component is one line in the
+// list of its group (network, caches, off-chip or cores).
+#define ATACSIM_NETWORK_ENERGY_FIELDS(X) \
+  X(laser)                               \
+  X(ring_tuning)                         \
+  X(optical_other)                       \
+  X(enet_dynamic)                        \
+  X(enet_static)                         \
+  X(recvnet)                             \
+  X(hub)
+
+#define ATACSIM_CACHE_ENERGY_FIELDS(X) \
+  X(l1i)                               \
+  X(l1d)                               \
+  X(l2)                                \
+  X(directory)
+
+#define ATACSIM_CORE_ENERGY_FIELDS(X) \
+  X(core_dd)                          \
+  X(core_ndd)
+
+#define ATACSIM_ENERGY_FIELDS(X)   \
+  ATACSIM_NETWORK_ENERGY_FIELDS(X) \
+  ATACSIM_CACHE_ENERGY_FIELDS(X)   \
+  X(dram)                          \
+  ATACSIM_CORE_ENERGY_FIELDS(X)
+
 namespace atacsim::power {
 
 /// Joules per component over one application run.
@@ -40,14 +71,22 @@ struct EnergyBreakdown {
   double core_dd = 0;
   double core_ndd = 0;
 
+#define ATACSIM_X(f) +f
   double network() const {
-    return laser + ring_tuning + optical_other + enet_dynamic + enet_static +
-           recvnet + hub;
+    return 0.0 ATACSIM_NETWORK_ENERGY_FIELDS(ATACSIM_X);
   }
-  double caches() const { return l1i + l1d + l2 + directory; }
+  double caches() const { return 0.0 ATACSIM_CACHE_ENERGY_FIELDS(ATACSIM_X); }
   double chip_no_core() const { return network() + caches(); }
-  double chip() const { return chip_no_core() + core_dd + core_ndd; }
+  double chip() const {
+    return chip_no_core() ATACSIM_CORE_ENERGY_FIELDS(ATACSIM_X);
+  }
+#undef ATACSIM_X
 };
+
+#define ATACSIM_X(f) +sizeof(double)
+static_assert(0 ATACSIM_ENERGY_FIELDS(ATACSIM_X) == sizeof(EnergyBreakdown),
+              "ATACSIM_ENERGY_FIELDS must list every EnergyBreakdown field");
+#undef ATACSIM_X
 
 /// Square millimetres per chip component (Fig. 10).
 struct AreaBreakdown {

@@ -50,6 +50,12 @@ struct CleanCase {
   NetworkKind net;
 };
 
+// Names the parameter in the ctest name; without it gtest prints the struct's
+// raw bytes, whose pointer changes from run to run.
+void PrintTo(const CleanCase& c, std::ostream* os) {
+  *os << c.app << '/' << to_string(c.net);
+}
+
 class ValidatedApps : public ::testing::TestWithParam<CleanCase> {};
 
 // Acceptance gate: every paper app on every network model runs execution-

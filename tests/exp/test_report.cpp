@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "exp/report.hpp"
+#include "obs/json.hpp"
 
 namespace atacsim::exp::report {
 namespace {
@@ -26,11 +27,20 @@ harness::Outcome fake_outcome(const char* app, const char* config) {
 }
 
 TEST(Report, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  const std::string raw = "q\"b\\s\nline\ttab\x01";
+  Report rep;
+  rep.name = raw;
+  rep.rows.push_back(Row{raw, "ATAC+", false, raw, {}});
+  std::ostringstream os;
+  write_json(os, rep);
+
+  obs::json::Value v;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse(os.str(), v, &err)) << err;
+  EXPECT_EQ(v.find("name")->str, raw);
+  const auto& row = v.find("outcomes")->arr.at(0);
+  EXPECT_EQ(row.find("app")->str, raw);
+  EXPECT_EQ(row.find("verify_msg")->str, raw);
 }
 
 TEST(Report, OutcomeStatsCoverCountersEnergyAndDerived) {
@@ -59,7 +69,7 @@ TEST(Report, JsonIsWellFormedAndCarriesMeta) {
   r.wall_seconds = 1.5;
 
   std::ostringstream os;
-  write_json(os, "fig99_test", r);
+  write_json(os, Report::from_plan("fig99_test", r));
   const std::string j = os.str();
 
   EXPECT_NE(j.find("\"name\": \"fig99_test\""), std::string::npos);
@@ -97,9 +107,11 @@ TEST(Report, JsonIsWellFormedAndCarriesMeta) {
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerOutcome) {
+  PlanResult r;
+  r.outcomes = {fake_outcome("radix", "ATAC+"),
+                fake_outcome("lu,contig", "EMesh-Pure")};
   std::ostringstream os;
-  write_csv(os, {fake_outcome("radix", "ATAC+"),
-                 fake_outcome("lu,contig", "EMesh-Pure")});
+  write_csv(os, Report::from_plan("fig99_test", r));
   const std::string csv = os.str();
 
   std::istringstream is(csv);
@@ -127,7 +139,7 @@ TEST(Report, CsvHasHeaderAndOneRowPerOutcome) {
 
 TEST(Report, EmptyOutcomesStillProducesHeader) {
   std::ostringstream os;
-  write_csv(os, std::vector<harness::Outcome>{});
+  write_csv(os, Report{});
   EXPECT_EQ(os.str(), "app,config,finished,verify_msg\n");
 }
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
+#include "exp/plan.hpp"
 #include "harness/cache.hpp"
 #include "harness/runner.hpp"
 
@@ -106,37 +108,13 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   o.run.avg_ipc = 0.75;
   o.run.core.instructions = 1002;
   o.run.core.busy_cycles = 1003;
-  auto& n = o.run.net;
-  n.enet_router_flits = 1;
-  n.enet_link_flits = 2;
-  n.recvnet_link_flits = 3;
-  n.hub_flits = 4;
-  n.onet_flits_sent = 5;
-  n.onet_flit_receptions = 6;
-  n.onet_selects = 7;
-  n.laser_unicast_cycles = 8;
-  n.laser_bcast_cycles = 9;
-  n.unicast_packets = 10;
-  n.bcast_packets = 11;
-  n.flits_injected = 12;
-  n.recv_unicast_flits = 13;
-  n.recv_bcast_flits = 14;
-  n.unicast_flits_offered = 15;
-  n.bcast_flits_offered = 16;
-  auto& m = o.run.mem;
-  m.l1i_accesses = 21;
-  m.l1d_reads = 22;
-  m.l1d_writes = 23;
-  m.l2_reads = 24;
-  m.l2_writes = 25;
-  m.dir_reads = 26;
-  m.dir_writes = 27;
-  m.dram_reads = 28;
-  m.dram_writes = 29;
-  m.l1d_misses = 30;
-  m.l2_misses = 31;
-  m.invalidations_sent = 32;
-  m.bcast_invalidations = 33;
+  std::uint64_t next = 1;
+#define ATACSIM_X(f) o.run.net.f = next++;
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) o.run.mem.f = next++;
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
 
   const auto s = small_scenario();
   store_cached(s, o);
@@ -157,37 +135,12 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   EXPECT_DOUBLE_EQ(l.run.avg_ipc, o.run.avg_ipc);
   EXPECT_EQ(l.run.core.instructions, o.run.core.instructions);
   EXPECT_EQ(l.run.core.busy_cycles, o.run.core.busy_cycles);
-  const auto& ln = l.run.net;
-  EXPECT_EQ(ln.enet_router_flits, n.enet_router_flits);
-  EXPECT_EQ(ln.enet_link_flits, n.enet_link_flits);
-  EXPECT_EQ(ln.recvnet_link_flits, n.recvnet_link_flits);
-  EXPECT_EQ(ln.hub_flits, n.hub_flits);
-  EXPECT_EQ(ln.onet_flits_sent, n.onet_flits_sent);
-  EXPECT_EQ(ln.onet_flit_receptions, n.onet_flit_receptions);
-  EXPECT_EQ(ln.onet_selects, n.onet_selects);
-  EXPECT_EQ(ln.laser_unicast_cycles, n.laser_unicast_cycles);
-  EXPECT_EQ(ln.laser_bcast_cycles, n.laser_bcast_cycles);
-  EXPECT_EQ(ln.unicast_packets, n.unicast_packets);
-  EXPECT_EQ(ln.bcast_packets, n.bcast_packets);
-  EXPECT_EQ(ln.flits_injected, n.flits_injected);
-  EXPECT_EQ(ln.recv_unicast_flits, n.recv_unicast_flits);
-  EXPECT_EQ(ln.recv_bcast_flits, n.recv_bcast_flits);
-  EXPECT_EQ(ln.unicast_flits_offered, n.unicast_flits_offered);
-  EXPECT_EQ(ln.bcast_flits_offered, n.bcast_flits_offered);
-  const auto& lm = l.run.mem;
-  EXPECT_EQ(lm.l1i_accesses, m.l1i_accesses);
-  EXPECT_EQ(lm.l1d_reads, m.l1d_reads);
-  EXPECT_EQ(lm.l1d_writes, m.l1d_writes);
-  EXPECT_EQ(lm.l2_reads, m.l2_reads);
-  EXPECT_EQ(lm.l2_writes, m.l2_writes);
-  EXPECT_EQ(lm.dir_reads, m.dir_reads);
-  EXPECT_EQ(lm.dir_writes, m.dir_writes);
-  EXPECT_EQ(lm.dram_reads, m.dram_reads);
-  EXPECT_EQ(lm.dram_writes, m.dram_writes);
-  EXPECT_EQ(lm.l1d_misses, m.l1d_misses);
-  EXPECT_EQ(lm.l2_misses, m.l2_misses);
-  EXPECT_EQ(lm.invalidations_sent, m.invalidations_sent);
-  EXPECT_EQ(lm.bcast_invalidations, m.bcast_invalidations);
+#define ATACSIM_X(f) EXPECT_EQ(l.run.net.f, o.run.net.f) << #f;
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) EXPECT_EQ(l.run.mem.f, o.run.mem.f) << #f;
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
   std::filesystem::remove_all(dir);
 }
 
@@ -196,10 +149,15 @@ TEST(Cache, RoundTripsCountersExactly) {
   std::filesystem::remove_all(dir);
   setenv("ATACSIM_CACHE", dir.c_str(), 1);
 
-  const auto fresh = run_scenario_cached(small_scenario());
-  const auto cached = run_scenario_cached(small_scenario());
+  bool fresh_hit = true, cached_hit = false;
+  const auto fresh = exp::run_scenario_shared(small_scenario(), false,
+                                              &fresh_hit);
+  const auto cached = exp::run_scenario_shared(small_scenario(), false,
+                                               &cached_hit);
   unsetenv("ATACSIM_CACHE");
 
+  EXPECT_FALSE(fresh_hit);
+  EXPECT_TRUE(cached_hit);
   EXPECT_EQ(fresh.run.completion_cycles, cached.run.completion_cycles);
   EXPECT_EQ(fresh.run.total_instructions, cached.run.total_instructions);
   EXPECT_EQ(fresh.run.net.flits_injected, cached.run.net.flits_injected);
@@ -217,11 +175,13 @@ TEST(Cache, FlavorChangesEnergyWithoutResimulation) {
 
   auto s = small_scenario();
   s.mp.photonics = PhotonicFlavor::kDefault;
-  const auto def = run_scenario_cached(s);
+  const auto def = exp::run_scenario_shared(s, false);
   s.mp.photonics = PhotonicFlavor::kCons;
-  const auto cons = run_scenario_cached(s);
+  bool cons_hit = false;
+  const auto cons = exp::run_scenario_shared(s, false, &cons_hit);
   unsetenv("ATACSIM_CACHE");
 
+  EXPECT_TRUE(cons_hit);
   EXPECT_EQ(def.run.completion_cycles, cons.run.completion_cycles);
   EXPECT_GT(cons.energy.laser, def.energy.laser);
   EXPECT_GT(cons.energy.ring_tuning, 0.0);
