@@ -1,5 +1,6 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <string>
@@ -75,7 +76,8 @@ void Machine::finalize_obs() {
   obs_->finalize(events_.now(), net_->counters(), mem_counters_, busy);
 }
 
-void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
+void Machine::trace_delivery(CoreId receiver, const mem::CohMsg& m,
+                             Cycle at) const {
   if ((mem::trace_line() && m.line == mem::trace_line()) ||
       (trace_inv() &&
        (m.type == mem::CohType::kInvReq || m.type == mem::CohType::kInvAck))) {
@@ -83,25 +85,56 @@ void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
                      (unsigned long long)at, mem::to_string(m.type),
                      (unsigned long long)m.line, receiver, m.src, m.seq);
   }
+}
+
+void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   ++observed_deliveries_;
-  events_.schedule(at, [this, receiver, m] {
-    switch (m.type) {
-      case mem::CohType::kShReq:
-      case mem::CohType::kExReq:
-      case mem::CohType::kEvictNotify:
-      case mem::CohType::kDirtyWb:
-      case mem::CohType::kInvAck:
-      case mem::CohType::kFlushAck:
-      case mem::CohType::kWbAck: {
-        const HubId slice = m.dir_slice;
-        assert(slice >= 0 && geom_.hub_core(slice) == receiver);
-        dirs_[static_cast<std::size_t>(slice)]->handle(m);
-        break;
-      }
-      default:
-        caches_[static_cast<std::size_t>(receiver)]->handle(m);
+  switch (m.type) {
+    case mem::CohType::kShReq:
+    case mem::CohType::kExReq:
+    case mem::CohType::kEvictNotify:
+    case mem::CohType::kDirtyWb:
+    case mem::CohType::kInvAck:
+    case mem::CohType::kFlushAck:
+    case mem::CohType::kWbAck: {
+      const HubId slice = m.dir_slice;
+      assert(slice >= 0 && geom_.hub_core(slice) == receiver);
+      dirs_[static_cast<std::size_t>(slice)]->handle(m);
+      break;
     }
-  });
+    default:
+      caches_[static_cast<std::size_t>(receiver)]->handle(m);
+  }
+}
+
+void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
+  trace_delivery(receiver, m, at);
+  events_.schedule(at, [this, receiver, m] { receive(receiver, m); });
+}
+
+void Machine::deliver_broadcast(const mem::CohMsg& m) {
+  // One event per distinct arrival cycle, running that cycle's receivers in
+  // the order the network reported them. Scheduling one event per receiver
+  // gives the same order: inject() schedules nothing, so those events would
+  // carry consecutive sequence numbers and run back to back within their
+  // cycle, and any event a handler schedules gets a later sequence number
+  // either way. Arrivals are grouped by the cycle schedule() actually uses,
+  // which clamps to now().
+  std::stable_sort(
+      bcast_arrivals_.begin(), bcast_arrivals_.end(),
+      [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
+  for (auto it = bcast_arrivals_.begin(); it != bcast_arrivals_.end();) {
+    const Cycle at = it->at;
+    const auto end =
+        std::find_if(it, bcast_arrivals_.end(),
+                     [at](const Arrival& a) { return a.at != at; });
+    std::vector<CoreId> receivers;
+    receivers.reserve(static_cast<std::size_t>(end - it));
+    for (; it != end; ++it) receivers.push_back(it->receiver);
+    events_.schedule(at, [this, m, receivers = std::move(receivers)] {
+      for (const CoreId r : receivers) receive(r, m);
+    });
+  }
 }
 
 Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
@@ -112,19 +145,26 @@ Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
                      (unsigned long long)m.line, m.src, m.dst, m.requester,
                      m.seq, (int)m.carries_data);
   }
-  expected_deliveries_ +=
-      m.is_broadcast() ? static_cast<std::uint64_t>(mp_.num_cores) : 1;
   net::NetPacket p;
   p.src = m.src;
   p.dst = m.dst;
   p.cls = m.carries_data ? net::MsgClass::kData : net::MsgClass::kCoherence;
-  const Cycle sender_free = net_->inject(
-      t, p, [this, m](CoreId r, Cycle at) { deliver(r, m, at); });
-  if (m.is_broadcast()) {
-    // Network broadcasts skip the source tile; the sender's co-located cache
-    // still receives the invalidation through a local loopback.
-    deliver(m.src, m, t + 2);
+  if (!m.is_broadcast()) {
+    ++expected_deliveries_;
+    return net_->inject(
+        t, p, [this, &m](CoreId r, Cycle at) { deliver(r, m, at); });
   }
+  expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
+  bcast_arrivals_.clear();
+  const Cycle sender_free =
+      net_->inject(t, p, [this, &m](CoreId r, Cycle at) {
+        trace_delivery(r, m, at);
+        bcast_arrivals_.push_back({std::max(at, now()), r});
+      });
+  deliver_broadcast(m);
+  // Network broadcasts skip the source tile; the sender's co-located cache
+  // still receives the invalidation through a local loopback.
+  deliver(m.src, m, t + 2);
   return sender_free;
 }
 

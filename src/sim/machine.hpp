@@ -122,7 +122,14 @@ class Machine {
   }
 
  private:
+  /// Runs the receiving cache's or directory's handler for `m`.
+  void receive(CoreId receiver, const mem::CohMsg& m);
+  /// Schedules `receive` for one receiver at cycle `at`.
   void deliver(CoreId receiver, const mem::CohMsg& m, Cycle at);
+  /// Schedules the receptions collected in bcast_arrivals_.
+  void deliver_broadcast(const mem::CohMsg& m);
+  /// Debug line per delivery (ATACSIM_TRACE_LINE / ATACSIM_TRACE_INV).
+  void trace_delivery(CoreId receiver, const mem::CohMsg& m, Cycle at) const;
   static std::vector<CoreId> slice_cores(const MachineParams& mp);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.
@@ -149,9 +156,19 @@ class Machine {
   // (often special-cased) zero address.
   Addr next_frame_ = 16;
 
+  /// One broadcast's receptions, collected during inject(): the cycle its
+  /// event is scheduled at (clamped to now()) and the receiver. Reused
+  /// across sends.
+  struct Arrival {
+    Cycle at;
+    CoreId receiver;
+  };
+  std::vector<Arrival> bcast_arrivals_;
+
   bool validate_ = check::env_validation_enabled();
-  // Delivery accounting (always counted — two increments per message — so
-  // toggling set_validation mid-run cannot skew the ledger).
+  // Delivery accounting (always counted, so toggling set_validation mid-run
+  // cannot skew the ledger): expected per message sent, observed per
+  // handler run.
   std::uint64_t expected_deliveries_ = 0;
   std::uint64_t observed_deliveries_ = 0;
 };

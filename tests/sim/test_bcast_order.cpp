@@ -1,0 +1,124 @@
+// Pins broadcast-heavy application runs to recorded results, on every
+// network that carries broadcasts and under both coherence schemes.
+//
+// How a broadcast's deliveries are turned into events decides the order in
+// which handlers run within a cycle, and every later message depends on
+// that order. Under Dir_kB every receiver of a broadcast invalidation sends
+// an acknowledgement from its handler, which makes it the most
+// order-sensitive case. The expected values below were produced by the
+// simulator itself; any change that reorders handlers moves them. They are
+// integers only (no energy values), so they hold across hosts and compilers.
+// A model-version bump of the result cache (src/harness/cache.cpp) means
+// simulated results changed on purpose: re-record the table then.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ostream>
+#include <string>
+
+#include "apps/app.hpp"
+#include "core/program.hpp"
+
+namespace atacsim {
+namespace {
+
+struct Pinned {
+  const char* app;
+  NetworkKind net;
+  CoherenceKind coh;
+  Cycle completion_cycles;
+  std::uint64_t counters_fnv;  ///< FNV-1a over the net and mem counters
+};
+
+void PrintTo(const Pinned& p, std::ostream* os) {
+  *os << p.app << '/' << to_string(p.net) << '/' << to_string(p.coh);
+}
+
+/// FNV-1a over every uint64 counter of the X-macro lists, in list order.
+std::uint64_t counters_fnv(const core::RunResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+#define ATACSIM_X(f) add(r.net.f);
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) add(r.mem.f);
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+  return h;
+}
+
+class BroadcastOrder : public ::testing::TestWithParam<Pinned> {};
+
+TEST_P(BroadcastOrder, MatchesRecordedResults) {
+  const auto& p = GetParam();
+  auto mp = MachineParams::small(8, 2);
+  mp.network = p.net;
+  mp.coherence = p.coh;
+
+  apps::AppConfig cfg;
+  cfg.num_cores = mp.num_cores;
+  cfg.scale = 0.05;
+  auto app = apps::make_app(p.app, cfg);
+
+  core::Program prog(mp);
+  prog.spawn_all(app->body());
+  const auto r = prog.run(2'000'000'000);
+  ASSERT_TRUE(r.finished);
+  ASSERT_EQ(app->verify(), "");
+  // The pin means something only if broadcasts were delivered.
+  ASSERT_GT(r.net.bcast_packets, 0u);
+
+  EXPECT_EQ(r.completion_cycles, p.completion_cycles);
+  EXPECT_EQ(counters_fnv(r), p.counters_fnv)
+      << "recorded row: " << r.completion_cycles << ", 0x" << std::hex
+      << counters_fnv(r);
+}
+
+constexpr auto kAtac = NetworkKind::kAtacPlus;
+constexpr auto kBcast = NetworkKind::kEMeshBCast;
+constexpr auto kPure = NetworkKind::kEMeshPure;
+constexpr auto kAckwise = CoherenceKind::kAckwise;
+constexpr auto kDirKB = CoherenceKind::kDirKB;
+
+INSTANTIATE_TEST_SUITE_P(
+    OceanRadix8x2, BroadcastOrder,
+    ::testing::Values(
+        Pinned{"ocean_contig", kAtac, kAckwise, 52578,
+               0xaf8243a9b947f2aeull},
+        Pinned{"ocean_contig", kAtac, kDirKB, 64844,
+               0x6bcca2e659597efcull},
+        Pinned{"ocean_contig", kBcast, kAckwise, 54120,
+               0x8b07d7150f9495eeull},
+        Pinned{"ocean_contig", kBcast, kDirKB, 64169,
+               0xa802f00853b1b02bull},
+        Pinned{"ocean_contig", kPure, kAckwise, 98171,
+               0x5cf81eaaded3c96dull},
+        Pinned{"ocean_contig", kPure, kDirKB, 103012,
+               0x29850ec2b366bde3ull},
+        Pinned{"radix", kAtac, kAckwise, 88046,
+               0xc175f892ace5f40cull},
+        Pinned{"radix", kAtac, kDirKB, 94438,
+               0x1001939bd9583e7full},
+        Pinned{"radix", kBcast, kAckwise, 91313,
+               0xd9500d615506e0b1ull},
+        Pinned{"radix", kBcast, kDirKB, 95616,
+               0xb91fc24a1138057aull},
+        Pinned{"radix", kPure, kAckwise, 108892,
+               0xe6f234e01757f401ull},
+        Pinned{"radix", kPure, kDirKB, 112044,
+               0xf1d24fefbb3af922ull}),
+    [](const auto& info) {
+      const Pinned& p = info.param;
+      std::string n = p.app;
+      n += p.net == kAtac ? "_atac" : (p.net == kBcast ? "_bcast" : "_pure");
+      n += p.coh == kAckwise ? "_ackwise" : "_dirkb";
+      return n;
+    });
+
+}  // namespace
+}  // namespace atacsim
