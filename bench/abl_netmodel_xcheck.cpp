@@ -82,6 +82,7 @@ ModelSample flow_model(double load, Cycle cycles) {
 int run_abl_netmodel_xcheck(const Context&) {
   print_header("Ablation",
                "flow-level vs cycle-accurate network model (8x8 mesh)");
+  const auto t0 = std::chrono::steady_clock::now();
 
   exp::report::Report rep;
   rep.name = "abl_netmodel_xcheck";
@@ -105,6 +106,7 @@ int run_abl_netmodel_xcheck(const Context&) {
     rr.stats.add("flow_link_utilization", fl.link_util);
     rep.rows.push_back(std::move(rr));
   }
+  rep.wall_seconds = seconds_since(t0);  // serial, on this thread: jobs 1
   t.print(std::cout);
   std::printf(
       "\nReading: zero-load latencies agree within a few percent. At"

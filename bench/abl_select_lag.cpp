@@ -2,6 +2,8 @@
 // link (paper Sec. IV-A assumes ring resonators tune in within 1 ns = 1
 // cycle). Sweeps the lag from 0 to 4 cycles on synthetic traffic and two
 // applications.
+#include <algorithm>
+
 #include "bench_common.hpp"
 #include "network/synthetic.hpp"
 
@@ -12,6 +14,7 @@ namespace {
 
 int run_abl_select_lag(const Context& ctx) {
   print_header("Ablation", "adaptive SWMR select->data lag");
+  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<Cycle> lags = {0, 1, 2, 4};
   auto lag_axis = exp::sweep::value_axis<Cycle>(
@@ -46,6 +49,9 @@ int run_abl_select_lag(const Context& ctx) {
   rep.cells = syn_spec.num_cells() + app_spec.num_cells();
   rep.cache_hits = res.plan_result().cache_hits;
   rep.simulations = syn_spec.num_cells() + res.plan_result().simulations;
+  rep.jobs = std::max(exp::pool_size(exec_options(ctx), syn_spec.num_cells()),
+                      res.plan_result().jobs);
+  rep.wall_seconds = seconds_since(t0);
 
   Table t({"lag (cycles)", "synthetic zero-load latency", "radix cycles",
            "barnes cycles"});

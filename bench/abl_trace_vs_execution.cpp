@@ -47,6 +47,7 @@ Cycle replay_on(const sim::Trace& trace, const MachineParams& mp) {
 int run_abl_trace_vs_execution(const Context& ctx) {
   print_header("Ablation",
                "execution-driven vs trace-driven network comparison");
+  const auto t0 = std::chrono::steady_clock::now();
 
   // Small scale keeps the open-loop replays (which flood MSHRs) tractable.
   const double scale = std::min(bench_scale(), 0.25);
@@ -69,6 +70,7 @@ int run_abl_trace_vs_execution(const Context& ctx) {
   rep.cells = spec.num_cells();
   rep.cache_hits = res.plan_result().cache_hits;
   rep.simulations = res.plan_result().simulations;
+  rep.jobs = res.plan_result().jobs;
 
   Table t({"benchmark", "method", "ATAC+", "EMesh-BCast", "EMesh-Pure",
            "BCast/ATAC+", "Pure/ATAC+"});
@@ -110,6 +112,7 @@ int run_abl_trace_vs_execution(const Context& ctx) {
                Table::num(r_bc / r_atac, 2), Table::num(r_pu / r_atac, 2)});
     report_row(app, "trace-replay", r_atac, r_bc, r_pu);
   }
+  rep.wall_seconds = seconds_since(t0);  // the serial captures/replays too
   t.print(std::cout);
   std::printf(
       "\nReading: open-loop replay issues accesses at recorded gaps, so a"

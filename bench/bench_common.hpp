@@ -4,6 +4,7 @@
 // math (normalization, geomeans) lives in exp::sweep.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -31,6 +32,12 @@ inline exp::ExecOptions exec_options(const Context& ctx) {
   exp::ExecOptions opt;
   opt.jobs = ctx.jobs;
   return opt;
+}
+
+/// Host seconds since `t0`: the wall_seconds of a hand-built report.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 /// Runs a scenario sweep on the worker pool.

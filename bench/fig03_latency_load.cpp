@@ -24,6 +24,7 @@ MachineParams config(RoutingPolicy pol, int r) {
 
 int run_fig03(const Context& ctx) {
   print_header("Figure 3", "latency vs offered load, routing policy sweep");
+  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<std::pair<std::string, MachineParams>> policies = {
       {"Cluster", config(RoutingPolicy::kCluster, 0)},
@@ -57,6 +58,8 @@ int run_fig03(const Context& ctx) {
   rep.name = "fig03_latency_load";
   rep.cells = spec.num_cells();
   rep.simulations = spec.num_cells();
+  rep.jobs = exp::pool_size(exec_options(ctx), spec.num_cells());
+  rep.wall_seconds = seconds_since(t0);
   for (std::size_t li = 0; li < loads.size(); ++li) {
     std::vector<std::string> row = {spec.label(0, li)};
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {

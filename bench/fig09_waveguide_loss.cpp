@@ -13,6 +13,7 @@ namespace {
 
 int run_fig09(const Context& ctx) {
   print_header("Figure 9", "waveguide-loss sensitivity (8-benchmark average)");
+  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<double> losses = {0.2, 0.5, 1.0, 2.0, 3.0, 4.0};
   const auto atac_mp = atac_plus(PhotonicFlavor::kDefault);
@@ -42,6 +43,7 @@ int run_fig09(const Context& ctx) {
   rep.cells = spec.num_cells();
   rep.cache_hits = res.plan_result().cache_hits;
   rep.simulations = res.plan_result().simulations;
+  rep.jobs = res.plan_result().jobs;
 
   Table t({"waveguide loss (dB/cm)", "ATAC+ energy / EMesh-BCast",
            "laser share %"});
@@ -68,6 +70,7 @@ int run_fig09(const Context& ctx) {
     rr.stats.add("emesh_bcast_chip_no_core_nJ", mesh_total);
     rep.rows.push_back(std::move(rr));
   }
+  rep.wall_seconds = seconds_since(t0);  // the energy recomputation too
   t.print(std::cout);
   std::printf(
       "\nPaper check: ATAC+ stays below the EMesh-BCast energy up to ~2"

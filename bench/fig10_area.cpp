@@ -14,6 +14,7 @@ namespace {
 
 int run_fig10(const Context&) {
   print_header("Figure 10", "chip area breakdown (mm^2)");
+  const auto t0 = std::chrono::steady_clock::now();
 
   const power::EnergyModel atac(atac_plus());
   const power::EnergyModel mesh(emesh_bcast());
@@ -42,6 +43,7 @@ int run_fig10(const Context&) {
   row("hubs", a.hubs, m.hubs);
   row("optical (waveguides+rings)", a.optical, m.optical);
   row("TOTAL", a.total(), m.total());
+  rep.wall_seconds = seconds_since(t0);  // analytic, on this thread: jobs 1
   t.print(std::cout);
   std::printf(
       "\ncaches/total: ATAC+ %.1f%%, EMesh %.1f%% (paper: ~90%%)."

@@ -26,7 +26,10 @@ namespace atacsim::core {
 class CoreCtx {
  public:
   CoreCtx(sim::Machine& m, CoreId self)
-      : machine_(&m), cache_(&m.cache(self)), self_(self) {}
+      : machine_(&m),
+        cache_(&m.cache(self)),
+        counters_(&m.core_counters(self)),
+        self_(self) {}
 
   CoreId id() const { return self_; }
   /// Optional trace capture (see sim/trace.hpp); null disables recording.
@@ -34,8 +37,6 @@ class CoreCtx {
   int num_cores() const { return machine_->params().num_cores; }
   /// Core-local cycle count.
   Cycle now() const { return local_time_; }
-  std::uint64_t instructions() const { return instructions_; }
-  Cycle busy_cycles() const { return busy_cycles_; }
 
   // --- awaitables -----------------------------------------------------
 
@@ -104,7 +105,7 @@ class CoreCtx {
       if ((++c->fast_ops_ & 1023u) == 0) return false;
       if (!c->cache_->fast_access(addr, is_write)) return false;
       c->advance(c->machine_->params().l1_hit_cycles);
-      ++c->instructions_;
+      ++c->counters_->instructions;
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) const {
@@ -114,7 +115,7 @@ class CoreCtx {
       ctx->machine_->events().schedule(ctx->local_time_, [ctx, a, w, h] {
         ctx->cache_->access(a, w, [ctx, h](Cycle t) {
           ctx->sync_to(t);
-          ++ctx->instructions_;
+          ++ctx->counters_->instructions;
           h.resume();
         });
       });
@@ -127,7 +128,7 @@ class CoreCtx {
     std::uint64_t n;
     bool await_ready() const {
       c->advance(n);
-      c->instructions_ += n;
+      c->counters_->instructions += n;
       return n < 4096;  // long compute phases yield to the event loop
     }
     void await_suspend(std::coroutine_handle<> h) const {
@@ -170,7 +171,7 @@ class CoreCtx {
 
   void advance(Cycle dt) {
     local_time_ += dt;
-    busy_cycles_ += dt;
+    counters_->busy_cycles += dt;
   }
   void sync_to(Cycle t) {
     if (t > local_time_) local_time_ = t;
@@ -185,10 +186,9 @@ class CoreCtx {
 
   sim::Machine* machine_;
   mem::CacheController* cache_;
+  CoreCounters* counters_;  ///< this core's slot in the Machine
   CoreId self_;
   Cycle local_time_ = 0;
-  Cycle busy_cycles_ = 0;
-  std::uint64_t instructions_ = 0;
   std::uint32_t fast_ops_ = 0;
   sim::TraceRecorder* tracer_ = nullptr;
   TlbEntry tlb_[kTlbEntries];

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/series.hpp"
-
 namespace atacsim::core {
 
 Program::Program(const MachineParams& mp, obs::RunObserver* obs)
@@ -11,25 +9,6 @@ Program::Program(const MachineParams& mp, obs::RunObserver* obs)
   ctxs_.reserve(static_cast<std::size_t>(mp.num_cores));
   for (CoreId c = 0; c < mp.num_cores; ++c)
     ctxs_.push_back(std::make_unique<CoreCtx>(*machine_, c));
-  if (obs) {
-    // The epoch sampler reads core activity through these callbacks at
-    // boundary time; `this` owns both the observer's data sources and the
-    // machine, so lifetimes line up by construction.
-    obs->set_core_sources(
-        [this] {
-          CoreCounters c;
-          for (const auto& ctx : ctxs_) {
-            c.instructions += ctx->instructions();
-            c.busy_cycles += ctx->busy_cycles();
-          }
-          return c;
-        },
-        [this](std::vector<std::uint64_t>& out) {
-          out.resize(ctxs_.size());
-          for (std::size_t i = 0; i < ctxs_.size(); ++i)
-            out[i] = ctxs_[i]->busy_cycles();
-        });
-  }
 }
 
 RootTask Program::root(CoreCtx& c, AppBody body) {
@@ -50,12 +29,13 @@ RunResult Program::run(Cycle max_cycles) {
   RunResult r;
   r.finished = machine_->run(max_cycles) && outstanding_ == 0;
 
-  for (const auto& c : ctxs_) {
+  for (const auto& c : ctxs_)
     r.completion_cycles = std::max(r.completion_cycles, c->now());
-    r.total_instructions += c->instructions();
-    r.core.busy_cycles += c->busy_cycles();
+  for (const CoreCounters& c : machine_->core_counters()) {
+    r.core.instructions += c.instructions;
+    r.core.busy_cycles += c.busy_cycles;
   }
-  r.core.instructions = r.total_instructions;
+  r.total_instructions = r.core.instructions;
   r.avg_ipc = r.completion_cycles
                   ? static_cast<double>(r.total_instructions) /
                         (static_cast<double>(r.completion_cycles) *

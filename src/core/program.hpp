@@ -25,9 +25,8 @@ struct RunResult {
 
 class Program {
  public:
-  /// `obs` (optional, not owned) arms telemetry on the underlying Machine
-  /// and registers the per-core busy/instruction samplers the epoch series
-  /// and timeline export read at boundary time.
+  /// `obs` (optional, not owned) arms telemetry on the underlying Machine,
+  /// which samples the cores' counters with its own at epoch boundaries.
   explicit Program(const MachineParams& mp, obs::RunObserver* obs = nullptr);
 
   sim::Machine& machine() { return *machine_; }

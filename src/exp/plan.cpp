@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -75,6 +76,11 @@ int default_jobs() {
   return hw ? static_cast<int>(hw) : 1;
 }
 
+int pool_size(const ExecOptions& opt, std::size_t cells) {
+  const int jobs = opt.jobs > 0 ? opt.jobs : default_jobs();
+  return std::max(1, std::min<int>(jobs, static_cast<int>(cells)));
+}
+
 std::uint64_t simulations_executed() {
   return g_simulations.load(std::memory_order_relaxed);
 }
@@ -98,7 +104,6 @@ ExperimentPlan::Handle ExperimentPlan::add(const harness::Scenario& s,
 
 PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const int jobs = opt.jobs > 0 ? opt.jobs : default_jobs();
   const std::size_t n = cells_.size();
 
   std::vector<harness::Outcome> raw(n);
@@ -128,7 +133,7 @@ PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
   // recorded only when telemetry is armed. Host-time measurements stay in
   // the quarantined profile document, never in outcomes or reports.
   const bool prof = obs::options().enabled;
-  const int pool = std::max(1, std::min<int>(jobs, static_cast<int>(n)));
+  const int pool = pool_size(opt, n);
   const std::uint64_t waits_before = flight().waits();
   std::vector<double> worker_busy(static_cast<std::size_t>(pool), 0.0);
   std::vector<std::uint64_t> worker_cells(static_cast<std::size_t>(pool), 0);

@@ -43,6 +43,10 @@ struct ExecOptions {
   bool progress = true;  ///< live "cells done / cache hits / wall" on stderr
 };
 
+/// Threads a pool started with `opt` uses for `cells` cells: opt.jobs (or
+/// default_jobs()), but never more than the cells and at least one.
+int pool_size(const ExecOptions& opt, std::size_t cells);
+
 struct PlanResult {
   /// One outcome per add() call, in add() order.
   std::vector<harness::Outcome> outcomes;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -93,12 +94,6 @@ std::vector<double> MetricGrid::col_geomeans() const {
   return gm;
 }
 
-std::vector<double> MetricGrid::row_values(std::size_t r) const {
-  std::vector<double> out(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = at(r, c);
-  return out;
-}
-
 double geomean(const std::vector<double>& xs) {
   double logsum = 0;
   std::size_t n = 0;
@@ -135,19 +130,23 @@ std::vector<net::SyntheticResult> run_synthetic_grid(const SweepSpec& spec,
                                                      const ExecOptions& opt) {
   const std::size_t n = spec.num_cells();
   std::vector<net::SyntheticResult> results(n);
+  std::vector<std::exception_ptr> errors(n);
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= n) return;
-      const CellConfig c = spec.cell(i);
-      const auto model = net::make_network(c.scenario.mp);
-      results[i] =
-          net::run_synthetic(*model, net::MeshGeom(c.scenario.mp), c.synth);
+      try {
+        const CellConfig c = spec.cell(i);
+        const auto model = net::make_network(c.scenario.mp);
+        results[i] =
+            net::run_synthetic(*model, net::MeshGeom(c.scenario.mp), c.synth);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     }
   };
-  const int jobs = opt.jobs > 0 ? opt.jobs : default_jobs();
-  const int pool = std::max(1, std::min<int>(jobs, static_cast<int>(n)));
+  const int pool = pool_size(opt, n);
   if (pool <= 1 || n <= 1) {
     worker();
   } else {
@@ -156,6 +155,9 @@ std::vector<net::SyntheticResult> run_synthetic_grid(const SweepSpec& spec,
     for (int i = 0; i < pool; ++i) threads.emplace_back(worker);
     for (auto& t : threads) t.join();
   }
+  // As in ExperimentPlan::run: the first failing cell in cell order wins.
+  for (std::size_t i = 0; i < n; ++i)
+    if (errors[i]) std::rethrow_exception(errors[i]);
   return results;
 }
 

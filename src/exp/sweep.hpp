@@ -124,8 +124,6 @@ class MetricGrid {
   /// Per-column geometric mean over all rows (the figures' "geomean" row).
   std::vector<double> col_geomeans() const;
 
-  std::vector<double> row_values(std::size_t r) const;
-
  private:
   std::size_t rows_, cols_;
   std::vector<double> v_;
@@ -165,7 +163,8 @@ SweepResult run_scenarios(const SweepSpec& spec, const ExecOptions& opt = {});
 /// model is built from the cell's Scenario::mp, the traffic from its
 /// SyntheticConfig) on a worker pool of opt.jobs threads. Results are in
 /// flat cell order and independent of the pool size: every cell owns its
-/// model and RNG.
+/// model and RNG. A cell that throws (e.g. an invalid geometry) does not
+/// stop the others; the first error in cell order is rethrown.
 std::vector<net::SyntheticResult> run_synthetic_grid(
     const SweepSpec& spec, const ExecOptions& opt = {});
 

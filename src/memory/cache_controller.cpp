@@ -31,8 +31,6 @@ const char* to_string(CohType t) {
     case CohType::kInvAck: return "InvAck";
     case CohType::kFlushAck: return "FlushAck";
     case CohType::kWbAck: return "WbAck";
-    case CohType::kDramReq: return "DramReq";
-    case CohType::kDramRep: return "DramRep";
   }
   return "?";
 }

@@ -33,9 +33,6 @@ enum class CohType : std::uint8_t {
   kInvAck,
   kFlushAck,  ///< carries data if the line was still present
   kWbAck,     ///< carries data if the line was still present
-  // directory <-> memory controller
-  kDramReq,
-  kDramRep,  ///< carries line
 };
 
 const char* to_string(CohType t);
@@ -53,7 +50,6 @@ struct CohMsg {
   std::uint16_t seq = 0;           ///< directory-slice sequence number
   HubId dir_slice = -1;            ///< slice the seq belongs to
   bool carries_data = false;
-  bool dram_write = false;  ///< for kDramReq: write-back vs fetch
 
   bool is_broadcast() const { return dst == kBroadcastCore; }
 };

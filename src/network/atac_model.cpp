@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/series.hpp"
-
 namespace atacsim::net {
 
 AtacModel::AtacModel(const MachineParams& mp)
@@ -31,70 +29,38 @@ bool AtacModel::unicast_uses_onet(CoreId src, CoreId dst) const {
 }
 
 Cycle AtacModel::receive_leg(HubId cluster, Cycle head_at_hub, int flits,
-                             CoreId src, CoreId dst,
-                             const DeliveryFn& deliver) {
-  // StarNet/BNet: single-cycle from hub to core (Sec. IV-B). A unicast takes
-  // one channel of one receive net; energy differs by variant (BNet's fanout
-  // tree toggles ~half the cluster regardless of destination). The channel
-  // is keyed by sender so messages from one source never reorder (a short
-  // coherence message overtaking a data reply on the sibling StarNet would
-  // break the directory protocol's per-pair FIFO assumption).
-  const Cycle start =
-      starnets_[static_cast<std::size_t>(cluster)].acquire_keyed(
-          static_cast<std::size_t>(src), head_at_hub,
-          static_cast<Cycle>(flits));
-  const int links_toggled =
-      (mp_.receive_net == ReceiveNet::kBNet) ? mp_.cores_per_cluster() / 2 : 1;
-  counters_.recvnet_link_flits +=
-      static_cast<std::uint64_t>(flits) * links_toggled;
-  counters_.hub_flits += flits;
-  const Cycle tail = start + mp_.starnet_link_delay + flits - 1;
-  deliver(dst, tail);
-  return tail;
-}
-
-Cycle AtacModel::receive_leg_bcast(HubId cluster, Cycle head_at_hub, int flits,
-                                   CoreId src, CoreId skip,
-                                   const DeliveryFn& deliver) {
-  // A broadcast occupies all 16 links of one StarNet (or the whole BNet
-  // tree) for the packet's serialization time. Keyed by sender for the same
-  // FIFO reason as receive_leg.
+                             CoreId src, bool bcast) {
+  // StarNet/BNet: single-cycle from hub to core (Sec. IV-B). A packet takes
+  // one channel of one receive net for its serialization time: a unicast
+  // toggles one of its links, a broadcast all 16; BNet's fanout tree
+  // toggles ~half the cluster either way. The channel is keyed by sender so
+  // messages from one source never reorder (a short coherence message
+  // overtaking a data reply on the sibling StarNet would break the
+  // directory protocol's per-pair FIFO assumption).
   const Cycle start =
       starnets_[static_cast<std::size_t>(cluster)].acquire_keyed(
           static_cast<std::size_t>(src), head_at_hub,
           static_cast<Cycle>(flits));
   const int links_toggled = (mp_.receive_net == ReceiveNet::kBNet)
                                 ? mp_.cores_per_cluster() / 2
-                                : mp_.cores_per_cluster();
+                                : (bcast ? mp_.cores_per_cluster() : 1);
   counters_.recvnet_link_flits +=
       static_cast<std::uint64_t>(flits) * links_toggled;
   counters_.hub_flits += flits;
-  const Cycle tail = start + mp_.starnet_link_delay + flits - 1;
-  const int cw = mp_.cluster_width;
-  const int bx = geom_.cluster_x(cluster) * cw;
-  const int by = geom_.cluster_y(cluster) * cw;
-  for (int yy = by; yy < by + cw; ++yy)
-    for (int xx = bx; xx < bx + cw; ++xx) {
-      const CoreId c = geom_.core_at(xx, yy);
-      if (c != skip) deliver(c, tail);
-    }
-  return tail;
+  return start + mp_.starnet_link_delay + flits - 1;
 }
 
-Cycle AtacModel::onet_unicast(Cycle t, CoreId src, CoreId dst, int flits,
-                              const DeliveryFn& deliver) {
+AtacModel::OnetLeg AtacModel::onet_leg(Cycle t, CoreId src, int flits) {
   const HubId sh = geom_.cluster_of(src);
-  const HubId dh = geom_.cluster_of(dst);
   const CoreId hub_core = geom_.hub_core(sh);
 
   // ENet leg to the sending hub (none if the source sits on the hub tile).
   Cycle head_at_hub = t;
+  Cycle sender_free = t + static_cast<Cycle>(flits);
   if (src != hub_core) {
-    Cycle arrival = t;
-    enet_.send_unicast(
-        t, src, hub_core, flits,
-        [&](CoreId, Cycle tail) { arrival = tail; }, /*count_traffic=*/false);
-    head_at_hub = arrival - (flits - 1);  // head precedes tail
+    const auto leg = enet_.unicast_leg(t, src, hub_core, flits);
+    sender_free = leg.sender_free;
+    head_at_hub = leg.tail - (flits - 1);  // head precedes tail
   }
 
   // Select notification fires `onet_select_data_lag` before the data link;
@@ -105,83 +71,62 @@ Cycle AtacModel::onet_unicast(Cycle t, CoreId src, CoreId dst, int flits,
   counters_.hub_flits += flits;
   ++counters_.onet_selects;
   counters_.onet_flits_sent += flits;
-  counters_.onet_flit_receptions += flits;
-  counters_.laser_unicast_cycles += flits;
-  ++onet_unicasts_;
-
-  const Cycle head_at_recv_hub = start + mp_.onet_link_delay;
-  return receive_leg(dh, head_at_recv_hub, flits, src, dst, deliver);
+  return {sender_free, start + mp_.onet_link_delay};
 }
 
-Cycle AtacModel::onet_broadcast(Cycle t, CoreId src, int flits,
-                                const DeliveryFn& deliver, MsgClass cls) {
-  const HubId sh = geom_.cluster_of(src);
-  const CoreId hub_core = geom_.hub_core(sh);
-
-  Cycle head_at_hub = t;
-  Cycle sender_free = t + static_cast<Cycle>(flits);
-  if (src != hub_core) {
-    Cycle arrival = t;
-    sender_free = enet_.send_unicast(
-        t, src, hub_core, flits,
-        [&](CoreId, Cycle tail) { arrival = tail; }, /*count_traffic=*/false);
-    head_at_hub = arrival - (flits - 1);
-  }
-
-  const Cycle start = hub_data_link_[static_cast<std::size_t>(sh)].acquire(
-      head_at_hub + mp_.router_delay + mp_.onet_select_data_lag,
-      static_cast<Cycle>(flits));
-  counters_.hub_flits += flits;
-  ++counters_.onet_selects;
-  counters_.onet_flits_sent += flits;
+Cycle AtacModel::onet_broadcast(Cycle t, CoreId src, int flits, MsgClass cls,
+                                std::vector<Arrival>& out) {
+  const OnetLeg leg = onet_leg(t, src, flits);
   counters_.onet_flit_receptions +=
       static_cast<std::uint64_t>(flits) * (geom_.num_clusters() - 1);
   counters_.laser_bcast_cycles += flits;
   ++onet_bcasts_;
 
-  const Cycle head_at_recv = start + mp_.onet_link_delay;
-  Cycle latest = head_at_recv;
+  const int cw = mp_.cluster_width;
+  Cycle latest = leg.head_at_recv_hub;
   for (HubId h = 0; h < geom_.num_clusters(); ++h) {
     // The sending hub forwards to its own cluster electrically (its filters
     // are not tuned to its own wavelength), with the same single-cycle cost.
-    latest = std::max(
-        latest, receive_leg_bcast(h, head_at_recv, flits, src, src, deliver));
+    const Cycle tail =
+        receive_leg(h, leg.head_at_recv_hub, flits, src, /*bcast=*/true);
+    latest = std::max(latest, tail);
+    const int bx = geom_.cluster_x(h) * cw;
+    const int by = geom_.cluster_y(h) * cw;
+    for (int yy = by; yy < by + cw; ++yy)
+      for (int xx = bx; xx < bx + cw; ++xx) {
+        const CoreId c = geom_.core_at(xx, yy);
+        if (c != src) out.push_back({c, tail});
+      }
   }
 
-  ++counters_.bcast_packets;
-  counters_.flits_injected += flits;
-  counters_.bcast_flits_offered += flits;
-  counters_.recv_bcast_flits +=
-      static_cast<std::uint64_t>(flits) * (geom_.num_cores() - 1);
-  counters_.packet_latency.sample(static_cast<double>(latest - t));
-  if (obs_)
-    obs_->record_net(static_cast<int>(cls), /*bcast=*/true,
-                     static_cast<std::uint64_t>(latest - t));
-  return sender_free;
+  count_broadcast(t, latest, flits, static_cast<std::uint64_t>(flits),
+                  geom_.num_cores() - 1, cls);
+  return leg.sender_free;
 }
 
 Cycle AtacModel::inject(Cycle t, const NetPacket& p,
-                        const DeliveryFn& deliver) {
+                        std::vector<Arrival>& out) {
   const int flits = flits_of(p);
-  if (p.is_broadcast()) return onet_broadcast(t, p.src, flits, deliver, p.cls);
+  if (p.is_broadcast()) return onet_broadcast(t, p.src, flits, p.cls, out);
 
-  if (!unicast_uses_onet(p.src, p.dst))
-    return enet_.send_unicast(t, p.src, p.dst, flits, deliver,
-                              /*count_traffic=*/true, p.cls);
+  if (!unicast_uses_onet(p.src, p.dst)) {
+    const auto leg = enet_.unicast_leg(t, p.src, p.dst, flits);
+    out.push_back({p.dst, leg.tail});
+    count_unicast(t, leg.tail, flits, p.cls);
+    return leg.sender_free;
+  }
 
+  const OnetLeg leg = onet_leg(t, p.src, flits);
+  counters_.onet_flit_receptions += flits;
+  counters_.laser_unicast_cycles += flits;
+  ++onet_unicasts_;
+  const Cycle tail = receive_leg(geom_.cluster_of(p.dst), leg.head_at_recv_hub,
+                                 flits, p.src, /*bcast=*/false);
+  out.push_back({p.dst, tail});
+  count_unicast(t, tail, flits, p.cls);
   // Sender is free once its flits have left the source NIC; approximate
   // with the ENet leg's injection serialization.
-  const Cycle sender_free = t + flits;
-  const Cycle tail = onet_unicast(t, p.src, p.dst, flits, deliver);
-  ++counters_.unicast_packets;
-  counters_.flits_injected += flits;
-  counters_.unicast_flits_offered += flits;
-  counters_.recv_unicast_flits += flits;
-  counters_.packet_latency.sample(static_cast<double>(tail - t));
-  if (obs_)
-    obs_->record_net(static_cast<int>(p.cls), /*bcast=*/false,
-                     static_cast<std::uint64_t>(tail - t));
-  return sender_free;
+  return t + flits;
 }
 
 void AtacModel::append_channel_usage(std::vector<ChannelUsage>& out) const {
@@ -207,6 +152,7 @@ double AtacModel::link_utilization(Cycle total_cycles) const {
 }
 
 std::unique_ptr<NetworkModel> make_network(const MachineParams& mp) {
+  mp.validate();  // the first use of the geometry; throws on a bad one
   switch (mp.network) {
     case NetworkKind::kEMeshPure:
       return std::make_unique<EMeshModel>(mp, /*hw_broadcast=*/false);

@@ -25,16 +25,10 @@ class AtacModel : public NetworkModel {
  public:
   explicit AtacModel(const MachineParams& mp);
 
-  Cycle inject(Cycle t, const NetPacket& p, const DeliveryFn& deliver) override;
+  Cycle inject(Cycle t, const NetPacket& p,
+               std::vector<Arrival>& out) override;
 
   void append_channel_usage(std::vector<ChannelUsage>& out) const override;
-
-  /// The embedded ENet records distance-routed unicasts itself, so the
-  /// observer is forwarded there too.
-  void set_observer(obs::RunObserver* o) override {
-    NetworkModel::set_observer(o);
-    enet_.set_observer(o);
-  }
 
   const MeshGeom& geom() const { return geom_; }
   int flits_of(const NetPacket& p) const { return enet_.flits_of(p); }
@@ -49,19 +43,21 @@ class AtacModel : public NetworkModel {
   std::uint64_t onet_bcast_packets() const { return onet_bcasts_; }
 
  private:
-  /// ENet leg + ONet SWMR + receive-net leg for a unicast; returns the
-  /// tail-delivery cycle.
-  Cycle onet_unicast(Cycle t, CoreId src, CoreId dst, int flits,
-                     const DeliveryFn& deliver);
-  Cycle onet_broadcast(Cycle t, CoreId src, int flits,
-                       const DeliveryFn& deliver, MsgClass cls);
+  /// When the sender's injection port frees and when the packet head
+  /// reaches the receiving hubs.
+  struct OnetLeg {
+    Cycle sender_free;
+    Cycle head_at_recv_hub;
+  };
+  /// ENet leg to the sending hub, then that hub's SWMR data link.
+  OnetLeg onet_leg(Cycle t, CoreId src, int flits);
+  Cycle onet_broadcast(Cycle t, CoreId src, int flits, MsgClass cls,
+                       std::vector<Arrival>& out);
 
-  /// Forwards from a receiving hub into its cluster; returns tail-delivery
-  /// cycle at `dst` (or the max across the cluster for broadcast).
+  /// Forwards from a receiving hub into its cluster over one receive net;
+  /// returns the tail-delivery cycle there.
   Cycle receive_leg(HubId cluster, Cycle head_at_hub, int flits, CoreId src,
-                    CoreId dst, const DeliveryFn& deliver);
-  Cycle receive_leg_bcast(HubId cluster, Cycle head_at_hub, int flits,
-                          CoreId src, CoreId skip, const DeliveryFn& deliver);
+                    bool bcast);
 
   MachineParams mp_;
   MeshGeom geom_;
@@ -72,7 +68,8 @@ class AtacModel : public NetworkModel {
   std::uint64_t onet_bcasts_ = 0;
 };
 
-/// Builds the network the MachineParams ask for.
+/// Builds the network the MachineParams ask for; throws
+/// std::invalid_argument if `mp` fails MachineParams::validate().
 std::unique_ptr<NetworkModel> make_network(const MachineParams& mp);
 
 }  // namespace atacsim::net

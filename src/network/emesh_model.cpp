@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/series.hpp"
-
 namespace atacsim::net {
 
 EMeshModel::EMeshModel(const MachineParams& mp, bool hw_broadcast,
@@ -49,116 +47,78 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
   return head;
 }
 
-Cycle EMeshModel::deliver_at(CoreId dst, Cycle head_arrival, int flits,
-                             const DeliveryFn& deliver) {
+Cycle EMeshModel::eject(CoreId dst, Cycle head_arrival, int flits) {
   const std::size_t ej = static_cast<std::size_t>(dst) * kPorts + kEject;
   const Cycle start = links_[ej].acquire(head_arrival + mp_.router_delay,
                                          static_cast<Cycle>(flits));
   sink().enet_router_flits += flits;
-  const Cycle tail = start + mp_.link_delay + flits - 1;
-  deliver(dst, tail);
-  return tail;
+  return start + mp_.link_delay + flits - 1;
 }
 
-Cycle EMeshModel::unicast(Cycle t, CoreId src, CoreId dst, int flits,
-                          const DeliveryFn& deliver, bool count_traffic,
-                          MsgClass cls) {
+EMeshModel::UnicastLeg EMeshModel::unicast_leg(Cycle t, CoreId src,
+                                               CoreId dst, int flits) {
   const std::size_t inj = static_cast<std::size_t>(src) * kPorts + kInject;
   const Cycle start = links_[inj].acquire(t, static_cast<Cycle>(flits));
   const Cycle head = route_head(src, dst, start, flits);
-  const Cycle tail = deliver_at(dst, head, flits, deliver);
-  if (count_traffic) {
-    ++sink().unicast_packets;
-    sink().flits_injected += flits;
-    sink().unicast_flits_offered += flits;
-    sink().recv_unicast_flits += flits;
-    sink().packet_latency.sample(static_cast<double>(tail - t));
-    if (obs_)
-      obs_->record_net(static_cast<int>(cls), /*bcast=*/false,
-                       static_cast<std::uint64_t>(tail - t));
-  }
-  return start + flits;  // sender injection port free
+  return {start + flits, eject(dst, head, flits)};
 }
 
-Cycle EMeshModel::bcast_tree(Cycle t, CoreId src, int flits,
-                             const DeliveryFn& deliver, MsgClass cls) {
+Cycle EMeshModel::bcast_tree(Cycle t, CoreId src, int flits, MsgClass cls,
+                             std::vector<Arrival>& out) {
   const std::size_t inj = static_cast<std::size_t>(src) * kPorts + kInject;
   const Cycle start = links_[inj].acquire(t, static_cast<Cycle>(flits));
 
   Cycle latest = start;
+  const auto arrive = [&](CoreId c, Cycle head) {
+    const Cycle tail = eject(c, head, flits);
+    out.push_back({c, tail});
+    latest = std::max(latest, tail);
+  };
   const int sy = geom_.y(src);
-  // Walk the source row in both directions (including the source column),
-  // and from every row node spawn column walks up and down.
-  auto column_walks = [&](CoreId row_node, Cycle head) {
-    latest = std::max(latest,
-                      deliver_at(row_node, head, flits, deliver));
+  // Walks the column of `row_node` up and down from the source row.
+  const auto column_walks = [&](CoreId row_node, Cycle head) {
+    const int x = geom_.x(row_node);
     for (int dir : {-1, +1}) {
       Cycle h = head;
-      int yy = sy;
-      while (true) {
-        const int ny = yy + dir;
-        if (ny < 0 || ny >= geom_.width()) break;
-        const CoreId from = geom_.core_at(geom_.x(row_node), yy);
-        const CoreId to = geom_.core_at(geom_.x(row_node), ny);
-        h = route_head(from, to, h, flits);
-        latest = std::max(latest, deliver_at(to, h, flits, deliver));
-        yy = ny;
+      for (int yy = sy; yy + dir >= 0 && yy + dir < geom_.width();
+           yy += dir) {
+        const CoreId to = geom_.core_at(x, yy + dir);
+        h = route_head(geom_.core_at(x, yy), to, h, flits);
+        arrive(to, h);
       }
     }
   };
 
-  // Source column first (source node itself is NOT a receiver).
-  {
-    Cycle head = start;
-    for (int dir : {-1, +1}) {
-      Cycle h = head;
-      int yy = sy;
-      while (true) {
-        const int ny = yy + dir;
-        if (ny < 0 || ny >= geom_.width()) break;
-        const CoreId from = geom_.core_at(geom_.x(src), yy);
-        const CoreId to = geom_.core_at(geom_.x(src), ny);
-        h = route_head(from, to, h, flits);
-        latest = std::max(latest, deliver_at(to, h, flits, deliver));
-        yy = ny;
-      }
-    }
-  }
-  // Row walks east and west, spawning columns at each visited node.
+  // Source column first (the source node itself is NOT a receiver), then
+  // the row walks east and west, spawning columns at each visited node.
+  column_walks(src, start);
   for (int dir : {-1, +1}) {
     Cycle h = start;
-    int xx = geom_.x(src);
-    while (true) {
-      const int nx = xx + dir;
-      if (nx < 0 || nx >= geom_.width()) break;
-      const CoreId from = geom_.core_at(xx, sy);
-      const CoreId to = geom_.core_at(nx, sy);
-      h = route_head(from, to, h, flits);
+    for (int xx = geom_.x(src); xx + dir >= 0 && xx + dir < geom_.width();
+         xx += dir) {
+      const CoreId to = geom_.core_at(xx + dir, sy);
+      h = route_head(geom_.core_at(xx, sy), to, h, flits);
+      arrive(to, h);
       column_walks(to, h);
-      xx = nx;
     }
   }
 
-  ++sink().bcast_packets;
-  sink().flits_injected += flits;
-  sink().bcast_flits_offered += flits;
-  sink().recv_bcast_flits +=
-      static_cast<std::uint64_t>(flits) * (geom_.num_cores() - 1);
-  sink().packet_latency.sample(static_cast<double>(latest - t));
-  if (obs_)
-    obs_->record_net(static_cast<int>(cls), /*bcast=*/true,
-                     static_cast<std::uint64_t>(latest - t));
+  count_broadcast(t, latest, flits, static_cast<std::uint64_t>(flits),
+                  geom_.num_cores() - 1, cls);
   return start + flits;
 }
 
 Cycle EMeshModel::inject(Cycle t, const NetPacket& p,
-                         const DeliveryFn& deliver) {
+                         std::vector<Arrival>& out) {
   const int flits = flits_of(p);
-  if (!p.is_broadcast())
-    return unicast(t, p.src, p.dst, flits, deliver, /*count_traffic=*/true,
-                   p.cls);
+  if (!p.is_broadcast()) {
+    const UnicastLeg leg = unicast_leg(t, p.src, p.dst, flits);
+    out.push_back({p.dst, leg.tail});
+    count_unicast(t, leg.tail, flits, p.cls);
+    return leg.sender_free;
+  }
 
-  if (hw_broadcast_) return bcast_tree(t, p.src, flits, deliver, p.cls);
+  if (hw_broadcast_) return bcast_tree(t, p.src, flits, p.cls, out);
 
   // EMesh-Pure: a broadcast degrades into N-1 unicasts serialized through
   // the source injection port (Sec. V-B).
@@ -166,23 +126,14 @@ Cycle EMeshModel::inject(Cycle t, const NetPacket& p,
   Cycle latest = t;
   for (CoreId dst = 0; dst < geom_.num_cores(); ++dst) {
     if (dst == p.src) continue;
-    DeliveryFn track = [&](CoreId r, Cycle arr) {
-      latest = std::max(latest, arr);
-      deliver(r, arr);
-    };
-    sender_free = unicast(sender_free, p.src, dst, flits, track,
-                          /*count_traffic=*/false, p.cls);
+    const UnicastLeg leg = unicast_leg(sender_free, p.src, dst, flits);
+    out.push_back({dst, leg.tail});
+    latest = std::max(latest, leg.tail);
+    sender_free = leg.sender_free;
   }
-  ++sink().bcast_packets;
-  sink().flits_injected +=
-      static_cast<std::uint64_t>(flits) * (geom_.num_cores() - 1);
-  sink().bcast_flits_offered += flits;
-  sink().recv_bcast_flits +=
-      static_cast<std::uint64_t>(flits) * (geom_.num_cores() - 1);
-  sink().packet_latency.sample(static_cast<double>(latest - t));
-  if (obs_)
-    obs_->record_net(static_cast<int>(p.cls), /*bcast=*/true,
-                     static_cast<std::uint64_t>(latest - t));
+  count_broadcast(t, latest, flits,
+                  static_cast<std::uint64_t>(flits) * (geom_.num_cores() - 1),
+                  geom_.num_cores() - 1, p.cls);
   return sender_free;
 }
 

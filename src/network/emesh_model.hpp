@@ -17,12 +17,14 @@ namespace atacsim::net {
 
 class EMeshModel : public NetworkModel {
  public:
-  /// `sink` redirects counters (used when the mesh is the ENet inside an
-  /// AtacModel and must share the owner's counter block); nullptr = own.
+  /// `sink` redirects the flit-hop counters (used when the mesh is the ENet
+  /// inside an AtacModel and must share the owner's counter block);
+  /// nullptr = own.
   EMeshModel(const MachineParams& mp, bool hw_broadcast,
              NetCounters* sink = nullptr);
 
-  Cycle inject(Cycle t, const NetPacket& p, const DeliveryFn& deliver) override;
+  Cycle inject(Cycle t, const NetPacket& p,
+               std::vector<Arrival>& out) override;
 
   void append_channel_usage(std::vector<ChannelUsage>& out) const override;
 
@@ -31,15 +33,16 @@ class EMeshModel : public NetworkModel {
   /// Flits for a packet of `bits` at the configured flit width.
   int flits_of(const NetPacket& p) const;
 
-  /// Unicast entry point for composite networks. When `count_traffic` is
-  /// false only flit-hop activity is recorded, not packet-level stats.
-  /// `cls` only labels the telemetry latency histogram (when an observer is
-  /// attached and count_traffic is true); it never affects timing.
-  Cycle send_unicast(Cycle t, CoreId src, CoreId dst, int flits,
-                     const DeliveryFn& deliver, bool count_traffic,
-                     MsgClass cls = MsgClass::kSynthetic) {
-    return unicast(t, src, dst, flits, deliver, count_traffic, cls);
-  }
+  /// When one unicast frees its sender's injection port and when its tail
+  /// reaches the destination.
+  struct UnicastLeg {
+    Cycle sender_free;
+    Cycle tail;
+  };
+  /// Routes one unicast through injection port, XY path and ejection port.
+  /// Records flit-hop activity only; packet-level statistics are left to
+  /// the caller (composite networks count the whole packet once).
+  UnicastLeg unicast_leg(Cycle t, CoreId src, CoreId dst, int flits);
 
  private:
   NetCounters& sink() { return *sink_; }
@@ -51,14 +54,12 @@ class EMeshModel : public NetworkModel {
   /// reserving links; returns head-arrival cycle at `to`.
   Cycle route_head(CoreId from, CoreId to, Cycle head_at_from, int flits);
 
-  Cycle deliver_at(CoreId dst, Cycle head_arrival, int flits,
-                   const DeliveryFn& deliver);
+  /// Reserves `dst`'s ejection port; returns the tail-delivery cycle.
+  Cycle eject(CoreId dst, Cycle head_arrival, int flits);
 
-  Cycle unicast(Cycle t, CoreId src, CoreId dst, int flits,
-                const DeliveryFn& deliver, bool count_traffic, MsgClass cls);
-
-  Cycle bcast_tree(Cycle t, CoreId src, int flits, const DeliveryFn& deliver,
-                   MsgClass cls);
+  /// XY multicast tree; returns the sender-free cycle.
+  Cycle bcast_tree(Cycle t, CoreId src, int flits, MsgClass cls,
+                   std::vector<Arrival>& out);
 
   MachineParams mp_;
   MeshGeom geom_;

@@ -34,33 +34,16 @@ class Channel {
   Cycle busy_cycles_ = 0;
 };
 
-/// `k` identical parallel channels (e.g. the two StarNets per cluster);
-/// a request takes whichever frees first.
+/// `k` identical parallel channels (e.g. the two StarNets per cluster).
 class ChannelGroup {
  public:
   explicit ChannelGroup(int k = 1) : ch_(static_cast<std::size_t>(k)) {}
 
-  Cycle acquire(Cycle ready, Cycle duration) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < ch_.size(); ++i)
-      if (ch_[i].busy_until() < ch_[best].busy_until()) best = i;
-    return ch_[best].acquire(ready, duration);
-  }
   /// Reserves the channel selected by `key` (e.g. a sender hash). Keyed
   /// selection keeps messages of one flow on one channel, preserving the
   /// per-sender FIFO ordering directory protocols rely on.
   Cycle acquire_keyed(std::size_t key, Cycle ready, Cycle duration) {
     return ch_[key % ch_.size()].acquire(ready, duration);
-  }
-  /// Reserves every channel in the group (a broadcast over all of them).
-  Cycle acquire_all(Cycle ready, Cycle duration) {
-    Cycle start = ready;
-    for (const auto& c : ch_) start = std::max(start, c.busy_until());
-    for (auto& c : ch_) {
-      const Cycle s = c.acquire(start, duration);
-      (void)s;
-    }
-    return start;
   }
   Cycle busy_cycles() const {
     Cycle total = 0;

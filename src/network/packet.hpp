@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -29,9 +28,11 @@ struct NetPacket {
   bool is_broadcast() const { return dst == kBroadcastCore; }
 };
 
-/// Called once per receiver with the cycle at which the packet's tail flit
-/// is delivered there. For broadcasts it fires for every core except src.
-using DeliveryFn = std::function<void(CoreId receiver, Cycle arrival)>;
+/// One receiver's copy of a packet: the cycle its tail flit is delivered.
+struct Arrival {
+  CoreId receiver;
+  Cycle at;
+};
 
 /// Aggregate busy time of one named channel group, exported for the
 /// validation layer's ledger probe (src/check): total busy cycles can never
@@ -48,12 +49,14 @@ class NetworkModel {
  public:
   virtual ~NetworkModel() = default;
 
-  /// Injects `p` no earlier than cycle `t`; invokes `deliver` synchronously
-  /// (the caller schedules the resulting events). Returns the cycle at which
-  /// the sender's injection port is free again — callers must not inject
-  /// from the same source before then (this is the back-pressure path).
+  /// Injects `p` no earlier than cycle `t` and appends one Arrival per
+  /// receiver to `out` (for a broadcast, every core except src), in the
+  /// order the model computes them; the caller turns them into events.
+  /// Returns the cycle at which the sender's injection port is free again —
+  /// callers must not inject from the same source before then (this is the
+  /// back-pressure path).
   virtual Cycle inject(Cycle t, const NetPacket& p,
-                       const DeliveryFn& deliver) = 0;
+                       std::vector<Arrival>& out) = 0;
 
   NetCounters& counters() { return counters_; }
   const NetCounters& counters() const { return counters_; }
@@ -63,11 +66,19 @@ class NetworkModel {
   virtual void append_channel_usage(std::vector<ChannelUsage>&) const {}
 
   /// Telemetry (src/obs), not owned; null (the default) keeps the latency
-  /// recording sites at a single pointer test. Composite models override to
-  /// forward the observer into their sub-networks.
-  virtual void set_observer(obs::RunObserver* o) { obs_ = o; }
+  /// recording sites at a single pointer test.
+  void set_observer(obs::RunObserver* o) { obs_ = o; }
 
  protected:
+  /// Packet-level statistics of one unicast injected at `t` whose tail
+  /// arrives at `tail`.
+  void count_unicast(Cycle t, Cycle tail, int flits, MsgClass cls);
+  /// Packet-level statistics of one broadcast of `flits` flits to
+  /// `receivers` cores, injected at `t`, whose last copy arrives at
+  /// `latest`; `injected` is the flits the source put into the network.
+  void count_broadcast(Cycle t, Cycle latest, int flits,
+                       std::uint64_t injected, int receivers, MsgClass cls);
+
   NetCounters counters_;
   obs::RunObserver* obs_ = nullptr;
 };

@@ -33,7 +33,7 @@ SyntheticResult run_synthetic(NetworkModel& net, const MeshGeom& geom,
   bool measuring = false;
   std::uint64_t flits_before = 0;
 
-  auto noop = [](CoreId, Cycle) {};
+  std::vector<Arrival> arrivals;  // reused; open-loop drivers ignore them
   while (!q.empty() && q.top().first < t_end) {
     auto [t, src] = q.top();
     q.pop();
@@ -53,7 +53,8 @@ SyntheticResult run_synthetic(NetworkModel& net, const MeshGeom& geom,
       if (dst >= src) ++dst;  // uniform over all other cores
       p.dst = dst;
     }
-    net.inject(t, p, noop);
+    arrivals.clear();
+    net.inject(t, p, arrivals);
     q.emplace(t + next_gap(rng, pkts_per_cycle), src);
   }
 

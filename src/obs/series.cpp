@@ -74,40 +74,28 @@ void RunObserver::set_channel_names(std::vector<std::string> names) {
   last_chan_busy_.assign(channel_names_.size(), 0);
 }
 
-void RunObserver::set_core_sources(
-    std::function<CoreCounters()> totals,
-    std::function<void(std::vector<std::uint64_t>&)> per_core) {
-  core_totals_ = std::move(totals);
-  per_core_busy_ = std::move(per_core);
-  if (per_core_busy_) {
-    per_core_busy_(scratch_core_busy_);
-    last_core_busy_.assign(scratch_core_busy_.size(), 0);
-  }
-}
-
 void RunObserver::push_record(Cycle t_end, const NetCounters& net,
                               const MemCounters& mem,
+                              const std::vector<CoreCounters>& cores,
                               const std::vector<Cycle>& chan_busy) {
   EpochRecord rec;
   rec.t_end = t_end;
   rec.net = delta(net, last_net_);
   rec.mem = delta(mem, last_mem_);
 
-  CoreCounters core_now = last_core_;
-  if (core_totals_) core_now = core_totals_();
-  rec.core = delta(core_now, last_core_);
-
   rec.chan_busy.resize(last_chan_busy_.size(), 0);
   for (std::size_t i = 0; i < last_chan_busy_.size() && i < chan_busy.size();
        ++i)
     rec.chan_busy[i] = chan_busy[i] - last_chan_busy_[i];
 
-  if (per_core_busy_) {
-    per_core_busy_(scratch_core_busy_);
-    rec.core_busy.resize(last_core_busy_.size(), 0);
-    for (std::size_t i = 0; i < last_core_busy_.size(); ++i)
-      rec.core_busy[i] = scratch_core_busy_[i] - last_core_busy_[i];
-    last_core_busy_ = scratch_core_busy_;
+  last_cores_.resize(cores.size());
+  rec.core_busy.resize(cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    const CoreCounters d = delta(cores[i], last_cores_[i]);
+#define ATACSIM_X(f) rec.core.f += d.f;
+    ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+    rec.core_busy[i] = d.busy_cycles;
   }
 
   // A flush at (or behind) the previous boundary with fresh activity —
@@ -134,7 +122,7 @@ void RunObserver::push_record(Cycle t_end, const NetCounters& net,
 
   last_net_ = net;
   last_mem_ = mem;
-  if (core_totals_) last_core_ = core_now;
+  last_cores_ = cores;
   last_chan_busy_.assign(chan_busy.begin(), chan_busy.end());
   last_chan_busy_.resize(channel_names_.size(), 0);
   if (t_end > last_t_) last_t_ = t_end;
@@ -142,16 +130,18 @@ void RunObserver::push_record(Cycle t_end, const NetCounters& net,
 
 void RunObserver::sample(Cycle boundary, const NetCounters& net,
                          const MemCounters& mem,
+                         const std::vector<CoreCounters>& cores,
                          const std::vector<Cycle>& chan_busy) {
   if (finalized_) return;
-  push_record(boundary, net, mem, chan_busy);
+  push_record(boundary, net, mem, cores, chan_busy);
 }
 
 void RunObserver::finalize(Cycle end, const NetCounters& net,
                            const MemCounters& mem,
+                           const std::vector<CoreCounters>& cores,
                            const std::vector<Cycle>& chan_busy) {
   if (finalized_) return;
-  push_record(end, net, mem, chan_busy);
+  push_record(end, net, mem, cores, chan_busy);
   finalized_ = true;
 }
 

@@ -3,10 +3,10 @@
 //
 // A RunObserver is owned by the harness for exactly one simulated run and
 // handed to the Machine as a raw pointer; every hot-path touch point is a
-// null-test plus a plain (non-virtual) call. The Machine's event queue
-// fires `sample` at every multiple of the configured epoch period that the
-// simulated clock crosses, and `finalize` once the queue drains, so the
-// records tile the run: summing the per-epoch deltas reproduces the
+// null-test plus a plain (non-virtual) call. Machine::run calls `sample` at
+// every multiple of the configured epoch period that the simulated clock
+// crosses, and `finalize` once the queue drains, so the records tile the
+// run: summing the per-epoch deltas reproduces the
 // end-of-run counter totals exactly (the src/check kObs probe enforces
 // this under ATACSIM_VALIDATE=1).
 //
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -58,29 +57,27 @@ class RunObserver {
     mem_lat_[write ? 1 : 0].record(latency_cycles);
   }
 
-  // --- wiring (Machine / Program construction) ---------------------------
+  // --- wiring (Machine construction) -------------------------------------
   void set_channel_names(std::vector<std::string> names);
-  /// `totals` returns machine-wide CoreCounters; `per_core` fills the
-  /// current absolute per-core busy cycles. Both are sampled at epoch
-  /// boundaries only (cold path).
-  void set_core_sources(std::function<CoreCounters()> totals,
-                        std::function<void(std::vector<std::uint64_t>&)> per_core);
 
-  // --- epoch boundaries (fired by the Machine) ---------------------------
-  /// Records the delta since the previous boundary; `boundary` values must
-  /// be non-decreasing.
+  // --- epoch boundaries (called by the Machine) --------------------------
+  /// Records the delta since the previous boundary from absolute counter
+  /// values (`cores` holds one entry per core); `boundary` values must be
+  /// non-decreasing.
   void sample(Cycle boundary, const NetCounters& net, const MemCounters& mem,
+              const std::vector<CoreCounters>& cores,
               const std::vector<Cycle>& chan_busy);
   /// Flushes the final partial epoch at simulated cycle `end` and freezes
   /// the observer. Idempotent.
   void finalize(Cycle end, const NetCounters& net, const MemCounters& mem,
+                const std::vector<CoreCounters>& cores,
                 const std::vector<Cycle>& chan_busy);
   bool finalized() const { return finalized_; }
 
   // --- results -----------------------------------------------------------
   const std::vector<EpochRecord>& epochs() const { return epochs_; }
   const std::vector<std::string>& channel_names() const { return channel_names_; }
-  int num_cores() const { return static_cast<int>(last_core_busy_.size()); }
+  int num_cores() const { return static_cast<int>(last_cores_.size()); }
   const Histogram& net_hist(int cls, bool bcast) const {
     return net_lat_[bcast ? 1 : 0][cls];
   }
@@ -92,6 +89,7 @@ class RunObserver {
 
  private:
   void push_record(Cycle t_end, const NetCounters& net, const MemCounters& mem,
+                   const std::vector<CoreCounters>& cores,
                    const std::vector<Cycle>& chan_busy);
 
   Cycle epoch_cycles_;
@@ -100,19 +98,14 @@ class RunObserver {
   Histogram net_lat_[2][kNumTrafficClasses];  // [bcast][class]
   Histogram mem_lat_[2];                      // [write]
 
-  std::function<CoreCounters()> core_totals_;
-  std::function<void(std::vector<std::uint64_t>&)> per_core_busy_;
-
   std::vector<std::string> channel_names_;
   std::vector<EpochRecord> epochs_;
 
   // Previous-boundary snapshots (absolute values) for delta computation.
   NetCounters last_net_;
   MemCounters last_mem_;
-  CoreCounters last_core_;
+  std::vector<CoreCounters> last_cores_;
   std::vector<Cycle> last_chan_busy_;
-  std::vector<std::uint64_t> last_core_busy_;
-  std::vector<std::uint64_t> scratch_core_busy_;
   Cycle last_t_ = 0;
 };
 

@@ -21,19 +21,6 @@ class EventQueue {
  public:
   using Fn = std::function<void()>;
 
-  /// Telemetry sampling hook (src/obs): `fire(boundary)` runs once per
-  /// multiple of `period` the clock crosses, before the first event at or
-  /// past that boundary dispatches, with now() set to the boundary itself.
-  /// The hot path pays one null test when no hook is installed; `next_due`
-  /// is cached here so the common armed case is a single compare too.
-  struct EpochHook {
-    Cycle period = 0;
-    Cycle next_due = kNeverCycle;
-    std::function<void(Cycle boundary)> fire;
-  };
-
-  void set_epoch_hook(EpochHook* h) { hook_ = h; }
-
   /// Events dispatched so far (unconditional counter; feeds the obs
   /// self-profile's events/sec).
   std::uint64_t dispatched() const { return dispatched_; }
@@ -53,19 +40,21 @@ class EventQueue {
   void set_validation(bool on) { validate_ = on; }
   bool validation() const { return validate_; }
 
-  /// Runs until the queue drains or `max_cycles` is crossed. Returns true if
-  /// drained; false on the cycle-limit safety stop — with `now()` advanced
-  /// to `max_cycles`, matching run_until's clock floor, so callers reading
+  /// Runs until the queue drains, `max_cycles` is crossed, or the next
+  /// event is at or past `stop_before` (checked after the limit). Returns
+  /// false on the cycle-limit safety stop — with `now()` advanced to
+  /// `max_cycles`, matching run_until's clock floor, so callers reading
   /// now() after a safety stop see the full elapsed window rather than the
-  /// last executed event.
-  bool run(Cycle max_cycles = kNeverCycle) {
+  /// last executed event. Returns true otherwise; empty() then tells a
+  /// drained queue from a stop before `stop_before`.
+  bool run(Cycle max_cycles = kNeverCycle, Cycle stop_before = kNeverCycle) {
     while (!heap_.empty()) {
-      // Copy out before pop so the handler may schedule more events.
       const Item& top = heap_.top();
       if (top.t > max_cycles) {
         now_ = max_cycles;
         return false;
       }
+      if (top.t >= stop_before) return true;
       dispatch(top);
     }
     return true;
@@ -97,32 +86,18 @@ class EventQueue {
       check::raise(check::Probe::kClock, "event_queue", now_, kInvalidCore,
                    "dispatch timestamp " + std::to_string(top.t) +
                        " behind clock " + std::to_string(now_));
-    if (hook_ && top.t >= hook_->next_due) cross_epochs(top.t);
     now_ = top.t;
     ++dispatched_;
+    // Move out before pop so the handler may schedule more events.
     Fn fn = std::move(const_cast<Item&>(top).fn);
     heap_.pop();
     fn();
-  }
-
-  /// Cold path: fires the hook for every epoch boundary in (now_, t], with
-  /// the clock parked on each boundary so anything the hook reads is
-  /// consistent with "sampled exactly at the boundary". Boundaries never
-  /// exceed t, so clock monotonicity is preserved.
-  void cross_epochs(Cycle t) {
-    while (hook_->next_due <= t) {
-      const Cycle boundary = hook_->next_due;
-      hook_->next_due += hook_->period;
-      if (boundary > now_) now_ = boundary;
-      hook_->fire(boundary);
-    }
   }
 
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  EpochHook* hook_ = nullptr;
   bool validate_ = check::env_validation_enabled();
 };
 

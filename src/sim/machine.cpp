@@ -31,11 +31,11 @@ std::vector<CoreId> Machine::slice_cores(const MachineParams& mp) {
 
 Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
     : mp_(mp),
+      net_(net::make_network(mp)),
       geom_(mp),
       obs_(obs),
-      net_(net::make_network(mp)),
+      core_counters_(static_cast<std::size_t>(mp.num_cores)),
       homes_(mp, slice_cores(mp)) {
-  mp_.validate();
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
     caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
@@ -51,29 +51,35 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
     names.reserve(usage.size());
     for (const auto& u : usage) names.emplace_back(u.name);
     obs_->set_channel_names(std::move(names));
-    obs_hook_.period = obs_->epoch_cycles();
-    obs_hook_.next_due = obs_->epoch_cycles();
-    obs_hook_.fire = [this](Cycle boundary) { sample_obs(boundary); };
-    events_.set_epoch_hook(&obs_hook_);
   }
 }
 
-void Machine::sample_obs(Cycle boundary) {
-  std::vector<net::ChannelUsage> usage;
-  net_->append_channel_usage(usage);
-  std::vector<Cycle> busy;
-  busy.reserve(usage.size());
-  for (const auto& u : usage) busy.push_back(u.busy_cycles);
-  obs_->sample(boundary, net_->counters(), mem_counters_, busy);
+bool Machine::run(Cycle max_cycles) {
+  // With an observer, the queue stops before the first event at or past
+  // each epoch boundary so the counters can be sampled there.
+  const Cycle period = obs_ ? obs_->epoch_cycles() : kNeverCycle;
+  Cycle boundary = period;
+  bool within_limit;
+  while ((within_limit = events_.run(max_cycles, boundary)) &&
+         !events_.empty()) {
+    sample_obs(boundary, /*last=*/false);
+    boundary += period;
+  }
+  if (obs_) sample_obs(now(), /*last=*/true);
+  if (within_limit && validate_) validate_run();
+  return within_limit;
 }
 
-void Machine::finalize_obs() {
+void Machine::sample_obs(Cycle at, bool last) {
   std::vector<net::ChannelUsage> usage;
   net_->append_channel_usage(usage);
   std::vector<Cycle> busy;
   busy.reserve(usage.size());
   for (const auto& u : usage) busy.push_back(u.busy_cycles);
-  obs_->finalize(events_.now(), net_->counters(), mem_counters_, busy);
+  if (last)
+    obs_->finalize(at, net_->counters(), mem_counters_, core_counters_, busy);
+  else
+    obs_->sample(at, net_->counters(), mem_counters_, core_counters_, busy);
 }
 
 void Machine::trace_delivery(CoreId receiver, const mem::CohMsg& m,
@@ -107,27 +113,34 @@ void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   }
 }
 
-void Machine::deliver(CoreId receiver, const mem::CohMsg& m, Cycle at) {
-  trace_delivery(receiver, m, at);
-  events_.schedule(at, [this, receiver, m] { receive(receiver, m); });
-}
-
-void Machine::deliver_broadcast(const mem::CohMsg& m) {
+void Machine::deliver_arrivals(const mem::CohMsg& m) {
   // One event per distinct arrival cycle, running that cycle's receivers in
   // the order the network reported them. Scheduling one event per receiver
-  // gives the same order: inject() schedules nothing, so those events would
-  // carry consecutive sequence numbers and run back to back within their
-  // cycle, and any event a handler schedules gets a later sequence number
-  // either way. Arrivals are grouped by the cycle schedule() actually uses,
-  // which clamps to now().
-  std::stable_sort(
-      bcast_arrivals_.begin(), bcast_arrivals_.end(),
-      [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
-  for (auto it = bcast_arrivals_.begin(); it != bcast_arrivals_.end();) {
+  // gives the same order: inject() only returns arrivals and schedules
+  // nothing, so those events would carry consecutive sequence numbers and
+  // run back to back within their cycle, and any event a handler schedules
+  // gets a later sequence number either way. Arrivals are grouped by the
+  // cycle schedule() actually uses, which clamps to now().
+  for (net::Arrival& a : arrivals_) {
+    trace_delivery(a.receiver, m, a.at);
+    a.at = std::max(a.at, now());
+  }
+  // stable_sort allocates a buffer even for one element (every unicast).
+  if (arrivals_.size() > 1)
+    std::stable_sort(arrivals_.begin(), arrivals_.end(),
+                     [](const net::Arrival& a, const net::Arrival& b) {
+                       return a.at < b.at;
+                     });
+  for (auto it = arrivals_.begin(); it != arrivals_.end();) {
     const Cycle at = it->at;
     const auto end =
-        std::find_if(it, bcast_arrivals_.end(),
-                     [at](const Arrival& a) { return a.at != at; });
+        std::find_if(it, arrivals_.end(),
+                     [at](const net::Arrival& a) { return a.at != at; });
+    if (end - it == 1) {  // a lone receiver (every unicast) needs no list
+      events_.schedule(at, [this, r = it->receiver, m] { receive(r, m); });
+      ++it;
+      continue;
+    }
     std::vector<CoreId> receivers;
     receivers.reserve(static_cast<std::size_t>(end - it));
     for (; it != end; ++it) receivers.push_back(it->receiver);
@@ -149,22 +162,19 @@ Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
   p.src = m.src;
   p.dst = m.dst;
   p.cls = m.carries_data ? net::MsgClass::kData : net::MsgClass::kCoherence;
+  arrivals_.clear();
+  const Cycle sender_free = net_->inject(t, p, arrivals_);
+  deliver_arrivals(m);
   if (!m.is_broadcast()) {
     ++expected_deliveries_;
-    return net_->inject(
-        t, p, [this, &m](CoreId r, Cycle at) { deliver(r, m, at); });
+    return sender_free;
   }
   expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
-  bcast_arrivals_.clear();
-  const Cycle sender_free =
-      net_->inject(t, p, [this, &m](CoreId r, Cycle at) {
-        trace_delivery(r, m, at);
-        bcast_arrivals_.push_back({std::max(at, now()), r});
-      });
-  deliver_broadcast(m);
   // Network broadcasts skip the source tile; the sender's co-located cache
-  // still receives the invalidation through a local loopback.
-  deliver(m.src, m, t + 2);
+  // still receives the invalidation through a local loopback, scheduled
+  // after the network's copies.
+  arrivals_.assign(1, {m.src, t + 2});
+  deliver_arrivals(m);
   return sender_free;
 }
 

@@ -28,11 +28,11 @@ namespace atacsim::sim {
 class Machine {
  public:
   /// `obs` (optional, not owned, must outlive the machine) arms telemetry:
-  /// epoch-boundary counter sampling via the event queue's hook plus
-  /// latency recording in the network and memory layers. Null keeps every
-  /// hot path at a single pointer test.
+  /// counter sampling at every epoch boundary run() crosses plus latency
+  /// recording in the network and memory layers. Null keeps every hot path
+  /// at a single pointer test.
   explicit Machine(const MachineParams& mp, obs::RunObserver* obs = nullptr);
-  // Caches, directories and the epoch hook hold this Machine's address.
+  // Caches and directories hold this Machine's address.
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
@@ -56,6 +56,14 @@ class Machine {
 
   NetCounters& net_counters() { return net_->counters(); }
   MemCounters& mem_counters() { return mem_counters_; }
+  /// Per-core instruction and busy-cycle counts; each core's execution
+  /// context increments its own slot.
+  CoreCounters& core_counters(CoreId c) {
+    return core_counters_[static_cast<std::size_t>(c)];
+  }
+  const std::vector<CoreCounters>& core_counters() const {
+    return core_counters_;
+  }
   /// Telemetry observer, or null when telemetry is off.
   obs::RunObserver* observer() const { return obs_; }
 
@@ -73,16 +81,12 @@ class Machine {
   }
 
   /// Drains the event queue; returns false if the safety cycle limit hit.
-  /// Once drained with validation on, runs the end-of-run probes (flow
-  /// conservation, channel ledger bounds, message delivery accounting).
-  /// With an observer attached, the final partial telemetry epoch is
-  /// flushed either way (drained or safety stop).
-  bool run(Cycle max_cycles = kNeverCycle) {
-    const bool drained = events_.run(max_cycles);
-    if (obs_) finalize_obs();
-    if (drained && validate_) validate_run();
-    return drained;
-  }
+  /// With an observer attached, samples the counters at every epoch
+  /// boundary before the first event at or past it runs, and flushes the
+  /// final partial epoch either way (drained or safety stop). Once drained
+  /// with validation on, runs the end-of-run probes (flow conservation,
+  /// channel ledger bounds, message delivery accounting).
+  bool run(Cycle max_cycles = kNeverCycle);
   Cycle now() const { return events_.now(); }
 
   /// Opt-in cross-layer validation (src/check): per-transaction coherence
@@ -124,10 +128,8 @@ class Machine {
  private:
   /// Runs the receiving cache's or directory's handler for `m`.
   void receive(CoreId receiver, const mem::CohMsg& m);
-  /// Schedules `receive` for one receiver at cycle `at`.
-  void deliver(CoreId receiver, const mem::CohMsg& m, Cycle at);
-  /// Schedules the receptions collected in bcast_arrivals_.
-  void deliver_broadcast(const mem::CohMsg& m);
+  /// Schedules `receive` of `m` for every entry of arrivals_.
+  void deliver_arrivals(const mem::CohMsg& m);
   /// Debug line per delivery (ATACSIM_TRACE_LINE / ATACSIM_TRACE_INV).
   void trace_delivery(CoreId receiver, const mem::CohMsg& m, Cycle at) const;
   static std::vector<CoreId> slice_cores(const MachineParams& mp);
@@ -137,17 +139,19 @@ class Machine {
   /// End-of-run probes, fired when run() drains with validation on.
   void validate_run();
 
-  /// Telemetry: snapshot counters + channel busy cycles into the observer.
-  void sample_obs(Cycle boundary);
-  void finalize_obs();
+  /// Telemetry: hands the counters and channel busy cycles at `at` to the
+  /// observer; `last` flushes the final epoch.
+  void sample_obs(Cycle at, bool last);
 
   MachineParams mp_;
+  // Built first: make_network validates the parameters every other member
+  // is sized from.
+  std::unique_ptr<net::NetworkModel> net_;
   net::MeshGeom geom_;
   obs::RunObserver* obs_ = nullptr;
-  EventQueue::EpochHook obs_hook_;
   EventQueue events_;
   MemCounters mem_counters_;
-  std::unique_ptr<net::NetworkModel> net_;
+  std::vector<CoreCounters> core_counters_;
   mem::HomeMap homes_;
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
   std::vector<std::unique_ptr<mem::DirectorySlice>> dirs_;
@@ -156,14 +160,9 @@ class Machine {
   // (often special-cased) zero address.
   Addr next_frame_ = 16;
 
-  /// One broadcast's receptions, collected during inject(): the cycle its
-  /// event is scheduled at (clamped to now()) and the receiver. Reused
-  /// across sends.
-  struct Arrival {
-    Cycle at;
-    CoreId receiver;
-  };
-  std::vector<Arrival> bcast_arrivals_;
+  /// One message's receptions as the network reports them. Reused across
+  /// sends.
+  std::vector<net::Arrival> arrivals_;
 
   bool validate_ = check::env_validation_enabled();
   // Delivery accounting (always counted, so toggling set_validation mid-run

@@ -22,12 +22,13 @@ TEST(CycleMesh, SingleFlitZeroLoadLatencyMatchesFlowModel) {
   ASSERT_EQ(cm.delivered_packets(), 1u);
 
   net::EMeshModel fm(small(), false);
-  Cycle flow_arrival = 0;
   net::NetPacket p{.src = 0, .dst = 3, .bits = 64,
                    .cls = net::MsgClass::kSynthetic};
-  fm.inject(0, p, [&](CoreId, Cycle t) { flow_arrival = t; });
+  std::vector<net::Arrival> out;
+  fm.inject(0, p, out);
+  ASSERT_EQ(out.size(), 1u);
 
-  EXPECT_NEAR(cm.latency().mean(), static_cast<double>(flow_arrival), 2.0);
+  EXPECT_NEAR(cm.latency().mean(), static_cast<double>(out[0].at), 2.0);
 }
 
 TEST(CycleMesh, MultiFlitSerialization) {

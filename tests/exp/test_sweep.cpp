@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,24 @@ TEST(SweepSynthetic, GridIsIndependentOfPoolSize) {
   }
   // Higher load must not lower measured traffic: sanity on cell ordering.
   EXPECT_GT(a[2].packets_measured, a[0].packets_measured);
+}
+
+TEST(SweepSynthetic, InvalidGeometryThrowsInsteadOfCrashingTheWorkers) {
+  // A cluster width of 3 does not divide the 8-wide mesh: the cell must
+  // fail validation on its worker thread and the error must reach the
+  // caller, not terminate the process.
+  CellConfig base;
+  base.scenario.mp = MachineParams::small(8, 2);
+  base.synth.warmup_cycles = 100;
+  base.synth.measure_cycles = 200;
+  SweepSpec spec(base);
+  spec.axis(value_axis<int>(
+      "cluster_width", {2, 3}, [](int v) { return std::to_string(v); },
+      [](CellConfig& c, int v) { c.scenario.mp.cluster_width = v; }));
+
+  ExecOptions pooled;
+  pooled.jobs = 2;
+  EXPECT_THROW(run_synthetic_grid(spec, pooled), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "arrivals.hpp"
 #include "network/atac_model.hpp"
 
 namespace atacsim::net {
@@ -46,7 +47,7 @@ TEST(Atac, OnetUnicastDeliversToExactlyOneCore) {
   std::map<CoreId, int> hits;
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(7, 7), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [&](CoreId r, Cycle) { ++hits[r]; });
+  for (const Arrival& a : arrivals_of(m, 0, p)) ++hits[a.receiver];
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits.begin()->first, g.core_at(7, 7));
   EXPECT_EQ(m.counters().onet_selects, 1u);
@@ -60,7 +61,7 @@ TEST(Atac, BroadcastReachesAllOtherCores) {
   std::map<CoreId, int> hits;
   NetPacket p{.src = 5, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [&](CoreId r, Cycle) { ++hits[r]; });
+  for (const Arrival& a : arrivals_of(m, 0, p)) ++hits[a.receiver];
   EXPECT_EQ(hits.size(), 63u);
   EXPECT_EQ(hits.count(5), 0u);
   for (auto& [c, n] : hits) {
@@ -78,9 +79,8 @@ TEST(Atac, OnetBeatsEnetForLongDistancesAtZeroLoad) {
   const MeshGeom& g = onet.geom();
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(7, 7), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  Cycle to = 0, te = 0;
-  onet.inject(0, p, [&](CoreId, Cycle t) { to = t; });
-  enet.inject(0, p, [&](CoreId, Cycle t) { te = t; });
+  const Cycle to = latest(arrivals_of(onet, 0, p));
+  const Cycle te = latest(arrivals_of(enet, 0, p));
   EXPECT_LT(to, te);
 }
 
@@ -90,9 +90,8 @@ TEST(Atac, EnetBeatsOnetForNeighbors) {
   const MeshGeom& g = onet.geom();
   NetPacket p{.src = g.core_at(1, 0), .dst = g.core_at(2, 0), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  Cycle to = 0, te = 0;
-  onet.inject(0, p, [&](CoreId, Cycle t) { to = t; });
-  enet.inject(0, p, [&](CoreId, Cycle t) { te = t; });
+  const Cycle to = latest(arrivals_of(onet, 0, p));
+  const Cycle te = latest(arrivals_of(enet, 0, p));
   EXPECT_LT(te, to);
 }
 
@@ -104,9 +103,8 @@ TEST(Atac, SelectLagDelaysData) {
   const MeshGeom& g = m0.geom();
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(7, 7), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  Cycle t0 = 0, t4 = 0;
-  m0.inject(0, p, [&](CoreId, Cycle t) { t0 = t; });
-  m4.inject(0, p, [&](CoreId, Cycle t) { t4 = t; });
+  const Cycle t0 = latest(arrivals_of(m0, 0, p));
+  const Cycle t4 = latest(arrivals_of(m4, 0, p));
   EXPECT_EQ(t4, t0 + 3);  // lag 1 -> 4
 }
 
@@ -116,9 +114,8 @@ TEST(Atac, HubChannelSerializesSendersTraffic) {
   const CoreId src = g.hub_core(0);
   NetPacket p{.src = src, .dst = g.core_at(7, 7), .bits = 640,
               .cls = MsgClass::kSynthetic};
-  Cycle a = 0, b = 0;
-  m.inject(0, p, [&](CoreId, Cycle t) { a = t; });
-  m.inject(0, p, [&](CoreId, Cycle t) { b = t; });
+  const Cycle a = latest(arrivals_of(m, 0, p));
+  const Cycle b = latest(arrivals_of(m, 0, p));
   EXPECT_GE(b, a + 10);
 }
 
@@ -130,9 +127,8 @@ TEST(Atac, BnetTogglesMoreReceiveLinksThanStarnetForUnicast) {
   const MeshGeom& g = star.geom();
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(7, 7), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  auto noop = [](CoreId, Cycle) {};
-  star.inject(0, p, noop);
-  bnet.inject(0, p, noop);
+  arrivals_of(star, 0, p);
+  arrivals_of(bnet, 0, p);
   EXPECT_GT(bnet.counters().recvnet_link_flits,
             star.counters().recvnet_link_flits);
 }
@@ -146,9 +142,8 @@ TEST(Atac, StarnetBroadcastCostsTwiceBnet) {
   AtacModel star(ps), bnet(pb);
   NetPacket p{.src = 0, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  auto noop = [](CoreId, Cycle) {};
-  star.inject(0, p, noop);
-  bnet.inject(0, p, noop);
+  arrivals_of(star, 0, p);
+  arrivals_of(bnet, 0, p);
   EXPECT_EQ(star.counters().recvnet_link_flits,
             2 * bnet.counters().recvnet_link_flits);
 }
@@ -158,7 +153,7 @@ TEST(Atac, LinkUtilizationTracksBusyCycles) {
   const MeshGeom& g = m.geom();
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(7, 7), .bits = 640,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [](CoreId, Cycle) {});
+  arrivals_of(m, 0, p);
   // 10 flits on one of 16 hubs over 100 cycles.
   EXPECT_NEAR(m.link_utilization(100), 10.0 / (100.0 * 16), 1e-9);
 }
@@ -168,7 +163,7 @@ TEST(Atac, IntraClusterTrafficNeverTouchesOnet) {
   const MeshGeom& g = m.geom();
   NetPacket p{.src = g.core_at(0, 0), .dst = g.core_at(1, 1), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [](CoreId, Cycle) {});
+  arrivals_of(m, 0, p);
   EXPECT_EQ(m.counters().onet_flits_sent, 0u);
   EXPECT_GT(m.counters().enet_link_flits, 0u);
 }

@@ -3,6 +3,7 @@
 
 #include <map>
 
+#include "arrivals.hpp"
 #include "network/atac_model.hpp"
 #include "network/emesh_model.hpp"
 
@@ -20,7 +21,7 @@ TEST_P(BcastSource, TreeCoversMeshFromAnySourcePosition) {
   std::map<CoreId, int> hits;
   NetPacket p{.src = GetParam(), .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [&](CoreId r, Cycle) { ++hits[r]; });
+  for (const Arrival& a : arrivals_of(m, 0, p)) ++hits[a.receiver];
   EXPECT_EQ(hits.size(), 63u);
   EXPECT_EQ(hits.count(GetParam()), 0u);
   EXPECT_EQ(m.counters().enet_link_flits, 63u);
@@ -40,12 +41,10 @@ TEST(AtacEdges, HubCoreSendsAndReceivesOverOnet) {
   // Hub tile to hub tile of a distant cluster: no ENet legs at all.
   NetPacket p{.src = g.hub_core(0), .dst = g.hub_core(15), .bits = 64,
               .cls = MsgClass::kSynthetic};
-  Cycle arrival = 0;
-  m.inject(0, p, [&](CoreId r, Cycle t) {
-    EXPECT_EQ(r, g.hub_core(15));
-    arrival = t;
-  });
-  EXPECT_GT(arrival, 0u);
+  const auto out = arrivals_of(m, 0, p);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].receiver, g.hub_core(15));
+  EXPECT_GT(out[0].at, 0u);
   EXPECT_EQ(m.counters().enet_link_flits, 0u);
   EXPECT_EQ(m.counters().onet_flits_sent, 1u);
 }
@@ -55,13 +54,11 @@ TEST(AtacEdges, SelfAddressedUnicastStaysLocal) {
   mp.network = NetworkKind::kAtacPlus;
   AtacModel m(mp);
   NetPacket p{.src = 5, .dst = 5, .bits = 64, .cls = MsgClass::kSynthetic};
-  Cycle arrival = 0;
-  m.inject(0, p, [&](CoreId r, Cycle t) {
-    EXPECT_EQ(r, 5);
-    arrival = t;
-  });
+  const auto out = arrivals_of(m, 0, p);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].receiver, 5);
   // Ejection only: cheap, never the ONet.
-  EXPECT_LT(arrival, 10u);
+  EXPECT_LT(out[0].at, 10u);
   EXPECT_EQ(m.counters().onet_flits_sent, 0u);
 }
 
@@ -83,14 +80,14 @@ TEST(AtacEdges, DistanceThresholdBoundaryIsInclusive) {
 TEST(EMeshEdges, AdjacentCornerHopCount) {
   EMeshModel m(small(), false);
   NetPacket p{.src = 63, .dst = 62, .bits = 64, .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [](CoreId, Cycle) {});
+  arrivals_of(m, 0, p);
   EXPECT_EQ(m.counters().enet_link_flits, 1u);  // exactly one hop
 }
 
 TEST(EMeshEdges, MaxDiagonalUsesManhattanHops) {
   EMeshModel m(small(), false);
   NetPacket p{.src = 0, .dst = 63, .bits = 64, .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [](CoreId, Cycle) {});
+  arrivals_of(m, 0, p);
   EXPECT_EQ(m.counters().enet_link_flits, 14u);  // 7 + 7
 }
 

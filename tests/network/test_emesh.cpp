@@ -3,6 +3,7 @@
 #include <map>
 #include <vector>
 
+#include "arrivals.hpp"
 #include "network/emesh_model.hpp"
 
 namespace atacsim::net {
@@ -13,22 +14,19 @@ MachineParams small() { return MachineParams::small(8, 2); }
 TEST(EMesh, ZeroLoadUnicastLatencyIsHopDelays) {
   EMeshModel m(small(), false);
   // (0,0) -> (3,0): 3 hops + ejection; router 1 + link 1 per hop.
-  Cycle arrival = 0;
-  CoreId receiver = kInvalidCore;
   NetPacket p{.src = 0, .dst = 3, .bits = 64, .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [&](CoreId r, Cycle t) { receiver = r; arrival = t; });
-  EXPECT_EQ(receiver, 3);
+  const auto out = arrivals_of(m, 0, p);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].receiver, 3);
   // 3 link hops (2 cycles each) + ejection (2 cycles) = 8, 1 flit.
-  EXPECT_EQ(arrival, 8u);
+  EXPECT_EQ(out[0].at, 8u);
 }
 
 TEST(EMesh, LatencyGrowsWithDistance) {
   EMeshModel m(small(), false);
   auto lat = [&](CoreId dst) {
-    Cycle a = 0;
     NetPacket p{.src = 0, .dst = dst, .bits = 64, .cls = MsgClass::kSynthetic};
-    m.inject(0, p, [&](CoreId, Cycle t) { a = t; });
-    return a;
+    return latest(arrivals_of(m, 0, p));
   };
   EXPECT_LT(lat(1), lat(7));
   EXPECT_LT(lat(7), lat(63));
@@ -36,11 +34,10 @@ TEST(EMesh, LatencyGrowsWithDistance) {
 
 TEST(EMesh, MultiFlitPacketsSerialize) {
   EMeshModel m(small(), false);
-  Cycle a1 = 0, a10 = 0;
   NetPacket p1{.src = 0, .dst = 1, .bits = 64, .cls = MsgClass::kSynthetic};
   NetPacket p10{.src = 8, .dst = 9, .bits = 640, .cls = MsgClass::kSynthetic};
-  m.inject(0, p1, [&](CoreId, Cycle t) { a1 = t; });
-  m.inject(0, p10, [&](CoreId, Cycle t) { a10 = t; });
+  const Cycle a1 = latest(arrivals_of(m, 0, p1));
+  const Cycle a10 = latest(arrivals_of(m, 0, p10));
   EXPECT_EQ(a10, a1 + 9);  // same path shape, 9 extra tail flits
 }
 
@@ -56,17 +53,17 @@ TEST(EMesh, CoherenceAndDataClassesSetSize) {
 TEST(EMesh, ContentionDelaysSecondPacket) {
   EMeshModel m(small(), false);
   NetPacket p{.src = 0, .dst = 7, .bits = 640, .cls = MsgClass::kSynthetic};
-  Cycle a = 0, b = 0;
-  m.inject(0, p, [&](CoreId, Cycle t) { a = t; });
+  const Cycle a = latest(arrivals_of(m, 0, p));
   NetPacket q{.src = 0, .dst = 7, .bits = 640, .cls = MsgClass::kSynthetic};
-  m.inject(0, q, [&](CoreId, Cycle t) { b = t; });
+  const Cycle b = latest(arrivals_of(m, 0, q));
   EXPECT_GE(b, a + 10);  // serialized behind the first 10-flit packet
 }
 
 TEST(EMesh, SenderFreeReflectsInjectionSerialization) {
   EMeshModel m(small(), false);
   NetPacket p{.src = 0, .dst = 7, .bits = 640, .cls = MsgClass::kSynthetic};
-  const Cycle free = m.inject(5, p, [](CoreId, Cycle) {});
+  std::vector<Arrival> out;
+  const Cycle free = m.inject(5, p, out);
   EXPECT_EQ(free, 15u);  // 10 flits through the NIC starting at t=5
 }
 
@@ -75,7 +72,7 @@ TEST(EMeshBCast, TreeDeliversToAllOthersExactlyOnce) {
   std::map<CoreId, int> hits;
   NetPacket p{.src = 20, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, p, [&](CoreId r, Cycle) { ++hits[r]; });
+  for (const Arrival& a : arrivals_of(m, 0, p)) ++hits[a.receiver];
   EXPECT_EQ(hits.size(), 63u);
   EXPECT_EQ(hits.count(20), 0u);
   for (const auto& [core, n] : hits) {
@@ -89,12 +86,12 @@ TEST(EMeshPure, BroadcastSerializesUnicasts) {
   EMeshModel bc(small(), true);
   NetPacket p{.src = 0, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  Cycle last_pure = 0, last_bc = 0;
-  int n_pure = 0, n_bc = 0;
-  pure.inject(0, p, [&](CoreId, Cycle t) { ++n_pure; last_pure = std::max(last_pure, t); });
-  bc.inject(0, p, [&](CoreId, Cycle t) { ++n_bc; last_bc = std::max(last_bc, t); });
-  EXPECT_EQ(n_pure, 63);
-  EXPECT_EQ(n_bc, 63);
+  const auto out_pure = arrivals_of(pure, 0, p);
+  const auto out_bc = arrivals_of(bc, 0, p);
+  EXPECT_EQ(out_pure.size(), 63u);
+  EXPECT_EQ(out_bc.size(), 63u);
+  const Cycle last_pure = latest(out_pure);
+  const Cycle last_bc = latest(out_bc);
   // Serialized unicasts take far longer than the hardware multicast tree.
   EXPECT_GT(last_pure, 3 * last_bc);
 }
@@ -104,9 +101,8 @@ TEST(EMeshBCast, TreeUsesFarFewerFlitHopsThanSerializedUnicasts) {
   EMeshModel bc(small(), true);
   NetPacket p{.src = 27, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  auto noop = [](CoreId, Cycle) {};
-  pure.inject(0, p, noop);
-  bc.inject(0, p, noop);
+  arrivals_of(pure, 0, p);
+  arrivals_of(bc, 0, p);
   EXPECT_GT(pure.counters().enet_link_flits,
             3 * bc.counters().enet_link_flits);
   // The multicast tree touches each of the 63 links of an 8x8 spanning tree.
@@ -115,12 +111,11 @@ TEST(EMeshBCast, TreeUsesFarFewerFlitHopsThanSerializedUnicasts) {
 
 TEST(EMesh, CountersTrackTraffic) {
   EMeshModel m(small(), true);
-  auto noop = [](CoreId, Cycle) {};
   NetPacket u{.src = 0, .dst = 9, .bits = 64, .cls = MsgClass::kSynthetic};
   NetPacket b{.src = 0, .dst = kBroadcastCore, .bits = 64,
               .cls = MsgClass::kSynthetic};
-  m.inject(0, u, noop);
-  m.inject(0, b, noop);
+  arrivals_of(m, 0, u);
+  arrivals_of(m, 0, b);
   EXPECT_EQ(m.counters().unicast_packets, 1u);
   EXPECT_EQ(m.counters().bcast_packets, 1u);
   EXPECT_EQ(m.counters().recv_unicast_flits, 1u);

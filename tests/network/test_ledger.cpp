@@ -21,16 +21,10 @@ TEST(Channel, BackToBackRequestsQueue) {
 
 TEST(ChannelGroup, ParallelChannelsAbsorbBursts) {
   ChannelGroup g(2);
-  EXPECT_EQ(g.acquire(0, 10), 0u);
-  EXPECT_EQ(g.acquire(0, 10), 0u);   // second channel
-  EXPECT_EQ(g.acquire(0, 10), 10u);  // now queues
+  EXPECT_EQ(g.acquire_keyed(0, 0, 10), 0u);
+  EXPECT_EQ(g.acquire_keyed(1, 0, 10), 0u);   // second channel
+  EXPECT_EQ(g.acquire_keyed(2, 0, 10), 10u);  // key 2 shares channel 0
   EXPECT_EQ(g.busy_cycles(), 30u);
-}
-
-TEST(ChannelGroup, AcquireAllSynchronizes) {
-  ChannelGroup g(2);
-  g.acquire(0, 7);  // one channel busy until 7
-  EXPECT_EQ(g.acquire_all(0, 3), 7u);  // broadcast waits for both
 }
 
 TEST(ChannelArray, IndependentChannels) {

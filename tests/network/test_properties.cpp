@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
+#include "arrivals.hpp"
 #include "common/rng.hpp"
 #include "network/atac_model.hpp"
 #include "network/synthetic.hpp"
@@ -18,6 +20,11 @@ struct NetCase {
   int r_thres;
   int flit_bits;
 };
+
+void PrintTo(const NetCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << '/' << to_string(c.routing) << '/' << c.r_thres
+      << '/' << c.flit_bits;
+}
 
 MachineParams params_of(const NetCase& c) {
   auto p = MachineParams::small(8, 2);
@@ -51,10 +58,10 @@ TEST_P(NetProperty, EveryPacketDeliveredToExactlyTheRightReceivers) {
       if (p.dst >= p.src) ++p.dst;
       ++unicasts;
     }
-    net->inject(t, p, [&](CoreId r, Cycle at) {
-      EXPECT_GE(at, t);
-      ++hits[r];
-    });
+    for (const Arrival& a : arrivals_of(*net, t, p)) {
+      EXPECT_GE(a.at, t);
+      ++hits[a.receiver];
+    }
     t += 3;
   }
   std::uint64_t total = 0;
@@ -92,7 +99,7 @@ TEST_P(NetProperty, FlitAccountingMatchesMessageSizes) {
   p.src = 0;
   p.dst = 63;
   p.cls = MsgClass::kData;  // 616 bits
-  net->inject(0, p, [](CoreId, Cycle) {});
+  arrivals_of(*net, 0, p);
   const int expected_flits = (mp.data_msg_bits + mp.flit_bits - 1) / mp.flit_bits;
   EXPECT_EQ(net->counters().flits_injected,
             static_cast<std::uint64_t>(expected_flits));
@@ -150,7 +157,7 @@ TEST(NetInvariant, OnetLaserCyclesEqualOnetFlitsSent) {
                 : static_cast<CoreId>(rng.next_below(64));
     if (p.dst == p.src) p.dst = kBroadcastCore;
     p.cls = MsgClass::kCoherence;
-    m.inject(static_cast<Cycle>(i * 5), p, [](CoreId, Cycle) {});
+    arrivals_of(m, static_cast<Cycle>(i * 5), p);
   }
   // Every modulated flit burns the laser for exactly one cycle in the
   // matching mode (unicast or broadcast).

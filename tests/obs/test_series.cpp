@@ -14,7 +14,8 @@
 namespace atacsim::obs {
 namespace {
 
-/// Drives a RunObserver with hand-built absolute counter snapshots.
+/// Drives a RunObserver with hand-built absolute counter snapshots. `core`
+/// is the first of two cores; the second stays idle.
 struct Driver {
   RunObserver obs{100};
   NetCounters net;
@@ -22,15 +23,10 @@ struct Driver {
   CoreCounters core;
   std::vector<Cycle> chan{0, 0};
 
-  Driver() {
-    obs.set_channel_names({"enet.links", "onet.wg"});
-    obs.set_core_sources([this] { return core; },
-                         [](std::vector<std::uint64_t>& out) {
-                           out.assign(2, 0);
-                         });
-  }
-  void sample(Cycle t) { obs.sample(t, net, mem, chan); }
-  void finalize(Cycle t) { obs.finalize(t, net, mem, chan); }
+  Driver() { obs.set_channel_names({"enet.links", "onet.wg"}); }
+  std::vector<CoreCounters> cores() const { return {core, CoreCounters{}}; }
+  void sample(Cycle t) { obs.sample(t, net, mem, cores(), chan); }
+  void finalize(Cycle t) { obs.finalize(t, net, mem, cores(), chan); }
 };
 
 TEST(RunObserver, RecordsPerEpochDeltasNotAbsolutes) {

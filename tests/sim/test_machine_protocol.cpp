@@ -3,10 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/machine.hpp"
+
+namespace atacsim {
+// gtest prints ProtocolStormTest's (coherence, network) tuples through these;
+// argument-dependent lookup finds them beside the enums.
+static void PrintTo(CoherenceKind c, std::ostream* os) { *os << to_string(c); }
+static void PrintTo(NetworkKind n, std::ostream* os) { *os << to_string(n); }
+}  // namespace atacsim
 
 namespace atacsim::sim {
 namespace {
@@ -249,7 +259,17 @@ INSTANTIATE_TEST_SUITE_P(
                                          CoherenceKind::kDirKB),
                        ::testing::Values(NetworkKind::kAtacPlus,
                                          NetworkKind::kEMeshBCast,
-                                         NetworkKind::kEMeshPure)));
+                                         NetworkKind::kEMeshPure)),
+    [](const auto& info) {
+      const NetworkKind net = std::get<1>(info.param);
+      std::string n = std::get<0>(info.param) == CoherenceKind::kAckwise
+                          ? "ackwise"
+                          : "dirkb";
+      n += net == NetworkKind::kAtacPlus
+               ? "_atac"
+               : (net == NetworkKind::kEMeshBCast ? "_bcast" : "_pure");
+      return n;
+    });
 
 TEST(Protocol, DeterministicAcrossRuns) {
   auto run = [] {
