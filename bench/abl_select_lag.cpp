@@ -71,6 +71,8 @@ int run_abl_select_lag(const Context& ctx) {
                  static_cast<double>(radix.run.completion_cycles));
     rr.stats.add("barnes_completion_cycles",
                  static_cast<double>(barnes.run.completion_cycles));
+    fold_failure(rr, radix);
+    fold_failure(rr, barnes);
     rep.rows.push_back(std::move(rr));
   }
   t.print(std::cout);

@@ -20,13 +20,14 @@ using namespace atacsim::bench;
 
 namespace {
 
-struct AppRun {
-  Cycle exec_cycles;
+struct Capture {
   sim::Trace trace;
+  bool finished = false;
+  std::string verify_msg;  ///< empty when the captured run verified
 };
 
-AppRun capture(const std::string& app_name, const MachineParams& mp,
-               double scale) {
+Capture capture(const std::string& app_name, const MachineParams& mp,
+                double scale) {
   apps::AppConfig cfg;
   cfg.num_cores = mp.num_cores;
   cfg.scale = scale;
@@ -35,8 +36,11 @@ AppRun capture(const std::string& app_name, const MachineParams& mp,
   sim::TraceRecorder rec(mp.num_cores);
   prog.set_tracer(&rec);
   prog.spawn_all(app->body());
-  const auto r = prog.run(5'000'000'000ull);
-  return {r.completion_cycles, rec.take()};
+  Capture c;
+  c.finished = prog.run(5'000'000'000ull).finished;
+  c.verify_msg = c.finished ? app->verify() : "did not complete";
+  c.trace = rec.take();
+  return c;
 }
 
 Cycle replay_on(const sim::Trace& trace, const MachineParams& mp) {
@@ -54,8 +58,8 @@ int run_abl_trace_vs_execution(const Context& ctx) {
   const std::vector<std::string> app_names = {"radix", "ocean_contig",
                                               "barnes"};
 
-  // The execution-driven cells run on the exp worker pool; the trace
-  // captures/replays stay serial (they drive sim::Machine directly).
+  // The execution-driven cells run as a sweep; the trace captures, then
+  // the replays, run on the same exp worker pool.
   exp::sweep::CellConfig base;
   base.scenario.scale = scale;
   exp::sweep::SweepSpec spec(base);
@@ -64,6 +68,20 @@ int run_abl_trace_vs_execution(const Context& ctx) {
                                       {"EMesh-BCast", emesh_bcast()},
                                       {"EMesh-Pure", emesh_pure()}}));
   const auto res = run_sweep(spec, ctx);
+
+  const std::vector<MachineParams> nets = {atac_plus(), emesh_bcast(),
+                                           emesh_pure()};
+  std::vector<Capture> caps(app_names.size());
+  exp::for_each_cell(caps.size(), exec_options(ctx), [&](int, std::size_t a) {
+    caps[a] = capture(app_names[a], nets[0], scale);
+  });
+  // replays[a * nets.size() + n]: app a's trace replayed on network n.
+  std::vector<double> replays(caps.size() * nets.size());
+  exp::for_each_cell(replays.size(), exec_options(ctx),
+                     [&](int, std::size_t i) {
+                       replays[i] = static_cast<double>(replay_on(
+                           caps[i / nets.size()].trace, nets[i % nets.size()]));
+                     });
 
   exp::report::Report rep;
   rep.name = "abl_trace_vs_execution";
@@ -88,8 +106,6 @@ int run_abl_trace_vs_execution(const Context& ctx) {
   };
   for (std::size_t ai = 0; ai < app_names.size(); ++ai) {
     const auto& app = app_names[ai];
-    const auto cap = capture(app, atac_plus(), scale);
-
     const double e_atac =
         static_cast<double>(res.at({ai, 0}).run.completion_cycles);
     const double e_bc =
@@ -100,19 +116,21 @@ int run_abl_trace_vs_execution(const Context& ctx) {
                Table::num(e_pu, 0), Table::num(e_bc / e_atac, 2),
                Table::num(e_pu / e_atac, 2)});
     report_row(app, "execution", e_atac, e_bc, e_pu);
+    for (std::size_t n = 0; n < nets.size(); ++n)
+      fold_failure(rep.rows.back(), res.at({ai, n}));
 
-    const double r_atac =
-        static_cast<double>(replay_on(cap.trace, atac_plus()));
-    const double r_bc =
-        static_cast<double>(replay_on(cap.trace, emesh_bcast()));
-    const double r_pu =
-        static_cast<double>(replay_on(cap.trace, emesh_pure()));
+    const double r_atac = replays[ai * nets.size()];
+    const double r_bc = replays[ai * nets.size() + 1];
+    const double r_pu = replays[ai * nets.size() + 2];
     t.add_row({app, "trace-replay", Table::num(r_atac, 0),
                Table::num(r_bc, 0), Table::num(r_pu, 0),
                Table::num(r_bc / r_atac, 2), Table::num(r_pu / r_atac, 2)});
     report_row(app, "trace-replay", r_atac, r_bc, r_pu);
+    // The replays are only as good as the captured run.
+    rep.rows.back().finished = caps[ai].finished;
+    rep.rows.back().verify_msg = caps[ai].verify_msg;
   }
-  rep.wall_seconds = seconds_since(t0);  // the serial captures/replays too
+  rep.wall_seconds = seconds_since(t0);  // the captures and replays too
   t.print(std::cout);
   std::printf(
       "\nReading: open-loop replay issues accesses at recorded gaps, so a"

@@ -1,7 +1,7 @@
 // Shared scaffolding for the registry-driven figure benches: worker-pool
-// options for the exp sweep engine, plus report emission. Machine builders,
-// scale/mesh env handling and the registry live in src/bench; derived-metric
-// math (normalization, geomeans) lives in exp::sweep.
+// options for the exp sweep engine. Machine builders, scale/mesh env
+// handling, report emission and the registry live in src/bench;
+// derived-metric math (normalization, geomeans) lives in exp::sweep.
 #pragma once
 
 #include <chrono>
@@ -46,16 +46,13 @@ inline exp::sweep::SweepResult run_sweep(const exp::sweep::SweepSpec& spec,
   return exp::sweep::run_scenarios(spec, exec_options(ctx));
 }
 
-/// Writes the figure's machine-readable JSON + CSV report and announces the
-/// paths (identical lines regardless of the worker-pool size).
-inline void emit_report(const char* name, const exp::PlanResult& res) {
-  for (const auto& path : exp::report::write_report(name, res))
-    std::printf("report: %s\n", path.c_str());
-}
-
-inline void emit_report(const exp::report::Report& rep) {
-  for (const auto& path : exp::report::write_report(rep))
-    std::printf("report: %s\n", path.c_str());
+/// Marks a hand-built report row failed when a scenario run it summarizes
+/// did not finish or verify, so emit_report fails the entry on it.
+inline void fold_failure(exp::report::Row& row, const Outcome& o) {
+  row.finished = row.finished && o.finished;
+  if (o.verify_msg.empty()) return;
+  if (!row.verify_msg.empty()) row.verify_msg += "; ";
+  row.verify_msg += o.app + " on " + o.config + ": " + o.verify_msg;
 }
 
 }  // namespace atacsim::bench

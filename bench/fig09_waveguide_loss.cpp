@@ -68,6 +68,8 @@ int run_fig09(const Context& ctx) {
     rr.stats.add("laser_share_pct", 100.0 * laser / total);
     rr.stats.add("atac_chip_no_core_nJ", total);
     rr.stats.add("emesh_bcast_chip_no_core_nJ", mesh_total);
+    for (std::size_t i = 0; i < benchmarks().size(); ++i)
+      for (std::size_t n = 0; n < 2; ++n) fold_failure(rr, res.at({i, n}));
     rep.rows.push_back(std::move(rr));
   }
   rep.wall_seconds = seconds_since(t0);  // the energy recomputation too

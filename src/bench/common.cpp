@@ -60,4 +60,22 @@ void print_header(const char* fig, const char* what) {
   std::printf("==============================================================\n");
 }
 
+void emit_report(const exp::report::Report& rep) {
+  for (const auto& path : exp::report::write_report(rep))
+    std::printf("report: %s\n", path.c_str());
+  std::string failed;
+  for (const auto& row : rep.rows) {
+    if (row.finished && row.verify_msg.empty()) continue;
+    failed += "\n  " + row.app + " on " + row.config + ": " +
+              (row.verify_msg.empty() ? "did not complete" : row.verify_msg);
+  }
+  if (!failed.empty())
+    throw std::runtime_error(rep.name + ": cells did not finish or verify:" +
+                             failed);
+}
+
+void emit_report(const char* name, const exp::PlanResult& res) {
+  emit_report(exp::report::Report::from_plan(name, res));
+}
+
 }  // namespace atacsim::bench

@@ -1,12 +1,15 @@
 // Shared machine/scale configuration for the bench entries: the benchmark
-// application list, the (possibly smoke-sized) machine under test, and the
-// standard paper configurations built on it.
+// application list, the (possibly smoke-sized) machine under test, the
+// standard paper configurations built on it, and report emission with the
+// entries' one pass/fail rule.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/params.hpp"
+#include "exp/plan.hpp"
+#include "exp/report.hpp"
 
 namespace atacsim::bench {
 
@@ -33,5 +36,12 @@ MachineParams emesh_pure();
 
 /// Prints the figure banner, naming the actual machine under test.
 void print_header(const char* fig, const char* what);
+
+/// Writes the entry's JSON + CSV report and announces the paths (identical
+/// lines regardless of the worker-pool size). Then fails the entry: throws
+/// std::runtime_error naming every "app on config" row that did not finish
+/// or carries a verify_msg, so a wrong cell cannot pass silently.
+void emit_report(const exp::report::Report& rep);
+void emit_report(const char* name, const exp::PlanResult& res);
 
 }  // namespace atacsim::bench

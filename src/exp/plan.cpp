@@ -4,15 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 
-#include "exp/singleflight.hpp"
 #include "obs/log.hpp"
 #include "obs/options.hpp"
 #include "obs/profile.hpp"
@@ -22,46 +21,28 @@ namespace atacsim::exp {
 
 namespace {
 
-struct RawResult {
+/// Cache-or-simulate one cell without per-consumer finalization: counters
+/// only, energy left for the consumer's flavour.
+harness::Outcome run_cell(const harness::Scenario& s, bool& cache_hit) {
   harness::Outcome o;
-  bool cache_hit = false;
-};
-
-SingleFlight<RawResult>& flight() {
-  static SingleFlight<RawResult> sf;
-  return sf;
-}
-
-std::atomic<std::uint64_t> g_simulations{0};
-
-/// Cache-or-simulate without per-consumer finalization: counters only,
-/// energy left for the consumer's flavour.
-RawResult run_raw_shared(const harness::Scenario& s) {
-  return flight().run(harness::scenario_key(s), [&s] {
-    RawResult r;
-    // Obs-armed runs must simulate (telemetry only exists for executed
-    // runs); the result is still stored for later unarmed consumers.
-    r.cache_hit = !obs::options().enabled && harness::try_load_cached(s, r.o);
-    if (!r.cache_hit) {
-      g_simulations.fetch_add(1, std::memory_order_relaxed);
-      r.o = harness::run_scenario(s, /*allow_failure=*/true);
-      harness::store_cached(s, r.o);
-    }
-    return r;
-  });
+  // Obs-armed runs must simulate (telemetry only exists for executed runs);
+  // the result is still stored for later unarmed consumers.
+  cache_hit = !obs::options().enabled && harness::try_load_cached(s, o);
+  if (!cache_hit) {
+    o = harness::run_scenario(s, /*allow_failure=*/true);
+    harness::store_cached(s, o);
+  }
+  return o;
 }
 
 /// Stamps a raw (counters-only) outcome with the consumer's identity and
-/// energy model, and enforces its failure policy.
-void finalize(const harness::Scenario& s, harness::Outcome& o,
-              bool allow_failure) {
+/// energy model.
+void finalize(const harness::Scenario& s, harness::Outcome& o) {
   o.app = s.app;
   o.config = harness::config_name(s.mp);
   const power::EnergyModel em(s.mp);
   o.energy = em.compute(o.run.net, o.run.mem, o.run.core,
                         static_cast<double>(o.run.completion_cycles));
-  if (!allow_failure && !o.verify_msg.empty())
-    throw std::runtime_error(s.app + " on " + o.config + ": " + o.verify_msg);
 }
 
 }  // namespace
@@ -81,24 +62,41 @@ int pool_size(const ExecOptions& opt, std::size_t cells) {
   return std::max(1, std::min<int>(jobs, static_cast<int>(cells)));
 }
 
-std::uint64_t simulations_executed() {
-  return g_simulations.load(std::memory_order_relaxed);
+int for_each_cell(std::size_t cells, const ExecOptions& opt,
+                  const std::function<void(int worker, std::size_t i)>& fn) {
+  std::vector<std::exception_ptr> errors(cells);
+  std::atomic<std::size_t> next{0};
+  auto worker = [&](int w) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= cells) return;
+      try {
+        fn(w, i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const int pool = pool_size(opt, cells);
+  if (pool == 1) {
+    worker(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(pool));
+    for (int w = 0; w < pool; ++w) threads.emplace_back(worker, w);
+    for (auto& t : threads) t.join();
+  }
+  // Deterministic error reporting: the first failing cell in order wins.
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+  return pool;
 }
 
-harness::Outcome run_scenario_shared(const harness::Scenario& s,
-                                     bool allow_failure, bool* cache_hit) {
-  RawResult raw = run_raw_shared(s);
-  if (cache_hit) *cache_hit = raw.cache_hit;
-  finalize(s, raw.o, allow_failure);
-  return raw.o;
-}
-
-ExperimentPlan::Handle ExperimentPlan::add(const harness::Scenario& s,
-                                           bool allow_failure) {
+ExperimentPlan::Handle ExperimentPlan::add(const harness::Scenario& s) {
   const std::string key = harness::scenario_key(s);
   auto [it, inserted] = cell_by_key_.emplace(key, cells_.size());
   if (inserted) cells_.push_back(Cell{s});
-  handles_.push_back(HandleEntry{s, allow_failure, it->second});
+  handles_.push_back(HandleEntry{s, it->second});
   return handles_.size() - 1;
 }
 
@@ -107,8 +105,6 @@ PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
   const std::size_t n = cells_.size();
 
   std::vector<harness::Outcome> raw(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<std::size_t> hits{0};
   std::mutex progress_mu;
@@ -133,48 +129,23 @@ PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
   // recorded only when telemetry is armed. Host-time measurements stay in
   // the quarantined profile document, never in outcomes or reports.
   const bool prof = obs::options().enabled;
-  const int pool = pool_size(opt, n);
-  const std::uint64_t waits_before = flight().waits();
-  std::vector<double> worker_busy(static_cast<std::size_t>(pool), 0.0);
-  std::vector<std::uint64_t> worker_cells(static_cast<std::size_t>(pool), 0);
+  const auto slots = static_cast<std::size_t>(pool_size(opt, n));
+  std::vector<double> worker_busy(slots, 0.0);
+  std::vector<std::uint64_t> worker_cells(slots, 0);
 
-  auto worker = [&](int w) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      const auto c0 = std::chrono::steady_clock::now();
-      try {
-        bool hit = false;
-        RawResult r = run_raw_shared(cells_[i].s);
-        hit = r.cache_hit;
-        raw[i] = std::move(r.o);
-        if (hit) hits.fetch_add(1);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      if (prof) {
-        worker_busy[static_cast<std::size_t>(w)] +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          c0)
-                .count();
-        ++worker_cells[static_cast<std::size_t>(w)];
-      }
-      progress(done.fetch_add(1) + 1);
+  const int pool = for_each_cell(n, opt, [&](int w, std::size_t i) {
+    const auto c0 = std::chrono::steady_clock::now();
+    bool hit = false;
+    raw[i] = run_cell(cells_[i].s, hit);
+    if (hit) hits.fetch_add(1);
+    if (prof) {
+      worker_busy[static_cast<std::size_t>(w)] +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
+              .count();
+      ++worker_cells[static_cast<std::size_t>(w)];
     }
-  };
-
-  if (pool <= 1 || n <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(pool));
-    for (int i = 0; i < pool; ++i) threads.emplace_back(worker, i);
-    for (auto& t : threads) t.join();
-  }
-
-  // Deterministic error reporting: first failing cell in plan order wins.
-  for (std::size_t i = 0; i < n; ++i)
-    if (errors[i]) std::rethrow_exception(errors[i]);
+    progress(done.fetch_add(1) + 1);
+  });
 
   PlanResult result;
   result.cells = n;
@@ -184,7 +155,7 @@ PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
   result.outcomes.reserve(handles_.size());
   for (const auto& h : handles_) {
     harness::Outcome o = raw[h.cell];
-    finalize(h.s, o, h.allow_failure);
+    finalize(h.s, o);
     result.outcomes.push_back(std::move(o));
   }
   result.wall_seconds =
@@ -197,7 +168,7 @@ PlanResult ExperimentPlan::run(const ExecOptions& opt) const {
       sp.add_worker(w, worker_busy[static_cast<std::size_t>(w)],
                     worker_cells[static_cast<std::size_t>(w)]);
     sp.add_pool(pool, n, result.cache_hits, result.simulations,
-                flight().waits() - waits_before, result.wall_seconds);
+                result.wall_seconds);
   }
   return result;
 }

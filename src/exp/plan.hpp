@@ -12,7 +12,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,18 +26,6 @@ namespace atacsim::exp {
 /// std::thread::hardware_concurrency().
 int default_jobs();
 
-/// Total scenario simulations actually executed by this process through the
-/// exp layer (cache hits and coalesced singleflight waiters excluded).
-std::uint64_t simulations_executed();
-
-/// Thread-safe cached run of one scenario: consults the on-disk cache,
-/// coalesces concurrent misses for the same scenario key via in-process
-/// singleflight, and recomputes energy for the caller's photonic flavour.
-/// Sets *cache_hit (when non-null) to whether the counters came from disk.
-harness::Outcome run_scenario_shared(const harness::Scenario& s,
-                                     bool allow_failure = true,
-                                     bool* cache_hit = nullptr);
-
 struct ExecOptions {
   int jobs = 0;          ///< 0 = default_jobs()
   bool progress = true;  ///< live "cells done / cache hits / wall" on stderr
@@ -46,6 +34,15 @@ struct ExecOptions {
 /// Threads a pool started with `opt` uses for `cells` cells: opt.jobs (or
 /// default_jobs()), but never more than the cells and at least one.
 int pool_size(const ExecOptions& opt, std::size_t cells);
+
+/// The exp worker pool: calls fn(worker, i) once for every cell i in
+/// [0, cells) on pool_size(opt, cells) threads (inline on the caller's
+/// thread when one suffices) and returns that pool size. Workers claim
+/// cells in index order; `worker` is the claiming thread's index in
+/// [0, pool size). A cell that throws does not stop the others: once every
+/// worker has drained, the first exception in cell order is rethrown.
+int for_each_cell(std::size_t cells, const ExecOptions& opt,
+                  const std::function<void(int worker, std::size_t i)>& fn);
 
 struct PlanResult {
   /// One outcome per add() call, in add() order.
@@ -64,14 +61,15 @@ class ExperimentPlan {
   /// Registers a scenario cell; returns the index of its outcome in
   /// PlanResult::outcomes. Cells with identical scenario keys share one
   /// simulation.
-  Handle add(const harness::Scenario& s, bool allow_failure = true);
+  Handle add(const harness::Scenario& s);
 
   std::size_t size() const { return handles_.size(); }
   std::size_t unique_cells() const { return cells_.size(); }
 
-  /// Executes every unique cell on a worker pool and fans results out to
-  /// all handles. Throws (after all workers drain) if any cell failed and
-  /// its consumer did not allow failure.
+  /// Executes every unique cell on the worker pool and fans results out to
+  /// all handles. A cell that does not finish or verify is returned as is
+  /// (Outcome::finished / verify_msg); an exception raised by a simulation
+  /// is rethrown after all workers drain, first failing cell in plan order.
   PlanResult run(const ExecOptions& opt = {}) const;
 
  private:
@@ -80,7 +78,6 @@ class ExperimentPlan {
   };
   struct HandleEntry {
     harness::Scenario s;  ///< consumer's scenario (flavour may differ)
-    bool allow_failure;
     std::size_t cell;
   };
   std::vector<Cell> cells_;

@@ -1,11 +1,7 @@
 #include "exp/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
 #include "network/atac_model.hpp"
 #include "network/mesh_geom.hpp"
@@ -121,43 +117,19 @@ MetricGrid SweepResult::grid(const MetricFn& m) const {
 SweepResult run_scenarios(const SweepSpec& spec, const ExecOptions& opt) {
   ExperimentPlan plan;
   const std::size_t n = spec.num_cells();
-  for (std::size_t i = 0; i < n; ++i)
-    plan.add(spec.cell(i).scenario, /*allow_failure=*/true);
+  for (std::size_t i = 0; i < n; ++i) plan.add(spec.cell(i).scenario);
   return SweepResult(spec, plan.run(opt));
 }
 
 std::vector<net::SyntheticResult> run_synthetic_grid(const SweepSpec& spec,
                                                      const ExecOptions& opt) {
-  const std::size_t n = spec.num_cells();
-  std::vector<net::SyntheticResult> results(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      try {
-        const CellConfig c = spec.cell(i);
-        const auto model = net::make_network(c.scenario.mp);
-        results[i] =
-            net::run_synthetic(*model, net::MeshGeom(c.scenario.mp), c.synth);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-  const int pool = pool_size(opt, n);
-  if (pool <= 1 || n <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(pool));
-    for (int i = 0; i < pool; ++i) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
-  // As in ExperimentPlan::run: the first failing cell in cell order wins.
-  for (std::size_t i = 0; i < n; ++i)
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  std::vector<net::SyntheticResult> results(spec.num_cells());
+  for_each_cell(results.size(), opt, [&](int, std::size_t i) {
+    const CellConfig c = spec.cell(i);
+    const auto model = net::make_network(c.scenario.mp);
+    results[i] =
+        net::run_synthetic(*model, net::MeshGeom(c.scenario.mp), c.synth);
+  });
   return results;
 }
 

@@ -1,21 +1,11 @@
 #include "memory/cache_controller.hpp"
 
 #include <cassert>
-#include <cstdlib>
 
-#include "obs/log.hpp"
 #include "obs/series.hpp"
 #include "sim/machine.hpp"
 
 namespace atacsim::mem {
-
-Addr trace_line() {
-  static const Addr v = [] {
-    const char* e = std::getenv("ATACSIM_TRACE_LINE");
-    return e ? std::strtoull(e, nullptr, 16) : 0ull;
-  }();
-  return v;
-}
 
 const char* to_string(CohType t) {
   switch (t) {
@@ -172,11 +162,6 @@ void CacheController::evict(Addr line, LineState state) {
 
 void CacheController::fill(const CohMsg& rep) {
   const Addr line = rep.line;
-  if (trace_line() && line == trace_line())
-    obs::log::debugf(
-        "[%llu] core%d fill type=%d seq=%u buffered=%zu",
-        (unsigned long long)machine_.now(), self_, (int)rep.type, rep.seq,
-        mshr_.count(line) ? mshr_.at(line).buffered_bcast_invs.size() : 0ul);
   const LineState st = (rep.type == CohType::kExRep) ? LineState::kModified
                                                      : LineState::kShared;
   auto node = mshr_.extract(line);
@@ -225,11 +210,6 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
                                   bool suppress_ack) {
   const Addr line = m.line;
   const LineState prev = l2_.peek(line);
-  if (trace_line() && line == trace_line())
-    obs::log::debugf("[%llu] core%d process_inv prev=%d bcast=%d extra=%llu sup=%d",
-                     (unsigned long long)machine_.now(), self_, (int)prev,
-                     (int)m.is_broadcast(), (unsigned long long)extra_delay,
-                     (int)suppress_ack);
   const bool present = prev != LineState::kInvalid;
 
   if (present) {
@@ -336,12 +316,6 @@ void CacheController::process_unicast_from_dir(const CohMsg& m) {
 }
 
 void CacheController::handle(const CohMsg& m) {
-  if (trace_line() && m.line == trace_line())
-    obs::log::debugf(
-        "[%llu] core%d handle %s mshr=%d wantex=%d",
-        (unsigned long long)machine_.now(), self_, to_string(m.type),
-        (int)mshr_.count(m.line),
-        mshr_.count(m.line) ? (int)mshr_.at(m.line).want_exclusive : -1);
   if (m.type == CohType::kInvReq && m.is_broadcast()) {
     // Early-broadcast buffering: with an outstanding ShReq for this line the
     // broadcast may have overtaken our shared response (Sec. IV-C-1).

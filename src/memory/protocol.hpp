@@ -37,10 +37,6 @@ enum class CohType : std::uint8_t {
 
 const char* to_string(CohType t);
 
-/// Line address whose messages the protocol tracer logs at debug level, from
-/// the hex ATACSIM_TRACE_LINE env variable; 0 when unset (tracing off).
-Addr trace_line();
-
 struct CohMsg {
   CohType type{};
   Addr line = 0;          ///< line-aligned address

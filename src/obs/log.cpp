@@ -76,7 +76,6 @@ void logf(Level l, const char* fmt, ...) {
 ATACSIM_OBS_LOG_FN(errorf, Level::kError)
 ATACSIM_OBS_LOG_FN(warnf, Level::kWarn)
 ATACSIM_OBS_LOG_FN(infof, Level::kInfo)
-ATACSIM_OBS_LOG_FN(debugf, Level::kDebug)
 
 #undef ATACSIM_OBS_LOG_FN
 

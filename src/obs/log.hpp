@@ -40,6 +40,5 @@ void vlogf(Level l, const char* fmt, std::va_list ap);
 void errorf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void warnf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void infof(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void debugf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace atacsim::obs::log

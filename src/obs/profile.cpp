@@ -43,14 +43,13 @@ void SelfProfile::add_worker(int worker, double busy_s, std::uint64_t cells) {
 
 void SelfProfile::add_pool(int jobs, std::uint64_t cells,
                            std::uint64_t cache_hits, std::uint64_t simulations,
-                           std::uint64_t singleflight_waits, double wall_s) {
+                           double wall_s) {
   std::lock_guard<std::mutex> lock(mu_);
   ++pool_.plans;
   pool_.jobs = jobs;
   pool_.cells += cells;
   pool_.cache_hits += cache_hits;
   pool_.simulations += simulations;
-  pool_.singleflight_waits += singleflight_waits;
   pool_.wall_s += wall_s;
 }
 
@@ -98,7 +97,6 @@ void SelfProfile::write_json(std::ostream& os, const std::string& name) const {
   os << "  \"pool\": {\"plans\": " << pool_.plans << ", \"jobs\": "
      << pool_.jobs << ", \"cells\": " << pool_.cells << ", \"cache_hits\": "
      << pool_.cache_hits << ", \"simulations\": " << pool_.simulations
-     << ", \"singleflight_waits\": " << pool_.singleflight_waits
      << ", \"wall_seconds\": " << num(pool_.wall_s)
      << ", \"utilization\": " << num(denom > 0 ? busy_total / denom : 0)
      << "}\n}\n";

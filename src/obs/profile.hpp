@@ -2,7 +2,7 @@
 //
 // Everything in this file measures the *simulator*, not the simulation:
 // wall time and dispatched events per phase, per-exp-worker busy time, and
-// pool statistics (cache hits, singleflight coalescing). Host time is
+// pool statistics (cells, cache hits, utilization). Host time is
 // inherently nondeterministic, so these numbers are quarantined here and
 // written to their own profile file — they must never leak into series,
 // trace or report output, which stay byte-identical across --jobs values.
@@ -33,8 +33,7 @@ class SelfProfile {
 
   /// Accumulates one plan execution's pool-level statistics.
   void add_pool(int jobs, std::uint64_t cells, std::uint64_t cache_hits,
-                std::uint64_t simulations, std::uint64_t singleflight_waits,
-                double wall_s);
+                std::uint64_t simulations, double wall_s);
 
   bool empty() const;
   void reset();
@@ -58,7 +57,6 @@ class SelfProfile {
     std::uint64_t cells = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t simulations = 0;
-    std::uint64_t singleflight_waits = 0;
     double wall_s = 0;
   };
 

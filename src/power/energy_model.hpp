@@ -108,10 +108,6 @@ class EnergyModel {
 
   AreaBreakdown area() const;
 
-  const phy::PhotonicLinkModel& photonic_link() const { return *photonic_; }
-  const CacheEnergyModel& l2_model() const { return l2_; }
-  const CacheEnergyModel& directory_model() const { return dir_; }
-
  private:
   MachineParams mp_;
   phy::TriGateModel dev_;
@@ -122,7 +118,7 @@ class EnergyModel {
   CacheEnergyModel l1i_, l1d_, l2_, dir_;
   CoreEnergyModel core_model_;
   // Photonic model only meaningful for ATAC+ machines, but constructed
-  // unconditionally (cheap) so benches can query it.
+  // unconditionally (cheap).
   std::unique_ptr<phy::PhotonicLinkModel> photonic_;
   double seconds_per_cycle_;
 };

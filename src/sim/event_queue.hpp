@@ -33,7 +33,6 @@ class EventQueue {
 
   Cycle now() const { return now_; }
   bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
 
   /// When on, every dispatch asserts the clock never moves backwards
   /// (src/check clock probe). Defaults to the ATACSIM_VALIDATE env flag.

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <string>
 
 #include "check/probes.hpp"
-#include "obs/log.hpp"
 #include "obs/series.hpp"
-
-namespace {
-// Hoisted out of the per-event paths: getenv on every delivered message is
-// measurable, and getenv is not guaranteed safe against concurrent
-// setenv when machines run on multiple threads.
-bool trace_inv() {
-  static const bool v = std::getenv("ATACSIM_TRACE_INV") != nullptr;
-  return v;
-}
-}  // namespace
 
 namespace atacsim::sim {
 
@@ -82,17 +70,6 @@ void Machine::sample_obs(Cycle at, bool last) {
     obs_->sample(at, net_->counters(), mem_counters_, core_counters_, busy);
 }
 
-void Machine::trace_delivery(CoreId receiver, const mem::CohMsg& m,
-                             Cycle at) const {
-  if ((mem::trace_line() && m.line == mem::trace_line()) ||
-      (trace_inv() &&
-       (m.type == mem::CohType::kInvReq || m.type == mem::CohType::kInvAck))) {
-    obs::log::debugf("[%llu] DLVR %s line=%llx ->core%d (from %d) seq=%u",
-                     (unsigned long long)at, mem::to_string(m.type),
-                     (unsigned long long)m.line, receiver, m.src, m.seq);
-  }
-}
-
 void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   ++observed_deliveries_;
   switch (m.type) {
@@ -121,10 +98,7 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
   // run back to back within their cycle, and any event a handler schedules
   // gets a later sequence number either way. Arrivals are grouped by the
   // cycle schedule() actually uses, which clamps to now().
-  for (net::Arrival& a : arrivals_) {
-    trace_delivery(a.receiver, m, a.at);
-    a.at = std::max(a.at, now());
-  }
+  for (net::Arrival& a : arrivals_) a.at = std::max(a.at, now());
   // stable_sort allocates a buffer even for one element (every unicast).
   if (arrivals_.size() > 1)
     std::stable_sort(arrivals_.begin(), arrivals_.end(),
@@ -151,13 +125,6 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
 }
 
 Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
-  if ((mem::trace_line() && m.line == mem::trace_line()) ||
-      (trace_inv() && m.type == mem::CohType::kInvReq)) {
-    obs::log::debugf("[%llu] SEND %s line=%llx %d->%d req=%d seq=%u data=%d",
-                     (unsigned long long)t, mem::to_string(m.type),
-                     (unsigned long long)m.line, m.src, m.dst, m.requester,
-                     m.seq, (int)m.carries_data);
-  }
   net::NetPacket p;
   p.src = m.src;
   p.dst = m.dst;

@@ -130,8 +130,6 @@ class Machine {
   void receive(CoreId receiver, const mem::CohMsg& m);
   /// Schedules `receive` of `m` for every entry of arrivals_.
   void deliver_arrivals(const mem::CohMsg& m);
-  /// Debug line per delivery (ATACSIM_TRACE_LINE / ATACSIM_TRACE_INV).
-  void trace_delivery(CoreId receiver, const mem::CohMsg& m, Cycle at) const;
   static std::vector<CoreId> slice_cores(const MachineParams& mp);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -8,6 +11,7 @@
 #include "bench/args.hpp"
 #include "bench/common.hpp"
 #include "bench/registry.hpp"
+#include "exp/sweep.hpp"
 
 namespace atacsim::bench {
 namespace {
@@ -165,6 +169,88 @@ TEST(BaseMachine, PaperDefaultAndMeshOverride) {
     ScopedEnv e("ATACSIM_BENCH_MESH", "8x2x3");
     EXPECT_THROW(base_machine(), std::runtime_error);
   }
+}
+
+/// A private report directory and scenario cache, emptied on both ends.
+class ScopedReportDir {
+ public:
+  explicit ScopedReportDir(const char* tag)
+      : dir_(std::filesystem::temp_directory_path() / tag),
+        reports_("ATACSIM_REPORT_DIR", (dir_ / "reports").c_str()),
+        cache_("ATACSIM_CACHE", (dir_ / "cache").c_str()) {
+    std::filesystem::remove_all(dir_);
+  }
+  ~ScopedReportDir() { std::filesystem::remove_all(dir_); }
+
+  /// The JSON report `name` as written, empty if it is missing.
+  std::string json(const std::string& name) const {
+    std::ifstream is(dir_ / "reports" / (name + ".json"));
+    std::stringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  }
+
+ private:
+  std::filesystem::path dir_;
+  ScopedEnv reports_, cache_;
+};
+
+/// emit_report's failure message, empty if it did not throw.
+template <typename... Report>
+std::string emit_failure(const Report&... rep) {
+  try {
+    emit_report(rep...);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EmitReport, UnfinishedCellFailsTheEntryAfterWritingTheReport) {
+  ScopedReportDir dir("atacsim_emit_unfinished");
+  exp::sweep::CellConfig base;
+  base.scenario.mp = MachineParams::small(8, 2);
+  base.scenario.scale = 0.05;
+  exp::sweep::SweepSpec spec(base);
+  spec.axis(exp::sweep::SweepAxis{
+      "cell",
+      {{"radix starved",
+        [](exp::sweep::CellConfig& c) {
+          c.scenario.app = "radix";
+          c.scenario.max_cycles = 1000;  // far too few to finish
+        }},
+       {"fft", [](exp::sweep::CellConfig& c) { c.scenario.app = "fft"; }}}});
+  exp::ExecOptions opt;
+  opt.progress = false;
+  const auto res = exp::sweep::run_scenarios(spec, opt);
+
+  const std::string msg = emit_failure("emit_unfinished", res.plan_result());
+  EXPECT_NE(msg.find("radix on ATAC+: did not complete"), std::string::npos)
+      << msg;
+  EXPECT_EQ(msg.find("fft on"), std::string::npos) << msg;
+  // The report is on disk first, failed row included.
+  const std::string json = dir.json("emit_unfinished");
+  EXPECT_NE(json.find("\"finished\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"app\": \"fft\""), std::string::npos);
+}
+
+TEST(EmitReport, VerifyFailureFailsTheEntryAfterWritingTheReport) {
+  ScopedReportDir dir("atacsim_emit_verify");
+  exp::report::Report rep;
+  rep.name = "emit_verify";
+  rep.rows.push_back({"radix", "ATAC+", true, "", {}});
+  rep.rows.push_back({"lu_contig", "EMesh-Pure", true, "checksum mismatch", {}});
+
+  const std::string msg = emit_failure(rep);
+  EXPECT_NE(msg.find("lu_contig on EMesh-Pure: checksum mismatch"),
+            std::string::npos)
+      << msg;
+  EXPECT_EQ(msg.find("radix on"), std::string::npos) << msg;
+  EXPECT_NE(dir.json("emit_verify").find("checksum mismatch"),
+            std::string::npos);
+
+  rep.rows.pop_back();
+  EXPECT_EQ(emit_failure(rep), "");  // every row verified: the entry passes
 }
 
 }  // namespace

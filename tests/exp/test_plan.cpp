@@ -1,15 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exp/plan.hpp"
 #include "exp/report.hpp"
-#include "exp/singleflight.hpp"
 #include "harness/cache.hpp"
 
 namespace atacsim::exp {
@@ -53,51 +53,41 @@ class ScopedCacheDir {
   fs::path dir_;
 };
 
-TEST(SingleFlight, CoalescesConcurrentCallersToOneExecution) {
-  SingleFlight<int> sf;
-  std::atomic<int> executions{0};
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  const int kThreads = 8;
+TEST(Plan, CellPoolRunsEveryCellOnceAndRethrowsFirstFailure) {
+  ExecOptions opt;
+  opt.jobs = 4;
+  opt.progress = false;
+  std::vector<std::atomic<int>> runs(64);
+  std::atomic<bool> bad_worker{false};
+  EXPECT_EQ(for_each_cell(runs.size(), opt,
+                          [&](int w, std::size_t i) {
+                            if (w < 0 || w >= 4) bad_worker.store(true);
+                            runs[i].fetch_add(1);
+                          }),
+            4);
+  EXPECT_FALSE(bad_worker.load());
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 
-  // The leader holds the flight open long enough that every gated thread
-  // joins it (they are released simultaneously and enter run() in
-  // nanoseconds; the hold is milliseconds).
-  auto fn = [&] {
-    executions.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    return 42;
-  };
-
-  std::vector<std::thread> threads;
-  std::vector<int> results(kThreads, 0);
-  for (int i = 0; i < kThreads; ++i)
-    threads.emplace_back([&, i] {
-      ready.fetch_add(1);
-      while (!go.load()) std::this_thread::yield();
-      results[static_cast<std::size_t>(i)] = sf.run("key", fn);
+  // Failing cells do not stop the others; the first in cell order wins
+  // whichever worker hit its failure first.
+  std::vector<std::atomic<int>> ran(16);
+  try {
+    for_each_cell(ran.size(), opt, [&](int, std::size_t i) {
+      ran[i].fetch_add(1);
+      if (i == 3 || i == 7)
+        throw std::runtime_error("cell " + std::to_string(i));
     });
-  while (ready.load() != kThreads) std::this_thread::yield();
-  go.store(true);
-  for (auto& t : threads) t.join();
+    ADD_FAILURE() << "a failing cell must be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cell 3");
+  }
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
 
-  EXPECT_EQ(executions.load(), 1);
-  for (int r : results) EXPECT_EQ(r, 42);
-}
-
-TEST(SingleFlight, PropagatesExceptionsToAllWaiters) {
-  SingleFlight<int> sf;
-  EXPECT_THROW(
-      sf.run("boom", []() -> int { throw std::runtime_error("boom"); }),
-      std::runtime_error);
-  // The flight is forgotten after landing; a later call re-executes.
-  EXPECT_EQ(sf.run("boom", [] { return 7; }), 7);
-}
-
-TEST(SingleFlight, DistinctKeysDoNotCoalesce) {
-  SingleFlight<int> sf;
-  EXPECT_EQ(sf.run("a", [] { return 1; }), 1);
-  EXPECT_EQ(sf.run("b", [] { return 2; }), 2);
+  // The pool never outnumbers the cells; no cells, no calls.
+  EXPECT_EQ(for_each_cell(2, opt, [](int, std::size_t) {}), 2);
+  EXPECT_EQ(for_each_cell(0, opt,
+                          [](int, std::size_t) { ADD_FAILURE(); }),
+            1);
 }
 
 TEST(Plan, DedupesCellsWithIdenticalScenarioKeys) {
@@ -215,34 +205,6 @@ TEST(Plan, CacheHitsAreCountedOnSecondRun) {
   for (std::size_t i = 0; i < cold.outcomes.size(); ++i)
     EXPECT_EQ(cold.outcomes[i].run.completion_cycles,
               warm.outcomes[i].run.completion_cycles);
-}
-
-TEST(Plan, ConcurrentSameScenarioSimulatesExactlyOnce) {
-  ScopedCacheDir cache("atacsim_exp_sflight");
-  const auto s = small_scenario("radix", 777);
-  const std::uint64_t before = simulations_executed();
-
-  const int kThreads = 6;
-  std::atomic<int> hits{0};
-  std::vector<std::thread> threads;
-  std::vector<harness::Outcome> outs(kThreads);
-  for (int i = 0; i < kThreads; ++i)
-    threads.emplace_back([&, i] {
-      bool hit = false;
-      outs[static_cast<std::size_t>(i)] =
-          run_scenario_shared(s, /*allow_failure=*/false, &hit);
-      if (hit) hits.fetch_add(1);
-    });
-  for (auto& t : threads) t.join();
-
-  // Every thread raced the same key on a cold cache: singleflight must have
-  // let exactly one simulate; stragglers that arrived after the flight
-  // landed were served by the disk cache.
-  EXPECT_EQ(simulations_executed() - before, 1u);
-  EXPECT_EQ(cache.entries(), 1u);
-  for (int i = 1; i < kThreads; ++i)
-    EXPECT_EQ(outs[static_cast<std::size_t>(i)].run.completion_cycles,
-              outs[0].run.completion_cycles);
 }
 
 TEST(Cache, StoreCommitIsAtomicAgainstConcurrentReaders) {

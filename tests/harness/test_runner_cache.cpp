@@ -144,20 +144,31 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   std::filesystem::remove_all(dir);
 }
 
+/// One-cell experiment plan: the exp layer's cache-or-simulate path.
+exp::PlanResult run_one_cell(const Scenario& s) {
+  exp::ExperimentPlan plan;
+  plan.add(s);
+  exp::ExecOptions opt;
+  opt.jobs = 1;
+  opt.progress = false;
+  return plan.run(opt);
+}
+
 TEST(Cache, RoundTripsCountersExactly) {
   const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_t";
   std::filesystem::remove_all(dir);
   setenv("ATACSIM_CACHE", dir.c_str(), 1);
 
-  bool fresh_hit = true, cached_hit = false;
-  const auto fresh = exp::run_scenario_shared(small_scenario(), false,
-                                              &fresh_hit);
-  const auto cached = exp::run_scenario_shared(small_scenario(), false,
-                                               &cached_hit);
+  const auto fresh_run = run_one_cell(small_scenario());
+  const auto cached_run = run_one_cell(small_scenario());
   unsetenv("ATACSIM_CACHE");
 
-  EXPECT_FALSE(fresh_hit);
-  EXPECT_TRUE(cached_hit);
+  EXPECT_EQ(fresh_run.simulations, 1u);
+  EXPECT_EQ(fresh_run.cache_hits, 0u);
+  EXPECT_EQ(cached_run.simulations, 0u);
+  EXPECT_EQ(cached_run.cache_hits, 1u);
+  const auto& fresh = fresh_run.outcomes.at(0);
+  const auto& cached = cached_run.outcomes.at(0);
   EXPECT_EQ(fresh.run.completion_cycles, cached.run.completion_cycles);
   EXPECT_EQ(fresh.run.total_instructions, cached.run.total_instructions);
   EXPECT_EQ(fresh.run.net.flits_injected, cached.run.net.flits_injected);
@@ -175,13 +186,13 @@ TEST(Cache, FlavorChangesEnergyWithoutResimulation) {
 
   auto s = small_scenario();
   s.mp.photonics = PhotonicFlavor::kDefault;
-  const auto def = exp::run_scenario_shared(s, false);
+  const auto def = run_one_cell(s).outcomes.at(0);
   s.mp.photonics = PhotonicFlavor::kCons;
-  bool cons_hit = false;
-  const auto cons = exp::run_scenario_shared(s, false, &cons_hit);
+  const auto cons_run = run_one_cell(s);
   unsetenv("ATACSIM_CACHE");
 
-  EXPECT_TRUE(cons_hit);
+  EXPECT_EQ(cons_run.cache_hits, 1u);
+  const auto& cons = cons_run.outcomes.at(0);
   EXPECT_EQ(def.run.completion_cycles, cons.run.completion_cycles);
   EXPECT_GT(cons.energy.laser, def.energy.laser);
   EXPECT_GT(cons.energy.ring_tuning, 0.0);
