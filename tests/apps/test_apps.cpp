@@ -3,7 +3,9 @@
 // network/coherence configurations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "apps/app.hpp"
 #include "core/program.hpp"
@@ -120,6 +122,49 @@ TEST(Apps, CompletionTimeInsensitiveToHeapPlacement) {
   };
   const double a = once(), b = once();
   EXPECT_NEAR(a / b, 1.0, 0.05);
+}
+
+TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
+  // Machine::frame_for maps simulated data in first-touch order, so a run
+  // depends on the host heap only if simulated arrays are reallocated while
+  // it runs (a new array can land on granules a freed one already mapped).
+  // Leave the heap in a different state before each run: every run must
+  // produce identical counters.
+  const auto mp = MachineParams::small(8, 2);
+  AppConfig cfg;
+  cfg.num_cores = mp.num_cores;
+  cfg.scale = 0.05;
+  cfg.seed = 15;
+  std::vector<core::RunResult> runs;
+  std::vector<std::vector<std::uint64_t>> churn;  // outlives every run
+  for (int k = 0; k < 8; ++k) {
+    // Allocate blocks of up to about the graph arrays' size, then free a
+    // different third of them, leaving holes of varied sizes.
+    for (int j = 0; j < 8 * (k + 1); ++j)
+      churn.emplace_back(
+          static_cast<std::size_t>(1000 + (j * 1237 + k * 711) % 30000));
+    for (std::size_t j = static_cast<std::size_t>(k % 3); j < churn.size();
+         j += 3)
+      churn[j] = {};
+    auto app = make_app("dynamic_graph", cfg);
+    core::Program prog(mp);
+    prog.spawn_all(app->body());
+    runs.push_back(prog.run());
+    ASSERT_TRUE(runs.back().finished);
+    EXPECT_EQ(app->verify(), "");
+  }
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const auto& a = runs[0];
+    const auto& b = runs[k];
+    EXPECT_EQ(a.completion_cycles, b.completion_cycles) << "run " << k;
+    EXPECT_EQ(a.total_instructions, b.total_instructions) << "run " << k;
+#define ATACSIM_X(f) EXPECT_EQ(a.net.f, b.net.f) << "run " << k << " " #f;
+    ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+#define ATACSIM_X(f) EXPECT_EQ(a.mem.f, b.mem.f) << "run " << k << " " #f;
+    ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+  }
 }
 
 TEST(Apps, TrafficSignatures) {
