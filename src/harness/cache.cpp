@@ -23,9 +23,10 @@ std::string scenario_key(const Scenario& s) {
   // Model-version prefix: bump whenever a simulator change alters counters
   // for an unchanged scenario (e.g. v2 = deterministic first-touch address
   // translation, v3 = offered-flit conservation counters + injective key
-  // sanitization), so stale cache entries from older binaries are ignored
-  // rather than silently served.
-  constexpr const char* kModelVersion = "v3";
+  // sanitization, v4 = dynamic_graph builds both graph versions up front),
+  // so stale cache entries from older binaries are ignored rather than
+  // silently served.
+  constexpr const char* kModelVersion = "v4";
   const auto& m = s.mp;
   std::ostringstream k;
   k << kModelVersion << "_" << s.app << "_n" << m.num_cores << "_"
