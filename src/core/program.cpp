@@ -9,11 +9,19 @@ Program::Program(const MachineParams& mp, obs::RunObserver* obs)
   ctxs_.reserve(static_cast<std::size_t>(mp.num_cores));
   for (CoreId c = 0; c < mp.num_cores; ++c)
     ctxs_.push_back(std::make_unique<CoreCtx>(*machine_, c));
+  roots_.resize(ctxs_.size());
+}
+
+Program::~Program() {
+  // Destroying a suspended root destroys the kernel Tasks it awaits.
+  for (const auto h : roots_)
+    if (h) h.destroy();
 }
 
 RootTask Program::root(CoreCtx& c, AppBody body) {
   co_await body(c);
   --outstanding_;
+  roots_[static_cast<std::size_t>(c.id())] = nullptr;
 }
 
 void Program::spawn_all(const AppBody& body, int n) {
@@ -21,6 +29,7 @@ void Program::spawn_all(const AppBody& body, int n) {
   for (CoreId c = 0; c < count; ++c) {
     ++outstanding_;
     RootTask t = root(*ctxs_[static_cast<std::size_t>(c)], body);
+    roots_[static_cast<std::size_t>(c)] = t.handle;
     machine_->events().schedule(0, [h = t.handle] { h.resume(); });
   }
 }

@@ -3,6 +3,7 @@
 // power models consume.
 #pragma once
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,11 @@ class Program {
   /// `obs` (optional, not owned) arms telemetry on the underlying Machine,
   /// which samples the cores' counters with its own at epoch boundaries.
   explicit Program(const MachineParams& mp, obs::RunObserver* obs = nullptr);
+  /// Frees the frames of kernels that did not finish (a run stopped by its
+  /// cycle limit); a finished kernel's frame frees itself.
+  ~Program();
+  Program(const Program&) = delete;
+  Program& operator=(const Program&) = delete;
 
   sim::Machine& machine() { return *machine_; }
   CoreCtx& ctx(CoreId c) { return *ctxs_[static_cast<std::size_t>(c)]; }
@@ -48,6 +54,8 @@ class Program {
 
   std::unique_ptr<sim::Machine> machine_;
   std::vector<std::unique_ptr<CoreCtx>> ctxs_;
+  /// Per core, the root frame of its kernel while it has not finished.
+  std::vector<std::coroutine_handle<>> roots_;
   int outstanding_ = 0;
 };
 
