@@ -1,5 +1,6 @@
 #include "memory/cache_controller.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/series.hpp"
@@ -30,9 +31,7 @@ CacheController::CacheController(CoreId self, sim::Machine& m)
       machine_(m),
       l1d_(m.params().l1d_size_KB, m.params().l1_assoc,
            m.params().line_size_B),
-      l2_(m.params().l2_size_KB, m.params().l2_assoc, m.params().line_size_B),
-      last_bcast_seq_(static_cast<std::size_t>(m.homes().num_slices()), 0),
-      deferred_unicasts_(static_cast<std::size_t>(m.homes().num_slices())) {}
+      l2_(m.params().l2_size_KB, m.params().l2_assoc, m.params().line_size_B) {}
 
 Cycle CacheController::send(const CohMsg& m) {
   const Cycle t = std::max(machine_.now(), send_free_);
@@ -102,6 +101,7 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
     return;
   }
   Mshr& e = mshr_[line];
+  machine_.holders().add(line, self_);
   e.want_exclusive = write || (l2 == LineState::kShared);
   e.waiters.push_back({write, std::move(done), now});
   issue_request(line, e.want_exclusive);
@@ -139,7 +139,12 @@ void CacheController::notify_change(Addr line) {
     machine_.events().schedule(t, [cb = std::move(cb), t] { cb(t); });
 }
 
+void CacheController::left_l2(Addr line) {
+  if (mshr_.find(line) == mshr_.end()) machine_.holders().remove(line, self_);
+}
+
 void CacheController::evict(Addr line, LineState state) {
+  left_l2(line);
   l1d_.invalidate(line);
   notify_change(line);
   const HubId slice = machine_.homes().slice_of(line);
@@ -168,6 +173,7 @@ void CacheController::fill(const CohMsg& rep) {
   assert(!node.empty() && "fill without MSHR entry");
   Mshr entry = std::move(node.mapped());
 
+  // The MSHR closes as the line lands in the L2: this core stays a holder.
   if (auto victim = l2_.install(line, st)) evict(victim->line, victim->state);
   l1d_.install(line, st);
   ++machine_.mem_counters().l2_writes;  // line fill
@@ -200,6 +206,7 @@ void CacheController::fill(const CohMsg& rep) {
   if (!retry.empty()) {
     // Upgrade path: the shared copy just landed but stores still need M.
     Mshr& e = mshr_[line];
+    machine_.holders().add(line, self_);
     e.want_exclusive = true;
     e.waiters = std::move(retry);
     issue_request(line, /*exclusive=*/true);
@@ -214,6 +221,7 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
 
   if (present) {
     l2_.invalidate(line);
+    left_l2(line);
     l1d_.invalidate(line);
     notify_change(line);
   }
@@ -248,25 +256,42 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
 }
 
 void CacheController::bump_seq_and_release(HubId slice, std::uint16_t seq) {
-  auto& last = last_bcast_seq_[static_cast<std::size_t>(slice)];
+  auto& last = machine_.bcast_seq(slice, self_);
   if (seq_before(last, seq)) last = seq;
-  auto& deferred = deferred_unicasts_[static_cast<std::size_t>(slice)];
+  if (deferred_.empty()) return;
   std::vector<CohMsg> ready;
-  for (auto it = deferred.begin(); it != deferred.end();) {
-    if (seq_before_eq(it->seq, last)) {
+  bool still_deferred = false;  // a unicast from `slice` keeps waiting
+  for (auto it = deferred_.begin(); it != deferred_.end();) {
+    if (it->dir_slice == slice && seq_before_eq(it->seq, last)) {
       ready.push_back(*it);
-      it = deferred.erase(it);
+      it = deferred_.erase(it);
     } else {
+      still_deferred |= it->dir_slice == slice;
       ++it;
     }
   }
+  if (ready.empty()) return;
+  // Only handle() defers a unicast, and nothing below calls it.
+  if (!still_deferred) machine_.mark_deferred(slice, self_, false);
   for (const auto& m : ready) process_unicast_from_dir(m);
+}
+
+const char* CacheController::holding(Addr line, HubId slice) const {
+  if (l2_.peek(line) != LineState::kInvalid) return "an L2 copy";
+  if (mshr_.find(line) != mshr_.end()) return "an MSHR";
+  if (std::any_of(deferred_.begin(), deferred_.end(),
+                  [slice](const CohMsg& m) { return m.dir_slice == slice; }))
+    return "a deferred unicast";
+  return nullptr;
 }
 
 void CacheController::handle_flush(const CohMsg& m) {
   const LineState prev = l2_.invalidate(m.line);
   l1d_.invalidate(m.line);
-  if (prev != LineState::kInvalid) notify_change(m.line);
+  if (prev != LineState::kInvalid) {
+    left_l2(m.line);
+    notify_change(m.line);
+  }
   CohMsg ack;
   ack.type = CohType::kFlushAck;
   ack.line = m.line;
@@ -362,9 +387,9 @@ void CacheController::handle(const CohMsg& m) {
       m.type == CohType::kWbReq || m.type == CohType::kShRep ||
       m.type == CohType::kExRep;
   if (from_dir && m.dir_slice >= 0 &&
-      seq_before(last_bcast_seq_[static_cast<std::size_t>(m.dir_slice)],
-                 m.seq)) {
-    deferred_unicasts_[static_cast<std::size_t>(m.dir_slice)].push_back(m);
+      seq_before(machine_.bcast_seq(m.dir_slice, self_), m.seq)) {
+    deferred_.push_back(m);
+    machine_.mark_deferred(m.dir_slice, self_, true);
     return;
   }
   process_unicast_from_dir(m);

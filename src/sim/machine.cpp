@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 #include <string>
 
 #include "check/probes.hpp"
@@ -23,7 +24,15 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       geom_(mp),
       obs_(obs),
       core_counters_(static_cast<std::size_t>(mp.num_cores)),
-      homes_(mp, slice_cores(mp)) {
+      homes_(mp, slice_cores(mp)),
+      holders_(mp.num_cores),
+      bcast_seq_(static_cast<std::size_t>(homes_.num_slices()) *
+                     static_cast<std::size_t>(mp.num_cores),
+                 0),
+      deferred_marks_(static_cast<std::size_t>(homes_.num_slices()) *
+                          holders_.words(),
+                      0),
+      full_handler_(holders_.words()) {
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
     caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
@@ -90,6 +99,56 @@ void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   }
 }
 
+void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
+                           const CoreId* last) {
+  if (!m.is_broadcast()) {
+    receive(*first, m);
+    return;
+  }
+  // Under Dir_kB every receiver acks, so every receiver runs its handler.
+  if (m.type != mem::CohType::kInvReq ||
+      mp_.coherence != CoherenceKind::kAckwise) {
+    for (const CoreId* r = first; r != last; ++r)
+      if (!dropped(*r)) receive(*r, m);
+    return;
+  }
+  // A handler changes only its own core's state and schedules (never runs)
+  // other handlers, so the set taken here stays exact for each receiver
+  // until its turn comes.
+  const std::size_t words = holders_.words();
+  const std::size_t slice = static_cast<std::size_t>(m.dir_slice);
+  const std::uint64_t* held = holders_.find(m.line);
+  const std::uint64_t* deferred = &deferred_marks_[slice * words];
+  for (std::size_t w = 0; w < words; ++w)
+    full_handler_[w] = (held ? held[w] : 0) |
+                       (debug_ignore_deferred_ ? 0 : deferred[w]);
+  std::uint16_t* seq = &bcast_seq_[slice * static_cast<std::size_t>(
+                                               mp_.num_cores)];
+  for (const CoreId* r = first; r != last; ++r) {
+    const CoreId c = *r;
+    if (dropped(c)) continue;
+    if (has_core(full_handler_.data(), c)) {
+      receive(c, m);
+      continue;
+    }
+    // What the handler would have done at a core that holds nothing.
+    ++observed_deliveries_;
+    std::uint16_t& last_seq = seq[static_cast<std::size_t>(c)];
+    if (mem::seq_before(last_seq, m.seq)) last_seq = m.seq;
+    if (validate_) check_skipped(c, m);
+  }
+}
+
+void Machine::check_skipped(CoreId c, const mem::CohMsg& m) {
+  const char* held = caches_[static_cast<std::size_t>(c)]->holding(
+      m.line, m.dir_slice);
+  if (!held) return;
+  std::ostringstream os;
+  os << "broadcast InvReq for line 0x" << std::hex << m.line << std::dec
+     << " from slice " << m.dir_slice << " skipped a core with " << held;
+  check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
+}
+
 void Machine::deliver_arrivals(const mem::CohMsg& m) {
   // One event per distinct arrival cycle, running that cycle's receivers in
   // the order the network reported them. Scheduling one event per receiver
@@ -111,7 +170,9 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
         std::find_if(it, arrivals_.end(),
                      [at](const net::Arrival& a) { return a.at != at; });
     if (end - it == 1) {  // a lone receiver (every unicast) needs no list
-      events_.schedule(at, [this, r = it->receiver, m] { receive(r, m); });
+      events_.schedule(at, [this, r = it->receiver, m] {
+        receive_each(m, &r, &r + 1);
+      });
       ++it;
       continue;
     }
@@ -119,7 +180,7 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
     receivers.reserve(static_cast<std::size_t>(end - it));
     for (; it != end; ++it) receivers.push_back(it->receiver);
     events_.schedule(at, [this, m, receivers = std::move(receivers)] {
-      for (const CoreId r : receivers) receive(r, m);
+      receive_each(m, receivers.data(), receivers.data() + receivers.size());
     });
   }
 }

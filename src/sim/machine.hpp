@@ -18,6 +18,7 @@
 #include "memory/directory.hpp"
 #include "network/atac_model.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/holder_index.hpp"
 
 namespace atacsim::obs {
 class RunObserver;
@@ -80,6 +81,34 @@ class Machine {
     if (validate_) validate_coherence(line, slice);
   }
 
+  /// Cores that hold a line (an L2 copy or an open MSHR). Each cache
+  /// controller adds and removes itself as its state changes.
+  HolderIndex& holders() { return holders_; }
+
+  /// Sequence number of the last broadcast from `slice` that core `c` has
+  /// processed (paper Sec. IV-C-1). One contiguous row per slice, so the
+  /// receivers a broadcast skips update adjacent entries.
+  std::uint16_t& bcast_seq(HubId slice, CoreId c) {
+    return bcast_seq_[static_cast<std::size_t>(slice) *
+                          static_cast<std::size_t>(mp_.num_cores) +
+                      static_cast<std::size_t>(c)];
+  }
+  /// Marks whether core `c` has unicasts from `slice` deferred behind a
+  /// broadcast; a marked core runs the full handler of the slice's
+  /// broadcasts, which releases them.
+  void mark_deferred(HubId slice, CoreId c, bool deferred) {
+    std::uint64_t* row = &deferred_marks_[static_cast<std::size_t>(slice) *
+                                          holders_.words()];
+    deferred ? set_core(row, c) : clear_core(row, c);
+  }
+
+  /// Seeded fault for the mutation tests: the next broadcast delivery to
+  /// `c` is lost (no handler runs and it is not counted).
+  void debug_drop_bcast_receiver(CoreId c) { debug_drop_ = c; }
+  /// Seeded fault for the mutation tests: broadcast receivers with deferred
+  /// unicasts are skipped like cores that hold nothing.
+  void debug_ignore_deferred_marks() { debug_ignore_deferred_ = true; }
+
   /// Drains the event queue; returns false if the safety cycle limit hit.
   /// With an observer attached, samples the counters at every epoch
   /// boundary before the first event at or past it runs, and flushes the
@@ -128,6 +157,21 @@ class Machine {
  private:
   /// Runs the receiving cache's or directory's handler for `m`.
   void receive(CoreId receiver, const mem::CohMsg& m);
+  /// Delivers `m` to the receivers [first, last), in order. Under ACKwise a
+  /// broadcast invalidation runs the full handler only at the cores that
+  /// hold the line or have unicasts from its slice deferred; every other
+  /// receiver only advances its sequence number for the slice.
+  void receive_each(const mem::CohMsg& m, const CoreId* first,
+                    const CoreId* last);
+  /// With validation on: raises a coherence violation if the skipped
+  /// receiver `c` holds anything the broadcast `m` must act on.
+  void check_skipped(CoreId c, const mem::CohMsg& m);
+  /// Consumes the debug_drop_bcast_receiver fault if it names `c`.
+  bool dropped(CoreId c) {
+    if (c != debug_drop_) return false;
+    debug_drop_ = kInvalidCore;
+    return true;
+  }
   /// Schedules `receive` of `m` for every entry of arrivals_.
   void deliver_arrivals(const mem::CohMsg& m);
   static std::vector<CoreId> slice_cores(const MachineParams& mp);
@@ -162,10 +206,18 @@ class Machine {
   /// sends.
   std::vector<net::Arrival> arrivals_;
 
+  HolderIndex holders_;
+  std::vector<std::uint16_t> bcast_seq_;       // [slice][core]
+  std::vector<std::uint64_t> deferred_marks_;  // [slice] -> set of cores
+  /// Scratch for one broadcast batch: the receivers that run the handler.
+  std::vector<std::uint64_t> full_handler_;
+  CoreId debug_drop_ = kInvalidCore;
+  bool debug_ignore_deferred_ = false;
+
   bool validate_ = check::env_validation_enabled();
   // Delivery accounting (always counted, so toggling set_validation mid-run
   // cannot skew the ledger): expected per message sent, observed per
-  // handler run.
+  // handler run or broadcast receiver skipped.
   std::uint64_t expected_deliveries_ = 0;
   std::uint64_t observed_deliveries_ = 0;
 };

@@ -176,6 +176,62 @@ TEST(MutationCoherence, ProbeFollowsTheLiveValidationFlag) {
   }
 }
 
+// Shares `a` among cores 1-5: more than k = 4 sharers, so the home falls
+// back to its global bit and the next write broadcasts the invalidation.
+// Returns the line.
+Addr share_past_k(Machine& m, Addr a) {
+  for (CoreId c = 1; c <= 5; ++c) access_and_drain(m, c, a, false);
+  return m.cache(1).l2().line_of(a);
+}
+
+TEST(MutationCoherence, HolderIndexMissIsCaught) {
+  // Under ACKwise a broadcast runs the full handler only at the cores the
+  // holder index names. An index that forgets one holder would leave its
+  // Shared copy alive after the broadcast; the cross-check of every skipped
+  // receiver against the cache itself must flag the skipped delivery.
+  Machine m(tiny());
+  const Addr a = 0x40000;
+  const Addr line = share_past_k(m, a);
+  ASSERT_TRUE(m.holders().holds(line, 3));
+  m.holders().remove(line, 3);  // seeded fault
+
+  try {
+    access_and_drain(m, 0, a, true);
+    FAIL() << "skipped-holder probe did not fire";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kCoherence);
+    EXPECT_EQ(v.subsystem, "machine");
+    EXPECT_EQ(v.core, 3);
+    EXPECT_NE(v.detail.find("an L2 copy"), std::string::npos) << v.what();
+  }
+}
+
+TEST(MutationCoherence, SkippedDeferredUnicastIsCaught) {
+  // A core with unicasts from a slice deferred behind that slice's next
+  // broadcast must run the broadcast's handler, which releases them. With
+  // the deferred marks ignored such a core is skipped like one that holds
+  // nothing, and the cross-check must flag it at the skipped delivery.
+  // ocean_contig on ATAC+ defers unicasts: coherence replies on the ENet
+  // overtake broadcasts on the ONet.
+  auto mp = tiny();
+  apps::AppConfig cfg;
+  cfg.num_cores = mp.num_cores;
+  cfg.scale = 0.05;
+  auto app = apps::make_app("ocean_contig", cfg);
+  core::Program prog(mp);
+  prog.machine().debug_ignore_deferred_marks();  // seeded fault
+  prog.spawn_all(app->body());
+  try {
+    prog.run(2'000'000'000);
+    FAIL() << "skipped-deferred probe did not fire";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kCoherence);
+    EXPECT_EQ(v.subsystem, "machine");
+    EXPECT_NE(v.detail.find("a deferred unicast"), std::string::npos)
+        << v.what();
+  }
+}
+
 // --------------------------------------------------------- flow probe fires
 
 TEST(MutationFlow, LostFlitsAreCaught) {
@@ -218,6 +274,33 @@ TEST(MutationFlow, DroppedDeliveryIsCaught) {
   } catch (const InvariantViolation& v) {
     EXPECT_EQ(v.probe, Probe::kFlow);
     EXPECT_EQ(v.subsystem, "machine");
+  }
+}
+
+TEST(MutationFlow, DroppedBroadcastReceiverIsCaught) {
+  // Core 0's write broadcasts an invalidation of a line cores 1-5 share.
+  // Losing one receiver of it must trip the end-of-run delivery probe both
+  // when the lost core holds the line (core 3: it runs the full handler)
+  // and when it holds nothing (core 10: the Machine skips its handler and
+  // only advances its sequence number), which shows that skipped receivers
+  // are still counted one by one.
+  for (const CoreId lost : {3, 10}) {
+    SCOPED_TRACE(lost);
+    Machine m(tiny());
+    const Addr a = 0x40000;
+    const Addr line = share_past_k(m, a);
+    ASSERT_EQ(m.holders().holds(line, lost), lost == 3);
+    m.debug_drop_bcast_receiver(lost);  // seeded fault
+    m.cache(0).access(a, true, [](Cycle) {});
+    try {
+      m.run(10'000'000);
+      FAIL() << "delivery probe did not fire";
+    } catch (const InvariantViolation& v) {
+      EXPECT_EQ(v.probe, Probe::kFlow);
+      EXPECT_NE(v.detail.find("coherence deliveries"), std::string::npos)
+          << v.what();
+    }
+    EXPECT_EQ(m.mem_counters().bcast_invalidations, 1u);
   }
 }
 
