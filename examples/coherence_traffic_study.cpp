@@ -34,14 +34,16 @@ Result share_then_write(CoherenceKind coh, int k, int sharers) {
   static std::uint64_t word;  // any host address works as a simulated line
   const Addr a = reinterpret_cast<Addr>(&word);
 
+  Cycle read_done = 0;
   for (CoreId c = 1; c <= sharers; ++c) {
-    m.cache(c).access(a, false, [](Cycle) {});
+    m.cache(c).access(a, false, {&read_done, {}});
     m.run();
   }
   const auto base = m.net_counters();
   const auto base_mem = m.mem_counters();
-  Cycle t0 = m.now(), done = 0;
-  m.cache(40).access(a, true, [&](Cycle t) { done = t; });
+  const Cycle t0 = m.now();
+  Cycle done = 0;
+  m.cache(40).access(a, true, {&done, {}});
   m.run();
 
   Result r;

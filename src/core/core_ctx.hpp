@@ -49,7 +49,10 @@ class CoreCtx {
   template <typename T>
   auto read(const T* p) {
     struct A : AccessAwaiter {
-      T await_resume() const { return *static_cast<const T*>(ptr); }
+      T await_resume() const {
+        AccessAwaiter::await_resume();
+        return *static_cast<const T*>(ptr);
+      }
     };
     return A{{this, translate(p), false, p}};
   }
@@ -59,7 +62,10 @@ class CoreCtx {
   auto write(T* p, T v) {
     struct A : AccessAwaiter {
       T value;
-      void await_resume() const { *static_cast<T*>(const_cast<void*>(ptr)) = value; }
+      void await_resume() const {
+        AccessAwaiter::await_resume();
+        *static_cast<T*>(const_cast<void*>(ptr)) = value;
+      }
     };
     return A{{this, translate(p), true, p}, v};
   }
@@ -71,6 +77,7 @@ class CoreCtx {
     struct A : AccessAwaiter {
       F fn;
       T await_resume() const {
+        AccessAwaiter::await_resume();
         T* tp = static_cast<T*>(const_cast<void*>(ptr));
         T old = *tp;
         *tp = fn(old);
@@ -93,11 +100,20 @@ class CoreCtx {
 
   // --- internals -------------------------------------------------------
 
+  // A suspended access or wait schedules one event at the core's local
+  // time that captures only {awaiter, handle}. It hands the cache this
+  // core's local clock as the completion slot: the cache raises the clock
+  // to the commit cycle (stall cycles are not busy) and resumes the handle
+  // from an event at that cycle (see mem::Completion). The raise comes
+  // before the resume because GCC may run an awaiter's await_resume late,
+  // after a later co_await in the same expression has already suspended.
+
   struct AccessAwaiter {
     CoreCtx* c;
     Addr addr;
     bool is_write;
     const void* ptr = nullptr;
+    bool suspended = false;
 
     bool await_ready() const {
       // Periodic forced yield bounds local-clock drift.
@@ -108,19 +124,15 @@ class CoreCtx {
       ++c->counters_->instructions;
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) const {
-      CoreCtx* ctx = c;
-      const Addr a = addr;
-      const bool w = is_write;
-      ctx->machine_->events().schedule(ctx->local_time_, [ctx, a, w, h] {
-        ctx->cache_->access(a, w, [ctx, h](Cycle t) {
-          ctx->sync_to(t);
-          ++ctx->counters_->instructions;
-          h.resume();
-        });
+    void await_suspend(std::coroutine_handle<> h) {
+      suspended = true;
+      c->machine_->events().schedule(c->local_time_, [this, h] {
+        c->cache_->access(addr, is_write, {&c->local_time_, h});
       });
     }
-    void await_resume() const {}
+    void await_resume() const {
+      if (suspended) ++c->counters_->instructions;
+    }
   };
 
   struct ComputeAwaiter {
@@ -142,13 +154,8 @@ class CoreCtx {
     Addr addr;
     bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h) const {
-      CoreCtx* ctx = c;
-      const Addr a = addr;
-      ctx->machine_->events().schedule(ctx->local_time_, [ctx, a, h] {
-        ctx->cache_->wait_for_change(a, [ctx, h](Cycle t) {
-          ctx->sync_to(t);
-          h.resume();
-        });
+      c->machine_->events().schedule(c->local_time_, [this, h] {
+        c->cache_->wait_for_change(addr, {&c->local_time_, h});
       });
     }
     void await_resume() const {}
@@ -172,10 +179,6 @@ class CoreCtx {
   void advance(Cycle dt) {
     local_time_ += dt;
     counters_->busy_cycles += dt;
-  }
-  void sync_to(Cycle t) {
-    if (t > local_time_) local_time_ = t;
-    // busy during the access pipeline portion only; stall cycles not busy.
   }
 
   static constexpr std::size_t kTlbEntries = 256;  // direct-mapped

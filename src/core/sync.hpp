@@ -32,9 +32,10 @@ class Lock {
       co_await c.wait_for_change(&serving_);
   }
 
-  Task<void> release(CoreCtx& c) {
-    co_await c.rmw(&serving_,
-                   [](std::uint64_t v) -> std::uint64_t { return v + 1; });
+  /// The release's own `rmw` awaiter: co_await it to release the lock.
+  auto release(CoreCtx& c) {
+    return c.rmw(&serving_,
+                 [](std::uint64_t v) -> std::uint64_t { return v + 1; });
   }
 
  private:

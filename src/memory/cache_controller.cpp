@@ -57,7 +57,7 @@ bool CacheController::fast_access(Addr addr, bool write) {
   return true;
 }
 
-void CacheController::access(Addr addr, bool write, DoneFn done) {
+void CacheController::access(Addr addr, bool write, Completion done) {
   const Addr line = l2_.line_of(addr);
   const Cycle now = machine_.now();
   auto& ctr = machine_.mem_counters();
@@ -74,8 +74,7 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
     if (auto* observer = machine_.observer())
       observer->record_mem(
           write, static_cast<std::uint64_t>(machine_.params().l1_hit_cycles));
-    const Cycle t = now + machine_.params().l1_hit_cycles;
-    machine_.events().schedule(t, [done, t] { done(t); });
+    complete(done, now + machine_.params().l1_hit_cycles);
     return;
   }
 
@@ -87,7 +86,7 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
     const Cycle t = now + machine_.params().l2_hit_cycles;
     if (auto* observer = machine_.observer())
       observer->record_mem(write, static_cast<std::uint64_t>(t - now));
-    machine_.events().schedule(t, [done, t] { done(t); });
+    complete(done, t);
     return;
   }
 
@@ -95,7 +94,7 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
   ++ctr.l2_misses;
   auto it = mshr_.find(line);
   if (it != mshr_.end()) {
-    it->second.waiters.push_back({write, std::move(done), now});
+    it->second.waiters.push_back({write, done, now});
     // An in-flight ShReq cannot satisfy a store; the retry in fill() will
     // issue the upgrade once the shared copy lands.
     return;
@@ -103,7 +102,7 @@ void CacheController::access(Addr addr, bool write, DoneFn done) {
   Mshr& e = mshr_[line];
   machine_.holders().add(line, self_);
   e.want_exclusive = write || (l2 == LineState::kShared);
-  e.waiters.push_back({write, std::move(done), now});
+  e.waiters.push_back({write, done, now});
   issue_request(line, e.want_exclusive);
 }
 
@@ -119,14 +118,13 @@ void CacheController::issue_request(Addr line, bool exclusive) {
   send(m);
 }
 
-void CacheController::wait_for_change(Addr addr, DoneFn cb) {
+void CacheController::wait_for_change(Addr addr, Completion done) {
   const Addr line = l2_.line_of(addr);
   if (l2_.peek(line) == LineState::kInvalid) {
-    const Cycle t = machine_.now() + 1;
-    machine_.events().schedule(t, [cb = std::move(cb), t] { cb(t); });
+    complete(done, machine_.now() + 1);
     return;
   }
-  change_waiters_[line].push_back(std::move(cb));
+  change_waiters_[line].push_back(done);
 }
 
 void CacheController::notify_change(Addr line) {
@@ -135,8 +133,14 @@ void CacheController::notify_change(Addr line) {
   auto waiters = std::move(it->second);
   change_waiters_.erase(it);
   const Cycle t = machine_.now() + 1;
-  for (auto& cb : waiters)
-    machine_.events().schedule(t, [cb = std::move(cb), t] { cb(t); });
+  for (const Completion& done : waiters) complete(done, t);
+}
+
+void CacheController::complete(Completion done, Cycle t) {
+  if (*done.at < t) *done.at = t;
+  machine_.events().schedule(t, [h = done.resume] {
+    if (h) h.resume();
+  });
 }
 
 void CacheController::left_l2(Addr line) {
@@ -186,7 +190,7 @@ void CacheController::fill(const CohMsg& rep) {
     } else {
       if (auto* observer = machine_.observer())
         observer->record_mem(w.write, static_cast<std::uint64_t>(t - w.issued));
-      machine_.events().schedule(t, [done = std::move(w.done), t] { done(t); });
+      complete(w.done, t);
     }
   }
 

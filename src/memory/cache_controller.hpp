@@ -10,10 +10,8 @@
 // controller tracks presence/permission/timing only.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,17 +43,25 @@ class HomeMap {
   std::vector<CoreId> slice_cores_;
 };
 
+/// Where a timed access or wait completes into. At commit the cache raises
+/// `*at` to the commit cycle, then schedules one event at that cycle which
+/// resumes `resume` if it is set. A core passes its own local clock; callers
+/// without a coroutine leave `resume` empty and read `*at` once the queue
+/// drains. `*at` must stay valid until the access commits.
+struct Completion {
+  Cycle* at;
+  std::coroutine_handle<> resume;
+};
+
 class CacheController {
  public:
-  using DoneFn = std::function<void(Cycle)>;
-
   /// Talks to the world through `m` — its event queue, clock, counters,
   /// home map and network — which owns this controller and outlives it.
   CacheController(CoreId self, sim::Machine& m);
 
   /// Core-side entry: performs a timed load/store of the line containing
-  /// `addr`; `done` fires (via the event queue) when the access commits.
-  void access(Addr addr, bool write, DoneFn done);
+  /// `addr` and completes into `done` when the access commits.
+  void access(Addr addr, bool write, Completion done);
 
   /// Synchronous L1 fast path: on a hit, charges the access and returns
   /// true (the caller advances its local clock by the L1 hit latency and
@@ -63,10 +69,11 @@ class CacheController {
   /// caller must fall back to access().
   bool fast_access(Addr addr, bool write);
 
-  /// Resumes `cb` when the line holding `addr` is next invalidated, demoted
-  /// or evicted at this core — the invalidation-wakeup primitive the sync
-  /// library builds spin-wait on. Fires immediately if the line is absent.
-  void wait_for_change(Addr addr, DoneFn cb);
+  /// Completes into `done` one cycle after the line holding `addr` is next
+  /// invalidated, demoted or evicted at this core — the invalidation-wakeup
+  /// primitive the sync library builds spin-wait on. Completes at once if
+  /// the line is absent.
+  void wait_for_change(Addr addr, Completion done);
 
   /// Network-side entry: a coherence message addressed to this cache.
   void handle(const CohMsg& m);
@@ -99,7 +106,7 @@ class CacheController {
  private:
   struct Waiter {
     bool write;
-    DoneFn done;
+    Completion done;
     /// Cycle the core issued the access; telemetry's memory-latency
     /// histograms measure completion - issued. Write-upgrade retries keep
     /// the original issue time so the histogram sees the end-to-end
@@ -128,6 +135,8 @@ class CacheController {
   void handle_flush(const CohMsg& m);
   void handle_wb(const CohMsg& m);
   void notify_change(Addr line);
+  /// Raises `*done.at` to `t` and schedules the resume event at `t`.
+  void complete(Completion done, Cycle t);
   Cycle send(const CohMsg& m);
   void bump_seq_and_release(HubId slice, std::uint16_t seq);
 
@@ -136,7 +145,7 @@ class CacheController {
   CacheArray l1d_;
   CacheArray l2_;
   std::unordered_map<Addr, Mshr> mshr_;
-  std::unordered_map<Addr, std::vector<DoneFn>> change_waiters_;
+  std::unordered_map<Addr, std::vector<Completion>> change_waiters_;
   /// Directory unicasts waiting for an earlier broadcast from their slice,
   /// in arrival order. Rarely more than a few.
   std::vector<CohMsg> deferred_;

@@ -68,11 +68,10 @@ MemController::MemController(EventQueue& events, MemCounters& counters,
   if (line_cycles_ == 0) line_cycles_ = 1;
 }
 
-void MemController::request(bool write, std::function<void(Cycle)> done) {
+Cycle MemController::request(bool write) {
   write ? ++counters_.dram_writes : ++counters_.dram_reads;
   const Cycle start = bw_.acquire(events_.now(), line_cycles_);
-  const Cycle ready = start + line_cycles_ + mp_.mem_latency_cycles;
-  events_.schedule(ready, [done = std::move(done), ready] { done(ready); });
+  return start + line_cycles_ + mp_.mem_latency_cycles;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,13 +113,20 @@ Cycle DirectorySlice::send(const CohMsg& m) {
 void DirectorySlice::fetch_dram(Addr line) {
   Txn& txn = active_.at(line);
   txn.dram_pending = true;
-  dram_.request(/*write=*/false, [this, line](Cycle) {
+  machine_.events().schedule(dram_.request(/*write=*/false), [this, line] {
     auto it = active_.find(line);
     if (it == active_.end()) return;
     it->second.dram_pending = false;
     it->second.have_data = true;
     maybe_complete(line);
   });
+}
+
+void DirectorySlice::write_back() {
+  // Nothing waits on a write-back. The empty event at its commit cycle
+  // keeps the drained clock (now() once the queue empties) from stopping
+  // short of the DRAM write.
+  machine_.events().schedule(dram_.request(/*write=*/true), [] {});
 }
 
 void DirectorySlice::start_txn(const CohMsg& req) {
@@ -265,7 +271,7 @@ void DirectorySlice::handle(const CohMsg& m) {
       LineInfo& li = info(m.line);
       // The line is committed to DRAM (and refreshes the home data buffer).
       li.data_valid = true;
-      dram_.request(/*write=*/true, [](Cycle) {});
+      write_back();
       auto it = active_.find(m.line);
       if (it != active_.end()) {
         it->second.have_data = true;
@@ -306,7 +312,7 @@ void DirectorySlice::handle(const CohMsg& m) {
         if (m.type == CohType::kWbAck) {
           // Owner demoted M->S and the dirty line was written back.
           li.data_valid = true;
-          dram_.request(/*write=*/true, [](Cycle) {});
+          write_back();
           li.sharers.add(m.src);
           li.state = LineState::kShared;
           li.owner = kInvalidCore;

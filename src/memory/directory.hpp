@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -56,9 +55,9 @@ class MemController {
  public:
   MemController(EventQueue& events, MemCounters& counters,
                 const MachineParams& mp);
-  /// Fetch or write back one line; `done` fires when the data is available
+  /// Fetch or write back one line; returns the cycle the data is available
   /// (fetch) or committed (write-back).
-  void request(bool write, std::function<void(Cycle)> done);
+  Cycle request(bool write);
 
  private:
   EventQueue& events_;
@@ -149,6 +148,7 @@ class DirectorySlice {
   void maybe_complete(Addr line);
   void complete(Addr line);
   void fetch_dram(Addr line);
+  void write_back();
   Cycle send(const CohMsg& m);
   CohMsg make(CohType t, Addr line, CoreId dst, CoreId requester) const;
 

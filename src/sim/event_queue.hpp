@@ -29,7 +29,6 @@ class EventQueue {
     if (t < now_) t = now_;  // never schedule into the past
     heap_.push(Item{t, seq_++, std::move(fn)});
   }
-  void schedule_in(Cycle dt, Fn fn) { schedule(now_ + dt, std::move(fn)); }
 
   Cycle now() const { return now_; }
   bool empty() const { return heap_.empty(); }
@@ -42,10 +41,10 @@ class EventQueue {
   /// Runs until the queue drains, `max_cycles` is crossed, or the next
   /// event is at or past `stop_before` (checked after the limit). Returns
   /// false on the cycle-limit safety stop — with `now()` advanced to
-  /// `max_cycles`, matching run_until's clock floor, so callers reading
-  /// now() after a safety stop see the full elapsed window rather than the
-  /// last executed event. Returns true otherwise; empty() then tells a
-  /// drained queue from a stop before `stop_before`.
+  /// `max_cycles`, so callers reading now() after a safety stop see the
+  /// full elapsed window rather than the last executed event. Returns true
+  /// otherwise; empty() then tells a drained queue from a stop before
+  /// `stop_before`.
   bool run(Cycle max_cycles = kNeverCycle, Cycle stop_before = kNeverCycle) {
     while (!heap_.empty()) {
       const Item& top = heap_.top();
@@ -57,12 +56,6 @@ class EventQueue {
       dispatch(top);
     }
     return true;
-  }
-
-  /// Executes events up to and including cycle `t`.
-  void run_until(Cycle t) {
-    while (!heap_.empty() && heap_.top().t <= t) dispatch(heap_.top());
-    if (now_ < t) now_ = t;
   }
 
   /// Fault injection for the checker's mutation tests: rewinds (or advances)

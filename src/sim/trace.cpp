@@ -1,15 +1,13 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
-
 #include "sim/machine.hpp"
 
 namespace atacsim::sim {
 
 ReplayResult replay_trace(Machine& machine, const Trace& trace) {
   ReplayResult r;
+  // Every access raises the one shared slot to its commit cycle.
   Cycle last_done = 0;
-  std::uint64_t outstanding = 0;
 
   for (CoreId c = 0;
        c < static_cast<CoreId>(trace.per_core.size()) &&
@@ -18,14 +16,8 @@ ReplayResult replay_trace(Machine& machine, const Trace& trace) {
     Cycle t = 0;
     for (const auto& rec : trace.per_core[static_cast<std::size_t>(c)]) {
       t += rec.gap;
-      ++outstanding;
-      machine.events().schedule(t, [&machine, &last_done, &outstanding, c,
-                                    rec] {
-        machine.cache(c).access(rec.addr, rec.write,
-                                [&last_done, &outstanding](Cycle done) {
-                                  last_done = std::max(last_done, done);
-                                  --outstanding;
-                                });
+      machine.events().schedule(t, [&machine, &last_done, c, rec] {
+        machine.cache(c).access(rec.addr, rec.write, {&last_done, {}});
       });
     }
   }
@@ -34,7 +26,6 @@ ReplayResult replay_trace(Machine& machine, const Trace& trace) {
   r.completion_cycles = last_done;
   r.net = machine.net_counters();
   r.mem = machine.mem_counters();
-  (void)outstanding;
   return r;
 }
 

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "apps/app.hpp"
+#include "common/digest.hpp"
 #include "core/program.hpp"
 
 namespace atacsim::apps {
@@ -166,6 +168,53 @@ TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
 #undef ATACSIM_X
   }
 }
+
+// The same check for the paper's other seven apps, by digest: three runs,
+// each after a different heap churn, must fold every counter to one value.
+class HostHeapState : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HostHeapState, RunsAreIndependentOfIt) {
+  const auto mp = MachineParams::small(8, 2);
+  AppConfig cfg;
+  cfg.num_cores = mp.num_cores;
+  cfg.scale = 0.05;
+  std::vector<std::uint64_t> digests;
+  std::vector<std::vector<std::uint64_t>> churn;  // outlives every run
+  for (int k = 0; k < 3; ++k) {
+    for (int j = 0; j < 8 * (k + 1); ++j)
+      churn.emplace_back(
+          static_cast<std::size_t>(1000 + (j * 1237 + k * 711) % 30000));
+    for (std::size_t j = static_cast<std::size_t>(k % 3); j < churn.size();
+         j += 3)
+      churn[j] = {};
+    auto app = make_app(GetParam(), cfg);
+    core::Program prog(mp);
+    prog.spawn_all(app->body());
+    const auto r = prog.run();
+    ASSERT_TRUE(r.finished);
+    EXPECT_EQ(app->verify(), "");
+    Digest d;
+    d.add(r.completion_cycles);
+    d.add(r.total_instructions);
+    d.add(r.net);
+    d.add(r.mem);
+    d.add(r.core);
+    digests.push_back(d.value());
+  }
+  EXPECT_EQ(digests[1], digests[0]);
+  EXPECT_EQ(digests[2], digests[0]);
+}
+
+std::vector<std::string> other_apps() {
+  std::vector<std::string> names;
+  for (const auto& n : app_names())
+    if (n != "dynamic_graph") names.push_back(n);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(OtherApps, HostHeapState,
+                         ::testing::ValuesIn(other_apps()),
+                         [](const auto& info) { return info.param; });
 
 TEST(Apps, TrafficSignatures) {
   // dynamic_graph must be far more broadcast-heavy than lu_contig — the

@@ -37,10 +37,10 @@ MachineParams tiny(NetworkKind net = NetworkKind::kAtacPlus,
 }
 
 void access_and_drain(Machine& m, CoreId c, Addr a, bool write) {
-  Cycle done = kNeverCycle;
-  m.cache(c).access(a, write, [&](Cycle t) { done = t; });
+  Cycle done = 0;
+  m.cache(c).access(a, write, {&done, {}});
   ASSERT_TRUE(m.run(10'000'000));
-  ASSERT_NE(done, kNeverCycle);
+  ASSERT_GT(done, 0u);
 }
 
 // ---------------------------------------------------------------- clean runs
@@ -291,7 +291,8 @@ TEST(MutationFlow, DroppedBroadcastReceiverIsCaught) {
     const Addr line = share_past_k(m, a);
     ASSERT_EQ(m.holders().holds(line, lost), lost == 3);
     m.debug_drop_bcast_receiver(lost);  // seeded fault
-    m.cache(0).access(a, true, [](Cycle) {});
+    Cycle done = 0;
+    m.cache(0).access(a, true, {&done, {}});
     try {
       m.run(10'000'000);
       FAIL() << "delivery probe did not fire";

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/rng.hpp"
 #include "network/atac_model.hpp"
 
@@ -35,20 +36,6 @@ struct OrderCase {
 
 void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
 
-class FnvHash {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 1099511628211ull;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
 class ArrivalOrder : public ::testing::TestWithParam<OrderCase> {};
 
 TEST_P(ArrivalOrder, MatchesRecordedHash) {
@@ -60,7 +47,7 @@ TEST_P(ArrivalOrder, MatchesRecordedHash) {
   auto net = make_network(mp);
 
   Xoshiro256 rng(17);
-  FnvHash h;
+  Digest h;
   std::vector<Arrival> out;
   std::uint64_t arrivals = 0;
   Cycle t = 0;

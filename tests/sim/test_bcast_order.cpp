@@ -17,6 +17,7 @@
 #include <string>
 
 #include "apps/app.hpp"
+#include "common/digest.hpp"
 #include "core/program.hpp"
 
 namespace atacsim {
@@ -34,22 +35,12 @@ void PrintTo(const Pinned& p, std::ostream* os) {
   *os << p.app << '/' << to_string(p.net) << '/' << to_string(p.coh);
 }
 
-/// FNV-1a over every uint64 counter of the X-macro lists, in list order.
+/// The digest of the net and mem counters, in X-macro list order.
 std::uint64_t counters_fnv(const core::RunResult& r) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto add = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-#define ATACSIM_X(f) add(r.net.f);
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) add(r.mem.f);
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  return h;
+  Digest d;
+  d.add(r.net);
+  d.add(r.mem);
+  return d.value();
 }
 
 /// Runs `p` on `mp` at `scale` and compares it with the recorded row.

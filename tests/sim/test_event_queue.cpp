@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -30,7 +31,7 @@ TEST(EventQueue, HandlersMayScheduleMore) {
   EventQueue q;
   int hits = 0;
   std::function<void()> chain = [&] {
-    if (++hits < 10) q.schedule_in(3, chain);
+    if (++hits < 10) q.schedule(q.now() + 3, chain);
   };
   q.schedule(0, chain);
   q.run();
@@ -50,7 +51,7 @@ TEST(EventQueue, PastSchedulesClampToNow) {
 
 TEST(EventQueue, MaxCycleSafetyStop) {
   EventQueue q;
-  std::function<void()> forever = [&] { q.schedule_in(1, forever); };
+  std::function<void()> forever = [&] { q.schedule(q.now() + 1, forever); };
   q.schedule(0, forever);
   EXPECT_FALSE(q.run(1000));
 }
@@ -58,25 +59,12 @@ TEST(EventQueue, MaxCycleSafetyStop) {
 TEST(EventQueue, SafetyStopAdvancesClockToLimit) {
   // Regression: run() used to leave now() at the last *executed* event on a
   // safety stop, so callers computing elapsed time from now() under-counted
-  // whenever event spacing didn't divide the limit. run_until() has always
-  // floored the clock; run() must match.
+  // whenever event spacing didn't divide the limit.
   EventQueue q;
-  std::function<void()> forever = [&] { q.schedule_in(7, forever); };
+  std::function<void()> forever = [&] { q.schedule(q.now() + 7, forever); };
   q.schedule(0, forever);
   EXPECT_FALSE(q.run(1000));  // last executed event lands at 994
   EXPECT_EQ(q.now(), 1000u);
-}
-
-TEST(EventQueue, RunUntilAdvancesClock) {
-  EventQueue q;
-  int hits = 0;
-  q.schedule(5, [&] { ++hits; });
-  q.schedule(15, [&] { ++hits; });
-  q.run_until(10);
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(q.now(), 10u);
-  q.run_until(20);
-  EXPECT_EQ(hits, 2);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // and assert the MSI + ACKwise/Dir_kB behaviour the paper describes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <ostream>
 #include <string>
@@ -40,10 +41,10 @@ MachineParams small(CoherenceKind coh = CoherenceKind::kAckwise,
 
 /// Issues an access and returns its completion cycle after draining.
 Cycle do_access(Machine& m, CoreId c, Addr a, bool write) {
-  Cycle done = kNeverCycle;
-  m.cache(c).access(a, write, [&](Cycle t) { done = t; });
+  Cycle done = 0;
+  m.cache(c).access(a, write, {&done, {}});
   EXPECT_TRUE(m.run(10'000'000));
-  EXPECT_NE(done, kNeverCycle) << "access never completed";
+  EXPECT_GT(done, 0u) << "access never completed";
   return done;
 }
 
@@ -57,8 +58,8 @@ TEST(Protocol, ReadMissFetchesFromDramAndCaches) {
   EXPECT_TRUE(m.quiescent());
 
   // Second read is a local hit: fast and no extra DRAM traffic.
-  Cycle done = kNeverCycle;
-  m.cache(0).access(a, false, [&](Cycle t) { done = t; });
+  Cycle done = 0;
+  m.cache(0).access(a, false, {&done, {}});
   const Cycle start = m.now();
   m.run();
   EXPECT_LE(done - start, m.params().l1_hit_cycles + 1);
@@ -193,31 +194,31 @@ TEST(Protocol, WaitForChangeFiresOnInvalidation) {
   Machine m(small());
   const Addr a = 0xB00000;
   do_access(m, 1, a, false);
-  bool woke = false;
-  m.cache(1).wait_for_change(a, [&](Cycle) { woke = true; });
+  Cycle woke = 0;
+  m.cache(1).wait_for_change(a, {&woke, {}});
   m.run();
-  EXPECT_FALSE(woke);  // nothing happened yet
+  EXPECT_EQ(woke, 0u);  // nothing happened yet
   do_access(m, 2, a, true);  // writer invalidates core 1
-  EXPECT_TRUE(woke);
+  EXPECT_GT(woke, 0u);
   EXPECT_TRUE(m.quiescent());
 }
 
 TEST(Protocol, WaitForChangeFiresImmediatelyWhenAbsent) {
   Machine m(small());
-  bool woke = false;
-  m.cache(0).wait_for_change(0xC00000, [&](Cycle) { woke = true; });
+  Cycle woke = 0;
+  m.cache(0).wait_for_change(0xC00000, {&woke, {}});
   m.run();
-  EXPECT_TRUE(woke);
+  EXPECT_EQ(woke, 1u);
 }
 
 TEST(Protocol, ConcurrentWritersSerializeAtDirectory) {
   Machine m(small());
   const Addr a = 0xD00000;
-  int completed = 0;
+  std::vector<Cycle> done(16, 0);
   for (CoreId c = 0; c < 16; ++c)
-    m.cache(c).access(a, true, [&](Cycle) { ++completed; });
+    m.cache(c).access(a, true, {&done[static_cast<std::size_t>(c)], {}});
   ASSERT_TRUE(m.run(50'000'000));
-  EXPECT_EQ(completed, 16);
+  EXPECT_EQ(std::count(done.begin(), done.end(), Cycle{0}), 0);
   EXPECT_TRUE(m.quiescent());
   // Exactly one core ends with the line; it is Modified.
   int owners = 0;
@@ -238,18 +239,18 @@ TEST_P(ProtocolStormTest, RandomAccessStormQuiescesOnAllConfigs) {
   p.l1d_size_KB = 2;
   Machine m(p);
   Xoshiro256 rng(99);
-  int completed = 0, issued = 0;
+  std::vector<Cycle> done(12 * 64, 0);  // one commit cycle per access
+  std::size_t issued = 0;
   // Waves of random accesses over a small hot region to force every protocol
   // path: sharing, upgrades, broadcasts, evictions, crossed messages.
   for (int wave = 0; wave < 12; ++wave) {
     for (CoreId c = 0; c < 64; ++c) {
       const Addr a = 0xE00000 + rng.next_below(64) * 64;
-      ++issued;
-      m.cache(c).access(a, rng.bernoulli(0.3), [&](Cycle) { ++completed; });
+      m.cache(c).access(a, rng.bernoulli(0.3), {&done[issued++], {}});
     }
     ASSERT_TRUE(m.run(100'000'000)) << "wave " << wave << " did not drain";
   }
-  EXPECT_EQ(completed, issued);
+  EXPECT_EQ(std::count(done.begin(), done.end(), Cycle{0}), 0);
   EXPECT_TRUE(m.quiescent());
 }
 
@@ -275,10 +276,11 @@ TEST(Protocol, DeterministicAcrossRuns) {
   auto run = [] {
     Machine m(small());
     Xoshiro256 rng(7);
+    Cycle last_done = 0;
     for (int i = 0; i < 200; ++i) {
       const CoreId c = static_cast<CoreId>(rng.next_below(64));
       const Addr a = 0xF00000 + rng.next_below(32) * 64;
-      m.cache(c).access(a, rng.bernoulli(0.5), [](Cycle) {});
+      m.cache(c).access(a, rng.bernoulli(0.5), {&last_done, {}});
     }
     m.run();
     return m.now();
