@@ -11,8 +11,15 @@
 //        --flavor ideal|default|ringtuned|cons  --coherence ackwise|dirkb
 //        --sharers K  --routing cluster|distance|all  --rthres N
 //        --recvnet starnet|bnet  --flits BITS  --scale X  --seed S
+// The machine flags are checked like the keys of a --config file; a bad
+// value of any flag is an error (exit 2).
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "harness/config_file.hpp"
@@ -22,10 +29,40 @@ using namespace atacsim;
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
+[[noreturn]] void usage(const std::string& msg) {
   std::fprintf(stderr, "error: %s\nsee the header of run_experiment.cpp\n",
-               msg);
+               msg.c_str());
   std::exit(2);
+}
+
+/// The config-file key a machine flag sets, or null for other flags.
+const char* config_key(const std::string& flag) {
+  static constexpr const char* kKeys[][2] = {
+      {"--net", "network"},          {"--flavor", "photonics"},
+      {"--coherence", "coherence"},  {"--sharers", "num_hw_sharers"},
+      {"--routing", "routing"},      {"--rthres", "r_thres"},
+      {"--recvnet", "receive_net"},  {"--flits", "flit_bits"}};
+  for (const auto& k : kKeys)
+    if (flag == k[0]) return k[1];
+  return nullptr;
+}
+
+/// The whole of `v` as a number; anything else is a usage error.
+template <class T>
+T parse_number(const std::string& flag, const std::string& v) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [p, ec] = std::from_chars(v.data(), end, x);
+  if (ec != std::errc() || p != end)
+    usage("malformed " + flag + " value '" + v + "'");
+  return x;
+}
+
+bool known_app(const std::string& name) {
+  for (const auto* names : {&apps::app_names(), &apps::extension_app_names()})
+    if (std::find(names->begin(), names->end(), name) != names->end())
+      return true;
+  return false;
 }
 
 }  // namespace
@@ -36,69 +73,52 @@ int main(int argc, char** argv) {
   s.mp = harness::atac_plus();
   s.scale = 0.5;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--list") {
-      std::printf("paper benchmarks:");
-      for (const auto& n : apps::app_names()) std::printf(" %s", n.c_str());
-      std::printf("\nextensions:");
-      for (const auto& n : apps::extension_app_names())
-        std::printf(" %s", n.c_str());
-      std::printf("\n");
-      return 0;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag == "--list") {
+        std::printf("paper benchmarks:");
+        for (const auto& n : apps::app_names()) std::printf(" %s", n.c_str());
+        std::printf("\nextensions:");
+        for (const auto& n : apps::extension_app_names())
+          std::printf(" %s", n.c_str());
+        std::printf("\n");
+        return 0;
+      }
+      if (i + 1 >= argc) usage("missing value for " + flag);
+      const std::string v = argv[++i];
+      if (const char* key = config_key(flag)) {
+        // One config line per flag, applied in flag order; a '#' or a line
+        // break would smuggle in a comment or a second key.
+        if (v.find_first_of("#\n") != std::string::npos)
+          usage("malformed " + flag + " value '" + v + "'");
+        s.mp = harness::parse_machine_config(std::string(key) + " = " + v,
+                                             s.mp);
+      } else if (flag == "--config") {
+        s.mp = harness::load_machine_config(v, s.mp);
+      } else if (flag == "--app") {
+        if (!known_app(v)) usage("unknown --app " + v + " (see --list)");
+        s.app = v;
+      } else if (flag == "--scale") {
+        s.scale = parse_number<double>(flag, v);
+        if (!(s.scale > 0 && std::isfinite(s.scale)))
+          usage("--scale must be a positive number, got '" + v + "'");
+      } else if (flag == "--seed") {
+        s.seed = parse_number<std::uint64_t>(flag, v);
+      } else {
+        usage("unknown flag " + flag);
+      }
     }
-    if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
-    const std::string v = argv[++i];
-    if (flag == "--config") {
-      s.mp = harness::load_machine_config(v, s.mp);
-    } else if (flag == "--app") {
-      s.app = v;
-    } else if (flag == "--net") {
-      if (v == "atac") s.mp.network = NetworkKind::kAtacPlus;
-      else if (v == "emesh-bcast") s.mp.network = NetworkKind::kEMeshBCast;
-      else if (v == "emesh-pure") s.mp.network = NetworkKind::kEMeshPure;
-      else usage("unknown --net");
-    } else if (flag == "--flavor") {
-      if (v == "ideal") s.mp.photonics = PhotonicFlavor::kIdeal;
-      else if (v == "default") s.mp.photonics = PhotonicFlavor::kDefault;
-      else if (v == "ringtuned") s.mp.photonics = PhotonicFlavor::kRingTuned;
-      else if (v == "cons") s.mp.photonics = PhotonicFlavor::kCons;
-      else usage("unknown --flavor");
-    } else if (flag == "--coherence") {
-      if (v == "ackwise") s.mp.coherence = CoherenceKind::kAckwise;
-      else if (v == "dirkb") s.mp.coherence = CoherenceKind::kDirKB;
-      else usage("unknown --coherence");
-    } else if (flag == "--sharers") {
-      s.mp.num_hw_sharers = std::atoi(v.c_str());
-    } else if (flag == "--routing") {
-      if (v == "cluster") s.mp.routing = RoutingPolicy::kCluster;
-      else if (v == "distance") s.mp.routing = RoutingPolicy::kDistance;
-      else if (v == "all") s.mp.routing = RoutingPolicy::kDistanceAll;
-      else usage("unknown --routing");
-    } else if (flag == "--rthres") {
-      s.mp.r_thres = std::atoi(v.c_str());
-    } else if (flag == "--recvnet") {
-      if (v == "starnet") s.mp.receive_net = ReceiveNet::kStarNet;
-      else if (v == "bnet") s.mp.receive_net = ReceiveNet::kBNet;
-      else usage("unknown --recvnet");
-    } else if (flag == "--flits") {
-      s.mp.flit_bits = std::atoi(v.c_str());
-    } else if (flag == "--scale") {
-      s.scale = std::atof(v.c_str());
-    } else if (flag == "--seed") {
-      s.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else {
-      usage(("unknown flag " + flag).c_str());
-    }
+  } catch (const std::exception& e) {
+    usage(e.what());
   }
-  s.mp.validate();
 
   std::printf("running %s on %s (%d cores, %s%d, %s, flits=%d, scale=%.2f)\n",
               s.app.c_str(), harness::config_name(s.mp).c_str(),
               s.mp.num_cores, to_string(s.mp.coherence), s.mp.num_hw_sharers,
               to_string(s.mp.routing), s.mp.flit_bits, s.scale);
 
-  const auto o = harness::run_scenario(s, /*allow_failure=*/true);
+  const auto o = harness::run_scenario(s);
   const auto& r = o.run;
   const auto& e = o.energy;
   std::printf("\n-- result --------------------------------------------\n");

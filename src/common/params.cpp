@@ -53,7 +53,6 @@ MachineParams MachineParams::small(int mesh_w, int cluster_w) {
   p.mesh_width = mesh_w;
   p.cluster_width = cluster_w;
   p.num_cores = mesh_w * mesh_w;
-  p.num_mem_controllers = p.num_clusters();
   p.validate();
   return p;
 }
@@ -71,8 +70,6 @@ void MachineParams::validate() const {
     throw std::invalid_argument("num_cores must equal mesh_width^2");
   if (mesh_width % cluster_width != 0)
     throw std::invalid_argument("cluster_width must divide mesh_width");
-  if (num_mem_controllers != num_clusters())
-    throw std::invalid_argument("one memory controller per cluster required");
   if (flit_bits <= 0 || (flit_bits & (flit_bits - 1)) != 0)
     throw std::invalid_argument("flit_bits must be a power of two");
   if (num_hw_sharers < 1)

@@ -131,7 +131,6 @@ struct MachineParams {
   Cycle l2_hit_cycles = 8;
 
   // --- memory ---
-  int num_mem_controllers = 64;
   double mem_bw_GBps_per_ctrl = 5.0;
   Cycle mem_latency_cycles = 100;  ///< 100 ns at 1 GHz
 

@@ -22,7 +22,6 @@ class Table {
   void print(std::ostream& os) const;
   void print_csv(std::ostream& os) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }
 
  private:

@@ -52,7 +52,7 @@ class Barrier {
  public:
   static constexpr int kFanIn = 8;
 
-  explicit Barrier(int participants) : n_(participants) {
+  explicit Barrier(int participants) {
     // Level 0 holds ceil(n/8) counters fed by participants; each higher
     // level combines 8 below it, down to a single root.
     int width = (participants + kFanIn - 1) / kFanIn;
@@ -103,8 +103,6 @@ class Barrier {
       co_await c.wait_for_change(&sense_);
   }
 
-  int participants() const { return n_; }
-
  private:
   struct Node {
     alignas(64) std::uint64_t count = 0;
@@ -114,7 +112,6 @@ class Barrier {
     return nodes_[static_cast<std::size_t>(level_begin_[static_cast<std::size_t>(lvl)] + i)];
   }
 
-  int n_;
   std::vector<Node> nodes_;
   std::vector<int> level_begin_;
   std::vector<int> level_width_;

@@ -29,7 +29,7 @@ harness::Outcome run_cell(const harness::Scenario& s, bool& cache_hit) {
   // the result is still stored for later unarmed consumers.
   cache_hit = !obs::options().enabled && harness::try_load_cached(s, o);
   if (!cache_hit) {
-    o = harness::run_scenario(s, /*allow_failure=*/true);
+    o = harness::run_scenario(s);
     harness::store_cached(s, o);
   }
   return o;

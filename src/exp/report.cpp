@@ -160,9 +160,4 @@ std::vector<std::string> write_report(const Report& r) {
   return written;
 }
 
-std::vector<std::string> write_report(const std::string& name,
-                                      const PlanResult& r) {
-  return write_report(Report::from_plan(name, r));
-}
-
 }  // namespace atacsim::exp::report

@@ -66,7 +66,5 @@ std::string report_dir();
 /// Writes <dir>/<name>.json and <dir>/<name>.csv (creating the directory);
 /// returns the paths written, empty on I/O failure.
 std::vector<std::string> write_report(const Report& r);
-std::vector<std::string> write_report(const std::string& name,
-                                      const PlanResult& r);
 
 }  // namespace atacsim::exp::report

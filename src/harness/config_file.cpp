@@ -36,15 +36,27 @@ MachineParams parse_machine_config(const std::string& text,
     const std::string val = trim(line.substr(eq + 1));
     if (key.empty() || val.empty()) fail(raw, "empty key or value");
 
+    // std::stoi / std::stod throw a bare "stoi" / "stod" on garbage; name
+    // the offending line instead.
     auto as_int = [&] {
       std::size_t pos = 0;
-      const int v = std::stoi(val, &pos);
+      int v = 0;
+      try {
+        v = std::stoi(val, &pos);
+      } catch (const std::logic_error&) {
+        fail(raw, "not an integer");
+      }
       if (pos != val.size()) fail(raw, "not an integer");
       return v;
     };
     auto as_double = [&] {
       std::size_t pos = 0;
-      const double v = std::stod(val, &pos);
+      double v = 0;
+      try {
+        v = std::stod(val, &pos);
+      } catch (const std::logic_error&) {
+        fail(raw, "not a number");
+      }
       if (pos != val.size()) fail(raw, "not a number");
       return v;
     };
@@ -52,10 +64,8 @@ MachineParams parse_machine_config(const std::string& text,
     if (key == "mesh_width") {
       mp.mesh_width = as_int();
       mp.num_cores = mp.mesh_width * mp.mesh_width;
-      mp.num_mem_controllers = mp.num_clusters();
     } else if (key == "cluster_width") {
       mp.cluster_width = as_int();
-      mp.num_mem_controllers = mp.num_clusters();
     } else if (key == "network") {
       if (val == "atac") mp.network = NetworkKind::kAtacPlus;
       else if (val == "emesh-bcast") mp.network = NetworkKind::kEMeshBCast;

@@ -18,7 +18,7 @@ namespace atacsim::harness {
 
 /// Applies `key = value` settings from `text` on top of `base`.
 /// Unknown keys or malformed values throw std::invalid_argument with the
-/// offending line. Geometry keys re-derive num_cores / memory controllers.
+/// offending line. Geometry keys re-derive num_cores.
 MachineParams parse_machine_config(const std::string& text,
                                    MachineParams base = MachineParams::paper());
 

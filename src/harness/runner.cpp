@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 
 #include "check/probes.hpp"
 #include "harness/obs_export.hpp"
@@ -57,7 +56,7 @@ power::EnergyBreakdown recompute_energy(const Outcome& o,
                     static_cast<double>(o.run.completion_cycles));
 }
 
-Outcome run_scenario(const Scenario& s, bool allow_failure) {
+Outcome run_scenario(const Scenario& s) {
   apps::AppConfig cfg;
   cfg.num_cores = s.mp.num_cores;
   cfg.scale = s.scale;
@@ -108,10 +107,6 @@ Outcome run_scenario(const Scenario& s, bool allow_failure) {
 
   if (observer)
     export_run_obs(s, out, *observer, prog.machine().validation());
-
-  if (!allow_failure && !out.verify_msg.empty())
-    throw std::runtime_error(s.app + " on " + out.config + ": " +
-                             out.verify_msg);
   return out;
 }
 

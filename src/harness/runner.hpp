@@ -48,10 +48,10 @@ struct Outcome {
   double bcast_recv_fraction() const;
 };
 
-/// Runs one scenario end to end. Throws std::runtime_error if the app does
-/// not complete within the cycle budget or fails verification (unless
-/// `allow_failure`).
-Outcome run_scenario(const Scenario& s, bool allow_failure = false);
+/// Runs one scenario end to end. Neither an app that fails verification
+/// nor one cut off by `max_cycles` throws: the outcome's `verify_msg` says
+/// what went wrong ("did not complete" for the latter).
+Outcome run_scenario(const Scenario& s);
 
 /// Re-integrates an outcome's counters under different technology
 /// assumptions (e.g. the waveguide-loss sweep of Fig. 9) without re-running

@@ -58,27 +58,21 @@ bool CacheController::fast_access(Addr addr, bool write) {
 }
 
 void CacheController::access(Addr addr, bool write, Completion done) {
-  const Addr line = l2_.line_of(addr);
   const Cycle now = machine_.now();
-  auto& ctr = machine_.mem_counters();
-
-  // L1-D probe (energy + fast path).
-  write ? ++ctr.l1d_writes : ++ctr.l1d_reads;
-  const LineState l1 = l1d_.lookup(line);
-  const LineState l2 = l2_.peek(line);
-  const bool l2_ok = write ? (l2 == LineState::kModified)
-                           : (l2 != LineState::kInvalid);
-  if (l1 != LineState::kInvalid && l2_ok) {
-    // Stores write through to the L2 (energy only).
-    if (write) ++ctr.l2_writes;
-    if (auto* observer = machine_.observer())
-      observer->record_mem(
-          write, static_cast<std::uint64_t>(machine_.params().l1_hit_cycles));
+  if (fast_access(addr, write)) {
     complete(done, now + machine_.params().l1_hit_cycles);
     return;
   }
 
+  // L1-D miss: the probe still costs an access and bumps the L1 LRU.
+  const Addr line = l2_.line_of(addr);
+  auto& ctr = machine_.mem_counters();
+  write ? ++ctr.l1d_writes : ++ctr.l1d_reads;
+  l1d_.lookup(line);
   ++ctr.l1d_misses;
+  const LineState l2 = l2_.peek(line);
+  const bool l2_ok = write ? (l2 == LineState::kModified)
+                           : (l2 != LineState::kInvalid);
   write ? ++ctr.l2_writes : ++ctr.l2_reads;
   if (l2_ok) {
     // L2 hit: refill L1 (subset; silent L1 replacement is fine).
@@ -99,23 +93,40 @@ void CacheController::access(Addr addr, bool write, Completion done) {
     // issue the upgrade once the shared copy lands.
     return;
   }
-  Mshr& e = mshr_[line];
-  machine_.holders().add(line, self_);
-  e.want_exclusive = write || (l2 == LineState::kShared);
-  e.waiters.push_back({write, done, now});
-  issue_request(line, e.want_exclusive);
+  open_mshr(line, write || l2 == LineState::kShared, {{write, done, now}});
 }
 
-void CacheController::issue_request(Addr line, bool exclusive) {
+void CacheController::open_mshr(Addr line, bool exclusive,
+                                 std::vector<Waiter> waiters) {
+  Mshr& e = mshr_[line];
+  machine_.holders().add(line, self_);
+  e.want_exclusive = exclusive;
+  e.waiters = std::move(waiters);
+  send(to_home(exclusive ? CohType::kExReq : CohType::kShReq, line));
+}
+
+CohMsg CacheController::to_home(CohType type, Addr line) const {
   CohMsg m;
-  m.type = exclusive ? CohType::kExReq : CohType::kShReq;
+  m.type = type;
   m.line = line;
   m.src = self_;
-  const HubId slice = machine_.homes().slice_of(line);
-  m.dst = machine_.homes().slice_core(slice);
-  m.requester = self_;
-  m.dir_slice = slice;
-  send(m);
+  m.dir_slice = machine_.homes().slice_of(line);
+  m.dst = machine_.homes().slice_core(m.dir_slice);
+  if (type == CohType::kShReq || type == CohType::kExReq) m.requester = self_;
+  return m;
+}
+
+CohMsg CacheController::reply(const CohMsg& m, CohType type,
+                              bool carries_data) const {
+  CohMsg r;
+  r.type = type;
+  r.line = m.line;
+  r.src = self_;
+  r.dst = m.src;
+  r.requester = m.requester;
+  r.dir_slice = m.dir_slice;
+  r.carries_data = carries_data;
+  return r;
 }
 
 void CacheController::wait_for_change(Addr addr, Completion done) {
@@ -143,28 +154,21 @@ void CacheController::complete(Completion done, Cycle t) {
   });
 }
 
-void CacheController::left_l2(Addr line) {
+void CacheController::lost_line(Addr line) {
   if (mshr_.find(line) == mshr_.end()) machine_.holders().remove(line, self_);
+  l1d_.invalidate(line);
+  notify_change(line);
 }
 
 void CacheController::evict(Addr line, LineState state) {
-  left_l2(line);
-  l1d_.invalidate(line);
-  notify_change(line);
-  const HubId slice = machine_.homes().slice_of(line);
-  CohMsg m;
-  m.line = line;
-  m.src = self_;
-  m.dst = machine_.homes().slice_core(slice);
-  m.dir_slice = slice;
+  lost_line(line);
   if (state == LineState::kModified) {
-    m.type = CohType::kDirtyWb;
+    CohMsg m = to_home(CohType::kDirtyWb, line);
     m.carries_data = true;
     send(m);
   } else if (machine_.params().coherence == CoherenceKind::kAckwise) {
     // ACKwise cannot support silent evictions (paper Sec. V-F).
-    m.type = CohType::kEvictNotify;
-    send(m);
+    send(to_home(CohType::kEvictNotify, line));
   }
   // Dir_kB: silent eviction of clean lines.
 }
@@ -209,11 +213,7 @@ void CacheController::fill(const CohMsg& rep) {
 
   if (!retry.empty()) {
     // Upgrade path: the shared copy just landed but stores still need M.
-    Mshr& e = mshr_[line];
-    machine_.holders().add(line, self_);
-    e.want_exclusive = true;
-    e.waiters = std::move(retry);
-    issue_request(line, /*exclusive=*/true);
+    open_mshr(line, /*exclusive=*/true, std::move(retry));
   }
 }
 
@@ -225,9 +225,7 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
 
   if (present) {
     l2_.invalidate(line);
-    left_l2(line);
-    l1d_.invalidate(line);
-    notify_change(line);
+    lost_line(line);
   }
 
   // Ack rules: a sharer acks (piggy-backing the clean line); under Dir_kB
@@ -238,16 +236,9 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
   const bool dirkb = machine_.params().coherence == CoherenceKind::kDirKB;
   const bool must_ack = (present || dirkb) && !suppress_ack;
   if (must_ack) {
-    CohMsg ack;
-    ack.type = CohType::kInvAck;
-    ack.line = line;
-    ack.src = self_;
-    ack.dst = m.src;
-    ack.requester = m.requester;
-    ack.dir_slice = m.dir_slice;
     // Acks stay short coherence messages: the home supplies clean data from
     // its buffer or DRAM (Sec. IV-C-1's "fetched explicitly" option).
-    ack.carries_data = false;
+    const CohMsg ack = reply(m, CohType::kInvAck, /*carries_data=*/false);
     if (extra_delay == 0) {
       send(ack);
     } else {
@@ -261,22 +252,20 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
 
 void CacheController::bump_seq_and_release(HubId slice, std::uint16_t seq) {
   auto& last = machine_.bcast_seq(slice, self_);
-  if (seq_before(last, seq)) last = seq;
+  advance_seq(last, seq);
   if (deferred_.empty()) return;
   std::vector<CohMsg> ready;
-  bool still_deferred = false;  // a unicast from `slice` keeps waiting
   for (auto it = deferred_.begin(); it != deferred_.end();) {
     if (it->dir_slice == slice && seq_before_eq(it->seq, last)) {
       ready.push_back(*it);
       it = deferred_.erase(it);
     } else {
-      still_deferred |= it->dir_slice == slice;
       ++it;
     }
   }
   if (ready.empty()) return;
   // Only handle() defers a unicast, and nothing below calls it.
-  if (!still_deferred) machine_.mark_deferred(slice, self_, false);
+  if (deferred_.empty()) machine_.mark_deferred(self_, false);
   for (const auto& m : ready) process_unicast_from_dir(m);
 }
 
@@ -291,20 +280,8 @@ const char* CacheController::holding(Addr line, HubId slice) const {
 
 void CacheController::handle_flush(const CohMsg& m) {
   const LineState prev = l2_.invalidate(m.line);
-  l1d_.invalidate(m.line);
-  if (prev != LineState::kInvalid) {
-    left_l2(m.line);
-    notify_change(m.line);
-  }
-  CohMsg ack;
-  ack.type = CohType::kFlushAck;
-  ack.line = m.line;
-  ack.src = self_;
-  ack.dst = m.src;
-  ack.requester = m.requester;
-  ack.dir_slice = m.dir_slice;
-  ack.carries_data = (prev == LineState::kModified);
-  send(ack);
+  if (prev != LineState::kInvalid) lost_line(m.line);
+  send(reply(m, CohType::kFlushAck, prev == LineState::kModified));
 }
 
 void CacheController::handle_wb(const CohMsg& m) {
@@ -313,15 +290,7 @@ void CacheController::handle_wb(const CohMsg& m) {
     l2_.set_state(m.line, LineState::kShared);
     l1d_.set_state(m.line, LineState::kShared);
   }
-  CohMsg ack;
-  ack.type = CohType::kWbAck;
-  ack.line = m.line;
-  ack.src = self_;
-  ack.dst = m.src;
-  ack.requester = m.requester;
-  ack.dir_slice = m.dir_slice;
-  ack.carries_data = (prev == LineState::kModified);
-  send(ack);
+  send(reply(m, CohType::kWbAck, prev == LineState::kModified));
 }
 
 void CacheController::process_unicast_from_dir(const CohMsg& m) {
@@ -354,18 +323,9 @@ void CacheController::handle(const CohMsg& m) {
       // including us, whose ShRep it cannot send until the count drains.
       // Ack now (the line is absent; nothing to invalidate yet) and only
       // defer the invalidation-ordering side of the message.
-      bool acked = false;
-      if (machine_.params().coherence == CoherenceKind::kDirKB) {
-        CohMsg ack;
-        ack.type = CohType::kInvAck;
-        ack.line = m.line;
-        ack.src = self_;
-        ack.dst = m.src;
-        ack.requester = m.requester;
-        ack.dir_slice = m.dir_slice;
-        send(ack);
-        acked = true;
-      }
+      const bool acked =
+          machine_.params().coherence == CoherenceKind::kDirKB;
+      if (acked) send(reply(m, CohType::kInvAck, /*carries_data=*/false));
       it->second.buffered_bcast_invs.push_back({m, acked});
       // Release the slice-level ordering now: deferred unicasts for *other*
       // lines must not wait on a broadcast that is itself parked behind our
@@ -378,22 +338,18 @@ void CacheController::handle(const CohMsg& m) {
     return;
   }
 
-  // Every directory-initiated unicast — requests AND responses — must not
-  // overtake an earlier broadcast from the same slice (Sec. IV-C-1): defer
-  // until our slice sequence number catches up. A stale broadcast processed
-  // after a later response would otherwise silently destroy the line the
-  // response just granted. No deadlock: an arriving broadcast always either
-  // processes or is MSHR-buffered, and both paths advance the slice
-  // sequence immediately, so deferred unicasts never wait on a parked
-  // broadcast.
-  const bool from_dir =
-      m.type == CohType::kInvReq || m.type == CohType::kFlushReq ||
-      m.type == CohType::kWbReq || m.type == CohType::kShRep ||
-      m.type == CohType::kExRep;
-  if (from_dir && m.dir_slice >= 0 &&
-      seq_before(machine_.bcast_seq(m.dir_slice, self_), m.seq)) {
+  // Every message that reaches a cache comes from a directory slice, and no
+  // such unicast — request or response — may overtake an earlier broadcast
+  // from the same slice (Sec. IV-C-1): defer it until our slice sequence
+  // number catches up. A stale broadcast processed after a later response
+  // would otherwise silently destroy the line the response just granted. No
+  // deadlock: an arriving broadcast always either processes or is
+  // MSHR-buffered, and both paths advance the slice sequence immediately, so
+  // deferred unicasts never wait on a parked broadcast.
+  assert(!to_directory(m.type));
+  if (seq_before(machine_.bcast_seq(m.dir_slice, self_), m.seq)) {
     deferred_.push_back(m);
-    machine_.mark_deferred(m.dir_slice, self_, true);
+    machine_.mark_deferred(self_, true);
     return;
   }
   process_unicast_from_dir(m);

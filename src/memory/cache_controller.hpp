@@ -123,12 +123,20 @@ class CacheController {
     std::vector<BufferedInv> buffered_bcast_invs;  // early broadcast invs
   };
 
-  void issue_request(Addr line, bool exclusive);
+  /// Opens the MSHR for `line`, which makes this core a holder, and sends
+  /// the ShReq or ExReq home.
+  void open_mshr(Addr line, bool exclusive, std::vector<Waiter> waiters);
   void fill(const CohMsg& rep);
   void evict(Addr line, LineState state);
-  /// `line` left the L2: this core stops holding it unless an MSHR for it
-  /// is still open (an upgrade in flight).
-  void left_l2(Addr line);
+  /// `line` left the L2: the L1 copy goes, change waiters wake, and this
+  /// core stops holding the line unless an MSHR for it is still open (an
+  /// upgrade in flight).
+  void lost_line(Addr line);
+  /// A message from this cache to `line`'s home slice. Only requests name
+  /// a requester.
+  CohMsg to_home(CohType type, Addr line) const;
+  /// This cache's answer of `type` to the directory message `m`.
+  CohMsg reply(const CohMsg& m, CohType type, bool carries_data) const;
   void process_inv(const CohMsg& m, Cycle extra_delay = 0,
                    bool suppress_ack = false);
   void process_unicast_from_dir(const CohMsg& m);

@@ -129,20 +129,20 @@ void DirectorySlice::write_back() {
   machine_.events().schedule(dram_.request(/*write=*/true), [] {});
 }
 
-void DirectorySlice::start_txn(const CohMsg& req) {
+void DirectorySlice::start_txn(const CohMsg& req,
+                               std::vector<CohMsg> waiting) {
   ++machine_.mem_counters().dir_reads;
   LineInfo& li = info(req.line);
   Txn& txn = active_[req.line];
   txn.req = req;
-  txn.need_data = true;
+  txn.waiting = std::move(waiting);
 
   if (li.state == LineState::kModified) {
     if (li.owner == req.requester) {
       // The owner lost the line to an eviction whose DirtyWb is still in
       // flight (it can reorder behind the re-request across networks).
       // Wait for the data to land; no flush needed.
-      li.owner = kInvalidCore;
-      li.state = LineState::kInvalid;
+      li.drop_owner();
       txn.expect_dirty_wb = true;
       maybe_complete(req.line);
       return;
@@ -194,7 +194,7 @@ void DirectorySlice::start_txn(const CohMsg& req) {
 void DirectorySlice::maybe_complete(Addr line) {
   Txn& txn = active_.at(line);
   if (txn.waiting_owner || txn.pending_acks > 0) return;
-  if (txn.need_data && !txn.have_data) {
+  if (!txn.have_data) {
     // No acknowledgement carried the line. If a DirtyWb is known to be in
     // flight it will set have_data when it lands; otherwise the copies were
     // all clean (or never existed) and DRAM has the truth.
@@ -231,13 +231,12 @@ void DirectorySlice::complete(Addr line) {
 
   // Serve the next queued request for this line immediately — leaving a
   // cycle gap would let a newly arriving request clobber the queued one's
-  // transaction slot.
-  auto wit = waiting_.find(line);
-  if (wit != waiting_.end() && !wit->second.empty()) {
-    CohMsg next = wit->second.front();
-    wit->second.pop_front();
-    if (wit->second.empty()) waiting_.erase(wit);
-    start_txn(next);
+  // transaction slot. The rest of the queue moves with it, before its
+  // transaction can complete.
+  if (!txn.waiting.empty()) {
+    const CohMsg next = txn.waiting.front();
+    txn.waiting.erase(txn.waiting.begin());
+    start_txn(next, std::move(txn.waiting));
   }
 }
 
@@ -245,8 +244,9 @@ void DirectorySlice::handle(const CohMsg& m) {
   switch (m.type) {
     case CohType::kShReq:
     case CohType::kExReq: {
-      if (active_.count(m.line)) {
-        waiting_[m.line].push_back(m);
+      const auto it = active_.find(m.line);
+      if (it != active_.end()) {
+        it->second.waiting.push_back(m);
       } else {
         start_txn(m);
       }
@@ -279,13 +279,11 @@ void DirectorySlice::handle(const CohMsg& m) {
         if (li.owner == m.src) {
           // Crossed with our Flush/WbReq; the owner is gone.
           it->second.waiting_owner = false;
-          li.owner = kInvalidCore;
-          li.state = LineState::kInvalid;
+          li.drop_owner();
         }
         maybe_complete(m.line);
       } else if (li.owner == m.src) {
-        li.owner = kInvalidCore;
-        li.state = LineState::kInvalid;
+        li.drop_owner();
       }
       return;
     }
@@ -317,15 +315,13 @@ void DirectorySlice::handle(const CohMsg& m) {
           li.state = LineState::kShared;
           li.owner = kInvalidCore;
         } else {
-          li.owner = kInvalidCore;
-          li.state = LineState::kInvalid;
+          li.drop_owner();
         }
       } else {
         // The owner evicted; its DirtyWb is in flight and will deliver the
         // data. Do not fall back to DRAM (it is stale until the WB lands).
         txn.expect_dirty_wb = true;
-        li.owner = kInvalidCore;
-        li.state = LineState::kInvalid;
+        li.drop_owner();
       }
       maybe_complete(m.line);
       return;
@@ -352,30 +348,15 @@ void DirectorySlice::debug_corrupt_forget_line(Addr line) {
   const auto it = dir_.find(line);
   if (it == dir_.end()) return;
   it->second.sharers.clear();
-  it->second.owner = kInvalidCore;
-  it->second.state = LineState::kInvalid;
+  it->second.drop_owner();
 }
 
 std::vector<DirectorySlice::TxnDebug> DirectorySlice::debug_active() const {
   std::vector<TxnDebug> out;
-  for (const auto& [line, t] : active_) {
-    const auto dit = dir_.find(line);
-    std::vector<CoreId> ptrs;
-    bool glob = false;
-    int cnt = 0;
-    CoreId owner = kInvalidCore;
-    int st = 0;
-    if (dit != dir_.end()) {
-      ptrs = dit->second.sharers.pointers();
-      glob = dit->second.sharers.global();
-      cnt = dit->second.sharers.count();
-      owner = dit->second.owner;
-      st = static_cast<int>(dit->second.state);
-    }
+  for (const auto& [line, t] : active_)
     out.push_back({line, t.req.type, t.req.requester, t.pending_acks,
-                   t.waiting_owner, t.have_data, t.need_data, t.dram_pending,
-                   t.expect_dirty_wb, ptrs, glob, cnt, owner, st});
-  }
+                   t.waiting_owner, t.have_data, t.dram_pending,
+                   t.expect_dirty_wb, probe_line(line)});
   return out;
 }
 

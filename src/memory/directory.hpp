@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +75,6 @@ class DirectorySlice {
   void handle(const CohMsg& m);
 
   CoreId self_core() const { return self_; }
-  std::uint16_t current_seq() const { return seq_; }
   std::size_t active_transactions() const { return active_.size(); }
 
   /// Directory-side snapshot of one line for the validation layer
@@ -112,12 +110,8 @@ class DirectorySlice {
     CohType req_type;
     CoreId requester;
     int pending_acks;
-    bool waiting_owner, have_data, need_data, dram_pending, expect_dirty_wb;
-    std::vector<CoreId> sharer_ptrs;
-    bool sharers_global;
-    int sharer_count;
-    CoreId owner;
-    int line_state;
+    bool waiting_owner, have_data, dram_pending, expect_dirty_wb;
+    LineProbe dir;  ///< the line as this slice tracks it
   };
   std::vector<TxnDebug> debug_active() const;
 
@@ -130,21 +124,29 @@ class DirectorySlice {
     bool data_valid = false;
     SharerSet sharers;
     explicit LineInfo(int k) : sharers(k) {}
+    /// No core owns the line any more.
+    void drop_owner() {
+      owner = kInvalidCore;
+      state = LineState::kInvalid;
+    }
   };
   struct Txn {
     CohMsg req;
     int pending_acks = 0;
     bool waiting_owner = false;
     bool have_data = false;
-    bool need_data = false;
     bool dram_pending = false;
     /// A DirtyWb is known to be in flight; wait for it instead of fetching
     /// stale data from DRAM.
     bool expect_dirty_wb = false;
+    /// Later requests for the line, in arrival order; each starts the next
+    /// transaction when the one before it completes.
+    std::vector<CohMsg> waiting;
   };
 
   LineInfo& info(Addr line);
-  void start_txn(const CohMsg& req);
+  /// Starts the transaction for `req`, with `waiting` queued behind it.
+  void start_txn(const CohMsg& req, std::vector<CohMsg> waiting = {});
   void maybe_complete(Addr line);
   void complete(Addr line);
   void fetch_dram(Addr line);
@@ -158,7 +160,6 @@ class DirectorySlice {
   MemController dram_;
   std::unordered_map<Addr, LineInfo> dir_;
   std::unordered_map<Addr, Txn> active_;
-  std::unordered_map<Addr, std::deque<CohMsg>> waiting_;
   std::uint16_t seq_ = 0;
   Cycle send_free_ = 0;
 };

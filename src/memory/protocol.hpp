@@ -37,6 +37,23 @@ enum class CohType : std::uint8_t {
 
 const char* to_string(CohType t);
 
+/// True for the messages a directory slice handles; every other type is
+/// sent by a slice to a cache.
+inline bool to_directory(CohType t) {
+  switch (t) {
+    case CohType::kShReq:
+    case CohType::kExReq:
+    case CohType::kEvictNotify:
+    case CohType::kDirtyWb:
+    case CohType::kInvAck:
+    case CohType::kFlushAck:
+    case CohType::kWbAck:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct CohMsg {
   CohType type{};
   Addr line = 0;          ///< line-aligned address
@@ -57,6 +74,11 @@ inline bool seq_before_eq(std::uint16_t a, std::uint16_t b) {
 }
 inline bool seq_before(std::uint16_t a, std::uint16_t b) {
   return a != b && seq_before_eq(a, b);
+}
+/// A core has processed broadcast `seq` from a slice whose last processed
+/// broadcast was `last`: moves `last` forward, never back.
+inline void advance_seq(std::uint16_t& last, std::uint16_t seq) {
+  if (seq_before(last, seq)) last = seq;
 }
 
 }  // namespace atacsim::mem

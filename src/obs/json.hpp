@@ -21,7 +21,6 @@ struct Value {
   std::vector<Value> arr;
   std::vector<std::pair<std::string, Value>> obj;  ///< insertion order kept
 
-  bool is_null() const { return type == Type::kNull; }
   bool is_bool() const { return type == Type::kBool; }
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }

@@ -1,6 +1,6 @@
 #include "obs/log.hpp"
 
-#include <atomic>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,12 +24,6 @@ Level parse_level(const char* s) {
   return Level::kInfo;
 }
 
-std::atomic<int>& level_cell() {
-  static std::atomic<int> cell{
-      static_cast<int>(parse_level(std::getenv("ATACSIM_LOG")))};
-  return cell;
-}
-
 const char* prefix(Level l) {
   switch (l) {
     case Level::kError: return "[error] ";
@@ -38,14 +32,6 @@ const char* prefix(Level l) {
     case Level::kDebug: return "[debug] ";
   }
   return "";
-}
-
-}  // namespace
-
-Level level() { return static_cast<Level>(level_cell().load(std::memory_order_relaxed)); }
-
-void set_level(Level l) {
-  level_cell().store(static_cast<int>(l), std::memory_order_relaxed);
 }
 
 void vlogf(Level l, const char* fmt, std::va_list ap) {
@@ -58,11 +44,11 @@ void vlogf(Level l, const char* fmt, std::va_list ap) {
   std::fprintf(stderr, "%s%s%s", prefix(l), msg, nl ? "" : "\n");
 }
 
-void logf(Level l, const char* fmt, ...) {
-  std::va_list ap;
-  va_start(ap, fmt);
-  vlogf(l, fmt, ap);
-  va_end(ap);
+}  // namespace
+
+Level level() {
+  static const Level l = parse_level(std::getenv("ATACSIM_LOG"));
+  return l;
 }
 
 #define ATACSIM_OBS_LOG_FN(name, lvl)      \

@@ -1,17 +1,16 @@
 // Leveled diagnostic logging (obs::log).
 //
-// Replaces the scattered raw fprintf(stderr) call sites: every diagnostic
-// goes through one grep-able surface with a severity prefix, and CI can
-// silence everything below a chosen level with ATACSIM_LOG. The level is
-// read once (getenv is not safe against concurrent setenv under the exp
-// worker pool) and each message is emitted with a single fprintf call so
-// lines from concurrent workers never interleave mid-line.
+// Every diagnostic of the bench driver, the exp plan's progress lines and
+// the telemetry export goes through one grep-able surface with a severity
+// prefix, and a run can silence everything below a chosen level with
+// ATACSIM_LOG (perfbench runs at warn). The level is read once (getenv is
+// not safe against concurrent setenv under the exp worker pool) and each
+// message is emitted with a single fprintf call so lines from concurrent
+// workers never interleave mid-line.
 //
 // Levels: error < warn < info < debug. Default: info. ATACSIM_LOG accepts a
 // name ("error", "warn", "info", "debug") or the matching digit 0-3.
 #pragma once
-
-#include <cstdarg>
 
 namespace atacsim::obs::log {
 
@@ -22,11 +21,8 @@ enum class Level : int {
   kDebug = 3,
 };
 
-/// Active level: ATACSIM_LOG at first use, until set_level overrides it.
+/// Active level: ATACSIM_LOG, read at first use.
 Level level();
-
-/// Programmatic override (tests; the bench driver's flag handling).
-void set_level(Level l);
 
 /// True when messages at `l` are emitted — guard any formatting work that
 /// is expensive enough to matter.
@@ -34,9 +30,6 @@ inline bool enabled(Level l) { return static_cast<int>(l) <= static_cast<int>(le
 
 /// printf-style emission to stderr with a "[level] " prefix. The message
 /// need not end in '\n'; one is appended when missing.
-void logf(Level l, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-void vlogf(Level l, const char* fmt, std::va_list ap);
-
 void errorf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void warnf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void infof(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

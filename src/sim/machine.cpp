@@ -29,9 +29,7 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       bcast_seq_(static_cast<std::size_t>(homes_.num_slices()) *
                      static_cast<std::size_t>(mp.num_cores),
                  0),
-      deferred_marks_(static_cast<std::size_t>(homes_.num_slices()) *
-                          holders_.words(),
-                      0),
+      deferred_marks_(holders_.words()),
       full_handler_(holders_.words()) {
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
@@ -81,21 +79,11 @@ void Machine::sample_obs(Cycle at, bool last) {
 
 void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   ++observed_deliveries_;
-  switch (m.type) {
-    case mem::CohType::kShReq:
-    case mem::CohType::kExReq:
-    case mem::CohType::kEvictNotify:
-    case mem::CohType::kDirtyWb:
-    case mem::CohType::kInvAck:
-    case mem::CohType::kFlushAck:
-    case mem::CohType::kWbAck: {
-      const HubId slice = m.dir_slice;
-      assert(slice >= 0 && geom_.hub_core(slice) == receiver);
-      dirs_[static_cast<std::size_t>(slice)]->handle(m);
-      break;
-    }
-    default:
-      caches_[static_cast<std::size_t>(receiver)]->handle(m);
+  if (mem::to_directory(m.type)) {
+    assert(m.dir_slice >= 0 && geom_.hub_core(m.dir_slice) == receiver);
+    dirs_[static_cast<std::size_t>(m.dir_slice)]->handle(m);
+  } else {
+    caches_[static_cast<std::size_t>(receiver)]->handle(m);
   }
 }
 
@@ -115,15 +103,11 @@ void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
   // A handler changes only its own core's state and schedules (never runs)
   // other handlers, so the set taken here stays exact for each receiver
   // until its turn comes.
-  const std::size_t words = holders_.words();
-  const std::size_t slice = static_cast<std::size_t>(m.dir_slice);
   const std::uint64_t* held = holders_.find(m.line);
-  const std::uint64_t* deferred = &deferred_marks_[slice * words];
-  for (std::size_t w = 0; w < words; ++w)
+  for (std::size_t w = 0; w < full_handler_.size(); ++w)
     full_handler_[w] = (held ? held[w] : 0) |
-                       (debug_ignore_deferred_ ? 0 : deferred[w]);
-  std::uint16_t* seq = &bcast_seq_[slice * static_cast<std::size_t>(
-                                               mp_.num_cores)];
+                       (debug_ignore_deferred_ ? 0 : deferred_marks_[w]);
+  std::uint16_t* seq = &bcast_seq(m.dir_slice, 0);  // the slice's row
   for (const CoreId* r = first; r != last; ++r) {
     const CoreId c = *r;
     if (dropped(c)) continue;
@@ -133,8 +117,7 @@ void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
     }
     // What the handler would have done at a core that holds nothing.
     ++observed_deliveries_;
-    std::uint16_t& last_seq = seq[static_cast<std::size_t>(c)];
-    if (mem::seq_before(last_seq, m.seq)) last_seq = m.seq;
+    mem::advance_seq(seq[static_cast<std::size_t>(c)], m.seq);
     if (validate_) check_skipped(c, m);
   }
 }

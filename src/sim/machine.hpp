@@ -93,13 +93,12 @@ class Machine {
                           static_cast<std::size_t>(mp_.num_cores) +
                       static_cast<std::size_t>(c)];
   }
-  /// Marks whether core `c` has unicasts from `slice` deferred behind a
-  /// broadcast; a marked core runs the full handler of the slice's
-  /// broadcasts, which releases them.
-  void mark_deferred(HubId slice, CoreId c, bool deferred) {
-    std::uint64_t* row = &deferred_marks_[static_cast<std::size_t>(slice) *
-                                          holders_.words()];
-    deferred ? set_core(row, c) : clear_core(row, c);
+  /// Marks whether core `c` has unicasts deferred behind a broadcast; a
+  /// marked core runs the full handler of every broadcast, which releases
+  /// the unicasts once their slice's sequence number catches up.
+  void mark_deferred(CoreId c, bool deferred) {
+    deferred ? set_core(deferred_marks_.data(), c)
+             : clear_core(deferred_marks_.data(), c);
   }
 
   /// Seeded fault for the mutation tests: the next broadcast delivery to
@@ -159,8 +158,8 @@ class Machine {
   void receive(CoreId receiver, const mem::CohMsg& m);
   /// Delivers `m` to the receivers [first, last), in order. Under ACKwise a
   /// broadcast invalidation runs the full handler only at the cores that
-  /// hold the line or have unicasts from its slice deferred; every other
-  /// receiver only advances its sequence number for the slice.
+  /// hold the line or have unicasts deferred; every other receiver only
+  /// advances its sequence number for the slice.
   void receive_each(const mem::CohMsg& m, const CoreId* first,
                     const CoreId* last);
   /// With validation on: raises a coherence violation if the skipped
@@ -208,7 +207,7 @@ class Machine {
 
   HolderIndex holders_;
   std::vector<std::uint16_t> bcast_seq_;       // [slice][core]
-  std::vector<std::uint64_t> deferred_marks_;  // [slice] -> set of cores
+  std::vector<std::uint64_t> deferred_marks_;  // set of cores
   /// Scratch for one broadcast batch: the receivers that run the handler.
   std::vector<std::uint64_t> full_handler_;
   CoreId debug_drop_ = kInvalidCore;

@@ -11,7 +11,6 @@ TEST(MachineParams, PaperConfigurationIsThePaperMachine) {
   EXPECT_EQ(p.mesh_width, 32);
   EXPECT_EQ(p.num_clusters(), 64);
   EXPECT_EQ(p.cores_per_cluster(), 16);
-  EXPECT_EQ(p.num_mem_controllers, 64);
   EXPECT_EQ(p.flit_bits, 64);
   EXPECT_EQ(p.l2_size_KB, 256);
   EXPECT_EQ(p.onet_link_delay, 3u);
@@ -53,10 +52,6 @@ TEST(MachineParams, ValidateRejectsBadGeometry) {
 
   p = MachineParams::paper();
   p.flit_bits = 48;  // not a power of two
-  EXPECT_THROW(p.validate(), std::invalid_argument);
-
-  p = MachineParams::paper();
-  p.num_mem_controllers = 32;  // must be one per cluster
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 

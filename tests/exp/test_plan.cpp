@@ -210,7 +210,8 @@ TEST(Plan, CacheHitsAreCountedOnSecondRun) {
 TEST(Cache, StoreCommitIsAtomicAgainstConcurrentReaders) {
   ScopedCacheDir cache("atacsim_exp_atomic");
   const auto s = small_scenario("fft", 31);
-  const auto reference = harness::run_scenario(s, /*allow_failure=*/false);
+  const auto reference = harness::run_scenario(s);
+  ASSERT_EQ(reference.verify_msg, "");
 
   // Hammer the same entry from writer and reader threads; a torn entry
   // would surface as try_load_cached returning true with wrong counters.

@@ -28,7 +28,6 @@ TEST(ConfigFile, ParsesAllKnobKinds) {
   )");
   EXPECT_EQ(mp.num_cores, 256);
   EXPECT_EQ(mp.num_clusters(), 16);
-  EXPECT_EQ(mp.num_mem_controllers, 16);
   EXPECT_EQ(mp.network, NetworkKind::kEMeshBCast);
   EXPECT_EQ(mp.coherence, CoherenceKind::kDirKB);
   EXPECT_EQ(mp.num_hw_sharers, 8);

@@ -200,8 +200,18 @@ TEST(Cache, FlavorChangesEnergyWithoutResimulation) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Runner, CutOffScenarioComesBackUnfinished) {
+  auto s = small_scenario();
+  s.max_cycles = 1000;  // far short of the run
+  Outcome o;
+  ASSERT_NO_THROW(o = run_scenario(s));
+  EXPECT_FALSE(o.finished);
+  EXPECT_EQ(o.verify_msg, "did not complete");
+}
+
 TEST(Runner, RecomputeEnergyRespondsToWaveguideLoss) {
   const auto o = run_scenario(small_scenario());
+  ASSERT_EQ(o.verify_msg, "");
   const auto mp = small_scenario().mp;
   TechBundle lo, hi;
   hi.photonics.waveguide_loss_dB_per_cm = 4.0;

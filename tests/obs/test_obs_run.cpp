@@ -58,7 +58,7 @@ TEST(ObsRun, ArmedRunEmitsValidArtifactsAndSummaryStats) {
 
   const auto s = small_scenario();
   const auto o = run_scenario(s);
-  ASSERT_TRUE(o.finished);
+  ASSERT_EQ(o.verify_msg, "");
 
   // Summary percentiles landed in the outcome (fixed stat set, 8 histograms
   // x 5 stats) and the network actually recorded latencies.
@@ -119,11 +119,11 @@ TEST(ObsRun, ArtifactsAreByteIdenticalAcrossRepeatedRuns) {
   const auto s = small_scenario();
   {
     ObsArmed armed(dir_a.string());
-    ASSERT_TRUE(run_scenario(s).finished);
+    ASSERT_EQ(run_scenario(s).verify_msg, "");
   }
   {
     ObsArmed armed(dir_b.string());
-    ASSERT_TRUE(run_scenario(s).finished);
+    ASSERT_EQ(run_scenario(s).verify_msg, "");
   }
   const std::string stem = scenario_key(s);
   for (const char* suffix : {".series.json", ".series.csv", ".trace.json"}) {
@@ -141,7 +141,7 @@ TEST(ObsRun, DisarmedRunLeavesNoTelemetry) {
   off.enabled = false;
   obs::set_options(off);
   const auto o = run_scenario(small_scenario());
-  ASSERT_TRUE(o.finished);
+  ASSERT_EQ(o.verify_msg, "");
   // No summary stats -> exp reports keep their pre-telemetry column set
   // and stay byte-identical with obs off.
   EXPECT_TRUE(o.obs_stats.items().empty());
