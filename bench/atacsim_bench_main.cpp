@@ -8,6 +8,7 @@
 //   atacsim-bench fig08_edp tab05_swmr_util
 //   atacsim-bench --filter='fig1*' --jobs=8
 //   atacsim-bench --all --obs-dir=bench_reports/obs
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -34,14 +35,11 @@ std::vector<const Entry*> select(const Args& args) {
   const auto& reg = Registry::instance();
   if (args.all) return reg.all();
   std::vector<const Entry*> out;
-  for (const Entry* e : reg.all()) {
-    for (const auto& f : args.filters) {
-      if (atacsim::bench::glob_match(f, e->name)) {
-        out.push_back(e);
-        break;
-      }
-    }
-  }
+  for (const auto& f : args.filters)
+    for (const Entry* e : reg.match(f)) out.push_back(e);
+  std::sort(out.begin(), out.end(),
+            [](const Entry* a, const Entry* b) { return a->name < b->name; });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -49,12 +49,6 @@ std::vector<const Entry*> Registry::all() const {
   return out;
 }
 
-const Entry* Registry::find(const std::string& name) const {
-  for (const auto& e : entries_)
-    if (e.name == name) return &e;
-  return nullptr;
-}
-
 std::vector<const Entry*> Registry::match(const std::string& glob) const {
   std::vector<const Entry*> out;
   for (const Entry* e : all())

@@ -40,8 +40,6 @@ class Registry {
   std::size_t size() const { return entries_.size(); }
   /// All entries, sorted by name.
   std::vector<const Entry*> all() const;
-  /// Exact-name lookup; nullptr when absent.
-  const Entry* find(const std::string& name) const;
   /// Entries whose name matches the glob, sorted by name.
   std::vector<const Entry*> match(const std::string& glob) const;
 

@@ -5,7 +5,9 @@
 // message-format constants from Sec. IV-C-1.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/types.hpp"
@@ -13,8 +15,15 @@
 namespace atacsim {
 
 // ---------------------------------------------------------------------------
-// Enumerations selecting architecture variants under study.
+// Enumerations selecting architecture variants under study, each with one
+// table of names in enumerator order.
 // ---------------------------------------------------------------------------
+
+/// An enumerator's display name (reports, labels) and config-file token.
+struct EnumName {
+  const char* display;
+  const char* token;
+};
 
 /// Which on-chip network the machine uses.
 enum class NetworkKind {
@@ -22,12 +31,22 @@ enum class NetworkKind {
   kEMeshBCast,  ///< electrical mesh with router-level multicast (XY tree)
   kAtacPlus,    ///< ENet mesh + ONet adaptive SWMR + StarNet/BNet
 };
+inline std::span<const EnumName> enum_names(NetworkKind) {
+  static constexpr EnumName k[] = {{"EMesh-Pure", "emesh-pure"},
+                                   {"EMesh-BCast", "emesh-bcast"},
+                                   {"ATAC+", "atac"}};
+  return k;
+}
 
 /// Receive-side network inside a cluster (ATAC vs ATAC+; Sec. IV-B).
 enum class ReceiveNet {
   kBNet,     ///< fanout tree: a unicast is delivered to all 16 cores
   kStarNet,  ///< 1-to-16 demux: a unicast uses exactly one link
 };
+inline std::span<const EnumName> enum_names(ReceiveNet) {
+  static constexpr EnumName k[] = {{"BNet", "bnet"}, {"StarNet", "starnet"}};
+  return k;
+}
 
 /// Unicast routing policy on ATAC+ (Sec. IV-C).
 enum class RoutingPolicy {
@@ -35,6 +54,11 @@ enum class RoutingPolicy {
   kDistance,     ///< ENet if manhattan distance < r_thres else ONet
   kDistanceAll,  ///< all unicasts over the ENet; ONet only for broadcasts
 };
+inline std::span<const EnumName> enum_names(RoutingPolicy) {
+  static constexpr EnumName k[] = {
+      {"Cluster", "cluster"}, {"Distance", "distance"}, {"Distance-All", "all"}};
+  return k;
+}
 
 /// Optical technology flavours of Table IV.
 enum class PhotonicFlavor {
@@ -43,18 +67,34 @@ enum class PhotonicFlavor {
   kRingTuned,  ///< practical devices, power-gated laser, thermally tuned rings
   kCons,       ///< practical devices, always-on broadcast-power laser, tuned rings
 };
+inline std::span<const EnumName> enum_names(PhotonicFlavor) {
+  static constexpr EnumName k[] = {{"ATAC+(Ideal)", "ideal"},
+                                   {"ATAC+", "default"},
+                                   {"ATAC+(RingTuned)", "ringtuned"},
+                                   {"ATAC+(Cons)", "cons"}};
+  return k;
+}
 
 /// Cache coherence protocol (Sec. V-F).
 enum class CoherenceKind {
   kAckwise,  ///< ACKwise_k: counts sharers past k; acks from actual sharers only
   kDirKB,    ///< Dir_kB: broadcast past k; acks from every core in the system
 };
+inline std::span<const EnumName> enum_names(CoherenceKind) {
+  static constexpr EnumName k[] = {{"ACKwise", "ackwise"}, {"DirkB", "dirkb"}};
+  return k;
+}
 
-const char* to_string(NetworkKind k);
-const char* to_string(ReceiveNet r);
-const char* to_string(RoutingPolicy p);
-const char* to_string(PhotonicFlavor f);
-const char* to_string(CoherenceKind c);
+/// The enumerator's entry in its table.
+template <class E>
+const EnumName& name_of(E e) {
+  return enum_names(e)[static_cast<std::size_t>(e)];
+}
+
+template <class E>
+const char* to_string(E e) {
+  return name_of(e).display;
+}
 
 // ---------------------------------------------------------------------------
 // Table III: projected transistor parameters for 11 nm tri-gate.
@@ -104,79 +144,113 @@ struct PhotonicParams {
 };
 
 // ---------------------------------------------------------------------------
-// Table I: architecture parameters (plus message formats of Sec. IV-C-1).
+// Table I parameters no study varies (plus the message formats of Sec. IV-C-1).
 // ---------------------------------------------------------------------------
+inline constexpr double kCoreTileMm = 0.58;  ///< tile edge; 32x32 tiles ~ 345 mm^2
+inline constexpr double kFreqGHz = 1.0;      ///< cores and network
+inline constexpr int kLineBytes = 64;        ///< cache line
+inline constexpr Cycle kL1HitCycles = 1;
+inline constexpr Cycle kL2HitCycles = 8;
+inline constexpr Cycle kRouterDelay = 1;       ///< mesh router
+inline constexpr Cycle kLinkDelay = 1;         ///< mesh link
+inline constexpr Cycle kStarnetLinkDelay = 1;  ///< hub -> core receive link
+// Message sizes in bits, before flit rounding:
+inline constexpr int kCoherenceMsgBits = 88 + 16;  ///< addr 64 + ids 20 + type 4 + seqnum 16
+inline constexpr int kDataMsgBits = 600 + 16;      ///< + 512-bit cache line
+
+/// Whether lo <= v <= hi, with the bounds taken as v's type (NaN is never).
+template <class T, class L, class H>
+constexpr bool in_range(T v, L lo, H hi) {
+  return static_cast<T>(lo) <= v && v <= static_cast<T>(hi);
+}
+
+/// What a machine field feeds: the simulation (and so the scenario cache
+/// key), or only the energy model, which every consumer recomputes.
+enum class FieldUse { kSim, kEnergy };
+
+// Table I: every MachineParams field, X(type, name, default, use, lo, hi),
+// with the inclusive range [lo, hi] that validate() and the config parser
+// enforce (written as literals: error messages quote them). The struct,
+// validate(), the config parser and harness::scenario_key expand it, so a
+// field is named here once. Every field but num_cores, which follows
+// mesh_width, is a config key.
+#define ATACSIM_MACHINE_FIELDS(X)                                                \
+  /* geometry: num_cores = mesh_width^2, cluster_width^2 cores per cluster */    \
+  X(int, num_cores, 1024, kSim, 1, 65536)                                        \
+  X(int, mesh_width, 32, kSim, 1, 256)                                           \
+  X(int, cluster_width, 4, kSim, 1, 256)                                         \
+  /* caches of the in-order, single-issue cores */                               \
+  X(int, l1i_size_KB, 32, kEnergy, 1, 1048576)                                   \
+  X(int, l1d_size_KB, 32, kSim, 1, 1048576)                                      \
+  X(int, l2_size_KB, 256, kSim, 1, 1048576)                                      \
+  X(int, l1_assoc, 4, kSim, 1, 1024)                                             \
+  X(int, l2_assoc, 8, kSim, 1, 1024)                                             \
+  /* memory: 100 ns latency at 1 GHz */                                          \
+  X(double, mem_bw_GBps_per_ctrl, 5.0, kSim, 1e-3, 1e6)                          \
+  X(Cycle, mem_latency_cycles, 100, kSim, 1, 1000000)                            \
+  /* network; the ONet and StarNet fields apply to ATAC+ only */                 \
+  X(int, flit_bits, 64, kSim, 8, 4096)                                           \
+  X(Cycle, onet_link_delay, 3, kSim, 1, 1000)                                    \
+  X(Cycle, onet_select_data_lag, 1, kSim, 0, 1000)                               \
+  X(int, starnets_per_cluster, 2, kSim, 1, 1024)                                 \
+  /* architecture variant; r_thres is the Distance-i threshold in hops */        \
+  X(NetworkKind, network, NetworkKind::kAtacPlus, kSim, NetworkKind::kEMeshPure, \
+    NetworkKind::kAtacPlus)                                                      \
+  X(ReceiveNet, receive_net, ReceiveNet::kStarNet, kSim, ReceiveNet::kBNet,      \
+    ReceiveNet::kStarNet)                                                        \
+  X(RoutingPolicy, routing, RoutingPolicy::kDistance, kSim,                      \
+    RoutingPolicy::kCluster, RoutingPolicy::kDistanceAll)                        \
+  X(int, r_thres, 15, kSim, 0, 4096)                                             \
+  X(PhotonicFlavor, photonics, PhotonicFlavor::kDefault, kEnergy,                \
+    PhotonicFlavor::kIdeal, PhotonicFlavor::kCons)                               \
+  /* coherence: k in ACKwise_k / Dir_kB */                                       \
+  X(CoherenceKind, coherence, CoherenceKind::kAckwise, kSim,                     \
+    CoherenceKind::kAckwise, CoherenceKind::kDirKB)                              \
+  X(int, num_hw_sharers, 4, kSim, 1, 1048576)                                    \
+  /* core power model (Sec. V-G): NDD share of peak, 10% or 40% */               \
+  X(double, core_peak_mW, 20.0, kEnergy, 0.0, 1e6)                               \
+  X(double, core_ndd_fraction, 0.10, kEnergy, 0.0, 1.0)
+
 struct MachineParams {
-  // --- geometry ---
-  int num_cores = 1024;        ///< must be mesh_width^2
-  int mesh_width = 32;         ///< cores per row/column
-  int cluster_width = 4;       ///< cores per cluster row/column (16/cluster)
+#define ATACSIM_X(type, name, def, use, lo, hi) type name = def;
+  ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+
   int num_clusters() const { return num_cores / cores_per_cluster(); }
   int cores_per_cluster() const { return cluster_width * cluster_width; }
   int clusters_per_row() const { return mesh_width / cluster_width; }
-  double core_tile_mm = 0.58;  ///< tile edge; 32x32 tiles ~ 345 mm^2 die
-
-  // --- clocks & cores ---
-  double freq_GHz = 1.0;       ///< cores and network
-  // in-order, single-issue core (fixed in this study)
-
-  // --- caches ---
-  int l1i_size_KB = 32;
-  int l1d_size_KB = 32;
-  int l2_size_KB = 256;
-  int l1_assoc = 4;
-  int l2_assoc = 8;
-  int line_size_B = 64;
-  Cycle l1_hit_cycles = 1;
-  Cycle l2_hit_cycles = 8;
-
-  // --- memory ---
-  double mem_bw_GBps_per_ctrl = 5.0;
-  Cycle mem_latency_cycles = 100;  ///< 100 ns at 1 GHz
-
-  // --- network common ---
-  int flit_bits = 64;
-  Cycle router_delay = 1;
-  Cycle link_delay = 1;
-
-  // --- ATAC+ specific ---
-  Cycle onet_link_delay = 3;
-  Cycle onet_select_data_lag = 1;
-  Cycle starnet_link_delay = 1;
-  int starnets_per_cluster = 2;
-
-  // --- message formats (bits, before flit rounding; Sec. IV-C-1) ---
-  int coherence_msg_bits = 88 + 16;  ///< addr 64 + ids 20 + type 4 + seqnum 16
-  int data_msg_bits = 600 + 16;      ///< + 512-bit cache line
-
-  // --- architecture variant selection ---
-  NetworkKind network = NetworkKind::kAtacPlus;
-  ReceiveNet receive_net = ReceiveNet::kStarNet;
-  RoutingPolicy routing = RoutingPolicy::kDistance;
-  int r_thres = 15;  ///< Distance-i threshold (mesh hops)
-  PhotonicFlavor photonics = PhotonicFlavor::kDefault;
-
-  // --- coherence ---
-  CoherenceKind coherence = CoherenceKind::kAckwise;
-  int num_hw_sharers = 4;  ///< k in ACKwise_k / Dir_kB
-
-  // --- core power model (Sec. V-G) ---
-  double core_peak_mW = 20.0;
-  double core_ndd_fraction = 0.10;  ///< 10% or 40% scenarios
-
   int coherence_flits() const {
-    return (coherence_msg_bits + flit_bits - 1) / flit_bits;
+    return (kCoherenceMsgBits + flit_bits - 1) / flit_bits;
   }
-  int data_flits() const { return (data_msg_bits + flit_bits - 1) / flit_bits; }
+  int data_flits() const { return (kDataMsgBits + flit_bits - 1) / flit_bits; }
 
   /// Convenience: shrink to a small square machine for unit tests.
   static MachineParams small(int mesh_w = 8, int cluster_w = 2);
   /// The paper's full-scale 1024-core configuration.
   static MachineParams paper();
 
-  /// Validates geometric invariants; throws std::invalid_argument on error.
+  /// Checks every field against its range in ATACSIM_MACHINE_FIELDS, then
+  /// the geometry; throws std::invalid_argument on error.
   void validate() const;
 };
+
+// A field declared in the struct outside the list fails the build: the
+// list must name every member.
+namespace machine_fields {
+struct Any {
+  template <class T>
+  operator T() const;
+};
+template <class T, class... A>  // the members of aggregate T, by brace-init
+constexpr std::size_t count() {
+  if constexpr (requires { T{A{}..., Any{}}; }) return count<T, A..., Any>();
+  else return sizeof...(A);
+}
+#define ATACSIM_X(type, name, def, use, lo, hi) +1
+static_assert(count<MachineParams>() == 0 ATACSIM_MACHINE_FIELDS(ATACSIM_X),
+              "every MachineParams field must be in ATACSIM_MACHINE_FIELDS");
+#undef ATACSIM_X
+}  // namespace machine_fields
 
 /// Bundle passed to power models.
 struct TechBundle {

@@ -120,7 +120,7 @@ class CoreCtx {
       if (c->tracer_) c->tracer_->record(c->self_, addr, is_write, c->local_time_);
       if ((++c->fast_ops_ & 1023u) == 0) return false;
       if (!c->cache_->fast_access(addr, is_write)) return false;
-      c->advance(c->machine_->params().l1_hit_cycles);
+      c->advance(kL1HitCycles);
       ++c->counters_->instructions;
       return true;
     }

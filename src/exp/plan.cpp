@@ -3,13 +3,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <exception>
+#include <cstring>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/log.hpp"
@@ -48,10 +52,13 @@ void finalize(const harness::Scenario& s, harness::Outcome& o) {
 }  // namespace
 
 int default_jobs() {
-  if (const char* e = std::getenv("ATACSIM_JOBS")) {
-    const int j = std::atoi(e);
-    if (j >= 1) return j;
-    return 1;
+  if (const char* e = std::getenv("ATACSIM_JOBS"); e && *e) {
+    int j = 0;
+    const auto [p, ec] = std::from_chars(e, e + std::strlen(e), j);
+    if (ec != std::errc() || *p != '\0')
+      throw std::invalid_argument(std::string("ATACSIM_JOBS=\"") + e +
+                                  "\": expected a whole number of workers");
+    return std::max(j, 1);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? static_cast<int>(hw) : 1;

@@ -23,7 +23,8 @@
 namespace atacsim::exp {
 
 /// Worker-pool size: ATACSIM_JOBS if set (clamped to >= 1), else
-/// std::thread::hardware_concurrency().
+/// std::thread::hardware_concurrency(). Throws std::invalid_argument when
+/// ATACSIM_JOBS is not a whole number.
 int default_jobs();
 
 struct ExecOptions {

@@ -3,11 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <type_traits>
 
 #include "common/counters.hpp"
 
@@ -27,24 +28,37 @@ std::string scenario_key(const Scenario& s) {
   // so stale cache entries from older binaries are ignored rather than
   // silently served.
   constexpr const char* kModelVersion = "v4";
-  const auto& m = s.mp;
-  std::ostringstream k;
-  k << kModelVersion << "_" << s.app << "_n" << m.num_cores << "_"
-    << to_string(m.network) << "_rt";
-  switch (m.routing) {
-    case RoutingPolicy::kCluster: k << "C"; break;
-    case RoutingPolicy::kDistance: k << "D" << m.r_thres; break;
-    case RoutingPolicy::kDistanceAll: k << "A"; break;
-  }
-  k << "_" << to_string(m.receive_net) << "_f" << m.flit_bits << "_"
-    << to_string(m.coherence) << m.num_hw_sharers << "_t" << m.onet_link_delay
-    << "." << m.onet_select_data_lag << "." << m.starnets_per_cluster << "_s"
-    << s.scale << "_x" << s.seed;
+  // r_thres steers Distance routing only; under the other policies every
+  // value gives the same simulation, so the key writes 0 for it.
+  MachineParams m = s.mp;
+  if (m.routing != RoutingPolicy::kDistance) m.r_thres = 0;
+
+  // Every field that reaches the simulation, '_'-separated in list order
+  // after the app, scale, seed and cycle cap (enumerators as config tokens,
+  // numbers in shortest round-trip form); energy-only fields stay out.
+  std::string raw = kModelVersion;
+  auto field = [&raw](auto v) {
+    raw += '_';
+    if constexpr (std::is_enum_v<decltype(v)>) {
+      raw += name_of(v).token;
+    } else {
+      char buf[32];
+      raw.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+  };
+  raw += '_';
+  raw += s.app;
+  field(s.scale);
+  field(s.seed);
+  field(s.max_cycles);
+#define ATACSIM_X(type, name, def, use, lo, hi) \
+  if constexpr (FieldUse::use == FieldUse::kSim) field(m.name);
+  ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+
   // Injective filename sanitization: every byte outside [A-Za-z0-9._-] is
   // percent-encoded ('%' itself included), so two distinct scenarios can
-  // never share a cache entry. (The old map sent both ' ' and '/' to '-',
-  // which collided e.g. app names differing only in those characters.)
-  const std::string raw = k.str();
+  // never share a cache entry (no field after the app holds a '_').
   std::string key;
   key.reserve(raw.size());
   for (const char rc : raw) {

@@ -1,8 +1,10 @@
 #include "harness/config_file.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace atacsim::harness {
 namespace {
@@ -17,6 +19,36 @@ std::string trim(const std::string& s) {
   throw std::invalid_argument("config line '" + line + "': " + why);
 }
 
+/// Sets `field` from `val`, the value on config line `line`: an enumerator
+/// from its token, a number parsed whole and checked against [lo, hi]
+/// (spelled `range`) before it is stored, so a negative value never wraps
+/// into a Cycle.
+template <class T, class L, class H>
+void set(T& field, const std::string& line, const std::string& val, L lo,
+         H hi, const char* range) {
+  if constexpr (std::is_enum_v<T>) {
+    const auto names = enum_names(field);
+    std::string tokens;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (val == names[i].token) {
+        field = static_cast<T>(i);
+        return;
+      }
+      tokens += (i ? "|" : "") + std::string(names[i].token);
+    }
+    fail(line, "expected " + tokens);
+  } else {
+    using Wide = std::conditional_t<std::is_integral_v<T>, long long, double>;
+    Wide v{};
+    const char* end = val.data() + val.size();
+    const auto [p, ec] = std::from_chars(val.data(), end, v);
+    if (ec != std::errc() || p != end)
+      fail(line, std::is_integral_v<T> ? "not an integer" : "not a number");
+    if (!in_range(v, lo, hi)) fail(line, std::string("outside ") + range);
+    field = static_cast<T>(v);
+  }
+}
+
 }  // namespace
 
 MachineParams parse_machine_config(const std::string& text,
@@ -25,10 +57,7 @@ MachineParams parse_machine_config(const std::string& text,
   std::istringstream is(text);
   std::string raw;
   while (std::getline(is, raw)) {
-    std::string line = raw;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
+    const std::string line = trim(raw.substr(0, raw.find('#')));
     if (line.empty()) continue;
     const auto eq = line.find('=');
     if (eq == std::string::npos) fail(raw, "expected key = value");
@@ -36,93 +65,13 @@ MachineParams parse_machine_config(const std::string& text,
     const std::string val = trim(line.substr(eq + 1));
     if (key.empty() || val.empty()) fail(raw, "empty key or value");
 
-    // std::stoi / std::stod throw a bare "stoi" / "stod" on garbage; name
-    // the offending line instead.
-    auto as_int = [&] {
-      std::size_t pos = 0;
-      int v = 0;
-      try {
-        v = std::stoi(val, &pos);
-      } catch (const std::logic_error&) {
-        fail(raw, "not an integer");
-      }
-      if (pos != val.size()) fail(raw, "not an integer");
-      return v;
-    };
-    auto as_double = [&] {
-      std::size_t pos = 0;
-      double v = 0;
-      try {
-        v = std::stod(val, &pos);
-      } catch (const std::logic_error&) {
-        fail(raw, "not a number");
-      }
-      if (pos != val.size()) fail(raw, "not a number");
-      return v;
-    };
-
-    if (key == "mesh_width") {
-      mp.mesh_width = as_int();
-      mp.num_cores = mp.mesh_width * mp.mesh_width;
-    } else if (key == "cluster_width") {
-      mp.cluster_width = as_int();
-    } else if (key == "network") {
-      if (val == "atac") mp.network = NetworkKind::kAtacPlus;
-      else if (val == "emesh-bcast") mp.network = NetworkKind::kEMeshBCast;
-      else if (val == "emesh-pure") mp.network = NetworkKind::kEMeshPure;
-      else fail(raw, "network must be atac|emesh-bcast|emesh-pure");
-    } else if (key == "photonics") {
-      if (val == "ideal") mp.photonics = PhotonicFlavor::kIdeal;
-      else if (val == "default") mp.photonics = PhotonicFlavor::kDefault;
-      else if (val == "ringtuned") mp.photonics = PhotonicFlavor::kRingTuned;
-      else if (val == "cons") mp.photonics = PhotonicFlavor::kCons;
-      else fail(raw, "photonics must be ideal|default|ringtuned|cons");
-    } else if (key == "coherence") {
-      if (val == "ackwise") mp.coherence = CoherenceKind::kAckwise;
-      else if (val == "dirkb") mp.coherence = CoherenceKind::kDirKB;
-      else fail(raw, "coherence must be ackwise|dirkb");
-    } else if (key == "routing") {
-      if (val == "cluster") mp.routing = RoutingPolicy::kCluster;
-      else if (val == "distance") mp.routing = RoutingPolicy::kDistance;
-      else if (val == "all") mp.routing = RoutingPolicy::kDistanceAll;
-      else fail(raw, "routing must be cluster|distance|all");
-    } else if (key == "receive_net") {
-      if (val == "starnet") mp.receive_net = ReceiveNet::kStarNet;
-      else if (val == "bnet") mp.receive_net = ReceiveNet::kBNet;
-      else fail(raw, "receive_net must be starnet|bnet");
-    } else if (key == "r_thres") {
-      mp.r_thres = as_int();
-    } else if (key == "num_hw_sharers") {
-      mp.num_hw_sharers = as_int();
-    } else if (key == "flit_bits") {
-      mp.flit_bits = as_int();
-    } else if (key == "l1d_size_KB") {
-      mp.l1d_size_KB = as_int();
-    } else if (key == "l1i_size_KB") {
-      mp.l1i_size_KB = as_int();
-    } else if (key == "l2_size_KB") {
-      mp.l2_size_KB = as_int();
-    } else if (key == "l1_assoc") {
-      mp.l1_assoc = as_int();
-    } else if (key == "l2_assoc") {
-      mp.l2_assoc = as_int();
-    } else if (key == "mem_latency_cycles") {
-      mp.mem_latency_cycles = static_cast<Cycle>(as_int());
-    } else if (key == "mem_bw_GBps_per_ctrl") {
-      mp.mem_bw_GBps_per_ctrl = as_double();
-    } else if (key == "onet_link_delay") {
-      mp.onet_link_delay = static_cast<Cycle>(as_int());
-    } else if (key == "onet_select_data_lag") {
-      mp.onet_select_data_lag = static_cast<Cycle>(as_int());
-    } else if (key == "starnets_per_cluster") {
-      mp.starnets_per_cluster = as_int();
-    } else if (key == "core_ndd_fraction") {
-      mp.core_ndd_fraction = as_double();
-    } else if (key == "core_peak_mW") {
-      mp.core_peak_mW = as_double();
-    } else {
-      fail(raw, "unknown key");
-    }
+    if (key == "num_cores") fail(raw, "num_cores follows mesh_width");
+#define ATACSIM_X(type, name, def, use, lo, hi) \
+  else if (key == #name) set(mp.name, raw, val, lo, hi, "[" #lo ", " #hi "]");
+    ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+    else fail(raw, "unknown key");
+    if (key == "mesh_width") mp.num_cores = mp.mesh_width * mp.mesh_width;
   }
   mp.validate();
   return mp;

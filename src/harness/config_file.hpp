@@ -8,6 +8,11 @@
 //   network      = atac
 //   coherence    = dirkb
 //   num_hw_sharers = 8
+//
+// The 22 keys are the fields of ATACSIM_MACHINE_FIELDS (common/params.hpp)
+// but num_cores, which follows mesh_width; each value must lie in its
+// field's range there. An enum field takes the tokens of its table in
+// params.hpp (network = atac|emesh-bcast|emesh-pure, ...).
 #pragma once
 
 #include <string>
@@ -16,9 +21,10 @@
 
 namespace atacsim::harness {
 
-/// Applies `key = value` settings from `text` on top of `base`.
-/// Unknown keys or malformed values throw std::invalid_argument with the
-/// offending line. Geometry keys re-derive num_cores.
+/// Applies `key = value` settings from `text` on top of `base`. An unknown
+/// key, a malformed value or one outside the field's range in the list
+/// throws std::invalid_argument naming the offending line; mesh_width
+/// re-derives num_cores.
 MachineParams parse_machine_config(const std::string& text,
                                    MachineParams base = MachineParams::paper());
 

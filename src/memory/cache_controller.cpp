@@ -30,8 +30,8 @@ CacheController::CacheController(CoreId self, sim::Machine& m)
     : self_(self),
       machine_(m),
       l1d_(m.params().l1d_size_KB, m.params().l1_assoc,
-           m.params().line_size_B),
-      l2_(m.params().l2_size_KB, m.params().l2_assoc, m.params().line_size_B) {}
+           kLineBytes),
+      l2_(m.params().l2_size_KB, m.params().l2_assoc, kLineBytes) {}
 
 Cycle CacheController::send(const CohMsg& m) {
   const Cycle t = std::max(machine_.now(), send_free_);
@@ -53,14 +53,14 @@ bool CacheController::fast_access(Addr addr, bool write) {
   l1d_.lookup(line);           // LRU bump
   if (auto* observer = machine_.observer())
     observer->record_mem(
-        write, static_cast<std::uint64_t>(machine_.params().l1_hit_cycles));
+        write, static_cast<std::uint64_t>(kL1HitCycles));
   return true;
 }
 
 void CacheController::access(Addr addr, bool write, Completion done) {
   const Cycle now = machine_.now();
   if (fast_access(addr, write)) {
-    complete(done, now + machine_.params().l1_hit_cycles);
+    complete(done, now + kL1HitCycles);
     return;
   }
 
@@ -77,7 +77,7 @@ void CacheController::access(Addr addr, bool write, Completion done) {
   if (l2_ok) {
     // L2 hit: refill L1 (subset; silent L1 replacement is fine).
     l1d_.install(line, l2);
-    const Cycle t = now + machine_.params().l2_hit_cycles;
+    const Cycle t = now + kL2HitCycles;
     if (auto* observer = machine_.observer())
       observer->record_mem(write, static_cast<std::uint64_t>(t - now));
     complete(done, t);
@@ -186,7 +186,7 @@ void CacheController::fill(const CohMsg& rep) {
   l1d_.install(line, st);
   ++machine_.mem_counters().l2_writes;  // line fill
 
-  const Cycle t = machine_.now() + machine_.params().l2_hit_cycles;
+  const Cycle t = machine_.now() + kL2HitCycles;
   std::vector<Waiter> retry;
   for (auto& w : entry.waiters) {
     if (w.write && st != LineState::kModified) {

@@ -28,10 +28,10 @@ namespace atacsim::mem {
 /// Maps a line address to its home directory slice / slice core.
 class HomeMap {
  public:
-  HomeMap(const MachineParams& mp, std::vector<CoreId> slice_cores)
-      : line_B_(mp.line_size_B), slice_cores_(std::move(slice_cores)) {}
+  explicit HomeMap(std::vector<CoreId> slice_cores)
+      : slice_cores_(std::move(slice_cores)) {}
   HubId slice_of(Addr line) const {
-    return static_cast<HubId>((line / line_B_) % slice_cores_.size());
+    return static_cast<HubId>((line / kLineBytes) % slice_cores_.size());
   }
   CoreId slice_core(HubId s) const {
     return slice_cores_[static_cast<std::size_t>(s)];
@@ -39,7 +39,6 @@ class HomeMap {
   int num_slices() const { return static_cast<int>(slice_cores_.size()); }
 
  private:
-  int line_B_;
   std::vector<CoreId> slice_cores_;
 };
 

@@ -63,8 +63,8 @@ MemController::MemController(EventQueue& events, MemCounters& counters,
                              const MachineParams& mp)
     : events_(events), counters_(counters), mp_(mp) {
   // 5 GB/s at 1 GHz = 5 B/cycle; a 64 B line serializes for ~13 cycles.
-  const double bytes_per_cycle = mp.mem_bw_GBps_per_ctrl / mp.freq_GHz;
-  line_cycles_ = static_cast<Cycle>(mp.line_size_B / bytes_per_cycle + 0.5);
+  const double bytes_per_cycle = mp.mem_bw_GBps_per_ctrl / kFreqGHz;
+  line_cycles_ = static_cast<Cycle>(kLineBytes / bytes_per_cycle + 0.5);
   if (line_cycles_ == 0) line_cycles_ = 1;
 }
 

@@ -47,7 +47,7 @@ Cycle AtacModel::receive_leg(HubId cluster, Cycle head_at_hub, int flits,
   counters_.recvnet_link_flits +=
       static_cast<std::uint64_t>(flits) * links_toggled;
   counters_.hub_flits += flits;
-  return start + mp_.starnet_link_delay + flits - 1;
+  return start + kStarnetLinkDelay + flits - 1;
 }
 
 AtacModel::OnetLeg AtacModel::onet_leg(Cycle t, CoreId src, int flits) {
@@ -66,7 +66,7 @@ AtacModel::OnetLeg AtacModel::onet_leg(Cycle t, CoreId src, int flits) {
   // Select notification fires `onet_select_data_lag` before the data link;
   // the SWMR data channel then serializes the packet.
   const Cycle start = hub_data_link_[static_cast<std::size_t>(sh)].acquire(
-      head_at_hub + mp_.router_delay + mp_.onet_select_data_lag,
+      head_at_hub + kRouterDelay + mp_.onet_select_data_lag,
       static_cast<Cycle>(flits));
   counters_.hub_flits += flits;
   ++counters_.onet_selects;

@@ -15,8 +15,8 @@ EMeshModel::EMeshModel(const MachineParams& mp, bool hw_broadcast,
 
 int EMeshModel::flits_of(const NetPacket& p) const {
   int bits = p.bits;
-  if (p.cls == MsgClass::kCoherence) bits = mp_.coherence_msg_bits;
-  if (p.cls == MsgClass::kData) bits = mp_.data_msg_bits;
+  if (p.cls == MsgClass::kCoherence) bits = kCoherenceMsgBits;
+  if (p.cls == MsgClass::kData) bits = kDataMsgBits;
   return (bits + mp_.flit_bits - 1) / mp_.flit_bits;
 }
 
@@ -36,9 +36,9 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
     }
     const std::size_t link =
         static_cast<std::size_t>(geom_.core_at(cx, cy)) * kPorts + port;
-    const Cycle start = links_[link].acquire(head + mp_.router_delay,
+    const Cycle start = links_[link].acquire(head + kRouterDelay,
                                              static_cast<Cycle>(flits));
-    head = start + mp_.link_delay;
+    head = start + kLinkDelay;
     sink().enet_router_flits += flits;
     sink().enet_link_flits += flits;
     cx = nx;
@@ -49,10 +49,10 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
 
 Cycle EMeshModel::eject(CoreId dst, Cycle head_arrival, int flits) {
   const std::size_t ej = static_cast<std::size_t>(dst) * kPorts + kEject;
-  const Cycle start = links_[ej].acquire(head_arrival + mp_.router_delay,
+  const Cycle start = links_[ej].acquire(head_arrival + kRouterDelay,
                                          static_cast<Cycle>(flits));
   sink().enet_router_flits += flits;
-  return start + mp_.link_delay + flits - 1;
+  return start + kLinkDelay + flits - 1;
 }
 
 EMeshModel::UnicastLeg EMeshModel::unicast_leg(Cycle t, CoreId src,

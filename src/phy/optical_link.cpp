@@ -10,7 +10,7 @@ OnetGeometry OnetGeometry::from(const MachineParams& mp) {
   g.data_width_bits = mp.flit_bits;
   g.select_width_bits = 1;
   while ((1 << g.select_width_bits) < g.num_hubs) ++g.select_width_bits;
-  g.die_side_mm = mp.mesh_width * mp.core_tile_mm;
+  g.die_side_mm = mp.mesh_width * kCoreTileMm;
   // Serpentine: one horizontal pass per cluster row plus a vertical return.
   const double length_mm =
       mp.clusters_per_row() * g.die_side_mm + g.die_side_mm;

@@ -15,12 +15,11 @@ class CoreEnergyModel {
   explicit CoreEnergyModel(const MachineParams& mp)
       : peak_W_(mp.core_peak_mW * 1e-3),
         ndd_fraction_(mp.core_ndd_fraction),
-        freq_Hz_(mp.freq_GHz * 1e9),
         num_cores_(mp.num_cores) {}
 
   /// NDD energy of all cores over `cycles` of wall-clock runtime, joules.
   double ndd_J(double cycles) const {
-    return peak_W_ * ndd_fraction_ * (cycles / freq_Hz_) * num_cores_;
+    return peak_W_ * ndd_fraction_ * (cycles / kFreqHz) * num_cores_;
   }
 
   /// DD energy: peak DD power scaled by average achieved IPC, joules.
@@ -28,14 +27,14 @@ class CoreEnergyModel {
   double dd_J(double cycles, double total_instructions) const {
     if (cycles <= 0) return 0.0;
     const double ipc_avg = total_instructions / (cycles * num_cores_);
-    return peak_W_ * (1.0 - ndd_fraction_) * ipc_avg * (cycles / freq_Hz_) *
+    return peak_W_ * (1.0 - ndd_fraction_) * ipc_avg * (cycles / kFreqHz) *
            num_cores_;
   }
 
  private:
+  static constexpr double kFreqHz = kFreqGHz * 1e9;
   double peak_W_;
   double ndd_fraction_;
-  double freq_Hz_;
   int num_cores_;
 };
 

@@ -7,20 +7,20 @@ namespace atacsim::power {
 namespace {
 
 CacheGeometry l1i_geom(const MachineParams& mp) {
-  return {mp.l1i_size_KB, mp.l1_assoc, mp.line_size_B, /*access_bits=*/64,
+  return {mp.l1i_size_KB, mp.l1_assoc, kLineBytes, /*access_bits=*/64,
           /*tag_bits=*/36};
 }
 CacheGeometry l1d_geom(const MachineParams& mp) {
-  return {mp.l1d_size_KB, mp.l1_assoc, mp.line_size_B, /*access_bits=*/64,
+  return {mp.l1d_size_KB, mp.l1_assoc, kLineBytes, /*access_bits=*/64,
           /*tag_bits=*/36};
 }
 CacheGeometry l2_geom(const MachineParams& mp) {
-  return {mp.l2_size_KB, mp.l2_assoc, mp.line_size_B,
-          /*access_bits=*/mp.line_size_B * 8, /*tag_bits=*/30};
+  return {mp.l2_size_KB, mp.l2_assoc, kLineBytes,
+          /*access_bits=*/kLineBytes * 8, /*tag_bits=*/30};
 }
 CacheGeometry dir_geom(const MachineParams& mp) {
   const auto s = DirectorySizing::from(mp);
-  return {std::max(1, s.size_KB()), /*assoc=*/4, mp.line_size_B,
+  return {std::max(1, s.size_KB()), /*assoc=*/4, kLineBytes,
           /*access_bits=*/s.entry_bits, /*tag_bits=*/30};
 }
 
@@ -28,13 +28,15 @@ CacheGeometry dir_geom(const MachineParams& mp) {
 // DRAM core) — off-chip, reported separately from chip energy.
 constexpr double kDramPjPerBit = 4.0;
 
+constexpr double kSecondsPerCycle = 1.0 / (kFreqGHz * 1e9);
+
 }  // namespace
 
 DirectorySizing DirectorySizing::from(const MachineParams& mp) {
   DirectorySizing s;
   // One slice tracks the home lines that fit in the aggregate L2 share of
   // one core: L2 size / line size entries (same provisioning as ACKwise [6]).
-  s.entries = mp.l2_size_KB * 1024 / mp.line_size_B;
+  s.entries = mp.l2_size_KB * 1024 / kLineBytes;
   int bits = 1;
   while ((1 << bits) < mp.num_cores) ++bits;
   // Sharer tracking: k pointers, or a full bit-vector once that is smaller
@@ -52,15 +54,14 @@ EnergyModel::EnergyModel(const MachineParams& mp, const TechBundle& tb)
       mesh_router_(dev_, /*ports=*/5, mp.flit_bits),
       hub_router_(dev_, /*ports=*/4 + mp.cores_per_cluster() / 4,
                   mp.flit_bits),
-      mesh_link_(dev_, mp.core_tile_mm, mp.flit_bits),
-      recvnet_link_(dev_, mp.core_tile_mm * mp.cluster_width * 0.5,
+      mesh_link_(dev_, kCoreTileMm, mp.flit_bits),
+      recvnet_link_(dev_, kCoreTileMm * mp.cluster_width * 0.5,
                     mp.flit_bits),
       l1i_(dev_, l1i_geom(mp)),
       l1d_(dev_, l1d_geom(mp)),
       l2_(dev_, l2_geom(mp)),
       dir_(dev_, dir_geom(mp)),
-      core_model_(mp),
-      seconds_per_cycle_(1.0 / (mp.freq_GHz * 1e9)) {
+      core_model_(mp) {
   auto pp = tb.photonics;
   photonic_ = std::make_unique<phy::PhotonicLinkModel>(
       pp, phy::OnetGeometry::from(mp), mp.photonics);
@@ -71,8 +72,8 @@ EnergyBreakdown EnergyModel::compute(const NetCounters& net,
                                      const CoreCounters& core,
                                      double completion_cycles) const {
   EnergyBreakdown e;
-  const double T = completion_cycles * seconds_per_cycle_;
-  const double f = mp_.freq_GHz;
+  const double T = completion_cycles * kSecondsPerCycle;
+  const double f = kFreqGHz;
   const bool atac = (mp_.network == NetworkKind::kAtacPlus);
 
   // ---- electrical network ----
@@ -92,12 +93,12 @@ EnergyBreakdown EnergyModel::compute(const NetCounters& net,
   // ---- optical network ----
   if (atac) {
     const auto& ph = *photonic_;
-    const double cyc_s = seconds_per_cycle_;
     if (ph.laser_power_gated()) {
       e.laser = (net.laser_unicast_cycles * ph.laser_unicast_mW() +
                  net.laser_bcast_cycles * ph.laser_broadcast_mW()) *
-                    1e-3 * cyc_s +
-                net.onet_selects * ph.laser_select_mW() * 1e-3 * cyc_s;
+                    1e-3 * kSecondsPerCycle +
+                net.onet_selects * ph.laser_select_mW() * 1e-3 *
+                    kSecondsPerCycle;
     } else {
       // Conservative flavour: every hub laser pinned at broadcast power for
       // the whole run (plus select lasers, also always on).
@@ -126,7 +127,7 @@ EnergyBreakdown EnergyModel::compute(const NetCounters& net,
                              mp_.num_cores);
 
   // ---- DRAM (off-chip; reported separately) ----
-  e.dram = (mem.dram_reads + mem.dram_writes) * mp_.line_size_B * 8.0 *
+  e.dram = (mem.dram_reads + mem.dram_writes) * kLineBytes * 8.0 *
            kDramPjPerBit * 1e-12;
 
   // ---- cores ----

@@ -120,7 +120,6 @@ class EnergyModel {
   // Photonic model only meaningful for ATAC+ machines, but constructed
   // unconditionally (cheap).
   std::unique_ptr<phy::PhotonicLinkModel> photonic_;
-  double seconds_per_cycle_;
 };
 
 /// Number of directory entries and bits per entry for a k-pointer directory

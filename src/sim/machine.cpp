@@ -24,7 +24,7 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       geom_(mp),
       obs_(obs),
       core_counters_(static_cast<std::size_t>(mp.num_cores)),
-      homes_(mp, slice_cores(mp)),
+      homes_(slice_cores(mp)),
       holders_(mp.num_cores),
       bcast_seq_(static_cast<std::size_t>(homes_.num_slices()) *
                      static_cast<std::size_t>(mp.num_cores),

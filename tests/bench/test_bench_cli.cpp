@@ -64,8 +64,8 @@ TEST(Registry, AddFindMatchAndDuplicateRejection) {
   EXPECT_EQ(all[0]->name, "fig98_alpha");
   EXPECT_EQ(all[1]->name, "fig99_zeta");
 
-  ASSERT_NE(reg.find("fig99_zeta"), nullptr);
-  EXPECT_EQ(reg.find("fig97_none"), nullptr);
+  ASSERT_EQ(reg.match("fig99_zeta").size(), 1u);
+  EXPECT_TRUE(reg.match("fig97_none").empty());
   EXPECT_EQ(reg.match("fig9*").size(), 2u);
   EXPECT_EQ(reg.match("*alpha").size(), 1u);
   EXPECT_THROW(reg.add({"fig99_zeta", "dup", fn}), std::logic_error);

@@ -27,10 +27,10 @@ TEST(MachineParams, MessageFlitCountsMatchPaper) {
 }
 
 TEST(MachineParams, SeqnumDoesNotAddFlits) {
-  auto p = MachineParams::paper();
-  const int with_seq = p.data_flits();
-  p.data_msg_bits = 600;  // without the 16-bit sequence number
-  EXPECT_EQ(p.data_flits(), with_seq);
+  const auto p = MachineParams::paper();
+  const int without_seq = (600 + p.flit_bits - 1) / p.flit_bits;
+  static_assert(kDataMsgBits == 600 + 16);
+  EXPECT_EQ(p.data_flits(), without_seq);
 }
 
 TEST(MachineParams, SmallFactoryScalesGeometry) {

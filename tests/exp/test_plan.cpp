@@ -248,5 +248,19 @@ TEST(Jobs, EnvAndDefaultResolution) {
   EXPECT_GE(default_jobs(), 1);
 }
 
+TEST(Jobs, RejectsMalformedEnvNamingTheValue) {
+  for (const char* bad : {"abc", "4x", " 4", "2.5"}) {
+    setenv("ATACSIM_JOBS", bad, 1);
+    try {
+      default_jobs();
+      ADD_FAILURE() << "ATACSIM_JOBS=" << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+  unsetenv("ATACSIM_JOBS");
+}
+
 }  // namespace
 }  // namespace atacsim::exp

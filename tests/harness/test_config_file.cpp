@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/config_file.hpp"
 
 namespace atacsim::harness {
@@ -25,6 +27,16 @@ TEST(ConfigFile, ParsesAllKnobKinds) {
     l2_size_KB     = 128
     mem_latency_cycles = 80
     core_ndd_fraction  = 0.4
+    l1i_size_KB = 16
+    l1d_size_KB = 16
+    l1_assoc = 2
+    l2_assoc = 4
+    mem_bw_GBps_per_ctrl = 2.5
+    onet_link_delay = 4
+    onet_select_data_lag = 0
+    starnets_per_cluster = 1
+    photonics = cons
+    core_peak_mW = 10
   )");
   EXPECT_EQ(mp.num_cores, 256);
   EXPECT_EQ(mp.num_clusters(), 16);
@@ -37,6 +49,16 @@ TEST(ConfigFile, ParsesAllKnobKinds) {
   EXPECT_EQ(mp.l2_size_KB, 128);
   EXPECT_EQ(mp.mem_latency_cycles, 80u);
   EXPECT_DOUBLE_EQ(mp.core_ndd_fraction, 0.4);
+  EXPECT_EQ(mp.l1i_size_KB, 16);
+  EXPECT_EQ(mp.l1d_size_KB, 16);
+  EXPECT_EQ(mp.l1_assoc, 2);
+  EXPECT_EQ(mp.l2_assoc, 4);
+  EXPECT_DOUBLE_EQ(mp.mem_bw_GBps_per_ctrl, 2.5);
+  EXPECT_EQ(mp.onet_link_delay, 4u);
+  EXPECT_EQ(mp.onet_select_data_lag, 0u);
+  EXPECT_EQ(mp.starnets_per_cluster, 1);
+  EXPECT_EQ(mp.photonics, PhotonicFlavor::kCons);
+  EXPECT_DOUBLE_EQ(mp.core_peak_mW, 10.0);
 }
 
 TEST(ConfigFile, CommentsAndBlankLinesIgnored) {
@@ -47,6 +69,9 @@ TEST(ConfigFile, CommentsAndBlankLinesIgnored) {
 
 TEST(ConfigFile, RejectsUnknownKey) {
   EXPECT_THROW(parse_machine_config("frobnicate = 3\n"),
+               std::invalid_argument);
+  // num_cores follows mesh_width and is no key of its own.
+  EXPECT_THROW(parse_machine_config("num_cores = 64\n"),
                std::invalid_argument);
 }
 
@@ -64,6 +89,27 @@ TEST(ConfigFile, RejectsInvalidGeometry) {
   // 10 does not divide by cluster_width 4 -> validate() must throw.
   EXPECT_THROW(parse_machine_config("mesh_width = 10\n"),
                std::invalid_argument);
+}
+
+/// The message parse_machine_config throws for `text`, or "" if none.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_machine_config(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigFile, RejectsOutOfRangeValuesNamingTheLine) {
+  // Each once crashed, wrapped or failed deep inside a run.
+  for (const std::string line :
+       {"starnets_per_cluster = 0", "mem_latency_cycles = -1",
+        "onet_link_delay = -5", "mem_bw_GBps_per_ctrl = 0", "l2_assoc = 0"}) {
+    const std::string msg = parse_error(line + "\n");
+    EXPECT_NE(msg.find("'" + line + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("outside ["), std::string::npos) << msg;
+  }
 }
 
 TEST(ConfigFile, MissingFileThrows) {

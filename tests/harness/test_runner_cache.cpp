@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/digest.hpp"
 #include "exp/plan.hpp"
 #include "harness/cache.hpp"
 #include "harness/runner.hpp"
@@ -63,6 +64,81 @@ TEST(ScenarioKey, DistinguishesSimulationRelevantFields) {
   b = a;
   b.mp.photonics = PhotonicFlavor::kCons;
   EXPECT_EQ(scenario_key(a), scenario_key(b));
+}
+
+/// A value of the field's type inside [lo, hi] that differs from `v`.
+template <class T, class L, class H>
+T other(T v, L lo, H hi) {
+  return v == static_cast<T>(lo) ? static_cast<T>(hi) : static_cast<T>(lo);
+}
+
+/// Digest of every simulated counter of a run.
+std::uint64_t sim_digest(const Outcome& o) {
+  Digest d;
+  d.add(o.run.completion_cycles);
+  d.add(o.run.net);
+  d.add(o.run.mem);
+  d.add(o.run.core);
+  return d.value();
+}
+
+TEST(ScenarioKey, EverySimulatedFieldChangesTheKey) {
+  const auto a = small_scenario();
+#define ATACSIM_X(type, name, def, use, lo, hi)          \
+  if (FieldUse::use == FieldUse::kSim) {                 \
+    auto b = a;                                          \
+    b.mp.name = other(b.mp.name, lo, hi);                \
+    EXPECT_NE(scenario_key(b), scenario_key(a)) << #name; \
+  }
+  ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+}
+
+TEST(ScenarioKey, EnergyOnlyFieldsKeepTheKeyAndTheSimulation) {
+  const auto a = small_scenario();
+  const std::uint64_t base = sim_digest(run_scenario(a));
+#define ATACSIM_X(type, name, def, use, lo, hi)                \
+  if (FieldUse::use == FieldUse::kEnergy) {                    \
+    auto b = a;                                                \
+    b.mp.name = other(b.mp.name, lo, hi);                      \
+    EXPECT_EQ(scenario_key(b), scenario_key(a)) << #name;      \
+    EXPECT_EQ(sim_digest(run_scenario(b)), base) << #name;     \
+  }
+  ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+}
+
+TEST(ScenarioKey, CycleCapAndSeventhDigitOfScaleChangeTheKey) {
+  const auto a = small_scenario();
+  auto b = a;
+  b.max_cycles = 1000;  // a cut-off run must not stand in for a full one
+  EXPECT_NE(scenario_key(a), scenario_key(b));
+  b = a;
+  b.scale = 0.05000001;  // differs in the 7th significant digit
+  EXPECT_NE(scenario_key(a), scenario_key(b));
+}
+
+TEST(ScenarioKey, PlanSimulatesScenariosThatDifferOnlyInClusterWidth) {
+  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_cw";
+  std::filesystem::remove_all(dir);
+  setenv("ATACSIM_CACHE", dir.c_str(), 1);
+
+  auto wide = small_scenario();
+  wide.mp = MachineParams::small(8, 4);
+  exp::ExperimentPlan plan;
+  plan.add(small_scenario());
+  plan.add(wide);
+  exp::ExecOptions opt;
+  opt.jobs = 1;
+  opt.progress = false;
+  const auto res = plan.run(opt);
+  unsetenv("ATACSIM_CACHE");
+
+  EXPECT_EQ(res.cells, 2u);
+  EXPECT_EQ(res.simulations, 2u);
+  EXPECT_EQ(res.outcomes.at(1).run.completion_cycles,
+            run_scenario(wide).run.completion_cycles);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioKey, SanitizationIsInjective) {

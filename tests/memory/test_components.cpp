@@ -14,10 +14,9 @@ namespace atacsim::mem {
 namespace {
 
 TEST(HomeMap, InterleavesLinesAcrossAllSlices) {
-  const auto mp = MachineParams::paper();
   std::vector<CoreId> cores;
   for (CoreId c = 0; c < 64; ++c) cores.push_back(c * 16);
-  const HomeMap hm(mp, cores);
+  const HomeMap hm(cores);
   EXPECT_EQ(hm.num_slices(), 64);
   std::set<HubId> seen;
   for (Addr line = 0; line < 64 * 64; line += 64)

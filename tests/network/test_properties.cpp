@@ -100,7 +100,7 @@ TEST_P(NetProperty, FlitAccountingMatchesMessageSizes) {
   p.dst = 63;
   p.cls = MsgClass::kData;  // 616 bits
   arrivals_of(*net, 0, p);
-  const int expected_flits = (mp.data_msg_bits + mp.flit_bits - 1) / mp.flit_bits;
+  const int expected_flits = (kDataMsgBits + mp.flit_bits - 1) / mp.flit_bits;
   EXPECT_EQ(net->counters().flits_injected,
             static_cast<std::uint64_t>(expected_flits));
   EXPECT_EQ(net->counters().recv_unicast_flits,

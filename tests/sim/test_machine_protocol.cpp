@@ -62,7 +62,7 @@ TEST(Protocol, ReadMissFetchesFromDramAndCaches) {
   m.cache(0).access(a, false, {&done, {}});
   const Cycle start = m.now();
   m.run();
-  EXPECT_LE(done - start, m.params().l1_hit_cycles + 1);
+  EXPECT_LE(done - start, kL1HitCycles + 1);
   EXPECT_EQ(m.mem_counters().dram_reads, 1u);
 }
 
