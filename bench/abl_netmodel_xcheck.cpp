@@ -79,13 +79,11 @@ ModelSample flow_model(double load, Cycle cycles) {
   return {r.avg_latency_cycles, links_utilization(usage, cycles)};
 }
 
-int run_abl_netmodel_xcheck(const Context&) {
+exp::report::Report run_abl_netmodel_xcheck(const exp::ExecOptions&) {
   print_header("Ablation",
                "flow-level vs cycle-accurate network model (8x8 mesh)");
-  const auto t0 = std::chrono::steady_clock::now();
 
-  exp::report::Report rep;
-  rep.name = "abl_netmodel_xcheck";
+  exp::report::Report rep;  // serial, on this thread: jobs 1
 
   Table t({"load (flits/cyc/core)", "cycle-accurate", "flow-level",
            "flow/cycle"});
@@ -106,7 +104,6 @@ int run_abl_netmodel_xcheck(const Context&) {
     rr.stats.add("flow_link_utilization", fl.link_util);
     rep.rows.push_back(std::move(rr));
   }
-  rep.wall_seconds = seconds_since(t0);  // serial, on this thread: jobs 1
   t.print(std::cout);
   std::printf(
       "\nReading: zero-load latencies agree within a few percent. At"
@@ -115,8 +112,7 @@ int run_abl_netmodel_xcheck(const Context&) {
       "\noptimistic on ultimate capacity (~20-30%%: it does not model switch"
       "\narbitration conflicts). The application studies run far below that"
       "\nregime (Fig. 6: <0.03 flits/cycle/core), where agreement is tight.\n\n");
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

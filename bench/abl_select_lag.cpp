@@ -12,9 +12,8 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_abl_select_lag(const Context& ctx) {
+exp::report::Report run_abl_select_lag(const exp::ExecOptions& opt) {
   print_header("Ablation", "adaptive SWMR select->data lag");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<Cycle> lags = {0, 1, 2, 4};
   auto lag_axis = exp::sweep::value_axis<Cycle>(
@@ -34,24 +33,21 @@ int run_abl_select_lag(const Context& ctx) {
   syn_base.synth.measure_cycles = 8000;
   exp::sweep::SweepSpec syn_spec(syn_base);
   syn_spec.axis(lag_axis);
-  const auto syn =
-      exp::sweep::run_synthetic_grid(syn_spec, exec_options(ctx));
+  const auto syn = exp::sweep::run_synthetic_grid(syn_spec, opt);
 
   exp::sweep::CellConfig app_base;
   app_base.scenario.mp = mp;
   app_base.scenario.scale = bench_scale();
   exp::sweep::SweepSpec app_spec(app_base);
   app_spec.axis(lag_axis).axis(exp::sweep::apps_axis({"radix", "barnes"}));
-  const auto res = run_sweep(app_spec, ctx);
+  const auto res = exp::sweep::run_scenarios(app_spec, opt);
 
-  exp::report::Report rep;
-  rep.name = "abl_select_lag";
-  rep.cells = syn_spec.num_cells() + app_spec.num_cells();
-  rep.cache_hits = res.plan_result().cache_hits;
-  rep.simulations = syn_spec.num_cells() + res.plan_result().simulations;
-  rep.jobs = std::max(exp::pool_size(exec_options(ctx), syn_spec.num_cells()),
-                      res.plan_result().jobs);
-  rep.wall_seconds = seconds_since(t0);
+  // The synthetic cells add to the application sweep's metadata.
+  auto rep = res.report();
+  rep.rows.clear();
+  rep.cells += syn_spec.num_cells();
+  rep.simulations += syn_spec.num_cells();
+  rep.jobs = std::max(exp::pool_size(opt, syn_spec.num_cells()), rep.jobs);
 
   Table t({"lag (cycles)", "synthetic zero-load latency", "radix cycles",
            "barnes cycles"});
@@ -80,8 +76,7 @@ int run_abl_select_lag(const Context& ctx) {
       "\nReading: each extra lag cycle adds ~1 cycle to every ONet packet;"
       "\napplication-level impact is small because miss latency dominates —"
       "\nsupporting the paper's claim that 1 ns ring tuning suffices.\n\n");
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

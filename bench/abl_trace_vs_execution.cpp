@@ -48,10 +48,9 @@ Cycle replay_on(const sim::Trace& trace, const MachineParams& mp) {
   return sim::replay_trace(m, trace).completion_cycles;
 }
 
-int run_abl_trace_vs_execution(const Context& ctx) {
+exp::report::Report run_abl_trace_vs_execution(const exp::ExecOptions& opt) {
   print_header("Ablation",
                "execution-driven vs trace-driven network comparison");
-  const auto t0 = std::chrono::steady_clock::now();
 
   // Small scale keeps the open-loop replays (which flood MSHRs) tractable.
   const double scale = std::min(bench_scale(), 0.25);
@@ -67,28 +66,24 @@ int run_abl_trace_vs_execution(const Context& ctx) {
       .axis(exp::sweep::machine_axis({{"ATAC+", atac_plus()},
                                       {"EMesh-BCast", emesh_bcast()},
                                       {"EMesh-Pure", emesh_pure()}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   const std::vector<MachineParams> nets = {atac_plus(), emesh_bcast(),
                                            emesh_pure()};
   std::vector<Capture> caps(app_names.size());
-  exp::for_each_cell(caps.size(), exec_options(ctx), [&](int, std::size_t a) {
+  exp::for_each_cell(caps.size(), opt, [&](int, std::size_t a) {
     caps[a] = capture(app_names[a], nets[0], scale);
   });
   // replays[a * nets.size() + n]: app a's trace replayed on network n.
   std::vector<double> replays(caps.size() * nets.size());
-  exp::for_each_cell(replays.size(), exec_options(ctx),
+  exp::for_each_cell(replays.size(), opt,
                      [&](int, std::size_t i) {
                        replays[i] = static_cast<double>(replay_on(
                            caps[i / nets.size()].trace, nets[i % nets.size()]));
                      });
 
-  exp::report::Report rep;
-  rep.name = "abl_trace_vs_execution";
-  rep.cells = spec.num_cells();
-  rep.cache_hits = res.plan_result().cache_hits;
-  rep.simulations = res.plan_result().simulations;
-  rep.jobs = res.plan_result().jobs;
+  auto rep = res.report();
+  rep.rows.clear();
 
   Table t({"benchmark", "method", "ATAC+", "EMesh-BCast", "EMesh-Pure",
            "BCast/ATAC+", "Pure/ATAC+"});
@@ -130,7 +125,6 @@ int run_abl_trace_vs_execution(const Context& ctx) {
     rep.rows.back().finished = caps[ai].finished;
     rep.rows.back().verify_msg = caps[ai].verify_msg;
   }
-  rep.wall_seconds = seconds_since(t0);  // the captures and replays too
   t.print(std::cout);
   std::printf(
       "\nReading: open-loop replay issues accesses at recorded gaps, so a"
@@ -138,8 +132,7 @@ int run_abl_trace_vs_execution(const Context& ctx) {
       "\nunder-reports the EMesh penalty (smaller BCast/ATAC+ and Pure/ATAC+"
       "\nratios than the execution-driven truth). This is the evaluation"
       "\nerror the paper's methodology exists to avoid (Sec. I).\n\n");
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

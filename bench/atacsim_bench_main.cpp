@@ -1,8 +1,9 @@
 // Unified bench driver: every paper figure/table/ablation registers itself
 // (ATACSIM_BENCH in its translation unit) and this binary lists, filters
 // and runs them. Replaces the one-binary-per-figure scheme; each entry
-// prints the same human-readable table its standalone binary did, plus the
-// machine-readable JSON/CSV report under bench_reports/.
+// prints the same human-readable table its standalone binary did and
+// returns its rows, which bench::run_entry writes as the machine-readable
+// JSON/CSV report under bench_reports/ (plus one `digest` line per row).
 //
 //   atacsim-bench --list
 //   atacsim-bench fig08_edp tab05_swmr_util
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "bench/args.hpp"
+#include "bench/common.hpp"
 #include "bench/registry.hpp"
 #include "obs/log.hpp"
 #include "obs/options.hpp"
@@ -25,7 +27,6 @@
 namespace {
 
 using atacsim::bench::Args;
-using atacsim::bench::Context;
 using atacsim::bench::Entry;
 using atacsim::bench::Registry;
 namespace log = atacsim::obs::log;
@@ -112,19 +113,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Context ctx;
-  ctx.jobs = args.jobs;
+  atacsim::exp::ExecOptions opt;
+  opt.jobs = args.jobs;
   int failures = 0;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Entry* e = selected[i];
     if (selected.size() > 1)
       log::infof("[%zu/%zu] %s", i + 1, selected.size(), e->name.c_str());
     try {
-      const int rc = e->fn(ctx);
-      if (rc != 0) {
-        log::errorf("atacsim-bench: %s exited with %d", e->name.c_str(), rc);
-        ++failures;
-      }
+      atacsim::bench::run_entry(*e, opt);
     } catch (const std::exception& ex) {
       log::errorf("atacsim-bench: %s failed: %s", e->name.c_str(), ex.what());
       ++failures;

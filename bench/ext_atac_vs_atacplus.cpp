@@ -17,7 +17,7 @@ MachineParams atac_classic() {
   return mp;
 }
 
-int run_ext_atac_vs_atacplus(const Context& ctx) {
+exp::report::Report run_ext_atac_vs_atacplus(const exp::ExecOptions& opt) {
   print_header("Extension",
                "ATAC (classic) -> ATAC+ step-by-step improvements");
 
@@ -39,7 +39,7 @@ int run_ext_atac_vs_atacplus(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis(steps));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
   const auto gm = norm.col_geomeans();
@@ -62,8 +62,7 @@ int run_ext_atac_vs_atacplus(const Context& ctx) {
       "\nbulk of the energy-delay win; StarNet and distance-based routing"
       "\neach shave a further slice — the decomposition behind the paper's"
       "\nSec. V-E.\n\n");
-  emit_report("ext_atac_vs_atacplus", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_ext_extension_apps(const Context& ctx) {
+exp::report::Report run_ext_extension_apps(const exp::ExecOptions& opt) {
   print_header("Extension", "fft and water_nsq across networks");
 
   const std::vector<std::pair<std::string, MachineParams>> machines = {
@@ -22,7 +22,7 @@ int run_ext_extension_apps(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(apps::extension_app_names()))
       .axis(exp::sweep::machine_axis(machines));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   Table t({"benchmark", "config", "cycles", "norm to ATAC+", "EDP norm",
            "bcast recv %"});
@@ -47,8 +47,7 @@ int run_ext_extension_apps(const Context& ctx) {
       "\nread-shared, so the next phase's writes become ACKwise broadcast"
       "\ninvalidations — EMesh-Pure collapses. Lock-bound water_nsq is"
       "\nlatency-bound and gains a smaller, ocean-like factor.\n\n");
-  emit_report("ext_extension_apps", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

@@ -22,9 +22,8 @@ MachineParams config(RoutingPolicy pol, int r) {
   return mp;
 }
 
-int run_fig03(const Context& ctx) {
+exp::report::Report run_fig03(const exp::ExecOptions& opt) {
   print_header("Figure 3", "latency vs offered load, routing policy sweep");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<std::pair<std::string, MachineParams>> policies = {
       {"Cluster", config(RoutingPolicy::kCluster, 0)},
@@ -48,18 +47,16 @@ int run_fig03(const Context& ctx) {
             c.synth.offered_load = v;
           }))
       .axis(exp::sweep::machine_axis(policies));
-  const auto results = exp::sweep::run_synthetic_grid(spec, exec_options(ctx));
+  const auto results = exp::sweep::run_synthetic_grid(spec, opt);
 
   std::vector<std::string> header = {"load (flits/cyc/core)"};
   for (const auto& p : policies) header.push_back(p.first);
   Table t(header);
 
   exp::report::Report rep;
-  rep.name = "fig03_latency_load";
   rep.cells = spec.num_cells();
   rep.simulations = spec.num_cells();
-  rep.jobs = exp::pool_size(exec_options(ctx), spec.num_cells());
-  rep.wall_seconds = seconds_since(t0);
+  rep.jobs = exp::pool_size(opt, spec.num_cells());
   for (std::size_t li = 0; li < loads.size(); ++li) {
     std::vector<std::string> row = {spec.label(0, li)};
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
@@ -86,8 +83,7 @@ int run_fig03(const Context& ctx) {
   std::printf(
       "\nPaper check: Cluster saturates earliest; optimal r_thres grows with"
       "\nload; Distance-All and Distance-35 never optimal (Sec. IV-C).\n\n");
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

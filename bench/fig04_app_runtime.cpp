@@ -11,7 +11,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig04(const Context& ctx) {
+exp::report::Report run_fig04(const exp::ExecOptions& opt) {
   print_header("Figure 4", "application runtime comparison");
 
   exp::sweep::CellConfig base;
@@ -21,7 +21,7 @@ int run_fig04(const Context& ctx) {
       .axis(exp::sweep::machine_axis({{"ATAC+", atac_plus()},
                                       {"EMesh-BCast", emesh_bcast()},
                                       {"EMesh-Pure", emesh_pure()}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto cycles = res.grid([](const Outcome& o) {
     return static_cast<double>(o.run.completion_cycles);
   });
@@ -43,8 +43,7 @@ int run_fig04(const Context& ctx) {
   std::printf(
       "\nPaper check: ATAC+ commands a sizable lead over both baselines; the"
       "\ngap vs EMesh-Pure is largest for broadcast-heavy applications.\n\n");
-  emit_report("fig04_app_runtime", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

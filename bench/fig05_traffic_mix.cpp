@@ -7,7 +7,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig05(const Context& ctx) {
+exp::report::Report run_fig05(const exp::ExecOptions& opt) {
   print_header("Figure 5", "unicast vs broadcast traffic (receiver flits)");
 
   exp::sweep::CellConfig base;
@@ -15,7 +15,7 @@ int run_fig05(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis({{"ATAC+", atac_plus()}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   Table t({"benchmark", "unicast %", "broadcast %", "bcast invalidations"});
   for (std::size_t i = 0; i < benchmarks().size(); ++i) {
@@ -28,8 +28,7 @@ int run_fig05(const Context& ctx) {
   std::printf(
       "\nPaper check: dynamic_graph / radix / barnes / fmm are the"
       "\nbroadcast-heavy group; ocean and lu are unicast-dominated.\n\n");
-  emit_report("fig05_traffic_mix", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

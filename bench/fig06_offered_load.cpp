@@ -7,7 +7,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig06(const Context& ctx) {
+exp::report::Report run_fig06(const exp::ExecOptions& opt) {
   print_header("Figure 6", "offered network load (flits/cycle/core)");
 
   const int cores = base_machine().num_cores;
@@ -16,7 +16,7 @@ int run_fig06(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis({{"ATAC+", atac_plus()}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   Table t({"benchmark", "offered load", "completion (cycles)", "IPC"});
   for (std::size_t i = 0; i < benchmarks().size(); ++i) {
@@ -31,8 +31,7 @@ int run_fig06(const Context& ctx) {
   std::printf(
       "\nPaper check: ocean variants and fmm carry the highest loads; lu and"
       "\ndynamic_graph the lowest (latency- and sync-bound).\n\n");
-  emit_report("fig06_offered_load", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

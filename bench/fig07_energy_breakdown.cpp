@@ -38,7 +38,7 @@ power::EnergyBreakdown average_energy(const exp::sweep::SweepResult& res,
   return sum;
 }
 
-int run_fig07(const Context& ctx) {
+exp::report::Report run_fig07(const exp::ExecOptions& opt) {
   print_header("Figure 7",
                "network+cache energy breakdown, 8-benchmark average "
                "(normalized to ATAC+(Ideal))");
@@ -57,7 +57,7 @@ int run_fig07(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::machine_axis(configs))
       .axis(exp::sweep::apps_axis(benchmarks()));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   std::vector<power::EnergyBreakdown> es;
   for (std::size_t i = 0; i < configs.size(); ++i)
@@ -90,8 +90,7 @@ int run_fig07(const Context& ctx) {
   std::printf(
       "\nPaper check: laser huge under Cons; ring tuning huge under"
       "\nRingTuned/Cons; ATAC+ ~= Ideal; caches dominate (>75%%) for ATAC+.\n\n");
-  emit_report("fig07_energy_breakdown", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

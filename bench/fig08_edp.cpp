@@ -11,7 +11,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig08(const Context& ctx) {
+exp::report::Report run_fig08(const exp::ExecOptions& opt) {
   print_header("Figure 8", "normalized energy-delay product (ACKwise4)");
 
   const std::vector<std::pair<std::string, MachineParams>> configs = {
@@ -30,7 +30,7 @@ int run_fig08(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis(configs));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm =
       res.grid([](const Outcome& o) { return o.edp(); }).normalized_rows(0);
   const auto means = norm.col_geomeans();
@@ -54,8 +54,7 @@ int run_fig08(const Context& ctx) {
       "\nHeadline: EMesh-BCast/ATAC+ = %.2fx, EMesh-Pure/ATAC+ = %.2fx"
       "\n(paper: 1.8x and 4.8x); ATAC+/Ideal = %.2fx (paper: ~1.0x).\n\n",
       means[4] / atac, means[5] / atac, atac / means[0]);
-  emit_report("fig08_edp", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

@@ -11,9 +11,8 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig09(const Context& ctx) {
+exp::report::Report run_fig09(const exp::ExecOptions& opt) {
   print_header("Figure 9", "waveguide-loss sensitivity (8-benchmark average)");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<double> losses = {0.2, 0.5, 1.0, 2.0, 3.0, 4.0};
   const auto atac_mp = atac_plus(PhotonicFlavor::kDefault);
@@ -25,7 +24,7 @@ int run_fig09(const Context& ctx) {
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis(
           {{"EMesh-BCast", mesh_mp}, {"ATAC+", atac_mp}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   // Baseline energy: EMesh-BCast average across benchmarks. The loss sweep
   // itself needs no new simulations — energy is recomputed from the cached
@@ -38,12 +37,8 @@ int run_fig09(const Context& ctx) {
   }
   mesh_total /= benchmarks().size();
 
-  exp::report::Report rep;
-  rep.name = "fig09_waveguide_loss";
-  rep.cells = spec.num_cells();
-  rep.cache_hits = res.plan_result().cache_hits;
-  rep.simulations = res.plan_result().simulations;
-  rep.jobs = res.plan_result().jobs;
+  auto rep = res.report();
+  rep.rows.clear();
 
   Table t({"waveguide loss (dB/cm)", "ATAC+ energy / EMesh-BCast",
            "laser share %"});
@@ -72,13 +67,11 @@ int run_fig09(const Context& ctx) {
       for (std::size_t n = 0; n < 2; ++n) fold_failure(rr, res.at({i, n}));
     rep.rows.push_back(std::move(rr));
   }
-  rep.wall_seconds = seconds_since(t0);  // the energy recomputation too
   t.print(std::cout);
   std::printf(
       "\nPaper check: ATAC+ stays below the EMesh-BCast energy up to ~2"
       "\ndB/cm of waveguide loss (Sec. V-C).\n\n");
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

@@ -12,17 +12,15 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig10(const Context&) {
+exp::report::Report run_fig10(const exp::ExecOptions&) {
   print_header("Figure 10", "chip area breakdown (mm^2)");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const power::EnergyModel atac(atac_plus());
   const power::EnergyModel mesh(emesh_bcast());
   const auto a = atac.area();
   const auto m = mesh.area();
 
-  exp::report::Report rep;
-  rep.name = "fig10_area";
+  exp::report::Report rep;  // analytic, on this thread: jobs 1
 
   Table t({"component", "ATAC+ (mm^2)", "EMesh (mm^2)"});
   auto row = [&](const char* n, double x, double y) {
@@ -43,15 +41,13 @@ int run_fig10(const Context&) {
   row("hubs", a.hubs, m.hubs);
   row("optical (waveguides+rings)", a.optical, m.optical);
   row("TOTAL", a.total(), m.total());
-  rep.wall_seconds = seconds_since(t0);  // analytic, on this thread: jobs 1
   t.print(std::cout);
   std::printf(
       "\ncaches/total: ATAC+ %.1f%%, EMesh %.1f%% (paper: ~90%%)."
       "\noptical area: %.1f mm^2 (paper: ~40 mm^2 at 64-bit flits).\n\n",
       100.0 * a.caches() / a.total(), 100.0 * m.caches() / m.total(),
       a.optical);
-  emit_report(rep);
-  return 0;
+  return rep;
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig11(const Context& ctx) {
+exp::report::Report run_fig11(const exp::ExecOptions& opt) {
   print_header("Figure 11", "runtime vs flit width (normalized to 64-bit)");
 
   const std::vector<int> widths = {16, 32, 64, 128, 256};
@@ -31,7 +31,7 @@ int run_fig11(const Context& ctx) {
           [](exp::sweep::CellConfig& c, int w) {
             c.scenario.mp.flit_bits = w;
           }));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   // Normalized to the 64-bit cell of the same benchmark (column 2).
   const auto norm = res.grid([](const Outcome& o) {
                          return static_cast<double>(o.run.completion_cycles);
@@ -64,8 +64,7 @@ int run_fig11(const Context& ctx) {
   std::printf(
       "\nPaper check: large gain 16->64 bits, ~10%% beyond; 256-bit optics"
       "\nwould occupy ~160 mm^2 (unacceptable).\n\n");
-  emit_report("fig11_flit_width", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

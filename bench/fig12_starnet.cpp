@@ -12,7 +12,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig12(const Context& ctx) {
+exp::report::Report run_fig12(const exp::ExecOptions& opt) {
   print_header("Figure 12", "BNet vs StarNet energy (Cluster routing)");
 
   auto bnet_mp = atac_plus();
@@ -27,7 +27,7 @@ int run_fig12(const Context& ctx) {
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis(
           {{"BNet", bnet_mp}, {"StarNet", star_mp}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm =
       res.grid([](const Outcome& o) { return o.energy.chip_no_core(); })
           .normalized_rows(0);
@@ -49,8 +49,7 @@ int run_fig12(const Context& ctx) {
   std::printf(
       "\nPaper check: StarNet reduces overall energy (paper: ~8%% average),"
       "\nmost on unicast-heavy benchmarks.\n\n");
-  emit_report("fig12_starnet", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig13(const Context& ctx) {
+exp::report::Report run_fig13(const exp::ExecOptions& opt) {
   print_header("Figure 13", "routing-protocol energy-delay product");
 
   struct Policy {
@@ -42,7 +42,7 @@ int run_fig13(const Context& ctx) {
             c.scenario.mp.routing = p.pol;
             c.scenario.mp.r_thres = p.r;
           }));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
   const auto gm = norm.col_geomeans();
@@ -63,8 +63,7 @@ int run_fig13(const Context& ctx) {
   std::printf(
       "\nPaper check: Distance-15 has the lowest average E-D product"
       "\n(paper: ~10%% below Cluster); Distance-All is worst.\n\n");
-  emit_report("fig13_routing", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

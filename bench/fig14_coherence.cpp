@@ -12,7 +12,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig14(const Context& ctx) {
+exp::report::Report run_fig14(const exp::ExecOptions& opt) {
   print_header("Figure 14", "coherence-protocol energy-delay product");
 
   struct Config {
@@ -43,7 +43,7 @@ int run_fig14(const Context& ctx) {
             cell.scenario.mp.network = c.net;
             cell.scenario.mp.coherence = c.coh;
           }));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
   const auto gm = norm.col_geomeans();
@@ -65,8 +65,7 @@ int run_fig14(const Context& ctx) {
       "\nPaper check: ACKwise4 beats Dir4B on both networks; Dir4B's"
       "\ndegradation is larger on EMesh-BCast and grows with broadcast"
       "\nfrequency (barnes, fmm, radix).\n\n");
-  emit_report("fig14_coherence", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig15(const Context& ctx) {
+exp::report::Report run_fig15(const exp::ExecOptions& opt) {
   print_header("Figure 15", "delay vs ACKwise hardware sharers");
 
   const std::vector<int> ks = {4, 8, 16, 32, 1024};
@@ -29,7 +29,7 @@ int run_fig15(const Context& ctx) {
           [](exp::sweep::CellConfig& c, int k) {
             c.scenario.mp.num_hw_sharers = k;
           }));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) {
                          return static_cast<double>(o.run.completion_cycles);
                        })
@@ -52,8 +52,7 @@ int run_fig15(const Context& ctx) {
   std::printf(
       "\nPaper check: runtime varies little (and non-monotonically) from"
       "\nk=4 to k=1024 — ACKwise4 performs like a full-map directory.\n\n");
-  emit_report("fig15_sharers_delay", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

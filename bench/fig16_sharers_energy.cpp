@@ -9,7 +9,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig16(const Context& ctx) {
+exp::report::Report run_fig16(const exp::ExecOptions& opt) {
   print_header("Figure 16", "energy breakdown vs ACKwise hardware sharers");
 
   const std::vector<int> ks = {4, 8, 16, 32, 1024};
@@ -27,7 +27,7 @@ int run_fig16(const Context& ctx) {
             c.scenario.mp.num_hw_sharers = k;
           }))
       .axis(exp::sweep::apps_axis(apps));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   Table t({"k", "directory (norm)", "caches (norm)", "network (norm)",
            "TOTAL (norm)", "dir size/slice (KB)", "area total (norm)"});
@@ -62,8 +62,7 @@ int run_fig16(const Context& ctx) {
   std::printf(
       "\nPaper check: directory energy/area grow with k; total energy and"
       "\narea roughly double from k=4 to k=1024.\n\n");
-  emit_report("fig16_sharers_energy", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

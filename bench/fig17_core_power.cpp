@@ -12,7 +12,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_fig17(const Context& ctx) {
+exp::report::Report run_fig17(const exp::ExecOptions& opt) {
   print_header("Figure 17", "chip energy incl. cores (10% / 40% core NDD)");
 
   const std::vector<std::string> apps = {"radix", "fmm", "ocean_contig",
@@ -40,7 +40,7 @@ int run_fig17(const Context& ctx) {
             c.scenario.mp.network =
                 atac ? NetworkKind::kAtacPlus : NetworkKind::kEMeshBCast;
           }));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   for (std::size_t ni = 0; ni < ndds.size(); ++ni) {
     std::printf("--- core NDD fraction: %.0f%% ---\n", ndds[ni] * 100);
@@ -64,8 +64,7 @@ int run_fig17(const Context& ctx) {
       "Paper check: core NDD exceeds caches+network; ATAC+'s shorter"
       "\nruntimes convert directly into lower core-NDD energy; the gap"
       "\nwidens as the NDD fraction grows.\n\n");
-  emit_report("fig17_core_power", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

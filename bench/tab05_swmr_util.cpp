@@ -8,7 +8,7 @@ using namespace atacsim::bench;
 
 namespace {
 
-int run_tab05(const Context& ctx) {
+exp::report::Report run_tab05(const exp::ExecOptions& opt) {
   print_header("Table V", "adaptive SWMR link utilization");
 
   exp::sweep::CellConfig base;
@@ -16,7 +16,7 @@ int run_tab05(const Context& ctx) {
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::apps_axis(benchmarks()))
       .axis(exp::sweep::machine_axis({{"ATAC+", atac_plus()}}));
-  const auto res = run_sweep(spec, ctx);
+  const auto res = exp::sweep::run_scenarios(spec, opt);
 
   Table t({"benchmark", "link utilization %", "unicasts per broadcast"});
   for (std::size_t i = 0; i < benchmarks().size(); ++i) {
@@ -32,8 +32,7 @@ int run_tab05(const Context& ctx) {
       "\nPaper check: the link idles 70-90+%% of the time (power-gating"
       "\npays); lu_contig has the most unicasts per broadcast, the N-body"
       "\nand graph codes the fewest.\n\n");
-  emit_report("tab05_swmr_util", res.plan_result());
-  return 0;
+  return res.report();
 }
 
 }  // namespace

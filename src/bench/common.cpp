@@ -1,11 +1,19 @@
 #include "bench/common.hpp"
 
+#include <bit>
+#include <charconv>
+#include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #include "apps/app.hpp"
+#include "common/digest.hpp"
+#include "exp/report.hpp"
 #include "harness/runner.hpp"
 
 namespace atacsim::bench {
@@ -15,9 +23,10 @@ const std::vector<std::string>& benchmarks() { return apps::app_names(); }
 double bench_scale() {
   const char* e = std::getenv("ATACSIM_SCALE");
   if (!e || !*e) return 1.0;
-  char* end = nullptr;
-  const double v = std::strtod(e, &end);
-  if (!end || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+  const char* end = e + std::strlen(e);
+  double v = 0;
+  const auto [p, ec] = std::from_chars(e, end, v);
+  if (ec != std::errc() || p != end || !std::isfinite(v) || v <= 0.0)
     throw std::runtime_error(
         std::string("ATACSIM_SCALE=\"") + e +
         "\": must be a positive number (a zero or garbage scale would "
@@ -28,10 +37,13 @@ double bench_scale() {
 MachineParams base_machine() {
   const char* e = std::getenv("ATACSIM_BENCH_MESH");
   if (!e || !*e) return MachineParams::paper();
+  const char* end = e + std::strlen(e);
   int mesh_w = 0, cluster_w = 0;
-  char trailing = '\0';
-  if (std::sscanf(e, "%dx%d%c", &mesh_w, &cluster_w, &trailing) != 2 ||
-      mesh_w <= 0 || cluster_w <= 0)
+  auto r = std::from_chars(e, end, mesh_w);
+  const bool split = r.ec == std::errc() && r.ptr != end && *r.ptr == 'x';
+  if (split) r = std::from_chars(r.ptr + 1, end, cluster_w);
+  if (!split || r.ec != std::errc() || r.ptr != end || mesh_w <= 0 ||
+      cluster_w <= 0)
     throw std::runtime_error(
         std::string("ATACSIM_BENCH_MESH=\"") + e +
         "\": expected <mesh_width>x<cluster_width>, e.g. 8x2");
@@ -60,11 +72,41 @@ void print_header(const char* fig, const char* what) {
   std::printf("==============================================================\n");
 }
 
-void emit_report(const exp::report::Report& rep) {
+namespace {
+
+/// The row's digest: finished, verify_msg, then each stat's name and value
+/// in list order, skipping host time.
+std::uint64_t row_digest(const exp::report::Row& row) {
+  Digest d;
+  auto add = [&d](std::string_view s) {
+    d.add(s.size());
+    for (const char c : s) d.add(static_cast<unsigned char>(c));
+  };
+  d.add(row.finished ? 1u : 0u);
+  add(row.verify_msg);
+  for (const auto& [name, v] : row.stats.items()) {
+    if (name == "wall_seconds") continue;
+    add(name);
+    d.add(std::bit_cast<std::uint64_t>(v));
+  }
+  return d.value();
+}
+
+}  // namespace
+
+void run_entry(const Entry& e, const exp::ExecOptions& opt) {
+  const auto t0 = std::chrono::steady_clock::now();
+  exp::report::Report rep = e.fn(opt);
+  rep.name = e.name;
+  rep.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   for (const auto& path : exp::report::write_report(rep))
     std::printf("report: %s\n", path.c_str());
   std::string failed;
   for (const auto& row : rep.rows) {
+    std::printf("digest\t%s\t%s\t%s\t%016" PRIx64 "\n", rep.name.c_str(),
+                row.app.c_str(), row.config.c_str(), row_digest(row));
     if (row.finished && row.verify_msg.empty()) continue;
     failed += "\n  " + row.app + " on " + row.config + ": " +
               (row.verify_msg.empty() ? "did not complete" : row.verify_msg);
@@ -72,10 +114,6 @@ void emit_report(const exp::report::Report& rep) {
   if (!failed.empty())
     throw std::runtime_error(rep.name + ": cells did not finish or verify:" +
                              failed);
-}
-
-void emit_report(const char* name, const exp::PlanResult& res) {
-  emit_report(exp::report::Report::from_plan(name, res));
 }
 
 }  // namespace atacsim::bench

@@ -1,15 +1,15 @@
 // Shared machine/scale configuration for the bench entries: the benchmark
 // application list, the (possibly smoke-sized) machine under test, the
-// standard paper configurations built on it, and report emission with the
-// entries' one pass/fail rule.
+// standard paper configurations built on it, and the driver step that
+// finishes every entry's report with the one pass/fail rule.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "bench/registry.hpp"
 #include "common/params.hpp"
 #include "exp/plan.hpp"
-#include "exp/report.hpp"
 
 namespace atacsim::bench {
 
@@ -18,14 +18,15 @@ const std::vector<std::string>& benchmarks();
 
 /// Problem-size multiplier for the full-figure runs; override with
 /// ATACSIM_SCALE for quicker smoke runs. Throws std::runtime_error when the
-/// variable is set but unparseable or non-positive — a degenerate scale
-/// silently simulates nothing.
+/// variable is set but is not a whole finite decimal number above zero
+/// (no sign, space or hex form) — a degenerate scale silently simulates
+/// nothing.
 double bench_scale();
 
 /// The machine every figure studies: the paper's 1024-core configuration,
 /// or — when ATACSIM_BENCH_MESH=<mesh_width>x<cluster_width> is set (CI
-/// smoke runs) — a smaller square mesh. Throws std::runtime_error on a
-/// malformed value.
+/// smoke runs) — a smaller square mesh. Throws std::runtime_error unless
+/// the value is exactly two positive decimal ints joined by 'x'.
 MachineParams base_machine();
 
 // Standard paper configurations on the bench machine: the harness::
@@ -37,11 +38,16 @@ MachineParams emesh_pure();
 /// Prints the figure banner, naming the actual machine under test.
 void print_header(const char* fig, const char* what);
 
-/// Writes the entry's JSON + CSV report and announces the paths (identical
-/// lines regardless of the worker-pool size). Then fails the entry: throws
+/// Runs entry `e` on `opt`'s worker pool and finishes the report it
+/// returns: names it after the entry, sets wall_seconds to the whole call's
+/// host time, writes the JSON + CSV files and prints their `report:` paths,
+/// then one tab-separated line per row on stdout:
+///   digest <entry> <app> <config> <16 hex digits>
+/// hashing the row's finished flag, verify_msg and every stat but
+/// wall_seconds (doubles by bit pattern), so two builds or pool sizes can
+/// be compared without their report files. Last it fails the entry: throws
 /// std::runtime_error naming every "app on config" row that did not finish
 /// or carries a verify_msg, so a wrong cell cannot pass silently.
-void emit_report(const exp::report::Report& rep);
-void emit_report(const char* name, const exp::PlanResult& res);
+void run_entry(const Entry& e, const exp::ExecOptions& opt);
 
 }  // namespace atacsim::bench

@@ -4,20 +4,21 @@
 // self-register at static-init time via the ATACSIM_BENCH macro in each
 // figure's translation unit, so linking a figure into the driver is all it
 // takes to appear in `--list`.
+//
+// An entry prints its table and returns its report rows; run_entry
+// (bench/common.hpp) names, times, writes and judges the report.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "exp/plan.hpp"
+#include "exp/report.hpp"
+
 namespace atacsim::bench {
 
-/// Execution context handed to every bench entry.
-struct Context {
-  int jobs = 0;  ///< worker-pool size; 0 = exp::default_jobs()
-};
-
-using BenchFn = int (*)(const Context&);
+using BenchFn = exp::report::Report (*)(const exp::ExecOptions&);
 
 struct Entry {
   std::string name;         ///< registry key, e.g. "fig08_edp"

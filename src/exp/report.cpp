@@ -57,21 +57,6 @@ StatList outcome_stats(const harness::Outcome& o) {
   return st;
 }
 
-Report Report::from_plan(const std::string& name, const PlanResult& r) {
-  Report rep;
-  rep.name = name;
-  rep.jobs = r.jobs;
-  rep.cells = r.cells;
-  rep.cache_hits = r.cache_hits;
-  rep.simulations = r.simulations;
-  rep.wall_seconds = r.wall_seconds;
-  rep.rows.reserve(r.outcomes.size());
-  for (const auto& o : r.outcomes)
-    rep.rows.push_back(
-        Row{o.app, o.config, o.finished, o.verify_msg, outcome_stats(o)});
-  return rep;
-}
-
 void write_json(std::ostream& os, const Report& r) {
   os << "{\n"
      << "  \"name\": \"" << escape(r.name) << "\",\n"

@@ -11,8 +11,8 @@
 // every stat name (same order for every row).
 //
 // Two kinds of report fit the schema:
-//   * scenario reports (Report::from_plan) — one row per plan outcome,
-//     stats = the full counter/energy export of outcome_stats();
+//   * scenario reports (sweep::SweepResult::report) — one row per sweep
+//     cell, stats = the full counter/energy export of outcome_stats();
 //   * figure reports (rows built by the bench itself) — one row per
 //     printed table row for figures whose cells are not scenario outcomes
 //     (synthetic sweeps, area models, derived tables). Rows must share one
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "exp/plan.hpp"
 #include "harness/runner.hpp"
 
 namespace atacsim::exp::report {
@@ -52,9 +51,6 @@ struct Report {
   std::size_t simulations = 0;
   double wall_seconds = 0;
   std::vector<Row> rows;
-
-  /// Scenario report: one row per plan outcome, in plan-handle order.
-  static Report from_plan(const std::string& name, const PlanResult& r);
 };
 
 void write_json(std::ostream& os, const Report& r);

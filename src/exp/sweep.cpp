@@ -8,9 +8,13 @@
 
 namespace atacsim::exp::sweep {
 
+namespace {
+constexpr const char* kAppAxis = "app";
+}  // namespace
+
 SweepAxis apps_axis(const std::vector<std::string>& names) {
   SweepAxis a;
-  a.name = "app";
+  a.name = kAppAxis;
   for (const auto& n : names)
     a.points.push_back({n, [n](CellConfig& c) { c.scenario.app = n; }});
   return a;
@@ -112,6 +116,28 @@ MetricGrid SweepResult::grid(const MetricFn& m) const {
     for (std::size_t c = 0; c < cols; ++c)
       g.at(r, c) = m(plan_.outcomes[r * cols + c]);
   return g;
+}
+
+report::Report SweepResult::report() const {
+  report::Report rep;
+  rep.jobs = plan_.jobs;
+  rep.cells = plan_.cells;
+  rep.cache_hits = plan_.cache_hits;
+  rep.simulations = plan_.simulations;
+  rep.rows.reserve(plan_.outcomes.size());
+  for (std::size_t i = 0; i < plan_.outcomes.size(); ++i) {
+    const auto idx = spec_->coords(i);
+    std::string config;
+    for (std::size_t a = 0; a < idx.size(); ++a) {
+      if (spec_->axes()[a].name == kAppAxis) continue;
+      if (!config.empty()) config += '/';
+      config += spec_->label(a, idx[a]);
+    }
+    const auto& o = plan_.outcomes[i];
+    rep.rows.push_back({o.app, std::move(config), o.finished, o.verify_msg,
+                        report::outcome_stats(o)});
+  }
+  return rep;
 }
 
 SweepResult run_scenarios(const SweepSpec& spec, const ExecOptions& opt) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "exp/plan.hpp"
+#include "exp/report.hpp"
 #include "harness/runner.hpp"
 #include "network/synthetic.hpp"
 
@@ -134,8 +135,8 @@ class MetricGrid {
 double geomean(const std::vector<double>& xs);
 
 /// Results of a scenario sweep, addressable by axis coordinates. The
-/// underlying PlanResult's outcomes are in flat cell order, so plan-level
-/// reports serialize rows in the same order the figure's loops visit them.
+/// underlying PlanResult's outcomes are in flat cell order, so the sweep's
+/// report serializes rows in the same order the figure's loops visit them.
 class SweepResult {
  public:
   SweepResult(const SweepSpec& spec, PlanResult plan)
@@ -148,6 +149,13 @@ class SweepResult {
 
   /// Metric grid over a 2-axis sweep (throws on any other arity).
   MetricGrid grid(const MetricFn& m) const;
+
+  /// The sweep's report, unnamed and untimed: the plan's jobs, cells,
+  /// cache_hits and simulations, and one row per cell in flat order. A
+  /// row's config is the cell's labels on every axis but "app", joined by
+  /// '/' (the printed table's column heads), so when each axis labels its
+  /// points apart no two rows share an (app, config) pair.
+  report::Report report() const;
 
  private:
   const SweepSpec* spec_;

@@ -110,8 +110,8 @@ CohMsg CacheController::to_home(CohType type, Addr line) const {
   m.type = type;
   m.line = line;
   m.src = self_;
-  m.dir_slice = machine_.homes().slice_of(line);
-  m.dst = machine_.homes().slice_core(m.dir_slice);
+  m.dir_slice = machine_.home_slice(line);
+  m.dst = machine_.geom().hub_core(m.dir_slice);
   if (type == CohType::kShReq || type == CohType::kExReq) m.requester = self_;
   return m;
 }

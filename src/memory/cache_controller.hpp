@@ -25,23 +25,6 @@ class Machine;
 
 namespace atacsim::mem {
 
-/// Maps a line address to its home directory slice / slice core.
-class HomeMap {
- public:
-  explicit HomeMap(std::vector<CoreId> slice_cores)
-      : slice_cores_(std::move(slice_cores)) {}
-  HubId slice_of(Addr line) const {
-    return static_cast<HubId>((line / kLineBytes) % slice_cores_.size());
-  }
-  CoreId slice_core(HubId s) const {
-    return slice_cores_[static_cast<std::size_t>(s)];
-  }
-  int num_slices() const { return static_cast<int>(slice_cores_.size()); }
-
- private:
-  std::vector<CoreId> slice_cores_;
-};
-
 /// Where a timed access or wait completes into. At commit the cache raises
 /// `*at` to the commit cycle, then schedules one event at that cycle which
 /// resumes `resume` if it is set. A core passes its own local clock; callers
@@ -55,7 +38,7 @@ struct Completion {
 class CacheController {
  public:
   /// Talks to the world through `m` — its event queue, clock, counters,
-  /// home map and network — which owns this controller and outlives it.
+  /// home slices and network — which owns this controller and outlives it.
   CacheController(CoreId self, sim::Machine& m);
 
   /// Core-side entry: performs a timed load/store of the line containing

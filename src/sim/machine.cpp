@@ -10,23 +10,14 @@
 
 namespace atacsim::sim {
 
-std::vector<CoreId> Machine::slice_cores(const MachineParams& mp) {
-  const net::MeshGeom g(mp);
-  std::vector<CoreId> cores;
-  cores.reserve(static_cast<std::size_t>(g.num_clusters()));
-  for (HubId h = 0; h < g.num_clusters(); ++h) cores.push_back(g.hub_core(h));
-  return cores;
-}
-
 Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
     : mp_(mp),
       net_(net::make_network(mp)),
       geom_(mp),
       obs_(obs),
       core_counters_(static_cast<std::size_t>(mp.num_cores)),
-      homes_(slice_cores(mp)),
       holders_(mp.num_cores),
-      bcast_seq_(static_cast<std::size_t>(homes_.num_slices()) *
+      bcast_seq_(static_cast<std::size_t>(geom_.num_clusters()) *
                      static_cast<std::size_t>(mp.num_cores),
                  0),
       deferred_marks_(holders_.words()),

@@ -47,7 +47,12 @@ class Machine {
   mem::DirectorySlice& directory(HubId s) {
     return *dirs_[static_cast<std::size_t>(s)];
   }
-  const mem::HomeMap& homes() const { return homes_; }
+  /// The directory slice that is home to `line`: lines interleave across
+  /// the slices, one per cluster, whose core is geom().hub_core(slice).
+  HubId home_slice(Addr line) const {
+    return static_cast<HubId>((line / kLineBytes) %
+                              static_cast<Addr>(geom_.num_clusters()));
+  }
 
   net::NetworkModel& network() { return *net_; }
   /// Non-null when the machine runs the ATAC+ network.
@@ -173,7 +178,6 @@ class Machine {
   }
   /// Schedules `receive` of `m` for every entry of arrivals_.
   void deliver_arrivals(const mem::CohMsg& m);
-  static std::vector<CoreId> slice_cores(const MachineParams& mp);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.
   void validate_coherence(Addr line, HubId slice);
@@ -193,7 +197,6 @@ class Machine {
   EventQueue events_;
   MemCounters mem_counters_;
   std::vector<CoreCounters> core_counters_;
-  mem::HomeMap homes_;
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
   std::vector<std::unique_ptr<mem::DirectorySlice>> dirs_;
   std::unordered_map<Addr, Addr> frames_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -8,10 +9,13 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench/args.hpp"
 #include "bench/common.hpp"
 #include "bench/registry.hpp"
 #include "exp/sweep.hpp"
+#include "harness/runner.hpp"
 
 namespace atacsim::bench {
 namespace {
@@ -53,7 +57,8 @@ TEST(GlobMatch, LiteralAndWildcards) {
 
 TEST(Registry, AddFindMatchAndDuplicateRejection) {
   Registry reg;
-  const auto fn = +[](const Context&) { return 0; };
+  const auto fn =
+      +[](const exp::ExecOptions&) { return exp::report::Report{}; };
   reg.add({"fig99_zeta", "z", fn});
   reg.add({"fig98_alpha", "a", fn});
   EXPECT_EQ(reg.size(), 2u);
@@ -131,9 +136,11 @@ TEST(BenchScale, DefaultsAndValidation) {
     ScopedEnv e("ATACSIM_SCALE", "1.5trailing");
     EXPECT_THROW(bench_scale(), std::runtime_error);
   }
-  {
-    ScopedEnv e("ATACSIM_SCALE", "inf");
-    EXPECT_THROW(bench_scale(), std::runtime_error);
+  // Only the whole value in plain decimal: no space, sign or hex form.
+  for (const char* bad : {"inf", "nan", " 0.5", "0.5 ", "+0.5", "0x1p-1",
+                          "1e999"}) {
+    ScopedEnv e("ATACSIM_SCALE", bad);
+    EXPECT_THROW(bench_scale(), std::runtime_error) << '"' << bad << '"';
   }
 }
 
@@ -165,17 +172,21 @@ TEST(BaseMachine, PaperDefaultAndMeshOverride) {
     ScopedEnv e("ATACSIM_BENCH_MESH", "0x2");
     EXPECT_THROW(base_machine(), std::runtime_error);
   }
-  {
-    ScopedEnv e("ATACSIM_BENCH_MESH", "8x2x3");
-    EXPECT_THROW(base_machine(), std::runtime_error);
+  // Exactly two decimal ints: no space, sign or value past INT_MAX.
+  for (const char* bad : {"8x2x3", " 8x2", "8x 2", "8 x2", "8x2 ", "+8x2",
+                          "8x+2", "4294967304x2", "99999999999x2"}) {
+    ScopedEnv e("ATACSIM_BENCH_MESH", bad);
+    EXPECT_THROW(base_machine(), std::runtime_error) << '"' << bad << '"';
   }
 }
 
 /// A private report directory and scenario cache, emptied on both ends.
+/// The process id keeps two test processes from sharing one.
 class ScopedReportDir {
  public:
   explicit ScopedReportDir(const char* tag)
-      : dir_(std::filesystem::temp_directory_path() / tag),
+      : dir_(std::filesystem::temp_directory_path() /
+             (tag + std::to_string(getpid()))),
         reports_("ATACSIM_REPORT_DIR", (dir_ / "reports").c_str()),
         cache_("ATACSIM_CACHE", (dir_ / "cache").c_str()) {
     std::filesystem::remove_all(dir_);
@@ -195,62 +206,139 @@ class ScopedReportDir {
   ScopedEnv reports_, cache_;
 };
 
-/// emit_report's failure message, empty if it did not throw.
-template <typename... Report>
-std::string emit_failure(const Report&... rep) {
+/// A run_entry call: its failure message (empty if it did not throw) and
+/// the digest lines it printed.
+struct EntryRun {
+  std::string failure;
+  std::vector<std::string> digests;
+};
+
+EntryRun run(const char* name, BenchFn fn, int jobs = 1) {
+  exp::ExecOptions opt;
+  opt.jobs = jobs;
+  opt.progress = false;
+  EntryRun r;
+  testing::internal::CaptureStdout();
   try {
-    emit_report(rep...);
+    run_entry(Entry{name, "test entry", fn}, opt);
   } catch (const std::runtime_error& e) {
-    return e.what();
+    r.failure = e.what();
   }
-  return "";
+  std::fflush(stdout);
+  std::istringstream out(testing::internal::GetCapturedStdout());
+  for (std::string line; std::getline(out, line);)
+    if (line.rfind("digest\t", 0) == 0) r.digests.push_back(line);
+  return r;
 }
 
-TEST(EmitReport, UnfinishedCellFailsTheEntryAfterWritingTheReport) {
-  ScopedReportDir dir("atacsim_emit_unfinished");
+exp::sweep::CellConfig small_base() {
   exp::sweep::CellConfig base;
   base.scenario.mp = MachineParams::small(8, 2);
   base.scenario.scale = 0.05;
-  exp::sweep::SweepSpec spec(base);
+  return base;
+}
+
+/// Radix starved of cycles beside an fft that finishes.
+exp::report::Report starved_radix(const exp::ExecOptions& opt) {
+  exp::sweep::SweepSpec spec(small_base());
   spec.axis(exp::sweep::SweepAxis{
       "cell",
-      {{"radix starved",
+      {{"starved",
         [](exp::sweep::CellConfig& c) {
           c.scenario.app = "radix";
           c.scenario.max_cycles = 1000;  // far too few to finish
         }},
-       {"fft", [](exp::sweep::CellConfig& c) { c.scenario.app = "fft"; }}}});
-  exp::ExecOptions opt;
-  opt.progress = false;
-  const auto res = exp::sweep::run_scenarios(spec, opt);
-
-  const std::string msg = emit_failure("emit_unfinished", res.plan_result());
-  EXPECT_NE(msg.find("radix on ATAC+: did not complete"), std::string::npos)
-      << msg;
-  EXPECT_EQ(msg.find("fft on"), std::string::npos) << msg;
-  // The report is on disk first, failed row included.
-  const std::string json = dir.json("emit_unfinished");
-  EXPECT_NE(json.find("\"finished\": false"), std::string::npos);
-  EXPECT_NE(json.find("\"app\": \"fft\""), std::string::npos);
+       {"full", [](exp::sweep::CellConfig& c) { c.scenario.app = "fft"; }}}});
+  return exp::sweep::run_scenarios(spec, opt).report();
 }
 
-TEST(EmitReport, VerifyFailureFailsTheEntryAfterWritingTheReport) {
-  ScopedReportDir dir("atacsim_emit_verify");
-  exp::report::Report rep;
-  rep.name = "emit_verify";
-  rep.rows.push_back({"radix", "ATAC+", true, "", {}});
-  rep.rows.push_back({"lu_contig", "EMesh-Pure", true, "checksum mismatch", {}});
-
-  const std::string msg = emit_failure(rep);
-  EXPECT_NE(msg.find("lu_contig on EMesh-Pure: checksum mismatch"),
+TEST(FinishReport, UnfinishedCellFailsTheEntryAfterWritingTheReport) {
+  ScopedReportDir dir("atacsim_finish_unfinished");
+  const auto r = run("finish_unfinished", starved_radix);
+  EXPECT_NE(r.failure.find("radix on starved: did not complete"),
             std::string::npos)
-      << msg;
-  EXPECT_EQ(msg.find("radix on"), std::string::npos) << msg;
-  EXPECT_NE(dir.json("emit_verify").find("checksum mismatch"),
-            std::string::npos);
+      << r.failure;
+  EXPECT_EQ(r.failure.find("fft on"), std::string::npos) << r.failure;
+  // The report is on disk first, named after the entry, timed, failed row
+  // included; every row printed its digest line.
+  const std::string json = dir.json("finish_unfinished");
+  EXPECT_NE(json.find("\"name\": \"finish_unfinished\""), std::string::npos);
+  EXPECT_NE(json.find("\"finished\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"app\": \"fft\""), std::string::npos);
+  const auto at = json.find("\"wall_seconds\": ");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::stod(json.substr(at + 16)), 0.0);
+  ASSERT_EQ(r.digests.size(), 2u);
+  const std::string prefix = "digest\tfinish_unfinished\t";
+  EXPECT_EQ(r.digests[0].rfind(prefix + "radix\tstarved\t", 0), 0u)
+      << r.digests[0];
+  EXPECT_EQ(r.digests[1].rfind(prefix + "fft\tfull\t", 0), 0u)
+      << r.digests[1];
+  EXPECT_EQ(r.digests[1].size() - r.digests[1].rfind('\t') - 1, 16u);
+}
 
-  rep.rows.pop_back();
-  EXPECT_EQ(emit_failure(rep), "");  // every row verified: the entry passes
+exp::report::Report verified_rows(const exp::ExecOptions&) {
+  exp::report::Report rep;
+  rep.rows.push_back({"radix", "ATAC+", true, "", {}});
+  return rep;
+}
+
+exp::report::Report misverified_rows(const exp::ExecOptions& opt) {
+  auto rep = verified_rows(opt);
+  rep.rows.push_back({"lu_contig", "EMesh-Pure", true, "checksum mismatch", {}});
+  return rep;
+}
+
+TEST(FinishReport, VerifyFailureFailsTheEntryAfterWritingTheReport) {
+  ScopedReportDir dir("atacsim_finish_verify");
+  const auto bad = run("finish_verify", misverified_rows);
+  EXPECT_NE(bad.failure.find("lu_contig on EMesh-Pure: checksum mismatch"),
+            std::string::npos)
+      << bad.failure;
+  EXPECT_EQ(bad.failure.find("radix on"), std::string::npos) << bad.failure;
+  EXPECT_NE(dir.json("finish_verify").find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_EQ(bad.digests.size(), 2u);
+
+  // Every row verified: the entry passes, and a row's digest does not
+  // depend on the rows beside it.
+  const auto good = run("finish_verify", verified_rows);
+  EXPECT_EQ(good.failure, "");
+  ASSERT_EQ(good.digests.size(), 1u);
+  EXPECT_EQ(good.digests[0], bad.digests[0]);
+  EXPECT_NE(bad.digests[1].substr(bad.digests[1].rfind('\t')),
+            good.digests[0].substr(good.digests[0].rfind('\t')));
+}
+
+exp::report::Report tiny_sweep(const exp::ExecOptions& opt) {
+  exp::sweep::SweepSpec spec(small_base());
+  spec.axis(exp::sweep::apps_axis({"radix", "fft"}))
+      .axis(exp::sweep::machine_axis(
+          {{"ATAC+", harness::atac_plus(PhotonicFlavor::kDefault,
+                                        MachineParams::small(8, 2))},
+           {"EMesh-BCast",
+            harness::emesh_bcast(MachineParams::small(8, 2))}}));
+  return exp::sweep::run_scenarios(spec, opt).report();
+}
+
+TEST(FinishReport, DigestLinesMatchAcrossCacheStateAndPoolSize) {
+  std::vector<std::vector<std::string>> runs;
+  for (const int jobs : {1, 2}) {
+    ScopedReportDir dir("atacsim_finish_digests");
+    const auto cold = run("tiny_sweep", tiny_sweep, jobs);
+    EXPECT_NE(dir.json("tiny_sweep").find("\"simulations\": 4"),
+              std::string::npos);
+    const auto warm = run("tiny_sweep", tiny_sweep, jobs);
+    EXPECT_NE(dir.json("tiny_sweep").find("\"simulations\": 0"),
+              std::string::npos);
+    EXPECT_EQ(cold.failure, "");
+    EXPECT_EQ(warm.failure, "");
+    runs.push_back(cold.digests);
+    runs.push_back(warm.digests);
+  }
+  ASSERT_EQ(runs[0].size(), 4u);
+  for (std::size_t i = 1; i < runs.size(); ++i)
+    EXPECT_EQ(runs[i], runs[0]) << i;
 }
 
 }  // namespace

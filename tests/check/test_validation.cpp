@@ -116,7 +116,7 @@ TEST(MutationCoherence, ForgottenSharersAreCaught) {
   access_and_drain(m, 3, a, false);
 
   const Addr line = m.cache(1).l2().line_of(a);
-  m.directory(m.homes().slice_of(line)).debug_corrupt_forget_line(line);
+  m.directory(m.home_slice(line)).debug_corrupt_forget_line(line);
 
   try {
     access_and_drain(m, 0, a, true);
@@ -161,7 +161,7 @@ TEST(MutationCoherence, ProbeFollowsTheLiveValidationFlag) {
   access_and_drain(m, 1, a, false);
   access_and_drain(m, 2, a, false);
   const Addr line = m.cache(1).l2().line_of(a);
-  m.directory(m.homes().slice_of(line)).debug_corrupt_forget_line(line);
+  m.directory(m.home_slice(line)).debug_corrupt_forget_line(line);
 
   // Cores 1 and 2 now hold copies the directory does not track.
   m.set_validation(false);

@@ -26,6 +26,17 @@ harness::Outcome fake_outcome(const char* app, const char* config) {
   return o;
 }
 
+/// A scenario report: one row per outcome.
+Report report_of(const std::string& name,
+                 const std::vector<harness::Outcome>& outcomes) {
+  Report rep;
+  rep.name = name;
+  for (const auto& o : outcomes)
+    rep.rows.push_back(
+        Row{o.app, o.config, o.finished, o.verify_msg, outcome_stats(o)});
+  return rep;
+}
+
 TEST(Report, JsonEscaping) {
   const std::string raw = "q\"b\\s\nline\ttab\x01";
   Report rep;
@@ -59,9 +70,8 @@ TEST(Report, OutcomeStatsCoverCountersEnergyAndDerived) {
 }
 
 TEST(Report, JsonIsWellFormedAndCarriesMeta) {
-  PlanResult r;
-  r.outcomes = {fake_outcome("radix", "ATAC+"),
-                fake_outcome("b\"ad", "EMesh-BCast")};
+  Report r = report_of("fig99_test", {fake_outcome("radix", "ATAC+"),
+                                      fake_outcome("b\"ad", "EMesh-BCast")});
   r.cells = 2;
   r.cache_hits = 1;
   r.simulations = 1;
@@ -69,7 +79,7 @@ TEST(Report, JsonIsWellFormedAndCarriesMeta) {
   r.wall_seconds = 1.5;
 
   std::ostringstream os;
-  write_json(os, Report::from_plan("fig99_test", r));
+  write_json(os, r);
   const std::string j = os.str();
 
   EXPECT_NE(j.find("\"name\": \"fig99_test\""), std::string::npos);
@@ -107,11 +117,10 @@ TEST(Report, JsonIsWellFormedAndCarriesMeta) {
 }
 
 TEST(Report, CsvHasHeaderAndOneRowPerOutcome) {
-  PlanResult r;
-  r.outcomes = {fake_outcome("radix", "ATAC+"),
-                fake_outcome("lu,contig", "EMesh-Pure")};
   std::ostringstream os;
-  write_csv(os, Report::from_plan("fig99_test", r));
+  write_csv(os, report_of("fig99_test", {fake_outcome("radix", "ATAC+"),
+                                         fake_outcome("lu,contig",
+                                                      "EMesh-Pure")}));
   const std::string csv = os.str();
 
   std::istringstream is(csv);

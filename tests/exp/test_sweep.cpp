@@ -181,12 +181,10 @@ TEST(SweepScenarios, ReportIsIdenticalAcrossPoolSizes) {
     opt.jobs = jobs;
     opt.progress = false;
     const auto res = run_scenarios(spec, opt);
-    auto rep = report::Report::from_plan("sweep_determinism",
-                                         res.plan_result());
+    auto rep = res.report();
     // jobs and host timing legitimately differ between pool sizes; the
     // simulated state must not.
     rep.jobs = 0;
-    rep.wall_seconds = 0;
     strip_wall_seconds(rep);
     std::ostringstream js, cs;
     report::write_json(js, rep);
@@ -195,6 +193,52 @@ TEST(SweepScenarios, ReportIsIdenticalAcrossPoolSizes) {
   };
   EXPECT_EQ(serialized(1, "atacsim_sweep_det1"),
             serialized(8, "atacsim_sweep_det8"));
+}
+
+TEST(SweepScenarios, ReportNamesEachRowByItsCell) {
+  ScopedCacheDir cache("atacsim_sweep_rowcfg");
+  struct Policy {
+    const char* name;
+    RoutingPolicy pol;
+    int r;
+  };
+  CellConfig base = small_base();
+  base.scenario.mp.network = NetworkKind::kAtacPlus;
+  SweepSpec spec(base);
+  spec.axis(apps_axis({"radix", "fft"}))
+      .axis(value_axis<Policy>(
+          "routing",
+          {{"Cluster", RoutingPolicy::kCluster, 0},
+           {"Distance-5", RoutingPolicy::kDistance, 5}},
+          [](const Policy& p) { return std::string(p.name); },
+          [](CellConfig& c, const Policy& p) {
+            c.scenario.mp.routing = p.pol;
+            c.scenario.mp.r_thres = p.r;
+          }));
+  ExecOptions opt;
+  opt.progress = false;
+  const auto res = run_scenarios(spec, opt);
+  const auto rep = res.report();
+  EXPECT_EQ(rep.cells, res.plan_result().cells);
+  EXPECT_EQ(rep.simulations + rep.cache_hits, rep.cells);
+  EXPECT_EQ(rep.jobs, res.plan_result().jobs);
+  ASSERT_EQ(rep.rows.size(), 4u);
+  // Row order is flat cell order; the config is the routing label, where
+  // the machine's own name (ATAC+) would repeat for both policies.
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"radix", "Cluster"},
+      {"radix", "Distance-5"},
+      {"fft", "Cluster"},
+      {"fft", "Distance-5"}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rep.rows[i].app, want[i].first) << i;
+    EXPECT_EQ(rep.rows[i].config, want[i].second) << i;
+    EXPECT_TRUE(rep.rows[i].finished) << i;
+    EXPECT_EQ(rep.rows[i].stats.get("completion_cycles"),
+              static_cast<double>(res.plan_result().outcomes[i]
+                                      .run.completion_cycles))
+        << i;
+  }
 }
 
 TEST(SweepSynthetic, GridIsIndependentOfPoolSize) {

@@ -13,20 +13,18 @@
 namespace atacsim::mem {
 namespace {
 
-TEST(HomeMap, InterleavesLinesAcrossAllSlices) {
-  std::vector<CoreId> cores;
-  for (CoreId c = 0; c < 64; ++c) cores.push_back(c * 16);
-  const HomeMap hm(cores);
-  EXPECT_EQ(hm.num_slices(), 64);
+TEST(HomeSlice, InterleavesLinesAcrossAllSlices) {
+  const sim::Machine m(MachineParams::small(8, 2));
+  const int slices = m.geom().num_clusters();
+  EXPECT_EQ(slices, 16);
   std::set<HubId> seen;
-  for (Addr line = 0; line < 64 * 64; line += 64)
-    seen.insert(hm.slice_of(line));
-  EXPECT_EQ(seen.size(), 64u);  // consecutive lines hit every slice
-  // Same line always maps to the same slice; sub-line addresses too... the
-  // map takes line-aligned input by contract, adjacent lines differ.
-  EXPECT_EQ(hm.slice_of(0), hm.slice_of(0));
-  EXPECT_NE(hm.slice_of(0), hm.slice_of(64));
-  EXPECT_EQ(hm.slice_core(5), cores[5]);
+  for (Addr line = 0; line < Addr(slices) * kLineBytes; line += kLineBytes)
+    seen.insert(m.home_slice(line));
+  EXPECT_EQ(seen.size(), 16u);  // consecutive lines hit every slice
+  // The map takes line-aligned input by contract; adjacent lines differ and
+  // the interleave wraps after one line per slice.
+  EXPECT_NE(m.home_slice(0), m.home_slice(kLineBytes));
+  EXPECT_EQ(m.home_slice(0), m.home_slice(Addr(slices) * kLineBytes));
 }
 
 struct MemCtrlHarness {
