@@ -42,21 +42,8 @@ exp::report::Report run_ext_atac_vs_atacplus(const exp::ExecOptions& opt) {
   const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
-  const auto gm = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (const auto& s : steps) header.push_back(s.first);
-  Table t(header);
-  for (std::size_t a = 0; a < benchmarks().size(); ++a) {
-    std::vector<std::string> row = {benchmarks()[a]};
-    for (std::size_t i = 0; i < steps.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 3));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double g : gm) avg.push_back(Table::num(g, 3));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 3).print(std::cout);
   std::printf(
       "\nReading: the adaptive SWMR link (laser power gating) delivers the"
       "\nbulk of the energy-delay win; StarNet and distance-based routing"

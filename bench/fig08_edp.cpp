@@ -35,19 +35,7 @@ exp::report::Report run_fig08(const exp::ExecOptions& opt) {
       res.grid([](const Outcome& o) { return o.edp(); }).normalized_rows(0);
   const auto means = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (const auto& c : configs) header.push_back(c.first);
-  Table t(header);
-  for (std::size_t a = 0; a < benchmarks().size(); ++a) {
-    std::vector<std::string> row = {benchmarks()[a]};
-    for (std::size_t i = 0; i < configs.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 2));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double m : means) avg.push_back(Table::num(m, 2));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 2).print(std::cout);
 
   const double atac = means[1];
   std::printf(

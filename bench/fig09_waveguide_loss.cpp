@@ -61,8 +61,8 @@ exp::report::Report run_fig09(const exp::ExecOptions& opt) {
     rr.stats.add("waveguide_loss_dB_per_cm", loss);
     rr.stats.add("atac_energy_over_emesh_bcast", total / mesh_total);
     rr.stats.add("laser_share_pct", 100.0 * laser / total);
-    rr.stats.add("atac_chip_no_core_nJ", total);
-    rr.stats.add("emesh_bcast_chip_no_core_nJ", mesh_total);
+    rr.stats.add("atac_chip_no_core_J", total);
+    rr.stats.add("emesh_bcast_chip_no_core_J", mesh_total);
     for (std::size_t i = 0; i < benchmarks().size(); ++i)
       for (std::size_t n = 0; n < 2; ++n) fold_failure(rr, res.at({i, n}));
     rep.rows.push_back(std::move(rr));

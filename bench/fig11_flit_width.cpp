@@ -37,21 +37,8 @@ exp::report::Report run_fig11(const exp::ExecOptions& opt) {
                          return static_cast<double>(o.run.completion_cycles);
                        })
                         .normalized_rows(2);
-  const auto gm = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (int w : widths) header.push_back(std::to_string(w) + "-bit");
-  Table t(header);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    std::vector<std::string> row = {apps[a]};
-    for (std::size_t i = 0; i < widths.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 2));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double g : gm) avg.push_back(Table::num(g, 2));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 2).print(std::cout);
 
   // The area cost that motivates stopping at 64 bits.
   std::printf("\noptical area: ");

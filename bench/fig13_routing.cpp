@@ -45,21 +45,8 @@ exp::report::Report run_fig13(const exp::ExecOptions& opt) {
   const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
-  const auto gm = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (const auto& p : policies) header.push_back(p.name);
-  Table t(header);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    std::vector<std::string> row = {apps[a]};
-    for (std::size_t i = 0; i < policies.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 3));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double g : gm) avg.push_back(Table::num(g, 3));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 3).print(std::cout);
   std::printf(
       "\nPaper check: Distance-15 has the lowest average E-D product"
       "\n(paper: ~10%% below Cluster); Distance-All is worst.\n\n");

@@ -46,21 +46,8 @@ exp::report::Report run_fig14(const exp::ExecOptions& opt) {
   const auto res = exp::sweep::run_scenarios(spec, opt);
   const auto norm = res.grid([](const Outcome& o) { return o.edp(); })
                         .normalized_rows(0);
-  const auto gm = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (const auto& c : configs) header.push_back(c.name);
-  Table t(header);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    std::vector<std::string> row = {apps[a]};
-    for (std::size_t i = 0; i < configs.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 2));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double g : gm) avg.push_back(Table::num(g, 2));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 2).print(std::cout);
   std::printf(
       "\nPaper check: ACKwise4 beats Dir4B on both networks; Dir4B's"
       "\ndegradation is larger on EMesh-BCast and grows with broadcast"

@@ -34,21 +34,8 @@ exp::report::Report run_fig15(const exp::ExecOptions& opt) {
                          return static_cast<double>(o.run.completion_cycles);
                        })
                         .normalized_rows(0);
-  const auto gm = norm.col_geomeans();
 
-  std::vector<std::string> header = {"benchmark"};
-  for (int k : ks) header.push_back("k=" + std::to_string(k));
-  Table t(header);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    std::vector<std::string> row = {apps[a]};
-    for (std::size_t i = 0; i < ks.size(); ++i)
-      row.push_back(Table::num(norm.at(a, i), 3));
-    t.add_row(std::move(row));
-  }
-  std::vector<std::string> avg = {"geomean"};
-  for (const double g : gm) avg.push_back(Table::num(g, 3));
-  t.add_row(std::move(avg));
-  t.print(std::cout);
+  res.normalized_table(norm, 3).print(std::cout);
   std::printf(
       "\nPaper check: runtime varies little (and non-monotonically) from"
       "\nk=4 to k=1024 — ACKwise4 performs like a full-map directory.\n\n");

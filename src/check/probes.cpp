@@ -167,17 +167,11 @@ void check_epoch_totals(const NetCounters& sum_net,
                 std::to_string(sum) + " but the run total is " +
                 std::to_string(fin));
   };
-  // The X-macro keeps this probe in lockstep with the counter structs: a
+  // The walks keep this probe in lockstep with the counter structs: a
   // field added there is compared here with no further edits.
-#define ATACSIM_X(f) field(#f, sum_net.f, final_net.f);
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) field(#f, sum_mem.f, final_mem.f);
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) field(#f, sum_core.f, final_core.f);
-  ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  for_each_counter(field, sum_net, final_net);
+  for_each_counter(field, sum_mem, final_mem);
+  for_each_counter(field, sum_core, final_core);
 }
 
 }  // namespace atacsim::check

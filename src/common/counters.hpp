@@ -3,18 +3,22 @@
 // toolflow as the paper (Sec. V-A).
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/stats.hpp"
 
 // X-macro field lists: every plain uint64 counter field, in declaration
-// order. These lists are the one place that names the counters: every layer
-// that walks them (NetCounters::add, the obs epoch sampler's deltas, the
-// check kObs probe, the scenario cache, the report columns, the perfbench
-// digest) expands them instead of hand-listing fields, and the
-// static_asserts below fail to compile when a struct field is missing from
-// its list. The packet_latency Accumulator is intentionally not listed.
+// order. They name the counters once, and this header is the one place in
+// src/ that expands them: each list becomes a for_each_counter walk, with a
+// field-wise +=, - and is_zero built on it. Program::run sums the cores
+// with +=; the epoch sampler takes deltas with -, merges and totals with +=
+// and drops a quiet flush with is_zero; the kObs probe, Digest::add, the
+// scenario cache, the series columns and the report's net and mem columns
+// call the walk. The static_asserts below fail to compile when a struct
+// field is missing from its list. packet_latency is intentionally unlisted.
 #define ATACSIM_NET_COUNTER_FIELDS(X) \
   X(enet_router_flits)                \
   X(enet_link_flits)                  \
@@ -86,11 +90,8 @@ struct NetCounters {
 
   Accumulator packet_latency;  ///< injection -> (last) delivery, cycles
 
-  void add(const NetCounters& o) {
-#define ATACSIM_X(f) f += o.f;
-    ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  }
+  /// The listed counters of `o` added field-wise (the `+=` below).
+  void add(const NetCounters& o);
 };
 
 /// Memory-hierarchy activity counters (whole machine).
@@ -130,5 +131,62 @@ static_assert(0 ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X) == sizeof(MemCounters),
 static_assert(0 ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X) == sizeof(CoreCounters),
               "ATACSIM_CORE_COUNTER_FIELDS must list every CoreCounters field");
 #undef ATACSIM_X
+
+// --- the walks ----------------------------------------------------------
+// for_each_counter(f, a, b...) calls f("name", a.name, b.name...) for each
+// counter of the blocks' list, in list order. Every block passed is the
+// same struct, const or not, so f may write through a non-const one.
+
+template <typename B, typename Block>
+concept BlockOf = std::same_as<std::remove_cvref_t<B>, Block>;
+
+#define ATACSIM_X(f) fn(#f, blocks.f...);
+template <typename Fn, BlockOf<NetCounters>... B>
+void for_each_counter(Fn&& fn, B&&... blocks) {
+  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
+}
+template <typename Fn, BlockOf<MemCounters>... B>
+void for_each_counter(Fn&& fn, B&&... blocks) {
+  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
+}
+template <typename Fn, BlockOf<CoreCounters>... B>
+void for_each_counter(Fn&& fn, B&&... blocks) {
+  ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
+}
+#undef ATACSIM_X
+
+/// Any of the three counter blocks.
+template <typename T>
+concept CounterBlock = std::same_as<T, NetCounters> ||
+                       std::same_as<T, MemCounters> ||
+                       std::same_as<T, CoreCounters>;
+
+/// Field-wise sum of the listed counters (NetCounters::packet_latency is
+/// left as it is).
+template <CounterBlock T>
+T& operator+=(T& a, const T& b) {
+  for_each_counter([](auto, auto& x, auto y) { x += y; }, a, b);
+  return a;
+}
+
+/// Field-wise difference of the listed counters, e.g. an epoch's delta from
+/// two absolute snapshots.
+template <CounterBlock T>
+T operator-(const T& a, const T& b) {
+  T d;
+  for_each_counter([](auto, auto& out, auto x, auto y) { out = x - y; }, d,
+                   a, b);
+  return d;
+}
+
+/// True when every listed counter is 0.
+template <CounterBlock T>
+bool is_zero(const T& a) {
+  std::uint64_t acc = 0;
+  for_each_counter([&acc](auto, auto v) { acc |= v; }, a);
+  return acc == 0;
+}
+
+inline void NetCounters::add(const NetCounters& o) { *this += o; }
 
 }  // namespace atacsim

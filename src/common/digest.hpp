@@ -18,21 +18,11 @@ class Digest {
     }
   }
 
-  /// Each counter of the struct's X-macro list, in list order.
-  void add(const NetCounters& n) {
-#define ATACSIM_X(f) add(n.f);
-    ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  }
-  void add(const MemCounters& m) {
-#define ATACSIM_X(f) add(m.f);
-    ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  }
-  void add(const CoreCounters& c) {
-#define ATACSIM_X(f) add(c.f);
-    ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  /// Each counter of the block's list, in list order.
+  template <CounterBlock T>
+  void add(const T& block) {
+    for_each_counter([this](const char*, std::uint64_t v) { add(v); },
+                     block);
   }
 
   std::uint64_t value() const { return h_; }

@@ -36,7 +36,6 @@ class Program {
   Program& operator=(const Program&) = delete;
 
   sim::Machine& machine() { return *machine_; }
-  CoreCtx& ctx(CoreId c) { return *ctxs_[static_cast<std::size_t>(c)]; }
 
   /// Spawns `body` on every core (or the first `n` cores if n >= 0).
   void spawn_all(const AppBody& body, int n = -1);

@@ -19,7 +19,6 @@
 #include "obs/log.hpp"
 #include "obs/options.hpp"
 #include "obs/profile.hpp"
-#include "power/energy_model.hpp"
 
 namespace atacsim::exp {
 
@@ -44,9 +43,7 @@ harness::Outcome run_cell(const harness::Scenario& s, bool& cache_hit) {
 void finalize(const harness::Scenario& s, harness::Outcome& o) {
   o.app = s.app;
   o.config = harness::config_name(s.mp);
-  const power::EnergyModel em(s.mp);
-  o.energy = em.compute(o.run.net, o.run.mem, o.run.core,
-                        static_cast<double>(o.run.completion_cycles));
+  o.energy = harness::recompute_energy(o, s.mp, TechBundle{});
 }
 
 }  // namespace

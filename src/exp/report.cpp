@@ -28,12 +28,8 @@ StatList outcome_stats(const harness::Outcome& o) {
   u("busy_cycles", r.core.busy_cycles);
   st.add("wall_seconds", o.wall_seconds);
   // network and memory counters
-#define ATACSIM_X(f) u(#f, r.net.f);
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) u(#f, r.mem.f);
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  for_each_counter(u, r.net);
+  for_each_counter(u, r.mem);
   // ATAC+ link stats
   st.add("swmr_utilization", o.swmr_utilization);
   u("onet_unicasts", o.onet_unicasts);

@@ -118,6 +118,25 @@ MetricGrid SweepResult::grid(const MetricFn& m) const {
   return g;
 }
 
+Table SweepResult::normalized_table(const MetricGrid& norm,
+                                    int digits) const {
+  std::vector<std::string> header = {"benchmark"};
+  for (const AxisPoint& p : spec_->axes().at(1).points)
+    header.push_back(p.label);
+  Table t(std::move(header));
+  for (std::size_t r = 0; r < norm.rows(); ++r) {
+    std::vector<std::string> row = {spec_->label(0, r)};
+    for (std::size_t c = 0; c < norm.cols(); ++c)
+      row.push_back(Table::num(norm.at(r, c), digits));
+    t.add_row(std::move(row));
+  }
+  std::vector<std::string> avg = {"geomean"};
+  for (const double g : norm.col_geomeans())
+    avg.push_back(Table::num(g, digits));
+  t.add_row(std::move(avg));
+  return t;
+}
+
 report::Report SweepResult::report() const {
   report::Report rep;
   rep.jobs = plan_.jobs;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/table.hpp"
 #include "exp/plan.hpp"
 #include "exp/report.hpp"
 #include "harness/runner.hpp"
@@ -149,6 +150,12 @@ class SweepResult {
 
   /// Metric grid over a 2-axis sweep (throws on any other arity).
   MetricGrid grid(const MetricFn& m) const;
+
+  /// The figures' table of a normalized grid(): a "benchmark" head column,
+  /// one column per point of the second axis and one row per point of the
+  /// first (each under its axis label), then a "geomean" row; every value
+  /// printed with `digits` decimals.
+  Table normalized_table(const MetricGrid& norm, int digits) const;
 
   /// The sweep's report, unnamed and untimed: the plan's jobs, cells,
   /// cache_hits and simulations, and one row per cell in flat order. A

@@ -82,6 +82,8 @@ namespace {
 
 void store(std::ostream& os, const Outcome& o) {
   const auto& r = o.run;
+  // total_instructions duplicates the core block's instructions; it stays
+  // so that older builds, which read it, can still load this entry.
   std::map<std::string, double> kv = {
       {"finished", o.finished ? 1.0 : 0.0},
       {"wall_seconds", o.wall_seconds},
@@ -91,14 +93,13 @@ void store(std::ostream& os, const Outcome& o) {
       {"completion_cycles", static_cast<double>(r.completion_cycles)},
       {"total_instructions", static_cast<double>(r.total_instructions)},
       {"avg_ipc", r.avg_ipc},
-      {"busy_cycles", static_cast<double>(r.core.busy_cycles)},
   };
-#define ATACSIM_X(f) kv[#f] = static_cast<double>(r.net.f);
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) kv[#f] = static_cast<double>(r.mem.f);
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  auto put = [&kv](const char* k, std::uint64_t v) {
+    kv[k] = static_cast<double>(v);
+  };
+  for_each_counter(put, r.net);
+  for_each_counter(put, r.mem);
+  for_each_counter(put, r.core);
   os << "verify_msg=" << o.verify_msg << '\n';
   os.precision(17);  // counters are exact integers stored as doubles
   for (const auto& [key, v] : kv) os << key << '=' << v << '\n';
@@ -131,17 +132,19 @@ bool load(std::istream& is, Outcome& o) {
   auto& r = o.run;
   r.finished = o.finished;
   r.completion_cycles = gu("completion_cycles");
-  r.total_instructions = gu("total_instructions");
   r.avg_ipc = g("avg_ipc");
-  r.core.instructions = r.total_instructions;
-  r.core.busy_cycles = gu("busy_cycles");
-#define ATACSIM_X(f) r.net.f = gu(#f);
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) r.mem.f = gu(#f);
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  return true;
+  // Every listed counter must be present: an entry written before a
+  // counter existed is a miss, never a run that counted 0.
+  bool complete = true;
+  auto take = [&](const char* k, std::uint64_t& v) {
+    complete = complete && kv.count(k);
+    v = gu(k);
+  };
+  for_each_counter(take, r.net);
+  for_each_counter(take, r.mem);
+  for_each_counter(take, r.core);
+  r.total_instructions = r.core.instructions;
+  return complete;
 }
 
 fs::path entry_path(const Scenario& s) {

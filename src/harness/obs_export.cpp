@@ -40,25 +40,27 @@ obs::SeriesDoc build_series(const Scenario& s, const obs::RunObserver& obs) {
 
   const auto& epochs = obs.epochs();
   const std::size_t n = epochs.size();
-  auto fill = [&](const std::string& name, auto get) {
-    auto& col = doc.add_column(name);
-    col.reserve(n);
-    for (const auto& e : epochs) col.push_back(static_cast<double>(get(e)));
+  auto& t_end = doc.add_column("t_end");
+  t_end.reserve(n);
+  for (const auto& e : epochs) t_end.push_back(static_cast<double>(e.t_end));
+  // One column per listed counter, named by a walk over a blank record and
+  // filled by one walk per epoch.
+  auto counter_columns = [&](auto block) {
+    const std::size_t first = doc.data.size();
+    for_each_counter([&](const char* name, auto) { doc.add_column(name); },
+                     obs::EpochRecord{}.*block);
+    for (const auto& e : epochs) {
+      std::size_t c = first;
+      for_each_counter(
+          [&](auto, auto v) {
+            doc.data[c++].push_back(static_cast<double>(v));
+          },
+          e.*block);
+    }
   };
-
-  fill("t_end", [](const obs::EpochRecord& e) { return e.t_end; });
-#define ATACSIM_X(f) \
-  fill(#f, [](const obs::EpochRecord& e) { return e.net.f; });
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) \
-  fill(#f, [](const obs::EpochRecord& e) { return e.mem.f; });
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) \
-  fill(#f, [](const obs::EpochRecord& e) { return e.core.f; });
-  ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  counter_columns(&obs::EpochRecord::net);
+  counter_columns(&obs::EpochRecord::mem);
+  counter_columns(&obs::EpochRecord::core);
 
   const auto& chans = obs.channel_names();
   for (std::size_t c = 0; c < chans.size(); ++c) {

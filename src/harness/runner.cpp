@@ -98,10 +98,7 @@ Outcome run_scenario(const Scenario& s) {
     out.onet_bcasts = atac->onet_bcast_packets();
   }
 
-  const power::EnergyModel em(s.mp);
-  out.energy =
-      em.compute(out.run.net, out.run.mem, out.run.core,
-                 static_cast<double>(out.run.completion_cycles));
+  out.energy = recompute_energy(out, s.mp, TechBundle{});
   if (prog.machine().validation())
     check::check_energy(out.energy, s.app + " on " + out.config);
 

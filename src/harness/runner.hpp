@@ -53,9 +53,10 @@ struct Outcome {
 /// what went wrong ("did not complete" for the latter).
 Outcome run_scenario(const Scenario& s);
 
-/// Re-integrates an outcome's counters under different technology
-/// assumptions (e.g. the waveguide-loss sweep of Fig. 9) without re-running
-/// the simulation.
+/// Integrates an outcome's counters into energy under `tb`: the one energy
+/// computation. run_scenario and the plan pass the default bundle; the
+/// waveguide-loss sweep of Fig. 9 varies it without re-running the
+/// simulation.
 power::EnergyBreakdown recompute_energy(const Outcome& o,
                                         const MachineParams& mp,
                                         const TechBundle& tb);

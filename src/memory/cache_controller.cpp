@@ -135,16 +135,15 @@ void CacheController::wait_for_change(Addr addr, Completion done) {
     complete(done, machine_.now() + 1);
     return;
   }
-  change_waiters_[line].push_back(done);
+  assert(wait_line_ == kNoLine && "one spin-wait per core at a time");
+  wait_line_ = line;
+  wait_done_ = done;
 }
 
 void CacheController::notify_change(Addr line) {
-  auto it = change_waiters_.find(line);
-  if (it == change_waiters_.end()) return;
-  auto waiters = std::move(it->second);
-  change_waiters_.erase(it);
-  const Cycle t = machine_.now() + 1;
-  for (const Completion& done : waiters) complete(done, t);
+  if (line != wait_line_) return;
+  wait_line_ = kNoLine;
+  complete(wait_done_, machine_.now() + 1);
 }
 
 void CacheController::complete(Completion done, Cycle t) {

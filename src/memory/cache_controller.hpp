@@ -135,7 +135,11 @@ class CacheController {
   CacheArray l1d_;
   CacheArray l2_;
   std::unordered_map<Addr, Mshr> mshr_;
-  std::unordered_map<Addr, std::vector<Completion>> change_waiters_;
+  /// The one wait_for_change in progress: its core's coroutine stays
+  /// suspended on it, so a core never has two. kNoLine when none.
+  static constexpr Addr kNoLine = ~Addr{0};
+  Addr wait_line_ = kNoLine;
+  Completion wait_done_{};
   /// Directory unicasts waiting for an earlier broadcast from their slice,
   /// in arrival order. Rarely more than a few.
   std::vector<CohMsg> deferred_;

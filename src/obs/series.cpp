@@ -12,47 +12,12 @@ using json::num;
 
 namespace {
 
-// Field-wise delta helpers over the counter X-macro lists.
-NetCounters delta(const NetCounters& cur, const NetCounters& prev) {
-  NetCounters d;
-#define ATACSIM_X(f) d.f = cur.f - prev.f;
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  return d;
-}
-
-MemCounters delta(const MemCounters& cur, const MemCounters& prev) {
-  MemCounters d;
-#define ATACSIM_X(f) d.f = cur.f - prev.f;
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  return d;
-}
-
-CoreCounters delta(const CoreCounters& cur, const CoreCounters& prev) {
-  CoreCounters d;
-#define ATACSIM_X(f) d.f = cur.f - prev.f;
-  ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  return d;
-}
-
-bool all_zero(const NetCounters& n, const MemCounters& m,
-              const CoreCounters& c, const std::vector<Cycle>& chan,
-              const std::vector<std::uint64_t>& core_busy) {
+/// True when the epoch recorded no activity at all.
+bool quiet(const EpochRecord& r) {
   std::uint64_t acc = 0;
-#define ATACSIM_X(f) acc |= n.f;
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) acc |= m.f;
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) acc |= c.f;
-  ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-  for (const Cycle v : chan) acc |= v;
-  for (const std::uint64_t v : core_busy) acc |= v;
-  return acc == 0;
+  for (const Cycle v : r.chan_busy) acc |= v;
+  for (const std::uint64_t v : r.core_busy) acc |= v;
+  return acc == 0 && is_zero(r.net) && is_zero(r.mem) && is_zero(r.core);
 }
 
 }  // namespace
@@ -80,8 +45,8 @@ void RunObserver::push_record(Cycle t_end, const NetCounters& net,
                               const std::vector<Cycle>& chan_busy) {
   EpochRecord rec;
   rec.t_end = t_end;
-  rec.net = delta(net, last_net_);
-  rec.mem = delta(mem, last_mem_);
+  rec.net = net - last_net_;
+  rec.mem = mem - last_mem_;
 
   rec.chan_busy.resize(last_chan_busy_.size(), 0);
   for (std::size_t i = 0; i < last_chan_busy_.size() && i < chan_busy.size();
@@ -91,10 +56,8 @@ void RunObserver::push_record(Cycle t_end, const NetCounters& net,
   last_cores_.resize(cores.size());
   rec.core_busy.resize(cores.size());
   for (std::size_t i = 0; i < cores.size(); ++i) {
-    const CoreCounters d = delta(cores[i], last_cores_[i]);
-#define ATACSIM_X(f) rec.core.f += d.f;
-    ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+    const CoreCounters d = cores[i] - last_cores_[i];
+    rec.core += d;
     rec.core_busy[i] = d.busy_cycles;
   }
 
@@ -102,16 +65,11 @@ void RunObserver::push_record(Cycle t_end, const NetCounters& net,
   // events executing exactly at the final sampled cycle — merges into the
   // last record so t_end stays strictly increasing across the series.
   if (!epochs_.empty() && t_end <= epochs_.back().t_end) {
-    if (all_zero(rec.net, rec.mem, rec.core, rec.chan_busy, rec.core_busy))
-      return;
+    if (quiet(rec)) return;
     EpochRecord& back = epochs_.back();
-    back.net.add(rec.net);
-#define ATACSIM_X(f) back.mem.f += rec.mem.f;
-    ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) back.core.f += rec.core.f;
-    ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+    back.net += rec.net;
+    back.mem += rec.mem;
+    back.core += rec.core;
     for (std::size_t i = 0; i < back.chan_busy.size(); ++i)
       back.chan_busy[i] += rec.chan_busy[i];
     for (std::size_t i = 0; i < back.core_busy.size(); ++i)
@@ -151,13 +109,9 @@ void RunObserver::totals(NetCounters& net, MemCounters& mem,
   mem = {};
   core = {};
   for (const EpochRecord& e : epochs_) {
-    net.add(e.net);
-#define ATACSIM_X(f) mem.f += e.mem.f;
-    ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) core.f += e.core.f;
-    ATACSIM_CORE_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+    net += e.net;
+    mem += e.mem;
+    core += e.core;
   }
 }
 

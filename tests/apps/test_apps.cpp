@@ -160,12 +160,12 @@ TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
     const auto& b = runs[k];
     EXPECT_EQ(a.completion_cycles, b.completion_cycles) << "run " << k;
     EXPECT_EQ(a.total_instructions, b.total_instructions) << "run " << k;
-#define ATACSIM_X(f) EXPECT_EQ(a.net.f, b.net.f) << "run " << k << " " #f;
-    ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) EXPECT_EQ(a.mem.f, b.mem.f) << "run " << k << " " #f;
-    ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+    auto same = [k](const char* f, std::uint64_t x, std::uint64_t y) {
+      EXPECT_EQ(x, y) << "run " << k << " " << f;
+    };
+    for_each_counter(same, a.net, b.net);
+    for_each_counter(same, a.mem, b.mem);
+    for_each_counter(same, a.core, b.core);
   }
 }
 

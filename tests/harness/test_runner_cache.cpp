@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -164,13 +165,9 @@ TEST(ScenarioKey, SanitizationIsInjective) {
   }
 }
 
-TEST(Cache, StoreLoadRoundTripFieldForField) {
-  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_rt";
-  std::filesystem::remove_all(dir);
-  setenv("ATACSIM_CACHE", dir.c_str(), 1);
-
-  // A synthetic outcome with a distinct value in every persisted field, so
-  // any swapped or dropped key in the store/load maps fails the comparison.
+/// A synthetic outcome with a distinct value in every persisted field, so
+/// any swapped or dropped key in the store/load maps fails a comparison.
+Outcome distinct_outcome() {
   Outcome o;
   o.finished = true;
   o.verify_msg = "";
@@ -180,18 +177,43 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   o.onet_bcasts = 102;
   o.run.finished = true;
   o.run.completion_cycles = 1001;
-  o.run.total_instructions = 1002;
   o.run.avg_ipc = 0.75;
-  o.run.core.instructions = 1002;
-  o.run.core.busy_cycles = 1003;
   std::uint64_t next = 1;
-#define ATACSIM_X(f) o.run.net.f = next++;
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) o.run.mem.f = next++;
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  auto set = [&next](const char*, std::uint64_t& v) { v = next++; };
+  for_each_counter(set, o.run.net);
+  for_each_counter(set, o.run.mem);
+  for_each_counter(set, o.run.core);
+  o.run.total_instructions = o.run.core.instructions;
+  return o;
+}
 
+/// Every listed counter name, net then mem then core.
+std::vector<std::string> counter_names() {
+  std::vector<std::string> names;
+  auto name = [&names](const char* k, std::uint64_t) { names.push_back(k); };
+  for_each_counter(name, NetCounters{});
+  for_each_counter(name, MemCounters{});
+  for_each_counter(name, CoreCounters{});
+  return names;
+}
+
+std::filesystem::path entry_file(const Scenario& s) {
+  return std::filesystem::path(cache_dir()) / (scenario_key(s) + ".txt");
+}
+
+std::vector<std::string> read_lines(const std::filesystem::path& p) {
+  std::ifstream is(p);
+  std::vector<std::string> lines;
+  for (std::string l; std::getline(is, l);) lines.push_back(l);
+  return lines;
+}
+
+TEST(Cache, StoreLoadRoundTripFieldForField) {
+  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_rt";
+  std::filesystem::remove_all(dir);
+  setenv("ATACSIM_CACHE", dir.c_str(), 1);
+
+  const Outcome o = distinct_outcome();
   const auto s = small_scenario();
   store_cached(s, o);
   Outcome l;
@@ -209,14 +231,57 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   EXPECT_EQ(l.run.completion_cycles, o.run.completion_cycles);
   EXPECT_EQ(l.run.total_instructions, o.run.total_instructions);
   EXPECT_DOUBLE_EQ(l.run.avg_ipc, o.run.avg_ipc);
-  EXPECT_EQ(l.run.core.instructions, o.run.core.instructions);
-  EXPECT_EQ(l.run.core.busy_cycles, o.run.core.busy_cycles);
-#define ATACSIM_X(f) EXPECT_EQ(l.run.net.f, o.run.net.f) << #f;
-  ATACSIM_NET_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
-#define ATACSIM_X(f) EXPECT_EQ(l.run.mem.f, o.run.mem.f) << #f;
-  ATACSIM_MEM_COUNTER_FIELDS(ATACSIM_X)
-#undef ATACSIM_X
+  auto same = [](const char* k, std::uint64_t a, std::uint64_t b) {
+    EXPECT_EQ(a, b) << k;
+  };
+  for_each_counter(same, l.run.net, o.run.net);
+  for_each_counter(same, l.run.mem, o.run.mem);
+  for_each_counter(same, l.run.core, o.run.core);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cache, EntryKeepsEveryKeyOlderBuildsRead) {
+  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_k";
+  std::filesystem::remove_all(dir);
+  setenv("ATACSIM_CACHE", dir.c_str(), 1);
+  const auto s = small_scenario();
+  store_cached(s, distinct_outcome());
+  const auto lines = read_lines(entry_file(s));
+  unsetenv("ATACSIM_CACHE");
+
+  std::vector<std::string> keys = {
+      "verify_msg",    "finished",          "wall_seconds",
+      "swmr_utilization", "onet_unicasts",  "onet_bcasts",
+      "completion_cycles", "total_instructions", "avg_ipc"};
+  for (const auto& k : counter_names()) keys.push_back(k);
+  for (const auto& k : keys) {
+    bool found = false;
+    for (const auto& l : lines) found = found || l.rfind(k + "=", 0) == 0;
+    EXPECT_TRUE(found) << k;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cache, EntryMissingAnyCounterIsAMiss) {
+  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_m";
+  std::filesystem::remove_all(dir);
+  setenv("ATACSIM_CACHE", dir.c_str(), 1);
+  const auto s = small_scenario();
+  store_cached(s, distinct_outcome());
+  const auto file = entry_file(s);
+  const auto whole = read_lines(file);
+  Outcome l;
+  EXPECT_TRUE(try_load_cached(s, l));
+
+  for (const auto& name : counter_names()) {
+    {
+      std::ofstream os(file, std::ios::trunc);
+      for (const auto& line : whole)
+        if (line.rfind(name + "=", 0) != 0) os << line << '\n';
+    }
+    EXPECT_FALSE(try_load_cached(s, l)) << "entry without " << name;
+  }
+  unsetenv("ATACSIM_CACHE");
   std::filesystem::remove_all(dir);
 }
 
