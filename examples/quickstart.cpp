@@ -68,7 +68,7 @@ int main() {
   std::printf("completion          : %llu cycles\n",
               (unsigned long long)r.completion_cycles);
   std::printf("instructions        : %llu (IPC %.3f)\n",
-              (unsigned long long)r.total_instructions, r.avg_ipc);
+              (unsigned long long)r.core.instructions, r.avg_ipc);
   std::printf("L2 misses           : %llu\n",
               (unsigned long long)r.mem.l2_misses);
   std::printf("unicast packets     : %llu\n",

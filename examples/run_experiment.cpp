@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
               (unsigned long long)r.completion_cycles, o.seconds() * 1e3,
               o.wall_seconds);
   std::printf("instructions / IPC  : %llu / %.4f\n",
-              (unsigned long long)r.total_instructions, r.avg_ipc);
+              (unsigned long long)r.core.instructions, r.avg_ipc);
   std::printf("L2 misses / DRAM    : %llu / %llu+%llu\n",
               (unsigned long long)r.mem.l2_misses,
               (unsigned long long)r.mem.dram_reads,

@@ -41,8 +41,8 @@ InvariantViolation::InvariantViolation(Probe probe_, std::string subsystem_,
       detail(std::move(detail_)) {}
 
 bool env_validation_enabled() {
-  // Hoisted like the trace flags in machine.cpp: getenv per construction is
-  // measurable and unsafe against concurrent setenv under the exp pool.
+  // Read once: getenv per construction is measurable and unsafe against
+  // concurrent setenv under the exp pool.
   static const bool v = [] {
     const char* e = std::getenv("ATACSIM_VALIDATE");
     return e && e[0] != '\0' && e[0] != '0';

@@ -6,11 +6,10 @@
 // Timing model (lax synchronization, as in Graphite): each core keeps a
 // local clock that advances synchronously through L1 hits and compute, and
 // re-synchronizes with the global event clock on every miss, wait or
-// periodic yield. Data itself lives in host memory; simulated addresses are
-// obtained by translating the host pointer through the machine's
-// deterministic first-touch frame table (see sim::Machine::frame_for),
-// with a small per-core direct-mapped TLB in front so the translation stays
-// off the L1-hit fast path's critical cost.
+// periodic yield. Data itself lives in host memory; each awaiter takes its
+// simulated address from sim::Machine::translate, the machine's
+// deterministic first-touch frame table. A context holds no translation
+// state of its own.
 #pragma once
 
 #include <coroutine>
@@ -42,7 +41,7 @@ class CoreCtx {
 
   /// Timed access to the line containing `p`. Loads need S, stores need M.
   auto access(const void* p, bool write) {
-    return AccessAwaiter{this, translate(p), write};
+    return AccessAwaiter{this, machine_->translate(p), write};
   }
 
   /// Typed load: timing via access(), value from host memory at commit.
@@ -54,7 +53,7 @@ class CoreCtx {
         return *static_cast<const T*>(ptr);
       }
     };
-    return A{{this, translate(p), false, p}};
+    return A{{this, machine_->translate(p), false, p}};
   }
 
   /// Typed store.
@@ -67,7 +66,7 @@ class CoreCtx {
         *static_cast<T*>(const_cast<void*>(ptr)) = value;
       }
     };
-    return A{{this, translate(p), true, p}, v};
+    return A{{this, machine_->translate(p), true, p}, v};
   }
 
   /// Atomic read-modify-write: acquires exclusive ownership, then applies
@@ -84,7 +83,7 @@ class CoreCtx {
         return old;
       }
     };
-    return A{{this, translate(p), true, p}, std::move(f)};
+    return A{{this, machine_->translate(p), true, p}, std::move(f)};
   }
 
   /// Advances the local clock by `n` instruction cycles (1 instr/cycle,
@@ -95,7 +94,7 @@ class CoreCtx {
   /// evicted here (fires immediately if absent) — the primitive spin-waits
   /// are built on, so waiting burns no simulated traffic.
   auto wait_for_change(const void* p) {
-    return WaitAwaiter{this, translate(p)};
+    return WaitAwaiter{this, machine_->translate(p)};
   }
 
   // --- internals -------------------------------------------------------
@@ -162,30 +161,10 @@ class CoreCtx {
   };
 
  private:
-  /// Host pointer -> deterministic simulated address (granule-level
-  /// first-touch frames, per-core TLB; see sim::Machine::frame_for).
-  Addr translate(const void* p) {
-    constexpr int kGB = sim::Machine::kGranuleBits;
-    const Addr host = reinterpret_cast<Addr>(p);
-    const Addr granule = host >> kGB;
-    TlbEntry& e = tlb_[granule & (kTlbEntries - 1)];
-    if (e.host_granule != granule) {
-      e.host_granule = granule;
-      e.frame = machine_->frame_for(granule);
-    }
-    return (e.frame << kGB) | (host & ((Addr{1} << kGB) - 1));
-  }
-
   void advance(Cycle dt) {
     local_time_ += dt;
     counters_->busy_cycles += dt;
   }
-
-  static constexpr std::size_t kTlbEntries = 256;  // direct-mapped
-  struct TlbEntry {
-    Addr host_granule = ~Addr{0};
-    Addr frame = 0;
-  };
 
   sim::Machine* machine_;
   mem::CacheController* cache_;
@@ -194,7 +173,6 @@ class CoreCtx {
   Cycle local_time_ = 0;
   std::uint32_t fast_ops_ = 0;
   sim::TraceRecorder* tracer_ = nullptr;
-  TlbEntry tlb_[kTlbEntries];
 };
 
 /// Application kernel signature: one coroutine per simulated core.

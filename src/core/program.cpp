@@ -41,9 +41,8 @@ RunResult Program::run(Cycle max_cycles) {
   for (const auto& c : ctxs_)
     r.completion_cycles = std::max(r.completion_cycles, c->now());
   for (const CoreCounters& c : machine_->core_counters()) r.core += c;
-  r.total_instructions = r.core.instructions;
   r.avg_ipc = r.completion_cycles
-                  ? static_cast<double>(r.total_instructions) /
+                  ? static_cast<double>(r.core.instructions) /
                         (static_cast<double>(r.completion_cycles) *
                          ctxs_.size())
                   : 0.0;

@@ -16,7 +16,6 @@ namespace atacsim::core {
 
 struct RunResult {
   Cycle completion_cycles = 0;  ///< max core-local finish time
-  std::uint64_t total_instructions = 0;
   double avg_ipc = 0;
   NetCounters net;
   MemCounters mem;

@@ -23,7 +23,7 @@ StatList outcome_stats(const harness::Outcome& o) {
   // run
   u("completion_cycles", r.completion_cycles);
   st.add("simulated_seconds", o.seconds());
-  u("total_instructions", r.total_instructions);
+  u("total_instructions", r.core.instructions);
   st.add("avg_ipc", r.avg_ipc);
   u("busy_cycles", r.core.busy_cycles);
   st.add("wall_seconds", o.wall_seconds);

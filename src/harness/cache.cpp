@@ -82,8 +82,8 @@ namespace {
 
 void store(std::ostream& os, const Outcome& o) {
   const auto& r = o.run;
-  // total_instructions duplicates the core block's instructions; it stays
-  // so that older builds, which read it, can still load this entry.
+  // total_instructions is the core block's instructions again, written so
+  // that older builds, which read it, can still load this entry.
   std::map<std::string, double> kv = {
       {"finished", o.finished ? 1.0 : 0.0},
       {"wall_seconds", o.wall_seconds},
@@ -91,7 +91,7 @@ void store(std::ostream& os, const Outcome& o) {
       {"onet_unicasts", static_cast<double>(o.onet_unicasts)},
       {"onet_bcasts", static_cast<double>(o.onet_bcasts)},
       {"completion_cycles", static_cast<double>(r.completion_cycles)},
-      {"total_instructions", static_cast<double>(r.total_instructions)},
+      {"total_instructions", static_cast<double>(r.core.instructions)},
       {"avg_ipc", r.avg_ipc},
   };
   auto put = [&kv](const char* k, std::uint64_t v) {
@@ -143,7 +143,6 @@ bool load(std::istream& is, Outcome& o) {
   for_each_counter(take, r.net);
   for_each_counter(take, r.mem);
   for_each_counter(take, r.core);
-  r.total_instructions = r.core.instructions;
   return complete;
 }
 

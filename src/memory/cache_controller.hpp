@@ -72,19 +72,6 @@ class CacheController {
   /// validation layer's truth for the Machine's holder index).
   const char* holding(Addr line, HubId slice) const;
 
-  /// Diagnostics: lines with outstanding misses.
-  struct CacheDebug {
-    std::vector<Addr> mshr_lines;
-  };
-  CacheDebug debug_state() const {
-    CacheDebug d;
-    for (const auto& [line, e] : mshr_) {
-      (void)e;
-      d.mshr_lines.push_back(line);
-    }
-    return d;
-  }
-
  private:
   struct Waiter {
     bool write;

@@ -351,14 +351,5 @@ void DirectorySlice::debug_corrupt_forget_line(Addr line) {
   it->second.drop_owner();
 }
 
-std::vector<DirectorySlice::TxnDebug> DirectorySlice::debug_active() const {
-  std::vector<TxnDebug> out;
-  for (const auto& [line, t] : active_)
-    out.push_back({line, t.req.type, t.req.requester, t.pending_acks,
-                   t.waiting_owner, t.have_data, t.dram_pending,
-                   t.expect_dirty_wb, probe_line(line)});
-  return out;
-}
-
 }  // namespace atacsim::mem
 

@@ -104,17 +104,6 @@ class DirectorySlice {
   /// outside tests.
   void debug_corrupt_forget_line(Addr line);
 
-  /// Diagnostic snapshot of stuck transactions (liveness debugging/tests).
-  struct TxnDebug {
-    Addr line;
-    CohType req_type;
-    CoreId requester;
-    int pending_acks;
-    bool waiting_owner, have_data, dram_pending, expect_dirty_wb;
-    LineProbe dir;  ///< the line as this slice tracks it
-  };
-  std::vector<TxnDebug> debug_active() const;
-
  private:
   struct LineInfo {
     LineState state = LineState::kInvalid;

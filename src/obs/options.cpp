@@ -1,6 +1,8 @@
 #include "obs/options.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "obs/log.hpp"
 
@@ -19,10 +21,13 @@ Options from_env() {
     o.dir = std::string(rep ? rep : "bench_reports") + "/obs";
   }
   if (const char* e = std::getenv("ATACSIM_OBS_EPOCH")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(e, &end, 10);
-    if (end && *end == '\0' && v > 0) {
-      o.epoch_cycles = static_cast<Cycle>(v);
+    // Parsed whole: a sign, a space or trailing text is refused ("-1"
+    // must not wrap to 2^64 - 1).
+    Cycle v = 0;
+    const char* last = e + std::strlen(e);
+    const auto [p, ec] = std::from_chars(e, last, v);
+    if (ec == std::errc() && p == last && v > 0) {
+      o.epoch_cycles = v;
     } else {
       log::warnf("ATACSIM_OBS_EPOCH=\"%s\" is not a positive integer; using %llu",
                  e, static_cast<unsigned long long>(o.epoch_cycles));

@@ -5,7 +5,9 @@
 // directly for the clock, the event queue, the counters and the network.
 //
 // This is the memory-system view of the machine; `core/` layers coroutine
-// execution contexts and the synchronization library on top.
+// execution contexts and the synchronization library on top. It also owns
+// the one map from host pointers to simulated addresses (translate); the
+// execution contexts keep no copy of it.
 #pragma once
 
 #include <memory>
@@ -135,7 +137,8 @@ class Machine {
   /// the quiescence invariant the integration tests assert.
   bool quiescent() const;
 
-  /// Deterministic address translation for application data.
+  /// The simulated address of host pointer `p`: the only translation of
+  /// application data.
   ///
   /// Kernels address simulated memory with host pointers, but raw host
   /// addresses are hidden shared state: the allocator hands out different
@@ -150,12 +153,15 @@ class Machine {
   /// distinct allocation starts on a granule boundary and the grouping of
   /// data within a granule is fixed by struct layout alone — not by where
   /// the allocator happened to place the object relative to a cache line.
-  static constexpr int kGranuleBits = 4;
-  Addr frame_for(Addr host_granule) {
+  /// Inline: it runs on every simulated access.
+  Addr translate(const void* p) {
+    constexpr int kGranuleBits = 4;
+    const Addr host = reinterpret_cast<Addr>(p);
     const auto [it, inserted] =
-        frames_.try_emplace(host_granule, next_frame_);
+        frames_.try_emplace(host >> kGranuleBits, next_frame_);
     if (inserted) ++next_frame_;
-    return it->second;
+    return (it->second << kGranuleBits) |
+           (host & ((Addr{1} << kGranuleBits) - 1));
   }
 
  private:
@@ -199,7 +205,7 @@ class Machine {
   std::vector<CoreCounters> core_counters_;
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
   std::vector<std::unique_ptr<mem::DirectorySlice>> dirs_;
-  std::unordered_map<Addr, Addr> frames_;
+  std::unordered_map<Addr, Addr> frames_;  ///< host granule -> frame
   // Frame numbers start away from 0 so no translated line lands on the
   // (often special-cased) zero address.
   Addr next_frame_ = 16;

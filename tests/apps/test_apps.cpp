@@ -55,7 +55,7 @@ TEST_P(AppCorrectness, RunsAndVerifies) {
   ASSERT_TRUE(r.finished) << tc.app << " did not complete";
   EXPECT_TRUE(prog.machine().quiescent());
   EXPECT_EQ(app->verify(), "");
-  EXPECT_GT(r.total_instructions, 0u);
+  EXPECT_GT(r.core.instructions, 0u);
   EXPECT_GT(r.completion_cycles, 0u);
 }
 
@@ -108,10 +108,10 @@ TEST(Apps, RegistryKnowsAllEight) {
 }
 
 TEST(Apps, CompletionTimeInsensitiveToHeapPlacement) {
-  // Simulated addresses are host pointers, so two app instances place their
-  // data at different homes/sets. Exact timing is deterministic only for a
-  // fixed placement (covered by Protocol.DeterministicAcrossRuns); across
-  // placements the completion time must stay within a small band.
+  // Two app instances place their data at different host addresses, but
+  // Machine::translate numbers simulated frames by first touch, so the
+  // host placement cannot reach the timing: both runs take the same
+  // number of cycles.
   auto once = [] {
     auto mp = MachineParams::small(8, 2);
     AppConfig cfg;
@@ -120,14 +120,14 @@ TEST(Apps, CompletionTimeInsensitiveToHeapPlacement) {
     auto app = make_app("radix", cfg);
     core::Program prog(mp);
     prog.spawn_all(app->body());
-    return static_cast<double>(prog.run().completion_cycles);
+    return prog.run().completion_cycles;
   };
-  const double a = once(), b = once();
-  EXPECT_NEAR(a / b, 1.0, 0.05);
+  const Cycle a = once();
+  EXPECT_EQ(once(), a);
 }
 
 TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
-  // Machine::frame_for maps simulated data in first-touch order, so a run
+  // Machine::translate maps simulated data in first-touch order, so a run
   // depends on the host heap only if simulated arrays are reallocated while
   // it runs (a new array can land on granules a freed one already mapped).
   // Leave the heap in a different state before each run: every run must
@@ -159,7 +159,6 @@ TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
     const auto& a = runs[0];
     const auto& b = runs[k];
     EXPECT_EQ(a.completion_cycles, b.completion_cycles) << "run " << k;
-    EXPECT_EQ(a.total_instructions, b.total_instructions) << "run " << k;
     auto same = [k](const char* f, std::uint64_t x, std::uint64_t y) {
       EXPECT_EQ(x, y) << "run " << k << " " << f;
     };
@@ -195,7 +194,6 @@ TEST_P(HostHeapState, RunsAreIndependentOfIt) {
     EXPECT_EQ(app->verify(), "");
     Digest d;
     d.add(r.completion_cycles);
-    d.add(r.total_instructions);
     d.add(r.net);
     d.add(r.mem);
     d.add(r.core);

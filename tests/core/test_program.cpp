@@ -22,7 +22,7 @@ TEST(Program, ComputeAdvancesLocalClockAndCountsInstructions) {
       [](CoreCtx& c) -> Task<void> { co_await c.compute(1000); }, 4);
   const auto r = prog.run();
   EXPECT_TRUE(r.finished);
-  EXPECT_EQ(r.total_instructions, 4000u);
+  EXPECT_EQ(r.core.instructions, 4000u);
   EXPECT_GE(r.completion_cycles, 1000u);
   EXPECT_LT(r.completion_cycles, 1100u);
 }

@@ -15,7 +15,7 @@ harness::Outcome fake_outcome(const char* app, const char* config) {
   o.finished = true;
   o.run.finished = true;
   o.run.completion_cycles = 123456789ull;
-  o.run.total_instructions = 987654321ull;
+  o.run.core.instructions = 987654321ull;
   o.run.avg_ipc = 0.75;
   o.run.net.flits_injected = 42;
   o.run.net.bcast_packets = 7;

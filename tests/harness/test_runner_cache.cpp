@@ -183,7 +183,6 @@ Outcome distinct_outcome() {
   for_each_counter(set, o.run.net);
   for_each_counter(set, o.run.mem);
   for_each_counter(set, o.run.core);
-  o.run.total_instructions = o.run.core.instructions;
   return o;
 }
 
@@ -229,7 +228,6 @@ TEST(Cache, StoreLoadRoundTripFieldForField) {
   EXPECT_EQ(l.onet_bcasts, o.onet_bcasts);
   EXPECT_EQ(l.run.finished, o.run.finished);
   EXPECT_EQ(l.run.completion_cycles, o.run.completion_cycles);
-  EXPECT_EQ(l.run.total_instructions, o.run.total_instructions);
   EXPECT_DOUBLE_EQ(l.run.avg_ipc, o.run.avg_ipc);
   auto same = [](const char* k, std::uint64_t a, std::uint64_t b) {
     EXPECT_EQ(a, b) << k;
@@ -311,7 +309,7 @@ TEST(Cache, RoundTripsCountersExactly) {
   const auto& fresh = fresh_run.outcomes.at(0);
   const auto& cached = cached_run.outcomes.at(0);
   EXPECT_EQ(fresh.run.completion_cycles, cached.run.completion_cycles);
-  EXPECT_EQ(fresh.run.total_instructions, cached.run.total_instructions);
+  EXPECT_EQ(fresh.run.core.instructions, cached.run.core.instructions);
   EXPECT_EQ(fresh.run.net.flits_injected, cached.run.net.flits_injected);
   EXPECT_EQ(fresh.run.mem.dram_reads, cached.run.mem.dram_reads);
   EXPECT_DOUBLE_EQ(fresh.energy.chip_no_core(), cached.energy.chip_no_core());

@@ -1,6 +1,6 @@
 // Unit tests for the smaller memory-subsystem components: home mapping,
-// the DRAM controller's bandwidth/latency model, and the directory/cache
-// debug introspection used by the liveness checks.
+// the DRAM controller's bandwidth/latency model, and the outstanding-work
+// queries the liveness checks use.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -63,40 +63,45 @@ TEST(MemController, WritesCountSeparately) {
 TEST(DebugIntrospection, ReportsOutstandingWork) {
   sim::Machine m(MachineParams::small(8, 2));
   const Addr a = 0x4400000;
+  const Addr line = a & ~Addr{kLineBytes - 1};
   Cycle finished = 0;
   m.cache(3).access(a, true, {&finished, {}});
-  // Before draining: the miss is outstanding somewhere (cache MSHR and/or
-  // directory transaction).
+  // Before draining: the miss is outstanding, as one MSHR on the accessed
+  // line.
   EXPECT_FALSE(m.quiescent());
-  const auto dbg = m.cache(3).debug_state();
-  ASSERT_EQ(dbg.mshr_lines.size(), 1u);
-  EXPECT_EQ(dbg.mshr_lines[0], a & ~63ull);
+  EXPECT_EQ(m.cache(3).outstanding_misses(), 1u);
+  EXPECT_STREQ(m.cache(3).holding(line, m.home_slice(line)), "an MSHR");
   m.run();
   EXPECT_GT(finished, 0u);
   EXPECT_TRUE(m.quiescent());
-  EXPECT_TRUE(m.cache(3).debug_state().mshr_lines.empty());
+  EXPECT_EQ(m.cache(3).outstanding_misses(), 0u);
   for (HubId h = 0; h < 16; ++h)
-    EXPECT_TRUE(m.directory(h).debug_active().empty());
+    EXPECT_EQ(m.directory(h).active_transactions(), 0u) << "slice " << h;
 }
 
 TEST(DebugIntrospection, DirectoryTxnSnapshotFields) {
   sim::Machine m(MachineParams::small(8, 2));
   const Addr a = 0x4500000;
+  const Addr line = a & ~Addr{kLineBytes - 1};
+  const HubId home = m.home_slice(line);
   Cycle done = 0;
   m.cache(0).access(a, false, {&done, {}});
   // Let the request reach its home (DRAM takes 113 cycles, so the
-  // transaction is still active at cycle 60).
+  // transaction is still active at cycle 60): one transaction, at the
+  // line's home, and the requester is the one core waiting on the line.
   m.events().run(kNeverCycle, 61);
-  bool found = false;
-  for (HubId h = 0; h < 16 && !found; ++h) {
-    for (const auto& t : m.directory(h).debug_active()) {
-      EXPECT_EQ(t.line, a & ~63ull);
-      EXPECT_EQ(t.requester, 0);
-      found = true;
-    }
+  for (HubId h = 0; h < 16; ++h)
+    EXPECT_EQ(m.directory(h).active_transactions(), h == home ? 1u : 0u)
+        << "slice " << h;
+  for (CoreId c = 0; c < m.params().num_cores; ++c) {
+    const char* held = m.cache(c).holding(line, home);
+    if (c == 0)
+      EXPECT_STREQ(held, "an MSHR");
+    else
+      EXPECT_EQ(held, nullptr) << "core " << c;
   }
-  EXPECT_TRUE(found) << "ShReq should be active at its home slice";
   m.run();
+  EXPECT_GT(done, 0u);
 }
 
 TEST(Protocol, MessageNamesAreStable) {

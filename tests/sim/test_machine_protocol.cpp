@@ -288,5 +288,29 @@ TEST(Protocol, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
+  // Five 16-byte granules of one host buffer, touched out of order.
+  alignas(16) unsigned char buf[80];
+  Machine m(small());
+  // Frames are handed out from 16 in first-touch order; a simulated
+  // address is the frame times 16 plus the offset within the granule.
+  EXPECT_EQ(m.translate(buf + 32), Addr{16} << 4);
+  EXPECT_EQ(m.translate(buf + 0), Addr{17} << 4);
+  EXPECT_EQ(m.translate(buf + 48), Addr{18} << 4);
+  EXPECT_EQ(m.translate(buf + 16), Addr{19} << 4);
+  // Two pointers in one granule share its frame and keep their offsets.
+  EXPECT_EQ(m.translate(buf + 5), (Addr{17} << 4) + 5);
+  EXPECT_EQ(m.translate(buf + 47), (Addr{16} << 4) + 15);
+  // A repeated pointer maps to the same address and takes no new frame.
+  EXPECT_EQ(m.translate(buf + 32), Addr{16} << 4);
+  EXPECT_EQ(m.translate(buf + 16), Addr{19} << 4);
+  EXPECT_EQ(m.translate(buf + 64), Addr{20} << 4);
+  // Another Machine numbers the same granules by its own first touches.
+  Machine other(small());
+  EXPECT_EQ(other.translate(buf + 48), Addr{16} << 4);
+  EXPECT_EQ(other.translate(buf + 1), (Addr{17} << 4) + 1);
+  EXPECT_EQ(m.translate(buf + 48), Addr{18} << 4);
+}
+
 }  // namespace
 }  // namespace atacsim::sim
