@@ -99,13 +99,15 @@ class CoreCtx {
 
   // --- internals -------------------------------------------------------
 
-  // A suspended access or wait schedules one event at the core's local
-  // time that captures only {awaiter, handle}. It hands the cache this
-  // core's local clock as the completion slot: the cache raises the clock
-  // to the commit cycle (stall cycles are not busy) and resumes the handle
-  // from an event at that cycle (see mem::Completion). The raise comes
-  // before the resume because GCC may run an awaiter's await_resume late,
-  // after a later co_await in the same expression has already suspended.
+  // A suspended access or wait stores its handle in the awaiter (which
+  // lives in the suspended coroutine's frame) and schedules one event at
+  // the core's local time whose record points at the awaiter. That event
+  // hands the cache this core's local clock as the completion slot: the
+  // cache raises the clock to the commit cycle (stall cycles are not busy)
+  // and resumes the handle from an event at that cycle (see
+  // mem::Completion). The raise comes before the resume because GCC may run
+  // an awaiter's await_resume late, after a later co_await in the same
+  // expression has already suspended.
 
   struct AccessAwaiter {
     CoreCtx* c;
@@ -113,6 +115,7 @@ class CoreCtx {
     bool is_write;
     const void* ptr = nullptr;
     bool suspended = false;
+    std::coroutine_handle<> h{};
 
     bool await_ready() const {
       // Periodic forced yield bounds local-clock drift.
@@ -123,11 +126,15 @@ class CoreCtx {
       ++c->counters_->instructions;
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) {
+    void await_suspend(std::coroutine_handle<> handle) {
       suspended = true;
-      c->machine_->events().schedule(c->local_time_, [this, h] {
-        c->cache_->access(addr, is_write, {&c->local_time_, h});
-      });
+      h = handle;
+      c->machine_->events().schedule(c->local_time_, &AccessAwaiter::issue,
+                                     this, 0);
+    }
+    static void issue(void* self, std::uint64_t) {
+      auto* a = static_cast<AccessAwaiter*>(self);
+      a->c->cache_->access(a->addr, a->is_write, {&a->c->local_time_, a->h});
     }
     void await_resume() const {
       if (suspended) ++c->counters_->instructions;
@@ -143,7 +150,8 @@ class CoreCtx {
       return n < 4096;  // long compute phases yield to the event loop
     }
     void await_suspend(std::coroutine_handle<> h) const {
-      c->machine_->events().schedule(c->local_time_, [h] { h.resume(); });
+      c->machine_->events().schedule(c->local_time_, resume_coroutine,
+                                     h.address(), 0);
     }
     void await_resume() const {}
   };
@@ -151,11 +159,16 @@ class CoreCtx {
   struct WaitAwaiter {
     CoreCtx* c;
     Addr addr;
+    std::coroutine_handle<> h{};
     bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h) const {
-      c->machine_->events().schedule(c->local_time_, [this, h] {
-        c->cache_->wait_for_change(addr, {&c->local_time_, h});
-      });
+    void await_suspend(std::coroutine_handle<> handle) {
+      h = handle;
+      c->machine_->events().schedule(c->local_time_, &WaitAwaiter::issue,
+                                     this, 0);
+    }
+    static void issue(void* self, std::uint64_t) {
+      auto* w = static_cast<WaitAwaiter*>(self);
+      w->c->cache_->wait_for_change(w->addr, {&w->c->local_time_, w->h});
     }
     void await_resume() const {}
   };

@@ -30,7 +30,7 @@ void Program::spawn_all(const AppBody& body, int n) {
     ++outstanding_;
     RootTask t = root(*ctxs_[static_cast<std::size_t>(c)], body);
     roots_[static_cast<std::size_t>(c)] = t.handle;
-    machine_->events().schedule(0, [h = t.handle] { h.resume(); });
+    machine_->events().schedule(0, resume_coroutine, t.handle.address(), 0);
   }
 }
 

@@ -84,24 +84,25 @@ void CacheController::access(Addr addr, bool write, Completion done) {
     return;
   }
 
-  // Miss: coalesce into an existing MSHR or allocate one.
+  // Miss: coalesce into an existing MSHR or open one.
   ++ctr.l2_misses;
-  auto it = mshr_.find(line);
-  if (it != mshr_.end()) {
-    it->second.waiters.push_back({write, done, now});
+  const std::uint32_t open = mshr_.find(line);
+  if (open != mshr_.kNone) {
+    mshr_[open].waiters.push_back({write, done, now});
     // An in-flight ShReq cannot satisfy a store; the retry in fill() will
     // issue the upgrade once the shared copy lands.
     return;
   }
-  open_mshr(line, write || l2 == LineState::kShared, {{write, done, now}});
+  const std::uint32_t row = mshr_.acquire();
+  mshr_[row].waiters.push_back({write, done, now});
+  open_mshr(line, row, write || l2 == LineState::kShared);
 }
 
-void CacheController::open_mshr(Addr line, bool exclusive,
-                                 std::vector<Waiter> waiters) {
-  Mshr& e = mshr_[line];
+void CacheController::open_mshr(Addr line, std::uint32_t row,
+                                 bool exclusive) {
+  mshr_.attach(line, row);
   machine_.holders().add(line, self_);
-  e.want_exclusive = exclusive;
-  e.waiters = std::move(waiters);
+  mshr_[row].want_exclusive = exclusive;
   send(to_home(exclusive ? CohType::kExReq : CohType::kShReq, line));
 }
 
@@ -148,13 +149,11 @@ void CacheController::notify_change(Addr line) {
 
 void CacheController::complete(Completion done, Cycle t) {
   if (*done.at < t) *done.at = t;
-  machine_.events().schedule(t, [h = done.resume] {
-    if (h) h.resume();
-  });
+  machine_.events().schedule(t, resume_coroutine, done.resume.address(), 0);
 }
 
 void CacheController::lost_line(Addr line) {
-  if (mshr_.find(line) == mshr_.end()) machine_.holders().remove(line, self_);
+  if (!mshr_.contains(line)) machine_.holders().remove(line, self_);
   l1d_.invalidate(line);
   notify_change(line);
 }
@@ -176,33 +175,40 @@ void CacheController::fill(const CohMsg& rep) {
   const Addr line = rep.line;
   const LineState st = (rep.type == CohType::kExRep) ? LineState::kModified
                                                      : LineState::kShared;
-  auto node = mshr_.extract(line);
-  assert(!node.empty() && "fill without MSHR entry");
-  Mshr entry = std::move(node.mapped());
-
+  assert(mshr_.contains(line) && "fill without MSHR entry");
   // The MSHR closes as the line lands in the L2: this core stays a holder.
+  // Its row stays in hand until the end, for an upgrade to reopen.
+  const std::uint32_t row = mshr_.detach(line);
   if (auto victim = l2_.install(line, st)) evict(victim->line, victim->state);
   l1d_.install(line, st);
   ++machine_.mem_counters().l2_writes;  // line fill
 
+  // Completes the waiters the fill satisfies. The stores a shared copy
+  // cannot satisfy stay in the row, in order, to retry as an upgrade.
   const Cycle t = machine_.now() + kL2HitCycles;
-  std::vector<Waiter> retry;
-  for (auto& w : entry.waiters) {
+  std::vector<Waiter>& waiters = mshr_[row].waiters;
+  std::size_t retry = 0;
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    const Waiter w = waiters[i];
     if (w.write && st != LineState::kModified) {
-      retry.push_back(std::move(w));
+      waiters[retry++] = w;
     } else {
       if (auto* observer = machine_.observer())
         observer->record_mem(w.write, static_cast<std::uint64_t>(t - w.issued));
       complete(w.done, t);
     }
   }
+  waiters.resize(retry);
 
   // Buffered broadcast invalidates that were sent *after* this reply must be
   // processed one cycle later; older ones are stale and dropped
-  // (paper Sec. IV-C-1).
-  for (const BufferedInv& b : entry.buffered_bcast_invs) {
+  // (paper Sec. IV-C-1). Each is copied out: the handling below may release
+  // deferred unicasts whose fills open other MSHRs and grow the table.
+  for (std::size_t i = 0; i < mshr_[row].buffered_bcast_invs.size(); ++i) {
+    const BufferedInv b = mshr_[row].buffered_bcast_invs[i];
     if (seq_before(rep.seq, b.msg.seq)) {
-      process_inv(b.msg, /*extra_delay=*/1, /*suppress_ack=*/b.already_acked);
+      process_inv(b.msg, /*delay_ack=*/true,
+                  /*suppress_ack=*/b.already_acked);
     } else {
       // Stale: it targeted the previous epoch of this line. Still counts as
       // processed for slice ordering.
@@ -210,13 +216,16 @@ void CacheController::fill(const CohMsg& rep) {
     }
   }
 
-  if (!retry.empty()) {
-    // Upgrade path: the shared copy just landed but stores still need M.
-    open_mshr(line, /*exclusive=*/true, std::move(retry));
+  if (mshr_[row].waiters.empty()) {
+    mshr_.release(row);
+    return;
   }
+  // Upgrade path: the shared copy just landed but stores still need M.
+  mshr_[row].buffered_bcast_invs.clear();
+  open_mshr(line, row, /*exclusive=*/true);
 }
 
-void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
+void CacheController::process_inv(const CohMsg& m, bool delay_ack,
                                   bool suppress_ack) {
   const Addr line = m.line;
   const LineState prev = l2_.peek(line);
@@ -238,39 +247,59 @@ void CacheController::process_inv(const CohMsg& m, Cycle extra_delay,
     // Acks stay short coherence messages: the home supplies clean data from
     // its buffer or DRAM (Sec. IV-C-1's "fetched explicitly" option).
     const CohMsg ack = reply(m, CohType::kInvAck, /*carries_data=*/false);
-    if (extra_delay == 0) {
+    if (!delay_ack) {
       send(ack);
     } else {
-      machine_.events().schedule(machine_.now() + extra_delay,
-                                 [this, ack] { send(ack); });
+      delayed_acks_.push_back(ack);
+      machine_.events().schedule(machine_.now() + 1,
+                                 &CacheController::send_delayed_ack, this, 0);
     }
   }
 
   if (m.is_broadcast()) bump_seq_and_release(m.dir_slice, m.seq);
 }
 
+void CacheController::send_delayed_ack(void* self, std::uint64_t) {
+  auto& c = *static_cast<CacheController*>(self);
+  const CohMsg ack = c.delayed_acks_[c.next_delayed_ack_++];
+  if (c.next_delayed_ack_ == c.delayed_acks_.size()) {
+    c.delayed_acks_.clear();
+    c.next_delayed_ack_ = 0;
+  }
+  c.send(ack);
+}
+
 void CacheController::bump_seq_and_release(HubId slice, std::uint16_t seq) {
   auto& last = machine_.bcast_seq(slice, self_);
   advance_seq(last, seq);
   if (deferred_.empty()) return;
-  std::vector<CohMsg> ready;
-  for (auto it = deferred_.begin(); it != deferred_.end();) {
-    if (it->dir_slice == slice && seq_before_eq(it->seq, last)) {
-      ready.push_back(*it);
-      it = deferred_.erase(it);
-    } else {
-      ++it;
-    }
+  // Move the unicasts now in order to the top of released_, in arrival
+  // order, and keep the rest deferred in theirs.
+  const std::size_t first = released_.size();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < deferred_.size(); ++i) {
+    const CohMsg m = deferred_[i];
+    if (m.dir_slice == slice && seq_before_eq(m.seq, last))
+      released_.push_back(m);
+    else
+      deferred_[kept++] = m;
   }
-  if (ready.empty()) return;
+  deferred_.resize(kept);
+  const std::size_t end = released_.size();
+  if (end == first) return;
   // Only handle() defers a unicast, and nothing below calls it.
   if (deferred_.empty()) machine_.mark_deferred(self_, false);
-  for (const auto& m : ready) process_unicast_from_dir(m);
+  // Each is copied out: a nested release may grow released_.
+  for (std::size_t i = first; i < end; ++i) {
+    const CohMsg m = released_[i];
+    process_unicast_from_dir(m);
+  }
+  released_.resize(first);
 }
 
 const char* CacheController::holding(Addr line, HubId slice) const {
   if (l2_.peek(line) != LineState::kInvalid) return "an L2 copy";
-  if (mshr_.find(line) != mshr_.end()) return "an MSHR";
+  if (mshr_.contains(line)) return "an MSHR";
   if (std::any_of(deferred_.begin(), deferred_.end(),
                   [slice](const CohMsg& m) { return m.dir_slice == slice; }))
     return "a deferred unicast";
@@ -316,8 +345,8 @@ void CacheController::handle(const CohMsg& m) {
   if (m.type == CohType::kInvReq && m.is_broadcast()) {
     // Early-broadcast buffering: with an outstanding ShReq for this line the
     // broadcast may have overtaken our shared response (Sec. IV-C-1).
-    auto it = mshr_.find(m.line);
-    if (it != mshr_.end() && !it->second.want_exclusive) {
+    const std::uint32_t row = mshr_.find(m.line);
+    if (row != mshr_.kNone && !mshr_[row].want_exclusive) {
       // Under Dir_kB the directory is counting acks from *every* core —
       // including us, whose ShRep it cannot send until the count drains.
       // Ack now (the line is absent; nothing to invalidate yet) and only
@@ -325,7 +354,7 @@ void CacheController::handle(const CohMsg& m) {
       const bool acked =
           machine_.params().coherence == CoherenceKind::kDirKB;
       if (acked) send(reply(m, CohType::kInvAck, /*carries_data=*/false));
-      it->second.buffered_bcast_invs.push_back({m, acked});
+      mshr_[row].buffered_bcast_invs.push_back({m, acked});
       // Release the slice-level ordering now: deferred unicasts for *other*
       // lines must not wait on a broadcast that is itself parked behind our
       // fill (circular wait across cores). Same-line ordering is restored by

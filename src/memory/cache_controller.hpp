@@ -12,11 +12,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/params.hpp"
 #include "memory/cache_array.hpp"
+#include "memory/line_table.hpp"
 #include "memory/protocol.hpp"
 
 namespace atacsim::sim {
@@ -40,6 +40,9 @@ class CacheController {
   /// Talks to the world through `m` — its event queue, clock, counters,
   /// home slices and network — which owns this controller and outlives it.
   CacheController(CoreId self, sim::Machine& m);
+  // Scheduled events hold this controller's address.
+  CacheController(const CacheController&) = delete;
+  CacheController& operator=(const CacheController&) = delete;
 
   /// Core-side entry: performs a timed load/store of the line containing
   /// `addr` and completes into `done` when the access commits.
@@ -90,11 +93,17 @@ class CacheController {
     bool want_exclusive = false;
     std::vector<Waiter> waiters;
     std::vector<BufferedInv> buffered_bcast_invs;  // early broadcast invs
+    void clear() {
+      want_exclusive = false;
+      clear_for_reuse(waiters);
+      clear_for_reuse(buffered_bcast_invs);
+    }
   };
 
-  /// Opens the MSHR for `line`, which makes this core a holder, and sends
-  /// the ShReq or ExReq home.
-  void open_mshr(Addr line, bool exclusive, std::vector<Waiter> waiters);
+  /// Opens the MSHR for `line` on `row` (a row of mshr_ holding its
+  /// waiters), which makes this core a holder, and sends the ShReq or ExReq
+  /// home.
+  void open_mshr(Addr line, std::uint32_t row, bool exclusive);
   void fill(const CohMsg& rep);
   void evict(Addr line, LineState state);
   /// `line` left the L2: the L1 copy goes, change waiters wake, and this
@@ -106,8 +115,12 @@ class CacheController {
   CohMsg to_home(CohType type, Addr line) const;
   /// This cache's answer of `type` to the directory message `m`.
   CohMsg reply(const CohMsg& m, CohType type, bool carries_data) const;
-  void process_inv(const CohMsg& m, Cycle extra_delay = 0,
+  /// Invalidates `m.line` here and acks as the protocol requires: at once,
+  /// or with `delay_ack` one cycle later, through delayed_acks_.
+  void process_inv(const CohMsg& m, bool delay_ack = false,
                    bool suppress_ack = false);
+  /// Event handler: sends the oldest delayed ack of the controller `self`.
+  static void send_delayed_ack(void* self, std::uint64_t);
   void process_unicast_from_dir(const CohMsg& m);
   void handle_flush(const CohMsg& m);
   void handle_wb(const CohMsg& m);
@@ -121,7 +134,7 @@ class CacheController {
   sim::Machine& machine_;
   CacheArray l1d_;
   CacheArray l2_;
-  std::unordered_map<Addr, Mshr> mshr_;
+  LineTable<Mshr> mshr_;
   /// The one wait_for_change in progress: its core's coroutine stays
   /// suspended on it, so a core never has two. kNoLine when none.
   static constexpr Addr kNoLine = ~Addr{0};
@@ -130,6 +143,15 @@ class CacheController {
   /// Directory unicasts waiting for an earlier broadcast from their slice,
   /// in arrival order. Rarely more than a few.
   std::vector<CohMsg> deferred_;
+  /// Unicasts bump_seq_and_release took from deferred_ and is handling. A
+  /// handler may release more (the call re-enters), which go above and are
+  /// gone again when it returns.
+  std::vector<CohMsg> released_;
+  /// Acks waiting one cycle, oldest at delayed_acks_[next_delayed_ack_].
+  /// Every one is scheduled at now() + 1, so they are sent in the order
+  /// they were queued.
+  std::vector<CohMsg> delayed_acks_;
+  std::size_t next_delayed_ack_ = 0;
   Cycle send_free_ = 0;
 };
 

@@ -9,6 +9,8 @@ namespace atacsim::mem {
 namespace {
 // Directory tag/state access latency per handled message.
 constexpr Cycle kDirAccessCycles = 2;
+
+void no_op(void*, std::uint64_t) {}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -111,31 +113,37 @@ Cycle DirectorySlice::send(const CohMsg& m) {
 }
 
 void DirectorySlice::fetch_dram(Addr line) {
-  Txn& txn = active_.at(line);
-  txn.dram_pending = true;
-  machine_.events().schedule(dram_.request(/*write=*/false), [this, line] {
-    auto it = active_.find(line);
-    if (it == active_.end()) return;
-    it->second.dram_pending = false;
-    it->second.have_data = true;
-    maybe_complete(line);
-  });
+  assert(active_.contains(line));
+  active_[active_.find(line)].dram_pending = true;
+  machine_.events().schedule(dram_.request(/*write=*/false),
+                             &DirectorySlice::dram_done, this, line);
+}
+
+void DirectorySlice::dram_done(void* self, std::uint64_t line) {
+  // The data goes to whatever transaction is open on the line by now.
+  auto& d = *static_cast<DirectorySlice*>(self);
+  const std::uint32_t row = d.active_.find(line);
+  if (row == d.active_.kNone) return;
+  d.active_[row].dram_pending = false;
+  d.active_[row].have_data = true;
+  d.maybe_complete(line);
 }
 
 void DirectorySlice::write_back() {
   // Nothing waits on a write-back. The empty event at its commit cycle
   // keeps the drained clock (now() once the queue empties) from stopping
   // short of the DRAM write.
-  machine_.events().schedule(dram_.request(/*write=*/true), [] {});
+  machine_.events().schedule(dram_.request(/*write=*/true), no_op, nullptr,
+                             0);
 }
 
-void DirectorySlice::start_txn(const CohMsg& req,
-                               std::vector<CohMsg> waiting) {
+void DirectorySlice::start_txn(std::uint32_t row, const CohMsg& req) {
   ++machine_.mem_counters().dir_reads;
   LineInfo& li = info(req.line);
-  Txn& txn = active_[req.line];
+  // Nothing below acquires a row, so the reference stays valid.
+  Txn& txn = active_[row];
+  txn.restart();
   txn.req = req;
-  txn.waiting = std::move(waiting);
 
   if (li.state == LineState::kModified) {
     if (li.owner == req.requester) {
@@ -192,7 +200,8 @@ void DirectorySlice::start_txn(const CohMsg& req,
 }
 
 void DirectorySlice::maybe_complete(Addr line) {
-  Txn& txn = active_.at(line);
+  assert(active_.contains(line));
+  Txn& txn = active_[active_.find(line)];
   if (txn.waiting_owner || txn.pending_acks > 0) return;
   if (!txn.have_data) {
     // No acknowledgement carried the line. If a DirtyWb is known to be in
@@ -205,24 +214,26 @@ void DirectorySlice::maybe_complete(Addr line) {
 }
 
 void DirectorySlice::complete(Addr line) {
-  Txn txn = std::move(active_.at(line));
-  active_.erase(line);
+  assert(active_.contains(line));
+  // The line's row stays in hand for the next queued request.
+  const std::uint32_t row = active_.detach(line);
+  const CohMsg req = active_[row].req;
   ++machine_.mem_counters().dir_writes;
   LineInfo& li = info(line);
 
-  CohMsg rep = make(txn.req.type == CohType::kShReq ? CohType::kShRep
-                                                    : CohType::kExRep,
-                    line, txn.req.requester, txn.req.requester);
+  CohMsg rep = make(req.type == CohType::kShReq ? CohType::kShRep
+                                                : CohType::kExRep,
+                    line, req.requester, req.requester);
   rep.carries_data = true;
-  if (txn.req.type == CohType::kShReq) {
+  if (req.type == CohType::kShReq) {
     li.state = LineState::kShared;
     li.owner = kInvalidCore;
-    li.sharers.add(txn.req.requester);
+    li.sharers.add(req.requester);
     li.data_valid = true;
   } else {
     li.sharers.clear();
     li.state = LineState::kModified;
-    li.owner = txn.req.requester;
+    li.owner = req.requester;
     li.data_valid = false;  // the new owner will dirty it
   }
   send(rep);
@@ -231,24 +242,28 @@ void DirectorySlice::complete(Addr line) {
 
   // Serve the next queued request for this line immediately — leaving a
   // cycle gap would let a newly arriving request clobber the queued one's
-  // transaction slot. The rest of the queue moves with it, before its
-  // transaction can complete.
-  if (!txn.waiting.empty()) {
-    const CohMsg next = txn.waiting.front();
-    txn.waiting.erase(txn.waiting.begin());
-    start_txn(next, std::move(txn.waiting));
+  // transaction slot. It reopens the line on the same row, which keeps the
+  // rest of the queue, before its transaction can complete.
+  std::vector<CohMsg>& waiting = active_[row].waiting;
+  if (waiting.empty()) {
+    active_.release(row);
+    return;
   }
+  const CohMsg next = waiting.front();
+  waiting.erase(waiting.begin());
+  active_.attach(line, row);
+  start_txn(row, next);
 }
 
 void DirectorySlice::handle(const CohMsg& m) {
   switch (m.type) {
     case CohType::kShReq:
     case CohType::kExReq: {
-      const auto it = active_.find(m.line);
-      if (it != active_.end()) {
-        it->second.waiting.push_back(m);
+      const std::uint32_t row = active_.find(m.line);
+      if (row != active_.kNone) {
+        active_[row].waiting.push_back(m);
       } else {
-        start_txn(m);
+        start_txn(active_.insert(m.line), m);
       }
       return;
     }
@@ -256,12 +271,13 @@ void DirectorySlice::handle(const CohMsg& m) {
       ++machine_.mem_counters().dir_writes;
       LineInfo& li = info(m.line);
       const bool was_sharer = li.sharers.remove(m.src);
-      auto it = active_.find(m.line);
-      if (was_sharer && it != active_.end() && it->second.pending_acks > 0) {
+      const std::uint32_t row = active_.find(m.line);
+      if (was_sharer && row != active_.kNone &&
+          active_[row].pending_acks > 0) {
         // The eviction crossed an in-flight invalidation to this core; it
         // stands in for the acknowledgement (the core won't ack an absent
         // line under ACKwise).
-        --it->second.pending_acks;
+        --active_[row].pending_acks;
         maybe_complete(m.line);
       }
       return;
@@ -272,13 +288,14 @@ void DirectorySlice::handle(const CohMsg& m) {
       // The line is committed to DRAM (and refreshes the home data buffer).
       li.data_valid = true;
       write_back();
-      auto it = active_.find(m.line);
-      if (it != active_.end()) {
-        it->second.have_data = true;
-        it->second.expect_dirty_wb = false;
+      const std::uint32_t row = active_.find(m.line);
+      if (row != active_.kNone) {
+        Txn& txn = active_[row];
+        txn.have_data = true;
+        txn.expect_dirty_wb = false;
         if (li.owner == m.src) {
           // Crossed with our Flush/WbReq; the owner is gone.
-          it->second.waiting_owner = false;
+          txn.waiting_owner = false;
           li.drop_owner();
         }
         maybe_complete(m.line);
@@ -288,21 +305,22 @@ void DirectorySlice::handle(const CohMsg& m) {
       return;
     }
     case CohType::kInvAck: {
-      auto it = active_.find(m.line);
-      assert(it != active_.end() && "stray InvAck");
-      if (it == active_.end()) return;
+      const std::uint32_t row = active_.find(m.line);
+      assert(row != active_.kNone && "stray InvAck");
+      if (row == active_.kNone) return;
       info(m.line).sharers.remove(m.src);
-      --it->second.pending_acks;
-      if (m.carries_data) it->second.have_data = true;
+      Txn& txn = active_[row];
+      --txn.pending_acks;
+      if (m.carries_data) txn.have_data = true;
       maybe_complete(m.line);
       return;
     }
     case CohType::kFlushAck:
     case CohType::kWbAck: {
-      auto it = active_.find(m.line);
-      assert(it != active_.end() && "stray owner ack");
-      if (it == active_.end()) return;
-      Txn& txn = it->second;
+      const std::uint32_t row = active_.find(m.line);
+      assert(row != active_.kNone && "stray owner ack");
+      if (row == active_.kNone) return;
+      Txn& txn = active_[row];
       txn.waiting_owner = false;
       LineInfo& li = info(m.line);
       if (m.carries_data) {

@@ -12,6 +12,7 @@
 #include "common/counters.hpp"
 #include "common/params.hpp"
 #include "memory/cache_array.hpp"
+#include "memory/line_table.hpp"
 #include "memory/protocol.hpp"
 #include "network/ledger.hpp"
 
@@ -70,6 +71,9 @@ class DirectorySlice {
  public:
   /// `m` owns this slice and outlives it; see CacheController.
   DirectorySlice(HubId slice, CoreId self_core, sim::Machine& m);
+  // Scheduled events hold this slice's address.
+  DirectorySlice(const DirectorySlice&) = delete;
+  DirectorySlice& operator=(const DirectorySlice&) = delete;
 
   /// Network-side entry for every message addressed to this slice.
   void handle(const CohMsg& m);
@@ -131,14 +135,28 @@ class DirectorySlice {
     /// Later requests for the line, in arrival order; each starts the next
     /// transaction when the one before it completes.
     std::vector<CohMsg> waiting;
+
+    /// A new transaction's state, except that `waiting` stays as it is.
+    void restart() {
+      pending_acks = 0;
+      waiting_owner = have_data = dram_pending = expect_dirty_wb = false;
+    }
+    void clear() {
+      restart();
+      clear_for_reuse(waiting);
+    }
   };
 
   LineInfo& info(Addr line);
-  /// Starts the transaction for `req`, with `waiting` queued behind it.
-  void start_txn(const CohMsg& req, std::vector<CohMsg> waiting = {});
+  /// Starts the transaction for `req` on `row`, a row of active_ open for
+  /// the line, keeping the row's waiting list.
+  void start_txn(std::uint32_t row, const CohMsg& req);
   void maybe_complete(Addr line);
   void complete(Addr line);
   void fetch_dram(Addr line);
+  /// Event handler: the DRAM fetch for the line `line` at slice `self`
+  /// returned.
+  static void dram_done(void* self, std::uint64_t line);
   void write_back();
   Cycle send(const CohMsg& m);
   CohMsg make(CohType t, Addr line, CoreId dst, CoreId requester) const;
@@ -148,7 +166,7 @@ class DirectorySlice {
   sim::Machine& machine_;
   MemController dram_;
   std::unordered_map<Addr, LineInfo> dir_;
-  std::unordered_map<Addr, Txn> active_;
+  LineTable<Txn> active_;
   std::uint16_t seq_ = 0;
   Cycle send_free_ = 0;
 };

@@ -54,18 +54,21 @@ inline bool to_directory(CohType t) {
   }
 }
 
+/// Fields are ordered widest first, so a message packs into 32 bytes: every
+/// pending delivery, queued request and deferred unicast holds one.
 struct CohMsg {
-  CohType type{};
   Addr line = 0;          ///< line-aligned address
   CoreId src = kInvalidCore;
   CoreId dst = kInvalidCore;       ///< kBroadcastCore for broadcast invs
   CoreId requester = kInvalidCore; ///< original requester (directory txns)
-  std::uint16_t seq = 0;           ///< directory-slice sequence number
   HubId dir_slice = -1;            ///< slice the seq belongs to
+  std::uint16_t seq = 0;           ///< directory-slice sequence number
+  CohType type{};
   bool carries_data = false;
 
   bool is_broadcast() const { return dst == kBroadcastCore; }
 };
+static_assert(sizeof(CohMsg) == 32);
 
 /// 16-bit sequence numbers with TCP-style wraparound ordering.
 inline bool seq_before_eq(std::uint16_t a, std::uint16_t b) {

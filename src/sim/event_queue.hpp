@@ -1,15 +1,23 @@
 // Deterministic discrete-event engine.
 //
+// An event is a plain record: a cycle, a sequence number, and a handler
+// `fn(obj, arg)` given as a function pointer and its two arguments. The
+// records are trivially copyable, so scheduling one never allocates (the
+// heap's array grows to the run's peak and is then reused). Whatever an
+// event needs beyond `obj` and `arg` lives with its owner: a coroutine frame
+// (resume_coroutine), an awaiter, a cache controller's or the Machine's own
+// tables.
+//
 // Events at equal cycles run in schedule order (a monotone sequence number
 // breaks ties), so a given program and seed always produce the same
 // simulation — a property the tests rely on.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <queue>
-#include <stdexcept>
-#include <utility>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/invariant.hpp"
@@ -19,15 +27,17 @@ namespace atacsim {
 
 class EventQueue {
  public:
-  using Fn = std::function<void()>;
+  /// An event's handler: called as fn(obj, arg) at the event's cycle.
+  using Fn = void (*)(void* obj, std::uint64_t arg);
 
   /// Events dispatched so far (unconditional counter; feeds the obs
   /// self-profile's events/sec).
   std::uint64_t dispatched() const { return dispatched_; }
 
-  void schedule(Cycle t, Fn fn) {
+  /// Runs fn(obj, arg) at cycle `t` (at now() if `t` is in the past).
+  void schedule(Cycle t, Fn fn, void* obj, std::uint64_t arg) {
     if (t < now_) t = now_;  // never schedule into the past
-    heap_.push(Item{t, seq_++, std::move(fn)});
+    heap_.push(Event{t, seq_++, fn, obj, arg});
   }
 
   Cycle now() const { return now_; }
@@ -47,13 +57,13 @@ class EventQueue {
   /// `stop_before`.
   bool run(Cycle max_cycles = kNeverCycle, Cycle stop_before = kNeverCycle) {
     while (!heap_.empty()) {
-      const Item& top = heap_.top();
+      const Event& top = heap_.top();
       if (top.t > max_cycles) {
         now_ = max_cycles;
         return false;
       }
       if (top.t >= stop_before) return true;
-      dispatch(top);
+      dispatch();
     }
     return true;
   }
@@ -64,33 +74,43 @@ class EventQueue {
   void debug_set_now(Cycle t) { now_ = t; }
 
  private:
-  struct Item {
+  struct Event {
     Cycle t;
     std::uint64_t seq;
     Fn fn;
-    bool operator>(const Item& o) const {
+    void* obj;
+    std::uint64_t arg;
+    bool operator>(const Event& o) const {
       return t != o.t ? t > o.t : seq > o.seq;
     }
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
 
-  void dispatch(const Item& top) {
-    if (validate_ && top.t < now_)
+  void dispatch() {
+    // Copied out before pop so the handler may schedule more events.
+    const Event e = heap_.top();
+    if (validate_ && e.t < now_)
       check::raise(check::Probe::kClock, "event_queue", now_, kInvalidCore,
-                   "dispatch timestamp " + std::to_string(top.t) +
+                   "dispatch timestamp " + std::to_string(e.t) +
                        " behind clock " + std::to_string(now_));
-    now_ = top.t;
+    now_ = e.t;
     ++dispatched_;
-    // Move out before pop so the handler may schedule more events.
-    Fn fn = std::move(const_cast<Item&>(top).fn);
     heap_.pop();
-    fn();
+    e.fn(e.obj, e.arg);
   }
 
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t dispatched_ = 0;
   bool validate_ = check::env_validation_enabled();
 };
+
+/// Event handler that resumes the coroutine whose frame is `frame` (a
+/// handle's address()). A null frame resumes nothing: the event still runs,
+/// at its cycle, for callers that complete without a coroutine.
+inline void resume_coroutine(void* frame, std::uint64_t) {
+  if (frame) std::coroutine_handle<>::from_address(frame).resume();
+}
 
 }  // namespace atacsim

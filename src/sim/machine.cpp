@@ -131,32 +131,83 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
   // run back to back within their cycle, and any event a handler schedules
   // gets a later sequence number either way. Arrivals are grouped by the
   // cycle schedule() actually uses, which clamps to now().
+  //
+  // The event's record carries only the number of a slot in deliveries_,
+  // which holds the message and the receivers. The slot, and a batch's
+  // chunks of receivers, are freed when the event runs and reused, so a
+  // delivery allocates nothing once the run has reached its peak of
+  // pending ones.
   for (net::Arrival& a : arrivals_) a.at = std::max(a.at, now());
-  // stable_sort allocates a buffer even for one element (every unicast).
-  if (arrivals_.size() > 1)
-    std::stable_sort(arrivals_.begin(), arrivals_.end(),
-                     [](const net::Arrival& a, const net::Arrival& b) {
-                       return a.at < b.at;
-                     });
+  if (arrivals_.size() > 1) sort_arrivals();
   for (auto it = arrivals_.begin(); it != arrivals_.end();) {
     const Cycle at = it->at;
     const auto end =
         std::find_if(it, arrivals_.end(),
                      [at](const net::Arrival& a) { return a.at != at; });
-    if (end - it == 1) {  // a lone receiver (every unicast) needs no list
-      events_.schedule(at, [this, r = it->receiver, m] {
-        receive_each(m, &r, &r + 1);
-      });
+    const std::uint32_t slot = deliveries_.alloc();
+    Delivery& d = deliveries_[slot];
+    d.msg = m;
+    d.count = static_cast<std::uint32_t>(end - it);
+    if (d.count == 1) {  // a lone receiver (every unicast) needs no chunk
+      d.receiver = it->receiver;
       ++it;
-      continue;
+    } else {
+      // Slab items never move, so `link` stays valid as chunks are added.
+      std::uint32_t* link = &d.chunk;
+      for (std::uint32_t first = 0; first < d.count; first += kChunkIds) {
+        *link = chunks_.alloc();
+        ReceiverChunk& chunk = chunks_[*link];
+        const std::uint32_t n = std::min(d.count - first, kChunkIds);
+        for (std::uint32_t i = 0; i < n; ++i, ++it) chunk.ids[i] = it->receiver;
+        link = &chunk.next;
+      }
     }
-    std::vector<CoreId> receivers;
-    receivers.reserve(static_cast<std::size_t>(end - it));
-    for (; it != end; ++it) receivers.push_back(it->receiver);
-    events_.schedule(at, [this, m, receivers = std::move(receivers)] {
-      receive_each(m, receivers.data(), receivers.data() + receivers.size());
-    });
+    events_.schedule(at, &Machine::deliver, this, slot);
   }
+}
+
+void Machine::sort_arrivals() {
+  // A bottom-up merge sort: std::merge keeps equal cycles in order, and
+  // unlike std::stable_sort it needs no buffer beyond the one kept here.
+  const auto by_cycle = [](const net::Arrival& a, const net::Arrival& b) {
+    return a.at < b.at;
+  };
+  const std::size_t n = arrivals_.size();
+  merge_buf_.resize(n);
+  net::Arrival* from = arrivals_.data();
+  net::Arrival* to = merge_buf_.data();
+  for (std::size_t width = 1; width < n; width *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
+      const std::size_t mid = std::min(lo + width, n);
+      const std::size_t hi = std::min(lo + 2 * width, n);
+      std::merge(from + lo, from + mid, from + mid, from + hi, to + lo,
+                 by_cycle);
+    }
+    std::swap(from, to);
+  }
+  if (from != arrivals_.data()) std::copy(from, from + n, arrivals_.data());
+}
+
+void Machine::deliver(void* self, std::uint64_t slot) {
+  Machine& m = *static_cast<Machine*>(self);
+  // Copied out and freed first: the handlers schedule more deliveries.
+  const Delivery d = m.deliveries_[static_cast<std::uint32_t>(slot)];
+  m.deliveries_.free(static_cast<std::uint32_t>(slot));
+  if (d.count == 1) {
+    m.receive_each(d.msg, &d.receiver, &d.receiver + 1);
+    return;
+  }
+  m.batch_.clear();
+  std::uint32_t c = d.chunk;
+  for (std::uint32_t left = d.count; left > 0;) {
+    const ReceiverChunk& chunk = m.chunks_[c];
+    const std::uint32_t n = std::min(left, kChunkIds);
+    m.batch_.insert(m.batch_.end(), chunk.ids, chunk.ids + n);
+    left -= n;
+    m.chunks_.free(c);
+    c = chunk.next;  // the slot is free but unchanged until the next alloc
+  }
+  m.receive_each(d.msg, m.batch_.data(), m.batch_.data() + m.batch_.size());
 }
 
 Cycle Machine::send(Cycle t, const mem::CohMsg& m) {

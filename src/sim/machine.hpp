@@ -21,6 +21,7 @@
 #include "network/atac_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/holder_index.hpp"
+#include "sim/slab.hpp"
 
 namespace atacsim::obs {
 class RunObserver;
@@ -137,6 +138,13 @@ class Machine {
   /// the quiescence invariant the integration tests assert.
   bool quiescent() const;
 
+  /// Delivery events scheduled and not yet run (one per lone receiver or
+  /// per batch of receivers that share an arrival cycle).
+  std::size_t pending_deliveries() const { return deliveries_.in_use(); }
+  /// Delivery records per slab page (see deliver_arrivals). Pages are
+  /// small (5 KiB) because a 64-core machine rarely fills one.
+  static constexpr std::size_t kDeliveriesPerPage = 128;
+
   /// The simulated address of host pointer `p`: the only translation of
   /// application data.
   ///
@@ -184,6 +192,10 @@ class Machine {
   }
   /// Schedules `receive` of `m` for every entry of arrivals_.
   void deliver_arrivals(const mem::CohMsg& m);
+  /// Sorts arrivals_ by cycle, keeping the network's order within a cycle.
+  void sort_arrivals();
+  /// Event handler: runs the delivery in slot `slot` of deliveries_.
+  static void deliver(void* self, std::uint64_t slot);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.
   void validate_coherence(Addr line, HubId slice);
@@ -211,8 +223,32 @@ class Machine {
   Addr next_frame_ = 16;
 
   /// One message's receptions as the network reports them. Reused across
-  /// sends.
+  /// sends, as is sort_arrivals' merge buffer.
   std::vector<net::Arrival> arrivals_;
+  std::vector<net::Arrival> merge_buf_;
+
+  /// A scheduled delivery: the message and its receivers. A lone receiver
+  /// is stored inline; a batch's `count` receivers fill a chain of chunks
+  /// from `chunk` on.
+  struct Delivery {
+    mem::CohMsg msg;
+    std::uint32_t count = 0;
+    union {
+      CoreId receiver;      // count == 1
+      std::uint32_t chunk;  // count > 1
+    };
+  };
+  /// A batch's receivers, in delivery order, kChunkIds to a chunk.
+  static constexpr std::uint32_t kChunkIds = 15;
+  struct ReceiverChunk {
+    CoreId ids[kChunkIds];
+    std::uint32_t next;  ///< the chunk after this one, if any
+  };
+  Slab<Delivery, kDeliveriesPerPage> deliveries_;
+  Slab<ReceiverChunk, 128> chunks_;
+  /// The running batch's receivers, gathered from its chunks (deliver()
+  /// never runs inside another delivery's handlers).
+  std::vector<CoreId> batch_;
 
   HolderIndex holders_;
   std::vector<std::uint16_t> bcast_seq_;       // [slice][core]

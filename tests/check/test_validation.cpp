@@ -375,7 +375,7 @@ TEST(MutationEnergy, TotalsMustSumFromComponents) {
 TEST(MutationClock, BackwardsDispatchIsCaught) {
   EventQueue q;
   ASSERT_TRUE(q.validation());  // env default took effect
-  q.schedule(5, [] {});
+  q.schedule(5, [](void*, std::uint64_t) {}, nullptr, 0);
   q.debug_set_now(10);  // seeded fault: clock ahead of the pending event
   try {
     q.run();

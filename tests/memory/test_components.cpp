@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "memory/cache_controller.hpp"
 #include "memory/directory.hpp"
+#include "memory/line_table.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 
@@ -102,6 +104,91 @@ TEST(DebugIntrospection, DirectoryTxnSnapshotFields) {
   }
   m.run();
   EXPECT_GT(done, 0u);
+}
+
+TEST(MshrTable, OpensMoreMissesThanTheFirstArrayAndFillsInAnyOrder) {
+  // Trace replay issues a core's accesses without waiting for earlier
+  // misses, so one core can keep many MSHRs open: the table must grow past
+  // its first array and close rows in whatever order the fills land.
+  sim::Machine m(MachineParams::small(8, 2));
+  const Addr stride = Addr(m.geom().num_clusters()) * kLineBytes;
+  const Addr base = 0x6000000;
+  const std::size_t n = 4 * LineTable<int>::kInitialSlots;
+  std::vector<Addr> lines;
+  // The first half share one home slice, whose DRAM channel serializes
+  // their fetches; each of the second half has a home of its own.
+  for (std::size_t i = 0; i < n / 2; ++i) lines.push_back(base + i * stride);
+  for (std::size_t i = 0; i < n / 2; ++i)
+    lines.push_back(base + n * stride + (i + 1) * kLineBytes);
+  std::vector<Cycle> read(n, 0), write(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    m.cache(5).access(lines[i], false, {&read[i], {}});
+    // Every third line also gets a store behind the load: it waits in the
+    // same MSHR and retries as an upgrade when the shared copy lands.
+    if (i % 3 == 0) m.cache(5).access(lines[i], true, {&write[i], {}});
+  }
+  EXPECT_EQ(m.cache(5).outstanding_misses(), n);
+  for (const Addr line : lines)
+    EXPECT_STREQ(m.cache(5).holding(line, m.home_slice(line)), "an MSHR");
+
+  ASSERT_TRUE(m.run());
+  EXPECT_EQ(m.cache(5).outstanding_misses(), 0u);
+  EXPECT_TRUE(m.quiescent());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_GT(read[i], 0u) << "line " << i;
+    if (i % 3 == 0) {
+      EXPECT_GT(write[i], read[i]) << "line " << i;
+      EXPECT_EQ(m.cache(5).l2().peek(lines[i]), LineState::kModified) << i;
+    } else {
+      EXPECT_EQ(write[i], 0u);
+      EXPECT_EQ(m.cache(5).l2().peek(lines[i]), LineState::kShared) << i;
+    }
+  }
+  // The last fetch queued at the shared slice lands after the first line
+  // with a home of its own, which was opened later.
+  EXPECT_GT(read[n / 2 - 1], read[n / 2]);
+}
+
+TEST(DirectoryTable, QueuedRequestsRunOnARecycledRow) {
+  sim::Machine m(MachineParams::small(8, 2));
+  const Addr stride = Addr(m.geom().num_clusters()) * kLineBytes;
+  const Addr a = 0x7000000;
+  const Addr b = a + 3 * stride;  // same home slice as a
+  const HubId home = m.home_slice(a);
+  ASSERT_EQ(m.home_slice(b), home);
+
+  // Line a: a store, then loads from three cores queued behind it. When
+  // the last one completes the slice's only row is freed.
+  Cycle a_done[4] = {};
+  m.cache(1).access(a, true, {&a_done[0], {}});
+  for (CoreId c = 2; c < 5; ++c)
+    m.cache(c).access(a, false, {&a_done[c - 1], {}});
+  ASSERT_TRUE(m.run());
+  EXPECT_EQ(m.directory(home).active_transactions(), 0u);
+  const std::uint64_t reads_after_a = m.mem_counters().dram_reads;
+  EXPECT_EQ(reads_after_a, 1u);  // the loads take the data from the owner
+
+  // Line b: four stores at once. The first opens a transaction on the
+  // recycled row, the other three wait in its list and each starts the
+  // next transaction on the same row as the one before completes.
+  Cycle b_done[4] = {};
+  for (CoreId c = 10; c < 14; ++c)
+    m.cache(c).access(b, true, {&b_done[c - 10], {}});
+  m.events().run(kNeverCycle, m.now() + 60);  // the requests have arrived
+  EXPECT_EQ(m.directory(home).active_transactions(), 1u);
+  ASSERT_TRUE(m.run());
+
+  EXPECT_TRUE(m.quiescent());
+  for (const Cycle t : a_done) EXPECT_GT(t, 0u);
+  for (const Cycle t : b_done) EXPECT_GT(t, 0u);
+  // A fresh transaction's state on the recycled row: the first store had
+  // no data at the home and fetched it; the others took it from the owner.
+  EXPECT_EQ(m.mem_counters().dram_reads, reads_after_a + 1);
+  EXPECT_EQ(m.mem_counters().dir_reads, 8u);  // one per request
+  int owners = 0;
+  for (CoreId c = 10; c < 14; ++c)
+    owners += m.cache(c).l2().peek(b) == LineState::kModified;
+  EXPECT_EQ(owners, 1);
 }
 
 TEST(Protocol, MessageNamesAreStable) {

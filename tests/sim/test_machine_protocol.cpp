@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/rng.hpp"
 #include "sim/machine.hpp"
 
@@ -310,6 +311,78 @@ TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
   EXPECT_EQ(other.translate(buf + 48), Addr{16} << 4);
   EXPECT_EQ(other.translate(buf + 1), (Addr{17} << 4) + 1);
   EXPECT_EQ(m.translate(buf + 48), Addr{18} << 4);
+}
+
+/// Runs `m` to the end one cycle at a time and returns the most delivery
+/// events it saw pending at any cycle boundary (or before the first).
+std::size_t drain_tracking_pending(Machine& m) {
+  std::size_t peak = m.pending_deliveries();
+  for (Cycle t = m.now() + 1; !m.events().empty(); ++t) {
+    m.events().run(kNeverCycle, t);
+    peak = std::max(peak, m.pending_deliveries());
+  }
+  EXPECT_TRUE(m.run());  // drained: runs the end-of-run probes
+  return peak;
+}
+
+TEST(Deliveries, PendingPastOneSlabPageArriveIntact) {
+  // Dir_kB with two hardware pointers: every line read by all 64 cores is
+  // tracked as global, so the first write to it broadcasts an invalidation
+  // that every core acknowledges from its handler. On ATAC+ a broadcast's
+  // receivers arrive a cluster at a time, in batches.
+  auto p = small(CoherenceKind::kDirKB, NetworkKind::kAtacPlus);
+  p.num_hw_sharers = 2;
+  Machine m(p);
+  constexpr int kLines = 10;
+  const Addr base = 0x1200000;
+  std::vector<Cycle> done(2 * kLines * 64, 0);  // one per access, issue order
+  std::size_t issued = 0;
+  auto issue_all = [&](bool write) {
+    for (CoreId c = 0; c < 64; ++c)
+      for (int i = 0; i < kLines; ++i)
+        m.cache(c).access(base + Addr(i) * kLineBytes, write,
+                          {&done[issued++], {}});
+  };
+  constexpr std::size_t kPage = Machine::kDeliveriesPerPage;
+  const auto pages = [&](std::size_t pending) {
+    return (pending + kPage - 1) / kPage;
+  };
+
+  // Every core reads every line: more requests pending than a page holds.
+  issue_all(false);
+  EXPECT_GT(m.pending_deliveries(), kPage);
+  const std::size_t reads_peak = drain_tracking_pending(m);
+  EXPECT_GE(pages(reads_peak), 2u);
+
+  // Every core writes every line. Fewer requests than the slab already
+  // holds are sent from here; the broadcasts, acknowledgements, flushes and
+  // fills the handlers send on top take it past its pages during dispatch.
+  issue_all(true);
+  EXPECT_LE(m.pending_deliveries(), pages(reads_peak) * kPage);
+  const std::size_t writes_peak = drain_tracking_pending(m);
+  EXPECT_GT(pages(writes_peak), pages(reads_peak));
+
+  EXPECT_EQ(std::count(done.begin(), done.end(), Cycle{0}), 0);
+  EXPECT_TRUE(m.quiescent());
+  EXPECT_EQ(m.pending_deliveries(), 0u);
+  EXPECT_EQ(m.mem_counters().bcast_invalidations, std::uint64_t{kLines});
+  for (int i = 0; i < kLines; ++i) {
+    int owners = 0;
+    for (CoreId c = 0; c < 64; ++c)
+      owners += m.cache(c).l2().peek(base + Addr(i) * kLineBytes) ==
+                LineState::kModified;
+    EXPECT_EQ(owners, 1) << "line " << i;
+  }
+  // Pinned: the commit cycle of every access and every counter, as the
+  // simulator produced them when each delivery was a closure owning its
+  // message and receivers. A message or receiver lost, changed or
+  // reordered in the slab moves them.
+  Digest d;
+  for (const Cycle t : done) d.add(t);
+  d.add(m.net_counters());
+  d.add(m.mem_counters());
+  EXPECT_EQ(m.now(), 5102u);
+  EXPECT_EQ(d.value(), 0x91811f7bc56a4d37ull);
 }
 
 }  // namespace
