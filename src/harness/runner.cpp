@@ -80,7 +80,9 @@ Outcome run_scenario(const Scenario& s) {
   {
     obs::PhaseTimer timer("simulate");
     out.run = prog.run(s.max_cycles);
-    timer.set_events(prog.machine().events().dispatched());
+    const EventQueue& q = prog.machine().events();
+    timer.set_events(q.dispatched());
+    timer.set_queue(q.overflowed(), q.peak_pending());
   }
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -58,6 +58,16 @@ LineState CacheArray::peek(Addr line) const {
   return w < 0 ? LineState::kInvalid : state_of(tags_[base + w]);
 }
 
+LineState CacheArray::hit(Addr line, bool write) {
+  const std::size_t base = set_base(line);
+  const int w = find(base, line);
+  if (w < 0) return LineState::kInvalid;
+  const LineState s = state_of(tags_[base + w]);
+  if (write && s != LineState::kModified) return LineState::kInvalid;
+  touch(base, w);
+  return s;
+}
+
 std::optional<CacheArray::Victim> CacheArray::install(Addr line,
                                                       LineState state) {
   const std::size_t base = set_base(line);

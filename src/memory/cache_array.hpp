@@ -40,6 +40,11 @@ class CacheArray {
   LineState lookup(Addr line);
   /// Peek without LRU update.
   LineState peek(Addr line) const;
+  /// One-probe hit test: if `line` is present in a state that allows the
+  /// access (any valid state for a read, Modified for a write), bumps LRU
+  /// and returns that state. Otherwise changes nothing and returns
+  /// kInvalid.
+  LineState hit(Addr line, bool write);
 
   /// Installs `line` in `state`; returns the victim (line address + state)
   /// if a valid line had to be evicted.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 
+#include "check/invariant.hpp"
 #include "obs/series.hpp"
 #include "sim/machine.hpp"
 
@@ -41,20 +43,33 @@ Cycle CacheController::send(const CohMsg& m) {
 
 bool CacheController::fast_access(Addr addr, bool write) {
   const Addr line = l2_.line_of(addr);
-  const LineState l1 = l1d_.peek(line);
-  if (l1 == LineState::kInvalid) return false;
-  const LineState l2 = l2_.peek(line);
-  const bool l2_ok = write ? (l2 == LineState::kModified)
-                           : (l2 != LineState::kInvalid);
-  if (!l2_ok) return false;
+  // An L1-D copy always carries its L2 state (fill, the L2-hit refill,
+  // handle_wb and lost_line keep the two equal), so one L1 probe decides.
+  if (machine_.validation()) check_l1_mirrors_l2(line);
+  if (l1d_.hit(line, write) == LineState::kInvalid) return false;
   auto& ctr = machine_.mem_counters();
   write ? ++ctr.l1d_writes : ++ctr.l1d_reads;
   if (write) ++ctr.l2_writes;  // write-through
-  l1d_.lookup(line);           // LRU bump
   if (auto* observer = machine_.observer())
     observer->record_mem(
         write, static_cast<std::uint64_t>(kL1HitCycles));
   return true;
+}
+
+void CacheController::check_l1_mirrors_l2(Addr line) const {
+  const LineState l1 = l1d_.peek(line);
+  const LineState l2 = l2_.peek(line);
+  if (l1 == LineState::kInvalid || l1 == l2) return;
+  const auto name = [](LineState s) {
+    return s == LineState::kModified ? "Modified"
+           : s == LineState::kShared ? "Shared"
+                                     : "Invalid";
+  };
+  std::ostringstream os;
+  os << "L1-D holds line 0x" << std::hex << line << std::dec << " "
+     << name(l1) << " but the L2 holds it " << name(l2);
+  check::raise(check::Probe::kCoherence, "cache", machine_.now(), self_,
+               os.str());
 }
 
 void CacheController::access(Addr addr, bool write, Completion done) {

@@ -51,7 +51,8 @@ class CacheController {
   /// Synchronous L1 fast path: on a hit, charges the access and returns
   /// true (the caller advances its local clock by the L1 hit latency and
   /// continues without suspending). On a miss nothing is charged — the
-  /// caller must fall back to access().
+  /// caller must fall back to access(). With validation on, first raises a
+  /// coherence violation if the L1-D copy's state differs from the L2's.
   bool fast_access(Addr addr, bool write);
 
   /// Completes into `done` one cycle after the line holding `addr` is next
@@ -104,6 +105,8 @@ class CacheController {
   /// waiters), which makes this core a holder, and sends the ShReq or ExReq
   /// home.
   void open_mshr(Addr line, std::uint32_t row, bool exclusive);
+  /// Validation probe: an L1-D copy of `line` must be in its L2 state.
+  void check_l1_mirrors_l2(Addr line) const;
   void fill(const CohMsg& rep);
   void evict(Addr line, LineState state);
   /// `line` left the L2: the L1 copy goes, change waiters wake, and this

@@ -1,5 +1,6 @@
 #include "obs/profile.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <ostream>
 
@@ -27,11 +28,14 @@ SelfProfile& SelfProfile::instance() {
 }
 
 void SelfProfile::add_phase(const std::string& name, double wall_s,
-                            std::uint64_t events) {
+                            std::uint64_t events, std::uint64_t overflowed,
+                            std::uint64_t peak_pending) {
   std::lock_guard<std::mutex> lock(mu_);
   Phase& ph = phases_[name];
   ph.wall_s += wall_s;
   ph.events += events;
+  ph.overflowed += overflowed;
+  ph.peak_pending = std::max(ph.peak_pending, peak_pending);
 }
 
 void SelfProfile::add_worker(int worker, double busy_s, std::uint64_t cells) {
@@ -78,7 +82,8 @@ void SelfProfile::write_json(std::ostream& os, const std::string& name) const {
        << "\": {\"wall_seconds\": " << num(ph.wall_s)
        << ", \"events\": " << ph.events << ", \"events_per_second\": "
        << num(ph.wall_s > 0 ? static_cast<double>(ph.events) / ph.wall_s : 0)
-       << "}";
+       << ", \"overflowed_events\": " << ph.overflowed
+       << ", \"peak_pending_events\": " << ph.peak_pending << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n"
@@ -109,7 +114,8 @@ PhaseTimer::PhaseTimer(std::string name)
 
 PhaseTimer::~PhaseTimer() {
   if (armed_)
-    SelfProfile::instance().add_phase(name_, now_seconds() - t0_, events_);
+    SelfProfile::instance().add_phase(name_, now_seconds() - t0_, events_,
+                                      overflowed_, peak_pending_);
 }
 
 }  // namespace atacsim::obs

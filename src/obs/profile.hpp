@@ -1,11 +1,12 @@
 // Host-side self-profiling ("atacsim-obs-profile-v1").
 //
 // Everything in this file measures the *simulator*, not the simulation:
-// wall time and dispatched events per phase, per-exp-worker busy time, and
-// pool statistics (cells, cache hits, utilization). Host time is
-// inherently nondeterministic, so these numbers are quarantined here and
-// written to their own profile file — they must never leak into series,
-// trace or report output, which stay byte-identical across --jobs values.
+// wall time, dispatched events and event-queue load per phase,
+// per-exp-worker busy time, and pool statistics (cells, cache hits,
+// utilization). Host time is inherently nondeterministic, so these numbers
+// are quarantined here and written to their own profile file — they must
+// never leak into series, trace or report output, which stay byte-identical
+// across --jobs values.
 //
 // The profile is a process-wide singleton because exp workers and bench
 // entries from many call sites contribute to one picture; all mutators are
@@ -25,8 +26,13 @@ class SelfProfile {
   static SelfProfile& instance();
 
   /// Accumulates `wall_s` host seconds and `events` dispatched simulation
-  /// events under phase `name` (e.g. "simulate", "verify").
-  void add_phase(const std::string& name, double wall_s, std::uint64_t events);
+  /// events under phase `name` (e.g. "simulate", "verify"), with the events
+  /// that went through the event queue's overflow heap (summed) and the
+  /// most events pending at once (the phase's largest). The two queue counts
+  /// repeat exactly for a scenario, but they describe the host's queue, not
+  /// the simulated chip, so they stay out of digests, reports and cache keys.
+  void add_phase(const std::string& name, double wall_s, std::uint64_t events,
+                 std::uint64_t overflowed, std::uint64_t peak_pending);
 
   /// Accumulates one worker's busy time and completed cell count.
   void add_worker(int worker, double busy_s, std::uint64_t cells);
@@ -46,6 +52,8 @@ class SelfProfile {
   struct Phase {
     double wall_s = 0;
     std::uint64_t events = 0;
+    std::uint64_t overflowed = 0;
+    std::uint64_t peak_pending = 0;
   };
   struct Worker {
     double busy_s = 0;
@@ -78,10 +86,18 @@ class PhaseTimer {
 
   /// Attributes `events` simulation events to this phase at destruction.
   void set_events(std::uint64_t events) { events_ = events; }
+  /// Attributes the event queue's overflow count and peak pending count
+  /// (SelfProfile::add_phase) to this phase at destruction.
+  void set_queue(std::uint64_t overflowed, std::uint64_t peak_pending) {
+    overflowed_ = overflowed;
+    peak_pending_ = peak_pending;
+  }
 
  private:
   std::string name_;
   std::uint64_t events_ = 0;
+  std::uint64_t overflowed_ = 0;
+  std::uint64_t peak_pending_ = 0;
   double t0_ = 0;
   bool armed_ = false;
 };

@@ -31,6 +31,12 @@ class TickLruArray {
     const Line* l = find(line);
     return l ? l->state : LineState::kInvalid;
   }
+  LineState hit(Addr line, bool write) {
+    const LineState s = peek(line);
+    if (s == LineState::kInvalid || (write && s != LineState::kModified))
+      return LineState::kInvalid;
+    return lookup(line);
+  }
   std::optional<CacheArray::Victim> install(Addr line, LineState state) {
     Line* v = find(line);
     std::optional<CacheArray::Victim> out;
@@ -93,6 +99,28 @@ TEST(CacheArray, MissThenHit) {
   c.install(0x1000, LineState::kShared);
   EXPECT_EQ(c.lookup(0x1000), LineState::kShared);
   EXPECT_EQ(c.peek(0x1040), LineState::kInvalid);
+}
+
+TEST(CacheArray, HitBumpsLruOnlyWhenTheStateAllowsTheAccess) {
+  CacheArray c(1, 4, 64);  // 4 sets
+  const Addr stride = 4 * 64;
+  c.install(0x10000, LineState::kShared);
+  c.install(0x10000 + stride, LineState::kModified);
+  c.install(0x10000 + 2 * stride, LineState::kShared);
+  c.install(0x10000 + 3 * stride, LineState::kShared);
+  // A store to a Shared line is refused and leaves line 0 least recent.
+  EXPECT_EQ(c.hit(0x10000, true), LineState::kInvalid);
+  EXPECT_EQ(c.hit(0x10000 + 4 * stride, false), LineState::kInvalid);
+  auto victim = c.install(0x10000 + 4 * stride, LineState::kShared);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(victim->line, 0x10000u);
+  // A load of any valid line and a store to a Modified one are hits.
+  EXPECT_EQ(c.hit(0x10000 + 2 * stride, false), LineState::kShared);
+  EXPECT_EQ(c.hit(0x10000 + stride, true), LineState::kModified);
+  // Line 3 is now least recent: both hits lifted their lines above it.
+  victim = c.install(0x10000, LineState::kShared);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(victim->line, 0x10000 + 3 * stride);
 }
 
 TEST(CacheArray, LineAlignment) {
@@ -187,7 +215,7 @@ TEST(CacheArray, MatchesTickLruReference) {
       const Addr t = rng.next_below(3 * static_cast<Addr>(g.assoc) + 1);
       const Addr tag = (t >> 1) | ((t & 1) << 30);
       const Addr line = (tag * sets + hot_sets[rng.next_below(4)]) * 64;
-      switch (rng.next_below(5)) {
+      switch (rng.next_below(6)) {
         case 0:
           ASSERT_EQ(c.lookup(line), ref.lookup(line)) << "op " << op;
           break;
@@ -209,6 +237,11 @@ TEST(CacheArray, MatchesTickLruReference) {
           const LineState s = kStates[rng.next_below(3)];
           c.set_state(line, s);
           ref.set_state(line, s);
+          break;
+        }
+        case 4: {
+          const bool write = rng.next_below(2) != 0;
+          ASSERT_EQ(c.hit(line, write), ref.hit(line, write)) << "op " << op;
           break;
         }
         default:

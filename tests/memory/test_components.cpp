@@ -191,6 +191,60 @@ TEST(DirectoryTable, QueuedRequestsRunOnARecycledRow) {
   EXPECT_EQ(owners, 1);
 }
 
+TEST(L1Hit, OneProbeServesWhatTheL2AllowsUnderValidation) {
+  // fast_access decides from the L1-D copy alone; with validation armed it
+  // checks on every call that the copy carries its L2 state, so each step
+  // below that changes a state also checks the L1-D followed.
+  sim::Machine m(MachineParams::small(8, 2));
+  m.set_validation(true);
+  mem::CacheController& c1 = m.cache(1);
+  const auto run_access = [&m](CoreId c, Addr a, bool write) {
+    Cycle done = 0;
+    m.cache(c).access(a, write, {&done, {}});
+    ASSERT_TRUE(m.run());
+    EXPECT_GT(done, 0u);
+  };
+  const Addr a = 0x8000000;
+
+  // Read miss: the shared copy serves loads, not stores.
+  run_access(1, a, false);
+  EXPECT_TRUE(c1.fast_access(a, false));
+  EXPECT_FALSE(c1.fast_access(a, true));
+  // Upgrade: the store takes the line Modified in both levels.
+  run_access(1, a, true);
+  EXPECT_EQ(c1.l2().peek(a), LineState::kModified);
+  EXPECT_TRUE(c1.fast_access(a, true));
+  // WbReq: a load at core 2 demotes the owner's copies to Shared.
+  run_access(2, a, false);
+  EXPECT_EQ(c1.l2().peek(a), LineState::kShared);
+  EXPECT_TRUE(c1.fast_access(a, false));
+  EXPECT_FALSE(c1.fast_access(a, true));
+
+  // L1-D eviction: four more lines in a's L1-D set (128 sets) push it out
+  // of the L1-D only; the next load refills it from the L2.
+  const Addr l1_stride = 128 * kLineBytes;
+  for (Addr i = 1; i <= 4; ++i) run_access(1, a + i * l1_stride, false);
+  EXPECT_FALSE(c1.fast_access(a, false));
+  EXPECT_EQ(c1.l2().peek(a), LineState::kShared);
+  run_access(1, a, false);
+  EXPECT_TRUE(c1.fast_access(a, false));
+
+  // L2 eviction: eight more stores into a's L2 set (512 sets) take the
+  // L1-D copy with the L2 one.
+  const Addr l2_stride = 512 * kLineBytes;
+  for (Addr i = 1; i <= 8; ++i) run_access(1, a + i * l2_stride, true);
+  EXPECT_EQ(c1.l2().peek(a), LineState::kInvalid);
+  EXPECT_FALSE(c1.fast_access(a, false));
+  const Addr last = a + 8 * l2_stride;
+  EXPECT_TRUE(c1.fast_access(last, true));
+
+  // Invalidation: a store at core 3 removes core 1's Modified copy.
+  run_access(3, last, true);
+  EXPECT_FALSE(c1.fast_access(last, false));
+  EXPECT_TRUE(m.cache(3).fast_access(last, true));
+  EXPECT_TRUE(m.quiescent());
+}
+
 TEST(Protocol, MessageNamesAreStable) {
   EXPECT_STREQ(to_string(CohType::kShReq), "ShReq");
   EXPECT_STREQ(to_string(CohType::kExRep), "ExRep");

@@ -12,6 +12,7 @@
 #include "harness/runner.hpp"
 #include "obs/json.hpp"
 #include "obs/options.hpp"
+#include "obs/profile.hpp"
 #include "obs/validate.hpp"
 
 namespace atacsim::harness {
@@ -134,6 +135,42 @@ TEST(ObsRun, ArtifactsAreByteIdenticalAcrossRepeatedRuns) {
   }
   fs::remove_all(dir_a);
   fs::remove_all(dir_b);
+}
+
+TEST(ObsRun, SelfProfileCountsTheEventQueueLoadOfEachRun) {
+  // The simulate phase carries the run's overflow-heap count and peak
+  // pending count. Both are host-side, but they repeat exactly for a
+  // scenario, so a later run can read the queue's horizon off them.
+  const auto dir = fs::temp_directory_path() / "atacsim_obs_queue";
+  fs::remove_all(dir);
+  ObsArmed armed(dir.string());
+  const auto simulate_phase = [] {
+    std::ostringstream os;
+    obs::SelfProfile::instance().write_json(os, "queue");
+    obs::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(obs::json::parse(os.str(), doc, &err)) << err;
+    EXPECT_EQ(obs::validate_profile(doc), "");
+    const auto* phases = doc.find("phases");
+    const auto* sim = phases ? phases->find("simulate") : nullptr;
+    EXPECT_NE(sim, nullptr);
+    const auto count = [sim](const char* key) {
+      const auto* v = sim ? sim->find(key) : nullptr;
+      return v ? v->number : -1.0;
+    };
+    return std::pair{count("overflowed_events"), count("peak_pending_events")};
+  };
+
+  obs::SelfProfile::instance().reset();
+  ASSERT_EQ(run_scenario(small_scenario()).verify_msg, "");
+  const auto first = simulate_phase();
+  EXPECT_GE(first.first, 0.0);
+  EXPECT_GT(first.second, 0.0);
+  obs::SelfProfile::instance().reset();
+  ASSERT_EQ(run_scenario(small_scenario()).verify_msg, "");
+  EXPECT_EQ(simulate_phase(), first);
+  obs::SelfProfile::instance().reset();
+  fs::remove_all(dir);
 }
 
 TEST(ObsRun, DisarmedRunLeavesNoTelemetry) {
