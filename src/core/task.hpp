@@ -8,6 +8,7 @@
 
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 namespace atacsim::core {
@@ -27,7 +28,6 @@ struct FinalAwaiter {
   void await_resume() noexcept {}
 };
 
-template <typename T>
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation;
 
@@ -36,18 +36,27 @@ struct TaskPromiseBase {
   void unhandled_exception() noexcept { std::terminate(); }
 };
 
+/// What a Task's promise keeps of the coroutine's result.
+template <typename T>
+struct TaskResult : TaskPromiseBase {
+  T value{};
+  void return_value(T v) { value = std::move(v); }
+};
+template <>
+struct TaskResult<void> : TaskPromiseBase {
+  void return_void() {}
+};
+
 }  // namespace detail
 
 /// Lazy coroutine returning T; starts on first co_await.
 template <typename T>
 class Task {
  public:
-  struct promise_type : detail::TaskPromiseBase<T> {
-    T value{};
+  struct promise_type : detail::TaskResult<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_value(T v) { value = std::move(v); }
   };
 
   Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
@@ -62,36 +71,9 @@ class Task {
     h_.promise().continuation = cont;
     return h_;
   }
-  T await_resume() { return std::move(h_.promise().value); }
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class Task<void> {
- public:
-  struct promise_type : detail::TaskPromiseBase<void> {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() {
-    if (h_) h_.destroy();
+  T await_resume() {
+    if constexpr (!std::is_void_v<T>) return std::move(h_.promise().value);
   }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-    h_.promise().continuation = cont;
-    return h_;
-  }
-  void await_resume() {}
 
  private:
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}

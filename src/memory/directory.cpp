@@ -86,11 +86,19 @@ DirectorySlice::DirectorySlice(HubId slice, CoreId self_core, sim::Machine& m)
       machine_(m),
       dram_(m.events(), m.mem_counters(), m.params()) {}
 
+// Making a row may grow dir_'s row array, which moves every LineInfo. Each
+// handler takes a LineInfo& only for its own line, with this call, after
+// which that line has a row; nothing a handler calls while it holds the
+// reference makes a row for another line (send() and fetch_dram() only
+// schedule events). Keep it so: a reference held across another line's
+// first info() would dangle.
 DirectorySlice::LineInfo& DirectorySlice::info(Addr line) {
-  auto it = dir_.find(line);
-  if (it == dir_.end())
-    it = dir_.emplace(line, LineInfo(machine_.params().num_hw_sharers)).first;
-  return it->second;
+  std::uint32_t row = dir_.find(line);
+  if (row == dir_.kNone) {
+    row = dir_.insert(line);
+    dir_[row].sharers = SharerSet(machine_.params().num_hw_sharers);
+  }
+  return dir_[row];
 }
 
 CohMsg DirectorySlice::make(CohType t, Addr line, CoreId dst,
@@ -351,9 +359,9 @@ void DirectorySlice::handle(const CohMsg& m) {
 
 DirectorySlice::LineProbe DirectorySlice::probe_line(Addr line) const {
   LineProbe p;
-  const auto it = dir_.find(line);
-  if (it == dir_.end()) return p;
-  const LineInfo& li = it->second;
+  const std::uint32_t row = dir_.find(line);
+  if (row == dir_.kNone) return p;
+  const LineInfo& li = dir_[row];
   p.state = li.state;
   p.owner = li.owner;
   p.global = li.sharers.global();
@@ -363,10 +371,10 @@ DirectorySlice::LineProbe DirectorySlice::probe_line(Addr line) const {
 }
 
 void DirectorySlice::debug_corrupt_forget_line(Addr line) {
-  const auto it = dir_.find(line);
-  if (it == dir_.end()) return;
-  it->second.sharers.clear();
-  it->second.drop_owner();
+  const std::uint32_t row = dir_.find(line);
+  if (row == dir_.kNone) return;
+  dir_[row].sharers.clear();
+  dir_[row].drop_owner();
 }
 
 }  // namespace atacsim::mem

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -115,8 +114,7 @@ class DirectorySlice {
     /// Clean copy of the line is available at the home (directory data
     /// buffer / DRAM row buffer): shared-state fills need no DRAM access.
     bool data_valid = false;
-    SharerSet sharers;
-    explicit LineInfo(int k) : sharers(k) {}
+    SharerSet sharers{0};  // info() gives a new line the slice's k
     /// No core owns the line any more.
     void drop_owner() {
       owner = kInvalidCore;
@@ -147,6 +145,8 @@ class DirectorySlice {
     }
   };
 
+  /// The line's row in dir_, made on first use. The reference is valid
+  /// until the next line is made.
   LineInfo& info(Addr line);
   /// Starts the transaction for `req` on `row`, a row of active_ open for
   /// the line, keeping the row's waiting list.
@@ -165,7 +165,7 @@ class DirectorySlice {
   CoreId self_;
   sim::Machine& machine_;
   MemController dram_;
-  std::unordered_map<Addr, LineInfo> dir_;
+  LineTable<LineInfo> dir_;  // every line seen here; rows never released
   LineTable<Txn> active_;
   std::uint16_t seq_ = 0;
   Cycle send_free_ = 0;

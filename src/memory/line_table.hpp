@@ -1,14 +1,17 @@
-// Line -> in-flight state, for what a cache controller (its MSHRs) and a
-// directory slice (its active transactions) keep while a miss or a
-// transaction on a line is open.
+// Line -> per-line state: every line-keyed table of the memory system. A
+// cache controller keeps its MSHRs in one, a directory slice its open
+// transactions and its tracked lines, and the Machine the index of the
+// cores that hold each line (sim::HolderIndex, whose holder sets sit in a
+// pool indexed by row). Nothing iterates a table, so the order of its rows
+// never reaches a simulated value.
 //
 // Open addressing with linear probing over a power-of-two array of row
-// numbers, as in sim::HolderIndex; a row holds its line and its value. Rows
-// are recycled: closing a line clears its row's value and hands the row to
-// the next line that opens, so vectors inside a value keep their storage
-// (see clear_for_reuse). Once a run has reached its peak number of open
-// lines, opening and closing one allocates nothing. A new table owns no
-// storage at all: constructing one allocates nothing.
+// numbers; a row holds its line and its value. Rows are recycled: closing
+// a line clears its row's value and hands the row to the next line that
+// opens, so vectors inside a value keep their storage (see
+// clear_for_reuse). Once a run has reached its peak number of open lines,
+// opening and closing one allocates nothing. A new table owns no storage at
+// all: constructing one allocates nothing.
 //
 // A row number stays valid until the row is released; a reference into a
 // row does not survive acquiring another row (the row array may grow).
@@ -35,8 +38,8 @@ void clear_for_reuse(std::vector<T>& v) {
     v.clear();
 }
 
-/// `V` must be default-constructible and have `clear()`, which returns it
-/// to a new value's state.
+/// `V` must be default-constructible; release() also needs its `clear()`,
+/// which returns it to a new value's state.
 template <typename V>
 class LineTable {
  public:
@@ -56,6 +59,7 @@ class LineTable {
   bool contains(Addr line) const { return find(line) != kNone; }
 
   V& operator[](std::uint32_t row) { return rows_[row].value; }
+  const V& operator[](std::uint32_t row) const { return rows_[row].value; }
 
   /// A cleared row, recycled if one is free, not yet attached to a line.
   std::uint32_t acquire() {
@@ -98,7 +102,7 @@ class LineTable {
  private:
   struct Row {
     Addr line = 0;
-    V value;
+    [[no_unique_address]] V value;  // an empty V adds nothing to a row
   };
 
   std::size_t home(Addr line) const {

@@ -11,11 +11,13 @@
 // c / 64 stands for core c.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
+#include "memory/line_table.hpp"
 
 namespace atacsim::sim {
 
@@ -29,56 +31,63 @@ inline void clear_core(std::uint64_t* bits, CoreId c) {
   bits[static_cast<std::size_t>(c) / 64] &= ~(std::uint64_t{1} << (c % 64));
 }
 
-/// Line -> set of holder cores. Open addressing with linear probing over a
-/// power-of-two table of row numbers into a pool; a row is the line
-/// followed by its set of holders, and it is released when the line's last
-/// holder leaves. Once the table and the pool have grown to a run's peak,
-/// adding and removing holders allocates nothing.
+/// Line -> set of holder cores. A line's row in a mem::LineTable indexes a
+/// pool of sets; the row is released when the line's last holder leaves,
+/// with its set all zero, ready for the next line. Once the table and the
+/// pool have grown to a run's peak, adding and removing holders allocates
+/// nothing.
 class HolderIndex {
  public:
-  explicit HolderIndex(int num_cores);
+  explicit HolderIndex(int num_cores)
+      : words_((static_cast<std::size_t>(num_cores) + 63) / 64) {}
 
   /// Words per set of cores.
   std::size_t words() const { return words_; }
 
-  void add(Addr line, CoreId c);
-  /// Clears `c`'s bit (a no-op if it is not set) and erases the line once
-  /// no holder remains.
-  void remove(Addr line, CoreId c);
+  void add(Addr line, CoreId c) {
+    std::uint32_t r = lines_.find(line);
+    if (r == lines_.kNone) {
+      r = lines_.insert(line);
+      const std::size_t end = (static_cast<std::size_t>(r) + 1) * words_;
+      if (pool_.size() < end) pool_.resize(end, 0);
+    }
+    set_core(bits(r), c);
+  }
+  /// Clears `c`'s bit (a no-op if it is not set) and releases the line's
+  /// row once no holder remains.
+  void remove(Addr line, CoreId c) {
+    const std::uint32_t r = lines_.find(line);
+    if (r == lines_.kNone) return;
+    std::uint64_t* b = bits(r);
+    clear_core(b, c);
+    if (std::all_of(b, b + words_, [](std::uint64_t w) { return w == 0; }))
+      lines_.release(lines_.detach(line));
+  }
   /// The line's holders, or null if it has none. Valid until the next add
   /// or remove.
-  const std::uint64_t* find(Addr line) const;
+  const std::uint64_t* find(Addr line) const {
+    const std::uint32_t r = lines_.find(line);
+    return r == lines_.kNone ? nullptr
+                             : &pool_[static_cast<std::size_t>(r) * words_];
+  }
   bool holds(Addr line, CoreId c) const {
-    const std::uint64_t* bits = find(line);
-    return bits && has_core(bits, c);
+    const std::uint64_t* b = find(line);
+    return b && has_core(b, c);
   }
 
  private:
-  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+  /// A row's value: its set lives in pool_, so a row holds only its line.
+  struct NoValue {
+    void clear() {}
+  };
 
-  std::size_t home(Addr line) const {
-    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+  std::uint64_t* bits(std::uint32_t r) {
+    return &pool_[static_cast<std::size_t>(r) * words_];
   }
-  /// First word of row `r`: the line; its holders follow.
-  std::uint64_t* row(std::uint32_t r) {
-    return &pool_[static_cast<std::size_t>(r) * (words_ + 1)];
-  }
-  const std::uint64_t* row(std::uint32_t r) const {
-    return &pool_[static_cast<std::size_t>(r) * (words_ + 1)];
-  }
-  /// Slot holding `line`'s row, or the free slot that ends its probe run.
-  std::size_t slot_of(Addr line) const;
-  /// Frees `slot`, shifting later entries of its probe run back so every
-  /// line stays reachable from its home slot.
-  void erase_slot(std::size_t slot);
-  void grow();
 
   std::size_t words_;
-  int shift_ = 64;                        // 64 - log2(table size)
-  std::vector<std::uint32_t> slots_;      // row number, or kFree
-  std::vector<std::uint64_t> pool_;       // rows of 1 + words_ words
-  std::vector<std::uint32_t> free_rows_;  // released rows, holders all zero
-  std::size_t size_ = 0;
+  mem::LineTable<NoValue> lines_;
+  std::vector<std::uint64_t> pool_;  // words_ words per row of lines_
 };
 
 }  // namespace atacsim::sim

@@ -1,8 +1,8 @@
 // Allocation gate: a whole application run allocates almost nothing per
 // simulated event. Event records, delivery slots and MSHR and directory
 // rows are reused once a run has reached its peak, so what is left is
-// first-touch state (directory lines, address frames), the barrier's
-// coroutine frames and the growth of reused storage. The counter is
+// first-touch address frames, the barrier's coroutine frames and the
+// growth of reused storage and of the line tables. The counter is
 // perfbench's (perfbench/alloc_count.cpp, compiled into this binary), which
 // replaces the global operator new.
 #include <gtest/gtest.h>

@@ -3,6 +3,7 @@
 // queries the liveness checks use.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -189,6 +190,74 @@ TEST(DirectoryTable, QueuedRequestsRunOnARecycledRow) {
   for (CoreId c = 10; c < 14; ++c)
     owners += m.cache(c).l2().peek(b) == LineState::kModified;
   EXPECT_EQ(owners, 1);
+}
+
+TEST(DirectoryTable, GrowsWhileTransactionsAndQueuedRequestsAreOpen) {
+  // One home slice sees more new lines than its line table's first arrays
+  // hold, all while earlier lines have transactions open (its DRAM channel
+  // serializes their fetches) and requests queued behind them, so the
+  // table grows under every handler that holds a line's state.
+  sim::Machine m(MachineParams::small(8, 2));
+  m.set_validation(true);  // every completion cross-checks the caches
+  const Addr stride = Addr(m.geom().num_clusters()) * kLineBytes;
+  const Addr base = 0x9000000;
+  const HubId home = m.home_slice(base);
+  const std::size_t n = 8 * LineTable<int>::kInitialSlots;
+  // Line i: loads from cores 1-3 (i % 3 == 0), which the slice tracks by
+  // pointer; loads from cores 1-5 (i % 3 == 1), one more than its four
+  // pointers; or stores from cores 4 and 5 (i % 3 == 2).
+  const auto cores = [](std::size_t i) {
+    return i % 3 == 0 ? std::vector<CoreId>{1, 2, 3}
+         : i % 3 == 1 ? std::vector<CoreId>{1, 2, 3, 4, 5}
+                      : std::vector<CoreId>{4, 5};
+  };
+  std::vector<Addr> lines;
+  std::vector<std::vector<Cycle>> done(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lines.push_back(base + i * stride);
+    ASSERT_EQ(m.home_slice(lines[i]), home);
+    done[i].assign(cores(i).size(), 0);
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < cores(i).size(); ++j)
+      m.cache(cores(i)[j]).access(lines[i], i % 3 == 2, {&done[i][j], {}});
+  // The cores' requests reach the slice over a few hundred cycles; at the
+  // peak more lines have transactions open than the first arrays hold.
+  std::size_t peak = 0;
+  for (Cycle until = 20; until <= 400; until += 20) {
+    m.events().run(kNeverCycle, until);
+    peak = std::max(peak, m.directory(home).active_transactions());
+  }
+  EXPECT_GT(peak, 4 * LineTable<int>::kInitialSlots);
+
+  ASSERT_TRUE(m.run());
+  EXPECT_TRUE(m.quiescent());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const Cycle t : done[i]) EXPECT_GT(t, 0u) << "line " << i;
+    const auto p = m.directory(home).probe_line(lines[i]);
+    if (i % 3 == 2) {
+      EXPECT_EQ(p.state, LineState::kModified) << "line " << i;
+      ASSERT_TRUE(p.owner == 4 || p.owner == 5) << "line " << i;
+      EXPECT_EQ(m.cache(p.owner).l2().peek(lines[i]), LineState::kModified);
+      EXPECT_EQ(m.cache(9 - p.owner).l2().peek(lines[i]),
+                LineState::kInvalid);
+      continue;
+    }
+    EXPECT_EQ(p.state, LineState::kShared) << "line " << i;
+    EXPECT_EQ(p.owner, kInvalidCore) << "line " << i;
+    if (i % 3 == 0) {
+      EXPECT_FALSE(p.global) << "line " << i;
+      EXPECT_EQ(std::set<CoreId>(p.ptrs.begin(), p.ptrs.end()),
+                (std::set<CoreId>{1, 2, 3}))
+          << "line " << i;
+    } else {
+      EXPECT_TRUE(p.global) << "line " << i;
+      EXPECT_EQ(p.count, 5) << "line " << i;
+    }
+    for (const CoreId c : cores(i))
+      EXPECT_EQ(m.cache(c).l2().peek(lines[i]), LineState::kShared)
+          << "line " << i << " core " << c;
+  }
 }
 
 TEST(L1Hit, OneProbeServesWhatTheL2AllowsUnderValidation) {
