@@ -51,7 +51,7 @@ class DynamicGraphApp final : public App {
       edges.emplace_back(static_cast<int>(rng.next_below(v_ / 2)), a);
       edges.emplace_back(a, static_cast<int>(rng.next_below(v_ / 2)));
     }
-    batch_edges_ = edges.size() - before;
+    added_edges_ = edges.size() - before;
     graph_[1] = build_csr(edges);
     expected_second_ = host_scc_size(edges);
   }
@@ -213,7 +213,7 @@ class DynamicGraphApp final : public App {
           measured_first_ = static_cast<int>(total);
           // Apply the dynamic edge batch: phase 1 reads the prebuilt
           // second graph; the rebuild cost is modelled as compute on core 0.
-          co_await c.compute(static_cast<std::uint64_t>(batch_edges_) * 8);
+          co_await c.compute(static_cast<std::uint64_t>(added_edges_) * 8);
         } else {
           measured_second_ = static_cast<int>(total);
         }
@@ -228,7 +228,7 @@ class DynamicGraphApp final : public App {
   core::Barrier barrier_;
   std::vector<std::uint64_t> fw_, bw_;
   Csr graph_[2];  ///< before and after the edge batch
-  std::size_t batch_edges_ = 0;
+  std::size_t added_edges_ = 0;
   std::uint64_t scc_count_;
   alignas(64) std::uint64_t changed_;
   int expected_first_ = 0, expected_second_ = 0;

@@ -1,6 +1,7 @@
 #include "network/emesh_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace atacsim::net {
 
@@ -24,7 +25,8 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
   // XY dimension-order routing, one call per hop chain.
   int cx = geom_.x(from), cy = geom_.y(from);
   const int tx = geom_.x(to), ty = geom_.y(to);
-  while (cx != tx || cy != ty) {
+  std::uint64_t hops = 0;
+  for (; cx != tx || cy != ty; ++hops) {
     Port port;
     int nx = cx, ny = cy;
     if (cx != tx) {
@@ -39,11 +41,13 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
     const Cycle start = links_[link].acquire(head + kRouterDelay,
                                              static_cast<Cycle>(flits));
     head = start + kLinkDelay;
-    sink().enet_router_flits += flits;
-    sink().enet_link_flits += flits;
     cx = nx;
     cy = ny;
   }
+  // Every hop passes one router and one link.
+  const std::uint64_t flit_hops = hops * static_cast<std::uint64_t>(flits);
+  sink().enet_router_flits += flit_hops;
+  sink().enet_link_flits += flit_hops;
   return head;
 }
 

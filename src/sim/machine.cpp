@@ -20,8 +20,7 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       bcast_seq_(static_cast<std::size_t>(geom_.num_clusters()) *
                      static_cast<std::size_t>(mp.num_cores),
                  0),
-      deferred_marks_(holders_.words()),
-      full_handler_(holders_.words()) {
+      deferred_marks_(holders_.words()) {
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
     caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
@@ -91,19 +90,20 @@ void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
       if (!dropped(*r)) receive(*r, m);
     return;
   }
-  // A handler changes only its own core's state and schedules (never runs)
-  // other handlers, so the set taken here stays exact for each receiver
-  // until its turn comes.
+  // A handler changes only its own core's bits and schedules (never runs)
+  // other handlers, so each receiver's bits read at its turn are the ones
+  // it had when the delivery began. Only a handler adds or removes holders,
+  // so the line's set is looked up again after each one runs.
   const std::uint64_t* held = holders_.find(m.line);
-  for (std::size_t w = 0; w < full_handler_.size(); ++w)
-    full_handler_[w] = (held ? held[w] : 0) |
-                       (debug_ignore_deferred_ ? 0 : deferred_marks_[w]);
+  const std::uint64_t* deferred =
+      debug_ignore_deferred_ ? nullptr : deferred_marks_.data();
   std::uint16_t* seq = &bcast_seq(m.dir_slice, 0);  // the slice's row
   for (const CoreId* r = first; r != last; ++r) {
     const CoreId c = *r;
     if (dropped(c)) continue;
-    if (has_core(full_handler_.data(), c)) {
+    if ((held && has_core(held, c)) || (deferred && has_core(deferred, c))) {
       receive(c, m);
+      held = holders_.find(m.line);
       continue;
     }
     // What the handler would have done at a core that holds nothing.
@@ -124,21 +124,19 @@ void Machine::check_skipped(CoreId c, const mem::CohMsg& m) {
 }
 
 void Machine::deliver_arrivals(const mem::CohMsg& m) {
-  // One event per distinct arrival cycle, running that cycle's receivers in
-  // the order the network reported them. Scheduling one event per receiver
-  // gives the same order: inject() only returns arrivals and schedules
-  // nothing, so those events would carry consecutive sequence numbers and
-  // run back to back within their cycle, and any event a handler schedules
-  // gets a later sequence number either way. Arrivals are grouped by the
-  // cycle schedule() actually uses, which clamps to now().
+  // One event per maximal run of consecutive arrivals that share a cycle,
+  // taken in the order the network listed them; nothing is sorted. The
+  // receivers run in the same order as with one event per receiver: every
+  // run of a message is scheduled here, within one send, so the runs carry
+  // consecutive sequence numbers; runs that share a cycle therefore run
+  // back to back, in list order, before any event a handler schedules at
+  // that cycle.
   //
   // The event's record carries only the number of a slot in deliveries_,
-  // which holds the message and the receivers. The slot, and a batch's
+  // which holds the message and the receivers. The slot, and a run's
   // chunks of receivers, are freed when the event runs and reused, so a
   // delivery allocates nothing once the run has reached its peak of
   // pending ones.
-  for (net::Arrival& a : arrivals_) a.at = std::max(a.at, now());
-  if (arrivals_.size() > 1) sort_arrivals();
   for (auto it = arrivals_.begin(); it != arrivals_.end();) {
     const Cycle at = it->at;
     const auto end =
@@ -166,48 +164,25 @@ void Machine::deliver_arrivals(const mem::CohMsg& m) {
   }
 }
 
-void Machine::sort_arrivals() {
-  // A bottom-up merge sort: std::merge keeps equal cycles in order, and
-  // unlike std::stable_sort it needs no buffer beyond the one kept here.
-  const auto by_cycle = [](const net::Arrival& a, const net::Arrival& b) {
-    return a.at < b.at;
-  };
-  const std::size_t n = arrivals_.size();
-  merge_buf_.resize(n);
-  net::Arrival* from = arrivals_.data();
-  net::Arrival* to = merge_buf_.data();
-  for (std::size_t width = 1; width < n; width *= 2) {
-    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, n);
-      const std::size_t hi = std::min(lo + 2 * width, n);
-      std::merge(from + lo, from + mid, from + mid, from + hi, to + lo,
-                 by_cycle);
-    }
-    std::swap(from, to);
-  }
-  if (from != arrivals_.data()) std::copy(from, from + n, arrivals_.data());
-}
-
 void Machine::deliver(void* self, std::uint64_t slot) {
   Machine& m = *static_cast<Machine*>(self);
-  // Copied out and freed first: the handlers schedule more deliveries.
+  // The slot and each chunk are copied out and freed before their handlers
+  // run: the handlers schedule more deliveries.
   const Delivery d = m.deliveries_[static_cast<std::uint32_t>(slot)];
   m.deliveries_.free(static_cast<std::uint32_t>(slot));
   if (d.count == 1) {
     m.receive_each(d.msg, &d.receiver, &d.receiver + 1);
     return;
   }
-  m.batch_.clear();
   std::uint32_t c = d.chunk;
   for (std::uint32_t left = d.count; left > 0;) {
-    const ReceiverChunk& chunk = m.chunks_[c];
-    const std::uint32_t n = std::min(left, kChunkIds);
-    m.batch_.insert(m.batch_.end(), chunk.ids, chunk.ids + n);
-    left -= n;
+    const ReceiverChunk chunk = m.chunks_[c];
     m.chunks_.free(c);
-    c = chunk.next;  // the slot is free but unchanged until the next alloc
+    const std::uint32_t n = std::min(left, kChunkIds);
+    m.receive_each(d.msg, chunk.ids, chunk.ids + n);
+    left -= n;
+    c = chunk.next;
   }
-  m.receive_each(d.msg, m.batch_.data(), m.batch_.data() + m.batch_.size());
 }
 
 Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
@@ -217,16 +192,17 @@ Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
   p.cls = m.carries_data ? net::MsgClass::kData : net::MsgClass::kCoherence;
   arrivals_.clear();
   const Cycle sender_free = net_->inject(t, p, arrivals_);
-  deliver_arrivals(m);
-  if (!m.is_broadcast()) {
+  if (m.is_broadcast()) {
+    expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
+    // Network broadcasts skip the source tile; the sender's co-located
+    // cache still receives the invalidation through a local loopback,
+    // listed after the network's copies. No network copy of a broadcast
+    // arrives by t + 2, so the loopback's place in the list does not
+    // change the order in which any cycle's receivers run.
+    arrivals_.push_back({m.src, t + 2});
+  } else {
     ++expected_deliveries_;
-    return sender_free;
   }
-  expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
-  // Network broadcasts skip the source tile; the sender's co-located cache
-  // still receives the invalidation through a local loopback, scheduled
-  // after the network's copies.
-  arrivals_.assign(1, {m.src, t + 2});
   deliver_arrivals(m);
   return sender_free;
 }

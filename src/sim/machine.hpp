@@ -138,8 +138,8 @@ class Machine {
   /// the quiescence invariant the integration tests assert.
   bool quiescent() const;
 
-  /// Delivery events scheduled and not yet run (one per lone receiver or
-  /// per batch of receivers that share an arrival cycle).
+  /// Delivery events scheduled and not yet run (one per maximal run of a
+  /// message's arrivals that share a cycle, in the network's order).
   std::size_t pending_deliveries() const { return deliveries_.in_use(); }
   /// Delivery records per slab page (see deliver_arrivals). Pages are
   /// small (5 KiB) because a 64-core machine rarely fills one.
@@ -190,10 +190,9 @@ class Machine {
     debug_drop_ = kInvalidCore;
     return true;
   }
-  /// Schedules `receive` of `m` for every entry of arrivals_.
+  /// Schedules `receive` of `m` for every entry of arrivals_, one event
+  /// per maximal run of consecutive entries that share a cycle.
   void deliver_arrivals(const mem::CohMsg& m);
-  /// Sorts arrivals_ by cycle, keeping the network's order within a cycle.
-  void sort_arrivals();
   /// Event handler: runs the delivery in slot `slot` of deliveries_.
   static void deliver(void* self, std::uint64_t slot);
 
@@ -222,13 +221,12 @@ class Machine {
   // (often special-cased) zero address.
   Addr next_frame_ = 16;
 
-  /// One message's receptions as the network reports them. Reused across
-  /// sends, as is sort_arrivals' merge buffer.
+  /// One message's receptions as the network reports them, plus a
+  /// broadcast's loopback. Reused across sends.
   std::vector<net::Arrival> arrivals_;
-  std::vector<net::Arrival> merge_buf_;
 
   /// A scheduled delivery: the message and its receivers. A lone receiver
-  /// is stored inline; a batch's `count` receivers fill a chain of chunks
+  /// is stored inline; a run's `count` receivers fill a chain of chunks
   /// from `chunk` on.
   struct Delivery {
     mem::CohMsg msg;
@@ -238,7 +236,7 @@ class Machine {
       std::uint32_t chunk;  // count > 1
     };
   };
-  /// A batch's receivers, in delivery order, kChunkIds to a chunk.
+  /// A run's receivers, in delivery order, kChunkIds to a chunk.
   static constexpr std::uint32_t kChunkIds = 15;
   struct ReceiverChunk {
     CoreId ids[kChunkIds];
@@ -246,15 +244,10 @@ class Machine {
   };
   Slab<Delivery, kDeliveriesPerPage> deliveries_;
   Slab<ReceiverChunk, 128> chunks_;
-  /// The running batch's receivers, gathered from its chunks (deliver()
-  /// never runs inside another delivery's handlers).
-  std::vector<CoreId> batch_;
 
   HolderIndex holders_;
   std::vector<std::uint16_t> bcast_seq_;       // [slice][core]
   std::vector<std::uint64_t> deferred_marks_;  // set of cores
-  /// Scratch for one broadcast batch: the receivers that run the handler.
-  std::vector<std::uint64_t> full_handler_;
   CoreId debug_drop_ = kInvalidCore;
   bool debug_ignore_deferred_ = false;
 

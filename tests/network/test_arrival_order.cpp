@@ -1,16 +1,16 @@
 // Pins the exact arrivals each network model reports, in the order it
 // reports them.
 //
-// The Machine turns a broadcast's arrivals into events grouped by cycle and,
-// within a cycle, runs receivers in the order the network listed them, so
-// that order is part of every simulated result. Each case drives one network
-// with a fixed stream of mixed unicasts and broadcasts and folds every
-// (receiver, arrival cycle) in delivery order, plus each sender-free cycle
-// inject returns, into an FNV-1a hash. The expected values were produced by
-// the simulator itself; a change that reorders, adds, drops or retimes an
-// arrival moves them. A model-version bump of the result cache
-// (src/harness/cache.cpp) means simulated results changed on purpose:
-// re-record the table then.
+// The Machine turns each run of consecutive arrivals that share a cycle into
+// one event, taking the runs in list order, so every cycle's receivers run
+// in the order the network listed them and that order is part of every
+// simulated result. Each case drives one network with a fixed stream of
+// mixed unicasts and broadcasts and folds every (receiver, arrival cycle) in
+// delivery order, plus each sender-free cycle inject returns, into an FNV-1a
+// hash. The expected values were produced by the simulator itself; a change
+// that reorders, adds, drops or retimes an arrival moves them. A
+// model-version bump of the result cache (src/harness/cache.cpp) means
+// simulated results changed on purpose: re-record the table then.
 #include <gtest/gtest.h>
 
 #include <cstdint>

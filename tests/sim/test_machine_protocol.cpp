@@ -385,5 +385,49 @@ TEST(Deliveries, PendingPastOneSlabPageArriveIntact) {
   EXPECT_EQ(d.value(), 0x91811f7bc56a4d37ull);
 }
 
+TEST(Deliveries, OneEventPerRunOfEqualArrivalCycles) {
+  // EMesh-BCast's tree lists its receivers by walk, not by cycle, so equal
+  // cycles recur apart in the list. Each maximal run of consecutive equal
+  // cycles is one delivery event; nothing is sorted or merged across runs.
+  const auto p = small(CoherenceKind::kAckwise, NetworkKind::kEMeshBCast);
+  Machine m(p);
+  mem::CohMsg msg;
+  msg.line = 0x340000;
+  msg.dir_slice = 0;
+  msg.src = net::MeshGeom(p).hub_core(0);
+  msg.dst = kBroadcastCore;
+  msg.requester = msg.src;
+  msg.seq = 1;
+  msg.type = mem::CohType::kInvReq;
+  const Cycle t = 5;
+  m.send(t, msg);
+
+  // The same packet on a fresh copy of the network gives the same list.
+  std::vector<net::Arrival> arrivals;
+  net::NetPacket packet;
+  packet.src = msg.src;
+  packet.dst = msg.dst;
+  packet.cls = net::MsgClass::kCoherence;
+  net::make_network(p)->inject(t, packet, arrivals);
+  ASSERT_EQ(arrivals.size(), 63u);
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    runs += i == 0 || arrivals[i].at != arrivals[i - 1].at;
+  // The sender's loopback at t + 2 ends the list.
+  runs += arrivals.back().at != t + 2;
+  // The list is not sorted by cycle, so there are more runs than there
+  // would be events with one per distinct cycle plus the loopback.
+  std::vector<Cycle> cycles;
+  for (const net::Arrival& a : arrivals) cycles.push_back(a.at);
+  std::sort(cycles.begin(), cycles.end());
+  cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
+  EXPECT_GT(runs, cycles.size() + 1);
+
+  EXPECT_EQ(m.pending_deliveries(), runs);
+  EXPECT_TRUE(m.run());
+  EXPECT_TRUE(m.quiescent());
+  EXPECT_EQ(m.pending_deliveries(), 0u);
+}
+
 }  // namespace
 }  // namespace atacsim::sim
