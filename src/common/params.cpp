@@ -1,6 +1,8 @@
 #include "common/params.hpp"
 
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace atacsim {
 
@@ -19,6 +21,24 @@ MachineParams MachineParams::paper() {
   return p;
 }
 
+namespace {
+
+/// Throws unless `size_KB` of kLineBytes lines split into a power-of-two
+/// number of whole `assoc`-way sets, the geometry a CacheArray indexes.
+void check_cache(int size_KB, int assoc, const char* size_name,
+                 const char* assoc_name) {
+  const long long lines = static_cast<long long>(size_KB) * 1024 / kLineBytes;
+  if (lines % assoc != 0 ||
+      !std::has_single_bit(static_cast<unsigned long long>(lines / assoc)))
+    throw std::invalid_argument(
+        std::string(size_name) + " = " + std::to_string(size_KB) + " and " +
+        assoc_name + " = " + std::to_string(assoc) + " must make a power-of-"
+        "two number of whole sets of " + std::to_string(kLineBytes) +
+        " B lines");
+}
+
+}  // namespace
+
 void MachineParams::validate() const {
 #define ATACSIM_X(type, name, def, use, lo, hi) \
   if (!in_range(name, lo, hi))             \
@@ -31,6 +51,8 @@ void MachineParams::validate() const {
     throw std::invalid_argument("cluster_width must divide mesh_width");
   if ((flit_bits & (flit_bits - 1)) != 0)
     throw std::invalid_argument("flit_bits must be a power of two");
+  check_cache(l1d_size_KB, l1_assoc, "l1d_size_KB", "l1_assoc");
+  check_cache(l2_size_KB, l2_assoc, "l2_size_KB", "l2_assoc");
 }
 
 }  // namespace atacsim

@@ -183,8 +183,8 @@ enum class FieldUse { kSim, kEnergy };
   X(int, l1i_size_KB, 32, kEnergy, 1, 1048576)                                   \
   X(int, l1d_size_KB, 32, kSim, 1, 1048576)                                      \
   X(int, l2_size_KB, 256, kSim, 1, 1048576)                                      \
-  X(int, l1_assoc, 4, kSim, 1, 1024)                                             \
-  X(int, l2_assoc, 8, kSim, 1, 1024)                                             \
+  X(int, l1_assoc, 4, kSim, 1, 255)                                              \
+  X(int, l2_assoc, 8, kSim, 1, 255)                                              \
   /* memory: 100 ns latency at 1 GHz */                                          \
   X(double, mem_bw_GBps_per_ctrl, 5.0, kSim, 1e-3, 1e6)                          \
   X(Cycle, mem_latency_cycles, 100, kSim, 1, 1000000)                            \
@@ -230,7 +230,7 @@ struct MachineParams {
   static MachineParams paper();
 
   /// Checks every field against its range in ATACSIM_MACHINE_FIELDS, then
-  /// the geometry; throws std::invalid_argument on error.
+  /// the mesh and cache geometry; throws std::invalid_argument on error.
   void validate() const;
 };
 

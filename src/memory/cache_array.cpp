@@ -10,8 +10,7 @@ static_assert(static_cast<Addr>(LineState::kModified) <= 3,
 
 CacheArray::CacheArray(int size_KB, int assoc, int line_B)
     : line_B_(line_B), assoc_(assoc) {
-  if (line_B <= static_cast<int>(kStateMask) ||
-      !std::has_single_bit(static_cast<unsigned>(line_B)))
+  if (line_B < 4 || !std::has_single_bit(static_cast<unsigned>(line_B)))
     throw std::invalid_argument(
         "cache line size must be a power of two of at least 4 bytes");
   if (assoc < 1 || assoc > 255)
@@ -20,47 +19,53 @@ CacheArray::CacheArray(int size_KB, int assoc, int line_B)
       static_cast<long long>(size_KB) * 1024 / line_B;
   if (total_lines <= 0 || total_lines % assoc != 0)
     throw std::invalid_argument("cache geometry does not divide");
+  if (!std::has_single_bit(
+          static_cast<unsigned long long>(total_lines / assoc)))
+    throw std::invalid_argument("cache set count must be a power of two");
   line_shift_ = std::countr_zero(static_cast<unsigned>(line_B));
   sets_ = static_cast<int>(total_lines / assoc);
   tags_.resize(static_cast<std::size_t>(total_lines));
-  ranks_.resize(static_cast<std::size_t>(total_lines));
 }
 
-int CacheArray::find(std::size_t base, Addr line) const {
+int CacheArray::find(std::size_t base, Addr key) const {
   const Addr* set = &tags_[base];
   for (int w = 0; w < assoc_; ++w) {
-    // Same address and a nonzero state leave only state bits in the xor.
-    const Addr x = set[w] ^ line;
-    if (x != 0 && x <= kStateMask) return w;
+    // Same key and a nonzero state leave only state bits 1..3 in the xor.
+    const Addr x = (set[w] & ~kRankMask) ^ key;
+    if (x - 1 < kStateMask) return w;
   }
   return -1;
 }
 
 void CacheArray::touch(std::size_t base, int way) {
-  std::uint8_t* rank = &ranks_[base];
-  const std::uint8_t old = rank[way];
+  Addr* set = &tags_[base];
+  const Addr old = set[way] & kRankMask;
   for (int w = 0; w < assoc_; ++w)
-    if (rank[w] > old) --rank[w];
-  rank[way] = static_cast<std::uint8_t>(assoc_ - 1);
+    if ((set[w] & kRankMask) > old) set[w] -= kRankOne;
+  set[way] = (set[way] & ~kRankMask) |
+             (static_cast<Addr>(assoc_ - 1) << kRankShift);
 }
 
 LineState CacheArray::lookup(Addr line) {
-  const std::size_t base = set_base(line);
-  const int w = find(base, line);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   touch(base, w);
   return state_of(tags_[base + w]);
 }
 
 LineState CacheArray::peek(Addr line) const {
-  const std::size_t base = set_base(line);
-  const int w = find(base, line);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  const int w = find(base, key);
   return w < 0 ? LineState::kInvalid : state_of(tags_[base + w]);
 }
 
 LineState CacheArray::hit(Addr line, bool write) {
-  const std::size_t base = set_base(line);
-  const int w = find(base, line);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   const LineState s = state_of(tags_[base + w]);
   if (write && s != LineState::kModified) return LineState::kInvalid;
@@ -70,39 +75,45 @@ LineState CacheArray::hit(Addr line, bool write) {
 
 std::optional<CacheArray::Victim> CacheArray::install(Addr line,
                                                       LineState state) {
-  const std::size_t base = set_base(line);
-  int way = find(base, line);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  Addr* set = &tags_[base];
+  int way = find(base, key);
   std::optional<Victim> out;
   if (way < 0) {
     way = 0;
     for (int w = 0; w < assoc_; ++w) {
-      if (state_of(tags_[base + w]) == LineState::kInvalid) {
+      if (state_of(set[w]) == LineState::kInvalid) {
         way = w;
         break;
       }
-      if (ranks_[base + w] < ranks_[base + way]) way = w;
+      if ((set[w] & kRankMask) < (set[way] & kRankMask)) way = w;
     }
-    const Addr old = tags_[base + way];
+    const Addr old = set[way];
     if (state_of(old) != LineState::kInvalid)
-      out = Victim{old & ~kStateMask, state_of(old)};
+      out = Victim{(old >> kKeyShift) << line_shift_, state_of(old)};
   }
-  tags_[base + way] = line | static_cast<Addr>(state);
+  // The way keeps its rank until touch lifts it to the top.
+  set[way] = key | (set[way] & kRankMask) | static_cast<Addr>(state);
   touch(base, way);
   return out;
 }
 
 void CacheArray::set_state(Addr line, LineState s) {
-  const std::size_t base = set_base(line);
-  const int w = find(base, line);
-  if (w >= 0) tags_[base + w] = line | static_cast<Addr>(s);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  const int w = find(base, key);
+  if (w >= 0)
+    tags_[base + w] = (tags_[base + w] & ~kStateMask) | static_cast<Addr>(s);
 }
 
 LineState CacheArray::invalidate(Addr line) {
-  const std::size_t base = set_base(line);
-  const int w = find(base, line);
+  const Addr key = key_of(line);
+  const std::size_t base = set_base(key);
+  const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   const LineState prev = state_of(tags_[base + w]);
-  tags_[base + w] = line;
+  tags_[base + w] &= ~kStateMask;
   return prev;
 }
 

@@ -2,21 +2,26 @@
 // Purely structural: holds no data (application data lives in host memory);
 // tracks presence, permissions and dirtiness for timing and protocol state.
 //
-// Each way is one 8-byte tag word plus a 1-byte recency rank, kept in two
-// separate arrays so a lookup reads about one host cache line of tags:
-//  - the tag word is the line-aligned address with the LineState in its low
-//    2 bits (state 0 = invalid, whatever the address bits hold);
-//  - the rank orders the ways of a set by last use (higher = more recent).
-//    All ranks start at 0; each touch lifts a way to the top and moves the
-//    ways ranked above its old rank down one, so valid ways (every one has
-//    been touched) always hold distinct ranks in last-use order. The victim
-//    is the first invalid way, else the valid way of lowest rank: the least
-//    recently used.
+// Each way is one 8-byte word, so an 8-way set is one 64-byte host cache
+// line (the words are allocated 64-byte aligned, and a set never straddles
+// two host lines). A word holds, from the top:
+//  - bits 10..63: the line number (`line >> line_shift`), which must stay
+//    below 2^54;
+//  - bits 2..9: the recency rank, which orders the ways of a set by last use
+//    (higher = more recent). All ranks start at 0; each touch lifts a way to
+//    the top and moves the ways ranked above its old rank down one, so valid
+//    ways (every one has been touched) always hold distinct ranks in
+//    last-use order. Invalidating a way keeps its rank;
+//  - bits 0..1: the LineState (0 = invalid, whatever the other bits hold).
+// The victim is the first invalid way, else the valid way of lowest rank:
+// the least recently used. Sets are indexed by the low bits of the line
+// number, so the set count must be a power of two.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -28,9 +33,9 @@ enum class LineState : std::uint8_t { kInvalid, kShared, kModified };
 
 class CacheArray {
  public:
-  /// Throws std::invalid_argument unless the lines divide into `assoc`-way
-  /// sets, `assoc` is at most 255 (ranks are bytes), and `line_B` is a power
-  /// of two that leaves room for the state bits below the tag.
+  /// Throws std::invalid_argument unless `line_B` is a power of two of at
+  /// least 4 bytes, `assoc` is at most 255 (ranks are 8 bits) and the lines
+  /// divide into a power-of-two number of `assoc`-way sets.
   CacheArray(int size_KB, int assoc, int line_B);
 
   /// Line-aligned address for `addr`.
@@ -68,17 +73,47 @@ class CacheArray {
 
  private:
   static constexpr Addr kStateMask = 3;
+  static constexpr int kRankShift = 2;
+  static constexpr Addr kRankOne = Addr{1} << kRankShift;
+  static constexpr Addr kRankMask = Addr{0xFF} << kRankShift;
+  static constexpr int kKeyShift = 10;
+
+  /// Allocates whole host cache lines, so a set starts on a line boundary.
+  template <class T>
+  struct HostLineAllocator {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+    HostLineAllocator() = default;
+    template <class U>
+    HostLineAllocator(const HostLineAllocator<U>&) {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+    friend bool operator==(HostLineAllocator, HostLineAllocator) {
+      return true;
+    }
+  };
 
   static LineState state_of(Addr word) {
     return static_cast<LineState>(word & kStateMask);
   }
-  /// First way of `line`'s set in tags_ and ranks_.
-  std::size_t set_base(Addr line) const {
-    assert((line & kStateMask) == 0 && "line must be line-aligned");
-    return static_cast<std::size_t>((line >> line_shift_) % sets_) * assoc_;
+  /// `line`'s line number in the key bits of a word, rank and state 0.
+  Addr key_of(Addr line) const {
+    assert((line & static_cast<Addr>(line_B_ - 1)) == 0 &&
+           "line must be line-aligned");
+    assert((line >> line_shift_) < (Addr{1} << (64 - kKeyShift)) &&
+           "line number must fit the tag word");
+    return (line >> line_shift_) << kKeyShift;
   }
-  /// Index of the valid way holding `line`, or -1.
-  int find(std::size_t base, Addr line) const;
+  /// First way in tags_ of the set whose words carry `key`.
+  std::size_t set_base(Addr key) const {
+    return static_cast<std::size_t>((key >> kKeyShift) &
+                                    static_cast<Addr>(sets_ - 1)) *
+           assoc_;
+  }
+  /// Index of the valid way holding `key`, or -1.
+  int find(std::size_t base, Addr key) const;
   /// Makes `way` the most recently used of its set.
   void touch(std::size_t base, int way);
 
@@ -86,8 +121,7 @@ class CacheArray {
   int line_shift_ = 0;
   int sets_;
   int assoc_;
-  std::vector<Addr> tags_;            // sets_ x assoc_ tag words
-  std::vector<std::uint8_t> ranks_;   // sets_ x assoc_ recency ranks
+  std::vector<Addr, HostLineAllocator<Addr>> tags_;  // sets_ x assoc_ words
 };
 
 }  // namespace atacsim::mem

@@ -22,55 +22,53 @@ int EMeshModel::flits_of(const NetPacket& p) const {
 }
 
 Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
-  // XY dimension-order routing, one call per hop chain.
-  int cx = geom_.x(from), cy = geom_.y(from);
+  // XY dimension-order routing: the X leg walks the links of `from`'s row,
+  // the Y leg those of `to`'s column; each leg's ledgers lie side by side.
+  const int w = geom_.width();
+  const int fx = geom_.x(from), fy = geom_.y(from);
   const int tx = geom_.x(to), ty = geom_.y(to);
-  std::uint64_t hops = 0;
-  for (; cx != tx || cy != ty; ++hops) {
-    Port port;
-    int nx = cx, ny = cy;
-    if (cx != tx) {
-      port = (tx > cx) ? kE : kW;
-      nx += (tx > cx) ? 1 : -1;
-    } else {
-      port = (ty > cy) ? kS : kN;
-      ny += (ty > cy) ? 1 : -1;
-    }
-    const std::size_t link =
-        static_cast<std::size_t>(geom_.core_at(cx, cy)) * kPorts + port;
-    const Cycle start = links_[link].acquire(head + kRouterDelay,
-                                             static_cast<Cycle>(flits));
-    head = start + kLinkDelay;
-    cx = nx;
-    cy = ny;
-  }
+  const auto leg = [&](std::size_t first, int n, std::ptrdiff_t step) {
+    Channel* link = &links_[first];
+    for (int i = 0; i < n; ++i, link += step)
+      head = link->acquire(head + kRouterDelay, static_cast<Cycle>(flits)) +
+             kLinkDelay;
+  };
+  if (tx >= fx)
+    leg(link_id(kE, fy * w + fx), tx - fx, +1);
+  else
+    leg(link_id(kW, fy * w + fx), fx - tx, -1);
+  if (ty >= fy)
+    leg(link_id(kS, tx * w + fy), ty - fy, +1);
+  else
+    leg(link_id(kN, tx * w + fy), fy - ty, -1);
   // Every hop passes one router and one link.
-  const std::uint64_t flit_hops = hops * static_cast<std::uint64_t>(flits);
+  const std::uint64_t flit_hops =
+      static_cast<std::uint64_t>(geom_.manhattan(from, to)) *
+      static_cast<std::uint64_t>(flits);
   sink().enet_router_flits += flit_hops;
   sink().enet_link_flits += flit_hops;
   return head;
 }
 
 Cycle EMeshModel::eject(CoreId dst, Cycle head_arrival, int flits) {
-  const std::size_t ej = static_cast<std::size_t>(dst) * kPorts + kEject;
-  const Cycle start = links_[ej].acquire(head_arrival + kRouterDelay,
-                                         static_cast<Cycle>(flits));
+  const Cycle start = links_[link_id(kEject, dst)].acquire(
+      head_arrival + kRouterDelay, static_cast<Cycle>(flits));
   sink().enet_router_flits += flits;
   return start + kLinkDelay + flits - 1;
 }
 
 EMeshModel::UnicastLeg EMeshModel::unicast_leg(Cycle t, CoreId src,
                                                CoreId dst, int flits) {
-  const std::size_t inj = static_cast<std::size_t>(src) * kPorts + kInject;
-  const Cycle start = links_[inj].acquire(t, static_cast<Cycle>(flits));
+  const Cycle start =
+      links_[link_id(kInject, src)].acquire(t, static_cast<Cycle>(flits));
   const Cycle head = route_head(src, dst, start, flits);
   return {start + flits, eject(dst, head, flits)};
 }
 
 Cycle EMeshModel::bcast_tree(Cycle t, CoreId src, int flits, MsgClass cls,
                              std::vector<Arrival>& out) {
-  const std::size_t inj = static_cast<std::size_t>(src) * kPorts + kInject;
-  const Cycle start = links_[inj].acquire(t, static_cast<Cycle>(flits));
+  const Cycle start =
+      links_[link_id(kInject, src)].acquire(t, static_cast<Cycle>(flits));
 
   Cycle latest = start;
   const auto arrive = [&](CoreId c, Cycle head) {

@@ -47,11 +47,23 @@ class EMeshModel : public NetworkModel {
  private:
   NetCounters& sink() { return *sink_; }
 
-  // Directed link ids: node * kPorts + {E,W,S,N,Inject,Eject}.
+  // Directed link ids, direction-major: each port's N = width^2 ledgers
+  // form one block, `port * N + slot`. E, W, inject and eject ledgers sit in
+  // row-major slots (`y * width + x`, the core id), N and S ledgers in
+  // column-major slots (`x * width + y`). The E/W links a route's X leg
+  // crosses are then adjacent ledgers along its row, and the N/S links of
+  // its Y leg adjacent ledgers along its column. Link (x, y) of port E/W/S/N
+  // leaves core (x, y) in that direction.
   enum Port { kE = 0, kW, kS, kN, kInject, kEject, kPorts };
 
-  /// Advances the packet head from `from` one hop toward `to` (XY route),
-  /// reserving links; returns head-arrival cycle at `to`.
+  std::size_t link_id(Port port, int slot) const {
+    return static_cast<std::size_t>(port) *
+               static_cast<std::size_t>(geom_.num_cores()) +
+           static_cast<std::size_t>(slot);
+  }
+
+  /// Advances the packet head from `from` to `to` along the XY route,
+  /// reserving each link it crosses; returns the head-arrival cycle at `to`.
   Cycle route_head(CoreId from, CoreId to, Cycle head_at_from, int flits);
 
   /// Reserves `dst`'s ejection port; returns the tail-delivery cycle.

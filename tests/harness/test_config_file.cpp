@@ -112,6 +112,28 @@ TEST(ConfigFile, RejectsOutOfRangeValuesNamingTheLine) {
   }
 }
 
+TEST(ConfigFile, RejectsCacheGeometryTheArraysCannotIndex) {
+  // Each once passed the parser and aborted the run when the first cache
+  // array was built.
+  const std::string assoc_range = parse_error("l2_assoc = 512\n");
+  EXPECT_NE(assoc_range.find("'l2_assoc = 512'"), std::string::npos)
+      << assoc_range;
+  EXPECT_NE(assoc_range.find("outside [1, 255]"), std::string::npos)
+      << assoc_range;
+  // 4096 lines do not split into 7-way sets; 96 KB makes 192 8-way sets,
+  // which no mask indexes.
+  for (const std::string line : {"l2_assoc = 7", "l2_size_KB = 96"}) {
+    const std::string msg = parse_error(line + "\n");
+    EXPECT_NE(msg.find("l2_size_KB"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("l2_assoc"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("power-of-two"), std::string::npos) << msg;
+  }
+  const std::string l1 = parse_error("l1d_size_KB = 24\n");
+  EXPECT_NE(l1.find("l1d_size_KB"), std::string::npos) << l1;
+  EXPECT_NE(l1.find("l1_assoc"), std::string::npos) << l1;
+  EXPECT_EQ(parse_error("l2_size_KB = 128\nl2_assoc = 16\n"), "");
+}
+
 TEST(ConfigFile, MissingFileThrows) {
   EXPECT_THROW(load_machine_config("/nonexistent/path.cfg"),
                std::runtime_error);

@@ -170,10 +170,13 @@ TEST(CacheArray, GeometryValidation) {
   // Ranks are bytes: at most 255 ways.
   EXPECT_THROW(CacheArray(1024, 256, 64), std::invalid_argument);
   EXPECT_NO_THROW(CacheArray(1020, 255, 64));
-  // The low 2 bits of a line address hold the line's state.
+  // Lines are a power of two of at least 4 bytes.
   EXPECT_THROW(CacheArray(1, 1, 2), std::invalid_argument);
   EXPECT_THROW(CacheArray(1, 1, 48), std::invalid_argument);
   EXPECT_NO_THROW(CacheArray(1, 1, 4));
+  // Sets are indexed by mask: 96 KB makes 192 8-way sets.
+  EXPECT_THROW(CacheArray(96, 8, 64), std::invalid_argument);
+  EXPECT_THROW(CacheArray(3, 1, 64), std::invalid_argument);
   const CacheArray c(256, 8, 64);
   EXPECT_EQ(c.num_lines(), 4096);
   EXPECT_EQ(c.num_sets(), 512);
@@ -202,8 +205,10 @@ TEST(CacheArray, MatchesTickLruReference) {
   struct Geometry {
     int size_KB, assoc;
   };
+  // 255 ways fill the 8-bit rank field.
   for (const Geometry g : {Geometry{1, 1}, Geometry{1, 4}, Geometry{2, 2},
-                           Geometry{32, 4}, Geometry{256, 8}}) {
+                           Geometry{32, 4}, Geometry{256, 8}, Geometry{64, 16},
+                           Geometry{1020, 255}}) {
     SCOPED_TRACE(testing::Message()
                  << g.size_KB << " KB, " << g.assoc << "-way");
     CacheArray c(g.size_KB, g.assoc, 64);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arrivals.hpp"
+#include "common/rng.hpp"
 #include "network/emesh_model.hpp"
 
 namespace atacsim::net {
@@ -121,6 +126,216 @@ TEST(EMesh, CountersTrackTraffic) {
   EXPECT_EQ(m.counters().recv_unicast_flits, 1u);
   EXPECT_EQ(m.counters().recv_bcast_flits, 63u);
   EXPECT_EQ(m.counters().packet_latency.n, 2u);
+}
+
+/// Reference model: the mesh as it was with node-major link ids,
+/// `node * kPorts + port`, and one route step per hop. Every reservation,
+/// arrival and counter of EMeshModel must match it.
+class NodeMajorEMesh : public NetworkModel {
+ public:
+  NodeMajorEMesh(const MachineParams& mp, bool hw_broadcast)
+      : mp_(mp), geom_(mp), hw_broadcast_(hw_broadcast) {
+    links_.resize(static_cast<std::size_t>(geom_.num_cores()) * kPorts);
+  }
+
+  Cycle inject(Cycle t, const NetPacket& p,
+               std::vector<Arrival>& out) override {
+    const int flits = flits_of(p);
+    if (!p.is_broadcast()) {
+      const auto [free, tail] = unicast_leg(t, p.src, p.dst, flits);
+      out.push_back({p.dst, tail});
+      count_unicast(t, tail, flits, p.cls);
+      return free;
+    }
+    if (hw_broadcast_) return bcast_tree(t, p.src, flits, p.cls, out);
+    Cycle sender_free = t;
+    Cycle last = t;
+    for (CoreId dst = 0; dst < geom_.num_cores(); ++dst) {
+      if (dst == p.src) continue;
+      const auto [free, tail] = unicast_leg(sender_free, p.src, dst, flits);
+      out.push_back({dst, tail});
+      last = std::max(last, tail);
+      sender_free = free;
+    }
+    count_broadcast(t, last, flits,
+                    static_cast<std::uint64_t>(flits) *
+                        (geom_.num_cores() - 1),
+                    geom_.num_cores() - 1, p.cls);
+    return sender_free;
+  }
+
+  void append_channel_usage(std::vector<ChannelUsage>& out) const override {
+    out.push_back({"enet.links", links_.total_busy_cycles(), links_.size()});
+  }
+
+ private:
+  enum Port { kE = 0, kW, kS, kN, kInject, kEject, kPorts };
+
+  int flits_of(const NetPacket& p) const {
+    int bits = p.bits;
+    if (p.cls == MsgClass::kCoherence) bits = kCoherenceMsgBits;
+    if (p.cls == MsgClass::kData) bits = kDataMsgBits;
+    return (bits + mp_.flit_bits - 1) / mp_.flit_bits;
+  }
+
+  Channel& link(CoreId node, Port port) {
+    return links_[static_cast<std::size_t>(node) * kPorts + port];
+  }
+
+  Cycle route_head(CoreId from, CoreId to, Cycle head, int flits) {
+    int cx = geom_.x(from), cy = geom_.y(from);
+    const int tx = geom_.x(to), ty = geom_.y(to);
+    std::uint64_t hops = 0;
+    for (; cx != tx || cy != ty; ++hops) {
+      Port port;
+      int nx = cx, ny = cy;
+      if (cx != tx) {
+        port = (tx > cx) ? kE : kW;
+        nx += (tx > cx) ? 1 : -1;
+      } else {
+        port = (ty > cy) ? kS : kN;
+        ny += (ty > cy) ? 1 : -1;
+      }
+      head = link(geom_.core_at(cx, cy), port)
+                 .acquire(head + kRouterDelay, static_cast<Cycle>(flits)) +
+             kLinkDelay;
+      cx = nx;
+      cy = ny;
+    }
+    counters_.enet_router_flits += hops * static_cast<std::uint64_t>(flits);
+    counters_.enet_link_flits += hops * static_cast<std::uint64_t>(flits);
+    return head;
+  }
+
+  Cycle eject(CoreId dst, Cycle head_arrival, int flits) {
+    const Cycle start = link(dst, kEject).acquire(head_arrival + kRouterDelay,
+                                                  static_cast<Cycle>(flits));
+    counters_.enet_router_flits += flits;
+    return start + kLinkDelay + flits - 1;
+  }
+
+  std::pair<Cycle, Cycle> unicast_leg(Cycle t, CoreId src, CoreId dst,
+                                      int flits) {
+    const Cycle start =
+        link(src, kInject).acquire(t, static_cast<Cycle>(flits));
+    const Cycle head = route_head(src, dst, start, flits);
+    return {start + flits, eject(dst, head, flits)};
+  }
+
+  Cycle bcast_tree(Cycle t, CoreId src, int flits, MsgClass cls,
+                   std::vector<Arrival>& out) {
+    const Cycle start =
+        link(src, kInject).acquire(t, static_cast<Cycle>(flits));
+    Cycle last = start;
+    const auto arrive = [&](CoreId c, Cycle head) {
+      const Cycle tail = eject(c, head, flits);
+      out.push_back({c, tail});
+      last = std::max(last, tail);
+    };
+    const int sy = geom_.y(src);
+    const auto column_walks = [&](CoreId row_node, Cycle head) {
+      const int x = geom_.x(row_node);
+      for (int dir : {-1, +1}) {
+        Cycle h = head;
+        for (int yy = sy; yy + dir >= 0 && yy + dir < geom_.width();
+             yy += dir) {
+          const CoreId to = geom_.core_at(x, yy + dir);
+          h = route_head(geom_.core_at(x, yy), to, h, flits);
+          arrive(to, h);
+        }
+      }
+    };
+    column_walks(src, start);
+    for (int dir : {-1, +1}) {
+      Cycle h = start;
+      for (int xx = geom_.x(src); xx + dir >= 0 && xx + dir < geom_.width();
+           xx += dir) {
+        const CoreId to = geom_.core_at(xx + dir, sy);
+        h = route_head(geom_.core_at(xx, sy), to, h, flits);
+        arrive(to, h);
+        column_walks(to, h);
+      }
+    }
+    count_broadcast(t, last, flits, static_cast<std::uint64_t>(flits),
+                    geom_.num_cores() - 1, cls);
+    return start + flits;
+  }
+
+  MachineParams mp_;
+  MeshGeom geom_;
+  ChannelArray links_;
+  bool hw_broadcast_;
+};
+
+// Drives EMeshModel and the node-major reference with the same seeded
+// packets: unicasts of every class between random cores and one broadcast
+// in 16, injected a few cycles apart so that links contend. After every
+// packet it compares every arrival, the sender-free cycle, every counter and
+// the channel usage.
+TEST(EMeshModel, MatchesNodeMajorLinkReference) {
+  constexpr MsgClass kClasses[] = {MsgClass::kCoherence, MsgClass::kData,
+                                   MsgClass::kSynthetic};
+  struct Mesh {
+    int width, cluster_width, packets;
+  };
+  for (const Mesh mesh : {Mesh{4, 2, 4000}, Mesh{32, 4, 600}}) {
+    for (const bool hw_broadcast : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << mesh.width << "x" << mesh.width
+                   << (hw_broadcast ? ", hw broadcast" : ", unicast fan-out"));
+      const auto mp = MachineParams::small(mesh.width, mesh.cluster_width);
+      EMeshModel m(mp, hw_broadcast);
+      NodeMajorEMesh ref(mp, hw_broadcast);
+      Xoshiro256 rng(static_cast<std::uint64_t>(mesh.width * 2 + hw_broadcast));
+      const auto cores = static_cast<std::uint64_t>(mp.num_cores);
+      Cycle t = 0;
+      std::vector<Arrival> got, want;
+      std::vector<ChannelUsage> got_use, want_use;
+      for (int i = 0; i < mesh.packets; ++i) {
+        t += rng.next_below(4);
+        NetPacket p;
+        p.src = static_cast<CoreId>(rng.next_below(cores));
+        p.dst = rng.next_below(16) == 0
+                    ? kBroadcastCore
+                    : static_cast<CoreId>(rng.next_below(cores));
+        if (p.dst == p.src) p.dst = (p.src + 1) % mp.num_cores;
+        p.cls = kClasses[rng.next_below(3)];
+        p.bits = 1 + static_cast<int>(rng.next_below(700));
+        got.clear();
+        want.clear();
+        ASSERT_EQ(m.inject(t, p, got), ref.inject(t, p, want))
+            << "packet " << i;
+        ASSERT_EQ(got.size(), want.size()) << "packet " << i;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(got[k].receiver, want[k].receiver) << "packet " << i;
+          ASSERT_EQ(got[k].at, want[k].at) << "packet " << i;
+        }
+        for_each_counter(
+            [&](const char* name, std::uint64_t a, std::uint64_t b) {
+              EXPECT_EQ(a, b) << name << ", packet " << i;
+            },
+            m.counters(), ref.counters());
+        ASSERT_EQ(m.counters().packet_latency.n,
+                  ref.counters().packet_latency.n);
+        ASSERT_EQ(m.counters().packet_latency.sum,
+                  ref.counters().packet_latency.sum);
+        ASSERT_EQ(m.counters().packet_latency.max,
+                  ref.counters().packet_latency.max);
+        got_use.clear();
+        want_use.clear();
+        m.append_channel_usage(got_use);
+        ref.append_channel_usage(want_use);
+        ASSERT_EQ(got_use.size(), want_use.size());
+        for (std::size_t k = 0; k < got_use.size(); ++k) {
+          ASSERT_EQ(std::string(got_use[k].name), want_use[k].name);
+          ASSERT_EQ(got_use[k].busy_cycles, want_use[k].busy_cycles)
+              << "packet " << i;
+          ASSERT_EQ(got_use[k].channels, want_use[k].channels);
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace
