@@ -3,13 +3,17 @@
 // compare architectures end-to-end (runtime AND energy-delay product).
 //
 //   $ ./build/examples/custom_app
+//
+// Every array the kernel reads or writes comes from a sim::AddressSpace
+// that the body hands to the machine, so an ATACSIM_VALIDATE=1 run checks
+// that no access strays outside it.
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "core/program.hpp"
 #include "core/sync.hpp"
 #include "power/energy_model.hpp"
+#include "sim/address_space.hpp"
 
 using namespace atacsim;
 
@@ -20,12 +24,17 @@ constexpr int kItems = 16384;
 constexpr int kBuckets = 64;
 
 struct Shared {
-  core::Barrier barrier{kCores};
-  std::vector<std::uint64_t> items = std::vector<std::uint64_t>(kItems);
+  explicit Shared(sim::AddressSpace& space)
+      : barrier(kCores, space),
+        items(space.array<std::uint64_t>(kItems)),
+        partial(space.array<std::uint64_t>(static_cast<std::size_t>(kCores) *
+                                           kBuckets)),
+        global(space.array<std::uint64_t>(kBuckets)) {}
+  core::Barrier barrier;
+  std::span<std::uint64_t> items;
   // One privatized histogram row per core, then a shared reduction.
-  std::vector<std::uint64_t> partial =
-      std::vector<std::uint64_t>(static_cast<std::size_t>(kCores) * kBuckets);
-  std::vector<std::uint64_t> global = std::vector<std::uint64_t>(kBuckets);
+  std::span<std::uint64_t> partial;
+  std::span<std::uint64_t> global;
 };
 
 core::Task<void> kernel(core::CoreCtx& c, Shared& sh) {
@@ -57,16 +66,17 @@ core::Task<void> kernel(core::CoreCtx& c, Shared& sh) {
 }
 
 void run_on(const MachineParams& mp, const char* label) {
-  auto sh = std::make_unique<Shared>();
-  for (std::size_t i = 0; i < sh->items.size(); ++i)
-    sh->items[i] = i * 2654435761u;
+  sim::AddressSpace space;
+  Shared sh(space);
+  for (std::size_t i = 0; i < sh.items.size(); ++i)
+    sh.items[i] = i * 2654435761u;
 
   core::Program prog(mp);
-  prog.spawn_all([&sh](core::CoreCtx& c) { return kernel(c, *sh); });
+  prog.spawn_all({[&sh](core::CoreCtx& c) { return kernel(c, sh); }, &space});
   const auto r = prog.run();
 
   std::uint64_t total = 0;
-  for (auto v : sh->global) total += v;
+  for (auto v : sh.global) total += v;
 
   const power::EnergyModel em(mp);
   const auto e = em.compute(r.net, r.mem, r.core,

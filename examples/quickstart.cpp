@@ -6,23 +6,29 @@
 // The program below runs one coroutine per simulated core; every co_await'd
 // read/write/rmw is timed through the simulated L1/L2 caches, the ACKwise
 // directory protocol, and the opto-electronic network, with full
-// back-pressure into the application.
+// back-pressure into the application. The data it shares comes from a
+// sim::AddressSpace, which the body hands to the machine; with
+// ATACSIM_VALIDATE=1 any access outside it is an error.
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "core/program.hpp"
 #include "core/sync.hpp"
 #include "power/energy_model.hpp"
+#include "sim/address_space.hpp"
 
 using namespace atacsim;
 
 namespace {
 
 struct Shared {
-  core::Barrier barrier{64};
-  std::vector<std::uint64_t> data = std::vector<std::uint64_t>(4096, 0);
-  alignas(64) std::uint64_t checksum = 0;
+  explicit Shared(sim::AddressSpace& space)
+      : barrier(64, space),
+        data(space.array<std::uint64_t>(4096)),
+        checksum(space.make<std::uint64_t>()) {}
+  core::Barrier barrier;
+  std::span<std::uint64_t> data;
+  std::uint64_t& checksum;
 };
 
 core::Task<void> kernel(core::CoreCtx& c, Shared& sh) {
@@ -55,15 +61,15 @@ int main() {
   mp.network = NetworkKind::kAtacPlus;
   mp.r_thres = 6;  // scaled-down distance threshold for the small mesh
 
-  auto sh = std::make_unique<Shared>();
+  sim::AddressSpace space;
+  Shared sh(space);
   core::Program prog(mp);
-  prog.spawn_all(
-      [&sh](core::CoreCtx& c) { return kernel(c, *sh); });
+  prog.spawn_all({[&sh](core::CoreCtx& c) { return kernel(c, sh); }, &space});
   const auto r = prog.run();
 
   std::printf("finished            : %s\n", r.finished ? "yes" : "NO");
   std::printf("checksum            : %llu (expect %llu)\n",
-              (unsigned long long)sh->checksum,
+              (unsigned long long)sh.checksum,
               (unsigned long long)(4096ull * 4095 / 2));
   std::printf("completion          : %llu cycles\n",
               (unsigned long long)r.completion_cycles);
@@ -82,5 +88,5 @@ int main() {
   std::printf("network energy      : %.3f uJ\n", e.network() * 1e6);
   std::printf("cache energy        : %.3f uJ\n", e.caches() * 1e6);
   std::printf("chip energy (+core) : %.3f uJ\n", e.chip() * 1e6);
-  return sh->checksum == 4096ull * 4095 / 2 ? 0 : 1;
+  return r.finished && sh.checksum == 4096ull * 4095 / 2 ? 0 : 1;
 }

@@ -5,7 +5,9 @@
 // programs against the CoreCtx API: every access to shared data is timed
 // through the simulated cache hierarchy and network; synchronization uses
 // the coherence-based Lock/Barrier library, so barrier releases appear as
-// ACKwise broadcast invalidations exactly as in the paper's traffic.
+// ACKwise broadcast invalidations exactly as in the paper's traffic. Every
+// word a kernel hands to CoreCtx lives in the App's sim::AddressSpace;
+// host-only data (reference results, index tables) stays in std::vectors.
 #pragma once
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "core/core_ctx.hpp"
+#include "sim/address_space.hpp"
 
 namespace atacsim::apps {
 
@@ -28,12 +31,17 @@ class App {
  public:
   virtual ~App() = default;
   virtual std::string name() const = 0;
-  /// Kernel to run on every core; the returned callable must remain valid
-  /// for the lifetime of this App.
+  /// Kernel to run on every core, with the space its data lives in; both
+  /// must remain valid for the lifetime of this App.
   virtual core::AppBody body() = 0;
   /// Host-side correctness check after the run; returns a diagnostic or ""
   /// when the computation is correct.
   virtual std::string verify() const = 0;
+
+ protected:
+  /// The simulated data: built before any derived member, so a derived
+  /// App allocates its blocks in its member initializers.
+  sim::AddressSpace space_;
 };
 
 /// The paper's eight benchmarks, in the order of its figures.

@@ -8,6 +8,7 @@
 // broadcast invalidations — the most broadcast-heavy SPLASH kernel.
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -40,9 +41,10 @@ class BarnesApp final : public App {
   explicit BarnesApp(const AppConfig& cfg)
       : p_(cfg.num_cores),
         n_(std::max(256, static_cast<int>(1024 * cfg.scale))),
-        barrier_(cfg.num_cores),
-        bodies_(static_cast<std::size_t>(n_)),
-        leaf_members_(static_cast<std::size_t>(kSide * kSide) * kMaxPerLeaf) {
+        barrier_(cfg.num_cores, space_),
+        bodies_(space_.array<Body>(static_cast<std::size_t>(n_))),
+        leaf_members_(space_.array<std::uint64_t>(
+            static_cast<std::size_t>(kSide * kSide) * kMaxPerLeaf)) {
     // Tree as a flat array of levels: level L has (2^L)^2 cells.
     level_off_.push_back(0);
     int total = 0;
@@ -50,20 +52,20 @@ class BarnesApp final : public App {
       total += (1 << l) * (1 << l);
       level_off_.push_back(total);
     }
-    cells_.assign(static_cast<std::size_t>(total), Cell{});
+    cells_ = space_.array<Cell>(static_cast<std::size_t>(total));
     Xoshiro256 rng(cfg.seed);
     for (auto& b : bodies_) {
       b.x = rng.next_double();
       b.y = rng.next_double();
       b.vx = b.vy = b.ax = b.ay = 0;
     }
-    initial_ = bodies_;
+    initial_.assign(bodies_.begin(), bodies_.end());
   }
 
   std::string name() const override { return "barnes"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -240,9 +242,9 @@ class BarnesApp final : public App {
   int p_;
   int n_;
   core::Barrier barrier_;
-  std::vector<Body> bodies_;
-  std::vector<Cell> cells_;
-  std::vector<std::uint64_t> leaf_members_;
+  std::span<Body> bodies_;
+  std::span<Cell> cells_;
+  std::span<std::uint64_t> leaf_members_;
   std::vector<int> level_off_;
   std::vector<Body> initial_;
 };

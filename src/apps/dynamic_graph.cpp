@@ -10,10 +10,12 @@
 // broadcast fraction in the suite (paper Table V: 505 unicasts/broadcast at
 // 12% utilization; Fig. 5 shows dynamic_graph as the most broadcast-heavy).
 //
-// Both graph versions are built at construction and the second phase reads
-// the second one: no simulated array is reallocated while the program runs,
-// so a run never depends on where the host heap places a new array.
+// Both graph versions are built at construction, in the App's address
+// space, and the second phase reads the second one: no simulated array is
+// made or resized while the program runs, so a run never depends on where
+// the host heap would place a new array.
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -28,11 +30,10 @@ class DynamicGraphApp final : public App {
   explicit DynamicGraphApp(const AppConfig& cfg)
       : p_(cfg.num_cores),
         v_(std::max(1024, static_cast<int>(8192 * cfg.scale))),
-        barrier_(cfg.num_cores),
-        fw_(static_cast<std::size_t>(v_)),
-        bw_(static_cast<std::size_t>(v_)),
-        scc_count_(0),
-        changed_(0) {
+        barrier_(cfg.num_cores, space_),
+        fw_(space_.array<std::uint64_t>(static_cast<std::size_t>(v_))),
+        bw_(space_.array<std::uint64_t>(static_cast<std::size_t>(v_))),
+        shared_(space_.make<Shared>()) {
     // Random digraph with average out-degree 4, plus a long cycle through
     // half the vertices so a nontrivial SCC exists around pivot 0.
     Xoshiro256 rng(cfg.seed ^ 0x5ccull);
@@ -59,7 +60,7 @@ class DynamicGraphApp final : public App {
   std::string name() const override { return "dynamic_graph"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -75,13 +76,21 @@ class DynamicGraphApp final : public App {
  private:
   /// One graph version in CSR form, forward and reverse.
   struct Csr {
-    std::vector<std::uint64_t> out_head, in_head, out_edges, in_edges;
+    std::span<std::uint64_t> out_head, in_head, out_edges, in_edges;
+  };
+  /// The simulated scalars: the SCC-size reduction and the round's
+  /// `changed` flag, each on a line of its own.
+  struct Shared {
+    std::uint64_t scc_count = 0;
+    alignas(64) std::uint64_t changed = 0;
   };
 
-  Csr build_csr(const std::vector<std::pair<int, int>>& edges) const {
-    Csr g;
-    g.out_head.assign(static_cast<std::size_t>(v_) + 1, 0);
-    g.in_head.assign(static_cast<std::size_t>(v_) + 1, 0);
+  Csr build_csr(const std::vector<std::pair<int, int>>& edges) {
+    const std::size_t heads = static_cast<std::size_t>(v_) + 1;
+    Csr g{space_.array<std::uint64_t>(heads),
+          space_.array<std::uint64_t>(heads),
+          space_.array<std::uint64_t>(edges.size()),
+          space_.array<std::uint64_t>(edges.size())};
     for (auto [u, w] : edges) {
       ++g.out_head[static_cast<std::size_t>(u) + 1];
       ++g.in_head[static_cast<std::size_t>(w) + 1];
@@ -92,10 +101,8 @@ class DynamicGraphApp final : public App {
       g.in_head[static_cast<std::size_t>(i) + 1] +=
           g.in_head[static_cast<std::size_t>(i)];
     }
-    g.out_edges.assign(edges.size(), 0);
-    g.in_edges.assign(edges.size(), 0);
-    auto oc = g.out_head;
-    auto ic = g.in_head;
+    std::vector<std::uint64_t> oc(g.out_head.begin(), g.out_head.end());
+    std::vector<std::uint64_t> ic(g.in_head.begin(), g.in_head.end());
     for (auto [u, w] : edges) {
       g.out_edges[oc[static_cast<std::size_t>(u)]++] = w;
       g.in_edges[ic[static_cast<std::size_t>(w)]++] = u;
@@ -136,16 +143,16 @@ class DynamicGraphApp final : public App {
 
   /// One label-propagation reachability pass over `heads/edges`.
   core::Task<void> propagate(core::CoreCtx& c, core::Barrier::Sense& sense,
-                             std::vector<std::uint64_t>& mark,
-                             const std::vector<std::uint64_t>& heads,
-                             const std::vector<std::uint64_t>& edges) {
+                             std::span<std::uint64_t> mark,
+                             std::span<const std::uint64_t> heads,
+                             std::span<const std::uint64_t> edges) {
     const Range mine = partition(v_, p_, c.id());
     for (;;) {
       // All cores have read the previous round's verdict before this
       // barrier; only then may core 0 reset the flag (a reset racing the
       // reads would split the cores across rounds and deadlock the barrier).
       co_await barrier_.wait(c, sense);
-      if (c.id() == 0) co_await c.write<std::uint64_t>(&changed_, 0);
+      if (c.id() == 0) co_await c.write<std::uint64_t>(&shared_.changed, 0);
       co_await barrier_.wait(c, sense);
       bool local_changed = false;
       for (int u = mine.begin; u < mine.end; ++u) {
@@ -167,9 +174,10 @@ class DynamicGraphApp final : public App {
         co_await c.write<std::uint64_t>(&mark[static_cast<std::size_t>(u)], 2);
       }
       if (local_changed)
-        co_await c.rmw(&changed_, [](std::uint64_t) -> std::uint64_t { return 1; });
+        co_await c.rmw(&shared_.changed,
+                       [](std::uint64_t) -> std::uint64_t { return 1; });
       co_await barrier_.wait(c, sense);
-      if (co_await c.read(&changed_) == 0) co_return;
+      if (co_await c.read(&shared_.changed) == 0) co_return;
     }
   }
 
@@ -202,13 +210,13 @@ class DynamicGraphApp final : public App {
         co_await c.compute(2);
       }
       if (local) {
-        co_await c.rmw(&scc_count_,
+        co_await c.rmw(&shared_.scc_count,
                        [local](std::uint64_t v) { return v + local; });
       }
       co_await barrier_.wait(c, sense);
 
       if (id == 0) {
-        const auto total = co_await c.read(&scc_count_);
+        const auto total = co_await c.read(&shared_.scc_count);
         if (phase == 0) {
           measured_first_ = static_cast<int>(total);
           // Apply the dynamic edge batch: phase 1 reads the prebuilt
@@ -217,7 +225,7 @@ class DynamicGraphApp final : public App {
         } else {
           measured_second_ = static_cast<int>(total);
         }
-        co_await c.write<std::uint64_t>(&scc_count_, 0);
+        co_await c.write<std::uint64_t>(&shared_.scc_count, 0);
       }
       co_await barrier_.wait(c, sense);
     }
@@ -226,11 +234,10 @@ class DynamicGraphApp final : public App {
   int p_;
   int v_;
   core::Barrier barrier_;
-  std::vector<std::uint64_t> fw_, bw_;
+  std::span<std::uint64_t> fw_, bw_;
+  Shared& shared_;
   Csr graph_[2];  ///< before and after the edge batch
   std::size_t added_edges_ = 0;
-  std::uint64_t scc_count_;
-  alignas(64) std::uint64_t changed_;
   int expected_first_ = 0, expected_second_ = 0;
   int measured_first_ = -1, measured_second_ = -1;
 };

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -27,9 +28,9 @@ class FftApp final : public App {
       : p_(cfg.num_cores),
         m_(cfg.scale >= 0.5 ? 64 : 32),
         n_(m_ * m_),
-        barrier_(cfg.num_cores),
-        a_(static_cast<std::size_t>(n_)),
-        b_(static_cast<std::size_t>(n_)) {
+        barrier_(cfg.num_cores, space_),
+        a_(space_.array<Cpx>(static_cast<std::size_t>(n_))),
+        b_(space_.array<Cpx>(static_cast<std::size_t>(n_))) {
     Xoshiro256 rng(cfg.seed ^ 0xFF7ull);
     for (auto& c : a_) {
       c.re = rng.next_double() - 0.5;
@@ -43,7 +44,7 @@ class FftApp final : public App {
   std::string name() const override { return "fft"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -109,8 +110,8 @@ class FftApp final : public App {
 
   /// Timed transpose of the rows this core owns: reads a column scattered
   /// across every other owner's rows (the all-to-all).
-  core::Task<void> transpose_step(core::CoreCtx& c, std::vector<Cpx>& src,
-                                  std::vector<Cpx>& dst) {
+  core::Task<void> transpose_step(core::CoreCtx& c, std::span<Cpx> src,
+                                  std::span<Cpx> dst) {
     const Range rows = partition(m_, p_, c.id());
     for (int r = rows.begin; r < rows.end; ++r) {
       for (int col = 0; col < m_; ++col) {
@@ -127,7 +128,7 @@ class FftApp final : public App {
 
   /// Timed in-place FFT over this core's rows (touches only owned rows, so
   /// after the first stage it runs out of the local cache).
-  core::Task<void> fft_rows(core::CoreCtx& c, std::vector<Cpx>& x,
+  core::Task<void> fft_rows(core::CoreCtx& c, std::span<Cpx> x,
                             bool twiddle) {
     const Range rows = partition(m_, p_, c.id());
     for (int r = rows.begin; r < rows.end; ++r) {
@@ -210,7 +211,7 @@ class FftApp final : public App {
   int m_;
   int n_;
   core::Barrier barrier_;
-  std::vector<Cpx> a_, b_;
+  std::span<Cpx> a_, b_;
   std::vector<Cpx> ref_;
 };
 

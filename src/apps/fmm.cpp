@@ -8,6 +8,7 @@
 // ~95 unicasts per broadcast at 8% utilization).
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -39,16 +40,17 @@ class FmmApp final : public App {
   explicit FmmApp(const AppConfig& cfg)
       : p_(cfg.num_cores),
         n_(std::max(256, static_cast<int>(1024 * cfg.scale))),
-        barrier_(cfg.num_cores),
-        bodies_(static_cast<std::size_t>(n_)),
-        members_(static_cast<std::size_t>(kSide * kSide) * kMaxPerLeaf) {
+        barrier_(cfg.num_cores, space_),
+        bodies_(space_.array<FmmBody>(static_cast<std::size_t>(n_))),
+        members_(space_.array<std::uint64_t>(
+            static_cast<std::size_t>(kSide * kSide) * kMaxPerLeaf)) {
     level_off_.push_back(0);
     int total = 0;
     for (int l = 0; l <= kDepth; ++l) {
       total += (1 << l) * (1 << l);
       level_off_.push_back(total);
     }
-    cells_.assign(static_cast<std::size_t>(total), FmmCell{});
+    cells_ = space_.array<FmmCell>(static_cast<std::size_t>(total));
     Xoshiro256 rng(cfg.seed ^ 0xF33Dull);
     for (auto& b : bodies_) {
       b.x = rng.next_double();
@@ -60,7 +62,7 @@ class FmmApp final : public App {
   std::string name() const override { return "fmm"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -272,9 +274,9 @@ class FmmApp final : public App {
   int p_;
   int n_;
   core::Barrier barrier_;
-  std::vector<FmmBody> bodies_;
-  std::vector<FmmCell> cells_;
-  std::vector<std::uint64_t> members_;
+  std::span<FmmBody> bodies_;
+  std::span<FmmCell> cells_;
+  std::span<std::uint64_t> members_;
   std::vector<int> level_off_;
 };
 

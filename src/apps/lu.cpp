@@ -12,6 +12,7 @@
 // Table V: ~30K unicasts per broadcast for lu_contig).
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -30,8 +31,8 @@ class LuApp final : public App {
         p_(cfg.num_cores),
         n_(static_cast<int>(std::lround(96 * std::sqrt(cfg.scale))) / kB * kB),
         nb_(n_ / kB),
-        barrier_(cfg.num_cores),
-        store_(static_cast<std::size_t>(n_) * n_ + 8) {
+        barrier_(cfg.num_cores, space_),
+        store_(space_.array<double>(static_cast<std::size_t>(n_) * n_ + 8)) {
     Xoshiro256 rng(cfg.seed);
     // Diagonally dominant matrix => LU without pivoting is stable.
     for (int i = 0; i < n_; ++i)
@@ -49,7 +50,7 @@ class LuApp final : public App {
   }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -71,12 +72,10 @@ class LuApp final : public App {
       const int bi = i / kB, bj = j / kB;
       const std::size_t block =
           (static_cast<std::size_t>(bi) * nb_ + bj) * (kB * kB);
-      return const_cast<double*>(
-          &store_[block + static_cast<std::size_t>(i % kB) * kB + (j % kB)]);
+      return &store_[block + static_cast<std::size_t>(i % kB) * kB + (j % kB)];
     }
     // Row-major, shifted one element to break 64 B line alignment.
-    return const_cast<double*>(
-        &store_[static_cast<std::size_t>(i) * n_ + j + 1]);
+    return &store_[static_cast<std::size_t>(i) * n_ + j + 1];
   }
 
   int owner(int bi, int bj) const { return (bi * nb_ + bj) % p_; }
@@ -179,7 +178,7 @@ class LuApp final : public App {
   int n_;
   int nb_;
   core::Barrier barrier_;
-  std::vector<double> store_;
+  std::span<double> store_;
   std::vector<double> reference_;
 };
 

@@ -9,6 +9,7 @@
 // Each color sweep is separated by a barrier.
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -28,8 +29,8 @@ class OceanApp final : public App {
         p_(cfg.num_cores),
         g_(std::max(32, static_cast<int>(std::lround(
                             256 * std::sqrt(cfg.scale))) / 8 * 8)),
-        barrier_(cfg.num_cores),
-        store_(static_cast<std::size_t>(g_) * g_),
+        barrier_(cfg.num_cores, space_),
+        store_(space_.array<double>(static_cast<std::size_t>(g_) * g_)),
         row_of_(static_cast<std::size_t>(g_)) {
     // Row placement: identity for contig; a fixed permutation otherwise.
     for (int i = 0; i < g_; ++i)
@@ -51,7 +52,7 @@ class OceanApp final : public App {
   }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -65,10 +66,9 @@ class OceanApp final : public App {
 
  private:
   double* cell_host(int i, int j) const {
-    return const_cast<double*>(
-        &store_[static_cast<std::size_t>(row_of_[static_cast<std::size_t>(i)]) *
-                    g_ +
-                j]);
+    const auto row =
+        static_cast<std::size_t>(row_of_[static_cast<std::size_t>(i)]);
+    return &store_[row * g_ + j];
   }
 
   static void host_sor(std::vector<double>& a, int g) {
@@ -121,7 +121,7 @@ class OceanApp final : public App {
   int p_;
   int g_;
   core::Barrier barrier_;
-  std::vector<double> store_;
+  std::span<double> store_;
   std::vector<int> row_of_;
   std::vector<double> reference_;
 };

@@ -9,6 +9,7 @@
 // columns are read by bucket owners, and offset rows fan back out.
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -27,28 +28,31 @@ class RadixApp final : public App {
   explicit RadixApp(const AppConfig& cfg)
       : p_(cfg.num_cores),
         n_(std::max(cfg.num_cores, static_cast<int>(24576 * cfg.scale))),
-        barrier_(cfg.num_cores),
-        src_(static_cast<std::size_t>(n_)),
-        dst_(static_cast<std::size_t>(n_)),
-        hist_(static_cast<std::size_t>(p_) * kRadix),
-        offs_(static_cast<std::size_t>(p_) * kRadix),
-        total_(kRadix),
-        base_(kRadix) {
+        barrier_(cfg.num_cores, space_),
+        src_(space_.array<std::uint64_t>(static_cast<std::size_t>(n_))),
+        dst_(space_.array<std::uint64_t>(static_cast<std::size_t>(n_))),
+        hist_(space_.array<std::uint64_t>(static_cast<std::size_t>(p_) *
+                                          kRadix)),
+        offs_(space_.array<std::uint64_t>(static_cast<std::size_t>(p_) *
+                                          kRadix)),
+        total_(space_.array<std::uint64_t>(kRadix)),
+        base_(space_.array<std::uint64_t>(kRadix)) {
     Xoshiro256 rng(cfg.seed);
     for (auto& k : src_) k = rng.next_below(1u << (kRadixBits * kPasses));
-    reference_ = src_;
+    reference_.assign(src_.begin(), src_.end());
     std::sort(reference_.begin(), reference_.end());
   }
 
   std::string name() const override { return "radix"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
     const auto& result = (kPasses % 2) ? dst_ : src_;
-    if (result != reference_) return "radix: output is not sorted correctly";
+    if (!std::ranges::equal(result, reference_))
+      return "radix: output is not sorted correctly";
     return "";
   }
 
@@ -126,8 +130,8 @@ class RadixApp final : public App {
   int p_;
   int n_;
   core::Barrier barrier_;
-  std::vector<std::uint64_t> src_, dst_;
-  std::vector<std::uint64_t> hist_, offs_, total_, base_;
+  std::span<std::uint64_t> src_, dst_;
+  std::span<std::uint64_t> hist_, offs_, total_, base_;
   std::vector<std::uint64_t> reference_;
 };
 

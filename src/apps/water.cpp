@@ -5,6 +5,7 @@
 // ticket acquisition, ownership migration of the accumulator lines).
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <memory>
 #include <vector>
 
@@ -26,9 +27,9 @@ class WaterApp final : public App {
   explicit WaterApp(const AppConfig& cfg)
       : p_(cfg.num_cores),
         n_(std::max(64, static_cast<int>(256 * cfg.scale))),
-        barrier_(cfg.num_cores),
-        mol_(static_cast<std::size_t>(n_)),
-        locks_(static_cast<std::size_t>(n_)) {
+        barrier_(cfg.num_cores, space_),
+        mol_(space_.array<Molecule>(static_cast<std::size_t>(n_))),
+        locks_(space_.array<core::Lock>(static_cast<std::size_t>(n_))) {
     Xoshiro256 rng(cfg.seed ^ 0xAA7ull);
     for (auto& m : mol_) {
       m.x = rng.next_double();
@@ -41,7 +42,7 @@ class WaterApp final : public App {
   std::string name() const override { return "water_nsq"; }
 
   core::AppBody body() override {
-    return [this](core::CoreCtx& c) { return run(c); };
+    return {[this](core::CoreCtx& c) { return run(c); }, &space_};
   }
 
   std::string verify() const override {
@@ -70,7 +71,7 @@ class WaterApp final : public App {
   }
 
   std::vector<Molecule> host_forces() const {
-    auto out = mol_;
+    std::vector<Molecule> out(mol_.begin(), mol_.end());
     for (auto& m : out) m.fx = m.fy = m.fz = 0;
     for (int i = 0; i < n_; ++i)
       for (int j = i + 1; j < n_; ++j) {
@@ -138,8 +139,8 @@ class WaterApp final : public App {
   int p_;
   int n_;
   core::Barrier barrier_;
-  std::vector<Molecule> mol_;
-  std::vector<core::Lock> locks_;
+  std::span<Molecule> mol_;
+  std::span<core::Lock> locks_;
   std::vector<Molecule> reference_;
 };
 

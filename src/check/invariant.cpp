@@ -26,6 +26,7 @@ const char* to_string(Probe p) {
     case Probe::kEnergy: return "energy";
     case Probe::kClock: return "clock";
     case Probe::kObs: return "obs";
+    case Probe::kAddress: return "address";
   }
   return "?";
 }

@@ -28,6 +28,7 @@ enum class Probe {
   kEnergy,     ///< energy components finite, non-negative, summing to totals
   kClock,      ///< event dispatch timestamps monotone
   kObs,        ///< telemetry epoch deltas must sum to end-of-run totals
+  kAddress,    ///< every simulated access lies in the running body's space
 };
 
 const char* to_string(Probe p);

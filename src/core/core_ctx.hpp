@@ -6,15 +6,19 @@
 // Timing model (lax synchronization, as in Graphite): each core keeps a
 // local clock that advances synchronously through L1 hits and compute, and
 // re-synchronizes with the global event clock on every miss, wait or
-// periodic yield. Data itself lives in host memory; each awaiter takes its
-// simulated address from sim::Machine::translate, the machine's
-// deterministic first-touch frame table. A context holds no translation
-// state of its own.
+// periodic yield. Data itself lives in host memory, in blocks of the
+// body's sim::AddressSpace (AppBody carries it to the Machine); each
+// awaiter takes its simulated address from sim::Machine::translate, the
+// machine's deterministic first-touch frame table, which under validation
+// also refuses any pointer outside the space. A context holds no
+// translation state of its own.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "core/task.hpp"
 #include "sim/machine.hpp"
@@ -41,7 +45,7 @@ class CoreCtx {
 
   /// Timed access to the line containing `p`. Loads need S, stores need M.
   auto access(const void* p, bool write) {
-    return AccessAwaiter{this, machine_->translate(p), write};
+    return AccessAwaiter{this, machine_->translate(p, self_), write};
   }
 
   /// Typed load: timing via access(), value from host memory at commit.
@@ -53,7 +57,7 @@ class CoreCtx {
         return *static_cast<const T*>(ptr);
       }
     };
-    return A{{this, machine_->translate(p), false, p}};
+    return A{{this, machine_->translate(p, self_), false, p}};
   }
 
   /// Typed store.
@@ -66,7 +70,7 @@ class CoreCtx {
         *static_cast<T*>(const_cast<void*>(ptr)) = value;
       }
     };
-    return A{{this, machine_->translate(p), true, p}, v};
+    return A{{this, machine_->translate(p, self_), true, p}, v};
   }
 
   /// Atomic read-modify-write: acquires exclusive ownership, then applies
@@ -83,7 +87,7 @@ class CoreCtx {
         return old;
       }
     };
-    return A{{this, machine_->translate(p), true, p}, std::move(f)};
+    return A{{this, machine_->translate(p, self_), true, p}, std::move(f)};
   }
 
   /// Advances the local clock by `n` instruction cycles (1 instr/cycle,
@@ -94,7 +98,7 @@ class CoreCtx {
   /// evicted here (fires immediately if absent) — the primitive spin-waits
   /// are built on, so waiting burns no simulated traffic.
   auto wait_for_change(const void* p) {
-    return WaitAwaiter{this, machine_->translate(p)};
+    return WaitAwaiter{this, machine_->translate(p, self_)};
   }
 
   // --- internals -------------------------------------------------------
@@ -188,7 +192,17 @@ class CoreCtx {
   sim::TraceRecorder* tracer_ = nullptr;
 };
 
-/// Application kernel signature: one coroutine per simulated core.
-using AppBody = std::function<Task<void>(CoreCtx&)>;
+/// An application kernel (one coroutine per simulated core) and the
+/// address space its simulated data lives in. Any kernel callable converts
+/// to a body with no space, which may not touch memory under validation.
+struct AppBody {
+  template <typename F>
+    requires std::is_invocable_r_v<Task<void>, F&, CoreCtx&>
+  AppBody(F k, const sim::AddressSpace* s = nullptr)
+      : kernel(std::move(k)), space(s) {}
+
+  std::function<Task<void>(CoreCtx&)> kernel;
+  const sim::AddressSpace* space;
+};
 
 }  // namespace atacsim::core

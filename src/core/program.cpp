@@ -1,6 +1,8 @@
 #include "core/program.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace atacsim::core {
 
@@ -19,13 +21,19 @@ Program::~Program() {
 }
 
 RootTask Program::root(CoreCtx& c, AppBody body) {
-  co_await body(c);
+  co_await body.kernel(c);
   --outstanding_;
   roots_[static_cast<std::size_t>(c.id())] = nullptr;
 }
 
 void Program::spawn_all(const AppBody& body, int n) {
-  const int count = (n < 0) ? machine_->params().num_cores : n;
+  const int cores = machine_->params().num_cores;
+  if (n > cores)
+    throw std::invalid_argument("spawn_all: " + std::to_string(n) +
+                                " kernels for " + std::to_string(cores) +
+                                " cores");
+  const int count = (n < 0) ? cores : n;
+  machine_->set_address_space(body.space);
   for (CoreId c = 0; c < count; ++c) {
     ++outstanding_;
     RootTask t = root(*ctxs_[static_cast<std::size_t>(c)], body);

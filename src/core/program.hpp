@@ -36,7 +36,9 @@ class Program {
 
   sim::Machine& machine() { return *machine_; }
 
-  /// Spawns `body` on every core (or the first `n` cores if n >= 0).
+  /// Spawns `body` on every core (or the first `n` cores if n >= 0) and
+  /// hands its address space to the Machine. Throws std::invalid_argument
+  /// if `n` exceeds the machine's core count.
   void spawn_all(const AppBody& body, int n = -1);
 
   /// Enables memory-trace capture for all cores (see sim/trace.hpp).

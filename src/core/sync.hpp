@@ -8,21 +8,28 @@
 // Spin-waits use CoreCtx::wait_for_change (invalidation wake-up), so waiting
 // cores re-read the flag only when it actually changes — one coherence miss
 // per release, as test-and-test-and-set spinning produces on real hardware.
+//
+// Every word a lock or barrier spins on lives in the program's
+// sim::AddressSpace: a Lock is allocated there (make<Lock>() or
+// array<Lock>(n)), and a Barrier takes its tree and sense flag from it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/core_ctx.hpp"
 #include "core/task.hpp"
+#include "sim/address_space.hpp"
 
 namespace atacsim::core {
 
 /// Ticket spinlock. Compared to test-and-set, a release wakes waiters into
 /// cheap shared re-reads of `serving` instead of a thundering herd of
 /// exclusive requests — the difference between O(waiters) coherence reads
-/// and O(waiters) ownership transfers per handoff at 1000 cores.
+/// and O(waiters) ownership transfers per handoff at 1000 cores. Each
+/// counter has a line of its own.
 class Lock {
  public:
   Task<void> acquire(CoreCtx& c) {
@@ -52,17 +59,22 @@ class Barrier {
  public:
   static constexpr int kFanIn = 8;
 
-  explicit Barrier(int participants) {
+  /// Takes the counter tree and the sense flag, each a block of its own,
+  /// from `space`.
+  Barrier(int participants, sim::AddressSpace& space) {
     // Level 0 holds ceil(n/8) counters fed by participants; each higher
     // level combines 8 below it, down to a single root.
     int width = (participants + kFanIn - 1) / kFanIn;
+    int nodes = 0;
     while (true) {
-      level_begin_.push_back(static_cast<int>(nodes_.size()));
+      level_begin_.push_back(nodes);
       level_width_.push_back(width);
-      for (int i = 0; i < width; ++i) nodes_.push_back(Node{});
+      nodes += width;
       if (width == 1) break;
       width = (width + kFanIn - 1) / kFanIn;
     }
+    nodes_ = space.array<Node>(static_cast<std::size_t>(nodes));
+    sense_ = &space.make<std::uint64_t>();
     // Arrival quota of each node: how many signals it waits for.
     for (std::size_t lvl = 0; lvl < level_width_.size(); ++lvl) {
       const int below =
@@ -95,12 +107,12 @@ class Barrier {
       idx /= kFanIn;
       if (lvl + 1 == static_cast<int>(level_width_.size())) {
         // Root: everyone has arrived; flip the global sense (the broadcast).
-        co_await c.write<std::uint64_t>(&sense_, my_sense);
+        co_await c.write<std::uint64_t>(sense_, my_sense);
         co_return;
       }
     }
-    while (co_await c.read(&sense_) != my_sense)
-      co_await c.wait_for_change(&sense_);
+    while (co_await c.read(sense_) != my_sense)
+      co_await c.wait_for_change(sense_);
   }
 
  private:
@@ -108,14 +120,15 @@ class Barrier {
     alignas(64) std::uint64_t count = 0;
     std::uint64_t quota = 0;
   };
+  static_assert(sizeof(Node) == 64, "one counter per line");
   Node& node(int lvl, int i) {
     return nodes_[static_cast<std::size_t>(level_begin_[static_cast<std::size_t>(lvl)] + i)];
   }
 
-  std::vector<Node> nodes_;
+  std::span<Node> nodes_;
   std::vector<int> level_begin_;
   std::vector<int> level_width_;
-  alignas(64) std::uint64_t sense_ = 0;
+  std::uint64_t* sense_;
 };
 
 }  // namespace atacsim::core

@@ -4,10 +4,12 @@
 // continuation — application code composes freely (a barrier wait can
 // co_await loads, stores and RMWs). `RootTask` is the fire-and-forget
 // top-level frame the Program resumes once per core from the event queue.
+// An exception a kernel throws (a validation probe raised while it runs)
+// leaves its frames suspended and propagates to whoever resumed them, out
+// of Program::run; the Program destroys the frames.
 #pragma once
 
 #include <coroutine>
-#include <exception>
 #include <type_traits>
 #include <utility>
 
@@ -33,7 +35,7 @@ struct TaskPromiseBase {
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() noexcept { std::terminate(); }
+  void unhandled_exception() { throw; }
 };
 
 /// What a Task's promise keeps of the coroutine's result.
@@ -91,7 +93,7 @@ struct RootTask {
     std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
-    void unhandled_exception() noexcept { std::terminate(); }
+    void unhandled_exception() { throw; }
   };
   std::coroutine_handle<promise_type> handle;
 };

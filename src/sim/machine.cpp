@@ -7,6 +7,7 @@
 
 #include "check/probes.hpp"
 #include "obs/series.hpp"
+#include "sim/address_space.hpp"
 
 namespace atacsim::sim {
 
@@ -111,6 +112,18 @@ void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
     mem::advance_seq(seq[static_cast<std::size_t>(c)], m.seq);
     if (validate_) check_skipped(c, m);
   }
+}
+
+void Machine::check_address(const void* p, CoreId core) const {
+  if (space_ && space_->contains(p)) return;
+  std::ostringstream os;
+  os << "host pointer " << p;
+  if (space_)
+    os << " lies outside the address space's " << space_->regions().size()
+       << " blocks";
+  else
+    os << " was accessed by a body with no address space";
+  check::raise(check::Probe::kAddress, "machine", now(), core, os.str());
 }
 
 void Machine::check_skipped(CoreId c, const mem::CohMsg& m) {

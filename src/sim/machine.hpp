@@ -7,7 +7,8 @@
 // This is the memory-system view of the machine; `core/` layers coroutine
 // execution contexts and the synchronization library on top. It also owns
 // the one map from host pointers to simulated addresses (translate); the
-// execution contexts keep no copy of it.
+// execution contexts keep no copy of it. The data those pointers reach is
+// owned by the running body's sim::AddressSpace.
 #pragma once
 
 #include <memory>
@@ -28,6 +29,8 @@ class RunObserver;
 }
 
 namespace atacsim::sim {
+
+class AddressSpace;
 
 class Machine {
  public:
@@ -145,8 +148,14 @@ class Machine {
   /// small (5 KiB) because a 64-core machine rarely fills one.
   static constexpr std::size_t kDeliveriesPerPage = 128;
 
-  /// The simulated address of host pointer `p`: the only translation of
-  /// application data.
+  /// The address space the running body's data lives in (not owned; null
+  /// for a body that touches no memory). With validation on, translate
+  /// refuses every pointer outside it.
+  void set_address_space(const AddressSpace* space) { space_ = space; }
+
+  /// The simulated address of host pointer `p`, accessed by core `core`:
+  /// the only translation of application data. With validation on, a
+  /// pointer outside the address space raises a kAddress violation.
   ///
   /// Kernels address simulated memory with host pointers, but raw host
   /// addresses are hidden shared state: the allocator hands out different
@@ -157,12 +166,13 @@ class Machine {
   /// a given program and seed produce bit-identical results serially,
   /// repeatedly, and on any number of threads.
   ///
-  /// The granule is 16 bytes: malloc's guaranteed alignment, so every
-  /// distinct allocation starts on a granule boundary and the grouping of
-  /// data within a granule is fixed by struct layout alone — not by where
-  /// the allocator happened to place the object relative to a cache line.
-  /// Inline: it runs on every simulated access.
-  Addr translate(const void* p) {
+  /// The granule is 16 bytes: the alignment of every AddressSpace block
+  /// (malloc's), so every block starts on a granule boundary and the
+  /// grouping of data within a granule is fixed by struct layout alone —
+  /// not by where the allocator happened to place the block relative to a
+  /// cache line. Inline: it runs on every simulated access.
+  Addr translate(const void* p, CoreId core = kInvalidCore) {
+    if (validate_) check_address(p, core);
     constexpr int kGranuleBits = 4;
     const Addr host = reinterpret_cast<Addr>(p);
     const auto [it, inserted] =
@@ -181,6 +191,9 @@ class Machine {
   /// advances its sequence number for the slice.
   void receive_each(const mem::CohMsg& m, const CoreId* first,
                     const CoreId* last);
+  /// With validation on: raises a kAddress violation unless `p` lies in
+  /// the address space.
+  void check_address(const void* p, CoreId core) const;
   /// With validation on: raises a coherence violation if the skipped
   /// receiver `c` holds anything the broadcast `m` must act on.
   void check_skipped(CoreId c, const mem::CohMsg& m);
@@ -216,6 +229,7 @@ class Machine {
   std::vector<CoreCounters> core_counters_;
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
   std::vector<std::unique_ptr<mem::DirectorySlice>> dirs_;
+  const AddressSpace* space_ = nullptr;
   std::unordered_map<Addr, Addr> frames_;  ///< host granule -> frame
   // Frame numbers start away from 0 so no translated line lands on the
   // (often special-cased) zero address.

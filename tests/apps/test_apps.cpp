@@ -168,8 +168,9 @@ TEST(Apps, DynamicGraphIsIndependentOfHostHeapState) {
   }
 }
 
-// The same check for the paper's other seven apps, by digest: three runs,
-// each after a different heap churn, must fold every counter to one value.
+// The same check for the paper's other seven apps and the two extension
+// workloads, by digest: three runs, each after a different heap churn, must
+// fold every counter to one value.
 class HostHeapState : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HostHeapState, RunsAreIndependentOfIt) {
@@ -207,6 +208,7 @@ std::vector<std::string> other_apps() {
   std::vector<std::string> names;
   for (const auto& n : app_names())
     if (n != "dynamic_graph") names.push_back(n);
+  for (const auto& n : extension_app_names()) names.push_back(n);
   return names;
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "check/invariant.hpp"
 #include "check/probes.hpp"
 #include "core/program.hpp"
+#include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 
 namespace atacsim::check {
@@ -368,6 +370,70 @@ TEST(MutationEnergy, TotalsMustSumFromComponents) {
   StatList nonfinite = consistent();
   nonfinite.add("edp", std::numeric_limits<double>::infinity());
   EXPECT_THROW(check_energy_stats(nonfinite, "inf"), InvariantViolation);
+}
+
+// ------------------------------------------------------ address probe fires
+
+/// Core 3 reads `first`, computes past cycle 5000 and reads `second`; the
+/// other cores touch nothing.
+core::AppBody read_twice(std::uint64_t* first, std::uint64_t* second,
+                         const sim::AddressSpace* space) {
+  return {[first, second](core::CoreCtx& c) -> core::Task<void> {
+            if (c.id() != 3) co_return;
+            co_await c.read(first);
+            co_await c.compute(5000);
+            co_await c.read(second);
+          },
+          space};
+}
+
+TEST(MutationAddress, WordOutsideTheSpaceIsCaughtWithCoreAndCycle) {
+  sim::AddressSpace space;
+  std::uint64_t& inside = space.make<std::uint64_t>();
+  const auto outside = std::make_unique<std::uint64_t>(0);
+  core::Program prog(tiny());
+  prog.spawn_all(read_twice(&inside, outside.get(), &space));
+  try {
+    prog.run(10'000'000);
+    FAIL() << "address probe did not fire";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kAddress);
+    EXPECT_EQ(v.subsystem, "machine");
+    EXPECT_EQ(v.core, 3);
+    EXPECT_GE(v.cycle, 5000u);
+    EXPECT_NE(v.detail.find("outside the address space"), std::string::npos)
+        << v.detail;
+  }
+}
+
+TEST(MutationAddress, BodyWithNoSpaceMayNotTouchMemory) {
+  const auto word = std::make_unique<std::uint64_t>(0);
+  core::Program prog(tiny());
+  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task<void> {
+    co_await c.compute(10);
+    co_await c.rmw(w, [](std::uint64_t v) { return v + 1; });
+  });
+  try {
+    prog.run(10'000'000);
+    FAIL() << "address probe did not fire";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kAddress);
+    EXPECT_NE(v.core, kInvalidCore);
+    EXPECT_NE(v.detail.find("no address space"), std::string::npos)
+        << v.detail;
+  }
+}
+
+TEST(MutationAddress, WordsInsideTheSpacePass) {
+  sim::AddressSpace space;
+  std::uint64_t& first = space.make<std::uint64_t>(7);
+  std::uint64_t* second = space.array<std::uint64_t>(4).data() + 3;
+  core::Program prog(tiny());
+  prog.spawn_all(read_twice(&first, second, &space));
+  core::RunResult r;
+  ASSERT_NO_THROW(r = prog.run(10'000'000));
+  EXPECT_TRUE(r.finished);
+  EXPECT_EQ(r.mem.l1d_reads, 2u);
 }
 
 // -------------------------------------------------------- clock probe fires

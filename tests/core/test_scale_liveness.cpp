@@ -5,11 +5,9 @@
 // line it granted. Both deadlock the directory if mishandled.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "core/program.hpp"
 #include "core/sync.hpp"
+#include "sim/address_space.hpp"
 
 namespace atacsim::core {
 namespace {
@@ -19,26 +17,27 @@ TEST(ScaleLiveness, ContendedMixedTrafficCompletesAt256Cores) {
   p.network = NetworkKind::kAtacPlus;
   p.num_hw_sharers = 4;
   constexpr int kCores = 256;
-  auto bar = std::make_unique<Barrier>(kCores);
-  auto* b = bar.get();
-  auto data = std::make_unique<std::vector<std::uint64_t>>(1 << 13, 0);
-  auto* v = data.get();
+  sim::AddressSpace space;
+  Barrier bar(kCores, space);
+  const auto v = space.array<std::uint64_t>(1 << 13);
   Program prog(p);
   prog.spawn_all(
-      [b, v](CoreCtx& c) -> Task<void> {
-        Barrier::Sense s;
-        const int n = 1 << 13;
-        const int per = n / kCores;
-        for (int it = 0; it < 3; ++it) {
-          for (int i = c.id() * per; i < (c.id() + 1) * per; ++i) {
-            // Deliberately racy cross-core read mix: maximizes crossed
-            // invalidations, upgrades and broadcast/unicast reordering.
-            const auto x = co_await c.read(&(*v)[(i * 17) & (n - 1)]);
-            co_await c.write(&(*v)[static_cast<std::size_t>(i)], x + 1);
-          }
-          co_await b->wait(c, s);
-        }
-      },
+      {[&bar, v](CoreCtx& c) -> Task<void> {
+         Barrier::Sense s;
+         const int n = 1 << 13;
+         const int per = n / kCores;
+         for (int it = 0; it < 3; ++it) {
+           for (int i = c.id() * per; i < (c.id() + 1) * per; ++i) {
+             // Deliberately racy cross-core read mix: maximizes crossed
+             // invalidations, upgrades and broadcast/unicast reordering.
+             const auto x = co_await c.read(
+                 &v[static_cast<std::size_t>((i * 17) & (n - 1))]);
+             co_await c.write(&v[static_cast<std::size_t>(i)], x + 1);
+           }
+           co_await bar.wait(c, s);
+         }
+       },
+       &space},
       kCores);
   const auto r = prog.run(500'000'000);
   ASSERT_TRUE(r.finished) << "deadlock: completion=" << r.completion_cycles;
@@ -54,22 +53,23 @@ TEST(ScaleLiveness, ClusterRoutingForcesOnetReorderPressure) {
   p.routing = RoutingPolicy::kCluster;
   p.num_hw_sharers = 2;
   constexpr int kCores = 256;
-  auto data = std::make_unique<std::vector<std::uint64_t>>(256, 0);
-  auto* v = data.get();
+  sim::AddressSpace space;
+  const auto v = space.array<std::uint64_t>(256);
   Program prog(p);
-  prog.spawn_all(
-      [v](CoreCtx& c) -> Task<void> {
-        for (int i = 0; i < 24; ++i) {
-          const std::size_t idx =
-              static_cast<std::size_t>((c.id() * 7 + i * 13) & 255);
-          co_await c.rmw(&(*v)[idx], [](std::uint64_t x) { return x + 1; });
-        }
-      },
-      kCores);
+  prog.spawn_all({[v](CoreCtx& c) -> Task<void> {
+                    for (int i = 0; i < 24; ++i) {
+                      const std::size_t idx = static_cast<std::size_t>(
+                          (c.id() * 7 + i * 13) & 255);
+                      co_await c.rmw(&v[idx],
+                                     [](std::uint64_t x) { return x + 1; });
+                    }
+                  },
+                  &space},
+                 kCores);
   const auto r = prog.run(500'000'000);
   ASSERT_TRUE(r.finished);
   std::uint64_t total = 0;
-  for (auto x : *v) total += x;
+  for (auto x : v) total += x;
   EXPECT_EQ(total, 256u * 24u);  // every RMW applied exactly once
 }
 

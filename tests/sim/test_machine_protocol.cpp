@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <ostream>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/digest.hpp"
 #include "common/rng.hpp"
+#include "sim/address_space.hpp"
 #include "sim/machine.hpp"
 
 namespace atacsim {
@@ -289,10 +292,65 @@ TEST(Protocol, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(AddressSpace, BlocksAreAlignedZeroedAndRecordedInAllocationOrder) {
+  struct alignas(64) Wide {
+    std::uint64_t a;
+    std::uint64_t b = 9;
+  };
+  AddressSpace space;
+  const auto bytes = space.array<unsigned char>(3);
+  const auto wide = space.array<Wide>(5);
+  std::uint64_t& word = space.make<std::uint64_t>(42);
+  const auto none = space.array<double>(0);
+
+  for (unsigned char x : bytes) EXPECT_EQ(x, 0);
+  for (const Wide& w : wide) {
+    EXPECT_EQ(w.a, 0u);
+    EXPECT_EQ(w.b, 9u);
+  }
+  EXPECT_EQ(word, 42u);
+  EXPECT_TRUE(none.empty());
+  // Malloc's 16-byte boundary, or the type's own if larger.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bytes.data()) % 16, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(wide.data()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&word) % 16, 0u);
+
+  const auto regions = space.regions();
+  ASSERT_EQ(regions.size(), 4u);
+  EXPECT_EQ(regions[0].begin, reinterpret_cast<std::uintptr_t>(bytes.data()));
+  EXPECT_EQ(regions[0].end - regions[0].begin, 3u);
+  EXPECT_EQ(regions[1].begin, reinterpret_cast<std::uintptr_t>(wide.data()));
+  EXPECT_EQ(regions[1].end - regions[1].begin, 5 * sizeof(Wide));
+  EXPECT_EQ(regions[1].align, 64u);
+  EXPECT_EQ(regions[2].begin, reinterpret_cast<std::uintptr_t>(&word));
+  EXPECT_EQ(regions[2].align, 16u);
+  EXPECT_EQ(regions[3].end, regions[3].begin);
+}
+
+TEST(AddressSpace, ContainsExactlyTheBytesOfItsBlocks) {
+  AddressSpace space;
+  std::vector<std::span<std::uint64_t>> blocks;
+  for (std::size_t n : {1, 7, 64, 3, 200, 2}) blocks.push_back(space.array<std::uint64_t>(n));
+  const std::uint64_t host = 0;
+  EXPECT_FALSE(space.contains(&host));
+  for (const auto& b : blocks) {
+    const auto* first = reinterpret_cast<const unsigned char*>(b.data());
+    const auto* end = first + b.size_bytes();
+    EXPECT_TRUE(space.contains(first));
+    EXPECT_TRUE(space.contains(end - 1));
+    EXPECT_TRUE(space.contains(&b[b.size() / 2]));
+    EXPECT_FALSE(space.contains(first - 1));
+    EXPECT_FALSE(space.contains(end));
+  }
+  EXPECT_FALSE(AddressSpace{}.contains(&host));
+}
+
 TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
-  // Five 16-byte granules of one host buffer, touched out of order.
-  alignas(16) unsigned char buf[80];
+  // Five 16-byte granules of one block, touched out of order.
+  AddressSpace space;
+  unsigned char* buf = space.array<unsigned char>(80).data();
   Machine m(small());
+  m.set_address_space(&space);
   // Frames are handed out from 16 in first-touch order; a simulated
   // address is the frame times 16 plus the offset within the granule.
   EXPECT_EQ(m.translate(buf + 32), Addr{16} << 4);
@@ -308,6 +366,7 @@ TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
   EXPECT_EQ(m.translate(buf + 64), Addr{20} << 4);
   // Another Machine numbers the same granules by its own first touches.
   Machine other(small());
+  other.set_address_space(&space);
   EXPECT_EQ(other.translate(buf + 48), Addr{16} << 4);
   EXPECT_EQ(other.translate(buf + 1), (Addr{17} << 4) + 1);
   EXPECT_EQ(m.translate(buf + 48), Addr{18} << 4);

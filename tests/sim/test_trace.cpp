@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "core/program.hpp"
+#include "sim/address_space.hpp"
 #include "sim/trace.hpp"
 
 namespace atacsim::sim {
@@ -16,20 +16,20 @@ MachineParams small() {
 }
 
 TEST(Trace, RecorderCapturesEveryAccessWithGaps) {
-  auto data = std::make_unique<std::vector<std::uint64_t>>(64, 0);
-  auto* v = data.get();
+  AddressSpace space;
+  const auto v = space.array<std::uint64_t>(64);
   core::Program prog(small());
   TraceRecorder rec(64);
   prog.set_tracer(&rec);
-  prog.spawn_all(
-      [v](core::CoreCtx& c) -> core::Task<void> {
-        for (int i = 0; i < 8; ++i) {
-          co_await c.read(&(*v)[static_cast<std::size_t>(i)]);
-          co_await c.compute(10);
-          co_await c.write<std::uint64_t>(&(*v)[static_cast<std::size_t>(i)], 1);
-        }
-      },
-      2);
+  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task<void> {
+                    for (std::size_t i = 0; i < 8; ++i) {
+                      co_await c.read(&v[i]);
+                      co_await c.compute(10);
+                      co_await c.write<std::uint64_t>(&v[i], 1);
+                    }
+                  },
+                  &space},
+                 2);
   ASSERT_TRUE(prog.run().finished);
   const auto trace = rec.take();
   ASSERT_EQ(trace.per_core.size(), 64u);
@@ -68,18 +68,18 @@ TEST(Trace, RecorderClampsGapsToFieldWidth) {
 }
 
 TEST(Trace, ReplayTouchesTheSameLines) {
-  auto data = std::make_unique<std::vector<std::uint64_t>>(512, 0);
-  auto* v = data.get();
+  AddressSpace space;
+  const auto v = space.array<std::uint64_t>(512);
   core::Program prog(small());
   TraceRecorder rec(64);
   prog.set_tracer(&rec);
-  prog.spawn_all(
-      [v](core::CoreCtx& c) -> core::Task<void> {
-        for (int i = c.id(); i < 512; i += 64)
-          co_await c.rmw(&(*v)[static_cast<std::size_t>(i)],
-                         [](std::uint64_t x) { return x + 1; });
-      },
-      64);
+  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task<void> {
+                    for (int i = c.id(); i < 512; i += 64)
+                      co_await c.rmw(&v[static_cast<std::size_t>(i)],
+                                     [](std::uint64_t x) { return x + 1; });
+                  },
+                  &space},
+                 64);
   const auto exec = prog.run();
   ASSERT_TRUE(exec.finished);
   const auto trace = rec.take();
@@ -97,8 +97,7 @@ TEST(Trace, ReplayUnderstatesTheSlowNetworkPenalty) {
   // The methodological point: open-loop replay ignores back-pressure, so
   // the slow-vs-fast network ratio it reports is smaller than the true
   // execution-driven ratio (the error the paper's methodology avoids).
-  auto data = std::make_unique<std::vector<std::uint64_t>>(1024, 0);
-  auto* v = data.get();
+  AddressSpace space;
   auto capture_mp = small();
   core::Program prog(capture_mp);
   TraceRecorder rec(64);
@@ -109,34 +108,35 @@ TEST(Trace, ReplayUnderstatesTheSlowNetworkPenalty) {
   // broadcasts invalidations, which the photonic network delivers in one
   // shot and the pure mesh serializes as N-1 unicasts. That asymmetric
   // traffic is what makes completion network-sensitive.
-  auto make_body = [](std::vector<std::uint64_t>* a) {
-    return [a](core::CoreCtx& c) -> core::Task<void> {
-      for (int rep = 0; rep < 4; ++rep) {
-        for (int i = 0; i < 1024; i += 16)
-          co_await c.read(
-              &(*a)[static_cast<std::size_t>((i + c.id() * 16) & 1023)]);
-        co_await c.rmw(&(*a)[static_cast<std::size_t>(c.id() * 16)],
-                       [](std::uint64_t x) { return x + 1; });
-      }
-    };
+  // Each call runs on fresh data.
+  auto make_body = [&space]() -> core::AppBody {
+    const auto a = space.array<std::uint64_t>(1024);
+    return {[a](core::CoreCtx& c) -> core::Task<void> {
+              for (int rep = 0; rep < 4; ++rep) {
+                for (int i = 0; i < 1024; i += 16)
+                  co_await c.read(
+                      &a[static_cast<std::size_t>((i + c.id() * 16) & 1023)]);
+                co_await c.rmw(&a[static_cast<std::size_t>(c.id() * 16)],
+                               [](std::uint64_t x) { return x + 1; });
+              }
+            },
+            &space};
   };
-  prog.spawn_all(make_body(v), 64);
+  prog.spawn_all(make_body(), 64);
   ASSERT_TRUE(prog.run(1'000'000'000).finished);
   const auto trace = rec.take();
 
   auto slow = small();
   slow.network = NetworkKind::kEMeshPure;
   // Execution-driven on the slow network:
-  auto data2 = std::make_unique<std::vector<std::uint64_t>>(1024, 0);
   core::Program prog2(slow);
-  prog2.spawn_all(make_body(data2.get()), 64);
+  prog2.spawn_all(make_body(), 64);
   const auto exec_slow = prog2.run(1'000'000'000);
   ASSERT_TRUE(exec_slow.finished);
 
   // Execution-driven on the fast network (same body, fresh data).
-  auto data3 = std::make_unique<std::vector<std::uint64_t>>(1024, 0);
   core::Program prog3(capture_mp);
-  prog3.spawn_all(make_body(data3.get()), 64);
+  prog3.spawn_all(make_body(), 64);
   const auto exec_fast = prog3.run(1'000'000'000);
   ASSERT_TRUE(exec_fast.finished);
 
