@@ -74,7 +74,7 @@ const char* usage() {
       "  machine, e.g. 8x2), ATACSIM_JOBS, ATACSIM_CACHE,\n"
       "  ATACSIM_REPORT_DIR, ATACSIM_VALIDATE=1,\n"
       "  ATACSIM_OBS=1 / ATACSIM_OBS_DIR / ATACSIM_OBS_EPOCH (telemetry),\n"
-      "  ATACSIM_LOG=error|warn|info|debug (log level, default info)\n";
+      "  ATACSIM_LOG=error|warn|info (log level, default info)\n";
 }
 
 }  // namespace atacsim::bench

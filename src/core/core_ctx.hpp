@@ -8,9 +8,9 @@
 // re-synchronizes with the global event clock on every miss, wait or
 // periodic yield. Data itself lives in host memory, in blocks of the
 // body's sim::AddressSpace (AppBody carries it to the Machine); each
-// awaiter takes its simulated address from sim::Machine::translate, the
-// machine's deterministic first-touch frame table, which under validation
-// also refuses any pointer outside the space. A context holds no
+// awaiter takes its simulated address from sim::Machine::translate, which
+// finds the pointer's block in the space, numbers its granule by first
+// touch, and refuses any pointer outside the space. A context holds no
 // translation state of its own.
 #pragma once
 
@@ -194,7 +194,7 @@ class CoreCtx {
 
 /// An application kernel (one coroutine per simulated core) and the
 /// address space its simulated data lives in. Any kernel callable converts
-/// to a body with no space, which may not touch memory under validation.
+/// to a body with no space, which may not touch memory at all.
 struct AppBody {
   template <typename F>
     requires std::is_invocable_r_v<Task<void>, F&, CoreCtx&>

@@ -17,10 +17,6 @@ Level parse_level(const char* s) {
   if (std::strcmp(s, "warn") == 0 || std::strcmp(s, "warning") == 0 ||
       std::strcmp(s, "1") == 0)
     return Level::kWarn;
-  if (std::strcmp(s, "info") == 0 || std::strcmp(s, "2") == 0)
-    return Level::kInfo;
-  if (std::strcmp(s, "debug") == 0 || std::strcmp(s, "3") == 0)
-    return Level::kDebug;
   return Level::kInfo;
 }
 
@@ -29,7 +25,6 @@ const char* prefix(Level l) {
     case Level::kError: return "[error] ";
     case Level::kWarn: return "[warn] ";
     case Level::kInfo: return "[info] ";
-    case Level::kDebug: return "[debug] ";
   }
   return "";
 }

@@ -8,8 +8,9 @@
 // message is emitted with a single fprintf call so lines from concurrent
 // workers never interleave mid-line.
 //
-// Levels: error < warn < info < debug. Default: info. ATACSIM_LOG accepts a
-// name ("error", "warn", "info", "debug") or the matching digit 0-3.
+// Levels: error < warn < info. Default: info. ATACSIM_LOG accepts a name
+// ("error", "warn", "info") or the matching digit 0-2; any other value
+// means info.
 #pragma once
 
 namespace atacsim::obs::log {
@@ -18,7 +19,6 @@ enum class Level : int {
   kError = 0,
   kWarn = 1,
   kInfo = 2,
-  kDebug = 3,
 };
 
 /// Active level: ATACSIM_LOG, read at first use.

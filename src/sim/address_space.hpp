@@ -5,13 +5,14 @@
 // its body() hands the space to the Machine. A block is one host
 // allocation whose size is fixed when it is made: array() returns a
 // std::span, which cannot grow, so no simulated data is reallocated while a
-// program runs. With validation on, Machine::translate raises a kAddress
-// violation for any pointer outside the running body's space.
+// program runs. Machine::translate raises a kAddress violation for any
+// pointer outside the running body's space.
 //
 // Each block starts on malloc's 16-byte boundary (or T's own, if larger),
 // so blocks never share a 16-byte translation granule and the grouping of
 // data within a granule is fixed by the block's layout alone. The space
-// records the blocks as regions in allocation order.
+// records the blocks as regions, and numbers their granules, in allocation
+// order.
 #pragma once
 
 #include <algorithm>
@@ -28,11 +29,14 @@ namespace atacsim::sim {
 
 class AddressSpace {
  public:
-  /// One block: host bytes [begin, end), allocated with `align`.
+  /// One block: host bytes [begin, end), allocated with `align`. Its
+  /// granules are numbered from `first_granule`, the count before it.
   struct Region {
     std::uintptr_t begin = 0, end = 0;
     std::size_t align = 0;
+    std::size_t first_granule = 0;
   };
+  static constexpr std::size_t kGranule = 16;  ///< malloc's alignment
 
   AddressSpace() = default;
   // Kernels and the Machine hold pointers into the blocks.
@@ -68,21 +72,21 @@ class AddressSpace {
         T(std::forward<Args>(args)...);
   }
 
-  /// True if `p` lies inside one of the blocks. O(log regions).
-  bool contains(const void* p) const {
+  /// The block `p` lies inside, or null. O(log regions).
+  const Region* find(const void* p) const {
     const auto a = reinterpret_cast<std::uintptr_t>(p);
-    const auto after = std::upper_bound(
+    auto after = std::upper_bound(
         by_address_.begin(), by_address_.end(), a,
         [](std::uintptr_t x, const Region& r) { return x < r.begin; });
-    return after != by_address_.begin() && a < std::prev(after)->end;
+    if (after == by_address_.begin() || a >= (--after)->end) return nullptr;
+    return &*after;
   }
 
   /// The blocks, in allocation order.
   std::span<const Region> regions() const { return regions_; }
+  std::size_t granules() const { return granules_; }  ///< in all blocks
 
  private:
-  static constexpr std::size_t kMinAlign = 16;
-
   void* allocate(std::size_t bytes, std::size_t align) {
     // Room first, so recording the block cannot throw once it exists.
     if (regions_.size() == regions_.capacity() ||
@@ -91,13 +95,14 @@ class AddressSpace {
       regions_.reserve(cap);
       by_address_.reserve(cap);
     }
-    const std::size_t a = std::max(kMinAlign, align);
+    const std::size_t a = std::max(kGranule, align);
     // The plain form for malloc's alignment, as std::allocator does.
     void* p = a > __STDCPP_DEFAULT_NEW_ALIGNMENT__
                   ? ::operator new(bytes, std::align_val_t{a})
                   : ::operator new(bytes);
     const auto begin = reinterpret_cast<std::uintptr_t>(p);
-    const Region r{begin, begin + bytes, a};
+    const Region r{begin, begin + bytes, a, granules_};
+    granules_ += (bytes + kGranule - 1) / kGranule;
     regions_.push_back(r);
     by_address_.insert(
         std::upper_bound(by_address_.begin(), by_address_.end(), begin,
@@ -110,6 +115,7 @@ class AddressSpace {
 
   std::vector<Region> regions_;     ///< allocation order; owns the blocks
   std::vector<Region> by_address_;  ///< the same regions, sorted by begin
+  std::size_t granules_ = 0;
 };
 
 }  // namespace atacsim::sim

@@ -7,7 +7,6 @@
 
 #include "check/probes.hpp"
 #include "obs/series.hpp"
-#include "sim/address_space.hpp"
 
 namespace atacsim::sim {
 
@@ -114,8 +113,7 @@ void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
   }
 }
 
-void Machine::check_address(const void* p, CoreId core) const {
-  if (space_ && space_->contains(p)) return;
+void Machine::refuse_address(const void* p, CoreId core) const {
   std::ostringstream os;
   os << "host pointer " << p;
   if (space_)

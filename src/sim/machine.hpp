@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -20,6 +19,7 @@
 #include "memory/cache_controller.hpp"
 #include "memory/directory.hpp"
 #include "network/atac_model.hpp"
+#include "sim/address_space.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/holder_index.hpp"
 #include "sim/slab.hpp"
@@ -29,8 +29,6 @@ class RunObserver;
 }
 
 namespace atacsim::sim {
-
-class AddressSpace;
 
 class Machine {
  public:
@@ -149,13 +147,16 @@ class Machine {
   static constexpr std::size_t kDeliveriesPerPage = 128;
 
   /// The address space the running body's data lives in (not owned; null
-  /// for a body that touches no memory). With validation on, translate
-  /// refuses every pointer outside it.
-  void set_address_space(const AddressSpace* space) { space_ = space; }
+  /// for a body that touches no memory). translate refuses every pointer
+  /// outside it. A different space starts an empty frame table.
+  void set_address_space(const AddressSpace* space) {
+    if (space != space_) frames_.clear();
+    space_ = space;
+  }
 
   /// The simulated address of host pointer `p`, accessed by core `core`:
-  /// the only translation of application data. With validation on, a
-  /// pointer outside the address space raises a kAddress violation.
+  /// the only translation of application data. A pointer outside the
+  /// address space raises a kAddress violation, with or without validation.
   ///
   /// Kernels address simulated memory with host pointers, but raw host
   /// addresses are hidden shared state: the allocator hands out different
@@ -172,14 +173,14 @@ class Machine {
   /// not by where the allocator happened to place the block relative to a
   /// cache line. Inline: it runs on every simulated access.
   Addr translate(const void* p, CoreId core = kInvalidCore) {
-    if (validate_) check_address(p, core);
-    constexpr int kGranuleBits = 4;
-    const Addr host = reinterpret_cast<Addr>(p);
-    const auto [it, inserted] =
-        frames_.try_emplace(host >> kGranuleBits, next_frame_);
-    if (inserted) ++next_frame_;
-    return (it->second << kGranuleBits) |
-           (host & ((Addr{1} << kGranuleBits) - 1));
+    constexpr Addr kGranule = AddressSpace::kGranule;
+    const AddressSpace::Region* r = space_ ? space_->find(p) : nullptr;
+    if (!r) refuse_address(p, core);
+    const Addr off = reinterpret_cast<Addr>(p) - r->begin;
+    const std::size_t g = r->first_granule + off / kGranule;
+    if (g >= frames_.size()) frames_.resize(space_->granules());
+    if (frames_[g] == 0) frames_[g] = next_frame_++;
+    return Addr{frames_[g]} * kGranule + off % kGranule;
   }
 
  private:
@@ -191,9 +192,9 @@ class Machine {
   /// advances its sequence number for the slice.
   void receive_each(const mem::CohMsg& m, const CoreId* first,
                     const CoreId* last);
-  /// With validation on: raises a kAddress violation unless `p` lies in
-  /// the address space.
-  void check_address(const void* p, CoreId core) const;
+  /// Raises the kAddress violation for `p`, which lies outside the address
+  /// space (or was touched by a body with none).
+  [[noreturn]] void refuse_address(const void* p, CoreId core) const;
   /// With validation on: raises a coherence violation if the skipped
   /// receiver `c` holds anything the broadcast `m` must act on.
   void check_skipped(CoreId c, const mem::CohMsg& m);
@@ -230,10 +231,10 @@ class Machine {
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
   std::vector<std::unique_ptr<mem::DirectorySlice>> dirs_;
   const AddressSpace* space_ = nullptr;
-  std::unordered_map<Addr, Addr> frames_;  ///< host granule -> frame
+  std::vector<std::uint32_t> frames_;  ///< by granule number; 0 = untouched
   // Frame numbers start away from 0 so no translated line lands on the
   // (often special-cased) zero address.
-  Addr next_frame_ = 16;
+  std::uint32_t next_frame_ = 16;
 
   /// One message's receptions as the network reports them, plus a
   /// broadcast's loopback. Reused across sends.

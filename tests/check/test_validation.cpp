@@ -424,6 +424,41 @@ TEST(MutationAddress, BodyWithNoSpaceMayNotTouchMemory) {
   }
 }
 
+TEST(MutationAddress, WordOutsideTheSpaceIsRefusedWithValidationOff) {
+  sim::AddressSpace space;
+  std::uint64_t& inside = space.make<std::uint64_t>();
+  const auto outside = std::make_unique<std::uint64_t>(0);
+  core::Program prog(tiny());
+  prog.machine().set_validation(false);
+  prog.spawn_all(read_twice(&inside, outside.get(), &space));
+  try {
+    prog.run(10'000'000);
+    FAIL() << "a pointer outside the space was translated";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kAddress);
+    EXPECT_EQ(v.core, 3);
+    EXPECT_NE(v.detail.find("outside the address space"), std::string::npos)
+        << v.detail;
+  }
+}
+
+TEST(MutationAddress, BodyWithNoSpaceIsRefusedWithValidationOff) {
+  const auto word = std::make_unique<std::uint64_t>(0);
+  core::Program prog(tiny());
+  prog.machine().set_validation(false);
+  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task<void> {
+    co_await c.read(w);
+  });
+  try {
+    prog.run(10'000'000);
+    FAIL() << "a body with no space touched memory";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kAddress);
+    EXPECT_NE(v.detail.find("no address space"), std::string::npos)
+        << v.detail;
+  }
+}
+
 TEST(MutationAddress, WordsInsideTheSpacePass) {
   sim::AddressSpace space;
   std::uint64_t& first = space.make<std::uint64_t>(7);

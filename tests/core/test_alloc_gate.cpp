@@ -1,8 +1,9 @@
 // Allocation gate: a whole application run allocates almost nothing per
 // simulated event. Event records, delivery slots and MSHR and directory
-// rows are reused once a run has reached its peak, so what is left is
-// first-touch address frames, the barrier's coroutine frames and the
-// growth of reused storage and of the line tables. The count is
+// rows are reused once a run has reached its peak, and the Machine's
+// address frame table is sized to the address space at the first access,
+// so what is left is the barrier's coroutine frames and the growth of
+// reused storage and of the line tables. The count is
 // perfbench's (perfbench/alloc_count.cpp, compiled into this binary), which
 // replaces the global operator new, plus the over-aligned forms replaced
 // below, which perfbench's counter does not see: 64-byte-aligned cache tag

@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/digest.hpp"
@@ -325,6 +326,13 @@ TEST(AddressSpace, BlocksAreAlignedZeroedAndRecordedInAllocationOrder) {
   EXPECT_EQ(regions[2].begin, reinterpret_cast<std::uintptr_t>(&word));
   EXPECT_EQ(regions[2].align, 16u);
   EXPECT_EQ(regions[3].end, regions[3].begin);
+  // Granules are numbered densely in allocation order; a partial granule
+  // counts whole and an empty block takes none.
+  EXPECT_EQ(regions[0].first_granule, 0u);
+  EXPECT_EQ(regions[1].first_granule, 1u);
+  EXPECT_EQ(regions[2].first_granule, 1u + 5 * sizeof(Wide) / 16);
+  EXPECT_EQ(regions[3].first_granule, regions[2].first_granule + 1);
+  EXPECT_EQ(space.granules(), regions[3].first_granule);
 }
 
 TEST(AddressSpace, ContainsExactlyTheBytesOfItsBlocks) {
@@ -332,17 +340,20 @@ TEST(AddressSpace, ContainsExactlyTheBytesOfItsBlocks) {
   std::vector<std::span<std::uint64_t>> blocks;
   for (std::size_t n : {1, 7, 64, 3, 200, 2}) blocks.push_back(space.array<std::uint64_t>(n));
   const std::uint64_t host = 0;
-  EXPECT_FALSE(space.contains(&host));
+  EXPECT_EQ(space.find(&host), nullptr);
   for (const auto& b : blocks) {
     const auto* first = reinterpret_cast<const unsigned char*>(b.data());
     const auto* end = first + b.size_bytes();
-    EXPECT_TRUE(space.contains(first));
-    EXPECT_TRUE(space.contains(end - 1));
-    EXPECT_TRUE(space.contains(&b[b.size() / 2]));
-    EXPECT_FALSE(space.contains(first - 1));
-    EXPECT_FALSE(space.contains(end));
+    const AddressSpace::Region* r = space.find(first);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->begin, reinterpret_cast<std::uintptr_t>(first));
+    EXPECT_EQ(r->end, reinterpret_cast<std::uintptr_t>(end));
+    EXPECT_EQ(space.find(end - 1), r);
+    EXPECT_EQ(space.find(&b[b.size() / 2]), r);
+    EXPECT_EQ(space.find(first - 1), nullptr);
+    EXPECT_EQ(space.find(end), nullptr);
   }
-  EXPECT_FALSE(AddressSpace{}.contains(&host));
+  EXPECT_EQ(AddressSpace{}.find(&host), nullptr);
 }
 
 TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
@@ -370,6 +381,59 @@ TEST(Translate, NumbersGranulesByFirstTouchPerMachine) {
   EXPECT_EQ(other.translate(buf + 48), Addr{16} << 4);
   EXPECT_EQ(other.translate(buf + 1), (Addr{17} << 4) + 1);
   EXPECT_EQ(m.translate(buf + 48), Addr{18} << 4);
+
+  // Seeded differential against a first-touch map of host granules: blocks
+  // of assorted sizes (several not a multiple of 16, two 64-byte aligned),
+  // touched at random bytes, interleaved across blocks.
+  struct alignas(64) Line {
+    unsigned char b[64];
+  };
+  std::vector<std::span<unsigned char>> blocks;
+  for (std::size_t n : {1, 13, 16, 100, 4096, 7, 33, 250})
+    blocks.push_back(space.array<unsigned char>(n));
+  for (std::size_t n : {3, 9}) {
+    const auto lines = space.array<Line>(n);
+    blocks.emplace_back(reinterpret_cast<unsigned char*>(lines.data()),
+                        lines.size_bytes());
+  }
+  blocks.emplace_back(buf, 80);
+  // A Machine that translated before the space grew numbers the new blocks
+  // on from its last frame.
+  EXPECT_EQ(m.translate(blocks[4].data() + 20), (Addr{21} << 4) + 4);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Machine fresh(small());
+    fresh.set_address_space(&space);
+    std::unordered_map<std::uintptr_t, Addr> frames;
+    Addr next = 16;
+    Xoshiro256 rng(seed);
+    for (int i = 0; i < 20'000; ++i) {
+      const auto& b = blocks[rng.next_below(blocks.size())];
+      const unsigned char* p = &b[rng.next_below(b.size())];
+      const auto host = reinterpret_cast<std::uintptr_t>(p);
+      const auto [it, fresh_granule] = frames.try_emplace(host >> 4, next);
+      if (fresh_granule) ++next;
+      ASSERT_EQ(fresh.translate(p), (it->second << 4) | (host & 15))
+          << "seed " << seed << " touch " << i;
+    }
+  }
+}
+
+TEST(Translate, ADifferentSpaceStartsAnEmptyFrameTable) {
+  AddressSpace first, second;
+  const unsigned char* a = first.array<unsigned char>(32).data();
+  const unsigned char* b = second.array<unsigned char>(32).data();
+  Machine m(small());
+  m.set_address_space(&first);
+  EXPECT_EQ(m.translate(a + 16), Addr{16} << 4);
+  m.set_address_space(&first);  // the same space keeps its frames
+  EXPECT_EQ(m.translate(a), Addr{17} << 4);
+  EXPECT_EQ(m.translate(a + 16), Addr{16} << 4);
+  // Frames already handed out stay taken.
+  m.set_address_space(&second);
+  EXPECT_EQ(m.translate(b + 16), Addr{18} << 4);
+  EXPECT_EQ(m.translate(b), Addr{19} << 4);
+  m.set_address_space(&first);
+  EXPECT_EQ(m.translate(a + 16), Addr{20} << 4);
 }
 
 /// Runs `m` to the end one cycle at a time and returns the most delivery
