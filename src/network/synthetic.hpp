@@ -28,8 +28,11 @@ struct SyntheticResult {
 };
 
 /// Drives `net` open-loop and reports mean packet latency in the measurement
-/// window. Injections are issued in global time order so the link ledgers
-/// see monotone arrivals.
+/// window. Injections are issued in cycle order, then core id (the order of
+/// a min-heap of (cycle, core) pairs), so the link ledgers see monotone
+/// arrivals and a seed always draws the same packets. Throws
+/// std::invalid_argument for packet_flits < 1, a NaN or negative
+/// offered_load, offered_load / packet_flits > 1 or measure_cycles == 0.
 SyntheticResult run_synthetic(NetworkModel& net, const MeshGeom& geom,
                               const SyntheticConfig& cfg);
 

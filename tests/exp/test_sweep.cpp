@@ -285,5 +285,22 @@ TEST(SweepSynthetic, InvalidGeometryThrowsInsteadOfCrashingTheWorkers) {
   EXPECT_THROW(run_synthetic_grid(spec, pooled), std::invalid_argument);
 }
 
+TEST(SweepSynthetic, RefusedSyntheticConfigReachesTheCaller) {
+  // More than one packet per core per cycle: run_synthetic refuses the
+  // second cell on its worker thread and the grid rethrows the refusal.
+  CellConfig base;
+  base.scenario.mp = MachineParams::small(8, 2);
+  base.synth.warmup_cycles = 100;
+  base.synth.measure_cycles = 200;
+  SweepSpec spec(base);
+  spec.axis(value_axis<double>(
+      "offered_load", {0.05, 1.5}, [](double v) { return std::to_string(v); },
+      [](CellConfig& c, double v) { c.synth.offered_load = v; }));
+
+  ExecOptions pooled;
+  pooled.jobs = 2;
+  EXPECT_THROW(run_synthetic_grid(spec, pooled), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace atacsim::exp::sweep
