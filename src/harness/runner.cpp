@@ -80,9 +80,11 @@ Outcome run_scenario(const Scenario& s) {
   {
     obs::PhaseTimer timer("simulate");
     out.run = prog.run(s.max_cycles);
-    const EventQueue& q = prog.machine().events();
+    sim::Machine& m = prog.machine();
+    const EventQueue& q = m.events();
     timer.set_events(q.dispatched());
-    timer.set_queue(q.overflowed(), q.peak_pending());
+    timer.set_queue({q.overflowed(), q.peak_pending(), m.bcast_runs_reserved(),
+                     m.bcast_runs_scheduled(), m.bcast_late_inserts()});
   }
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -116,7 +116,7 @@ void CacheController::access(Addr addr, bool write, Completion done) {
 void CacheController::open_mshr(Addr line, std::uint32_t row,
                                  bool exclusive) {
   mshr_.attach(line, row);
-  machine_.holders().add(line, self_);
+  machine_.add_holder(line, self_);
   mshr_[row].want_exclusive = exclusive;
   send(to_home(exclusive ? CohType::kExReq : CohType::kShReq, line));
 }
@@ -285,25 +285,28 @@ void CacheController::send_delayed_ack(void* self, std::uint64_t) {
 }
 
 void CacheController::bump_seq_and_release(HubId slice, std::uint16_t seq) {
-  auto& last = machine_.bcast_seq(slice, self_);
-  advance_seq(last, seq);
+  machine_.advance_bcast_seq(slice, self_, seq);
   if (deferred_.empty()) return;
+  const std::uint16_t last = machine_.bcast_seq(slice, self_);
   // Move the unicasts now in order to the top of released_, in arrival
   // order, and keep the rest deferred in theirs.
   const std::size_t first = released_.size();
   std::size_t kept = 0;
+  bool still_deferred = false;  // a unicast from `slice` stays deferred
   for (std::size_t i = 0; i < deferred_.size(); ++i) {
     const CohMsg m = deferred_[i];
-    if (m.dir_slice == slice && seq_before_eq(m.seq, last))
+    if (m.dir_slice == slice && seq_before_eq(m.seq, last)) {
       released_.push_back(m);
-    else
+    } else {
+      still_deferred |= m.dir_slice == slice;
       deferred_[kept++] = m;
+    }
   }
   deferred_.resize(kept);
   const std::size_t end = released_.size();
   if (end == first) return;
   // Only handle() defers a unicast, and nothing below calls it.
-  if (deferred_.empty()) machine_.mark_deferred(self_, false);
+  if (!still_deferred) machine_.mark_deferred(self_, slice, false);
   // Each is copied out: a nested release may grow released_.
   for (std::size_t i = first; i < end; ++i) {
     const CohMsg m = released_[i];
@@ -392,7 +395,7 @@ void CacheController::handle(const CohMsg& m) {
   assert(!to_directory(m.type));
   if (seq_before(machine_.bcast_seq(m.dir_slice, self_), m.seq)) {
     deferred_.push_back(m);
-    machine_.mark_deferred(self_, true);
+    machine_.mark_deferred(self_, m.dir_slice, true);
     return;
   }
   process_unicast_from_dir(m);

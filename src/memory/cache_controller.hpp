@@ -1,8 +1,12 @@
 // Per-core cache controller: L1-D timing filter + private L2 with MSHRs,
 // the cache side of the ACKwise_k / Dir_kB directory protocol, and the
 // sequence-number reordering buffers of paper Sec. IV-C-1. The per-slice
-// sequence numbers and the holder index live in the Machine, which skips
-// broadcast receivers that hold nothing.
+// sequence numbers and the holder index live in the Machine, which runs a
+// broadcast's handler only at the receivers that act on it and works the
+// others' numbers out when they are read. The controller reads and
+// advances its numbers through the Machine, and reports the two moments it
+// starts to act: open_mshr (Machine::add_holder) and a deferred unicast
+// (Machine::mark_deferred).
 //
 // The L1-D is modelled as a write-through subset of the L2: it adds the
 // single-cycle hit path and its own access energy; all coherence state lives

@@ -1,5 +1,6 @@
 #include "network/synthetic.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -67,40 +68,44 @@ SyntheticResult run_synthetic(NetworkModel& net, const MeshGeom& geom,
   if (pkts_per_cycle > 0)
     for (CoreId c = 0; c < n; ++c) schedule(c, next_gap(rng, log_q, t_end));
 
-  bool measuring = false;
-  std::uint64_t flits_before = 0;
   std::vector<Arrival> arrivals;  // reused; open-loop drivers ignore them
-  // Every gap is at least one cycle, so cycle 0 never injects.
-  for (Cycle t = 1; t < t_end && pkts_per_cycle > 0; ++t) {
-    std::uint64_t* slot = &slots[(t % kRingSlots) * words];
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t due = slot[w]; due != 0; due &= due - 1) {
-        const int bit = std::countr_zero(due);
-        const auto src = static_cast<CoreId>(w * 64 + bit);
-        if (next[src] != t) continue;  // due in a later lap
-        slot[w] &= ~(std::uint64_t{1} << bit);
-        if (!measuring && t >= cfg.warmup_cycles) {
-          net.counters().packet_latency.reset();
-          flits_before = net.counters().flits_injected;
-          measuring = true;
+  // Issues the injections of the cycles [from, to). Every gap is at least
+  // one cycle, so cycle 0 never injects.
+  const auto inject_cycles = [&](Cycle from, Cycle to) {
+    for (Cycle t = std::max<Cycle>(from, 1); t < to && pkts_per_cycle > 0;
+         ++t) {
+      std::uint64_t* slot = &slots[(t % kRingSlots) * words];
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t due = slot[w]; due != 0; due &= due - 1) {
+          const int bit = std::countr_zero(due);
+          const auto src = static_cast<CoreId>(w * 64 + bit);
+          if (next[src] != t) continue;  // due in a later lap
+          slot[w] &= ~(std::uint64_t{1} << bit);
+          NetPacket p;
+          p.src = src;
+          p.cls = MsgClass::kSynthetic;
+          p.bits = cfg.packet_flits * 64;  // raw bits; flit width by model
+          if (rng.bernoulli(cfg.bcast_fraction)) {
+            p.dst = kBroadcastCore;
+          } else {
+            CoreId dst = static_cast<CoreId>(rng.next_below(n - 1));
+            if (dst >= src) ++dst;  // uniform over all other cores
+            p.dst = dst;
+          }
+          arrivals.clear();
+          net.inject(t, p, arrivals);
+          schedule(src, t + next_gap(rng, log_q, t_end));
         }
-        NetPacket p;
-        p.src = src;
-        p.cls = MsgClass::kSynthetic;
-        p.bits = cfg.packet_flits * 64;  // raw bits; flit width set by model
-        if (rng.bernoulli(cfg.bcast_fraction)) {
-          p.dst = kBroadcastCore;
-        } else {
-          CoreId dst = static_cast<CoreId>(rng.next_below(n - 1));
-          if (dst >= src) ++dst;  // uniform over all other cores
-          p.dst = dst;
-        }
-        arrivals.clear();
-        net.inject(t, p, arrivals);
-        schedule(src, t + next_gap(rng, log_q, t_end));
       }
     }
-  }
+  };
+
+  // The measurement window opens at warmup_cycles, injection or not: only
+  // the packets injected from then on are measured.
+  inject_cycles(1, cfg.warmup_cycles);
+  net.counters().packet_latency.reset();
+  const std::uint64_t flits_before = net.counters().flits_injected;
+  inject_cycles(cfg.warmup_cycles, t_end);
 
   SyntheticResult r;
   const auto& acc = net.counters().packet_latency;

@@ -28,14 +28,16 @@ SelfProfile& SelfProfile::instance() {
 }
 
 void SelfProfile::add_phase(const std::string& name, double wall_s,
-                            std::uint64_t events, std::uint64_t overflowed,
-                            std::uint64_t peak_pending) {
+                            std::uint64_t events, const QueueLoad& load) {
   std::lock_guard<std::mutex> lock(mu_);
   Phase& ph = phases_[name];
   ph.wall_s += wall_s;
   ph.events += events;
-  ph.overflowed += overflowed;
-  ph.peak_pending = std::max(ph.peak_pending, peak_pending);
+  ph.load.overflowed += load.overflowed;
+  ph.load.peak_pending = std::max(ph.load.peak_pending, load.peak_pending);
+  ph.load.bcast_runs_reserved += load.bcast_runs_reserved;
+  ph.load.bcast_runs_scheduled += load.bcast_runs_scheduled;
+  ph.load.bcast_late_inserts += load.bcast_late_inserts;
 }
 
 void SelfProfile::add_worker(int worker, double busy_s, std::uint64_t cells) {
@@ -82,8 +84,11 @@ void SelfProfile::write_json(std::ostream& os, const std::string& name) const {
        << "\": {\"wall_seconds\": " << num(ph.wall_s)
        << ", \"events\": " << ph.events << ", \"events_per_second\": "
        << num(ph.wall_s > 0 ? static_cast<double>(ph.events) / ph.wall_s : 0)
-       << ", \"overflowed_events\": " << ph.overflowed
-       << ", \"peak_pending_events\": " << ph.peak_pending << "}";
+       << ", \"overflowed_events\": " << ph.load.overflowed
+       << ", \"peak_pending_events\": " << ph.load.peak_pending
+       << ", \"bcast_runs_reserved\": " << ph.load.bcast_runs_reserved
+       << ", \"bcast_runs_scheduled\": " << ph.load.bcast_runs_scheduled
+       << ", \"bcast_late_inserts\": " << ph.load.bcast_late_inserts << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n"
@@ -115,7 +120,7 @@ PhaseTimer::PhaseTimer(std::string name)
 PhaseTimer::~PhaseTimer() {
   if (armed_)
     SelfProfile::instance().add_phase(name_, now_seconds() - t0_, events_,
-                                      overflowed_, peak_pending_);
+                                      load_);
 }
 
 }  // namespace atacsim::obs

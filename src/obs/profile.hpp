@@ -21,18 +21,30 @@
 
 namespace atacsim::obs {
 
+/// Host-side load of one run's event queue and broadcast delivery: events
+/// that went through the queue's overflow heap, the most events pending at
+/// once, and the runs of equal arrival cycles the Machine's broadcasts
+/// reserved a slot for, gave an event at send, and gave one later.
+struct QueueLoad {
+  std::uint64_t overflowed = 0;
+  std::uint64_t peak_pending = 0;
+  std::uint64_t bcast_runs_reserved = 0;
+  std::uint64_t bcast_runs_scheduled = 0;
+  std::uint64_t bcast_late_inserts = 0;
+};
+
 class SelfProfile {
  public:
   static SelfProfile& instance();
 
   /// Accumulates `wall_s` host seconds and `events` dispatched simulation
-  /// events under phase `name` (e.g. "simulate", "verify"), with the events
-  /// that went through the event queue's overflow heap (summed) and the
-  /// most events pending at once (the phase's largest). The two queue counts
-  /// repeat exactly for a scenario, but they describe the host's queue, not
-  /// the simulated chip, so they stay out of digests, reports and cache keys.
+  /// events under phase `name` (e.g. "simulate", "verify"), with the run's
+  /// queue load: the peak pending count is the phase's largest, the other
+  /// counts are summed. They repeat exactly for a scenario, but they
+  /// describe the host's work, not the simulated chip, so they stay out of
+  /// digests, reports and cache keys.
   void add_phase(const std::string& name, double wall_s, std::uint64_t events,
-                 std::uint64_t overflowed, std::uint64_t peak_pending);
+                 const QueueLoad& load);
 
   /// Accumulates one worker's busy time and completed cell count.
   void add_worker(int worker, double busy_s, std::uint64_t cells);
@@ -52,8 +64,7 @@ class SelfProfile {
   struct Phase {
     double wall_s = 0;
     std::uint64_t events = 0;
-    std::uint64_t overflowed = 0;
-    std::uint64_t peak_pending = 0;
+    QueueLoad load;
   };
   struct Worker {
     double busy_s = 0;
@@ -86,18 +97,14 @@ class PhaseTimer {
 
   /// Attributes `events` simulation events to this phase at destruction.
   void set_events(std::uint64_t events) { events_ = events; }
-  /// Attributes the event queue's overflow count and peak pending count
-  /// (SelfProfile::add_phase) to this phase at destruction.
-  void set_queue(std::uint64_t overflowed, std::uint64_t peak_pending) {
-    overflowed_ = overflowed;
-    peak_pending_ = peak_pending;
-  }
+  /// Attributes a run's queue load (SelfProfile::add_phase) to this phase
+  /// at destruction.
+  void set_queue(const QueueLoad& load) { load_ = load; }
 
  private:
   std::string name_;
   std::uint64_t events_ = 0;
-  std::uint64_t overflowed_ = 0;
-  std::uint64_t peak_pending_ = 0;
+  QueueLoad load_;
   double t0_ = 0;
   bool armed_ = false;
 };

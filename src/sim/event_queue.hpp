@@ -1,17 +1,24 @@
 // Deterministic discrete-event engine.
 //
-// An event is a plain record: a cycle and a handler `fn(obj, arg)` given as
-// a function pointer and its two arguments. The records are trivially
-// copyable, so scheduling one never allocates (the pools grow to the run's
-// peak and are then reused). Whatever an event needs beyond `obj` and `arg`
-// lives with its owner: a coroutine frame (resume_coroutine), an awaiter, a
-// cache controller's or the Machine's own tables.
+// An event is a plain record: a cycle, a sequence number and a handler
+// `fn(obj, arg)` given as a function pointer and its two arguments. The
+// records are trivially copyable, so scheduling one never allocates (the
+// pools grow to the run's peak and are then reused). Whatever an event needs
+// beyond `obj` and `arg` lives with its owner: a coroutine frame
+// (resume_coroutine), an awaiter, a cache controller's or the Machine's own
+// tables.
 //
-// Events at equal cycles run in schedule order, so a given program and seed
-// always produce the same simulation — a property the tests rely on.
+// Events run in (cycle, sequence number) order, so a given program and seed
+// always produce the same simulation — a property the tests rely on. A plain
+// schedule takes the next sequence number, so events at equal cycles run in
+// schedule order. reserve(n) hands out n sequence numbers without scheduling
+// anything, and schedule_reserved later places an event at one of them: it
+// runs exactly where an event scheduled at the moment of the reservation
+// would have run. The Machine reserves one number per run of a broadcast's
+// receivers and schedules only the runs some receiver acts on.
 //
-// The queue is a calendar ring (R. Brown, CACM 31(10), 1988) with one FIFO
-// bucket per cycle. The ring's kRingCycles buckets cover the cycles
+// The queue is a calendar ring (R. Brown, CACM 31(10), 1988) with one bucket
+// per cycle. The ring's kRingCycles buckets cover the cycles
 // [base_, base_ + kRingCycles), where base_ is the cycle of the last
 // dispatched event. Records sit in one node pool, chained through an
 // intrusive `next` index; a bitmap of non-empty buckets finds the next
@@ -19,18 +26,20 @@
 // ahead of base_ goes to an overflow binary heap ordered by (cycle,
 // sequence number).
 //
-// Ordering: overflow events move into their buckets, in heap order, each
-// time base_ advances and before any event at the new base runs. An event
-// for cycle t reaches the overflow only while base_ <= t - kRingCycles, and
-// a direct schedule at t only happens once base_ > t - kRingCycles, after
-// the move has emptied the overflow of cycle t. So every bucket holds its
-// overflow events first, in sequence order, then its direct schedules in
-// schedule order: exactly the (cycle, schedule order) order of a single
-// heap.
+// Ordering: every record carries its sequence number and every bucket is
+// kept sorted by it. A plain schedule holds the largest number handed out
+// yet, so it appends; a reserved one walks its bucket to its place.
+// Overflow events move into their buckets, in heap order, each time base_
+// advances and before any event at the new base runs; a bucket is empty
+// when its cycle's overflow events move in, because nothing is placed in
+// the ring for cycle t while base_ <= t - kRingCycles. Dispatching each
+// bucket from its head is therefore the (cycle, sequence number) order of
+// a single heap.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -64,17 +73,39 @@ class EventQueue {
   /// Most events ever pending at once (host-side; self-profile only).
   std::uint64_t peak_pending() const { return peak_pending_; }
 
-  /// Runs fn(obj, arg) at cycle `t` (at now() if `t` is in the past).
+  /// Runs fn(obj, arg) at cycle `t` (at now() if `t` is in the past), after
+  /// every event already scheduled or reserved for that cycle.
   void schedule(Cycle t, Fn fn, void* obj, std::uint64_t arg) {
     if (t < now_) t = now_;    // never schedule into the past
     if (t < base_) t = base_;  // only after debug_set_now rewound the clock
-    if (++pending_ > peak_pending_) peak_pending_ = pending_;
-    if (t - base_ < kRingCycles) {
-      push_ring(t, fn, obj, arg);
-    } else {
-      ++overflowed_;
-      overflow_.push(Overflow{t, seq_++, fn, obj, arg});
-    }
+    place<true>(t, seq_++, fn, obj, arg);
+  }
+
+  /// Hands out `n` consecutive sequence numbers, the first of which is
+  /// returned, without scheduling anything.
+  std::uint64_t reserve(std::uint64_t n) {
+    const std::uint64_t first = seq_;
+    seq_ += n;
+    return first;
+  }
+  /// Runs fn(obj, arg) at cycle `t` in the place of sequence number `seq`,
+  /// one that reserve() handed out: where an event scheduled for `t` at the
+  /// moment of the reservation would run. The slot must not have passed:
+  /// (t, seq) must come after (now(), current_seq()).
+  void schedule_reserved(Cycle t, std::uint64_t seq, Fn fn, void* obj,
+                         std::uint64_t arg) {
+    assert(seq < seq_ && (t > now_ || (t == now_ && seq > cur_seq_)));
+    place<false>(t, seq, fn, obj, arg);
+  }
+  /// Sequence number of the event running now (or of the last one run).
+  std::uint64_t current_seq() const { return cur_seq_; }
+
+  /// Moves the clock of an empty queue forward to `t`, as if events had run
+  /// up to and including every slot of cycle `t` reserved so far.
+  void idle_until(Cycle t) {
+    assert(pending_ == 0 && t >= now_);
+    base_ = now_ = t;
+    cur_seq_ = seq_;
   }
 
   Cycle now() const { return now_; }
@@ -115,18 +146,20 @@ class EventQueue {
   static constexpr std::size_t kMask = kRingCycles - 1;
   static constexpr std::size_t kWords = kRingCycles / 64;
 
-  /// A ring record; `next` chains a bucket's FIFO or the free list.
+  /// A ring record; `next` chains a bucket, in sequence order, or the free
+  /// list.
   struct Node {
     Fn fn;
     void* obj;
     std::uint64_t arg;
+    std::uint64_t seq;
     std::uint32_t next;
   };
   struct Bucket {
     std::uint32_t head;
     std::uint32_t tail;
   };
-  /// An overflow record: ordered by cycle, then by schedule order.
+  /// An overflow record: ordered by cycle, then by sequence number.
   struct Overflow {
     Cycle t;
     std::uint64_t seq;
@@ -140,25 +173,51 @@ class EventQueue {
   static_assert(std::is_trivially_copyable_v<Node>);
   static_assert(std::is_trivially_copyable_v<Overflow>);
 
-  /// Appends a record to the bucket of cycle `t` (within the ring).
-  void push_ring(Cycle t, Fn fn, void* obj, std::uint64_t arg) {
+  /// Queues a record for cycle `t` (at or after base_) in its place;
+  /// `kNewest` says no record holds a larger sequence number.
+  template <bool kNewest>
+  void place(Cycle t, std::uint64_t seq, Fn fn, void* obj, std::uint64_t arg) {
+    if (++pending_ > peak_pending_) peak_pending_ = pending_;
+    if (t - base_ < kRingCycles) {
+      push_ring<kNewest>(t, seq, fn, obj, arg);
+    } else {
+      ++overflowed_;
+      overflow_.push(Overflow{t, seq, fn, obj, arg});
+    }
+  }
+
+  /// Inserts a record into the bucket of cycle `t` (within the ring) before
+  /// the first record with a larger sequence number: it appends when
+  /// `kNewest` holds, or when a reserved number still is the bucket's
+  /// largest.
+  template <bool kNewest>
+  void push_ring(Cycle t, std::uint64_t seq, Fn fn, void* obj,
+                 std::uint64_t arg) {
     std::uint32_t n = free_;
     if (n != kNil) {
       free_ = nodes_[n].next;
-      nodes_[n] = Node{fn, obj, arg, kNil};
+      nodes_[n] = Node{fn, obj, arg, seq, kNil};
     } else {
       n = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{fn, obj, arg, kNil});
+      nodes_.push_back(Node{fn, obj, arg, seq, kNil});
     }
     const std::size_t b = t & kMask;
     Bucket& bk = buckets_[b];
     if (bk.head == kNil) {
-      bk.head = n;
+      bk.head = bk.tail = n;
       occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    } else {
+    } else if (kNewest || nodes_[bk.tail].seq < seq) {
       nodes_[bk.tail].next = n;
+      bk.tail = n;
+    } else if (seq < nodes_[bk.head].seq) {
+      nodes_[n].next = bk.head;
+      bk.head = n;
+    } else {
+      std::uint32_t prev = bk.head;
+      while (nodes_[nodes_[prev].next].seq < seq) prev = nodes_[prev].next;
+      nodes_[n].next = nodes_[prev].next;
+      nodes_[prev].next = n;
     }
-    bk.tail = n;
   }
 
   /// Cycle of the earliest pending event; the queue must not be empty.
@@ -185,7 +244,7 @@ class EventQueue {
       // event at the new base runs.
       while (!overflow_.empty() && overflow_.top().t - base_ < kRingCycles) {
         const Overflow& o = overflow_.top();
-        push_ring(o.t, o.fn, o.obj, o.arg);
+        push_ring<true>(o.t, o.seq, o.fn, o.obj, o.arg);
         overflow_.pop();
       }
     }
@@ -204,6 +263,7 @@ class EventQueue {
                    "dispatch timestamp " + std::to_string(t) +
                        " behind clock " + std::to_string(now_));
     now_ = t;
+    cur_seq_ = e.seq;
     ++dispatched_;
     e.fn(e.obj, e.arg);
   }
@@ -216,7 +276,8 @@ class EventQueue {
       overflow_;
   Cycle base_ = 0;  ///< cycle of the last dispatched event
   Cycle now_ = 0;
-  std::uint64_t seq_ = 0;  ///< schedule order among overflow events
+  std::uint64_t seq_ = 0;      ///< the next sequence number to hand out
+  std::uint64_t cur_seq_ = 0;  ///< sequence number of the running event
   std::uint64_t pending_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t overflowed_ = 0;

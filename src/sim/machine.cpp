@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 #include <string>
@@ -20,7 +21,13 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       bcast_seq_(static_cast<std::size_t>(geom_.num_clusters()) *
                      static_cast<std::size_t>(mp.num_cores),
                  0),
-      deferred_marks_(holders_.words()) {
+      deferred_marks_(static_cast<std::size_t>(geom_.num_clusters()) *
+                      holders_.words()) {
+  in_flight_.resize(static_cast<std::size_t>(geom_.num_clusters()));
+  if (validate_) {
+    eager_seq_ = bcast_seq_;
+    eager_live_ = true;
+  }
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
     caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
@@ -39,19 +46,54 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
   }
 }
 
+void Machine::set_validation(bool on) {
+  validate_ = on;
+  events_.set_validation(on);
+  if (!on) {
+    eager_live_ = false;
+  } else if (!eager_live_ &&
+             std::all_of(in_flight_.begin(), in_flight_.end(),
+                         [](const auto& sent) { return sent.empty(); })) {
+    eager_seq_ = bcast_seq_;
+    eager_live_ = true;
+  }
+}
+
 bool Machine::run(Cycle max_cycles) {
   // With an observer, the queue stops before the first event at or past
   // each epoch boundary so the counters can be sampled there.
   const Cycle period = obs_ ? obs_->epoch_cycles() : kNeverCycle;
   Cycle boundary = period;
   bool within_limit;
-  while ((within_limit = events_.run(max_cycles, boundary)) &&
-         !events_.empty()) {
+  for (;;) {
+    within_limit = events_.run(max_cycles, boundary);
+    if (!within_limit) break;
+    if (events_.empty()) {
+      // Broadcast runs no receiver acts on have no event, yet the clock
+      // passes through them, stops and epochs included, as if they had one.
+      const Cycle t = next_pending_run();
+      if (t == kNeverCycle) break;
+      if (t > max_cycles) {
+        events_.idle_until(max_cycles);
+        within_limit = false;
+        break;
+      }
+      if (t < boundary) {
+        events_.idle_until(t);
+        continue;
+      }
+    }
     sample_obs(boundary, /*last=*/false);
     boundary += period;
   }
   if (obs_) sample_obs(now(), /*last=*/true);
-  if (within_limit && validate_) validate_run();
+  if (within_limit) {
+    retire_all();
+    if (validate_) {
+      if (!eager_live_) set_validation(true);
+      validate_run();
+    }
+  }
   return within_limit;
 }
 
@@ -77,40 +119,61 @@ void Machine::receive(CoreId receiver, const mem::CohMsg& m) {
   }
 }
 
-void Machine::receive_each(const mem::CohMsg& m, const CoreId* first,
-                           const CoreId* last) {
-  if (!m.is_broadcast()) {
-    receive(*first, m);
-    return;
-  }
-  // Under Dir_kB every receiver acks, so every receiver runs its handler.
-  if (m.type != mem::CohType::kInvReq ||
-      mp_.coherence != CoherenceKind::kAckwise) {
-    for (const CoreId* r = first; r != last; ++r)
-      if (!dropped(*r)) receive(*r, m);
-    return;
-  }
-  // A handler changes only its own core's bits and schedules (never runs)
-  // other handlers, so each receiver's bits read at its turn are the ones
-  // it had when the delivery began. Only a handler adds or removes holders,
-  // so the line's set is looked up again after each one runs.
-  const std::uint64_t* held = holders_.find(m.line);
-  const std::uint64_t* deferred =
-      debug_ignore_deferred_ ? nullptr : deferred_marks_.data();
-  std::uint16_t* seq = &bcast_seq(m.dir_slice, 0);  // the slice's row
-  for (const CoreId* r = first; r != last; ++r) {
-    const CoreId c = *r;
-    if (dropped(c)) continue;
-    if ((held && has_core(held, c)) || (deferred && has_core(deferred, c))) {
-      receive(c, m);
-      held = holders_.find(m.line);
-      continue;
+std::uint16_t Machine::bcast_seq(HubId slice, CoreId c) const {
+  const auto s = static_cast<std::size_t>(slice);
+  const auto i = static_cast<std::size_t>(c);
+  std::uint16_t v = bcast_seq_[s * static_cast<std::size_t>(mp_.num_cores) + i];
+  // A slice numbers its broadcasts in send order, so the newest one that
+  // has reached `c` carries the largest number of those in flight, and none
+  // older than one `v` already counts can move it.
+  const std::vector<Flight>& sent = in_flight_[s];
+  for (auto f = sent.rbegin(); f != sent.rend(); ++f) {
+    if (!mem::seq_before(v, f->seq)) break;
+    if (c == f->dropped || now() < f->first_at) continue;
+    const std::uint32_t r = f->run_of[i];
+    if (passed(f->last_at, f->last_seq) ||
+        passed(f->runs[r].at, f->first_seq + r)) {
+      v = f->seq;
+      break;
     }
-    // What the handler would have done at a core that holds nothing.
-    ++observed_deliveries_;
-    mem::advance_seq(seq[static_cast<std::size_t>(c)], m.seq);
-    if (validate_) check_skipped(c, m);
   }
+  if (eager_live_) check_lazy_seq(slice, c, v);
+  return v;
+}
+
+void Machine::advance_bcast_seq(HubId slice, CoreId c, std::uint16_t seq) {
+  const std::size_t i = static_cast<std::size_t>(slice) *
+                            static_cast<std::size_t>(mp_.num_cores) +
+                        static_cast<std::size_t>(c);
+  mem::advance_seq(bcast_seq_[i], seq);
+  if (eager_live_) mem::advance_seq(eager_seq_[i], seq);
+}
+
+void Machine::schedule_pending_run(const Flight& f, CoreId c) {
+  // Every run of a broadcast that every receiver acts on is scheduled.
+  if (c == f.dropped) return;
+  const std::uint32_t r = f.run_of[static_cast<std::size_t>(c)];
+  Run& run = f.runs[r];
+  if (run.state == Run::kScheduled || !ahead(run.at, f.first_seq + r)) return;
+  if (run.state == Run::kIdle) {
+    events_.schedule_reserved(run.at, f.first_seq + r, &Machine::deliver_run,
+                              this, std::uint64_t{f.slot} << 32 | r);
+    ++pending_runs_;
+  }
+  run.state = Run::kScheduled;
+  ++late_inserts_;
+}
+
+void Machine::add_holder(Addr line, CoreId c) {
+  holders_.add(line, c);
+  for (const Flight& f : in_flight_[static_cast<std::size_t>(home_slice(line))])
+    if (f.line == line) schedule_pending_run(f, c);
+}
+
+Machine::Flight& Machine::flight(HubId slice, std::uint32_t slot) {
+  std::vector<Flight>& sent = in_flight_[static_cast<std::size_t>(slice)];
+  return *std::find_if(sent.begin(), sent.end(),
+                       [slot](const Flight& f) { return f.slot == slot; });
 }
 
 void Machine::refuse_address(const void* p, CoreId core) const {
@@ -134,66 +197,12 @@ void Machine::check_skipped(CoreId c, const mem::CohMsg& m) {
   check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
 }
 
-void Machine::deliver_arrivals(const mem::CohMsg& m) {
-  // One event per maximal run of consecutive arrivals that share a cycle,
-  // taken in the order the network listed them; nothing is sorted. The
-  // receivers run in the same order as with one event per receiver: every
-  // run of a message is scheduled here, within one send, so the runs carry
-  // consecutive sequence numbers; runs that share a cycle therefore run
-  // back to back, in list order, before any event a handler schedules at
-  // that cycle.
-  //
-  // The event's record carries only the number of a slot in deliveries_,
-  // which holds the message and the receivers. The slot, and a run's
-  // chunks of receivers, are freed when the event runs and reused, so a
-  // delivery allocates nothing once the run has reached its peak of
-  // pending ones.
-  for (auto it = arrivals_.begin(); it != arrivals_.end();) {
-    const Cycle at = it->at;
-    const auto end =
-        std::find_if(it, arrivals_.end(),
-                     [at](const net::Arrival& a) { return a.at != at; });
-    const std::uint32_t slot = deliveries_.alloc();
-    Delivery& d = deliveries_[slot];
-    d.msg = m;
-    d.count = static_cast<std::uint32_t>(end - it);
-    if (d.count == 1) {  // a lone receiver (every unicast) needs no chunk
-      d.receiver = it->receiver;
-      ++it;
-    } else {
-      // Slab items never move, so `link` stays valid as chunks are added.
-      std::uint32_t* link = &d.chunk;
-      for (std::uint32_t first = 0; first < d.count; first += kChunkIds) {
-        *link = chunks_.alloc();
-        ReceiverChunk& chunk = chunks_[*link];
-        const std::uint32_t n = std::min(d.count - first, kChunkIds);
-        for (std::uint32_t i = 0; i < n; ++i, ++it) chunk.ids[i] = it->receiver;
-        link = &chunk.next;
-      }
-    }
-    events_.schedule(at, &Machine::deliver, this, slot);
-  }
-}
-
 void Machine::deliver(void* self, std::uint64_t slot) {
   Machine& m = *static_cast<Machine*>(self);
-  // The slot and each chunk are copied out and freed before their handlers
-  // run: the handlers schedule more deliveries.
+  // Copied out and freed before the handler runs: it sends more.
   const Delivery d = m.deliveries_[static_cast<std::uint32_t>(slot)];
   m.deliveries_.free(static_cast<std::uint32_t>(slot));
-  if (d.count == 1) {
-    m.receive_each(d.msg, &d.receiver, &d.receiver + 1);
-    return;
-  }
-  std::uint32_t c = d.chunk;
-  for (std::uint32_t left = d.count; left > 0;) {
-    const ReceiverChunk chunk = m.chunks_[c];
-    m.chunks_.free(c);
-    const std::uint32_t n = std::min(left, kChunkIds);
-    m.receive_each(d.msg, chunk.ids, chunk.ids + n);
-    left -= n;
-    c = chunk.next;
-  }
+  m.receive(d.receiver, d.msg);
 }
 
 Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
@@ -203,19 +212,223 @@ Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
   p.cls = m.carries_data ? net::MsgClass::kData : net::MsgClass::kCoherence;
   arrivals_.clear();
   const Cycle sender_free = net_->inject(t, p, arrivals_);
-  if (m.is_broadcast()) {
-    expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
-    // Network broadcasts skip the source tile; the sender's co-located
-    // cache still receives the invalidation through a local loopback,
-    // listed after the network's copies. No network copy of a broadcast
-    // arrives by t + 2, so the loopback's place in the list does not
-    // change the order in which any cycle's receivers run.
-    arrivals_.push_back({m.src, t + 2});
-  } else {
+  if (!m.is_broadcast()) {
+    assert(arrivals_.size() == 1);
     ++expected_deliveries_;
+    const std::uint32_t slot = deliveries_.alloc();
+    deliveries_[slot] = Delivery{m, arrivals_.front().receiver};
+    events_.schedule(arrivals_.front().at, &Machine::deliver, this, slot);
+    return sender_free;
   }
-  deliver_arrivals(m);
+  expected_deliveries_ += static_cast<std::uint64_t>(mp_.num_cores);
+  // Network broadcasts skip the source tile; the sender's co-located cache
+  // still receives the invalidation through a local loopback, listed after
+  // the network's copies. No network copy of a broadcast arrives by t + 2,
+  // so the loopback's place in the list does not change the order in which
+  // any cycle's receivers run.
+  arrivals_.push_back({m.src, t + 2});
+  send_broadcast(m);
   return sender_free;
+}
+
+void Machine::send_broadcast(const mem::CohMsg& m) {
+  retire_passed();
+  const std::uint32_t slot = bcasts_.alloc();
+  Broadcast& b = bcasts_[slot];
+  b.msg = m;
+  b.dropped = kInvalidCore;
+  b.handled = 0;
+  b.every_receiver_acts = m.type != mem::CohType::kInvReq ||
+                          mp_.coherence != CoherenceKind::kAckwise;
+  b.probed = validate_;
+  // Every core receives a broadcast once, so each entry of run_of is set.
+  assert(arrivals_.size() == static_cast<std::size_t>(mp_.num_cores));
+  b.receivers.resize(arrivals_.size());
+  b.runs.clear();
+  b.run_of.resize(static_cast<std::size_t>(mp_.num_cores));
+  // One run per maximal run of consecutive arrivals that share a cycle,
+  // taken in the order the network listed them; nothing is sorted.
+  Cycle at = kNeverCycle;
+  std::uint16_t run = 0;
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    const net::Arrival& a = arrivals_[i];
+    if (a.at != at) {
+      at = a.at;
+      run = static_cast<std::uint16_t>(b.runs.size());
+      b.runs.push_back(
+          Run{at, static_cast<std::uint32_t>(i), Run::kIdle});
+    }
+    b.run_of[static_cast<std::size_t>(a.receiver)] = run;
+    b.receivers[i] = static_cast<std::uint16_t>(a.receiver);
+  }
+  // Each run takes the sequence number its own event would have: all are
+  // handed out here, within one send, so runs that share a cycle run back
+  // to back, in list order, before any event a handler schedules at it.
+  b.first_seq = events_.reserve(b.runs.size());
+  runs_reserved_ += b.runs.size();
+  Cycle first_at = kNeverCycle;
+  b.last = 0;
+  for (std::uint32_t r = 0; r < b.runs.size(); ++r) {
+    first_at = std::min(first_at, b.runs[r].at);
+    if (b.runs[r].at >= b.runs[b.last].at) b.last = r;
+  }
+
+  // The runs with a receiver that acts now. Any other receiver that starts
+  // to act before its run passes does so through add_holder or
+  // mark_deferred, which give its run an event then.
+  if (b.every_receiver_acts) {
+    for (Run& r : b.runs) r.state = Run::kScheduled;
+  } else {
+    const std::uint64_t* held = holders_.find(m.line);
+    const std::uint64_t* deferred =
+        debug_ignore_deferred_ ? nullptr : deferred_marks(m.dir_slice);
+    for (std::size_t w = 0; w < holders_.words(); ++w) {
+      for (std::uint64_t bits = (held ? held[w] : 0) |
+                                (deferred ? deferred[w] : 0);
+           bits != 0; bits &= bits - 1) {
+        const std::size_t c = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+        b.runs[b.run_of[c]].state = Run::kScheduled;
+      }
+    }
+    if (debug_drop_ != kInvalidCore)
+      b.runs[b.run_of[static_cast<std::size_t>(debug_drop_)]].state =
+          Run::kScheduled;
+  }
+  for (std::size_t r = 0; r < b.runs.size(); ++r) {
+    Run& run = b.runs[r];
+    if (run.state == Run::kScheduled)
+      ++runs_scheduled_;
+    else if (validate_)
+      run.state = Run::kProbe;
+    else
+      continue;
+    events_.schedule_reserved(run.at, b.first_seq + r, &Machine::deliver_run,
+                              this, std::uint64_t{slot} << 32 | r);
+    ++pending_runs_;
+  }
+  in_flight_[static_cast<std::size_t>(m.dir_slice)].push_back(
+      Flight{b.run_of.data(), b.runs.data(), b.first_seq, first_at,
+             b.runs[b.last].at, b.first_seq + b.last, m.line, slot,
+             kInvalidCore, m.seq});
+}
+
+void Machine::deliver_run(void* self, std::uint64_t arg) {
+  Machine& m = *static_cast<Machine*>(self);
+  const auto slot = static_cast<std::uint32_t>(arg >> 32);
+  const auto r = static_cast<std::uint32_t>(arg);
+  --m.pending_runs_;
+  // Slab records never move, so `b` stays valid while the handlers below
+  // send more broadcasts; `b` itself is retired no earlier than its last
+  // run, after the loop.
+  Broadcast& b = m.bcasts_[slot];
+  const Run run = b.runs[r];
+  const auto end = static_cast<std::uint32_t>(
+      r + 1 < b.runs.size() ? b.runs[r + 1].first : b.receivers.size());
+  const bool probe = b.probed && m.validate_;
+  const std::size_t row = static_cast<std::size_t>(b.msg.dir_slice) *
+                          static_cast<std::size_t>(m.mp_.num_cores);
+  // A handler changes only its own core's state and schedules (never runs)
+  // other handlers, so each receiver's holder and deferred bits read at its
+  // turn are the ones it had when the run began. Only a handler adds or
+  // removes holders, so the line's set is looked up again after each one.
+  const std::uint64_t* held = m.holders_.find(b.msg.line);
+  const std::uint64_t* deferred =
+      m.debug_ignore_deferred_ ? nullptr : m.deferred_marks(b.msg.dir_slice);
+  for (std::uint32_t i = run.first; i < end; ++i) {
+    const CoreId c = b.receivers[i];
+    if (m.dropped(c)) {
+      b.dropped = m.flight(b.msg.dir_slice, slot).dropped = c;
+      ++b.handled;
+      continue;
+    }
+    if (b.every_receiver_acts || (held && has_core(held, c)) ||
+        (deferred && has_core(deferred, c))) {
+      if (run.state != Run::kScheduled) {
+        // A probe-only event: nothing gave this actor's run an event.
+        if (probe) m.raise_unscheduled(c, b.msg);
+        continue;
+      }
+      ++b.handled;
+      m.receive(c, b.msg);
+      held = m.holders_.find(b.msg.line);
+    } else {
+      // What the handler would do, done here while the run is at hand, so a
+      // later read of the number need not look the run up. A probe-only
+      // event leaves it to the lazy read, which it is there to check.
+      const std::size_t i = row + static_cast<std::size_t>(c);
+      if (run.state == Run::kScheduled)
+        mem::advance_seq(m.bcast_seq_[i], b.msg.seq);
+      if (probe) {
+        m.check_skipped(c, b.msg);
+        if (m.eager_live_) mem::advance_seq(m.eager_seq_[i], b.msg.seq);
+      }
+    }
+  }
+  if (r == b.last) m.retire(slot);
+}
+
+void Machine::retire(std::uint32_t slot) {
+  const Broadcast& b = bcasts_[slot];
+  const auto s = static_cast<std::size_t>(b.msg.dir_slice);
+  const auto n = static_cast<std::size_t>(mp_.num_cores);
+  std::uint16_t* row = &bcast_seq_[s * n];
+  const std::uint16_t kept =
+      b.dropped == kInvalidCore ? 0 : row[static_cast<std::size_t>(b.dropped)];
+  const std::uint16_t seq = b.msg.seq;
+  for (std::size_t c = 0; c < n; ++c)
+    row[c] = mem::seq_before(row[c], seq) ? seq : row[c];
+  if (b.dropped != kInvalidCore) row[static_cast<std::size_t>(b.dropped)] = kept;
+  // What a handler would have done at a receiver that acts on nothing is
+  // done: it counts as delivered.
+  observed_deliveries_ += b.receivers.size() - b.handled;
+  std::vector<Flight>& sent = in_flight_[s];
+  sent.erase(sent.begin() + (&flight(b.msg.dir_slice, slot) - sent.data()));
+  bcasts_.free(slot);
+}
+
+void Machine::retire_passed() {
+  for (std::vector<Flight>& sent : in_flight_)
+    for (std::size_t i = sent.size(); i-- > 0;)
+      if (passed(sent[i].last_at, sent[i].last_seq)) retire(sent[i].slot);
+}
+
+void Machine::retire_all() {
+  for (std::vector<Flight>& sent : in_flight_)
+    while (!sent.empty()) retire(sent.back().slot);
+}
+
+Cycle Machine::next_pending_run() const {
+  Cycle t = kNeverCycle;
+  for (const std::vector<Flight>& sent : in_flight_)
+    for (const Flight& f : sent)
+      for (std::uint32_t r = 0; r < bcasts_[f.slot].runs.size(); ++r)
+        if (!passed(f.runs[r].at, f.first_seq + r))
+          t = std::min(t, f.runs[r].at);
+  return t;
+}
+
+void Machine::raise_unscheduled(CoreId c, const mem::CohMsg& m) {
+  const char* held = caches_[static_cast<std::size_t>(c)]->holding(
+      m.line, m.dir_slice);
+  std::ostringstream os;
+  os << "broadcast InvReq for line 0x" << std::hex << m.line << std::dec
+     << " from slice " << m.dir_slice << " reached a core with "
+     << (held ? held : "deferred unicasts")
+     << ", but its run had no scheduled event";
+  check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
+}
+
+void Machine::check_lazy_seq(HubId slice, CoreId c, std::uint16_t lazy) const {
+  const std::uint16_t eager =
+      eager_seq_[static_cast<std::size_t>(slice) *
+                     static_cast<std::size_t>(mp_.num_cores) +
+                 static_cast<std::size_t>(c)];
+  if (lazy == eager) return;
+  std::ostringstream os;
+  os << "sequence number for slice " << slice << " read as " << lazy
+     << ", but " << eager << " kept eagerly";
+  check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
 }
 
 void Machine::validate_coherence(Addr line, HubId slice) {

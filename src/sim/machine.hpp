@@ -78,9 +78,10 @@ class Machine {
   obs::RunObserver* observer() const { return obs_; }
 
   /// Sends `m` into the network no earlier than cycle `t`. The receiver's
-  /// handler runs (via the event queue) at the delivery cycle, once per
-  /// receiver for broadcasts. Returns the cycle at which the sender's port
-  /// is free again (back-pressure; callers serialize their sends on it).
+  /// handler runs (via the event queue) at the delivery cycle, at every
+  /// receiver that acts on it for broadcasts (see bcast_seq). Returns the
+  /// cycle at which the sender's port is free again (back-pressure; callers
+  /// serialize their sends on it).
   Cycle send(Cycle t, const mem::CohMsg& m);
 
   /// A directory transaction on `line` at `slice` completed: with
@@ -90,31 +91,56 @@ class Machine {
     if (validate_) validate_coherence(line, slice);
   }
 
-  /// Cores that hold a line (an L2 copy or an open MSHR). Each cache
-  /// controller adds and removes itself as its state changes.
+  /// Cores that hold a line (an L2 copy or an open MSHR). A cache controller
+  /// joins through add_holder and removes itself as its state changes.
   HolderIndex& holders() { return holders_; }
+  /// Core `c` starts to hold `line` (it opens an MSHR for it): adds it to
+  /// the holder index and gives `c`'s run of every in-flight broadcast of
+  /// the line that has not reached it yet an event.
+  void add_holder(Addr line, CoreId c);
 
   /// Sequence number of the last broadcast from `slice` that core `c` has
-  /// processed (paper Sec. IV-C-1). One contiguous row per slice, so the
-  /// receivers a broadcast skips update adjacent entries.
-  std::uint16_t& bcast_seq(HubId slice, CoreId c) {
-    return bcast_seq_[static_cast<std::size_t>(slice) *
-                          static_cast<std::size_t>(mp_.num_cores) +
-                      static_cast<std::size_t>(c)];
-  }
-  /// Marks whether core `c` has unicasts deferred behind a broadcast; a
-  /// marked core runs the full handler of every broadcast, which releases
-  /// the unicasts once their slice's sequence number catches up.
-  void mark_deferred(CoreId c, bool deferred) {
-    deferred ? set_core(deferred_marks_.data(), c)
-             : clear_core(deferred_marks_.data(), c);
+  /// processed (paper Sec. IV-C-1). Under ACKwise most receivers of a
+  /// broadcast invalidation act on nothing, and no event runs for them: the
+  /// number is worked out when it is read, as the stored row advanced by
+  /// every in-flight broadcast from `slice` whose run for `c` lies before
+  /// the running event, (now(), current_seq()). A broadcast folds itself
+  /// into the row once all its runs have passed.
+  std::uint16_t bcast_seq(HubId slice, CoreId c) const;
+  /// Core `c` has processed broadcast `seq` from `slice`: advances its
+  /// number (mem::advance_seq).
+  void advance_bcast_seq(HubId slice, CoreId c, std::uint16_t seq);
+  /// Marks whether core `c` has unicasts from `slice` deferred behind one
+  /// of the slice's broadcasts. A marked core runs the full handler of the
+  /// slice's broadcasts, which releases the unicasts once the core's number
+  /// for the slice catches up; at any other core that holds nothing the
+  /// handler of a broadcast would only advance the number. Marking an
+  /// unmarked core gives its run of every in-flight broadcast from `slice`
+  /// that has not reached it yet an event; a broadcast sent while the mark
+  /// holds schedules the core's run itself.
+  void mark_deferred(CoreId c, HubId slice, bool deferred) {
+    std::uint64_t* marks = deferred_marks(slice);
+    if (!deferred) {
+      clear_core(marks, c);
+    } else if (!has_core(marks, c)) {
+      set_core(marks, c);
+      if (debug_ignore_deferred_) return;
+      for (const Flight& f : in_flight_[static_cast<std::size_t>(slice)])
+        schedule_pending_run(f, c);
+    }
   }
 
   /// Seeded fault for the mutation tests: the next broadcast delivery to
-  /// `c` is lost (no handler runs and it is not counted).
-  void debug_drop_bcast_receiver(CoreId c) { debug_drop_ = c; }
-  /// Seeded fault for the mutation tests: broadcast receivers with deferred
-  /// unicasts are skipped like cores that hold nothing.
+  /// `c` is lost (no handler runs and it is not counted). Its run of every
+  /// in-flight broadcast gets an event, where the loss can happen.
+  void debug_drop_bcast_receiver(CoreId c) {
+    debug_drop_ = c;
+    for (const std::vector<Flight>& sent : in_flight_)
+      for (const Flight& f : sent) schedule_pending_run(f, c);
+  }
+  /// Seeded fault for the mutation tests: broadcast receivers with unicasts
+  /// deferred from the broadcast's slice are skipped like cores that hold
+  /// nothing.
   void debug_ignore_deferred_marks() { debug_ignore_deferred_ = true; }
 
   /// Drains the event queue; returns false if the safety cycle limit hit.
@@ -129,22 +155,29 @@ class Machine {
   /// Opt-in cross-layer validation (src/check): per-transaction coherence
   /// probes, end-of-run flow/ledger/delivery probes, and the event queue's
   /// clock-monotonicity probe. Defaults to the ATACSIM_VALIDATE env flag.
-  void set_validation(bool on) {
-    validate_ = on;
-    events_.set_validation(on);
-  }
+  void set_validation(bool on);
   bool validation() const { return validate_; }
 
   /// True if no coherence transaction or miss is outstanding anywhere —
   /// the quiescence invariant the integration tests assert.
   bool quiescent() const;
 
-  /// Delivery events scheduled and not yet run (one per maximal run of a
-  /// message's arrivals that share a cycle, in the network's order).
-  std::size_t pending_deliveries() const { return deliveries_.in_use(); }
-  /// Delivery records per slab page (see deliver_arrivals). Pages are
-  /// small (5 KiB) because a 64-core machine rarely fills one.
+  /// Delivery events scheduled and not yet run: one per unicast, and one
+  /// per run of a broadcast's receivers that has an event (see send).
+  std::size_t pending_deliveries() const {
+    return deliveries_.in_use() + pending_runs_;
+  }
+  /// Unicast delivery records per slab page. Pages are small (5 KiB)
+  /// because a 64-core machine rarely fills one.
   static constexpr std::size_t kDeliveriesPerPage = 128;
+
+  /// Host-side counts of broadcast delivery (self-profile only): runs of
+  /// equal arrival cycles reserved, runs given an event at send because a
+  /// receiver in them acted, and runs given one later by add_holder,
+  /// mark_deferred or debug_drop_bcast_receiver.
+  std::uint64_t bcast_runs_reserved() const { return runs_reserved_; }
+  std::uint64_t bcast_runs_scheduled() const { return runs_scheduled_; }
+  std::uint64_t bcast_late_inserts() const { return late_inserts_; }
 
   /// The address space the running body's data lives in (not owned; null
   /// for a body that touches no memory). translate refuses every pointer
@@ -184,30 +217,99 @@ class Machine {
   }
 
  private:
+  /// A maximal run of consecutive equal arrival cycles in a broadcast's
+  /// list. Run r holds the event-queue slot first_seq + r.
+  struct Run {
+    Cycle at;             ///< arrival cycle of its receivers
+    std::uint32_t first;  ///< its first receiver's index in `receivers`
+    enum State : std::uint8_t {
+      kIdle,       ///< no event: none of its receivers acts
+      kProbe,      ///< a validation-only event (no receiver acted at send)
+      kScheduled,  ///< an event that runs its actors' handlers
+    } state;
+  };
+  /// A broadcast in flight: one per broadcast sent whose runs have not all
+  /// passed, in a pool of reused records (see send). Core ids and run
+  /// numbers fit 16 bits: MachineParams allows at most 65,536 cores.
+  struct Broadcast {
+    mem::CohMsg msg;
+    std::vector<std::uint16_t> receivers;  ///< in the network's order
+    std::vector<Run> runs;                 ///< in list order
+    std::vector<std::uint16_t> run_of;     ///< each core's run, by core id
+    std::uint64_t first_seq;  ///< the slot of run 0
+    std::uint32_t last;       ///< the run that runs last
+    CoreId dropped;  ///< the receiver debug_drop_bcast_receiver took, if any
+    std::uint32_t handled;  ///< receivers that ran a handler or were dropped
+    bool every_receiver_acts;  ///< not an ACKwise invalidation
+    bool probed;               ///< sent with validation on
+  };
+
+  /// What bcast_seq and the hooks read of an in-flight broadcast, kept in
+  /// a per-slice list so that a read finds it without the record.
+  struct Flight {
+    const std::uint16_t* run_of;  ///< the record's, which never reallocate
+    Run* runs;
+    std::uint64_t first_seq;
+    Cycle first_at;  ///< the earliest arrival cycle
+    Cycle last_at;   ///< the slot of the run that runs last
+    std::uint64_t last_seq;
+    Addr line;
+    std::uint32_t slot;  ///< in bcasts_
+    CoreId dropped;      ///< as in the record
+    std::uint16_t seq;   ///< the broadcast's sequence number
+  };
   /// Runs the receiving cache's or directory's handler for `m`.
   void receive(CoreId receiver, const mem::CohMsg& m);
-  /// Delivers `m` to the receivers [first, last), in order. Under ACKwise a
-  /// broadcast invalidation runs the full handler only at the cores that
-  /// hold the line or have unicasts deferred; every other receiver only
-  /// advances its sequence number for the slice.
-  void receive_each(const mem::CohMsg& m, const CoreId* first,
-                    const CoreId* last);
+  /// The broadcast half of send: records `m` with its receivers in
+  /// arrivals_, reserves a slot per run and schedules the runs that act.
+  void send_broadcast(const mem::CohMsg& m);
+  /// Event handler: runs the run `arg & 0xffffffff` of the broadcast in
+  /// slot `arg >> 32` of bcasts_.
+  static void deliver_run(void* self, std::uint64_t arg);
+  /// True once the slot (at, seq) lies before the running event.
+  bool passed(Cycle at, std::uint64_t seq) const {
+    return at < now() || (at == now() && seq < events_.current_seq());
+  }
+  /// True while the slot (at, seq) lies after the running event.
+  bool ahead(Cycle at, std::uint64_t seq) const {
+    return at > now() || (at == now() && seq > events_.current_seq());
+  }
+  /// Gives core `c`'s run of the broadcast `f` an event, unless it has one
+  /// or is not ahead of the running event.
+  void schedule_pending_run(const Flight& f, CoreId c);
+  /// Folds the broadcast in `slot` into the stored sequence numbers, counts
+  /// its receivers that ran no handler, and frees it.
+  void retire(std::uint32_t slot);
+  /// Retires every in-flight broadcast whose runs have all passed.
+  void retire_passed();
+  /// Retires every in-flight broadcast (once the queue has drained).
+  void retire_all();
+  /// The entry of the broadcast in `slot`, sent from `slice`.
+  Flight& flight(HubId slice, std::uint32_t slot);
+  /// Earliest cycle of a run of an in-flight broadcast that has not passed,
+  /// or kNeverCycle.
+  Cycle next_pending_run() const;
+  /// With validation on: raises a coherence violation if `lazy`, the
+  /// number bcast_seq worked out for core `c` and `slice`, differs from the
+  /// one kept eagerly.
+  void check_lazy_seq(HubId slice, CoreId c, std::uint16_t lazy) const;
   /// Raises the kAddress violation for `p`, which lies outside the address
   /// space (or was touched by a body with none).
   [[noreturn]] void refuse_address(const void* p, CoreId core) const;
   /// With validation on: raises a coherence violation if the skipped
   /// receiver `c` holds anything the broadcast `m` must act on.
   void check_skipped(CoreId c, const mem::CohMsg& m);
+  /// With validation on: raises the coherence violation for receiver `c`,
+  /// which acts on the broadcast `m` at a run that has only a probe event.
+  [[noreturn]] void raise_unscheduled(CoreId c, const mem::CohMsg& m);
   /// Consumes the debug_drop_bcast_receiver fault if it names `c`.
   bool dropped(CoreId c) {
     if (c != debug_drop_) return false;
     debug_drop_ = kInvalidCore;
     return true;
   }
-  /// Schedules `receive` of `m` for every entry of arrivals_, one event
-  /// per maximal run of consecutive entries that share a cycle.
-  void deliver_arrivals(const mem::CohMsg& m);
-  /// Event handler: runs the delivery in slot `slot` of deliveries_.
+  /// Event handler: runs the unicast delivery in slot `slot` of
+  /// deliveries_.
   static void deliver(void* self, std::uint64_t slot);
 
   /// Coherence probe after a directory transaction on `line` at `slice`.
@@ -240,33 +342,37 @@ class Machine {
   /// broadcast's loopback. Reused across sends.
   std::vector<net::Arrival> arrivals_;
 
-  /// A scheduled delivery: the message and its receivers. A lone receiver
-  /// is stored inline; a run's `count` receivers fill a chain of chunks
-  /// from `chunk` on.
+  /// A scheduled unicast delivery: the message and its receiver.
   struct Delivery {
     mem::CohMsg msg;
-    std::uint32_t count = 0;
-    union {
-      CoreId receiver;      // count == 1
-      std::uint32_t chunk;  // count > 1
-    };
-  };
-  /// A run's receivers, in delivery order, kChunkIds to a chunk.
-  static constexpr std::uint32_t kChunkIds = 15;
-  struct ReceiverChunk {
-    CoreId ids[kChunkIds];
-    std::uint32_t next;  ///< the chunk after this one, if any
+    CoreId receiver;
   };
   Slab<Delivery, kDeliveriesPerPage> deliveries_;
-  Slab<ReceiverChunk, 128> chunks_;
+  Slab<Broadcast, 32> bcasts_;
+  /// The broadcasts in flight, one list per sending slice in send order.
+  std::vector<std::vector<Flight>> in_flight_;
+  std::size_t pending_runs_ = 0;          ///< run events queued, not yet run
+  std::uint64_t runs_reserved_ = 0;
+  std::uint64_t runs_scheduled_ = 0;
+  std::uint64_t late_inserts_ = 0;
 
   HolderIndex holders_;
-  std::vector<std::uint16_t> bcast_seq_;       // [slice][core]
-  std::vector<std::uint64_t> deferred_marks_;  // set of cores
+  std::vector<std::uint16_t> bcast_seq_;       // [slice][core], stored part
+  std::vector<std::uint64_t> deferred_marks_;  // [slice] set of cores
+  std::uint64_t* deferred_marks(HubId slice) {
+    return &deferred_marks_[static_cast<std::size_t>(slice) *
+                            holders_.words()];
+  }
   CoreId debug_drop_ = kInvalidCore;
   bool debug_ignore_deferred_ = false;
 
   bool validate_ = check::env_validation_enabled();
+  /// With validation on, the sequence numbers kept eagerly, as one event
+  /// per run would: each probe advances its run's receivers that ran no
+  /// handler, and advance_bcast_seq the rest. Live while validation has
+  /// been on since a moment with no broadcast in flight.
+  std::vector<std::uint16_t> eager_seq_;
+  bool eager_live_ = false;
   // Delivery accounting (always counted, so toggling set_validation mid-run
   // cannot skew the ledger): expected per message sent, observed per
   // handler run or broadcast receiver skipped.

@@ -38,6 +38,9 @@ class Slab {
   T& operator[](std::uint32_t slot) {
     return pages_[slot / kPerPage][slot % kPerPage];
   }
+  const T& operator[](std::uint32_t slot) const {
+    return pages_[slot / kPerPage][slot % kPerPage];
+  }
 
   /// Slots handed out and not yet freed.
   std::size_t in_use() const { return pages_.size() * kPerPage - free_.size(); }

@@ -234,6 +234,54 @@ TEST(MutationCoherence, SkippedDeferredUnicastIsCaught) {
   }
 }
 
+/// An access issued at a chosen cycle of a drain.
+struct TimedAccess {
+  Machine* m;
+  CoreId core;
+  Addr addr;
+  bool write;
+  Cycle done = 0;
+};
+
+void issue_timed(void* access, std::uint64_t) {
+  auto& a = *static_cast<TimedAccess*>(access);
+  a.m->cache(a.core).access(a.addr, a.write, {&a.done, {}});
+}
+
+TEST(MutationCoherence, SkippedDeferredUnicastIsCaughtOnADirectedSequence) {
+  // The directed form of the test above. With cluster routing, core 8's
+  // read of a line of slice 1 takes its cluster's receive network just as
+  // core 4's write broadcasts the invalidation of line 0x40080 (slice 2),
+  // whose other sharers are cores 10, 6, 13 and 1; core 10's read of line
+  // 0x80080, which core 8 owns, makes slice 2 send core 8 a flush request
+  // that overtakes the broadcast and is deferred. With the deferred marks
+  // ignored core 8 is skipped like a core that holds nothing, and the
+  // cross-check must flag it at its run.
+  auto mp = tiny();
+  mp.routing = RoutingPolicy::kCluster;
+  Machine m(mp);
+  const Addr line = 0x40080, owned = 0x80080, other = 0xc0040;
+  for (const CoreId c : {4, 10, 6, 13, 1}) access_and_drain(m, c, line, false);
+  access_and_drain(m, 8, owned, true);
+  access_and_drain(m, 4, other, false);
+  m.debug_ignore_deferred_marks();  // seeded fault
+  std::vector<TimedAccess> accesses = {
+      {&m, 4, line, true}, {&m, 10, owned, false}, {&m, 8, other, false}};
+  const std::vector<Cycle> offsets = {8, 10, 4};
+  for (std::size_t i = 0; i < accesses.size(); ++i)
+    m.events().schedule(m.now() + offsets[i], issue_timed, &accesses[i], 0);
+  try {
+    m.run(10'000'000);
+    FAIL() << "skipped-deferred probe did not fire";
+  } catch (const InvariantViolation& v) {
+    EXPECT_EQ(v.probe, Probe::kCoherence);
+    EXPECT_EQ(v.subsystem, "machine");
+    EXPECT_EQ(v.core, 8);
+    EXPECT_NE(v.detail.find("a deferred unicast"), std::string::npos)
+        << v.what();
+  }
+}
+
 // --------------------------------------------------------- flow probe fires
 
 TEST(MutationFlow, LostFlitsAreCaught) {

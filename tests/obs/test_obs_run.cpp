@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/cache.hpp"
 #include "harness/runner.hpp"
@@ -135,6 +136,47 @@ TEST(ObsRun, ArtifactsAreByteIdenticalAcrossRepeatedRuns) {
   }
   fs::remove_all(dir_a);
   fs::remove_all(dir_b);
+}
+
+TEST(ObsRun, SelfProfileCountsTheBroadcastRunsOfEachRun) {
+  // The simulate phase carries the broadcast runs the Machine reserved a
+  // slot for, gave an event at send and gave one later: host-side counts
+  // that repeat exactly for a scenario and bound the runs with an event.
+  const auto dir = fs::temp_directory_path() / "atacsim_obs_runs";
+  fs::remove_all(dir);
+  ObsArmed armed(dir.string());
+  const auto simulate_phase = [] {
+    std::ostringstream os;
+    obs::SelfProfile::instance().write_json(os, "runs");
+    obs::json::Value doc;
+    std::string err;
+    EXPECT_TRUE(obs::json::parse(os.str(), doc, &err)) << err;
+    EXPECT_EQ(obs::validate_profile(doc), "");
+    const auto* phases = doc.find("phases");
+    const auto* sim = phases ? phases->find("simulate") : nullptr;
+    EXPECT_NE(sim, nullptr);
+    std::vector<double> counts;
+    for (const char* key : {"bcast_runs_reserved", "bcast_runs_scheduled",
+                            "bcast_late_inserts", "events"}) {
+      const auto* v = sim ? sim->find(key) : nullptr;
+      counts.push_back(v ? v->number : -1.0);
+    }
+    return counts;
+  };
+
+  obs::SelfProfile::instance().reset();
+  ASSERT_EQ(run_scenario(small_scenario()).verify_msg, "");
+  const auto first = simulate_phase();
+  const double reserved = first[0], scheduled = first[1], late = first[2];
+  EXPECT_GT(reserved, 0.0);
+  EXPECT_GE(scheduled, 0.0);
+  EXPECT_GE(late, 0.0);
+  EXPECT_LE(scheduled + late, reserved);
+  obs::SelfProfile::instance().reset();
+  ASSERT_EQ(run_scenario(small_scenario()).verify_msg, "");
+  EXPECT_EQ(simulate_phase(), first);
+  obs::SelfProfile::instance().reset();
+  fs::remove_all(dir);
 }
 
 TEST(ObsRun, SelfProfileCountsTheEventQueueLoadOfEachRun) {

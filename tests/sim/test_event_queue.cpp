@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -193,6 +194,48 @@ TEST(EventQueue, RingBoundaryAndEmptyRingJumps) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, ReservedSlotRunsWhereItsEagerEventWould) {
+  // A reserved sequence number filled later runs exactly where an event
+  // scheduled at the moment of the reservation would have run.
+  EventQueue q;
+  std::vector<int> order;
+  // At one cycle, slots reserved ahead of, between and behind three direct
+  // schedules are filled afterwards, in another order.
+  const std::uint64_t ahead = q.reserve(1);
+  q.schedule(10, log_arg, &order, 1);
+  const std::uint64_t between_1_3 = q.reserve(1);
+  q.schedule(10, log_arg, &order, 3);
+  const std::uint64_t between_3_5 = q.reserve(1);
+  q.schedule(10, log_arg, &order, 5);
+  const std::uint64_t behind = q.reserve(1);
+  q.schedule_reserved(10, between_3_5, log_arg, &order, 4);
+  q.schedule_reserved(10, behind, log_arg, &order, 6);
+  q.schedule_reserved(10, ahead, log_arg, &order, 0);
+  q.schedule_reserved(10, between_1_3, log_arg, &order, 2);
+  // Past the ring: a reserved slot goes through the overflow heap and still
+  // runs ahead of a direct schedule made after the reservation.
+  const Cycle far = EventQueue::kRingCycles + 50;
+  const std::uint64_t far_slot = q.reserve(1);
+  q.schedule(far, log_arg, &order, 11);
+  q.schedule_reserved(far, far_slot, log_arg, &order, 10);
+  EXPECT_EQ(q.overflowed(), 2u);
+  // At now(), behind the running event: the event at cycle 20 reserves a
+  // slot at 20, schedules 9 at 20 and then fills the slot, which runs
+  // ahead of 9 although it was placed later.
+  const std::function<void()> at_now = [&] {
+    order.push_back(7);
+    const std::uint64_t slot = q.reserve(1);
+    EXPECT_EQ(slot, q.current_seq() + 1);
+    q.schedule(q.now(), log_arg, &order, 9);
+    q.schedule_reserved(q.now(), slot, log_arg, &order, 8);
+  };
+  schedule_call(q, 20, at_now);
+  EXPECT_TRUE(q.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+  EXPECT_EQ(q.now(), far);
+  EXPECT_EQ(q.dispatched(), 12u);
+}
+
 // ------------------------------------------------ differential against a heap
 
 /// The engine the calendar ring replaced: one binary heap ordered by
@@ -203,6 +246,16 @@ class HeapQueue {
     if (t < now_) t = now_;
     heap_.push(Rec{t, seq_++, fn, obj, arg});
   }
+  std::uint64_t reserve(std::uint64_t n) {
+    const std::uint64_t first = seq_;
+    seq_ += n;
+    return first;
+  }
+  void schedule_reserved(Cycle t, std::uint64_t seq, EventQueue::Fn fn,
+                         void* obj, std::uint64_t arg) {
+    heap_.push(Rec{t, seq, fn, obj, arg});
+  }
+  std::uint64_t current_seq() const { return cur_seq_; }
   Cycle now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::uint64_t dispatched() const { return dispatched_; }
@@ -216,6 +269,7 @@ class HeapQueue {
       if (r.t >= stop_before) return true;
       heap_.pop();
       now_ = r.t;
+      cur_seq_ = r.seq;
       ++dispatched_;
       r.fn(r.obj, r.arg);
     }
@@ -236,24 +290,37 @@ class HeapQueue {
   std::priority_queue<Rec, std::vector<Rec>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
+  std::uint64_t cur_seq_ = 0;
   std::uint64_t dispatched_ = 0;
 };
 
 /// One seeded stream of schedules, handlers and stops on a queue of type Q.
 /// `log` records every dispatch (id, cycle) and the outcome of every run
 /// call, so two queues that agree on the order of every event and stop
-/// leave equal logs.
+/// leave equal logs. With `reserved`, some schedules instead reserve a
+/// slot at a cycle, and later handlers fill slots that have not passed.
 template <class Q>
 struct Stream {
   static constexpr std::uint64_t kBudget = 3000;  // events per stream
   static constexpr int kMaxRounds = 400;
 
+  /// A reserved slot not yet filled.
+  struct Slot {
+    Cycle t;
+    std::uint64_t seq;
+  };
+
   Q q;
   Xoshiro256 rng;
+  bool reserved;
   std::uint64_t next_id = 0;
   std::vector<std::uint64_t> log;
+  std::vector<Slot> slots;
+  std::uint64_t filled = 0;         ///< reserved slots filled
+  std::uint64_t filled_at_now = 0;  ///< of them, at now() behind the running event
 
-  explicit Stream(std::uint64_t seed) : rng(seed) {}
+  explicit Stream(std::uint64_t seed, bool with_reserved = false)
+      : rng(seed), reserved(with_reserved) {}
 
   /// A cycle relative to now(): ties, near, around the ring's reach, far
   /// past it, or in the past (clamped to now()).
@@ -276,7 +343,36 @@ struct Stream {
   }
 
   void add() {
-    if (next_id < kBudget) q.schedule(pick_cycle(), fire, this, next_id++);
+    if (next_id >= kBudget) return;
+    if (!reserved) {
+      q.schedule(pick_cycle(), fire, this, next_id++);
+      return;
+    }
+    switch (rng.next_below(4)) {
+      case 0: {  // reserve a run of slots at cycles not in the past
+        const Cycle now = q.now();
+        const std::uint64_t n = 1 + rng.next_below(3);
+        std::uint64_t seq = q.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+          slots.push_back({std::max(pick_cycle(), now), seq++});
+        break;
+      }
+      case 1: {  // fill a slot that is still ahead of the running event
+        if (slots.empty()) break;
+        const std::size_t i = rng.next_below(slots.size());
+        const Slot s = slots[i];
+        slots[i] = slots.back();
+        slots.pop_back();
+        if (s.t > q.now() || (s.t == q.now() && s.seq > q.current_seq())) {
+          ++filled;
+          filled_at_now += s.t == q.now();
+          q.schedule_reserved(s.t, s.seq, fire, this, next_id++);
+        }
+        break;
+      }
+      default:
+        q.schedule(pick_cycle(), fire, this, next_id++);
+    }
   }
 
   /// Handler: logs itself, then schedules up to two more events.
@@ -325,6 +421,32 @@ TEST(EventQueueDifferential, MatchesTheBinaryHeapOnSeededStreams) {
     overflowed += got.q.overflowed();
   }
   EXPECT_GT(overflowed, 0u);  // the streams reached the overflow heap
+}
+
+TEST(EventQueueDifferential, ReservedInsertsMatchTheBinaryHeap) {
+  // The same streams with reservations: slots filled later, at now() behind
+  // the running event, ahead of and behind direct schedules, and past the
+  // ring, against a heap ordered by (cycle, sequence number).
+  std::uint64_t overflowed = 0, filled = 0, filled_at_now = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Stream<HeapQueue> want(seed, /*with_reserved=*/true);
+    want.play();
+    Stream<EventQueue> got(seed, /*with_reserved=*/true);
+    got.play();
+    ASSERT_EQ(got.next_id, want.next_id);
+    ASSERT_GT(got.next_id, 100u);
+    ASSERT_EQ(got.log.size(), want.log.size());
+    for (std::size_t i = 0; i < want.log.size(); ++i)
+      ASSERT_EQ(got.log[i], want.log[i]) << "log entry " << i;
+    EXPECT_TRUE(got.q.empty());
+    overflowed += got.q.overflowed();
+    filled += got.filled;
+    filled_at_now += got.filled_at_now;
+  }
+  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(filled, 500u);
+  EXPECT_GT(filled_at_now, 0u);
 }
 
 }  // namespace

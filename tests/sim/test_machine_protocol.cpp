@@ -508,12 +508,13 @@ TEST(Deliveries, PendingPastOneSlabPageArriveIntact) {
   EXPECT_EQ(d.value(), 0x91811f7bc56a4d37ull);
 }
 
-TEST(Deliveries, OneEventPerRunOfEqualArrivalCycles) {
+TEST(Deliveries, ReservesASlotPerRunAndSchedulesTheRunsThatAct) {
   // EMesh-BCast's tree lists its receivers by walk, not by cycle, so equal
-  // cycles recur apart in the list. Each maximal run of consecutive equal
-  // cycles is one delivery event; nothing is sorted or merged across runs.
+  // cycles recur apart in the list. A broadcast reserves one event-queue
+  // slot per maximal run of consecutive equal cycles and gives an event
+  // only to the runs in which a receiver acts; nothing is sorted or merged
+  // across runs. With validation on, every other run gets a probe event.
   const auto p = small(CoherenceKind::kAckwise, NetworkKind::kEMeshBCast);
-  Machine m(p);
   mem::CohMsg msg;
   msg.line = 0x340000;
   msg.dir_slice = 0;
@@ -523,7 +524,6 @@ TEST(Deliveries, OneEventPerRunOfEqualArrivalCycles) {
   msg.seq = 1;
   msg.type = mem::CohType::kInvReq;
   const Cycle t = 5;
-  m.send(t, msg);
 
   // The same packet on a fresh copy of the network gives the same list.
   std::vector<net::Arrival> arrivals;
@@ -533,23 +533,147 @@ TEST(Deliveries, OneEventPerRunOfEqualArrivalCycles) {
   packet.cls = net::MsgClass::kCoherence;
   net::make_network(p)->inject(t, packet, arrivals);
   ASSERT_EQ(arrivals.size(), 63u);
+  arrivals.push_back({msg.src, t + 2});  // the sender's loopback ends it
+  std::vector<std::size_t> run_of(64);
   std::size_t runs = 0;
-  for (std::size_t i = 0; i < arrivals.size(); ++i)
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
     runs += i == 0 || arrivals[i].at != arrivals[i - 1].at;
-  // The sender's loopback at t + 2 ends the list.
-  runs += arrivals.back().at != t + 2;
+    run_of[static_cast<std::size_t>(arrivals[i].receiver)] = runs - 1;
+  }
   // The list is not sorted by cycle, so there are more runs than there
-  // would be events with one per distinct cycle plus the loopback.
+  // would be events with one per distinct cycle.
   std::vector<Cycle> cycles;
   for (const net::Arrival& a : arrivals) cycles.push_back(a.at);
   std::sort(cycles.begin(), cycles.end());
   cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
-  EXPECT_GT(runs, cycles.size() + 1);
+  EXPECT_GT(runs, cycles.size());
 
-  EXPECT_EQ(m.pending_deliveries(), runs);
-  EXPECT_TRUE(m.run());
-  EXPECT_TRUE(m.quiescent());
-  EXPECT_EQ(m.pending_deliveries(), 0u);
+  // Cores 3, 40 and 41 act: each has unicasts from slice 0 deferred.
+  const std::vector<CoreId> actors = {3, 40, 41};
+  std::vector<std::size_t> acting;
+  for (const CoreId c : actors)
+    acting.push_back(run_of[static_cast<std::size_t>(c)]);
+  std::sort(acting.begin(), acting.end());
+  acting.erase(std::unique(acting.begin(), acting.end()), acting.end());
+  ASSERT_GE(acting.size(), 2u);
+
+  for (const bool validate : {false, true}) {
+    SCOPED_TRACE(validate);
+    Machine m(p);
+    m.set_validation(validate);
+    for (const CoreId c : actors) m.mark_deferred(c, 0, true);
+    m.send(t, msg);
+    EXPECT_EQ(m.bcast_runs_reserved(), runs);
+    EXPECT_EQ(m.bcast_runs_scheduled(), acting.size());
+    EXPECT_EQ(m.pending_deliveries(), validate ? runs : acting.size());
+    EXPECT_TRUE(m.run());
+    EXPECT_EQ(m.events().dispatched(), validate ? runs : acting.size());
+    EXPECT_EQ(m.pending_deliveries(), 0u);
+    EXPECT_EQ(m.bcast_late_inserts(), 0u);
+    // Every receiver has processed the broadcast, whether its handler ran
+    // or its number was worked out without it.
+    for (CoreId c = 0; c < 64; ++c) EXPECT_EQ(m.bcast_seq(0, c), 1u) << c;
+    for (const CoreId c : actors) m.mark_deferred(c, 0, false);
+    EXPECT_TRUE(m.quiescent());
+  }
+}
+
+// --------------------------------------------------------------- late actors
+
+/// An access a drain issues at a chosen cycle; `done` is its commit cycle.
+struct TimedAccess {
+  Machine* m;
+  CoreId core;
+  Addr addr;
+  bool write;
+  Cycle done = 0;
+};
+
+void issue_timed(void* access, std::uint64_t) {
+  auto& a = *static_cast<TimedAccess*>(access);
+  a.m->cache(a.core).access(a.addr, a.write, {&a.done, {}});
+}
+
+/// Issues access i of `accesses` `offsets[i]` cycles from now, drains, and
+/// returns a digest of the commit cycles, the network and memory counters.
+std::uint64_t run_timed(Machine& m, std::vector<TimedAccess>& accesses,
+                        const std::vector<Cycle>& offsets) {
+  const Cycle t0 = m.now();
+  for (std::size_t i = 0; i < accesses.size(); ++i)
+    m.events().schedule(t0 + offsets[i], issue_timed, &accesses[i], 0);
+  EXPECT_TRUE(m.run(10'000'000));
+  Digest d;
+  for (const TimedAccess& a : accesses) d.add(a.done);
+  d.add(m.net_counters());
+  d.add(m.mem_counters());
+  return d.value();
+}
+
+MachineParams tiny_atac() {
+  auto p = MachineParams::small(4, 2);
+  p.network = NetworkKind::kAtacPlus;
+  return p;
+}
+
+TEST(LateActors, MshrOpenedAfterTheBroadcastLeftGetsItsRun) {
+  // Cores 0-4 share line L past the k = 4 pointers, so core 15's write
+  // broadcasts the invalidation; the run of L's hub core (5), which holds
+  // nothing, is the loopback two cycles after the send and has no event.
+  // The hub reads L in between: add_holder gives its run an event, at the
+  // slot the run reserved. Pinned: the commit cycles and every counter, as
+  // the simulator gave them with one event per run.
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate);
+    Machine m(tiny_atac());
+    m.set_validation(validate);
+    const Addr L = 0x40000;
+    const CoreId hub = m.geom().hub_core(m.home_slice(L));
+    ASSERT_EQ(hub, 5);
+    for (CoreId c = 0; c <= 4; ++c) do_access(m, c, L, false);
+    std::vector<TimedAccess> acc = {{&m, 15, L, true}, {&m, hub, L, false}};
+    const std::uint64_t digest = run_timed(m, acc, {0, 12});
+    EXPECT_EQ(m.bcast_late_inserts(), 1u);
+    EXPECT_EQ(acc[0].done, 333u);
+    EXPECT_EQ(acc[1].done, 367u);
+    EXPECT_EQ(m.now(), 459u);
+    EXPECT_EQ(digest, 0xcfa98a6b1ae97311ull);
+    EXPECT_TRUE(m.quiescent());
+  }
+}
+
+TEST(LateActors, UnicastDeferredBehindTheBroadcastIsReleased) {
+  // Line L (slice 2, hub core 13) is shared by cores 4, 10, 6, 13 and 1;
+  // core 8 owns line M of the same slice. With cluster routing, core 8's
+  // read of a line of slice 1 takes its cluster's receive network just as
+  // core 4's write broadcasts L's invalidation, so the broadcast reaches
+  // that cluster late, in a run of its own in which no receiver acts. Core 10's read of M makes
+  // the slice send core 8 a flush request over the ENet; it overtakes the
+  // broadcast and is deferred. mark_deferred gives core 8's run an event,
+  // whose handler releases the request. Without it core 10's read never
+  // completes. Pinned as the simulator gave it with one event per run.
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate);
+    auto p = tiny_atac();
+    p.routing = RoutingPolicy::kCluster;
+    Machine m(p);
+    m.set_validation(validate);
+    const Addr L = 0x40080, M = 0x80080, other = 0xc0040;
+    ASSERT_EQ(m.home_slice(L), 2);
+    ASSERT_EQ(m.home_slice(M), 2);
+    for (const CoreId c : {4, 10, 6, 13, 1}) do_access(m, c, L, false);
+    do_access(m, 8, M, true);
+    do_access(m, 4, other, false);
+    std::vector<TimedAccess> acc = {
+        {&m, 4, L, true}, {&m, 10, M, false}, {&m, 8, other, false}};
+    const std::uint64_t digest = run_timed(m, acc, {8, 10, 4});
+    EXPECT_EQ(m.bcast_late_inserts(), 1u);
+    EXPECT_EQ(acc[0].done, 647u);
+    EXPECT_EQ(acc[1].done, 657u);
+    EXPECT_EQ(acc[2].done, 619u);
+    EXPECT_EQ(m.now(), 741u);
+    EXPECT_EQ(digest, 0xcfa23967f3915918ull);
+    EXPECT_TRUE(m.quiescent());
+  }
 }
 
 }  // namespace
