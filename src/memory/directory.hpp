@@ -77,7 +77,6 @@ class DirectorySlice {
   /// Network-side entry for every message addressed to this slice.
   void handle(const CohMsg& m);
 
-  CoreId self_core() const { return self_; }
   std::size_t active_transactions() const { return active_.size(); }
 
   /// Directory-side snapshot of one line for the validation layer

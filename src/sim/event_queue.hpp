@@ -15,7 +15,9 @@
 // anything, and schedule_reserved later places an event at one of them: it
 // runs exactly where an event scheduled at the moment of the reservation
 // would have run. The Machine reserves one number per run of a broadcast's
-// receivers and schedules only the runs some receiver acts on.
+// receivers and schedules only the runs some receiver acts on, plus the
+// broadcast's last run, so the queue drains only once every run has passed
+// and the clock only ever moves by dispatching an event.
 //
 // The queue is a calendar ring (R. Brown, CACM 31(10), 1988) with one bucket
 // per cycle. The ring's kRingCycles buckets cover the cycles
@@ -99,14 +101,6 @@ class EventQueue {
   }
   /// Sequence number of the event running now (or of the last one run).
   std::uint64_t current_seq() const { return cur_seq_; }
-
-  /// Moves the clock of an empty queue forward to `t`, as if events had run
-  /// up to and including every slot of cycle `t` reserved so far.
-  void idle_until(Cycle t) {
-    assert(pending_ == 0 && t >= now_);
-    base_ = now_ = t;
-    cur_seq_ = seq_;
-  }
 
   Cycle now() const { return now_; }
   bool empty() const { return pending_ == 0; }

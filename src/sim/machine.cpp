@@ -63,36 +63,16 @@ bool Machine::run(Cycle max_cycles) {
   // With an observer, the queue stops before the first event at or past
   // each epoch boundary so the counters can be sampled there.
   const Cycle period = obs_ ? obs_->epoch_cycles() : kNeverCycle;
-  Cycle boundary = period;
   bool within_limit;
-  for (;;) {
+  for (Cycle boundary = period;; boundary += period) {
     within_limit = events_.run(max_cycles, boundary);
-    if (!within_limit) break;
-    if (events_.empty()) {
-      // Broadcast runs no receiver acts on have no event, yet the clock
-      // passes through them, stops and epochs included, as if they had one.
-      const Cycle t = next_pending_run();
-      if (t == kNeverCycle) break;
-      if (t > max_cycles) {
-        events_.idle_until(max_cycles);
-        within_limit = false;
-        break;
-      }
-      if (t < boundary) {
-        events_.idle_until(t);
-        continue;
-      }
-    }
+    if (!within_limit || events_.empty()) break;
     sample_obs(boundary, /*last=*/false);
-    boundary += period;
   }
   if (obs_) sample_obs(now(), /*last=*/true);
-  if (within_limit) {
-    retire_all();
-    if (validate_) {
-      if (!eager_live_) set_validation(true);
-      validate_run();
-    }
+  if (within_limit && validate_) {
+    if (!eager_live_) set_validation(true);
+    validate_run();
   }
   return within_limit;
 }
@@ -126,14 +106,14 @@ std::uint16_t Machine::bcast_seq(HubId slice, CoreId c) const {
   // A slice numbers its broadcasts in send order, so the newest one that
   // has reached `c` carries the largest number of those in flight, and none
   // older than one `v` already counts can move it.
-  const std::vector<Flight>& sent = in_flight_[s];
-  for (auto f = sent.rbegin(); f != sent.rend(); ++f) {
-    if (!mem::seq_before(v, f->seq)) break;
-    if (c == f->dropped || now() < f->first_at) continue;
-    const std::uint32_t r = f->run_of[i];
-    if (passed(f->last_at, f->last_seq) ||
-        passed(f->runs[r].at, f->first_seq + r)) {
-      v = f->seq;
+  const std::vector<Broadcast*>& sent = in_flight_[s];
+  for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
+    const Broadcast& b = **it;
+    if (!mem::seq_before(v, b.msg.seq)) break;
+    if (c == b.dropped || now() < b.first_at) continue;
+    const std::uint32_t r = b.run_of[i];
+    if (passed(b.runs[r].at, b.first_seq + r)) {
+      v = b.msg.seq;
       break;
     }
   }
@@ -149,15 +129,15 @@ void Machine::advance_bcast_seq(HubId slice, CoreId c, std::uint16_t seq) {
   if (eager_live_) mem::advance_seq(eager_seq_[i], seq);
 }
 
-void Machine::schedule_pending_run(const Flight& f, CoreId c) {
+void Machine::schedule_pending_run(Broadcast& b, CoreId c) {
   // Every run of a broadcast that every receiver acts on is scheduled.
-  if (c == f.dropped) return;
-  const std::uint32_t r = f.run_of[static_cast<std::size_t>(c)];
-  Run& run = f.runs[r];
-  if (run.state == Run::kScheduled || !ahead(run.at, f.first_seq + r)) return;
+  if (c == b.dropped) return;
+  const std::uint32_t r = b.run_of[static_cast<std::size_t>(c)];
+  Run& run = b.runs[r];
+  if (run.state == Run::kScheduled || !ahead(run.at, b.first_seq + r)) return;
   if (run.state == Run::kIdle) {
-    events_.schedule_reserved(run.at, f.first_seq + r, &Machine::deliver_run,
-                              this, std::uint64_t{f.slot} << 32 | r);
+    events_.schedule_reserved(run.at, b.first_seq + r, &Machine::deliver_run,
+                              this, std::uint64_t{b.slot} << 32 | r);
     ++pending_runs_;
   }
   run.state = Run::kScheduled;
@@ -166,14 +146,8 @@ void Machine::schedule_pending_run(const Flight& f, CoreId c) {
 
 void Machine::add_holder(Addr line, CoreId c) {
   holders_.add(line, c);
-  for (const Flight& f : in_flight_[static_cast<std::size_t>(home_slice(line))])
-    if (f.line == line) schedule_pending_run(f, c);
-}
-
-Machine::Flight& Machine::flight(HubId slice, std::uint32_t slot) {
-  std::vector<Flight>& sent = in_flight_[static_cast<std::size_t>(slice)];
-  return *std::find_if(sent.begin(), sent.end(),
-                       [slot](const Flight& f) { return f.slot == slot; });
+  for (Broadcast* b : in_flight_[static_cast<std::size_t>(home_slice(line))])
+    if (b->msg.line == line) schedule_pending_run(*b, c);
 }
 
 void Machine::refuse_address(const void* p, CoreId core) const {
@@ -232,10 +206,10 @@ Cycle Machine::send(Cycle t, const mem::CohMsg& m) {
 }
 
 void Machine::send_broadcast(const mem::CohMsg& m) {
-  retire_passed();
   const std::uint32_t slot = bcasts_.alloc();
   Broadcast& b = bcasts_[slot];
   b.msg = m;
+  b.slot = slot;
   b.dropped = kInvalidCore;
   b.handled = 0;
   b.every_receiver_acts = m.type != mem::CohType::kInvReq ||
@@ -266,16 +240,18 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
   // to back, in list order, before any event a handler schedules at it.
   b.first_seq = events_.reserve(b.runs.size());
   runs_reserved_ += b.runs.size();
-  Cycle first_at = kNeverCycle;
+  b.first_at = kNeverCycle;
   b.last = 0;
   for (std::uint32_t r = 0; r < b.runs.size(); ++r) {
-    first_at = std::min(first_at, b.runs[r].at);
+    b.first_at = std::min(b.first_at, b.runs[r].at);
     if (b.runs[r].at >= b.runs[b.last].at) b.last = r;
   }
 
-  // The runs with a receiver that acts now. Any other receiver that starts
-  // to act before its run passes does so through add_holder or
-  // mark_deferred, which give its run an event then.
+  // The last run always has an event: the broadcast retires at its end.
+  // The other runs have one if a receiver in them acts now. Any other
+  // receiver that starts to act before its run passes does so through
+  // add_holder or mark_deferred, which give its run an event then.
+  b.runs[b.last].state = Run::kScheduled;
   if (b.every_receiver_acts) {
     for (Run& r : b.runs) r.state = Run::kScheduled;
   } else {
@@ -307,10 +283,7 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
                               this, std::uint64_t{slot} << 32 | r);
     ++pending_runs_;
   }
-  in_flight_[static_cast<std::size_t>(m.dir_slice)].push_back(
-      Flight{b.run_of.data(), b.runs.data(), b.first_seq, first_at,
-             b.runs[b.last].at, b.first_seq + b.last, m.line, slot,
-             kInvalidCore, m.seq});
+  in_flight_[static_cast<std::size_t>(m.dir_slice)].push_back(&b);
 }
 
 void Machine::deliver_run(void* self, std::uint64_t arg) {
@@ -319,8 +292,8 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
   const auto r = static_cast<std::uint32_t>(arg);
   --m.pending_runs_;
   // Slab records never move, so `b` stays valid while the handlers below
-  // send more broadcasts; `b` itself is retired no earlier than its last
-  // run, after the loop.
+  // send more broadcasts; `b` itself is retired at the end of its last run,
+  // after the loop.
   Broadcast& b = m.bcasts_[slot];
   const Run run = b.runs[r];
   const auto end = static_cast<std::uint32_t>(
@@ -338,7 +311,7 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
   for (std::uint32_t i = run.first; i < end; ++i) {
     const CoreId c = b.receivers[i];
     if (m.dropped(c)) {
-      b.dropped = m.flight(b.msg.dir_slice, slot).dropped = c;
+      b.dropped = c;
       ++b.handled;
       continue;
     }
@@ -365,11 +338,10 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
       }
     }
   }
-  if (r == b.last) m.retire(slot);
+  if (r == b.last) m.retire(b);
 }
 
-void Machine::retire(std::uint32_t slot) {
-  const Broadcast& b = bcasts_[slot];
+void Machine::retire(const Broadcast& b) {
   const auto s = static_cast<std::size_t>(b.msg.dir_slice);
   const auto n = static_cast<std::size_t>(mp_.num_cores);
   std::uint16_t* row = &bcast_seq_[s * n];
@@ -382,30 +354,9 @@ void Machine::retire(std::uint32_t slot) {
   // What a handler would have done at a receiver that acts on nothing is
   // done: it counts as delivered.
   observed_deliveries_ += b.receivers.size() - b.handled;
-  std::vector<Flight>& sent = in_flight_[s];
-  sent.erase(sent.begin() + (&flight(b.msg.dir_slice, slot) - sent.data()));
-  bcasts_.free(slot);
-}
-
-void Machine::retire_passed() {
-  for (std::vector<Flight>& sent : in_flight_)
-    for (std::size_t i = sent.size(); i-- > 0;)
-      if (passed(sent[i].last_at, sent[i].last_seq)) retire(sent[i].slot);
-}
-
-void Machine::retire_all() {
-  for (std::vector<Flight>& sent : in_flight_)
-    while (!sent.empty()) retire(sent.back().slot);
-}
-
-Cycle Machine::next_pending_run() const {
-  Cycle t = kNeverCycle;
-  for (const std::vector<Flight>& sent : in_flight_)
-    for (const Flight& f : sent)
-      for (std::uint32_t r = 0; r < bcasts_[f.slot].runs.size(); ++r)
-        if (!passed(f.runs[r].at, f.first_seq + r))
-          t = std::min(t, f.runs[r].at);
-  return t;
+  std::vector<Broadcast*>& sent = in_flight_[s];
+  sent.erase(std::find(sent.begin(), sent.end(), &b));
+  bcasts_.free(b.slot);
 }
 
 void Machine::raise_unscheduled(CoreId c, const mem::CohMsg& m) {

@@ -105,7 +105,7 @@ class Machine {
   /// number is worked out when it is read, as the stored row advanced by
   /// every in-flight broadcast from `slice` whose run for `c` lies before
   /// the running event, (now(), current_seq()). A broadcast folds itself
-  /// into the row once all its runs have passed.
+  /// into the row at the end of its last run, which always has an event.
   std::uint16_t bcast_seq(HubId slice, CoreId c) const;
   /// Core `c` has processed broadcast `seq` from `slice`: advances its
   /// number (mem::advance_seq).
@@ -125,8 +125,8 @@ class Machine {
     } else if (!has_core(marks, c)) {
       set_core(marks, c);
       if (debug_ignore_deferred_) return;
-      for (const Flight& f : in_flight_[static_cast<std::size_t>(slice)])
-        schedule_pending_run(f, c);
+      for (Broadcast* b : in_flight_[static_cast<std::size_t>(slice)])
+        schedule_pending_run(*b, c);
     }
   }
 
@@ -135,8 +135,8 @@ class Machine {
   /// in-flight broadcast gets an event, where the loss can happen.
   void debug_drop_bcast_receiver(CoreId c) {
     debug_drop_ = c;
-    for (const std::vector<Flight>& sent : in_flight_)
-      for (const Flight& f : sent) schedule_pending_run(f, c);
+    for (const std::vector<Broadcast*>& sent : in_flight_)
+      for (Broadcast* b : sent) schedule_pending_run(*b, c);
   }
   /// Seeded fault for the mutation tests: broadcast receivers with unicasts
   /// deferred from the broadcast's slice are skipped like cores that hold
@@ -173,8 +173,9 @@ class Machine {
 
   /// Host-side counts of broadcast delivery (self-profile only): runs of
   /// equal arrival cycles reserved, runs given an event at send because a
-  /// receiver in them acted, and runs given one later by add_holder,
-  /// mark_deferred or debug_drop_bcast_receiver.
+  /// receiver in them acted or the run is the broadcast's last, and runs
+  /// given one later by add_holder, mark_deferred or
+  /// debug_drop_bcast_receiver.
   std::uint64_t bcast_runs_reserved() const { return runs_reserved_; }
   std::uint64_t bcast_runs_scheduled() const { return runs_scheduled_; }
   std::uint64_t bcast_late_inserts() const { return late_inserts_; }
@@ -228,36 +229,24 @@ class Machine {
       kScheduled,  ///< an event that runs its actors' handlers
     } state;
   };
-  /// A broadcast in flight: one per broadcast sent whose runs have not all
-  /// passed, in a pool of reused records (see send). Core ids and run
-  /// numbers fit 16 bits: MachineParams allows at most 65,536 cores.
+  /// A broadcast in flight: one per broadcast sent whose last run has not
+  /// run, in a pool of reused records (see send). Core ids and run numbers
+  /// fit 16 bits: MachineParams allows at most 65,536 cores.
   struct Broadcast {
     mem::CohMsg msg;
     std::vector<std::uint16_t> receivers;  ///< in the network's order
     std::vector<Run> runs;                 ///< in list order
     std::vector<std::uint16_t> run_of;     ///< each core's run, by core id
     std::uint64_t first_seq;  ///< the slot of run 0
-    std::uint32_t last;       ///< the run that runs last
+    Cycle first_at;           ///< the earliest arrival cycle
+    std::uint32_t last;       ///< the run that runs last, always scheduled
+    std::uint32_t slot;       ///< in bcasts_
     CoreId dropped;  ///< the receiver debug_drop_bcast_receiver took, if any
     std::uint32_t handled;  ///< receivers that ran a handler or were dropped
     bool every_receiver_acts;  ///< not an ACKwise invalidation
     bool probed;               ///< sent with validation on
   };
 
-  /// What bcast_seq and the hooks read of an in-flight broadcast, kept in
-  /// a per-slice list so that a read finds it without the record.
-  struct Flight {
-    const std::uint16_t* run_of;  ///< the record's, which never reallocate
-    Run* runs;
-    std::uint64_t first_seq;
-    Cycle first_at;  ///< the earliest arrival cycle
-    Cycle last_at;   ///< the slot of the run that runs last
-    std::uint64_t last_seq;
-    Addr line;
-    std::uint32_t slot;  ///< in bcasts_
-    CoreId dropped;      ///< as in the record
-    std::uint16_t seq;   ///< the broadcast's sequence number
-  };
   /// Runs the receiving cache's or directory's handler for `m`.
   void receive(CoreId receiver, const mem::CohMsg& m);
   /// The broadcast half of send: records `m` with its receivers in
@@ -274,21 +263,13 @@ class Machine {
   bool ahead(Cycle at, std::uint64_t seq) const {
     return at > now() || (at == now() && seq > events_.current_seq());
   }
-  /// Gives core `c`'s run of the broadcast `f` an event, unless it has one
+  /// Gives core `c`'s run of the broadcast `b` an event, unless it has one
   /// or is not ahead of the running event.
-  void schedule_pending_run(const Flight& f, CoreId c);
-  /// Folds the broadcast in `slot` into the stored sequence numbers, counts
-  /// its receivers that ran no handler, and frees it.
-  void retire(std::uint32_t slot);
-  /// Retires every in-flight broadcast whose runs have all passed.
-  void retire_passed();
-  /// Retires every in-flight broadcast (once the queue has drained).
-  void retire_all();
-  /// The entry of the broadcast in `slot`, sent from `slice`.
-  Flight& flight(HubId slice, std::uint32_t slot);
-  /// Earliest cycle of a run of an in-flight broadcast that has not passed,
-  /// or kNeverCycle.
-  Cycle next_pending_run() const;
+  void schedule_pending_run(Broadcast& b, CoreId c);
+  /// At the end of its last run: folds the broadcast `b` into the stored
+  /// sequence numbers, counts its receivers that ran no handler, and frees
+  /// it.
+  void retire(const Broadcast& b);
   /// With validation on: raises a coherence violation if `lazy`, the
   /// number bcast_seq worked out for core `c` and `slice`, differs from the
   /// one kept eagerly.
@@ -350,7 +331,8 @@ class Machine {
   Slab<Delivery, kDeliveriesPerPage> deliveries_;
   Slab<Broadcast, 32> bcasts_;
   /// The broadcasts in flight, one list per sending slice in send order.
-  std::vector<std::vector<Flight>> in_flight_;
+  /// Slab records never move, so the pointers stay valid until retire.
+  std::vector<std::vector<Broadcast*>> in_flight_;
   std::size_t pending_runs_ = 0;          ///< run events queued, not yet run
   std::uint64_t runs_reserved_ = 0;
   std::uint64_t runs_scheduled_ = 0;

@@ -508,32 +508,46 @@ TEST(Deliveries, PendingPastOneSlabPageArriveIntact) {
   EXPECT_EQ(d.value(), 0x91811f7bc56a4d37ull);
 }
 
-TEST(Deliveries, ReservesASlotPerRunAndSchedulesTheRunsThatAct) {
-  // EMesh-BCast's tree lists its receivers by walk, not by cycle, so equal
-  // cycles recur apart in the list. A broadcast reserves one event-queue
-  // slot per maximal run of consecutive equal cycles and gives an event
-  // only to the runs in which a receiver acts; nothing is sorted or merged
-  // across runs. With validation on, every other run gets a probe event.
-  const auto p = small(CoherenceKind::kAckwise, NetworkKind::kEMeshBCast);
+/// Broadcast invalidation number 1 of `line` from slice 0's hub core.
+mem::CohMsg slice0_invalidation(const MachineParams& p, Addr line) {
   mem::CohMsg msg;
-  msg.line = 0x340000;
+  msg.line = line;
   msg.dir_slice = 0;
   msg.src = net::MeshGeom(p).hub_core(0);
   msg.dst = kBroadcastCore;
   msg.requester = msg.src;
   msg.seq = 1;
   msg.type = mem::CohType::kInvReq;
-  const Cycle t = 5;
+  return msg;
+}
 
-  // The same packet on a fresh copy of the network gives the same list.
+/// The arrival list Machine::send makes for the broadcast `msg` sent at
+/// `t`: the same packet on a fresh copy of the network gives the same list,
+/// and the sender's loopback ends it.
+std::vector<net::Arrival> broadcast_arrivals(const MachineParams& p,
+                                             const mem::CohMsg& msg, Cycle t) {
   std::vector<net::Arrival> arrivals;
   net::NetPacket packet;
   packet.src = msg.src;
   packet.dst = msg.dst;
   packet.cls = net::MsgClass::kCoherence;
   net::make_network(p)->inject(t, packet, arrivals);
-  ASSERT_EQ(arrivals.size(), 63u);
-  arrivals.push_back({msg.src, t + 2});  // the sender's loopback ends it
+  arrivals.push_back({msg.src, t + 2});
+  return arrivals;
+}
+
+TEST(Deliveries, ReservesASlotPerRunAndSchedulesTheRunsThatAct) {
+  // EMesh-BCast's tree lists its receivers by walk, not by cycle, so equal
+  // cycles recur apart in the list. A broadcast reserves one event-queue
+  // slot per maximal run of consecutive equal cycles and gives an event
+  // only to the runs in which a receiver acts and to its last run, where it
+  // retires; nothing is sorted or merged across runs. With validation on,
+  // every other run gets a probe event.
+  const auto p = small(CoherenceKind::kAckwise, NetworkKind::kEMeshBCast);
+  const mem::CohMsg msg = slice0_invalidation(p, 0x340000);
+  const Cycle t = 5;
+  const std::vector<net::Arrival> arrivals = broadcast_arrivals(p, msg, t);
+  ASSERT_EQ(arrivals.size(), 64u);
   std::vector<std::size_t> run_of(64);
   std::size_t runs = 0;
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -556,6 +570,17 @@ TEST(Deliveries, ReservesASlotPerRunAndSchedulesTheRunsThatAct) {
   std::sort(acting.begin(), acting.end());
   acting.erase(std::unique(acting.begin(), acting.end()), acting.end());
   ASSERT_GE(acting.size(), 2u);
+  // The last run holds the latest arrival, and of equal ones the one
+  // listed last. It has an event whether or not a receiver in it acts.
+  std::size_t latest = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    if (arrivals[i].at >= arrivals[latest].at) latest = i;
+  std::vector<std::size_t> scheduled = acting;
+  scheduled.push_back(
+      run_of[static_cast<std::size_t>(arrivals[latest].receiver)]);
+  std::sort(scheduled.begin(), scheduled.end());
+  scheduled.erase(std::unique(scheduled.begin(), scheduled.end()),
+                  scheduled.end());
 
   for (const bool validate : {false, true}) {
     SCOPED_TRACE(validate);
@@ -564,10 +589,11 @@ TEST(Deliveries, ReservesASlotPerRunAndSchedulesTheRunsThatAct) {
     for (const CoreId c : actors) m.mark_deferred(c, 0, true);
     m.send(t, msg);
     EXPECT_EQ(m.bcast_runs_reserved(), runs);
-    EXPECT_EQ(m.bcast_runs_scheduled(), acting.size());
-    EXPECT_EQ(m.pending_deliveries(), validate ? runs : acting.size());
+    EXPECT_EQ(m.bcast_runs_scheduled(), scheduled.size());
+    EXPECT_EQ(m.pending_deliveries(), validate ? runs : scheduled.size());
     EXPECT_TRUE(m.run());
-    EXPECT_EQ(m.events().dispatched(), validate ? runs : acting.size());
+    EXPECT_EQ(m.events().dispatched(), validate ? runs : scheduled.size());
+    EXPECT_EQ(m.now(), arrivals[latest].at);
     EXPECT_EQ(m.pending_deliveries(), 0u);
     EXPECT_EQ(m.bcast_late_inserts(), 0u);
     // Every receiver has processed the broadcast, whether its handler ran
@@ -646,32 +672,104 @@ TEST(LateActors, UnicastDeferredBehindTheBroadcastIsReleased) {
   // core 8 owns line M of the same slice. With cluster routing, core 8's
   // read of a line of slice 1 takes its cluster's receive network just as
   // core 4's write broadcasts L's invalidation, so the broadcast reaches
-  // that cluster late, in a run of its own in which no receiver acts. Core 10's read of M makes
-  // the slice send core 8 a flush request over the ENet; it overtakes the
-  // broadcast and is deferred. mark_deferred gives core 8's run an event,
-  // whose handler releases the request. Without it core 10's read never
-  // completes. Pinned as the simulator gave it with one event per run.
+  // that cluster late, in a run of its own in which no receiver acts.
+  // Core 14's read of another line of slice 1, issued with core 8's, takes
+  // its own cluster's receive network after that reply, so the broadcast
+  // reaches cores 10-15 later still: theirs is the broadcast's last run,
+  // which always has an event, and core 8's is not. Core 10's read of M
+  // makes the slice send core 8 a flush request over the ENet; it overtakes
+  // the broadcast and is deferred. mark_deferred gives core 8's run an
+  // event, whose handler releases the request. Without it core 10's read
+  // never completes. Pinned as the simulator gave it with one event per
+  // run.
   for (const bool validate : {true, false}) {
     SCOPED_TRACE(validate);
     auto p = tiny_atac();
     p.routing = RoutingPolicy::kCluster;
     Machine m(p);
     m.set_validation(validate);
-    const Addr L = 0x40080, M = 0x80080, other = 0xc0040;
+    const Addr L = 0x40080, M = 0x80080, other = 0xc0040, other2 = 0xc0140;
     ASSERT_EQ(m.home_slice(L), 2);
     ASSERT_EQ(m.home_slice(M), 2);
+    ASSERT_EQ(m.home_slice(other), 1);
+    ASSERT_EQ(m.home_slice(other2), 1);
     for (const CoreId c : {4, 10, 6, 13, 1}) do_access(m, c, L, false);
     do_access(m, 8, M, true);
     do_access(m, 4, other, false);
-    std::vector<TimedAccess> acc = {
-        {&m, 4, L, true}, {&m, 10, M, false}, {&m, 8, other, false}};
-    const std::uint64_t digest = run_timed(m, acc, {8, 10, 4});
+    do_access(m, 4, other2, false);
+    std::vector<TimedAccess> acc = {{&m, 4, L, true},
+                                    {&m, 10, M, false},
+                                    {&m, 8, other, false},
+                                    {&m, 14, other2, false}};
+    const std::uint64_t digest = run_timed(m, acc, {8, 10, 4, 4});
     EXPECT_EQ(m.bcast_late_inserts(), 1u);
-    EXPECT_EQ(acc[0].done, 647u);
-    EXPECT_EQ(acc[1].done, 657u);
-    EXPECT_EQ(acc[2].done, 619u);
-    EXPECT_EQ(m.now(), 741u);
-    EXPECT_EQ(digest, 0xcfa23967f3915918ull);
+    EXPECT_EQ(acc[0].done, 812u);
+    EXPECT_EQ(acc[1].done, 802u);
+    EXPECT_EQ(acc[2].done, 768u);
+    EXPECT_EQ(acc[3].done, 778u);
+    EXPECT_EQ(m.now(), 890u);
+    EXPECT_EQ(digest, 0xcc403c5941e749e9ull);
+    EXPECT_TRUE(m.quiescent());
+  }
+}
+
+// --------------------------------------------------------------- cycle limit
+
+TEST(CycleLimit, StopInsideABroadcastResumesAsIfUninterrupted) {
+  // An ACKwise invalidation that no receiver acts on has an event only at
+  // its last run. A cycle limit between its first and last arrival stops
+  // the clock at the limit, where a read sees the runs before it as passed;
+  // a second run() then ends as a run without the limit does.
+  const auto p = tiny_atac();
+  const mem::CohMsg msg = slice0_invalidation(p, 0x40000);
+  const Cycle t = 5;
+  const std::vector<net::Arrival> arrivals = broadcast_arrivals(p, msg, t);
+  Cycle first = kNeverCycle, last = 0;
+  for (const net::Arrival& a : arrivals) {
+    first = std::min(first, a.at);
+    last = std::max(last, a.at);
+  }
+  const Cycle stop = first + (last - first) / 2;
+  ASSERT_LT(first, stop);
+  ASSERT_LT(stop, last);
+
+  for (const bool validate : {false, true}) {
+    SCOPED_TRACE(validate);
+    Machine whole(p);
+    whole.set_validation(validate);
+    whole.send(t, msg);
+    EXPECT_TRUE(whole.run());
+
+    Machine m(p);
+    m.set_validation(validate);
+    m.send(t, msg);
+    EXPECT_FALSE(m.run(stop));
+    EXPECT_EQ(m.now(), stop);
+    for (const net::Arrival& a : arrivals) {
+      if (a.at == stop) continue;
+      EXPECT_EQ(m.bcast_seq(0, a.receiver), a.at < stop ? 1u : 0u)
+          << a.receiver;
+    }
+    EXPECT_TRUE(m.run());
+
+    EXPECT_EQ(m.now(), last);
+    EXPECT_EQ(m.now(), whole.now());
+    EXPECT_EQ(m.events().dispatched(), whole.events().dispatched());
+    EXPECT_EQ(m.bcast_runs_reserved(), whole.bcast_runs_reserved());
+    EXPECT_EQ(m.bcast_runs_scheduled(), whole.bcast_runs_scheduled());
+    EXPECT_EQ(m.bcast_late_inserts(), whole.bcast_late_inserts());
+    Digest a, b;
+    a.add(m.net_counters());
+    a.add(m.mem_counters());
+    b.add(whole.net_counters());
+    b.add(whole.mem_counters());
+    EXPECT_EQ(a.value(), b.value());
+    for (HubId s = 0; s < m.geom().num_clusters(); ++s)
+      for (CoreId c = 0; c < p.num_cores; ++c)
+        EXPECT_EQ(m.bcast_seq(s, c), whole.bcast_seq(s, c)) << s << " " << c;
+    for (CoreId c = 0; c < p.num_cores; ++c)
+      EXPECT_EQ(m.bcast_seq(0, c), 1u) << c;
+    EXPECT_EQ(m.pending_deliveries(), 0u);
     EXPECT_TRUE(m.quiescent());
   }
 }
