@@ -5,9 +5,9 @@
 // cache states (ACKwise_k's entire point is *bounding* tracked sharers,
 // Sec. IV), and the energy components must sum to the totals plotted in
 // Figs. 7-8. Graphite-lineage simulators ship a debug-assert layer for
-// exactly these properties; this module is ours. It is opt-in
-// (ATACSIM_VALIDATE=1 or Machine::set_validation) so the hot path stays
-// clean in production runs.
+// exactly these properties; this module is ours. It is opt-in, armed by
+// ATACSIM_VALIDATE=1 or the constructor argument (Machine, Program,
+// EventQueue), so the hot path stays clean in production runs.
 //
 // A failed probe raises InvariantViolation, a structured exception carrying
 // the probe family, simulated cycle, core and a human-readable detail, so
@@ -46,7 +46,8 @@ class InvariantViolation : public std::runtime_error {
 };
 
 /// True when the process opted into validation via ATACSIM_VALIDATE=1
-/// (read once; seeds the default of Machine/EventQueue validation flags).
+/// (read once; the default of the Machine, Program and EventQueue
+/// constructors' `validate` argument).
 bool env_validation_enabled();
 
 /// Raises an InvariantViolation (out-of-line so probe call sites stay small).

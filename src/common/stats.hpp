@@ -19,8 +19,9 @@ class StatList {
   void add(std::string name, double value) {
     items_.emplace_back(std::move(name), value);
   }
-  void add_all(const StatList& other, const std::string& prefix = "") {
-    for (const auto& [n, v] : other.items_) items_.emplace_back(prefix + n, v);
+  /// Appends every stat of `other`, in its order.
+  void add_all(const StatList& other) {
+    items_.insert(items_.end(), other.items_.begin(), other.items_.end());
   }
   /// Returns value of the first stat with this exact name, or `fallback`.
   double get(const std::string& name, double fallback = 0.0) const {

@@ -44,16 +44,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) emit(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ',';
-      os << r[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-}
-
 }  // namespace atacsim

@@ -1,4 +1,4 @@
-// Aligned text tables and CSV emission for experiment harnesses.
+// Aligned text tables for experiment harnesses.
 #pragma once
 
 #include <iosfwd>
@@ -20,7 +20,6 @@ class Table {
   static std::string num(double v, int precision = 3);
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
 
   const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }
 

@@ -6,8 +6,9 @@
 
 namespace atacsim::core {
 
-Program::Program(const MachineParams& mp, obs::RunObserver* obs)
-    : machine_(std::make_unique<sim::Machine>(mp, obs)) {
+Program::Program(const MachineParams& mp, obs::RunObserver* obs,
+                 bool validate)
+    : machine_(std::make_unique<sim::Machine>(mp, obs, validate)) {
   ctxs_.reserve(static_cast<std::size_t>(mp.num_cores));
   for (CoreId c = 0; c < mp.num_cores; ++c)
     ctxs_.push_back(std::make_unique<CoreCtx>(*machine_, c));

@@ -26,8 +26,10 @@ struct RunResult {
 class Program {
  public:
   /// `obs` (optional, not owned) arms telemetry on the underlying Machine,
-  /// which samples the cores' counters with its own at epoch boundaries.
-  explicit Program(const MachineParams& mp, obs::RunObserver* obs = nullptr);
+  /// which samples the cores' counters with its own at epoch boundaries;
+  /// `validate` arms its src/check probes (see sim::Machine).
+  explicit Program(const MachineParams& mp, obs::RunObserver* obs = nullptr,
+                   bool validate = check::env_validation_enabled());
   /// Frees the frames of kernels that did not finish (a run stopped by its
   /// cycle limit); a finished kernel's frame frees itself.
   ~Program();

@@ -27,7 +27,6 @@ class Channel {
   }
   Cycle busy_until() const { return busy_until_; }
   Cycle busy_cycles() const { return busy_cycles_; }
-  void reset() { busy_until_ = 0; busy_cycles_ = 0; }
 
  private:
   Cycle busy_until_ = 0;

@@ -19,6 +19,13 @@
 // broadcast's last run, so the queue drains only once every run has passed
 // and the clock only ever moves by dispatching an event.
 //
+// The queue alone says where the simulation stands in (cycle, sequence
+// number) order, through passed() and ahead(). While a handler runs, its
+// own slot is neither passed nor ahead; between events the last slot run
+// has passed; after run(max) returns false every slot at or before now()
+// has passed and a slot reserved after the stop is ahead; before the first
+// dispatch every slot is ahead.
+//
 // The queue is a calendar ring (R. Brown, CACM 31(10), 1988) with one bucket
 // per cycle. The ring's kRingCycles buckets cover the cycles
 // [base_, base_ + kRingCycles), where base_ is the cycle of the last
@@ -64,7 +71,12 @@ class EventQueue {
   /// scheduled this far ahead or more waits in the overflow heap.
   static constexpr Cycle kRingCycles = Cycle{1} << 12;
 
-  EventQueue() { buckets_.fill(Bucket{kNil, kNil}); }
+  /// `validate` arms the clock probe: every dispatch checks the clock never
+  /// moves backwards (src/check).
+  explicit EventQueue(bool validate = check::env_validation_enabled())
+      : validate_(validate) {
+    buckets_.fill(Bucket{kNil, kNil});
+  }
 
   /// Events dispatched so far (unconditional counter; feeds the obs
   /// self-profile's events/sec).
@@ -92,22 +104,23 @@ class EventQueue {
   }
   /// Runs fn(obj, arg) at cycle `t` in the place of sequence number `seq`,
   /// one that reserve() handed out: where an event scheduled for `t` at the
-  /// moment of the reservation would run. The slot must not have passed:
-  /// (t, seq) must come after (now(), current_seq()).
+  /// moment of the reservation would run. The slot must be ahead().
   void schedule_reserved(Cycle t, std::uint64_t seq, Fn fn, void* obj,
                          std::uint64_t arg) {
-    assert(seq < seq_ && (t > now_ || (t == now_ && seq > cur_seq_)));
+    assert(seq < seq_ && ahead(t, seq));
     place<false>(t, seq, fn, obj, arg);
   }
-  /// Sequence number of the event running now (or of the last one run).
-  std::uint64_t current_seq() const { return cur_seq_; }
+  /// True once the slot (t, seq) lies before the simulation's position.
+  bool passed(Cycle t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq < lo_);
+  }
+  /// True while the slot (t, seq) lies after the simulation's position.
+  bool ahead(Cycle t, std::uint64_t seq) const {
+    return t > now_ || (t == now_ && seq >= hi_);
+  }
 
   Cycle now() const { return now_; }
   bool empty() const { return pending_ == 0; }
-
-  /// When on, every dispatch asserts the clock never moves backwards
-  /// (src/check clock probe). Defaults to the ATACSIM_VALIDATE env flag.
-  void set_validation(bool on) { validate_ = on; }
   bool validation() const { return validate_; }
 
   /// Runs until the queue drains, `max_cycles` is crossed, or the next
@@ -122,6 +135,7 @@ class EventQueue {
       const Cycle t = next_cycle();
       if (t > max_cycles) {
         now_ = max_cycles;
+        lo_ = hi_ = seq_;
         return false;
       }
       if (t >= stop_before) return true;
@@ -257,9 +271,11 @@ class EventQueue {
                    "dispatch timestamp " + std::to_string(t) +
                        " behind clock " + std::to_string(now_));
     now_ = t;
-    cur_seq_ = e.seq;
+    lo_ = e.seq;
+    hi_ = e.seq + 1;
     ++dispatched_;
     e.fn(e.obj, e.arg);
+    lo_ = hi_;
   }
 
   std::vector<Node> nodes_;
@@ -270,13 +286,16 @@ class EventQueue {
       overflow_;
   Cycle base_ = 0;  ///< cycle of the last dispatched event
   Cycle now_ = 0;
-  std::uint64_t seq_ = 0;      ///< the next sequence number to hand out
-  std::uint64_t cur_seq_ = 0;  ///< sequence number of the running event
+  std::uint64_t seq_ = 0;  ///< the next sequence number to hand out
+  /// At now(), the slots before lo_ have passed and those from hi_ on are
+  /// ahead: the running slot's range while a handler runs, else empty.
+  std::uint64_t lo_ = 0;
+  std::uint64_t hi_ = 0;
   std::uint64_t pending_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t overflowed_ = 0;
   std::uint64_t peak_pending_ = 0;
-  bool validate_ = check::env_validation_enabled();
+  const bool validate_;
 };
 
 /// Event handler that resumes the coroutine whose frame is `frame` (a

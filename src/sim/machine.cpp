@@ -11,11 +11,14 @@
 
 namespace atacsim::sim {
 
-Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
+Machine::Machine(const MachineParams& mp, obs::RunObserver* obs,
+                 bool validate)
     : mp_(mp),
       net_(net::make_network(mp)),
       geom_(mp),
       obs_(obs),
+      validate_(validate),
+      events_(validate),
       core_counters_(static_cast<std::size_t>(mp.num_cores)),
       holders_(mp.num_cores),
       bcast_seq_(static_cast<std::size_t>(geom_.num_clusters()) *
@@ -24,10 +27,7 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
       deferred_marks_(static_cast<std::size_t>(geom_.num_clusters()) *
                       holders_.words()) {
   in_flight_.resize(static_cast<std::size_t>(geom_.num_clusters()));
-  if (validate_) {
-    eager_seq_ = bcast_seq_;
-    eager_live_ = true;
-  }
+  if (validate_) eager_seq_ = bcast_seq_;
   caches_.reserve(static_cast<std::size_t>(mp_.num_cores));
   for (CoreId c = 0; c < mp_.num_cores; ++c)
     caches_.push_back(std::make_unique<mem::CacheController>(c, *this));
@@ -46,19 +46,6 @@ Machine::Machine(const MachineParams& mp, obs::RunObserver* obs)
   }
 }
 
-void Machine::set_validation(bool on) {
-  validate_ = on;
-  events_.set_validation(on);
-  if (!on) {
-    eager_live_ = false;
-  } else if (!eager_live_ &&
-             std::all_of(in_flight_.begin(), in_flight_.end(),
-                         [](const auto& sent) { return sent.empty(); })) {
-    eager_seq_ = bcast_seq_;
-    eager_live_ = true;
-  }
-}
-
 bool Machine::run(Cycle max_cycles) {
   // With an observer, the queue stops before the first event at or past
   // each epoch boundary so the counters can be sampled there.
@@ -70,10 +57,7 @@ bool Machine::run(Cycle max_cycles) {
     sample_obs(boundary, /*last=*/false);
   }
   if (obs_) sample_obs(now(), /*last=*/true);
-  if (within_limit && validate_) {
-    if (!eager_live_) set_validation(true);
-    validate_run();
-  }
+  if (within_limit && validate_) validate_run();
   return within_limit;
 }
 
@@ -112,12 +96,12 @@ std::uint16_t Machine::bcast_seq(HubId slice, CoreId c) const {
     if (!mem::seq_before(v, b.msg.seq)) break;
     if (c == b.dropped || now() < b.first_at) continue;
     const std::uint32_t r = b.run_of[i];
-    if (passed(b.runs[r].at, b.first_seq + r)) {
+    if (events_.passed(b.runs[r].at, b.first_seq + r)) {
       v = b.msg.seq;
       break;
     }
   }
-  if (eager_live_) check_lazy_seq(slice, c, v);
+  if (validate_) check_lazy_seq(slice, c, v);
   return v;
 }
 
@@ -126,7 +110,7 @@ void Machine::advance_bcast_seq(HubId slice, CoreId c, std::uint16_t seq) {
                             static_cast<std::size_t>(mp_.num_cores) +
                         static_cast<std::size_t>(c);
   mem::advance_seq(bcast_seq_[i], seq);
-  if (eager_live_) mem::advance_seq(eager_seq_[i], seq);
+  if (validate_) mem::advance_seq(eager_seq_[i], seq);
 }
 
 void Machine::schedule_pending_run(Broadcast& b, CoreId c) {
@@ -134,13 +118,14 @@ void Machine::schedule_pending_run(Broadcast& b, CoreId c) {
   if (c == b.dropped) return;
   const std::uint32_t r = b.run_of[static_cast<std::size_t>(c)];
   Run& run = b.runs[r];
-  if (run.state == Run::kScheduled || !ahead(run.at, b.first_seq + r)) return;
-  if (run.state == Run::kIdle) {
+  if (run.scheduled || !events_.ahead(run.at, b.first_seq + r)) return;
+  // With validation on the run already has its probe event.
+  if (!validate_) {
     events_.schedule_reserved(run.at, b.first_seq + r, &Machine::deliver_run,
                               this, std::uint64_t{b.slot} << 32 | r);
     ++pending_runs_;
   }
-  run.state = Run::kScheduled;
+  run.scheduled = true;
   ++late_inserts_;
 }
 
@@ -161,13 +146,19 @@ void Machine::refuse_address(const void* p, CoreId core) const {
   check::raise(check::Probe::kAddress, "machine", now(), core, os.str());
 }
 
-void Machine::check_skipped(CoreId c, const mem::CohMsg& m) {
+void Machine::check_receiver(CoreId c, const mem::CohMsg& m,
+                             bool acts) const {
   const char* held = caches_[static_cast<std::size_t>(c)]->holding(
       m.line, m.dir_slice);
-  if (!held) return;
+  if (!acts && !held) return;
   std::ostringstream os;
   os << "broadcast InvReq for line 0x" << std::hex << m.line << std::dec
-     << " from slice " << m.dir_slice << " skipped a core with " << held;
+     << " from slice " << m.dir_slice;
+  if (acts)
+    os << " reached a core with " << (held ? held : "deferred unicasts")
+       << ", but its run had no scheduled event";
+  else
+    os << " skipped a core with " << held;
   check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
 }
 
@@ -214,7 +205,6 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
   b.handled = 0;
   b.every_receiver_acts = m.type != mem::CohType::kInvReq ||
                           mp_.coherence != CoherenceKind::kAckwise;
-  b.probed = validate_;
   // Every core receives a broadcast once, so each entry of run_of is set.
   assert(arrivals_.size() == static_cast<std::size_t>(mp_.num_cores));
   b.receivers.resize(arrivals_.size());
@@ -229,8 +219,7 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
     if (a.at != at) {
       at = a.at;
       run = static_cast<std::uint16_t>(b.runs.size());
-      b.runs.push_back(
-          Run{at, static_cast<std::uint32_t>(i), Run::kIdle});
+      b.runs.push_back(Run{at, static_cast<std::uint32_t>(i), false});
     }
     b.run_of[static_cast<std::size_t>(a.receiver)] = run;
     b.receivers[i] = static_cast<std::uint16_t>(a.receiver);
@@ -251,9 +240,9 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
   // The other runs have one if a receiver in them acts now. Any other
   // receiver that starts to act before its run passes does so through
   // add_holder or mark_deferred, which give its run an event then.
-  b.runs[b.last].state = Run::kScheduled;
+  b.runs[b.last].scheduled = true;
   if (b.every_receiver_acts) {
-    for (Run& r : b.runs) r.state = Run::kScheduled;
+    for (Run& r : b.runs) r.scheduled = true;
   } else {
     const std::uint64_t* held = holders_.find(m.line);
     const std::uint64_t* deferred =
@@ -264,23 +253,21 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
            bits != 0; bits &= bits - 1) {
         const std::size_t c = w * 64 + static_cast<std::size_t>(
                                            std::countr_zero(bits));
-        b.runs[b.run_of[c]].state = Run::kScheduled;
+        b.runs[b.run_of[c]].scheduled = true;
       }
     }
     if (debug_drop_ != kInvalidCore)
-      b.runs[b.run_of[static_cast<std::size_t>(debug_drop_)]].state =
-          Run::kScheduled;
+      b.runs[b.run_of[static_cast<std::size_t>(debug_drop_)]].scheduled =
+          true;
   }
   for (std::size_t r = 0; r < b.runs.size(); ++r) {
-    Run& run = b.runs[r];
-    if (run.state == Run::kScheduled)
+    if (b.runs[r].scheduled)
       ++runs_scheduled_;
-    else if (validate_)
-      run.state = Run::kProbe;
-    else
+    else if (!validate_)
       continue;
-    events_.schedule_reserved(run.at, b.first_seq + r, &Machine::deliver_run,
-                              this, std::uint64_t{slot} << 32 | r);
+    events_.schedule_reserved(b.runs[r].at, b.first_seq + r,
+                              &Machine::deliver_run, this,
+                              std::uint64_t{slot} << 32 | r);
     ++pending_runs_;
   }
   in_flight_[static_cast<std::size_t>(m.dir_slice)].push_back(&b);
@@ -298,7 +285,6 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
   const Run run = b.runs[r];
   const auto end = static_cast<std::uint32_t>(
       r + 1 < b.runs.size() ? b.runs[r + 1].first : b.receivers.size());
-  const bool probe = b.probed && m.validate_;
   const std::size_t row = static_cast<std::size_t>(b.msg.dir_slice) *
                           static_cast<std::size_t>(m.mp_.num_cores);
   // A handler changes only its own core's state and schedules (never runs)
@@ -315,27 +301,23 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
       ++b.handled;
       continue;
     }
-    if (b.every_receiver_acts || (held && has_core(held, c)) ||
-        (deferred && has_core(deferred, c))) {
-      if (run.state != Run::kScheduled) {
-        // A probe-only event: nothing gave this actor's run an event.
-        if (probe) m.raise_unscheduled(c, b.msg);
-        continue;
-      }
+    const bool acts = b.every_receiver_acts || (held && has_core(held, c)) ||
+                      (deferred && has_core(deferred, c));
+    if (acts && run.scheduled) {
       ++b.handled;
       m.receive(c, b.msg);
       held = m.holders_.find(b.msg.line);
-    } else {
-      // What the handler would do, done here while the run is at hand, so a
-      // later read of the number need not look the run up. A probe-only
-      // event leaves it to the lazy read, which it is there to check.
-      const std::size_t i = row + static_cast<std::size_t>(c);
-      if (run.state == Run::kScheduled)
-        mem::advance_seq(m.bcast_seq_[i], b.msg.seq);
-      if (probe) {
-        m.check_skipped(c, b.msg);
-        if (m.eager_live_) mem::advance_seq(m.eager_seq_[i], b.msg.seq);
-      }
+      continue;
+    }
+    // A receiver that runs no handler: what the handler would do is done
+    // here while the run is at hand, so a later read of the number need not
+    // look the run up. A probe event leaves the stored number to the lazy
+    // read, which it is there to check, and raises if the receiver acts.
+    const std::size_t at = row + static_cast<std::size_t>(c);
+    if (run.scheduled) mem::advance_seq(m.bcast_seq_[at], b.msg.seq);
+    if (m.validate_) {
+      m.check_receiver(c, b.msg, acts);
+      mem::advance_seq(m.eager_seq_[at], b.msg.seq);
     }
   }
   if (r == b.last) m.retire(b);
@@ -357,17 +339,6 @@ void Machine::retire(const Broadcast& b) {
   std::vector<Broadcast*>& sent = in_flight_[s];
   sent.erase(std::find(sent.begin(), sent.end(), &b));
   bcasts_.free(b.slot);
-}
-
-void Machine::raise_unscheduled(CoreId c, const mem::CohMsg& m) {
-  const char* held = caches_[static_cast<std::size_t>(c)]->holding(
-      m.line, m.dir_slice);
-  std::ostringstream os;
-  os << "broadcast InvReq for line 0x" << std::hex << m.line << std::dec
-     << " from slice " << m.dir_slice << " reached a core with "
-     << (held ? held : "deferred unicasts")
-     << ", but its run had no scheduled event";
-  check::raise(check::Probe::kCoherence, "machine", now(), c, os.str());
 }
 
 void Machine::check_lazy_seq(HubId slice, CoreId c, std::uint16_t lazy) const {

@@ -35,8 +35,13 @@ class Machine {
   /// `obs` (optional, not owned, must outlive the machine) arms telemetry:
   /// counter sampling at every epoch boundary run() crosses plus latency
   /// recording in the network and memory layers. Null keeps every hot path
-  /// at a single pointer test.
-  explicit Machine(const MachineParams& mp, obs::RunObserver* obs = nullptr);
+  /// at a single pointer test. `validate` arms the cross-layer probes of
+  /// src/check for the machine's life: per-transaction coherence probes,
+  /// the check of every broadcast receiver that runs no handler against an
+  /// eager mirror of the lazy sequence numbers, end-of-run flow, ledger and
+  /// delivery probes, and the event queue's clock-monotonicity probe.
+  explicit Machine(const MachineParams& mp, obs::RunObserver* obs = nullptr,
+                   bool validate = check::env_validation_enabled());
   // Caches and directories hold this Machine's address.
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
@@ -85,8 +90,7 @@ class Machine {
   Cycle send(Cycle t, const mem::CohMsg& m);
 
   /// A directory transaction on `line` at `slice` completed: with
-  /// validation on (the live flag, so set_validation takes effect mid-run),
-  /// cross-checks directory tracking against every cache.
+  /// validation on, cross-checks directory tracking against every cache.
   void txn_done(Addr line, HubId slice) {
     if (validate_) validate_coherence(line, slice);
   }
@@ -103,9 +107,9 @@ class Machine {
   /// processed (paper Sec. IV-C-1). Under ACKwise most receivers of a
   /// broadcast invalidation act on nothing, and no event runs for them: the
   /// number is worked out when it is read, as the stored row advanced by
-  /// every in-flight broadcast from `slice` whose run for `c` lies before
-  /// the running event, (now(), current_seq()). A broadcast folds itself
-  /// into the row at the end of its last run, which always has an event.
+  /// every in-flight broadcast from `slice` whose run for `c` has passed
+  /// (EventQueue::passed). A broadcast folds itself into the row at the end
+  /// of its last run, which always has an event.
   std::uint16_t bcast_seq(HubId slice, CoreId c) const;
   /// Core `c` has processed broadcast `seq` from `slice`: advances its
   /// number (mem::advance_seq).
@@ -151,11 +155,7 @@ class Machine {
   /// channel ledger bounds, message delivery accounting).
   bool run(Cycle max_cycles = kNeverCycle);
   Cycle now() const { return events_.now(); }
-
-  /// Opt-in cross-layer validation (src/check): per-transaction coherence
-  /// probes, end-of-run flow/ledger/delivery probes, and the event queue's
-  /// clock-monotonicity probe. Defaults to the ATACSIM_VALIDATE env flag.
-  void set_validation(bool on);
+  /// True if the machine was built with validation (see the constructor).
   bool validation() const { return validate_; }
 
   /// True if no coherence transaction or miss is outstanding anywhere —
@@ -220,14 +220,12 @@ class Machine {
  private:
   /// A maximal run of consecutive equal arrival cycles in a broadcast's
   /// list. Run r holds the event-queue slot first_seq + r.
+  /// A run that is not scheduled has an event only with validation on: a
+  /// probe.
   struct Run {
     Cycle at;             ///< arrival cycle of its receivers
     std::uint32_t first;  ///< its first receiver's index in `receivers`
-    enum State : std::uint8_t {
-      kIdle,       ///< no event: none of its receivers acts
-      kProbe,      ///< a validation-only event (no receiver acted at send)
-      kScheduled,  ///< an event that runs its actors' handlers
-    } state;
+    bool scheduled;       ///< has an event that runs its actors' handlers
   };
   /// A broadcast in flight: one per broadcast sent whose last run has not
   /// run, in a pool of reused records (see send). Core ids and run numbers
@@ -244,7 +242,6 @@ class Machine {
     CoreId dropped;  ///< the receiver debug_drop_bcast_receiver took, if any
     std::uint32_t handled;  ///< receivers that ran a handler or were dropped
     bool every_receiver_acts;  ///< not an ACKwise invalidation
-    bool probed;               ///< sent with validation on
   };
 
   /// Runs the receiving cache's or directory's handler for `m`.
@@ -255,16 +252,8 @@ class Machine {
   /// Event handler: runs the run `arg & 0xffffffff` of the broadcast in
   /// slot `arg >> 32` of bcasts_.
   static void deliver_run(void* self, std::uint64_t arg);
-  /// True once the slot (at, seq) lies before the running event.
-  bool passed(Cycle at, std::uint64_t seq) const {
-    return at < now() || (at == now() && seq < events_.current_seq());
-  }
-  /// True while the slot (at, seq) lies after the running event.
-  bool ahead(Cycle at, std::uint64_t seq) const {
-    return at > now() || (at == now() && seq > events_.current_seq());
-  }
-  /// Gives core `c`'s run of the broadcast `b` an event, unless it has one
-  /// or is not ahead of the running event.
+  /// Gives core `c`'s run of the broadcast `b` an event that runs its
+  /// actors' handlers, unless it has one or is not ahead.
   void schedule_pending_run(Broadcast& b, CoreId c);
   /// At the end of its last run: folds the broadcast `b` into the stored
   /// sequence numbers, counts its receivers that ran no handler, and frees
@@ -277,12 +266,11 @@ class Machine {
   /// Raises the kAddress violation for `p`, which lies outside the address
   /// space (or was touched by a body with none).
   [[noreturn]] void refuse_address(const void* p, CoreId core) const;
-  /// With validation on: raises a coherence violation if the skipped
-  /// receiver `c` holds anything the broadcast `m` must act on.
-  void check_skipped(CoreId c, const mem::CohMsg& m);
-  /// With validation on: raises the coherence violation for receiver `c`,
-  /// which acts on the broadcast `m` at a run that has only a probe event.
-  [[noreturn]] void raise_unscheduled(CoreId c, const mem::CohMsg& m);
+  /// With validation on, at a receiver `c` of the broadcast `m` that runs
+  /// no handler: raises a coherence violation if `c` acts on `m` (`acts`;
+  /// its run's event is then a probe, since nothing gave the run one that
+  /// runs handlers) or holds anything `m` must act on.
+  void check_receiver(CoreId c, const mem::CohMsg& m, bool acts) const;
   /// Consumes the debug_drop_bcast_receiver fault if it names `c`.
   bool dropped(CoreId c) {
     if (c != debug_drop_) return false;
@@ -308,7 +296,8 @@ class Machine {
   std::unique_ptr<net::NetworkModel> net_;
   net::MeshGeom geom_;
   obs::RunObserver* obs_ = nullptr;
-  EventQueue events_;
+  const bool validate_;
+  EventQueue events_;  ///< built from validate_
   MemCounters mem_counters_;
   std::vector<CoreCounters> core_counters_;
   std::vector<std::unique_ptr<mem::CacheController>> caches_;
@@ -348,16 +337,12 @@ class Machine {
   CoreId debug_drop_ = kInvalidCore;
   bool debug_ignore_deferred_ = false;
 
-  bool validate_ = check::env_validation_enabled();
-  /// With validation on, the sequence numbers kept eagerly, as one event
-  /// per run would: each probe advances its run's receivers that ran no
-  /// handler, and advance_bcast_seq the rest. Live while validation has
-  /// been on since a moment with no broadcast in flight.
+  /// With validation on (empty otherwise), the sequence numbers kept
+  /// eagerly, as one event per run would: each probe advances its run's
+  /// receivers that ran no handler, and advance_bcast_seq the rest.
   std::vector<std::uint16_t> eager_seq_;
-  bool eager_live_ = false;
-  // Delivery accounting (always counted, so toggling set_validation mid-run
-  // cannot skew the ledger): expected per message sent, observed per
-  // handler run or broadcast receiver skipped.
+  // Delivery accounting: expected per message sent, observed per handler
+  // run or broadcast receiver skipped.
   std::uint64_t expected_deliveries_ = 0;
   std::uint64_t observed_deliveries_ = 0;
 };

@@ -153,31 +153,6 @@ TEST(MutationCoherence, PointerOverflowAndForeignModifiedAreCaught) {
   }
 }
 
-TEST(MutationCoherence, ProbeFollowsTheLiveValidationFlag) {
-  // Directories report finished transactions to the Machine, which reads its
-  // validation flag at that moment: switching validation off mid-run
-  // silences the coherence probe, and switching it back on re-arms it.
-  Machine m(tiny());
-  ASSERT_TRUE(m.validation());  // env default took effect
-  const Addr a = 0x40000;
-  access_and_drain(m, 1, a, false);
-  access_and_drain(m, 2, a, false);
-  const Addr line = m.cache(1).l2().line_of(a);
-  m.directory(m.home_slice(line)).debug_corrupt_forget_line(line);
-
-  // Cores 1 and 2 now hold copies the directory does not track.
-  m.set_validation(false);
-  EXPECT_NO_THROW(access_and_drain(m, 3, a, false));
-
-  m.set_validation(true);
-  try {
-    access_and_drain(m, 0, a, true);
-    FAIL() << "coherence probe did not fire after re-arming";
-  } catch (const InvariantViolation& v) {
-    EXPECT_EQ(v.probe, Probe::kCoherence);
-  }
-}
-
 // Shares `a` among cores 1-5: more than k = 4 sharers, so the home falls
 // back to its global bit and the next write broadcasts the invalidation.
 // Returns the line.
@@ -476,8 +451,7 @@ TEST(MutationAddress, WordOutsideTheSpaceIsRefusedWithValidationOff) {
   sim::AddressSpace space;
   std::uint64_t& inside = space.make<std::uint64_t>();
   const auto outside = std::make_unique<std::uint64_t>(0);
-  core::Program prog(tiny());
-  prog.machine().set_validation(false);
+  core::Program prog(tiny(), nullptr, /*validate=*/false);
   prog.spawn_all(read_twice(&inside, outside.get(), &space));
   try {
     prog.run(10'000'000);
@@ -492,8 +466,7 @@ TEST(MutationAddress, WordOutsideTheSpaceIsRefusedWithValidationOff) {
 
 TEST(MutationAddress, BodyWithNoSpaceIsRefusedWithValidationOff) {
   const auto word = std::make_unique<std::uint64_t>(0);
-  core::Program prog(tiny());
-  prog.machine().set_validation(false);
+  core::Program prog(tiny(), nullptr, /*validate=*/false);
   prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task<void> {
     co_await c.read(w);
   });

@@ -60,10 +60,9 @@ TEST(AllocGate, FmmRunAllocatesUnderOneBlockPerTenEvents) {
   cfg.seed = 1;
   auto app = apps::make_app("fmm", cfg);
 
-  core::Program prog(mp);
   // The src/check probes build messages and snapshots; the gate is on the
   // simulator itself.
-  prog.machine().set_validation(false);
+  core::Program prog(mp, nullptr, /*validate=*/false);
   prog.spawn_all(app->body());
   const std::uint64_t before = allocations();
   const core::RunResult r = prog.run();

@@ -197,8 +197,8 @@ TEST(DirectoryTable, GrowsWhileTransactionsAndQueuedRequestsAreOpen) {
   // hold, all while earlier lines have transactions open (its DRAM channel
   // serializes their fetches) and requests queued behind them, so the
   // table grows under every handler that holds a line's state.
-  sim::Machine m(MachineParams::small(8, 2));
-  m.set_validation(true);  // every completion cross-checks the caches
+  // Validated: every completion cross-checks the caches.
+  sim::Machine m(MachineParams::small(8, 2), nullptr, /*validate=*/true);
   const Addr stride = Addr(m.geom().num_clusters()) * kLineBytes;
   const Addr base = 0x9000000;
   const HubId home = m.home_slice(base);
@@ -264,8 +264,7 @@ TEST(L1Hit, OneProbeServesWhatTheL2AllowsUnderValidation) {
   // fast_access decides from the L1-D copy alone; with validation armed it
   // checks on every call that the copy carries its L2 state, so each step
   // below that changes a state also checks the L1-D followed.
-  sim::Machine m(MachineParams::small(8, 2));
-  m.set_validation(true);
+  sim::Machine m(MachineParams::small(8, 2), nullptr, /*validate=*/true);
   mem::CacheController& c1 = m.cache(1);
   const auto run_access = [&m](CoreId c, Addr a, bool write) {
     Cycle done = 0;

@@ -44,8 +44,7 @@ std::uint64_t counters_fnv(const core::RunResult& r) {
 }
 
 /// Runs `p` on `mp` at `scale` and compares it with the recorded row.
-/// `validate` keeps the src/check probes at their default (armed in this
-/// binary) or turns them off.
+/// `validate` arms the src/check probes or leaves them off.
 void expect_recorded(const Pinned& p, MachineParams mp, double scale,
                      bool validate = true) {
   mp.network = p.net;
@@ -56,8 +55,7 @@ void expect_recorded(const Pinned& p, MachineParams mp, double scale,
   cfg.scale = scale;
   auto app = apps::make_app(p.app, cfg);
 
-  core::Program prog(mp);
-  if (!validate) prog.machine().set_validation(false);
+  core::Program prog(mp, nullptr, validate);
   prog.spawn_all(app->body());
   const auto r = prog.run(2'000'000'000);
   ASSERT_TRUE(r.finished);

@@ -225,7 +225,10 @@ TEST(EventQueue, ReservedSlotRunsWhereItsEagerEventWould) {
   const std::function<void()> at_now = [&] {
     order.push_back(7);
     const std::uint64_t slot = q.reserve(1);
-    EXPECT_EQ(slot, q.current_seq() + 1);
+    // The running event holds the slot just before it.
+    EXPECT_FALSE(q.passed(q.now(), slot - 1));
+    EXPECT_FALSE(q.ahead(q.now(), slot - 1));
+    EXPECT_TRUE(q.ahead(q.now(), slot));
     q.schedule(q.now(), log_arg, &order, 9);
     q.schedule_reserved(q.now(), slot, log_arg, &order, 8);
   };
@@ -234,6 +237,63 @@ TEST(EventQueue, ReservedSlotRunsWhereItsEagerEventWould) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
   EXPECT_EQ(q.now(), far);
   EXPECT_EQ(q.dispatched(), 12u);
+}
+
+TEST(EventQueue, PassedAndAheadFollowThePositionOfTheRun) {
+  EventQueue q;
+  std::vector<int> order;
+  // Before the first dispatch every slot is ahead, the first one at cycle 0
+  // included.
+  const std::uint64_t early = q.reserve(1);
+  EXPECT_TRUE(q.ahead(0, early));
+  EXPECT_FALSE(q.passed(0, early));
+
+  // Inside a handler: its own slot is neither passed nor ahead; at its
+  // cycle the slots before it have passed and those after it are ahead.
+  const std::uint64_t running = early + 1;  // the number scheduled next
+  const std::function<void()> check = [&] {
+    EXPECT_EQ(q.now(), 10u);
+    EXPECT_FALSE(q.passed(10, running));
+    EXPECT_FALSE(q.ahead(10, running));
+    EXPECT_TRUE(q.passed(10, early));
+    EXPECT_TRUE(q.ahead(10, running + 1));
+    EXPECT_TRUE(q.passed(9, running + 1));
+    EXPECT_TRUE(q.ahead(11, early));
+    order.push_back(0);
+  };
+  schedule_call(q, 10, check);
+  q.schedule(10, log_arg, &order, 1);
+  const std::uint64_t after_drain = q.reserve(1);
+
+  // Between events, after a drain: the last slot run has passed, and a slot
+  // after it at its cycle is still ahead and may be filled.
+  EXPECT_TRUE(q.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_TRUE(q.passed(10, after_drain - 1));
+  EXPECT_FALSE(q.ahead(10, after_drain - 1));
+  EXPECT_TRUE(q.ahead(10, after_drain));
+  EXPECT_FALSE(q.passed(10, after_drain));
+  q.schedule_reserved(10, after_drain, log_arg, &order, 2);
+  EXPECT_TRUE(q.run());
+  EXPECT_EQ(q.now(), 10u);
+
+  // After a limit stop: every slot at or before now() has passed, reserved
+  // before the stop or not, and a slot reserved after the stop is ahead.
+  const std::uint64_t before_stop = q.reserve(1);
+  q.schedule(20, log_arg, &order, 4);
+  EXPECT_FALSE(q.run(15));
+  EXPECT_EQ(q.now(), 15u);
+  EXPECT_TRUE(q.passed(15, before_stop));
+  EXPECT_FALSE(q.ahead(15, before_stop));
+  EXPECT_TRUE(q.passed(14, ~std::uint64_t{0}));
+  const std::uint64_t after_stop = q.reserve(1);
+  EXPECT_TRUE(q.ahead(15, after_stop));
+  EXPECT_FALSE(q.passed(15, after_stop));
+  EXPECT_TRUE(q.ahead(16, before_stop));
+  q.schedule_reserved(15, after_stop, log_arg, &order, 3);
+  EXPECT_TRUE(q.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.now(), 20u);
 }
 
 // ------------------------------------------------ differential against a heap
@@ -255,7 +315,14 @@ class HeapQueue {
                          void* obj, std::uint64_t arg) {
     heap_.push(Rec{t, seq, fn, obj, arg});
   }
-  std::uint64_t current_seq() const { return cur_seq_; }
+  /// True while the slot (t, seq) lies after the position of the run: at
+  /// now(), every slot before the first dispatch, the slots reserved since
+  /// a cycle-limit stop, or else those after the last event dispatched.
+  bool ahead(Cycle t, std::uint64_t seq) const {
+    if (t != now_) return t > now_;
+    if (stopped_) return seq >= stop_seq_;
+    return dispatched_ == 0 || seq > last_seq_;
+  }
   Cycle now() const { return now_; }
   bool empty() const { return heap_.empty(); }
   std::uint64_t dispatched() const { return dispatched_; }
@@ -264,12 +331,15 @@ class HeapQueue {
       const Rec r = heap_.top();
       if (r.t > max_cycles) {
         now_ = max_cycles;
+        stopped_ = true;
+        stop_seq_ = seq_;
         return false;
       }
       if (r.t >= stop_before) return true;
       heap_.pop();
       now_ = r.t;
-      cur_seq_ = r.seq;
+      stopped_ = false;
+      last_seq_ = r.seq;
       ++dispatched_;
       r.fn(r.obj, r.arg);
     }
@@ -290,7 +360,9 @@ class HeapQueue {
   std::priority_queue<Rec, std::vector<Rec>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t cur_seq_ = 0;
+  std::uint64_t last_seq_ = 0;  ///< of the last event dispatched
+  bool stopped_ = false;        ///< by the cycle limit, since that event
+  std::uint64_t stop_seq_ = 0;  ///< seq_ at the stop
   std::uint64_t dispatched_ = 0;
 };
 
@@ -363,7 +435,7 @@ struct Stream {
         const Slot s = slots[i];
         slots[i] = slots.back();
         slots.pop_back();
-        if (s.t > q.now() || (s.t == q.now() && s.seq > q.current_seq())) {
+        if (q.ahead(s.t, s.seq)) {
           ++filled;
           filled_at_now += s.t == q.now();
           q.schedule_reserved(s.t, s.seq, fire, this, next_id++);
