@@ -1,11 +1,12 @@
 #include "memory/cache_array.hpp"
 
 #include <bit>
+#include <sstream>
 #include <stdexcept>
 
 namespace atacsim::mem {
 
-static_assert(static_cast<Addr>(LineState::kModified) <= 3,
+static_assert(static_cast<unsigned>(LineState::kModified) <= 3,
               "LineState must fit the 2 state bits of a tag word");
 
 CacheArray::CacheArray(int size_KB, int assoc, int line_B)
@@ -24,31 +25,42 @@ CacheArray::CacheArray(int size_KB, int assoc, int line_B)
     throw std::invalid_argument("cache set count must be a power of two");
   line_shift_ = std::countr_zero(static_cast<unsigned>(line_B));
   sets_ = static_cast<int>(total_lines / assoc);
+  tag_shift_ = line_shift_ + std::countr_zero(static_cast<unsigned>(sets_));
   tags_.resize(static_cast<std::size_t>(total_lines));
 }
 
-int CacheArray::find(std::size_t base, Addr key) const {
-  const Addr* set = &tags_[base];
+void CacheArray::throw_beyond_tag_field(Addr line) const {
+  std::ostringstream os;
+  os << "cache line 0x" << std::hex << line << std::dec
+     << " is beyond the tag word of a " << sets_ << "-set, " << assoc_
+     << "-way array of " << line_B_ << " B lines (its tag field holds "
+     << kTagBits << " bits, so lines must lie below 0x" << std::hex
+     << (Addr{1} << (kTagBits + tag_shift_)) << ")";
+  throw std::out_of_range(os.str());
+}
+
+int CacheArray::find(std::size_t base, Word key) const {
+  const Word* set = &tags_[base];
   for (int w = 0; w < assoc_; ++w) {
     // Same key and a nonzero state leave only state bits 1..3 in the xor.
-    const Addr x = (set[w] & ~kRankMask) ^ key;
+    const Word x = (set[w] & ~kRankMask) ^ key;
     if (x - 1 < kStateMask) return w;
   }
   return -1;
 }
 
 void CacheArray::touch(std::size_t base, int way) {
-  Addr* set = &tags_[base];
-  const Addr old = set[way] & kRankMask;
+  Word* set = &tags_[base];
+  const Word old = set[way] & kRankMask;
   for (int w = 0; w < assoc_; ++w)
     if ((set[w] & kRankMask) > old) set[w] -= kRankOne;
   set[way] = (set[way] & ~kRankMask) |
-             (static_cast<Addr>(assoc_ - 1) << kRankShift);
+             (static_cast<Word>(assoc_ - 1) << kRankShift);
 }
 
 LineState CacheArray::lookup(Addr line) {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
+  const Word key = key_of(line);
+  const std::size_t base = set_of(line) * assoc_;
   const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   touch(base, w);
@@ -56,15 +68,15 @@ LineState CacheArray::lookup(Addr line) {
 }
 
 LineState CacheArray::peek(Addr line) const {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
+  const Word key = key_of(line);
+  const std::size_t base = set_of(line) * assoc_;
   const int w = find(base, key);
   return w < 0 ? LineState::kInvalid : state_of(tags_[base + w]);
 }
 
 LineState CacheArray::hit(Addr line, bool write) {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
+  const Word key = key_of(line);
+  const std::size_t base = set_of(line) * assoc_;
   const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   const LineState s = state_of(tags_[base + w]);
@@ -75,9 +87,10 @@ LineState CacheArray::hit(Addr line, bool write) {
 
 std::optional<CacheArray::Victim> CacheArray::install(Addr line,
                                                       LineState state) {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
-  Addr* set = &tags_[base];
+  const Word key = key_of(line);
+  const std::size_t set_index = set_of(line);
+  const std::size_t base = set_index * assoc_;
+  Word* set = &tags_[base];
   int way = find(base, key);
   std::optional<Victim> out;
   if (way < 0) {
@@ -89,27 +102,31 @@ std::optional<CacheArray::Victim> CacheArray::install(Addr line,
       }
       if ((set[w] & kRankMask) < (set[way] & kRankMask)) way = w;
     }
-    const Addr old = set[way];
-    if (state_of(old) != LineState::kInvalid)
-      out = Victim{(old >> kKeyShift) << line_shift_, state_of(old)};
+    const Word old = set[way];
+    if (state_of(old) != LineState::kInvalid) {
+      // The victim shares the installed line's set bits.
+      const Addr tag = old >> kKeyShift;
+      out = Victim{(tag << tag_shift_) | (set_index << line_shift_),
+                   state_of(old)};
+    }
   }
   // The way keeps its rank until touch lifts it to the top.
-  set[way] = key | (set[way] & kRankMask) | static_cast<Addr>(state);
+  set[way] = key | (set[way] & kRankMask) | static_cast<Word>(state);
   touch(base, way);
   return out;
 }
 
 void CacheArray::set_state(Addr line, LineState s) {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
+  const Word key = key_of(line);
+  const std::size_t base = set_of(line) * assoc_;
   const int w = find(base, key);
   if (w >= 0)
-    tags_[base + w] = (tags_[base + w] & ~kStateMask) | static_cast<Addr>(s);
+    tags_[base + w] = (tags_[base + w] & ~kStateMask) | static_cast<Word>(s);
 }
 
 LineState CacheArray::invalidate(Addr line) {
-  const Addr key = key_of(line);
-  const std::size_t base = set_base(key);
+  const Word key = key_of(line);
+  const std::size_t base = set_of(line) * assoc_;
   const int w = find(base, key);
   if (w < 0) return LineState::kInvalid;
   const LineState prev = state_of(tags_[base + w]);
@@ -119,7 +136,7 @@ LineState CacheArray::invalidate(Addr line) {
 
 int CacheArray::occupancy() const {
   int n = 0;
-  for (const Addr word : tags_)
+  for (const Word word : tags_)
     if (state_of(word) != LineState::kInvalid) ++n;
   return n;
 }

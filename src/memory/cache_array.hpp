@@ -2,11 +2,15 @@
 // Purely structural: holds no data (application data lives in host memory);
 // tracks presence, permissions and dirtiness for timing and protocol state.
 //
-// Each way is one 8-byte word, so an 8-way set is one 64-byte host cache
-// line (the words are allocated 64-byte aligned, and a set never straddles
-// two host lines). A word holds, from the top:
-//  - bits 10..63: the line number (`line >> line_shift`), which must stay
-//    below 2^54;
+// Each way is one 4-byte word, so an 8-way set is 32 bytes and two sets
+// share a 64-byte host cache line (the words are allocated 64-byte aligned,
+// so a set of up to 16 ways never straddles two host lines). A word holds,
+// from the top:
+//  - bits 10..31: the tag, the line number's bits above the set index
+//    (`line >> (line_shift + set_shift)`). The set index is implied by the
+//    word's position, so a line whose tag needs more than 22 bits is refused
+//    with std::out_of_range: the paper's L2 (512 sets of 64 B lines) takes
+//    simulated addresses below 2^37, its L1-D (128 sets) below 2^35;
 //  - bits 2..9: the recency rank, which orders the ways of a set by last use
 //    (higher = more recent). All ranks start at 0; each touch lifts a way to
 //    the top and moves the ways ranked above its old rank down one, so valid
@@ -41,7 +45,10 @@ class CacheArray {
   /// Line-aligned address for `addr`.
   Addr line_of(Addr addr) const { return addr & ~static_cast<Addr>(line_B_ - 1); }
 
-  /// Looks up `line` (must be line-aligned); bumps LRU on hit.
+  // Every call taking a `line` (line-aligned) throws std::out_of_range if
+  // its tag does not fit the 22-bit tag field.
+
+  /// Looks up `line`; bumps LRU on hit.
   LineState lookup(Addr line);
   /// Peek without LRU update.
   LineState peek(Addr line) const;
@@ -72,11 +79,13 @@ class CacheArray {
   int occupancy() const;
 
  private:
-  static constexpr Addr kStateMask = 3;
+  using Word = std::uint32_t;
+  static constexpr Word kStateMask = 3;
   static constexpr int kRankShift = 2;
-  static constexpr Addr kRankOne = Addr{1} << kRankShift;
-  static constexpr Addr kRankMask = Addr{0xFF} << kRankShift;
+  static constexpr Word kRankOne = Word{1} << kRankShift;
+  static constexpr Word kRankMask = Word{0xFF} << kRankShift;
   static constexpr int kKeyShift = 10;
+  static constexpr int kTagBits = 32 - kKeyShift;
 
   /// Allocates whole host cache lines, so a set starts on a line boundary.
   template <class T>
@@ -95,33 +104,35 @@ class CacheArray {
     }
   };
 
-  static LineState state_of(Addr word) {
+  static LineState state_of(Word word) {
     return static_cast<LineState>(word & kStateMask);
   }
-  /// `line`'s line number in the key bits of a word, rank and state 0.
-  Addr key_of(Addr line) const {
+  /// `line`'s tag in the key bits of a word, rank and state 0.
+  Word key_of(Addr line) const {
     assert((line & static_cast<Addr>(line_B_ - 1)) == 0 &&
            "line must be line-aligned");
-    assert((line >> line_shift_) < (Addr{1} << (64 - kKeyShift)) &&
-           "line number must fit the tag word");
-    return (line >> line_shift_) << kKeyShift;
+    const Addr tag = line >> tag_shift_;
+    if (tag >> kTagBits) [[unlikely]]
+      throw_beyond_tag_field(line);
+    return static_cast<Word>(tag) << kKeyShift;
   }
-  /// First way in tags_ of the set whose words carry `key`.
-  std::size_t set_base(Addr key) const {
-    return static_cast<std::size_t>((key >> kKeyShift) &
-                                    static_cast<Addr>(sets_ - 1)) *
-           assoc_;
+  /// Index of `line`'s set.
+  std::size_t set_of(Addr line) const {
+    return static_cast<std::size_t>((line >> line_shift_) &
+                                    static_cast<Addr>(sets_ - 1));
   }
+  [[noreturn]] void throw_beyond_tag_field(Addr line) const;
   /// Index of the valid way holding `key`, or -1.
-  int find(std::size_t base, Addr key) const;
+  int find(std::size_t base, Word key) const;
   /// Makes `way` the most recently used of its set.
   void touch(std::size_t base, int way);
 
   int line_B_;
   int line_shift_ = 0;
+  int tag_shift_ = 0;  // line_shift_ + log2(sets_)
   int sets_;
   int assoc_;
-  std::vector<Addr, HostLineAllocator<Addr>> tags_;  // sets_ x assoc_ words
+  std::vector<Word, HostLineAllocator<Word>> tags_;  // sets_ x assoc_ words
 };
 
 }  // namespace atacsim::mem

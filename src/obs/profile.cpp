@@ -4,6 +4,8 @@
 #include <chrono>
 #include <ostream>
 
+#include <sys/resource.h>
+
 #include "obs/json.hpp"
 #include "obs/options.hpp"
 
@@ -18,6 +20,13 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// The process's peak resident set so far, in MB (0 if it cannot be read).
+double process_peak_rss_mb() {
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KB
 }
 
 }  // namespace
@@ -77,6 +86,7 @@ void SelfProfile::write_json(std::ostream& os, const std::string& name) const {
      << "  \"schema\": \"atacsim-obs-profile-v1\",\n"
      << "  \"name\": \"" << escape(name) << "\",\n"
      << "  \"deterministic\": false,\n"
+     << "  \"process_peak_rss_mb\": " << num(process_peak_rss_mb()) << ",\n"
      << "  \"phases\": {";
   bool first = true;
   for (const auto& [n, ph] : phases_) {

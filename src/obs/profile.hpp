@@ -2,11 +2,12 @@
 //
 // Everything in this file measures the *simulator*, not the simulation:
 // wall time, dispatched events and event-queue load per phase,
-// per-exp-worker busy time, and pool statistics (cells, cache hits,
-// utilization). Host time is inherently nondeterministic, so these numbers
-// are quarantined here and written to their own profile file — they must
-// never leak into series, trace or report output, which stay byte-identical
-// across --jobs values.
+// per-exp-worker busy time, pool statistics (cells, cache hits,
+// utilization) and the process's peak resident set. Host time and memory
+// are inherently nondeterministic, so these numbers are quarantined here
+// and written to their own profile file — they must never leak into
+// series, trace or report output, which stay byte-identical across --jobs
+// values.
 //
 // The profile is a process-wide singleton because exp workers and bench
 // entries from many call sites contribute to one picture; all mutators are
@@ -57,7 +58,8 @@ class SelfProfile {
   void reset();
 
   /// Writes the profile JSON. Schema "atacsim-obs-profile-v1"; the document
-  /// carries "deterministic": false as an explicit marker.
+  /// carries "deterministic": false as an explicit marker, and the process's
+  /// peak resident set so far as "process_peak_rss_mb".
   void write_json(std::ostream& os, const std::string& name) const;
 
  private:

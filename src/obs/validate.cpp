@@ -103,6 +103,9 @@ std::string validate_profile(const json::Value& doc) {
   const json::Value* det = doc.find("deterministic");
   if (!det || !det->is_bool() || det->b)
     return "profile must carry \"deterministic\": false";
+  const json::Value* rss = doc.find("process_peak_rss_mb");
+  if (!rss || !finite_number(*rss) || rss->number < 0)
+    return "missing non-negative \"process_peak_rss_mb\"";
   for (const char* key : {"phases", "workers", "pool"}) {
     const json::Value* v = doc.find(key);
     if (!v || !v->is_object())

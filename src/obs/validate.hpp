@@ -21,7 +21,8 @@ std::string validate_series(const json::Value& doc);
 std::string validate_trace(const json::Value& doc);
 
 /// atacsim-obs-profile-v1: schema/name present, phases/workers/pool objects
-/// well-formed, and "deterministic": false explicitly set.
+/// well-formed, "deterministic": false explicitly set, and
+/// "process_peak_rss_mb" a non-negative number.
 std::string validate_profile(const json::Value& doc);
 
 /// Reads `path`, parses, dispatches on the document shape ("schema" member

@@ -1,33 +1,41 @@
-// Allocation gate: a whole application run allocates almost nothing per
-// simulated event. Event records, delivery slots and MSHR and directory
-// rows are reused once a run has reached its peak, and the Machine's
-// address frame table is sized to the address space at the first access,
-// so what is left is the barrier's coroutine frames and the growth of
-// reused storage and of the line tables. The count is
-// perfbench's (perfbench/alloc_count.cpp, compiled into this binary), which
-// replaces the global operator new, plus the over-aligned forms replaced
-// below, which perfbench's counter does not see: 64-byte-aligned cache tag
-// arrays and address-space blocks.
+// Allocation gates.
+//
+// A whole application run allocates almost nothing per simulated event.
+// Event records, delivery slots and MSHR and directory rows are reused once
+// a run has reached its peak, and the Machine's address frame table is
+// sized to the address space at the first access, so what is left is the
+// barrier's coroutine frames and the growth of reused storage and of the
+// line tables. The count is perfbench's (perfbench/alloc_count.cpp,
+// compiled into this binary), which replaces the global operator new, plus
+// the over-aligned forms replaced below, which perfbench's counter does not
+// see: 64-byte-aligned cache tag arrays and address-space blocks.
+//
+// The over-aligned forms also count bytes, which bounds the footprint of
+// the paper Machine's tag stores.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "alloc_count.hpp"
 #include "apps/app.hpp"
 #include "core/program.hpp"
+#include "sim/machine.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_aligned_allocations{0};
+std::atomic<std::uint64_t> g_aligned_bytes{0};
 
 }  // namespace
 
 // The library's array and nothrow aligned forms forward to this one.
 void* operator new(std::size_t n, std::align_val_t al) {
   g_aligned_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_aligned_bytes.fetch_add(n, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
   // aligned_alloc wants a size that is a multiple of the alignment.
   if (void* p = std::aligned_alloc(a, ((n ? n : 1) + a - 1) / a * a))
@@ -74,6 +82,22 @@ TEST(AllocGate, FmmRunAllocatesUnderOneBlockPerTenEvents) {
   ASSERT_GT(events, 100'000u);
   EXPECT_LE(allocs * 10, events)
       << allocs << " allocations for " << events << " events";
+}
+
+TEST(AllocGate, PaperMachineTagStoresTakeEighteenMiB) {
+  // The paper Machine's over-aligned allocations are its cache tag stores:
+  // 1,024 cores, each with a 32 KB 4-way L1-D and a 256 KB 8-way L2 of
+  // 64 B lines, so 512 + 4,096 ways of one 4-byte word each.
+  constexpr std::uint64_t kTagStoreBytes = 1024ull * (512 + 4096) * 4;
+  static_assert(kTagStoreBytes == 18ull << 20);
+  const MachineParams mp = MachineParams::paper();
+  ASSERT_EQ(mp.num_cores, 1024);
+  const std::uint64_t before = g_aligned_bytes.load(std::memory_order_relaxed);
+  auto machine = std::make_unique<sim::Machine>(mp, nullptr, false);
+  const std::uint64_t bytes =
+      g_aligned_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_GT(bytes, 0u) << "the counter must see the tag stores";
+  EXPECT_LE(bytes, kTagStoreBytes) << bytes << " over-aligned bytes";
 }
 
 }  // namespace

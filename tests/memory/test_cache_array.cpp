@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -193,11 +195,79 @@ TEST(CacheArray, DistinctSetsDoNotConflict) {
   EXPECT_EQ(v->line, 0u);
 }
 
+/// The largest tag a word holds: 22 bits above the set index.
+constexpr Addr kTopTag = (Addr{1} << 22) - 1;
+
+TEST(CacheArray, RebuildsVictimsAtTheTopOfTheTagField) {
+  // A victim's line is rebuilt from its tag and the installed line's set
+  // bits. Fill the first and the last set with the highest tags the word
+  // holds, then evict every way with low tags: each victim must come back
+  // exactly, oldest first.
+  struct Geometry {
+    int size_KB, assoc;
+  };
+  for (const Geometry g : {Geometry{1, 16}, Geometry{1, 1}, Geometry{32, 4},
+                           Geometry{256, 8}, Geometry{1020, 255}}) {
+    SCOPED_TRACE(testing::Message()
+                 << g.size_KB << " KB, " << g.assoc << "-way");
+    const Addr sets = static_cast<Addr>(g.size_KB) * 1024 / 64 / g.assoc;
+    for (const Addr set : {Addr{0}, sets - 1}) {
+      CacheArray c(g.size_KB, g.assoc, 64);
+      ASSERT_EQ(static_cast<Addr>(c.num_sets()), sets);
+      const auto line = [&](Addr tag) { return (tag * sets + set) * 64; };
+      std::vector<Addr> filled;
+      for (int w = 0; w < g.assoc; ++w) {
+        filled.push_back(line(kTopTag - static_cast<Addr>(w)));
+        ASSERT_FALSE(c.install(filled.back(), LineState::kModified));
+      }
+      EXPECT_EQ(c.peek(line(kTopTag)), LineState::kModified);
+      for (int w = 0; w < g.assoc; ++w) {
+        const auto v =
+            c.install(line(static_cast<Addr>(w)), LineState::kShared);
+        ASSERT_TRUE(v.has_value()) << "way " << w;
+        EXPECT_EQ(v->line, filled[w]) << "way " << w;
+        EXPECT_EQ(v->state, LineState::kModified) << "way " << w;
+      }
+      EXPECT_EQ(c.peek(line(kTopTag)), LineState::kInvalid);
+    }
+  }
+}
+
+TEST(CacheArray, RefusesALineBeyondTheTagField) {
+  // The paper's L2: 512 sets of 64 B lines, so tags start at bit 15 and
+  // the tag field ends below 2^37. The refusal is an exception, not an
+  // assert, so it holds in every build type.
+  CacheArray c(256, 8, 64);
+  const Addr beyond = (kTopTag + 1) << 15;
+  ASSERT_EQ(beyond, Addr{1} << 37);
+  EXPECT_NO_THROW(c.install(beyond - 64, LineState::kShared));
+  EXPECT_THROW(c.lookup(beyond), std::out_of_range);
+  EXPECT_THROW(c.peek(beyond), std::out_of_range);
+  EXPECT_THROW(c.hit(beyond, false), std::out_of_range);
+  EXPECT_THROW(c.install(beyond, LineState::kShared), std::out_of_range);
+  EXPECT_THROW(c.set_state(beyond, LineState::kModified), std::out_of_range);
+  EXPECT_THROW(c.invalidate(beyond), std::out_of_range);
+  EXPECT_THROW(c.peek(~Addr{63}), std::out_of_range);
+  // A refused call changes nothing: a truncated tag 2^22 would have been
+  // tag 0 of set 0.
+  EXPECT_EQ(c.occupancy(), 1);
+  EXPECT_EQ(c.peek(beyond - 64), LineState::kShared);
+  try {
+    c.peek(beyond);
+    FAIL() << "no exception";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("0x2000000000"), std::string::npos) << what;
+    EXPECT_NE(what.find("512-set"), std::string::npos) << what;
+    EXPECT_NE(what.find("64 B lines"), std::string::npos) << what;
+  }
+}
+
 // Drives CacheArray and the tick-based reference with the same seeded random
 // calls and compares every return value, every victim and the occupancy
 // after each call. The addresses concentrate on a few sets (first, second,
 // middle, last) so that sets overflow and evict, and tags come in pairs that
-// differ only in a high address bit.
+// differ only in the top bit of the 22-bit tag field.
 TEST(CacheArray, MatchesTickLruReference) {
   constexpr int kOpsPerGeometry = 100'000;
   constexpr LineState kStates[] = {LineState::kInvalid, LineState::kShared,
@@ -205,10 +275,12 @@ TEST(CacheArray, MatchesTickLruReference) {
   struct Geometry {
     int size_KB, assoc;
   };
-  // 255 ways fill the 8-bit rank field.
-  for (const Geometry g : {Geometry{1, 1}, Geometry{1, 4}, Geometry{2, 2},
-                           Geometry{32, 4}, Geometry{256, 8}, Geometry{64, 16},
-                           Geometry{1020, 255}}) {
+  // 255 ways fill the 8-bit rank field; 1 KB 16-way is a single set, so
+  // the tag starts right above the line offset.
+  for (const Geometry g :
+       {Geometry{1, 1}, Geometry{1, 4}, Geometry{1, 16}, Geometry{2, 2},
+        Geometry{32, 4}, Geometry{256, 8}, Geometry{64, 16},
+        Geometry{1020, 255}}) {
     SCOPED_TRACE(testing::Message()
                  << g.size_KB << " KB, " << g.assoc << "-way");
     CacheArray c(g.size_KB, g.assoc, 64);
@@ -218,7 +290,7 @@ TEST(CacheArray, MatchesTickLruReference) {
     Xoshiro256 rng(static_cast<std::uint64_t>(g.size_KB * 1000 + g.assoc));
     for (int op = 0; op < kOpsPerGeometry; ++op) {
       const Addr t = rng.next_below(3 * static_cast<Addr>(g.assoc) + 1);
-      const Addr tag = (t >> 1) | ((t & 1) << 30);
+      const Addr tag = (t >> 1) | ((t & 1) << 21);
       const Addr line = (tag * sets + hot_sets[rng.next_below(4)]) * 64;
       switch (rng.next_below(6)) {
         case 0:
