@@ -7,8 +7,11 @@
 //
 //   atacsim-bench --list
 //   atacsim-bench fig08_edp tab05_swmr_util
-//   atacsim-bench --filter='fig1*' --jobs=8
-//   atacsim-bench --all --obs-dir=bench_reports/obs
+//   atacsim-bench 'fig1*' --jobs=8
+//   ATACSIM_OBS=1 atacsim-bench --all
+//
+// Every setting, flags and ATACSIM_* variables alike, is checked before
+// any entry runs: a malformed one exits 2 with no report written.
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -20,6 +23,7 @@
 #include "bench/args.hpp"
 #include "bench/common.hpp"
 #include "bench/registry.hpp"
+#include "check/invariant.hpp"
 #include "obs/log.hpp"
 #include "obs/options.hpp"
 #include "obs/profile.hpp"
@@ -82,8 +86,14 @@ int main(int argc, char** argv) {
   Args args;
   try {
     args = atacsim::bench::parse_args(argc, argv);
+    log::level();
+    atacsim::check::env_validation_enabled();
+    atacsim::obs::options();
+    atacsim::bench::bench_scale();
+    atacsim::bench::base_machine();
   } catch (const std::exception& ex) {
-    log::errorf("atacsim-bench: %s", ex.what());
+    // Not log::errorf: ATACSIM_LOG may itself be the malformed setting.
+    std::fprintf(stderr, "atacsim-bench: %s\n", ex.what());
     std::fputs(atacsim::bench::usage(), stderr);
     return 2;
   }
@@ -96,15 +106,6 @@ int main(int argc, char** argv) {
     log::errorf("atacsim-bench: nothing selected");
     std::fputs(atacsim::bench::usage(), stderr);
     return 2;
-  }
-
-  if (!args.obs_dir.empty()) {
-    // --obs-dir both arms telemetry and overrides the artifact directory;
-    // epoch period still honours ATACSIM_OBS_EPOCH.
-    atacsim::obs::Options o = atacsim::obs::options();
-    o.enabled = true;
-    o.dir = args.obs_dir;
-    atacsim::obs::set_options(o);
   }
 
   const auto selected = select(args);

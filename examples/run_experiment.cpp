@@ -12,9 +12,9 @@
 //        --sharers K  --routing cluster|distance|all  --rthres N
 //        --recvnet starnet|bnet  --flits BITS  --scale X  --seed S
 // The machine flags are checked like the keys of a --config file; a bad
-// value of any flag is an error (exit 2).
+// value of any flag, or of ATACSIM_LOG, ATACSIM_VALIDATE or ATACSIM_OBS,
+// is an error (exit 2) before anything runs.
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -22,8 +22,12 @@
 #include <exception>
 #include <string>
 
+#include "check/invariant.hpp"
+#include "common/parse.hpp"
 #include "harness/config_file.hpp"
 #include "harness/runner.hpp"
+#include "obs/log.hpp"
+#include "obs/options.hpp"
 
 using namespace atacsim;
 
@@ -50,12 +54,9 @@ const char* config_key(const std::string& flag) {
 /// The whole of `v` as a number; anything else is a usage error.
 template <class T>
 T parse_number(const std::string& flag, const std::string& v) {
-  T x{};
-  const char* end = v.data() + v.size();
-  const auto [p, ec] = std::from_chars(v.data(), end, x);
-  if (ec != std::errc() || p != end)
-    usage("malformed " + flag + " value '" + v + "'");
-  return x;
+  const auto x = parse_whole<T>(v);
+  if (!x) usage("malformed " + flag + " value '" + v + "'");
+  return *x;
 }
 
 bool known_app(const std::string& name) {
@@ -109,6 +110,10 @@ int main(int argc, char** argv) {
         usage("unknown flag " + flag);
       }
     }
+    // The environment's settings, checked before the run as the flags are.
+    obs::log::level();
+    check::env_validation_enabled();
+    obs::options();
   } catch (const std::exception& e) {
     usage(e.what());
   }

@@ -12,18 +12,14 @@ struct Args {
   bool list = false;   ///< --list: print entries and exit
   bool all = false;    ///< --all: run every entry
   bool help = false;   ///< --help / -h
-  int jobs = 0;        ///< --jobs N; 0 = exp::default_jobs()
-  /// --obs-dir=<path>: arm the telemetry layer (src/obs) and write its
-  /// artifacts (epoch series, Perfetto traces, self-profile) under <path>.
-  /// Empty = not passed; telemetry then follows the ATACSIM_OBS env vars.
-  std::string obs_dir;
-  /// --filter=<glob> occurrences plus positional entry names.
+  int jobs = 0;        ///< --jobs N; 0 = one worker per hardware thread
+  /// Positional entry names and globs.
   std::vector<std::string> filters;
 };
 
 /// Parses the driver command line. Throws std::invalid_argument on an
 /// unknown flag or a malformed value (e.g. --jobs without a positive
-/// integer).
+/// integer, parsed whole: no space, sign or trailing text).
 Args parse_args(int argc, const char* const* argv);
 
 /// Usage text for --help and error messages.

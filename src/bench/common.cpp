@@ -1,54 +1,50 @@
 #include "bench/common.hpp"
 
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string_view>
 
 #include "apps/app.hpp"
 #include "common/digest.hpp"
+#include "common/parse.hpp"
 #include "exp/report.hpp"
 #include "harness/runner.hpp"
+#include "obs/options.hpp"
 
 namespace atacsim::bench {
 
 const std::vector<std::string>& benchmarks() { return apps::app_names(); }
 
 double bench_scale() {
-  const char* e = std::getenv("ATACSIM_SCALE");
-  if (!e || !*e) return 1.0;
-  const char* end = e + std::strlen(e);
-  double v = 0;
-  const auto [p, ec] = std::from_chars(e, end, v);
-  if (ec != std::errc() || p != end || !std::isfinite(v) || v <= 0.0)
+  const char* e = env_value("ATACSIM_SCALE");
+  if (!e) return 1.0;
+  const auto v = parse_whole<double>(e);
+  if (!v || !std::isfinite(*v) || *v <= 0.0)
     throw std::runtime_error(
         std::string("ATACSIM_SCALE=\"") + e +
         "\": must be a positive number (a zero or garbage scale would "
         "silently run degenerate simulations)");
-  return v;
+  return *v;
 }
 
 MachineParams base_machine() {
-  const char* e = std::getenv("ATACSIM_BENCH_MESH");
-  if (!e || !*e) return MachineParams::paper();
-  const char* end = e + std::strlen(e);
-  int mesh_w = 0, cluster_w = 0;
-  auto r = std::from_chars(e, end, mesh_w);
-  const bool split = r.ec == std::errc() && r.ptr != end && *r.ptr == 'x';
-  if (split) r = std::from_chars(r.ptr + 1, end, cluster_w);
-  if (!split || r.ec != std::errc() || r.ptr != end || mesh_w <= 0 ||
-      cluster_w <= 0)
+  const char* e = env_value("ATACSIM_BENCH_MESH");
+  if (!e) return MachineParams::paper();
+  const std::string_view v = e;
+  const auto x = v.find('x');
+  const auto mesh_w = parse_whole<int>(v.substr(0, x));
+  const auto cluster_w =
+      x == v.npos ? std::nullopt : parse_whole<int>(v.substr(x + 1));
+  if (!mesh_w || !cluster_w || *mesh_w <= 0 || *cluster_w <= 0)
     throw std::runtime_error(
         std::string("ATACSIM_BENCH_MESH=\"") + e +
         "\": expected <mesh_width>x<cluster_width>, e.g. 8x2");
   try {
-    return MachineParams::small(mesh_w, cluster_w);
+    return MachineParams::small(*mesh_w, *cluster_w);
   } catch (const std::invalid_argument& ex) {
     throw std::runtime_error(std::string("ATACSIM_BENCH_MESH=\"") + e +
                              "\": " + ex.what());
@@ -101,8 +97,8 @@ void run_entry(const Entry& e, const exp::ExecOptions& opt) {
   rep.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (const auto& path : exp::report::write_report(rep))
-    std::printf("report: %s\n", path.c_str());
+  const auto paths = exp::report::write_report(rep);
+  for (const auto& path : paths) std::printf("report: %s\n", path.c_str());
   std::string failed;
   for (const auto& row : rep.rows) {
     std::printf("digest\t%s\t%s\t%s\t%016" PRIx64 "\n", rep.name.c_str(),
@@ -111,6 +107,9 @@ void run_entry(const Entry& e, const exp::ExecOptions& opt) {
     failed += "\n  " + row.app + " on " + row.config + ": " +
               (row.verify_msg.empty() ? "did not complete" : row.verify_msg);
   }
+  if (paths.size() < 2)
+    throw std::runtime_error(rep.name + ": could not write its report under " +
+                             obs::report_dir());
   if (!failed.empty())
     throw std::runtime_error(rep.name + ": cells did not finish or verify:" +
                              failed);

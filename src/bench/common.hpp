@@ -17,16 +17,17 @@ namespace atacsim::bench {
 const std::vector<std::string>& benchmarks();
 
 /// Problem-size multiplier for the full-figure runs; override with
-/// ATACSIM_SCALE for quicker smoke runs. Throws std::runtime_error when the
-/// variable is set but is not a whole finite decimal number above zero
-/// (no sign, space or hex form) — a degenerate scale silently simulates
-/// nothing.
+/// ATACSIM_SCALE for quicker smoke runs (read at every call). Throws
+/// std::runtime_error when the variable is set but is not a whole finite
+/// decimal number above zero (no sign, space or hex form) — a degenerate
+/// scale silently simulates nothing.
 double bench_scale();
 
 /// The machine every figure studies: the paper's 1024-core configuration,
 /// or — when ATACSIM_BENCH_MESH=<mesh_width>x<cluster_width> is set (CI
-/// smoke runs) — a smaller square mesh. Throws std::runtime_error unless
-/// the value is exactly two positive decimal ints joined by 'x'.
+/// smoke runs) — a smaller square mesh (read at every call). Throws
+/// std::runtime_error unless the value is exactly two positive decimal
+/// ints joined by 'x'.
 MachineParams base_machine();
 
 // Standard paper configurations on the bench machine: the harness::
@@ -46,8 +47,9 @@ void print_header(const char* fig, const char* what);
 /// hashing the row's finished flag, verify_msg and every stat but
 /// wall_seconds (doubles by bit pattern), so two builds or pool sizes can
 /// be compared without their report files. Last it fails the entry: throws
-/// std::runtime_error naming every "app on config" row that did not finish
-/// or carries a verify_msg, so a wrong cell cannot pass silently.
+/// std::runtime_error naming the report directory when either file could
+/// not be written, else naming every "app on config" row that did not
+/// finish or carries a verify_msg, so a wrong cell cannot pass silently.
 void run_entry(const Entry& e, const exp::ExecOptions& opt);
 
 }  // namespace atacsim::bench

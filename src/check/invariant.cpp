@@ -1,8 +1,9 @@
 #include "check/invariant.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "common/parse.hpp"
 
 namespace atacsim::check {
 namespace {
@@ -44,10 +45,7 @@ InvariantViolation::InvariantViolation(Probe probe_, std::string subsystem_,
 bool env_validation_enabled() {
   // Read once: getenv per construction is measurable and unsafe against
   // concurrent setenv under the exp pool.
-  static const bool v = [] {
-    const char* e = std::getenv("ATACSIM_VALIDATE");
-    return e && e[0] != '\0' && e[0] != '0';
-  }();
+  static const bool v = env_switch("ATACSIM_VALIDATE");
   return v;
 }
 

@@ -47,7 +47,8 @@ class InvariantViolation : public std::runtime_error {
 
 /// True when the process opted into validation via ATACSIM_VALIDATE=1
 /// (read once; the default of the Machine, Program and EventQueue
-/// constructors' `validate` argument).
+/// constructors' `validate` argument). Throws std::invalid_argument when
+/// the variable is neither unset, empty, 0 nor 1.
 bool env_validation_enabled();
 
 /// Raises an InvariantViolation (out-of-line so probe call sites stay small).

@@ -2,17 +2,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <algorithm>
 #include <exception>
-#include <cstring>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -48,21 +44,10 @@ void finalize(const harness::Scenario& s, harness::Outcome& o) {
 
 }  // namespace
 
-int default_jobs() {
-  if (const char* e = std::getenv("ATACSIM_JOBS"); e && *e) {
-    int j = 0;
-    const auto [p, ec] = std::from_chars(e, e + std::strlen(e), j);
-    if (ec != std::errc() || *p != '\0')
-      throw std::invalid_argument(std::string("ATACSIM_JOBS=\"") + e +
-                                  "\": expected a whole number of workers");
-    return std::max(j, 1);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw ? static_cast<int>(hw) : 1;
-}
-
 int pool_size(const ExecOptions& opt, std::size_t cells) {
-  const int jobs = opt.jobs > 0 ? opt.jobs : default_jobs();
+  const int jobs = opt.jobs > 0
+                       ? opt.jobs
+                       : static_cast<int>(std::thread::hardware_concurrency());
   return std::max(1, std::min<int>(jobs, static_cast<int>(cells)));
 }
 

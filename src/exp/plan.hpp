@@ -22,18 +22,14 @@
 
 namespace atacsim::exp {
 
-/// Worker-pool size: ATACSIM_JOBS if set (clamped to >= 1), else
-/// std::thread::hardware_concurrency(). Throws std::invalid_argument when
-/// ATACSIM_JOBS is not a whole number.
-int default_jobs();
-
 struct ExecOptions {
-  int jobs = 0;          ///< 0 = default_jobs()
+  int jobs = 0;          ///< 0 = one per hardware thread
   bool progress = true;  ///< live "cells done / cache hits / wall" on stderr
 };
 
 /// Threads a pool started with `opt` uses for `cells` cells: opt.jobs (or
-/// default_jobs()), but never more than the cells and at least one.
+/// std::thread::hardware_concurrency() when it is 0), but never more than
+/// the cells and at least one.
 int pool_size(const ExecOptions& opt, std::size_t cells);
 
 /// The exp worker pool: calls fn(worker, i) once for every cell i in

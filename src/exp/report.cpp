@@ -1,12 +1,12 @@
 #include "exp/report.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 
 #include "check/probes.hpp"
 #include "obs/json.hpp"
+#include "obs/options.hpp"
 
 namespace atacsim::exp::report {
 namespace fs = std::filesystem;
@@ -112,13 +112,8 @@ void write_csv(std::ostream& os, const Report& r) {
   }
 }
 
-std::string report_dir() {
-  if (const char* e = std::getenv("ATACSIM_REPORT_DIR")) return e;
-  return "bench_reports";
-}
-
 std::vector<std::string> write_report(const Report& r) {
-  const fs::path dir = report_dir();
+  const fs::path dir = obs::report_dir();
   std::error_code ec;
   fs::create_directories(dir, ec);
   std::vector<std::string> written;

@@ -56,11 +56,9 @@ struct Report {
 void write_json(std::ostream& os, const Report& r);
 void write_csv(std::ostream& os, const Report& r);
 
-/// Report directory: $ATACSIM_REPORT_DIR if set, else "bench_reports".
-std::string report_dir();
-
-/// Writes <dir>/<name>.json and <dir>/<name>.csv (creating the directory);
-/// returns the paths written, empty on I/O failure.
+/// Writes <dir>/<name>.json and <dir>/<name>.csv under obs::report_dir()
+/// (creating the directory); returns the paths written, which stop at the
+/// first file that could not be written.
 std::vector<std::string> write_report(const Report& r);
 
 }  // namespace atacsim::exp::report

@@ -4,20 +4,20 @@
 
 #include <atomic>
 #include <charconv>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <type_traits>
 
 #include "common/counters.hpp"
+#include "common/parse.hpp"
 
 namespace atacsim::harness {
 namespace fs = std::filesystem;
 
 std::string cache_dir() {
-  if (const char* e = std::getenv("ATACSIM_CACHE")) return e;
-  return "bench_cache";
+  const char* e = env_value("ATACSIM_CACHE");
+  return e ? e : "bench_cache";
 }
 
 std::string scenario_key(const Scenario& s) {
@@ -117,8 +117,10 @@ bool load(std::istream& is, Outcome& o) {
     if (key == "verify_msg") {
       o.verify_msg = val;
       have_verify = true;
+    } else if (const auto v = parse_whole<double>(val)) {
+      kv[key] = *v;
     } else {
-      kv[key] = std::strtod(val.c_str(), nullptr);
+      return false;  // a value that is not a number: a miss
     }
   }
   if (!have_verify || !kv.count("completion_cycles")) return false;

@@ -6,8 +6,8 @@
 // keys on everything that affects the *simulation* and stores the raw
 // activity counters; energy is always recomputed by the consumer.
 //
-// Location: $ATACSIM_CACHE if set, else ./bench_cache. Delete the directory
-// to force fresh runs.
+// Location: $ATACSIM_CACHE (read at every call), or ./bench_cache when it
+// is unset or empty. Delete the directory to force fresh runs.
 #pragma once
 
 #include "harness/runner.hpp"

@@ -1,10 +1,11 @@
 #include "harness/config_file.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
+
+#include "common/parse.hpp"
 
 namespace atacsim::harness {
 namespace {
@@ -39,13 +40,11 @@ void set(T& field, const std::string& line, const std::string& val, L lo,
     fail(line, "expected " + tokens);
   } else {
     using Wide = std::conditional_t<std::is_integral_v<T>, long long, double>;
-    Wide v{};
-    const char* end = val.data() + val.size();
-    const auto [p, ec] = std::from_chars(val.data(), end, v);
-    if (ec != std::errc() || p != end)
+    const auto v = parse_whole<Wide>(val);
+    if (!v)
       fail(line, std::is_integral_v<T> ? "not an integer" : "not a number");
-    if (!in_range(v, lo, hi)) fail(line, std::string("outside ") + range);
-    field = static_cast<T>(v);
+    if (!in_range(*v, lo, hi)) fail(line, std::string("outside ") + range);
+    field = static_cast<T>(*v);
   }
 }
 

@@ -2,22 +2,25 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "common/parse.hpp"
 
 namespace atacsim::obs::log {
 
 namespace {
 
 Level parse_level(const char* s) {
-  if (!s || !*s) return Level::kInfo;
-  if (std::strcmp(s, "error") == 0 || std::strcmp(s, "0") == 0)
-    return Level::kError;
-  if (std::strcmp(s, "warn") == 0 || std::strcmp(s, "warning") == 0 ||
-      std::strcmp(s, "1") == 0)
-    return Level::kWarn;
-  return Level::kInfo;
+  if (!s) return Level::kInfo;
+  const std::string_view v = s;
+  if (v == "error") return Level::kError;
+  if (v == "warn") return Level::kWarn;
+  if (v == "info") return Level::kInfo;
+  throw std::invalid_argument(std::string("ATACSIM_LOG=\"") + s +
+                              "\": expected error, warn or info");
 }
 
 const char* prefix(Level l) {
@@ -42,7 +45,7 @@ void vlogf(Level l, const char* fmt, std::va_list ap) {
 }  // namespace
 
 Level level() {
-  static const Level l = parse_level(std::getenv("ATACSIM_LOG"));
+  static const Level l = parse_level(env_value("ATACSIM_LOG"));
   return l;
 }
 

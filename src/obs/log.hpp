@@ -8,9 +8,9 @@
 // message is emitted with a single fprintf call so lines from concurrent
 // workers never interleave mid-line.
 //
-// Levels: error < warn < info. Default: info. ATACSIM_LOG accepts a name
-// ("error", "warn", "info") or the matching digit 0-2; any other value
-// means info.
+// Levels: error < warn < info. Default: info. ATACSIM_LOG accepts exactly
+// "error", "warn" or "info"; unset or empty means info, and any other
+// value makes level() throw std::invalid_argument.
 #pragma once
 
 namespace atacsim::obs::log {

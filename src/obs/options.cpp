@@ -1,10 +1,6 @@
 #include "obs/options.hpp"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-
-#include "obs/log.hpp"
+#include "common/parse.hpp"
 
 namespace atacsim::obs {
 
@@ -12,27 +8,9 @@ namespace {
 
 Options from_env() {
   Options o;
-  const char* on = std::getenv("ATACSIM_OBS");
-  o.enabled = on && on[0] != '\0' && on[0] != '0';
-  if (const char* d = std::getenv("ATACSIM_OBS_DIR")) {
-    o.dir = d;
-  } else {
-    const char* rep = std::getenv("ATACSIM_REPORT_DIR");
-    o.dir = std::string(rep ? rep : "bench_reports") + "/obs";
-  }
-  if (const char* e = std::getenv("ATACSIM_OBS_EPOCH")) {
-    // Parsed whole: a sign, a space or trailing text is refused ("-1"
-    // must not wrap to 2^64 - 1).
-    Cycle v = 0;
-    const char* last = e + std::strlen(e);
-    const auto [p, ec] = std::from_chars(e, last, v);
-    if (ec == std::errc() && p == last && v > 0) {
-      o.epoch_cycles = v;
-    } else {
-      log::warnf("ATACSIM_OBS_EPOCH=\"%s\" is not a positive integer; using %llu",
-                 e, static_cast<unsigned long long>(o.epoch_cycles));
-    }
-  }
+  o.enabled = env_switch("ATACSIM_OBS");
+  const char* d = env_value("ATACSIM_OBS_DIR");
+  o.dir = d ? std::string(d) : report_dir() + "/obs";
   return o;
 }
 
@@ -42,6 +20,11 @@ Options& cell() {
 }
 
 }  // namespace
+
+std::string report_dir() {
+  const char* e = env_value("ATACSIM_REPORT_DIR");
+  return e ? e : "bench_reports";
+}
 
 const Options& options() { return cell(); }
 

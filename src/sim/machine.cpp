@@ -245,11 +245,9 @@ void Machine::send_broadcast(const mem::CohMsg& m) {
     for (Run& r : b.runs) r.scheduled = true;
   } else {
     const std::uint64_t* held = holders_.find(m.line);
-    const std::uint64_t* deferred =
-        debug_ignore_deferred_ ? nullptr : deferred_marks(m.dir_slice);
+    const std::uint64_t* deferred = deferred_marks(m.dir_slice);
     for (std::size_t w = 0; w < holders_.words(); ++w) {
-      for (std::uint64_t bits = (held ? held[w] : 0) |
-                                (deferred ? deferred[w] : 0);
+      for (std::uint64_t bits = (held ? held[w] : 0) | deferred[w];
            bits != 0; bits &= bits - 1) {
         const std::size_t c = w * 64 + static_cast<std::size_t>(
                                            std::countr_zero(bits));
@@ -292,8 +290,7 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
   // turn are the ones it had when the run began. Only a handler adds or
   // removes holders, so the line's set is looked up again after each one.
   const std::uint64_t* held = m.holders_.find(b.msg.line);
-  const std::uint64_t* deferred =
-      m.debug_ignore_deferred_ ? nullptr : m.deferred_marks(b.msg.dir_slice);
+  const std::uint64_t* deferred = m.deferred_marks(b.msg.dir_slice);
   for (std::uint32_t i = run.first; i < end; ++i) {
     const CoreId c = b.receivers[i];
     if (m.dropped(c)) {
@@ -302,7 +299,7 @@ void Machine::deliver_run(void* self, std::uint64_t arg) {
       continue;
     }
     const bool acts = b.every_receiver_acts || (held && has_core(held, c)) ||
-                      (deferred && has_core(deferred, c));
+                      has_core(deferred, c);
     if (acts && run.scheduled) {
       ++b.handled;
       m.receive(c, b.msg);

@@ -128,7 +128,6 @@ class Machine {
       clear_core(marks, c);
     } else if (!has_core(marks, c)) {
       set_core(marks, c);
-      if (debug_ignore_deferred_) return;
       for (Broadcast* b : in_flight_[static_cast<std::size_t>(slice)])
         schedule_pending_run(*b, c);
     }
@@ -142,10 +141,6 @@ class Machine {
     for (const std::vector<Broadcast*>& sent : in_flight_)
       for (Broadcast* b : sent) schedule_pending_run(*b, c);
   }
-  /// Seeded fault for the mutation tests: broadcast receivers with unicasts
-  /// deferred from the broadcast's slice are skipped like cores that hold
-  /// nothing.
-  void debug_ignore_deferred_marks() { debug_ignore_deferred_ = true; }
 
   /// Drains the event queue; returns false if the safety cycle limit hit.
   /// With an observer attached, samples the counters at every epoch
@@ -335,7 +330,6 @@ class Machine {
                             holders_.words()];
   }
   CoreId debug_drop_ = kInvalidCore;
-  bool debug_ignore_deferred_ = false;
 
   /// With validation on (empty otherwise), the sequence numbers kept
   /// eagerly, as one event per run would: each probe advances its run's

@@ -86,7 +86,7 @@ TEST(ParseArgs, FlagsAndPositionals) {
   EXPECT_TRUE(b.all);
   EXPECT_EQ(b.jobs, 4);
 
-  const auto c = parse({"--jobs=8", "--filter=fig1*", "tab05_swmr_util"});
+  const auto c = parse({"--jobs=8", "fig1*", "tab05_swmr_util"});
   EXPECT_EQ(c.jobs, 8);
   ASSERT_EQ(c.filters.size(), 2u);
   EXPECT_EQ(c.filters[0], "fig1*");
@@ -103,9 +103,28 @@ TEST(ParseArgs, RejectsUnknownFlagsAndMalformedValues) {
   EXPECT_THROW(parse({"--jobs=0"}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs=-2"}), std::invalid_argument);
   EXPECT_THROW(parse({"--jobs=1x"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--filter"}), std::invalid_argument);  // missing value
+  // The one number parser: no leading space, sign or trailing text.
+  for (const char* bad : {" 4", "+4", "4 ", "0x4", "4.0"}) {
+    EXPECT_THROW(parse({"--jobs", bad}), std::invalid_argument)
+        << '"' << bad << '"';
+    EXPECT_THROW(parse({(std::string("--jobs=") + bad).c_str()}),
+                 std::invalid_argument)
+        << '"' << bad << '"';
+  }
+  // A bare argument is the glob, and ATACSIM_OBS=1 with ATACSIM_OBS_DIR
+  // arms telemetry: the two flags that spelled them again are unknown.
+  for (const char* flag :
+       {"--filter=fig1*", "--filter", "--obs-dir=obs", "--obs-dir"}) {
+    try {
+      parse({flag, "x"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag"), std::string::npos)
+          << e.what();
+    }
+  }
   // An explicit empty glob is accepted but matches no entry.
-  const auto a = parse({"--filter="});
+  const auto a = parse({""});
   ASSERT_EQ(a.filters.size(), 1u);
   EXPECT_TRUE(a.filters[0].empty());
 }
@@ -308,6 +327,23 @@ TEST(FinishReport, VerifyFailureFailsTheEntryAfterWritingTheReport) {
   EXPECT_EQ(good.digests[0], bad.digests[0]);
   EXPECT_NE(bad.digests[1].substr(bad.digests[1].rfind('\t')),
             good.digests[0].substr(good.digests[0].rfind('\t')));
+}
+
+TEST(FinishReport, UnwritableReportFailsTheEntryNamingTheDirectory) {
+  // A report directory under a regular file cannot be created.
+  const auto file = std::filesystem::temp_directory_path() /
+                    ("atacsim_not_a_dir" + std::to_string(getpid()));
+  std::ofstream(file) << "x";
+  const std::string reports = (file / "sub").string();
+  {
+    ScopedEnv e("ATACSIM_REPORT_DIR", reports.c_str());
+    const auto r = run("finish_unwritable", verified_rows);
+    EXPECT_NE(r.failure.find("could not write its report under " + reports),
+              std::string::npos)
+        << r.failure;
+    EXPECT_EQ(r.digests.size(), 1u);
+  }
+  std::filesystem::remove(file);
 }
 
 exp::report::Report tiny_sweep(const exp::ExecOptions& opt) {

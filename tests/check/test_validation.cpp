@@ -183,32 +183,6 @@ TEST(MutationCoherence, HolderIndexMissIsCaught) {
   }
 }
 
-TEST(MutationCoherence, SkippedDeferredUnicastIsCaught) {
-  // A core with unicasts from a slice deferred behind that slice's next
-  // broadcast must run the broadcast's handler, which releases them. With
-  // the deferred marks ignored such a core is skipped like one that holds
-  // nothing, and the cross-check must flag it at the skipped delivery.
-  // ocean_contig on ATAC+ defers unicasts: coherence replies on the ENet
-  // overtake broadcasts on the ONet.
-  auto mp = tiny();
-  apps::AppConfig cfg;
-  cfg.num_cores = mp.num_cores;
-  cfg.scale = 0.05;
-  auto app = apps::make_app("ocean_contig", cfg);
-  core::Program prog(mp);
-  prog.machine().debug_ignore_deferred_marks();  // seeded fault
-  prog.spawn_all(app->body());
-  try {
-    prog.run(2'000'000'000);
-    FAIL() << "skipped-deferred probe did not fire";
-  } catch (const InvariantViolation& v) {
-    EXPECT_EQ(v.probe, Probe::kCoherence);
-    EXPECT_EQ(v.subsystem, "machine");
-    EXPECT_NE(v.detail.find("a deferred unicast"), std::string::npos)
-        << v.what();
-  }
-}
-
 /// An access issued at a chosen cycle of a drain.
 struct TimedAccess {
   Machine* m;
@@ -224,14 +198,16 @@ void issue_timed(void* access, std::uint64_t) {
 }
 
 TEST(MutationCoherence, SkippedDeferredUnicastIsCaughtOnADirectedSequence) {
-  // The directed form of the test above. With cluster routing, core 8's
-  // read of a line of slice 1 takes its cluster's receive network just as
-  // core 4's write broadcasts the invalidation of line 0x40080 (slice 2),
-  // whose other sharers are cores 10, 6, 13 and 1; core 10's read of line
-  // 0x80080, which core 8 owns, makes slice 2 send core 8 a flush request
-  // that overtakes the broadcast and is deferred. With the deferred marks
-  // ignored core 8 is skipped like a core that holds nothing, and the
-  // cross-check must flag it at its run.
+  // A core with unicasts from a slice deferred behind that slice's next
+  // broadcast must run the broadcast's handler, which releases them. With
+  // cluster routing, core 8's read of a line of slice 1 takes its cluster's
+  // receive network just as core 4's write broadcasts the invalidation of
+  // line 0x40080 (slice 2), whose other sharers are cores 10, 6, 13 and 1;
+  // core 10's read of line 0x80080, which core 8 owns, makes slice 2 send
+  // core 8 a flush request that overtakes the broadcast and is deferred.
+  // Once it is, the seeded fault clears core 8's deferred mark, so core 8
+  // is skipped like a core that holds nothing, and the cross-check must
+  // flag it at its run.
   auto mp = tiny();
   mp.routing = RoutingPolicy::kCluster;
   Machine m(mp);
@@ -239,13 +215,19 @@ TEST(MutationCoherence, SkippedDeferredUnicastIsCaughtOnADirectedSequence) {
   for (const CoreId c : {4, 10, 6, 13, 1}) access_and_drain(m, c, line, false);
   access_and_drain(m, 8, owned, true);
   access_and_drain(m, 4, other, false);
-  m.debug_ignore_deferred_marks();  // seeded fault
   std::vector<TimedAccess> accesses = {
       {&m, 4, line, true}, {&m, 10, owned, false}, {&m, 8, other, false}};
   const std::vector<Cycle> offsets = {8, 10, 4};
   for (std::size_t i = 0; i < accesses.size(); ++i)
     m.events().schedule(m.now() + offsets[i], issue_timed, &accesses[i], 0);
   try {
+    const Addr bcast_line = m.cache(8).l2().line_of(line);
+    const Cycle stop = m.now() + 10'000;
+    for (Cycle t = m.now() + 1; !m.cache(8).holding(bcast_line, 2) && t < stop;
+         ++t)
+      m.run(t);
+    ASSERT_STREQ(m.cache(8).holding(bcast_line, 2), "a deferred unicast");
+    m.mark_deferred(8, 2, false);  // seeded fault
     m.run(10'000'000);
     FAIL() << "skipped-deferred probe did not fire";
   } catch (const InvariantViolation& v) {

@@ -239,28 +239,5 @@ TEST(Cache, StoreCommitIsAtomicAgainstConcurrentReaders) {
   EXPECT_EQ(cache.entries(), 1u);
 }
 
-TEST(Jobs, EnvAndDefaultResolution) {
-  setenv("ATACSIM_JOBS", "3", 1);
-  EXPECT_EQ(default_jobs(), 3);
-  setenv("ATACSIM_JOBS", "0", 1);
-  EXPECT_EQ(default_jobs(), 1);  // clamped
-  unsetenv("ATACSIM_JOBS");
-  EXPECT_GE(default_jobs(), 1);
-}
-
-TEST(Jobs, RejectsMalformedEnvNamingTheValue) {
-  for (const char* bad : {"abc", "4x", " 4", "2.5"}) {
-    setenv("ATACSIM_JOBS", bad, 1);
-    try {
-      default_jobs();
-      ADD_FAILURE() << "ATACSIM_JOBS=" << bad << " was accepted";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
-          << e.what();
-    }
-  }
-  unsetenv("ATACSIM_JOBS");
-}
-
 }  // namespace
 }  // namespace atacsim::exp

@@ -11,6 +11,7 @@
 #include "exp/plan.hpp"
 #include "harness/cache.hpp"
 #include "harness/runner.hpp"
+#include "obs/options.hpp"
 
 namespace atacsim::harness {
 namespace {
@@ -278,6 +279,41 @@ TEST(Cache, EntryMissingAnyCounterIsAMiss) {
         if (line.rfind(name + "=", 0) != 0) os << line << '\n';
     }
     EXPECT_FALSE(try_load_cached(s, l)) << "entry without " << name;
+  }
+  unsetenv("ATACSIM_CACHE");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Cache, AnEmptyDirectoryVariableMeansTheDefault) {
+  setenv("ATACSIM_CACHE", "", 1);
+  setenv("ATACSIM_REPORT_DIR", "", 1);
+  EXPECT_EQ(cache_dir(), "bench_cache");
+  EXPECT_EQ(obs::report_dir(), "bench_reports");
+  unsetenv("ATACSIM_CACHE");
+  unsetenv("ATACSIM_REPORT_DIR");
+}
+
+TEST(Cache, EntryWithAMalformedValueIsAMiss) {
+  const auto dir = std::filesystem::temp_directory_path() / "atacsim_cache_v";
+  std::filesystem::remove_all(dir);
+  setenv("ATACSIM_CACHE", dir.c_str(), 1);
+  const auto s = small_scenario();
+  store_cached(s, distinct_outcome());
+  const auto file = entry_file(s);
+  const auto whole = read_lines(file);
+  Outcome l;
+  EXPECT_TRUE(try_load_cached(s, l));
+
+  // A value that is not one whole number is never read as 0 or as its
+  // leading digits.
+  for (const std::string bad : {"abc", "", " 7", "7x", "0x10", "1e999"}) {
+    {
+      std::ofstream os(file, std::ios::trunc);
+      for (const auto& line : whole)
+        os << (line.rfind("dram_reads=", 0) == 0 ? "dram_reads=" + bad : line)
+           << '\n';
+    }
+    EXPECT_FALSE(try_load_cached(s, l)) << "dram_reads=" << bad;
   }
   unsetenv("ATACSIM_CACHE");
   std::filesystem::remove_all(dir);
