@@ -37,7 +37,7 @@ struct Shared {
   std::span<std::uint64_t> global;
 };
 
-core::Task<void> kernel(core::CoreCtx& c, Shared& sh) {
+core::Task kernel(core::CoreCtx& c, Shared& sh) {
   core::Barrier::Sense sense;
   const int per = kItems / kCores;
   const int base = c.id() * per;

@@ -31,7 +31,7 @@ struct Shared {
   std::uint64_t& checksum;
 };
 
-core::Task<void> kernel(core::CoreCtx& c, Shared& sh) {
+core::Task kernel(core::CoreCtx& c, Shared& sh) {
   core::Barrier::Sense sense;
   const int per = 4096 / c.num_cores();
   const int base = c.id() * per;

@@ -91,7 +91,7 @@ class BarnesApp final : public App {
                    static_cast<std::size_t>(iy) * side + ix];
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const int id = c.id();
     const Range mine = partition(n_, p_, id);

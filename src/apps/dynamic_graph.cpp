@@ -142,10 +142,10 @@ class DynamicGraphApp final : public App {
   }
 
   /// One label-propagation reachability pass over `heads/edges`.
-  core::Task<void> propagate(core::CoreCtx& c, core::Barrier::Sense& sense,
-                             std::span<std::uint64_t> mark,
-                             std::span<const std::uint64_t> heads,
-                             std::span<const std::uint64_t> edges) {
+  core::Task propagate(core::CoreCtx& c, core::Barrier::Sense& sense,
+                       std::span<std::uint64_t> mark,
+                       std::span<const std::uint64_t> heads,
+                       std::span<const std::uint64_t> edges) {
     const Range mine = partition(v_, p_, c.id());
     for (;;) {
       // All cores have read the previous round's verdict before this
@@ -181,7 +181,7 @@ class DynamicGraphApp final : public App {
     }
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const int id = c.id();
     const Range mine = partition(v_, p_, id);

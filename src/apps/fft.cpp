@@ -110,8 +110,8 @@ class FftApp final : public App {
 
   /// Timed transpose of the rows this core owns: reads a column scattered
   /// across every other owner's rows (the all-to-all).
-  core::Task<void> transpose_step(core::CoreCtx& c, std::span<Cpx> src,
-                                  std::span<Cpx> dst) {
+  core::Task transpose_step(core::CoreCtx& c, std::span<Cpx> src,
+                            std::span<Cpx> dst) {
     const Range rows = partition(m_, p_, c.id());
     for (int r = rows.begin; r < rows.end; ++r) {
       for (int col = 0; col < m_; ++col) {
@@ -128,8 +128,7 @@ class FftApp final : public App {
 
   /// Timed in-place FFT over this core's rows (touches only owned rows, so
   /// after the first stage it runs out of the local cache).
-  core::Task<void> fft_rows(core::CoreCtx& c, std::span<Cpx> x,
-                            bool twiddle) {
+  core::Task fft_rows(core::CoreCtx& c, std::span<Cpx> x, bool twiddle) {
     const Range rows = partition(m_, p_, c.id());
     for (int r = rows.begin; r < rows.end; ++r) {
       Cpx* row = &x[static_cast<std::size_t>(r) * m_];
@@ -182,7 +181,7 @@ class FftApp final : public App {
     }
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     co_await transpose_step(c, a_, b_);
     co_await barrier_.wait(c, sense);

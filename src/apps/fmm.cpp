@@ -86,7 +86,7 @@ class FmmApp final : public App {
     return std::abs(ax - bx) > 1 || std::abs(ay - by) > 1;
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const int id = c.id();
     const Range mine = partition(n_, p_, id);

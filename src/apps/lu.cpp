@@ -94,7 +94,7 @@ class LuApp final : public App {
     }
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const int id = c.id();
 

@@ -87,7 +87,7 @@ class OceanApp final : public App {
           }
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     // Square-ish tile decomposition over the interior.
     int tiles_x = 1;

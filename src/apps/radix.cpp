@@ -57,7 +57,7 @@ class RadixApp final : public App {
   }
 
  private:
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const int id = c.id();
     auto* src = &src_;

@@ -88,8 +88,8 @@ class WaterApp final : public App {
     return out;
   }
 
-  core::Task<void> add_force(core::CoreCtx& c, int j, double fx, double fy,
-                             double fz) {
+  core::Task add_force(core::CoreCtx& c, int j, double fx, double fy,
+                       double fz) {
     Molecule* m = &mol_[static_cast<std::size_t>(j)];
     co_await locks_[static_cast<std::size_t>(j)].acquire(c);
     co_await c.write(&m->fx, co_await c.read(&m->fx) + fx);
@@ -98,7 +98,7 @@ class WaterApp final : public App {
     co_await locks_[static_cast<std::size_t>(j)].release(c);
   }
 
-  core::Task<void> run(core::CoreCtx& c) {
+  core::Task run(core::CoreCtx& c) {
     core::Barrier::Sense sense;
     const Range mine = partition(n_, p_, c.id());
 

@@ -197,11 +197,11 @@ class CoreCtx {
 /// to a body with no space, which may not touch memory at all.
 struct AppBody {
   template <typename F>
-    requires std::is_invocable_r_v<Task<void>, F&, CoreCtx&>
+    requires std::is_invocable_r_v<Task, F&, CoreCtx&>
   AppBody(F k, const sim::AddressSpace* s = nullptr)
       : kernel(std::move(k)), space(s) {}
 
-  std::function<Task<void>(CoreCtx&)> kernel;
+  std::function<Task(CoreCtx&)> kernel;
   const sim::AddressSpace* space;
 };
 

@@ -12,19 +12,12 @@ Program::Program(const MachineParams& mp, obs::RunObserver* obs,
   ctxs_.reserve(static_cast<std::size_t>(mp.num_cores));
   for (CoreId c = 0; c < mp.num_cores; ++c)
     ctxs_.push_back(std::make_unique<CoreCtx>(*machine_, c));
-  roots_.resize(ctxs_.size());
 }
 
-Program::~Program() {
-  // Destroying a suspended root destroys the kernel Tasks it awaits.
-  for (const auto h : roots_)
-    if (h) h.destroy();
-}
-
-RootTask Program::root(CoreCtx& c, AppBody body) {
-  co_await body.kernel(c);
-  --outstanding_;
-  roots_[static_cast<std::size_t>(c.id())] = nullptr;
+void Program::start(void* kernel, std::uint64_t) {
+  auto& k = *static_cast<Kernel*>(kernel);
+  k.task.emplace(k.body->kernel(*k.ctx));
+  k.task->resume();
 }
 
 void Program::spawn_all(const AppBody& body, int n) {
@@ -35,17 +28,19 @@ void Program::spawn_all(const AppBody& body, int n) {
                                 " cores");
   const int count = (n < 0) ? cores : n;
   machine_->set_address_space(body.space);
+  const AppBody& kept = bodies_.emplace_back(body);
   for (CoreId c = 0; c < count; ++c) {
-    ++outstanding_;
-    RootTask t = root(*ctxs_[static_cast<std::size_t>(c)], body);
-    roots_[static_cast<std::size_t>(c)] = t.handle;
-    machine_->events().schedule(0, resume_coroutine, t.handle.address(), 0);
+    kernels_.push_back({&kept, ctxs_[static_cast<std::size_t>(c)].get(), {}});
+    machine_->events().schedule(0, start, &kernels_.back(), 0);
   }
 }
 
 RunResult Program::run(Cycle max_cycles) {
   RunResult r;
-  r.finished = machine_->run(max_cycles) && outstanding_ == 0;
+  r.finished = machine_->run(max_cycles) &&
+               std::all_of(kernels_.begin(), kernels_.end(), [](auto& k) {
+                 return k.task && k.task->done();
+               });
 
   for (const auto& c : ctxs_)
     r.completion_cycles = std::max(r.completion_cycles, c->now());

@@ -1,10 +1,14 @@
 // Program: runs one application kernel coroutine per simulated core on a
 // Machine, and reports completion time, IPC and the activity counters the
-// power models consume.
+// power models consume. The Program owns every kernel frame: a core's
+// cycle-0 event calls its kernel and keeps the returned Task, finished or
+// not, until the Program is destroyed.
 #pragma once
 
-#include <coroutine>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -30,17 +34,15 @@ class Program {
   /// `validate` arms its src/check probes (see sim::Machine).
   explicit Program(const MachineParams& mp, obs::RunObserver* obs = nullptr,
                    bool validate = check::env_validation_enabled());
-  /// Frees the frames of kernels that did not finish (a run stopped by its
-  /// cycle limit); a finished kernel's frame frees itself.
-  ~Program();
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
 
   sim::Machine& machine() { return *machine_; }
 
   /// Spawns `body` on every core (or the first `n` cores if n >= 0) and
-  /// hands its address space to the Machine. Throws std::invalid_argument
-  /// if `n` exceeds the machine's core count.
+  /// hands its address space to the Machine; every core calls the one copy
+  /// of the body the Program keeps. Throws std::invalid_argument if `n`
+  /// exceeds the machine's core count.
   void spawn_all(const AppBody& body, int n = -1);
 
   /// Enables memory-trace capture for all cores (see sim/trace.hpp).
@@ -52,13 +54,22 @@ class Program {
   RunResult run(Cycle max_cycles = kNeverCycle);
 
  private:
-  RootTask root(CoreCtx& c, AppBody body);
+  /// One spawned kernel; its core's cycle-0 event points at it.
+  struct Kernel {
+    const AppBody* body;
+    CoreCtx* ctx;
+    std::optional<Task> task;  ///< the root coroutine, once started
+  };
+  /// The cycle-0 event: makes the kernel's frame and runs it.
+  static void start(void* kernel, std::uint64_t);
 
   std::unique_ptr<sim::Machine> machine_;
   std::vector<std::unique_ptr<CoreCtx>> ctxs_;
-  /// Per core, the root frame of its kernel while it has not finished.
-  std::vector<std::coroutine_handle<>> roots_;
-  int outstanding_ = 0;
+  /// Every body spawned; a deque, because a lambda coroutine keeps a
+  /// pointer into its callable.
+  std::deque<AppBody> bodies_;
+  /// Declared last, so the kernel frames go before what they point at.
+  std::deque<Kernel> kernels_;
 };
 
 }  // namespace atacsim::core

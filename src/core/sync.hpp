@@ -32,7 +32,7 @@ namespace atacsim::core {
 /// counter has a line of its own.
 class Lock {
  public:
-  Task<void> acquire(CoreCtx& c) {
+  Task acquire(CoreCtx& c) {
     const std::uint64_t my = co_await c.rmw(
         &ticket_, [](std::uint64_t v) -> std::uint64_t { return v + 1; });
     while (co_await c.read(&serving_) != my)
@@ -92,7 +92,7 @@ class Barrier {
     std::uint64_t local = 1;
   };
 
-  Task<void> wait(CoreCtx& c, Sense& s) {
+  Task wait(CoreCtx& c, Sense& s) {
     const std::uint64_t my_sense = s.local;
     s.local ^= 1;
 

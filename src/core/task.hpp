@@ -1,64 +1,45 @@
-// Coroutine task types for simulated-core execution.
+// The coroutine type of simulated-core execution.
 //
-// `Task<T>` is a lazy, awaitable coroutine with symmetric-transfer
+// `Task` is a lazy, awaitable coroutine with symmetric-transfer
 // continuation — application code composes freely (a barrier wait can
-// co_await loads, stores and RMWs). `RootTask` is the fire-and-forget
-// top-level frame the Program resumes once per core from the event queue.
+// co_await loads, stores and RMWs). A kernel's own Task is its core's root
+// coroutine: the Program makes it in the core's cycle-0 event, resumes it
+// there, and owns it until the Program is destroyed. A finished root stays
+// suspended at its final point (done()) with no continuation to resume.
 // An exception a kernel throws (a validation probe raised while it runs)
 // leaves its frames suspended and propagates to whoever resumed them, out
-// of Program::run; the Program destroys the frames.
+// of Program::run; destroying the root Task destroys every frame it awaits.
 #pragma once
 
 #include <coroutine>
-#include <type_traits>
 #include <utility>
 
 namespace atacsim::core {
 
-template <typename T = void>
-class Task;
-
-namespace detail {
-
-struct FinalAwaiter {
-  bool await_ready() noexcept { return false; }
-  template <typename P>
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
-    auto c = h.promise().continuation;
-    return c ? c : std::noop_coroutine();
-  }
-  void await_resume() noexcept {}
-};
-
-struct TaskPromiseBase {
-  std::coroutine_handle<> continuation;
-
-  std::suspend_always initial_suspend() noexcept { return {}; }
-  FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() { throw; }
-};
-
-/// What a Task's promise keeps of the coroutine's result.
-template <typename T>
-struct TaskResult : TaskPromiseBase {
-  T value{};
-  void return_value(T v) { value = std::move(v); }
-};
-template <>
-struct TaskResult<void> : TaskPromiseBase {
-  void return_void() {}
-};
-
-}  // namespace detail
-
-/// Lazy coroutine returning T; starts on first co_await.
-template <typename T>
+/// Lazy coroutine returning nothing; starts on first co_await or resume().
 class Task {
  public:
-  struct promise_type : detail::TaskResult<T> {
+  struct promise_type {
+    std::coroutine_handle<> continuation;
+
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    auto final_suspend() noexcept {
+      struct FinalAwaiter {
+        bool await_ready() noexcept { return false; }
+        std::coroutine_handle<> await_suspend(
+            std::coroutine_handle<promise_type> h) noexcept {
+          const auto c = h.promise().continuation;
+          return c ? c : std::noop_coroutine();
+        }
+        void await_resume() noexcept {}
+      };
+      return FinalAwaiter{};
+    }
+    void return_void() {}
+    void unhandled_exception() { throw; }
   };
 
   Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
@@ -68,34 +49,20 @@ class Task {
     if (h_) h_.destroy();
   }
 
+  /// Starts a root Task, one that nothing awaits.
+  void resume() { h_.resume(); }
+  bool done() const { return h_.done(); }
+
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
     h_.promise().continuation = cont;
     return h_;
   }
-  T await_resume() {
-    if constexpr (!std::is_void_v<T>) return std::move(h_.promise().value);
-  }
+  void await_resume() const noexcept {}
 
  private:
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
   std::coroutine_handle<promise_type> h_;
-};
-
-/// Fire-and-forget top-level frame: created suspended; the Program resumes
-/// it from the event queue; it destroys itself on completion.
-struct RootTask {
-  struct promise_type {
-    RootTask get_return_object() {
-      return RootTask{
-          std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { throw; }
-  };
-  std::coroutine_handle<promise_type> handle;
 };
 
 }  // namespace atacsim::core

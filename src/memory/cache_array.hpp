@@ -73,7 +73,6 @@ class CacheArray {
 
   int num_lines() const { return static_cast<int>(tags_.size()); }
   int num_sets() const { return sets_; }
-  int assoc() const { return assoc_; }
 
   /// Count of valid lines (testing / occupancy stats).
   int occupancy() const;

@@ -1,5 +1,6 @@
 #include "obs/validate.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,27 @@ bool finite_number(const json::Value& v) {
   return v.is_number() && std::isfinite(v.number);
 }
 
+/// A scalar as the series writer spells it.
+std::string text(const json::Value& v) {
+  return v.is_string() ? "\"" + json::escape(v.str) + "\""
+                       : json::num(v.number);
+}
+
+/// Reports each member of object A or B that the other lacks and, when
+/// `values`, each scalar member the two hold different values of.
+void diff_members(const json::Value& a, const json::Value& b,
+                  const char* what, bool values, std::ostream& out) {
+  for (const auto& [k, v] : a.obj) {
+    const json::Value* w = b.find(k);
+    if (!w) out << what << " \"" << k << "\" only in A\n";
+    else if (values && text(v) != text(*w))
+      out << what << " \"" << k << "\": A=" << text(v) << " B=" << text(*w)
+          << '\n';
+  }
+  for (const auto& [k, v] : b.obj)
+    if (!a.find(k)) out << what << " \"" << k << "\" only in B\n";
+}
+
 }  // namespace
 
 std::string validate_series(const json::Value& doc) {
@@ -33,7 +55,6 @@ std::string validate_series(const json::Value& doc) {
 
   const json::Value* epochs = doc.find("epochs");
   if (!epochs || !epochs->is_number()) return "missing numeric \"epochs\"";
-  const std::size_t n = static_cast<std::size_t>(epochs->number);
 
   const json::Value* columns = doc.find("columns");
   if (!columns || !columns->is_array()) return "missing \"columns\" array";
@@ -42,19 +63,24 @@ std::string validate_series(const json::Value& doc) {
   if (columns->arr.size() != data->obj.size())
     return "columns/data size mismatch";
 
-  for (std::size_t i = 0; i < columns->arr.size(); ++i) {
-    const json::Value& cname = columns->arr[i];
+  for (const json::Value& cname : columns->arr) {
     if (!cname.is_string()) return "non-string column name";
-    const json::Value* col = data->find(cname.str);
-    if (!col || !col->is_array())
+    if (!data->find(cname.str))
       return "data missing column \"" + cname.str + "\"";
-    if (col->arr.size() != n)
-      return "column \"" + cname.str + "\" has " +
-             std::to_string(col->arr.size()) + " values, expected " +
-             std::to_string(n);
-    for (const json::Value& v : col->arr)
+  }
+  // Every data member is checked, so a reader may index any of them by
+  // epoch; an "epochs" that is not a whole count matches no column.
+  for (const auto& [name, col] : data->obj) {
+    if (std::none_of(columns->arr.begin(), columns->arr.end(),
+                     [&](const json::Value& c) { return c.str == name; }))
+      return "data column \"" + name + "\" missing from \"columns\"";
+    if (!col.is_array()) return "column \"" + name + "\" is not an array";
+    if (static_cast<double>(col.arr.size()) != epochs->number)
+      return "column \"" + name + "\" has " + std::to_string(col.arr.size()) +
+             " values, expected " + json::num(epochs->number);
+    for (const json::Value& v : col.arr)
       if (!finite_number(v))
-        return "column \"" + cname.str + "\" has a non-finite value";
+        return "column \"" + name + "\" has a non-finite value";
   }
 
   const json::Value* t_end = data->find("t_end");
@@ -114,14 +140,18 @@ std::string validate_profile(const json::Value& doc) {
   return "";
 }
 
-std::string validate_file(const std::string& path) {
+std::string read_json(const std::string& path, json::Value& doc) {
   std::ifstream is(path);
-  if (!is) return "cannot open " + path;
+  if (!is) return "cannot open";
   std::ostringstream buf;
   buf << is.rdbuf();
-  json::Value doc;
   std::string err;
-  if (!json::parse(buf.str(), doc, &err)) return path + ": parse error: " + err;
+  return json::parse(buf.str(), doc, &err) ? "" : "parse error: " + err;
+}
+
+std::string validate_file(const std::string& path) {
+  json::Value doc;
+  if (auto err = read_json(path, doc); !err.empty()) return path + ": " + err;
 
   std::string result;
   if (const json::Value* schema = doc.find("schema");
@@ -136,6 +166,40 @@ std::string validate_file(const std::string& path) {
     result = "document has neither a \"schema\" member nor \"traceEvents\"";
   }
   return result.empty() ? "" : path + ": " + result;
+}
+
+std::string diff_series(const json::Value& a, const json::Value& b) {
+  std::ostringstream out;
+  const std::string name_a = text(*a.find("name"));
+  const std::string name_b = text(*b.find("name"));
+  if (name_a != name_b) out << "name: A=" << name_a << " B=" << name_b << '\n';
+  diff_members(*a.find("meta"), *b.find("meta"), "meta", true, out);
+  const json::Value& data_a = *a.find("data");
+  const json::Value& data_b = *b.find("data");
+  diff_members(data_a, data_b, "column", false, out);
+  const auto& t_a = data_a.find("t_end")->arr;
+  const auto& t_b = data_b.find("t_end")->arr;
+  if (t_a.size() != t_b.size())
+    out << "epochs: A has " << t_a.size() << ", B has " << t_b.size() << '\n';
+
+  for (std::size_t e = 0; e < std::min(t_a.size(), t_b.size()); ++e) {
+    std::ostringstream columns;
+    for (const auto& [k, col] : data_a.obj) {
+      const json::Value* other = data_b.find(k);
+      if (!other) continue;
+      const double x = col.arr[e].number, y = other->arr[e].number;
+      if (x != y)
+        columns << "  " << k << ": A=" << json::num(x) << " B=" << json::num(y)
+                << '\n';
+    }
+    if (columns.tellp() == 0) continue;
+    out << "first differing epoch " << e
+        << ": t_end A=" << json::num(t_a[e].number)
+        << " B=" << json::num(t_b[e].number) << '\n'
+        << columns.str();
+    break;
+  }
+  return out.str();
 }
 
 }  // namespace atacsim::obs

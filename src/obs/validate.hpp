@@ -29,4 +29,14 @@ std::string validate_profile(const json::Value& doc);
 /// or a traceEvents array). Returns "" when valid.
 std::string validate_file(const std::string& path);
 
+/// Reads and parses `path` into `doc`. Returns "" or what went wrong.
+std::string read_json(const std::string& path, json::Value& doc);
+
+/// Compares two series, A and B, that pass validate_series. Returns "" when
+/// they are equal; otherwise one line per difference in name or meta, per
+/// column that only one of them has and for a different epoch count, then
+/// the first epoch whose rows differ (its index and both t_end values) and
+/// one indented line per column that differs there, with both values.
+std::string diff_series(const json::Value& a, const json::Value& b);
+
 }  // namespace atacsim::obs

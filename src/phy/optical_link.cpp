@@ -21,7 +21,7 @@ OnetGeometry OnetGeometry::from(const MachineParams& mp) {
 PhotonicLinkModel::PhotonicLinkModel(const PhotonicParams& pp,
                                      const OnetGeometry& geo,
                                      PhotonicFlavor flavor)
-    : pp_(pp), geo_(geo), flavor_(flavor) {
+    : pp_(pp), geo_(geo) {
   if (flavor == PhotonicFlavor::kIdeal) {
     // Lossless devices, perfectly efficient laser; keep detector sensitivity
     // (you still need photons at the receiver).

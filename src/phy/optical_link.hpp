@@ -62,9 +62,6 @@ class PhotonicLinkModel {
     return max_wg_power_mW_ <= pp_.waveguide_nonlinearity_mW + 1e-12;
   }
 
-  const OnetGeometry& geometry() const { return geo_; }
-  PhotonicFlavor flavor() const { return flavor_; }
-
  private:
   double unicast_optical_per_bit_mW(int hops_worst) const;
   double broadcast_optical_per_bit_mW() const;
@@ -72,7 +69,6 @@ class PhotonicLinkModel {
 
   PhotonicParams pp_;
   OnetGeometry geo_;
-  PhotonicFlavor flavor_;
   bool power_gated_ = true;
   double laser_unicast_mW_ = 0;
   double laser_broadcast_mW_ = 0;

@@ -26,8 +26,7 @@ constexpr double kCellAreaUm2 = 0.10;
 }  // namespace
 
 CacheEnergyModel::CacheEnergyModel(const phy::TriGateModel& dev,
-                                   const CacheGeometry& g)
-    : geo_(g) {
+                                   const CacheGeometry& g) {
   const double bits = g.size_KB * 1024.0 * 8.0;
   const double size_scale = std::sqrt(g.size_KB / kRefSizeKB);
   const double e_bit_fJ = kBitEnergyRef_fJ * size_scale;

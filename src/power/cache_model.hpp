@@ -29,10 +29,8 @@ class CacheEnergyModel {
   double leakage_mW() const { return leakage_mW_; }
   double clock_mW(double freq_GHz) const { return clock_mW_per_GHz_ * freq_GHz; }
   double area_mm2() const { return area_mm2_; }
-  const CacheGeometry& geometry() const { return geo_; }
 
  private:
-  CacheGeometry geo_;
   double read_pJ_ = 0;
   double write_pJ_ = 0;
   double leakage_mW_ = 0;

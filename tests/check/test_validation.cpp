@@ -383,7 +383,7 @@ TEST(MutationEnergy, TotalsMustSumFromComponents) {
 /// other cores touch nothing.
 core::AppBody read_twice(std::uint64_t* first, std::uint64_t* second,
                          const sim::AddressSpace* space) {
-  return {[first, second](core::CoreCtx& c) -> core::Task<void> {
+  return {[first, second](core::CoreCtx& c) -> core::Task {
             if (c.id() != 3) co_return;
             co_await c.read(first);
             co_await c.compute(5000);
@@ -414,7 +414,7 @@ TEST(MutationAddress, WordOutsideTheSpaceIsCaughtWithCoreAndCycle) {
 TEST(MutationAddress, BodyWithNoSpaceMayNotTouchMemory) {
   const auto word = std::make_unique<std::uint64_t>(0);
   core::Program prog(tiny());
-  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task<void> {
+  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task {
     co_await c.compute(10);
     co_await c.rmw(w, [](std::uint64_t v) { return v + 1; });
   });
@@ -449,7 +449,7 @@ TEST(MutationAddress, WordOutsideTheSpaceIsRefusedWithValidationOff) {
 TEST(MutationAddress, BodyWithNoSpaceIsRefusedWithValidationOff) {
   const auto word = std::make_unique<std::uint64_t>(0);
   core::Program prog(tiny(), nullptr, /*validate=*/false);
-  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task<void> {
+  prog.spawn_all([w = word.get()](core::CoreCtx& c) -> core::Task {
     co_await c.read(w);
   });
   try {

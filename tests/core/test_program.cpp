@@ -21,7 +21,7 @@ MachineParams small(NetworkKind net = NetworkKind::kAtacPlus) {
 TEST(Program, ComputeAdvancesLocalClockAndCountsInstructions) {
   Program prog(small());
   prog.spawn_all(
-      [](CoreCtx& c) -> Task<void> { co_await c.compute(1000); }, 4);
+      [](CoreCtx& c) -> Task { co_await c.compute(1000); }, 4);
   const auto r = prog.run();
   EXPECT_TRUE(r.finished);
   EXPECT_EQ(r.core.instructions, 4000u);
@@ -29,10 +29,69 @@ TEST(Program, ComputeAdvancesLocalClockAndCountsInstructions) {
   EXPECT_LT(r.completion_cycles, 1100u);
 }
 
+TEST(Program, StoppedAtItsCycleLimitResumesToTheEnd) {
+  // A compute of 4,096 cycles or more yields to the event queue, so the
+  // two long kernels are still running when the limit stops the run.
+  Program prog(small());
+  prog.spawn_all(
+      [](CoreCtx& c) -> Task {
+        co_await c.compute(c.id() < 2 ? 100 : 100'000);
+      },
+      4);
+  EXPECT_FALSE(prog.run(1'000).finished);
+  const auto r = prog.run();
+  EXPECT_TRUE(r.finished);
+  EXPECT_EQ(r.core.instructions, 200'200u);
+}
+
+TEST(Program, DestroyingAStoppedProgramFreesEveryKernelFrame) {
+  // Core 0 computes past the limit while the other 63 wait in the
+  // barrier; destroying the Program must destroy all 64 kernel frames
+  // and the Barrier::wait frames they await (the sanitizer job's leak
+  // check sees the nested ones).
+  constexpr int kCores = 64;
+  struct Counted {
+    int* destroyed;
+    ~Counted() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  sim::AddressSpace space;
+  Barrier bar(kCores, space);
+  {
+    Program prog(small());
+    prog.spawn_all({[&bar, &destroyed](CoreCtx& c) -> Task {
+                      Counted frame{&destroyed};
+                      Barrier::Sense s;
+                      if (c.id() == 0) co_await c.compute(10'000'000);
+                      co_await bar.wait(c, s);
+                    },
+                    &space},
+                   kCores);
+    EXPECT_FALSE(prog.run(100'000).finished);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, kCores);
+}
+
+TEST(Program, AKernelLeftWaitingIsNotFinished) {
+  // One of a barrier's two participants arrives: the queue drains while
+  // its kernel still waits for a release that never comes.
+  sim::AddressSpace space;
+  Barrier bar(2, space);
+  Program prog(small());
+  prog.spawn_all({[&bar](CoreCtx& c) -> Task {
+                    Barrier::Sense s;
+                    co_await bar.wait(c, s);
+                  },
+                  &space},
+                 1);
+  EXPECT_FALSE(prog.run().finished);
+}
+
 TEST(Program, SpawnAllRefusesMoreKernelsThanCores) {
   Program prog(small());
   const int cores = prog.machine().params().num_cores;
-  auto idle = [](CoreCtx&) -> Task<void> { co_return; };
+  auto idle = [](CoreCtx&) -> Task { co_return; };
   EXPECT_THROW(prog.spawn_all(idle, cores + 1), std::invalid_argument);
   prog.spawn_all(idle, cores);
   EXPECT_TRUE(prog.run().finished);
@@ -42,7 +101,7 @@ TEST(Program, LoadsAndStoresMoveRealData) {
   sim::AddressSpace space;
   const auto v = space.array<std::uint64_t>(64);
   Program prog(small());
-  prog.spawn_all({[v](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[v](CoreCtx& c) -> Task {
                     for (std::size_t i = 0; i < 64; ++i) {
                       const auto x = co_await c.read(&v[i]);
                       co_await c.write(&v[i], x + 1);
@@ -58,7 +117,7 @@ TEST(Program, LoadsAndStoresMoveRealData) {
 TEST(Program, MissesCostMoreThanHits) {
   sim::AddressSpace space;
   const auto v = space.array<std::uint64_t>(1024);
-  auto body = [v](CoreCtx& c) -> Task<void> {
+  auto body = [v](CoreCtx& c) -> Task {
     // Stride 2 touches every 16-byte translation granule, so the sweep
     // covers all 128 simulated lines regardless of how first-touch
     // translation packs granules into frames.
@@ -85,7 +144,7 @@ TEST(Program, SharedCounterUnderLockIsExact) {
   constexpr int kCores = 16;
   constexpr int kIters = 10;
   Program prog(small());
-  prog.spawn_all({[&s](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&s](CoreCtx& c) -> Task {
                     for (int i = 0; i < kIters; ++i) {
                       co_await s.lock.acquire(c);
                       const auto v = co_await c.read(&s.counter);
@@ -106,7 +165,7 @@ TEST(Program, RmwIsAtomicWithoutLock) {
   std::uint64_t& w = space.make<std::uint64_t>();
   constexpr int kCores = 32;
   Program prog(small());
-  prog.spawn_all({[&w](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&w](CoreCtx& c) -> Task {
                     for (int i = 0; i < 8; ++i)
                       co_await c.rmw(&w, [](std::uint64_t v) { return v + 1; });
                   },
@@ -128,7 +187,7 @@ TEST(Program, BarrierSeparatesPhases) {
   Barrier bar(kCores, space);
   Shared& s = space.make<Shared>();
   Program prog(small());
-  prog.spawn_all({[&bar, &s](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&bar, &s](CoreCtx& c) -> Task {
                     Barrier::Sense sense;
                     co_await c.write<std::uint64_t>(&s.phase1[c.id()], 7);
                     co_await bar.wait(c, sense);
@@ -157,7 +216,7 @@ TEST(Program, BarrierReleaseTriggersBroadcastInvalidation) {
   auto p = small();
   p.num_hw_sharers = 4;
   Program prog(p);
-  prog.spawn_all({[&bar](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&bar](CoreCtx& c) -> Task {
                     Barrier::Sense s;
                     for (int it = 0; it < 3; ++it) {
                       co_await c.compute(
@@ -178,7 +237,7 @@ TEST(Program, DeterministicCompletionAcrossRuns) {
     sim::AddressSpace space;
     const auto v = space.array<std::uint64_t>(256);
     Program prog(small());
-    prog.spawn_all({[v](CoreCtx& c) -> Task<void> {
+    prog.spawn_all({[v](CoreCtx& c) -> Task {
                       for (int i = c.id(); i < 256; i += 64)
                         co_await c.rmw(&v[static_cast<std::size_t>(i)],
                                        [](std::uint64_t x) { return x + 1; });
@@ -199,7 +258,7 @@ TEST(Program, NetworkChoiceChangesTiming) {
     auto p = small(net);
     p.r_thres = 4;  // 8-wide mesh: give the ONet real unicast work
     Program prog(p);
-    prog.spawn_all({[v](CoreCtx& c) -> Task<void> {
+    prog.spawn_all({[v](CoreCtx& c) -> Task {
                       for (int rep = 0; rep < 4; ++rep)
                         for (std::size_t i = 0; i < 512; i += 8)
                           co_await c.rmw(&v[i], [](std::uint64_t x) {
@@ -220,7 +279,7 @@ TEST(Program, ManyCoreBarrierStressQuiesces) {
   sim::AddressSpace space;
   Barrier bar(kCores, space);
   Program prog(small());
-  prog.spawn_all({[&bar](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&bar](CoreCtx& c) -> Task {
                     Barrier::Sense s;
                     for (int it = 0; it < 10; ++it) co_await bar.wait(c, s);
                   },

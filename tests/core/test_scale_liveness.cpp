@@ -22,7 +22,7 @@ TEST(ScaleLiveness, ContendedMixedTrafficCompletesAt256Cores) {
   const auto v = space.array<std::uint64_t>(1 << 13);
   Program prog(p);
   prog.spawn_all(
-      {[&bar, v](CoreCtx& c) -> Task<void> {
+      {[&bar, v](CoreCtx& c) -> Task {
          Barrier::Sense s;
          const int n = 1 << 13;
          const int per = n / kCores;
@@ -56,7 +56,7 @@ TEST(ScaleLiveness, ClusterRoutingForcesOnetReorderPressure) {
   sim::AddressSpace space;
   const auto v = space.array<std::uint64_t>(256);
   Program prog(p);
-  prog.spawn_all({[v](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[v](CoreCtx& c) -> Task {
                     for (int i = 0; i < 24; ++i) {
                       const std::size_t idx = static_cast<std::size_t>(
                           (c.id() * 7 + i * 13) & 255);

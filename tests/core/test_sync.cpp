@@ -26,7 +26,7 @@ TEST(Lock, TicketLockGrantsInRequestOrder) {
   std::vector<int> order;  // host-side, written inside the critical section
   Program prog(small());
   // Stagger arrival so request order is deterministic: core i asks at ~i*500.
-  prog.spawn_all({[&lock, &order](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&lock, &order](CoreCtx& c) -> Task {
                     co_await c.compute(
                         static_cast<std::uint64_t>(c.id()) * 500 + 1);
                     co_await lock.acquire(c);
@@ -52,7 +52,7 @@ TEST(Lock, MutualExclusionUnderContention) {
   Shared& s = space.make<Shared>();
   constexpr int kCores = 32, kIters = 6;
   Program prog(small());
-  prog.spawn_all({[&s](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&s](CoreCtx& c) -> Task {
                     for (int i = 0; i < kIters; ++i) {
                       co_await s.lock.acquire(c);
                       s.inside++;
@@ -81,7 +81,7 @@ TEST(Barrier, ReusableAcrossManyRounds) {
   Stamps& s = space.make<Stamps>();
   Program prog(small());
   prog.spawn_all(
-      {[&bar, &s](CoreCtx& c) -> Task<void> {
+      {[&bar, &s](CoreCtx& c) -> Task {
          Barrier::Sense sense;
          for (int r = 0; r < kRounds; ++r) {
            co_await c.write<std::uint64_t>(&s.at[r][c.id()],
@@ -106,7 +106,7 @@ TEST(Barrier, SingleParticipantIsANoop) {
   sim::AddressSpace space;
   Barrier bar(1, space);
   Program prog(small());
-  prog.spawn_all({[&bar](CoreCtx& c) -> Task<void> {
+  prog.spawn_all({[&bar](CoreCtx& c) -> Task {
                     Barrier::Sense s;
                     for (int i = 0; i < 5; ++i) co_await bar.wait(c, s);
                   },
@@ -123,7 +123,7 @@ TEST(Barrier, TreeQuotasCoverAllParticipantCounts) {
     Barrier bar(n, space);
     Program prog(small());
     int done = 0;
-    prog.spawn_all({[&bar, &done](CoreCtx& c) -> Task<void> {
+    prog.spawn_all({[&bar, &done](CoreCtx& c) -> Task {
                       Barrier::Sense s;
                       co_await c.compute(
                           static_cast<std::uint64_t>(c.id()) * 13 + 1);

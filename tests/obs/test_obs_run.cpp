@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,54 @@ TEST(ObsRun, SelfProfileCountsTheEventQueueLoadOfEachRun) {
   EXPECT_EQ(simulate_phase(), first);
   obs::SelfProfile::instance().reset();
   fs::remove_all(dir);
+}
+
+/// The epoch series of the small scenario, run with telemetry armed.
+obs::json::Value real_series(const fs::path& dir) {
+  fs::remove_all(dir);
+  ObsArmed armed(dir.string());
+  const auto s = small_scenario();
+  EXPECT_EQ(run_scenario(s).verify_msg, "");
+  obs::json::Value doc;
+  std::string err;
+  EXPECT_TRUE(obs::json::parse(
+      slurp(dir / (scenario_key(s) + ".series.json")), doc, &err))
+      << err;
+  fs::remove_all(dir);
+  return doc;
+}
+
+obs::json::Value& member(obs::json::Value& v, const std::string& key) {
+  for (auto& [k, m] : v.obj)
+    if (k == key) return m;
+  throw std::out_of_range("no member " + key);
+}
+
+TEST(SeriesDiff, EqualSeriesReportNoDifference) {
+  const auto a = real_series(fs::temp_directory_path() / "atacsim_diff_eq");
+  ASSERT_EQ(obs::validate_series(a), "");
+  const auto b = a;
+  EXPECT_EQ(obs::diff_series(a, b), "");
+}
+
+TEST(SeriesDiff, NamesTheFirstDifferingEpochAndItsColumn) {
+  const auto a = real_series(fs::temp_directory_path() / "atacsim_diff_one");
+  ASSERT_EQ(obs::validate_series(a), "");
+  auto b = a;
+  auto& data = member(b, "data");
+  const auto& t_end = member(data, "t_end").arr;
+  ASSERT_GE(t_end.size(), 3u);
+  const std::size_t k = t_end.size() / 2;
+  const double t = t_end[k].number;
+  double& counter = member(data, "unicast_packets").arr[k].number;
+  const double before = counter;
+  counter += 1;
+
+  using obs::json::num;
+  EXPECT_EQ(obs::diff_series(a, b),
+            "first differing epoch " + std::to_string(k) + ": t_end A=" +
+                num(t) + " B=" + num(t) + "\n  unicast_packets: A=" +
+                num(before) + " B=" + num(before + 1) + "\n");
 }
 
 TEST(ObsRun, DisarmedRunLeavesNoTelemetry) {

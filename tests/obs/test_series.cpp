@@ -196,6 +196,35 @@ TEST(SeriesDoc, ValidatorRejectsNonIncreasingTEnd) {
   EXPECT_NE(validate_series(v), "");
 }
 
+TEST(SeriesDoc, ValidatorRejectsAnEpochCountThatIsNotACount) {
+  SeriesDoc doc;
+  doc.name = "bad";
+  doc.add_column("t_end") = {100.0, 200.0};
+  std::ostringstream os;
+  write_series_json(os, doc);
+  const std::string written = "\"epochs\": 2";
+  for (const char* epochs : {"2.5", "-1", "1e300"}) {
+    std::string text = os.str();
+    const auto at = text.find(written);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, written.size(), std::string("\"epochs\": ") + epochs);
+    json::Value v;
+    ASSERT_TRUE(json::parse(text, v, nullptr));
+    EXPECT_NE(validate_series(v), "") << epochs;
+  }
+}
+
+TEST(SeriesDoc, ValidatorRejectsADataColumnMissingFromColumns) {
+  // Two names in "columns" for one data member leave "t_end" unlisted.
+  const std::string text =
+      R"({"schema": "atacsim-obs-series-v1", "name": "bad", "meta": {},)"
+      R"( "epochs": 1, "columns": ["x", "x"],)"
+      R"( "data": {"x": [1], "t_end": [1, 2]}})";
+  json::Value v;
+  ASSERT_TRUE(json::parse(text, v, nullptr));
+  EXPECT_NE(validate_series(v), "");
+}
+
 TEST(SeriesDoc, CsvHasHeaderPlusOneRowPerEpoch) {
   SeriesDoc doc;
   doc.add_column("t_end") = {100.0, 200.0, 300.0};

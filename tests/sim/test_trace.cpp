@@ -21,7 +21,7 @@ TEST(Trace, RecorderCapturesEveryAccessWithGaps) {
   core::Program prog(small());
   TraceRecorder rec(64);
   prog.set_tracer(&rec);
-  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task<void> {
+  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task {
                     for (std::size_t i = 0; i < 8; ++i) {
                       co_await c.read(&v[i]);
                       co_await c.compute(10);
@@ -73,7 +73,7 @@ TEST(Trace, ReplayTouchesTheSameLines) {
   core::Program prog(small());
   TraceRecorder rec(64);
   prog.set_tracer(&rec);
-  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task<void> {
+  prog.spawn_all({[v](core::CoreCtx& c) -> core::Task {
                     for (int i = c.id(); i < 512; i += 64)
                       co_await c.rmw(&v[static_cast<std::size_t>(i)],
                                      [](std::uint64_t x) { return x + 1; });
@@ -111,7 +111,7 @@ TEST(Trace, ReplayUnderstatesTheSlowNetworkPenalty) {
   // Each call runs on fresh data.
   auto make_body = [&space]() -> core::AppBody {
     const auto a = space.array<std::uint64_t>(1024);
-    return {[a](core::CoreCtx& c) -> core::Task<void> {
+    return {[a](core::CoreCtx& c) -> core::Task {
               for (int rep = 0; rep < 4; ++rep) {
                 for (int i = 0; i < 1024; i += 16)
                   co_await c.read(
