@@ -72,7 +72,8 @@ MemController::MemController(EventQueue& events, MemCounters& counters,
 
 Cycle MemController::request(bool write) {
   write ? ++counters_.dram_writes : ++counters_.dram_reads;
-  const Cycle start = bw_.acquire(events_.now(), line_cycles_);
+  const Cycle start = std::max(events_.now(), bw_free_);
+  bw_free_ = start + line_cycles_;
   return start + line_cycles_ + mp_.mem_latency_cycles;
 }
 

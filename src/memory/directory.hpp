@@ -13,7 +13,6 @@
 #include "memory/cache_array.hpp"
 #include "memory/line_table.hpp"
 #include "memory/protocol.hpp"
-#include "network/ledger.hpp"
 
 namespace atacsim {
 class EventQueue;
@@ -62,7 +61,7 @@ class MemController {
   EventQueue& events_;
   MemCounters& counters_;
   const MachineParams& mp_;
-  net::Channel bw_;
+  Cycle bw_free_ = 0;  // when the serialization channel is next free
   Cycle line_cycles_;
 };
 

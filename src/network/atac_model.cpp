@@ -9,11 +9,8 @@ AtacModel::AtacModel(const MachineParams& mp)
       geom_(mp),
       enet_(mp, /*hw_broadcast=*/false, &counters_),
       hub_data_link_(static_cast<std::size_t>(geom_.num_clusters())),
-      starnets_() {
-  starnets_.reserve(static_cast<std::size_t>(geom_.num_clusters()));
-  for (int c = 0; c < geom_.num_clusters(); ++c)
-    starnets_.emplace_back(mp_.starnets_per_cluster);
-}
+      starnets_(static_cast<std::size_t>(geom_.num_clusters()) *
+                static_cast<std::size_t>(mp_.starnets_per_cluster)) {}
 
 bool AtacModel::unicast_uses_onet(CoreId src, CoreId dst) const {
   if (geom_.same_cluster(src, dst)) return false;  // always pure ENet
@@ -36,11 +33,12 @@ Cycle AtacModel::receive_leg(HubId cluster, Cycle head_at_hub, int flits,
   // toggles ~half the cluster either way. The channel is keyed by sender so
   // messages from one source never reorder (a short coherence message
   // overtaking a data reply on the sibling StarNet would break the
-  // directory protocol's per-pair FIFO assumption).
-  const Cycle start =
-      starnets_[static_cast<std::size_t>(cluster)].acquire_keyed(
-          static_cast<std::size_t>(src), head_at_hub,
-          static_cast<Cycle>(flits));
+  // directory protocol's per-pair FIFO assumption). A cluster's StarNets
+  // are `starnets_per_cluster` adjacent slots.
+  const auto k = static_cast<std::size_t>(mp_.starnets_per_cluster);
+  const Cycle start = starnets_.acquire(
+      static_cast<std::size_t>(cluster) * k + static_cast<std::size_t>(src) % k,
+      head_at_hub, static_cast<Cycle>(flits));
   const int links_toggled = (mp_.receive_net == ReceiveNet::kBNet)
                                 ? mp_.cores_per_cluster() / 2
                                 : (bcast ? mp_.cores_per_cluster() : 1);
@@ -65,7 +63,8 @@ AtacModel::OnetLeg AtacModel::onet_leg(Cycle t, CoreId src, int flits) {
 
   // Select notification fires `onet_select_data_lag` before the data link;
   // the SWMR data channel then serializes the packet.
-  const Cycle start = hub_data_link_[static_cast<std::size_t>(sh)].acquire(
+  const Cycle start = hub_data_link_.acquire(
+      static_cast<std::size_t>(sh),
       head_at_hub + kRouterDelay + mp_.onet_select_data_lag,
       static_cast<Cycle>(flits));
   counters_.hub_flits += flits;
@@ -131,23 +130,15 @@ Cycle AtacModel::inject(Cycle t, const NetPacket& p,
 
 void AtacModel::append_channel_usage(std::vector<ChannelUsage>& out) const {
   enet_.append_channel_usage(out);
-  Cycle hub_busy = 0;
-  for (const auto& ch : hub_data_link_) hub_busy += ch.busy_cycles();
-  out.push_back({"onet.hub_data", hub_busy, hub_data_link_.size()});
-  Cycle star_busy = 0;
-  std::size_t star_channels = 0;
-  for (const auto& g : starnets_) {
-    star_busy += g.busy_cycles();
-    star_channels += g.size();
-  }
-  out.push_back({"recvnet.starnets", star_busy, star_channels});
+  out.push_back({"onet.hub_data", hub_data_link_.busy_cycles(),
+                 hub_data_link_.size()});
+  out.push_back(
+      {"recvnet.starnets", starnets_.busy_cycles(), starnets_.size()});
 }
 
 double AtacModel::link_utilization(Cycle total_cycles) const {
   if (total_cycles == 0) return 0.0;
-  Cycle busy = 0;
-  for (const auto& ch : hub_data_link_) busy += ch.busy_cycles();
-  return static_cast<double>(busy) /
+  return static_cast<double>(hub_data_link_.busy_cycles()) /
          (static_cast<double>(total_cycles) * hub_data_link_.size());
 }
 

@@ -62,8 +62,8 @@ class AtacModel : public NetworkModel {
   MachineParams mp_;
   MeshGeom geom_;
   EMeshModel enet_;                       // ENet (counts into our counters_)
-  std::vector<Channel> hub_data_link_;    // one SWMR data link per hub
-  std::vector<ChannelGroup> starnets_;    // per-cluster receive networks
+  ChannelArray hub_data_link_;  // one SWMR data link per hub
+  ChannelArray starnets_;       // receive networks, cluster-major
   std::uint64_t onet_unicasts_ = 0;
   std::uint64_t onet_bcasts_ = 0;
 };

@@ -9,10 +9,9 @@ EMeshModel::EMeshModel(const MachineParams& mp, bool hw_broadcast,
                        NetCounters* sink)
     : mp_(mp),
       geom_(mp),
+      links_(static_cast<std::size_t>(geom_.num_cores()) * kPorts),
       hw_broadcast_(hw_broadcast),
-      sink_(sink ? sink : &counters_) {
-  links_.resize(static_cast<std::size_t>(geom_.num_cores()) * kPorts);
-}
+      sink_(sink ? sink : &counters_) {}
 
 int EMeshModel::flits_of(const NetPacket& p) const {
   int bits = p.bits;
@@ -23,15 +22,17 @@ int EMeshModel::flits_of(const NetPacket& p) const {
 
 Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
   // XY dimension-order routing: the X leg walks the links of `from`'s row,
-  // the Y leg those of `to`'s column; each leg's ledgers lie side by side.
+  // the Y leg those of `to`'s column; each leg's horizons lie side by side.
   const int w = geom_.width();
   const int fx = geom_.x(from), fy = geom_.y(from);
   const int tx = geom_.x(to), ty = geom_.y(to);
   const auto leg = [&](std::size_t first, int n, std::ptrdiff_t step) {
-    Channel* link = &links_[first];
-    for (int i = 0; i < n; ++i, link += step)
-      head = link->acquire(head + kRouterDelay, static_cast<Cycle>(flits)) +
-             kLinkDelay;
+    Cycle* until = links_.horizons() + first;
+    for (int i = 0; i < n; ++i, until += step) {
+      const Cycle start = std::max(head + kRouterDelay, *until);
+      *until = start + static_cast<Cycle>(flits);
+      head = start + kLinkDelay;
+    }
   };
   if (tx >= fx)
     leg(link_id(kE, fy * w + fx), tx - fx, +1);
@@ -47,12 +48,14 @@ Cycle EMeshModel::route_head(CoreId from, CoreId to, Cycle head, int flits) {
       static_cast<std::uint64_t>(flits);
   sink().enet_router_flits += flit_hops;
   sink().enet_link_flits += flit_hops;
+  links_.add_busy(flit_hops);  // each link is held `flits` cycles
   return head;
 }
 
 Cycle EMeshModel::eject(CoreId dst, Cycle head_arrival, int flits) {
-  const Cycle start = links_[link_id(kEject, dst)].acquire(
-      head_arrival + kRouterDelay, static_cast<Cycle>(flits));
+  const Cycle start = links_.acquire(link_id(kEject, dst),
+                                     head_arrival + kRouterDelay,
+                                     static_cast<Cycle>(flits));
   sink().enet_router_flits += flits;
   return start + kLinkDelay + flits - 1;
 }
@@ -60,7 +63,7 @@ Cycle EMeshModel::eject(CoreId dst, Cycle head_arrival, int flits) {
 EMeshModel::UnicastLeg EMeshModel::unicast_leg(Cycle t, CoreId src,
                                                CoreId dst, int flits) {
   const Cycle start =
-      links_[link_id(kInject, src)].acquire(t, static_cast<Cycle>(flits));
+      links_.acquire(link_id(kInject, src), t, static_cast<Cycle>(flits));
   const Cycle head = route_head(src, dst, start, flits);
   return {start + flits, eject(dst, head, flits)};
 }
@@ -68,7 +71,7 @@ EMeshModel::UnicastLeg EMeshModel::unicast_leg(Cycle t, CoreId src,
 Cycle EMeshModel::bcast_tree(Cycle t, CoreId src, int flits, MsgClass cls,
                              std::vector<Arrival>& out) {
   const Cycle start =
-      links_[link_id(kInject, src)].acquire(t, static_cast<Cycle>(flits));
+      links_.acquire(link_id(kInject, src), t, static_cast<Cycle>(flits));
 
   Cycle latest = start;
   const auto arrive = [&](CoreId c, Cycle head) {
@@ -140,7 +143,7 @@ Cycle EMeshModel::inject(Cycle t, const NetPacket& p,
 }
 
 void EMeshModel::append_channel_usage(std::vector<ChannelUsage>& out) const {
-  out.push_back({"enet.links", links_.total_busy_cycles(), links_.size()});
+  out.push_back({"enet.links", links_.busy_cycles(), links_.size()});
 }
 
 }  // namespace atacsim::net

@@ -47,13 +47,13 @@ class EMeshModel : public NetworkModel {
  private:
   NetCounters& sink() { return *sink_; }
 
-  // Directed link ids, direction-major: each port's N = width^2 ledgers
-  // form one block, `port * N + slot`. E, W, inject and eject ledgers sit in
-  // row-major slots (`y * width + x`, the core id), N and S ledgers in
+  // Directed link ids, direction-major: each port's N = width^2 horizons
+  // form one block, `port * N + slot`. E, W, inject and eject links sit in
+  // row-major slots (`y * width + x`, the core id), N and S links in
   // column-major slots (`x * width + y`). The E/W links a route's X leg
-  // crosses are then adjacent ledgers along its row, and the N/S links of
-  // its Y leg adjacent ledgers along its column. Link (x, y) of port E/W/S/N
-  // leaves core (x, y) in that direction.
+  // crosses then have adjacent horizons along its row, and the N/S links of
+  // its Y leg adjacent horizons along its column. Link (x, y) of port
+  // E/W/S/N leaves core (x, y) in that direction.
   enum Port { kE = 0, kW, kS, kN, kInject, kEject, kPorts };
 
   std::size_t link_id(Port port, int slot) const {

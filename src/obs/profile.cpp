@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <fstream>
 #include <ostream>
+#include <string>
+#include <string_view>
 
-#include <sys/resource.h>
-
+#include "common/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/options.hpp"
 
@@ -22,11 +25,21 @@ double now_seconds() {
       .count();
 }
 
-/// The process's peak resident set so far, in MB (0 if it cannot be read).
+/// The process's peak resident set so far, in MB (0 if it cannot be read):
+/// the kernel's VmHWM, which starts afresh when a program is exec'd.
+/// getrusage's ru_maxrss does not: Linux carries it across fork and exec, so
+/// a child of a large parent would report the parent's peak.
 double process_peak_rss_mb() {
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KB
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    const std::string_view v = line;  // "VmHWM:\t    1234 kB"
+    if (!v.starts_with("VmHWM:")) continue;
+    const std::size_t from = std::min(v.find_first_not_of(" \t", 6), v.size());
+    const std::size_t to = std::min(v.find(' ', from), v.size());
+    const auto kb = parse_whole<std::uint64_t>(v.substr(from, to - from));
+    return kb ? static_cast<double>(*kb) / 1024.0 : 0;
+  }
+  return 0;
 }
 
 }  // namespace

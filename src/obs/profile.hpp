@@ -59,7 +59,7 @@ class SelfProfile {
 
   /// Writes the profile JSON. Schema "atacsim-obs-profile-v1"; the document
   /// carries "deterministic": false as an explicit marker, and the process's
-  /// peak resident set so far as "process_peak_rss_mb".
+  /// own peak resident set so far (VmHWM) as "process_peak_rss_mb".
   void write_json(std::ostream& os, const std::string& name) const;
 
  private:

@@ -129,14 +129,16 @@ TEST(EMesh, CountersTrackTraffic) {
 }
 
 /// Reference model: the mesh as it was with node-major link ids,
-/// `node * kPorts + port`, and one route step per hop. Every reservation,
-/// arrival and counter of EMeshModel must match it.
+/// `node * kPorts + port`, one route step per hop, and a ledger of its own
+/// per link that counts that link's busy cycles. Every reservation, arrival
+/// and counter of EMeshModel must match it.
 class NodeMajorEMesh : public NetworkModel {
  public:
   NodeMajorEMesh(const MachineParams& mp, bool hw_broadcast)
-      : mp_(mp), geom_(mp), hw_broadcast_(hw_broadcast) {
-    links_.resize(static_cast<std::size_t>(geom_.num_cores()) * kPorts);
-  }
+      : mp_(mp),
+        geom_(mp),
+        links_(static_cast<std::size_t>(geom_.num_cores()) * kPorts),
+        hw_broadcast_(hw_broadcast) {}
 
   Cycle inject(Cycle t, const NetPacket& p,
                std::vector<Arrival>& out) override {
@@ -165,11 +167,24 @@ class NodeMajorEMesh : public NetworkModel {
   }
 
   void append_channel_usage(std::vector<ChannelUsage>& out) const override {
-    out.push_back({"enet.links", links_.total_busy_cycles(), links_.size()});
+    Cycle busy = 0;
+    for (const Link& l : links_) busy += l.busy_cycles;
+    out.push_back({"enet.links", busy, links_.size()});
   }
 
  private:
   enum Port { kE = 0, kW, kS, kN, kInject, kEject, kPorts };
+
+  struct Link {
+    Cycle busy_until = 0;
+    Cycle busy_cycles = 0;
+    Cycle acquire(Cycle ready, Cycle duration) {
+      const Cycle start = std::max(ready, busy_until);
+      busy_until = start + duration;
+      busy_cycles += duration;
+      return start;
+    }
+  };
 
   int flits_of(const NetPacket& p) const {
     int bits = p.bits;
@@ -178,7 +193,7 @@ class NodeMajorEMesh : public NetworkModel {
     return (bits + mp_.flit_bits - 1) / mp_.flit_bits;
   }
 
-  Channel& link(CoreId node, Port port) {
+  Link& link(CoreId node, Port port) {
     return links_[static_cast<std::size_t>(node) * kPorts + port];
   }
 
@@ -263,7 +278,7 @@ class NodeMajorEMesh : public NetworkModel {
 
   MachineParams mp_;
   MeshGeom geom_;
-  ChannelArray links_;
+  std::vector<Link> links_;
   bool hw_broadcast_;
 };
 
