@@ -3,8 +3,7 @@
 //
 // The flow model is what every full-system experiment uses (a 1024-core
 // cycle-accurate NoC would be ~100x slower to simulate); this ablation
-// quantifies the approximation: zero-load latencies should match closely
-// and saturation onset should agree in shape.
+// quantifies the approximation.
 //
 // Both models are compared through the same net::ChannelUsage view: the
 // cycle mesh exports its per-link busy cycles exactly like the flow model's
@@ -105,18 +104,46 @@ exp::report::Report run_abl_netmodel_xcheck(const exp::ExecOptions&) {
     rep.rows.push_back(std::move(rr));
   }
   t.print(std::cout);
-  std::printf(
-      "\nReading: zero-load latencies agree within a few percent. At"
-      "\nmoderate load the flow model is mildly pessimistic on latency (its"
-      "\nreservation horizon has no bounded buffers); at extreme load it is"
-      "\noptimistic on ultimate capacity (~20-30%%: it does not model switch"
-      "\narbitration conflicts). The application studies run far below that"
-      "\nregime (Fig. 6: <0.03 flits/cycle/core), where agreement is tight.\n\n");
   return rep;
 }
+
+double flow_over_cycle(const Report& r, const char* load) {
+  return stat(r, std::string("load=") + load, "8x8 mesh", "flow_over_cycle");
+}
+
+/// Whether flow/cycle lies in [lo, hi] at every load of `loads`, and the
+/// ratios read.
+Verdict ratio_within(const Report& r, std::vector<const char*> loads,
+                     double lo, double hi) {
+  Verdict v{true, "flow/cycle"};
+  for (const char* load : loads) {
+    const double x = flow_over_cycle(r, load);
+    v.holds = v.holds && x >= lo && x <= hi;
+    v.measured += std::string(" ") + num(x) + " at " + load;
+  }
+  return v;
+}
+
+const std::vector<Claim> kClaims = {
+    {"abl_netmodel_xcheck: zero-load latencies agree within a few percent "
+     "(flow/cycle within 5 % up to 0.01 flits/cycle/core)",
+     [](const Report& r) {
+       return ratio_within(r, {"0.002", "0.010"}, 0.95, 1.05);
+     }},
+    {"abl_netmodel_xcheck: at moderate load (0.05-0.1) the flow model is "
+     "mildly pessimistic on latency (flow/cycle 1.0-1.5): its reservation "
+     "horizon has no bounded buffers",
+     [](const Report& r) {
+       return ratio_within(r, {"0.050", "0.100"}, 1.0, 1.5);
+     }},
+    {"abl_netmodel_xcheck: at extreme load the flow model is optimistic on "
+     "capacity (below the cycle-accurate latency at 0.45): it does not model "
+     "switch arbitration conflicts",
+     [](const Report& r) { return ratio_within(r, {"0.450"}, 0, 1); }},
+};
 
 }  // namespace
 
 ATACSIM_BENCH("abl_netmodel_xcheck",
               "Ablation: flow model vs cycle-accurate mesh cross-check",
-              run_abl_netmodel_xcheck);
+              run_abl_netmodel_xcheck, kClaims);

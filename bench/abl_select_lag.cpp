@@ -3,6 +3,7 @@
 // cycle). Sweeps the lag from 0 to 4 cycles on synthetic traffic and two
 // applications.
 #include <algorithm>
+#include <cmath>
 
 #include "bench_common.hpp"
 #include "network/synthetic.hpp"
@@ -12,12 +13,15 @@ using namespace atacsim::bench;
 
 namespace {
 
+const std::vector<Cycle> kLags = {0, 1, 2, 4};
+
+std::string lag_label(Cycle lag) { return "lag=" + std::to_string(lag); }
+
 exp::report::Report run_abl_select_lag(const exp::ExecOptions& opt) {
   print_header("Ablation", "adaptive SWMR select->data lag");
 
-  const std::vector<Cycle> lags = {0, 1, 2, 4};
   auto lag_axis = exp::sweep::value_axis<Cycle>(
-      "onet_select_data_lag", lags,
+      "onet_select_data_lag", kLags,
       [](Cycle lag) { return std::to_string(lag); },
       [](exp::sweep::CellConfig& c, Cycle lag) {
         c.scenario.mp.onet_select_data_lag = lag;
@@ -51,17 +55,17 @@ exp::report::Report run_abl_select_lag(const exp::ExecOptions& opt) {
 
   Table t({"lag (cycles)", "synthetic zero-load latency", "radix cycles",
            "barnes cycles"});
-  for (std::size_t li = 0; li < lags.size(); ++li) {
+  for (std::size_t li = 0; li < kLags.size(); ++li) {
     const auto& radix = res.at({li, 0});
     const auto& barnes = res.at({li, 1});
-    t.add_row({std::to_string(lags[li]),
+    t.add_row({std::to_string(kLags[li]),
                Table::num(syn[li].avg_latency_cycles, 1),
                std::to_string(radix.run.completion_cycles),
                std::to_string(barnes.run.completion_cycles)});
     exp::report::Row rr;
-    rr.app = "lag=" + std::to_string(lags[li]);
+    rr.app = lag_label(kLags[li]);
     rr.config = "ATAC+/Cluster";
-    rr.stats.add("onet_select_data_lag", static_cast<double>(lags[li]));
+    rr.stats.add("onet_select_data_lag", static_cast<double>(kLags[li]));
     rr.stats.add("synthetic_avg_latency_cycles", syn[li].avg_latency_cycles);
     rr.stats.add("radix_completion_cycles",
                  static_cast<double>(radix.run.completion_cycles));
@@ -72,15 +76,51 @@ exp::report::Report run_abl_select_lag(const exp::ExecOptions& opt) {
     rep.rows.push_back(std::move(rr));
   }
   t.print(std::cout);
-  std::printf(
-      "\nReading: each extra lag cycle adds ~1 cycle to every ONet packet;"
-      "\napplication-level impact is small because miss latency dominates —"
-      "\nsupporting the paper's claim that 1 ns ring tuning suffices.\n\n");
   return rep;
 }
+
+double at(const Report& r, Cycle lag, const std::string& s) {
+  return stat(r, lag_label(lag), "ATAC+/Cluster", s);
+}
+
+const std::vector<Claim> kClaims = {
+    {"abl_select_lag: each lag cycle adds about one cycle to every ONet "
+     "packet (synthetic latency rises 0.75-1.25 cycles per lag cycle)",
+     [](const Report& r) {
+       Verdict v{true, "cycles per lag cycle:"};
+       for (const Cycle lag : {1, 2, 4}) {
+         const double x = (at(r, lag, "synthetic_avg_latency_cycles") -
+                           at(r, 0, "synthetic_avg_latency_cycles")) /
+                          static_cast<double>(lag);
+         v.holds = v.holds && x >= 0.75 && x <= 1.25;
+         v.measured += " " + num(x) + " at lag " + std::to_string(lag);
+       }
+       return v;
+     }},
+    {"abl_select_lag: application runtimes move less than 10 % from lag 0 "
+     "up to lag 4, so 1 ns ring tuning suffices",
+     [](const Report& r) {
+       Verdict v{true, "at lag 1 / 2 / 4:"};
+       for (const std::string app : {"radix", "barnes"}) {
+         const std::string s = app + "_completion_cycles";
+         v.measured += " " + app;
+         for (const Cycle lag : {1, 2, 4}) {
+           const double x = at(r, lag, s) / at(r, 0, s) - 1;
+           v.holds = v.holds && std::abs(x) < 0.1;
+           v.measured += " " + num(100 * x, 1) + " %";
+         }
+       }
+       return v;
+     },
+     "radix +3.6 % / +5.8 % / +49.4 % at lag 1 / 2 / 4 (barnes within "
+     "+1.2 %); at lag 4 radix has 10.7 % more L2 misses and 8.8 % more "
+     "unicasts than at lag 2 while its SWMR utilization falls from 9.9 % to "
+     "7.5 %, so it is not link saturation; ROADMAP \"explain the three "
+     "unexplained scale-1 results\""},
+};
 
 }  // namespace
 
 ATACSIM_BENCH("abl_select_lag",
               "Ablation: sensitivity to the SWMR select->data lag",
-              run_abl_select_lag);
+              run_abl_select_lag, kClaims);

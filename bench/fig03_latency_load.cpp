@@ -1,11 +1,6 @@
 // Fig. 3: average packet latency vs offered load under uniform-random
 // unicast traffic with 0.1% broadcast injection, for the Cluster routing
 // policy and Distance-i thresholds (paper Sec. IV-C).
-//
-// Expected shape: Cluster has the lowest zero-load latency but saturates
-// first (everything funnels through the per-hub SWMR channels); mid-range
-// r_thres values maximize saturation throughput; Distance-All (ENet only)
-// is never optimal.
 #include "bench_common.hpp"
 #include "network/synthetic.hpp"
 
@@ -13,6 +8,11 @@ using namespace atacsim;
 using namespace atacsim::bench;
 
 namespace {
+
+const std::vector<double> kLoads = {0.005, 0.01, 0.02, 0.03, 0.04,
+                                    0.05,  0.06, 0.08, 0.10};
+
+std::string load_label(double v) { return Table::num(v, 3); }
 
 MachineParams config(RoutingPolicy pol, int r) {
   auto mp = base_machine();
@@ -33,8 +33,6 @@ exp::report::Report run_fig03(const exp::ExecOptions& opt) {
       {"Distance-35", config(RoutingPolicy::kDistance, 35)},
       {"Distance-All", config(RoutingPolicy::kDistanceAll, 0)},
   };
-  const std::vector<double> loads = {0.005, 0.01, 0.02, 0.03, 0.04,
-                                     0.05,  0.06, 0.08, 0.10};
 
   exp::sweep::CellConfig base;
   base.synth.bcast_fraction = 0.001;
@@ -42,7 +40,7 @@ exp::report::Report run_fig03(const exp::ExecOptions& opt) {
   base.synth.measure_cycles = 12000;
   exp::sweep::SweepSpec spec(base);
   spec.axis(exp::sweep::value_axis<double>(
-          "offered_load", loads, [](double v) { return Table::num(v, 3); },
+          "offered_load", kLoads, load_label,
           [](exp::sweep::CellConfig& c, double v) {
             c.synth.offered_load = v;
           }))
@@ -57,7 +55,7 @@ exp::report::Report run_fig03(const exp::ExecOptions& opt) {
   rep.cells = spec.num_cells();
   rep.simulations = spec.num_cells();
   rep.jobs = exp::pool_size(opt, spec.num_cells());
-  for (std::size_t li = 0; li < loads.size(); ++li) {
+  for (std::size_t li = 0; li < kLoads.size(); ++li) {
     std::vector<std::string> row = {spec.label(0, li)};
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
       const auto& r = results[spec.flat({li, pi})];
@@ -68,7 +66,7 @@ exp::report::Report run_fig03(const exp::ExecOptions& opt) {
       exp::report::Row rr;
       rr.app = spec.label(0, li);
       rr.config = policies[pi].first;
-      rr.stats.add("offered_load", loads[li]);
+      rr.stats.add("offered_load", kLoads[li]);
       rr.stats.add("avg_latency_cycles", r.avg_latency_cycles);
       rr.stats.add("max_latency_cycles", r.max_latency_cycles);
       rr.stats.add("packets_measured",
@@ -80,14 +78,79 @@ exp::report::Report run_fig03(const exp::ExecOptions& opt) {
     t.add_row(std::move(row));
   }
   t.print(std::cout);
-  std::printf(
-      "\nPaper check: Cluster saturates earliest; optimal r_thres grows with"
-      "\nload; Distance-All and Distance-35 never optimal (Sec. IV-C).\n\n");
   return rep;
 }
+
+const std::vector<std::string> kPolicies = {
+    "Cluster",     "Distance-5",  "Distance-15",
+    "Distance-25", "Distance-35", "Distance-All"};
+
+double latency(const Report& r, double load, const std::string& policy) {
+  return stat(r, load_label(load), policy, "avg_latency_cycles");
+}
+
+/// The policy with the lowest latency at `load` among `policies`.
+std::string best(const Report& r, double load,
+                 const std::vector<std::string>& policies) {
+  std::string b = policies[0];
+  for (const auto& p : policies)
+    if (latency(r, load, p) < latency(r, load, b)) b = p;
+  return b;
+}
+
+const std::vector<Claim> kClaims = {
+    {"Fig. 3: Cluster has the lowest zero-load latency (within 5 % of the "
+     "best policy at 0.005 flits/cycle/core)",
+     [](const Report& r) {
+       const std::string b = best(r, 0.005, kPolicies);
+       const double c = latency(r, 0.005, "Cluster");
+       return Verdict{c <= 1.05 * latency(r, 0.005, b),
+                      "Cluster " + num(c, 1) + ", " + b + " " +
+                          num(latency(r, 0.005, b), 1) + " cycles"};
+     }},
+    {"Fig. 3: Cluster saturates first (no policy passes 200 cycles at a "
+     "lower load)",
+     [](const Report& r) {
+       for (const double load : kLoads) {
+         std::string past;
+         for (const auto& p : kPolicies)
+           if (latency(r, load, p) > 200) past += " " + p;
+         if (!past.empty())
+           return Verdict{latency(r, load, "Cluster") > 200,
+                          "first past 200 cycles at " + load_label(load) +
+                              ":" + past};
+       }
+       return Verdict{false, "no policy passes 200 cycles"};
+     }},
+    {"Fig. 3: Distance-All is never the optimal policy",
+     [](const Report& r) {
+       std::string all;
+       for (const double load : kLoads) all += " " + best(r, load, kPolicies);
+       return Verdict{all.find("Distance-All") == std::string::npos,
+                      "optimal by load:" + all};
+     }},
+    {"Fig. 3: the optimal r_thres migrates 5 -> 15 -> 25 as load grows "
+     "(Distance-35 never optimal)",
+     [](const Report& r) {
+       std::string path, last;
+       for (const double load : kLoads) {
+         const std::string b = best(
+             r, load, {"Distance-5", "Distance-15", "Distance-25",
+                       "Distance-35"});
+         if (b != last) path += (last.empty() ? "" : " -> ") + b;
+         last = b;
+       }
+       return Verdict{path == "Distance-5 -> Distance-15 -> Distance-25",
+                      path};
+     },
+     "the optimum runs Distance-5 (to 0.06) -> Distance-25 (0.08, 80.5 "
+     "cycles) -> Distance-35 (0.10, 91.3 against Distance-25's 97.6), "
+     "skipping Distance-15; synthetic traffic, so the address layout is not "
+     "the cause (ROADMAP \"explain the three unexplained scale-1 results\")"},
+};
 
 }  // namespace
 
 ATACSIM_BENCH("fig03_latency_load",
               "Fig. 3: packet latency vs offered load across routing policies",
-              run_fig03);
+              run_fig03, kClaims);

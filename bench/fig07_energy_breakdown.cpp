@@ -2,11 +2,6 @@
 // benchmarks, for the four ATAC+ technology flavours of Table IV and the
 // two electrical baselines, normalized to ATAC+(Ideal).
 //
-// Expected shape: the laser dominates ATAC+(Cons) (no power gating); ring
-// tuning dominates ATAC+(RingTuned) and (Cons) (~260K heated rings); with
-// both features (ATAC+) the network cost collapses to almost the Ideal
-// level and caches dominate (>75%) the total.
-//
 // The four ATAC+ flavours share one simulation per benchmark (the plan
 // dedupes on scenario key; the flavours differ only in the energy model),
 // so the 6x8 grid needs just 3x8 runs.
@@ -87,14 +82,75 @@ exp::report::Report run_fig07(const exp::ExecOptions& opt) {
     return e.chip_no_core() > 0 ? e.caches() / e.chip_no_core() * base_e : 0.0;
   });
   t.print(std::cout);
-  std::printf(
-      "\nPaper check: laser huge under Cons; ring tuning huge under"
-      "\nRingTuned/Cons; ATAC+ ~= Ideal; caches dominate (>75%%) for ATAC+.\n\n");
   return res.report();
 }
+
+/// Component `c` (an energy_* stat) of `config`, as a share of the
+/// ATAC+(Ideal) network+cache total (the figure's normalization).
+double bar(const Report& r, const std::string& config, const std::string& c) {
+  return sum(r, benchmarks(), config, "energy_" + c) /
+         sum(r, benchmarks(), "ATAC+(Ideal)", "energy_chip_no_core");
+}
+
+/// How much component `c` grows from ATAC+ to the slower EMesh-Pure.
+double growth(const Report& r, const std::string& c) {
+  return bar(r, "EMesh-Pure", c) / bar(r, "ATAC+", c);
+}
+
+const std::vector<Claim> kClaims = {
+    {"Fig. 7: the laser dominates ATAC+(Cons) and ring tuning ATAC+"
+     "(RingTuned) and (Cons): each bar exceeds the whole Ideal total",
+     [](const Report& r) {
+       const double laser = bar(r, "ATAC+(Cons)", "laser"),
+                    tuned = bar(r, "ATAC+(RingTuned)", "ring_tuning"),
+                    cons = bar(r, "ATAC+(Cons)", "ring_tuning");
+       return Verdict{laser > 1 && tuned > 1 && cons > 1,
+                      "Cons laser " + num(laser, 3) + ", ring tuning " +
+                          num(tuned, 3) + " (RingTuned) and " +
+                          num(cons, 3) + " (Cons) of the Ideal total"};
+     }},
+    {"Fig. 7: ATAC+ is within 10 % of ATAC+(Ideal); caches are > 75 % of "
+     "its total, the L2 the largest component",
+     [](const Report& r) {
+       const double total = bar(r, "ATAC+", "chip_no_core"),
+                    caches = bar(r, "ATAC+", "caches") / total,
+                    l2 = bar(r, "ATAC+", "l2");
+       bool largest = true;
+       for (const char* c :
+            {"laser", "ring_tuning", "optical_other", "enet_dynamic",
+             "enet_static", "recvnet", "hub", "directory", "l1i", "l1d"})
+         largest = largest && l2 > bar(r, "ATAC+", c);
+       return Verdict{total < 1.1 && caches > 0.75 && largest,
+                      "total " + num(total, 3) + " of Ideal, caches " +
+                          num(100 * caches, 1) + " %, L2 " + num(l2, 3)};
+     }},
+    {"Fig. 7: the L1s are more dynamic than the L2 (each L1 bar grows less "
+     "than the L2 bar from ATAC+ to the slower EMesh-Pure)",
+     [](const Report& r) {
+       return Verdict{growth(r, "l1i") < growth(r, "l2") &&
+                          growth(r, "l1d") < growth(r, "l2"),
+                      "L1-I " + num(growth(r, "l1i"), 3) + "x, L1-D " +
+                          num(growth(r, "l1d"), 3) + "x, L2 " +
+                          num(growth(r, "l2"), 3) + "x"};
+     },
+     "L1-I grows 4.80x and L1-D 4.79x against the L2's 4.79x: no access "
+     "increments l1i_accesses (0 in every row), so the L1-I bar is leakage "
+     "and clock only, ROADMAP \"Model v5\""},
+    {"Fig. 7: the directory is the smallest cache component",
+     [](const Report& r) {
+       const double dir = bar(r, "ATAC+", "directory"),
+                    l1i = bar(r, "ATAC+", "l1i"), l1d = bar(r, "ATAC+", "l1d");
+       return Verdict{dir < l1i && dir < l1d,
+                      "directory " + num(dir, 3) + ", L1-I " + num(l1i, 3) +
+                          ", L1-D " + num(l1d, 3) + " of Ideal"};
+     },
+     "the directory bar (0.092 of the Ideal total) exceeds L1-D (0.082) and "
+     "L1-I (0.081); v5's fetch counting moves L1-I only to 0.082, ROADMAP "
+     "\"Model v5\""},
+};
 
 }  // namespace
 
 ATACSIM_BENCH("fig07_energy_breakdown",
               "Fig. 7: energy breakdown across photonic flavours, normalized",
-              run_fig07);
+              run_fig07, kClaims);

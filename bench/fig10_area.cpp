@@ -1,9 +1,5 @@
 // Fig. 10: chip area of cache and network components, ATAC+ vs the
 // electrical mesh (no simulation required — pure area models).
-//
-// Expected shape: caches dominate (~90%); the ENet/StarNet/hub electrical
-// components are negligible; ATAC+'s waveguides and optical devices occupy
-// ~40 mm^2 at the 64-bit flit width.
 #include "bench_common.hpp"
 #include "power/energy_model.hpp"
 
@@ -42,16 +38,47 @@ exp::report::Report run_fig10(const exp::ExecOptions&) {
   row("optical (waveguides+rings)", a.optical, m.optical);
   row("TOTAL", a.total(), m.total());
   t.print(std::cout);
-  std::printf(
-      "\ncaches/total: ATAC+ %.1f%%, EMesh %.1f%% (paper: ~90%%)."
-      "\noptical area: %.1f mm^2 (paper: ~40 mm^2 at 64-bit flits).\n\n",
-      100.0 * a.caches() / a.total(), 100.0 * m.caches() / m.total(),
-      a.optical);
   return rep;
 }
+
+/// The rows' `s` (atac_plus_mm2 or emesh_mm2) over `parts`, as a share of
+/// the TOTAL row's.
+double share(const Report& r, const std::vector<std::string>& parts,
+             const std::string& s) {
+  return sum(r, parts, "area", s) / stat(r, "TOTAL", "area", s);
+}
+
+const std::vector<std::string> kCaches = {"L1-I caches", "L1-D caches",
+                                          "L2 caches", "directory"};
+
+const std::vector<Claim> kClaims = {
+    {"Fig. 10: caches take ~90 % of the chip area (80-100 % on ATAC+ and on "
+     "the mesh)",
+     [](const Report& r) {
+       const double a = share(r, kCaches, "atac_plus_mm2"),
+                    m = share(r, kCaches, "emesh_mm2");
+       return Verdict{a > 0.8 && m > 0.8, "ATAC+ " + num(100 * a, 1) +
+                                              " %, EMesh " +
+                                              num(100 * m, 1) + " %"};
+     }},
+    {"Fig. 10: ATAC+'s optical devices take ~40 mm^2 at 64-bit flits "
+     "(within 1.5x)",
+     [](const Report& r) {
+       const double a =
+           stat(r, "optical (waveguides+rings)", "area", "atac_plus_mm2");
+       return Verdict{near_paper(a, 40), num(a, 1) + " mm^2"};
+     }},
+    {"Fig. 10: the electrical network (ENet, receive nets, hubs) is "
+     "negligible, under 10 % of ATAC+'s area",
+     [](const Report& r) {
+       const double a = share(
+           r, {"ENet routers+links", "receive nets", "hubs"}, "atac_plus_mm2");
+       return Verdict{a < 0.1, num(100 * a, 1) + " %"};
+     }},
+};
 
 }  // namespace
 
 ATACSIM_BENCH("fig10_area",
               "Fig. 10: chip area breakdown, ATAC+ vs electrical mesh",
-              run_fig10);
+              run_fig10, kClaims);

@@ -75,10 +75,5 @@ int main() {
     }
   }
   t.print(std::cout);
-  std::printf(
-      "\nReading: past k=4 sharers both protocols broadcast, but ACKwise"
-      "\ncollects acks only from the true sharers while Dir_kB hears from"
-      "\nall 64 cores — the gap that widens to 1024 acks at full scale and"
-      "\ncosts Dir4B its energy-delay advantage (paper Fig. 14).\n");
   return 0;
 }

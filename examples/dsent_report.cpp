@@ -74,10 +74,5 @@ int main() {
   std::printf("  leakage / clock  : %.4f / %.4f mW\n", r.leakage_mW(),
               r.clock_mW(1.0));
   std::printf("  area             : %.4f mm^2\n", r.area_mm2());
-  std::printf(
-      "\nReading: the coarse models the simulator integrates against sit"
-      "\nwithin small factors of the structured estimates (asserted in"
-      "\ntests/phy/test_gates.cpp) — retune common/params.hpp with this"
-      "\ntool open.\n");
   return 0;
 }

@@ -88,7 +88,30 @@ std::uint64_t row_digest(const exp::report::Row& row) {
   return d.value();
 }
 
+/// Whether the bench machine is the paper's, field by field.
+bool paper_machine() {
+  const MachineParams mp = base_machine(), paper = MachineParams::paper();
+#define ATACSIM_X(type, name, ...) \
+  if (mp.name != paper.name) return false;
+  ATACSIM_MACHINE_FIELDS(ATACSIM_X)
+#undef ATACSIM_X
+  return true;
+}
+
 }  // namespace
+
+double stat(const exp::report::Report& r, const std::string& app,
+            const std::string& config, const std::string& name) {
+  for (const auto& row : r.rows) {
+    if (row.app != app || row.config != config) continue;
+    for (const auto& [n, v] : row.stats.items())
+      if (n == name) return v;
+    throw std::runtime_error(r.name + ": row " + app + " on " + config +
+                             " has no stat " + name);
+  }
+  throw std::runtime_error(r.name + ": no row " + app + " on " + config +
+                           " (looking for stat " + name + ")");
+}
 
 void run_entry(const Entry& e, const exp::ExecOptions& opt) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -107,12 +130,32 @@ void run_entry(const Entry& e, const exp::ExecOptions& opt) {
     failed += "\n  " + row.app + " on " + row.config + ": " +
               (row.verify_msg.empty() ? "did not complete" : row.verify_msg);
   }
+  const bool judged = bench_scale() == 1.0 && paper_machine();
+  std::string misjudged;
+  for (const Claim& c : e.claims) {
+    const Verdict v = c.check(rep);
+    std::printf("claim\t%s\t%s\t%s\t%s", rep.name.c_str(),
+                v.holds ? "holds" : "fails", c.text.c_str(),
+                v.measured.c_str());
+    if (!c.known_failure.empty())
+      std::printf("\tknown: %s", c.known_failure.c_str());
+    std::printf("\n");
+    if (judged && v.holds != c.known_failure.empty())
+      misjudged += "\n  " + c.text +
+                   (v.holds ? ": holds, but is listed as a known failure"
+                            : ": fails, and is not listed as a known failure") +
+                   " (" + v.measured + ")";
+  }
   if (paths.size() < 2)
     throw std::runtime_error(rep.name + ": could not write its report under " +
                              obs::report_dir());
   if (!failed.empty())
     throw std::runtime_error(rep.name + ": cells did not finish or verify:" +
                              failed);
+  if (!misjudged.empty())
+    throw std::runtime_error(rep.name +
+                             ": claims at paper scale differ from their "
+                             "listing:" + misjudged);
 }
 
 }  // namespace atacsim::bench

@@ -39,6 +39,12 @@ MachineParams emesh_pure();
 /// Prints the figure banner, naming the actual machine under test.
 void print_header(const char* fig, const char* what);
 
+/// The stat `name` of the row (app, config) in report `r`, for claims.
+/// Throws std::runtime_error naming the report, the row and the stat when
+/// the report has no such row or the row no such stat.
+double stat(const exp::report::Report& r, const std::string& app,
+            const std::string& config, const std::string& name);
+
 /// Runs entry `e` on `opt`'s worker pool and finishes the report it
 /// returns: names it after the entry, sets wall_seconds to the whole call's
 /// host time, writes the JSON + CSV files and prints their `report:` paths,
@@ -46,10 +52,14 @@ void print_header(const char* fig, const char* what);
 ///   digest <entry> <app> <config> <16 hex digits>
 /// hashing the row's finished flag, verify_msg and every stat but
 /// wall_seconds (doubles by bit pattern), so two builds or pool sizes can
-/// be compared without their report files. Last it fails the entry: throws
-/// std::runtime_error naming the report directory when either file could
-/// not be written, else naming every "app on config" row that did not
-/// finish or carries a verify_msg, so a wrong cell cannot pass silently.
+/// be compared without their report files, then one line per claim:
+///   claim <entry> holds|fails <text> <measured> [known: <known_failure>]
+/// Last it fails the entry: throws std::runtime_error naming the report
+/// directory when either file could not be written, else naming every
+/// "app on config" row that did not finish or carries a verify_msg, else,
+/// on the paper machine at scale 1 only, naming every claim whose verdict
+/// differs from its listing (a known failure that holds, or an unlisted
+/// claim that fails). At any other size the claims are printed, not judged.
 void run_entry(const Entry& e, const exp::ExecOptions& opt);
 
 }  // namespace atacsim::bench

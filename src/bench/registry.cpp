@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace atacsim::bench {
 
@@ -56,8 +57,9 @@ std::vector<const Entry*> Registry::match(const std::string& glob) const {
   return out;
 }
 
-Registrar::Registrar(const char* name, const char* description, BenchFn fn) {
-  Registry::instance().add(Entry{name, description, fn});
+Registrar::Registrar(const char* name, const char* description, BenchFn fn,
+                     std::vector<Claim> claims) {
+  Registry::instance().add(Entry{name, description, fn, std::move(claims)});
 }
 
 }  // namespace atacsim::bench

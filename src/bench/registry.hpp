@@ -6,7 +6,9 @@
 // takes to appear in `--list`.
 //
 // An entry prints its table and returns its report rows; run_entry
-// (bench/common.hpp) names, times, writes and judges the report.
+// (bench/common.hpp) names, times, writes and judges the report, then
+// checks the entry's claims, the paper's statements about that figure,
+// against those rows.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +22,27 @@ namespace atacsim::bench {
 
 using BenchFn = exp::report::Report (*)(const exp::ExecOptions&);
 
+/// A claim's check result: whether it holds, and the values it read.
+struct Verdict {
+  bool holds = false;
+  std::string measured;
+};
+
+/// One statement of the paper, checked against the rows its entry returns
+/// (read through bench::stat). `known_failure` is empty for a claim that
+/// holds on the paper machine at scale 1; otherwise it says what fails
+/// there and why, and the claim is expected to fail.
+struct Claim {
+  std::string text;
+  Verdict (*check)(const exp::report::Report&) = nullptr;
+  std::string known_failure{};
+};
+
 struct Entry {
   std::string name;         ///< registry key, e.g. "fig08_edp"
   std::string description;  ///< one-line summary shown by --list
   BenchFn fn = nullptr;
+  std::vector<Claim> claims{};
 };
 
 /// Shell-style glob match supporting '*' (any run) and '?' (any one
@@ -49,11 +68,12 @@ class Registry {
 };
 
 struct Registrar {
-  Registrar(const char* name, const char* description, BenchFn fn);
+  Registrar(const char* name, const char* description, BenchFn fn,
+            std::vector<Claim> claims);
 };
 
-#define ATACSIM_BENCH(name, description, fn)                      \
+#define ATACSIM_BENCH(name, description, fn, claims)              \
   static const ::atacsim::bench::Registrar atacsim_bench_reg_##fn{ \
-      name, description, fn}
+      name, description, fn, claims}
 
 }  // namespace atacsim::bench

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -225,28 +226,37 @@ class ScopedReportDir {
   ScopedEnv reports_, cache_;
 };
 
-/// A run_entry call: its failure message (empty if it did not throw) and
-/// the digest lines it printed.
+/// A run_entry call: its failure message (empty if it did not throw), the
+/// digest and claim lines it printed, and whether every claim line came
+/// after every digest line.
 struct EntryRun {
   std::string failure;
   std::vector<std::string> digests;
+  std::vector<std::string> claims;
+  bool claims_after_digests = true;
 };
 
-EntryRun run(const char* name, BenchFn fn, int jobs = 1) {
+EntryRun run(const char* name, BenchFn fn, int jobs = 1,
+             std::vector<Claim> claims = {}) {
   exp::ExecOptions opt;
   opt.jobs = jobs;
   opt.progress = false;
   EntryRun r;
   testing::internal::CaptureStdout();
   try {
-    run_entry(Entry{name, "test entry", fn}, opt);
+    run_entry(Entry{name, "test entry", fn, std::move(claims)}, opt);
   } catch (const std::runtime_error& e) {
     r.failure = e.what();
   }
   std::fflush(stdout);
   std::istringstream out(testing::internal::GetCapturedStdout());
-  for (std::string line; std::getline(out, line);)
-    if (line.rfind("digest\t", 0) == 0) r.digests.push_back(line);
+  for (std::string line; std::getline(out, line);) {
+    if (line.rfind("digest\t", 0) == 0) {
+      r.digests.push_back(line);
+      r.claims_after_digests = r.claims_after_digests && r.claims.empty();
+    }
+    if (line.rfind("claim\t", 0) == 0) r.claims.push_back(line);
+  }
   return r;
 }
 
@@ -375,6 +385,132 @@ TEST(FinishReport, DigestLinesMatchAcrossCacheStateAndPoolSize) {
   ASSERT_EQ(runs[0].size(), 4u);
   for (std::size_t i = 1; i < runs.size(); ++i)
     EXPECT_EQ(runs[i], runs[0]) << i;
+}
+
+/// Two hand-built rows, radix ahead of fft on ATAC+.
+exp::report::Report two_apps(const exp::ExecOptions&) {
+  exp::report::Report rep;
+  for (const auto& [app, cycles] :
+       {std::pair{"radix", 100.0}, {"fft", 300.0}}) {
+    rep.rows.push_back({app, "ATAC+", true, "", {}});
+    rep.rows.back().stats.add("completion_cycles", cycles);
+  }
+  return rep;
+}
+
+Verdict radix_faster(const exp::report::Report& r) {
+  const double radix = stat(r, "radix", "ATAC+", "completion_cycles"),
+               fft = stat(r, "fft", "ATAC+", "completion_cycles");
+  return {radix < fft, "radix " + std::to_string(radix)};
+}
+
+Verdict fft_faster(const exp::report::Report& r) {
+  const Verdict v = radix_faster(r);
+  return {!v.holds, v.measured};
+}
+
+TEST(FinishReport, ClaimLinesFollowTheDigestLines) {
+  ScopedReportDir dir("atacsim_finish_claims");
+  ScopedEnv mesh("ATACSIM_BENCH_MESH", "8x2");
+  const auto r = run("finish_claims", two_apps, 1,
+                     {{"radix beats fft", radix_faster},
+                      {"fft beats radix", fft_faster},
+                      {"fft beats radix, listed", fft_faster, "why it fails"}});
+  EXPECT_EQ(r.failure, "");
+  ASSERT_EQ(r.digests.size(), 2u);
+  EXPECT_TRUE(r.claims_after_digests);
+  const std::vector<std::string> want = {
+      "claim\tfinish_claims\tholds\tradix beats fft\tradix 100.000000",
+      "claim\tfinish_claims\tfails\tfft beats radix\tradix 100.000000",
+      "claim\tfinish_claims\tfails\tfft beats radix, listed\t"
+      "radix 100.000000\tknown: why it fails"};
+  EXPECT_EQ(r.claims, want);
+}
+
+TEST(FinishReport, AtPaperScaleAVerdictThatDiffersFromItsListingFailsTheEntry) {
+  ScopedReportDir dir("atacsim_finish_judged");
+  const std::vector<Claim> listed_but_holds = {
+      {"radix beats fft", radix_faster, "listed as failing"},
+      {"fft beats radix", fft_faster, "listed as failing"}};
+  const std::vector<Claim> fails_unlisted = {
+      {"radix beats fft", radix_faster}, {"fft beats radix", fft_faster}};
+  {
+    // The paper machine at scale 1: each misjudged claim is named.
+    ScopedEnv mesh("ATACSIM_BENCH_MESH", nullptr);
+    ScopedEnv scale("ATACSIM_SCALE", "1");
+    const auto a = run("finish_judged", two_apps, 1, listed_but_holds);
+    EXPECT_NE(a.failure.find("radix beats fft: holds, but is listed as a "
+                             "known failure"),
+              std::string::npos)
+        << a.failure;
+    EXPECT_EQ(a.failure.find("fft beats radix"), std::string::npos)
+        << a.failure;
+    EXPECT_EQ(a.claims.size(), 2u);
+    const auto b = run("finish_judged", two_apps, 1, fails_unlisted);
+    EXPECT_NE(b.failure.find("fft beats radix: fails, and is not listed as a "
+                             "known failure"),
+              std::string::npos)
+        << b.failure;
+    EXPECT_EQ(b.failure.find("radix beats fft"), std::string::npos)
+        << b.failure;
+    // Listings that match their verdicts pass.
+    EXPECT_EQ(run("finish_judged", two_apps, 1,
+                  {{"radix beats fft", radix_faster},
+                   {"fft beats radix", fft_faster, "listed as failing"}})
+                  .failure,
+              "");
+  }
+  // Any other size prints the verdicts and judges none.
+  for (const auto& [mesh_v, scale_v] :
+       {std::pair<const char*, const char*>{"8x2", "1"}, {nullptr, "0.5"}}) {
+    ScopedEnv mesh("ATACSIM_BENCH_MESH", mesh_v);
+    ScopedEnv scale("ATACSIM_SCALE", scale_v);
+    for (const auto& claims : {listed_but_holds, fails_unlisted}) {
+      const auto r = run("finish_judged", two_apps, 1, claims);
+      EXPECT_EQ(r.failure, "") << scale_v;
+      EXPECT_EQ(r.claims.size(), 2u);
+    }
+  }
+}
+
+Verdict missing_stat(const exp::report::Report& r) {
+  return {stat(r, "radix", "ATAC+", "no_such_stat") > 0, ""};
+}
+
+Verdict missing_row(const exp::report::Report& r) {
+  return {stat(r, "lu_contig", "ATAC+", "completion_cycles") > 0, ""};
+}
+
+TEST(FinishReport, AClaimReadingAMissingRowOrStatThrowsNamingBoth) {
+  ScopedReportDir dir("atacsim_finish_missing");
+  ScopedEnv mesh("ATACSIM_BENCH_MESH", "8x2");
+  const auto a = run("finish_missing", two_apps, 1, {{"a", missing_stat}});
+  EXPECT_NE(a.failure.find("finish_missing: row radix on ATAC+ has no stat "
+                           "no_such_stat"),
+            std::string::npos)
+      << a.failure;
+  const auto b = run("finish_missing", two_apps, 1, {{"b", missing_row}});
+  EXPECT_NE(b.failure.find("finish_missing: no row lu_contig on ATAC+ "
+                           "(looking for stat completion_cycles)"),
+            std::string::npos)
+      << b.failure;
+  // No fallback value: a stat of 0 is read as 0, a missing one throws.
+  exp::report::Report rep = two_apps({});
+  rep.rows[0].stats.add("zero", 0.0);
+  EXPECT_EQ(stat(rep, "radix", "ATAC+", "zero"), 0.0);
+  EXPECT_THROW(stat(rep, "fft", "ATAC+", "zero"), std::runtime_error);
+}
+
+TEST(Registry, EveryEntryCarriesAClaim) {
+  const auto all = Registry::instance().all();
+  EXPECT_EQ(all.size(), 21u);
+  for (const Entry* e : all) {
+    EXPECT_FALSE(e->claims.empty()) << e->name;
+    for (const Claim& c : e->claims) {
+      EXPECT_FALSE(c.text.empty()) << e->name;
+      EXPECT_NE(c.check, nullptr) << e->name << ": " << c.text;
+    }
+  }
 }
 
 }  // namespace
