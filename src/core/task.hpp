@@ -9,18 +9,39 @@
 // An exception a kernel throws (a validation probe raised while it runs)
 // leaves its frames suspended and propagates to whoever resumed them, out
 // of Program::run; destroying the root Task destroys every frame it awaits.
+//
+// Frames are recycled: a destroyed frame is parked on a free list of the
+// destroying thread, one list per frame size class, and the next frame of
+// that size on the thread reuses it. Once a run has reached its deepest
+// nesting, a lock acquire or a barrier wait allocates nothing. A thread's
+// parked frames are freed when it exits.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <utility>
 
 namespace atacsim::core {
+
+namespace detail {
+/// A frame of `n` bytes, from this thread's free list if one is parked.
+void* allocate_frame(std::size_t n);
+/// Parks the `n`-byte frame `p` on this thread's free list.
+void free_frame(void* p, std::size_t n) noexcept;
+}  // namespace detail
 
 /// Lazy coroutine returning nothing; starts on first co_await or resume().
 class Task {
  public:
   struct promise_type {
     std::coroutine_handle<> continuation;
+
+    static void* operator new(std::size_t n) {
+      return detail::allocate_frame(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::free_frame(p, n);
+    }
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 
 #include "check/probes.hpp"
 #include "harness/obs_export.hpp"
@@ -57,6 +58,8 @@ power::EnergyBreakdown recompute_energy(const Outcome& o,
 }
 
 Outcome run_scenario(const Scenario& s) {
+  // Set-up: the app's inputs, the Machine and the kernels' spawn.
+  std::optional<obs::PhaseTimer> setup(std::in_place, "setup");
   apps::AppConfig cfg;
   cfg.num_cores = s.mp.num_cores;
   cfg.scale = s.scale;
@@ -72,6 +75,7 @@ Outcome run_scenario(const Scenario& s) {
 
   core::Program prog(s.mp, observer.get());
   prog.spawn_all(app->body());
+  setup.reset();
 
   const auto t0 = std::chrono::steady_clock::now();
   Outcome out;

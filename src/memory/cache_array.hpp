@@ -3,9 +3,9 @@
 // tracks presence, permissions and dirtiness for timing and protocol state.
 //
 // Each way is one 4-byte word, so an 8-way set is 32 bytes and two sets
-// share a 64-byte host cache line (the words are allocated 64-byte aligned,
-// so a set of up to 16 ways never straddles two host lines). A word holds,
-// from the top:
+// share a 64-byte host cache line (the words are one allocation, 64-byte
+// aligned, so a set of up to 16 ways never straddles two host lines). A
+// word holds, from the top:
 //  - bits 10..31: the tag, the line number's bits above the set index
 //    (`line >> (line_shift + set_shift)`). The set index is implied by the
 //    word's position, so a line whose tag needs more than 22 bits is refused
@@ -20,11 +20,21 @@
 // The victim is the first invalid way, else the valid way of lowest rank:
 // the least recently used. Sets are indexed by the low bits of the line
 // number, so the set count must be a power of two.
+//
+// The words are allocated uninitialized: a run touches a small share of a
+// large chip's sets, so the array zeroes a set only when a line is first
+// installed there. One *ready* bit per set (512 bits, one host line, for
+// the paper's L2) records which sets have been zeroed. The invariant is
+// that no word of a set is read before the set is ready: a set that is not
+// ready holds no line, so every lookup answers "absent" without reading its
+// words and occupancy() skips it. A fresh set therefore reads exactly like
+// a zeroed one, whatever the host heap held there before.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <optional>
 #include <vector>
@@ -71,10 +81,11 @@ class CacheArray {
   /// Removes a line; returns its previous state.
   LineState invalidate(Addr line);
 
-  int num_lines() const { return static_cast<int>(tags_.size()); }
+  int num_lines() const { return sets_ * assoc_; }
   int num_sets() const { return sets_; }
 
-  /// Count of valid lines (testing / occupancy stats).
+  /// Count of valid lines (testing / occupancy stats); reads ready sets
+  /// only.
   int occupancy() const;
 
  private:
@@ -86,21 +97,9 @@ class CacheArray {
   static constexpr int kKeyShift = 10;
   static constexpr int kTagBits = 32 - kKeyShift;
 
-  /// Allocates whole host cache lines, so a set starts on a line boundary.
-  template <class T>
-  struct HostLineAllocator {
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-    HostLineAllocator() = default;
-    template <class U>
-    HostLineAllocator(const HostLineAllocator<U>&) {}
-    T* allocate(std::size_t n) {
-      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
-    }
-    void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
-    friend bool operator==(HostLineAllocator, HostLineAllocator) {
-      return true;
-    }
+  static constexpr std::align_val_t kHostLine{64};
+  struct FreeHostLines {
+    void operator()(Word* p) const { ::operator delete(p, kHostLine); }
   };
 
   static LineState state_of(Word word) {
@@ -121,17 +120,25 @@ class CacheArray {
                                     static_cast<Addr>(sets_ - 1));
   }
   [[noreturn]] void throw_beyond_tag_field(Addr line) const;
-  /// Index of the valid way holding `key`, or -1.
-  int find(std::size_t base, Word key) const;
+  bool ready(std::size_t set) const {
+    return (ready_[set >> 6] >> (set & 63)) & 1;
+  }
+  /// The first of `set`'s words; read them only if the set is ready.
+  Word* words_of(std::size_t set) const { return &words_[set * assoc_]; }
+  /// Index of the valid way of `set` holding `key`, or -1. Reads no word
+  /// of a set that is not ready.
+  int find(std::size_t set, Word key) const;
   /// Makes `way` the most recently used of its set.
-  void touch(std::size_t base, int way);
+  void touch(Word* words, int way);
 
   int line_B_;
   int line_shift_ = 0;
   int tag_shift_ = 0;  // line_shift_ + log2(sets_)
   int sets_;
   int assoc_;
-  std::vector<Word, HostLineAllocator<Word>> tags_;  // sets_ x assoc_ words
+  // sets_ x assoc_ words, uninitialized until their set is ready.
+  std::unique_ptr<Word[], FreeHostLines> words_;
+  std::vector<std::uint64_t> ready_;  // bit s % 64 of word s / 64: set s
 };
 
 }  // namespace atacsim::mem

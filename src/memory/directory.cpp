@@ -208,6 +208,22 @@ void DirectorySlice::start_txn(std::uint32_t row, const CohMsg& req) {
   if (txn.pending_acks == 0) maybe_complete(req.line);
 }
 
+void DirectorySlice::enqueue(Txn& txn, const CohMsg& req) {
+  std::uint32_t q = free_queued_;
+  if (q == kNoQueued) {
+    q = static_cast<std::uint32_t>(queued_.size());
+    queued_.push_back({req, kNoQueued});
+  } else {
+    free_queued_ = queued_[q].next;
+    queued_[q] = {req, kNoQueued};
+  }
+  if (txn.last_queued == kNoQueued)
+    txn.first_queued = q;
+  else
+    queued_[txn.last_queued].next = q;
+  txn.last_queued = q;
+}
+
 void DirectorySlice::maybe_complete(Addr line) {
   assert(active_.contains(line));
   Txn& txn = active_[active_.find(line)];
@@ -253,13 +269,17 @@ void DirectorySlice::complete(Addr line) {
   // cycle gap would let a newly arriving request clobber the queued one's
   // transaction slot. It reopens the line on the same row, which keeps the
   // rest of the queue, before its transaction can complete.
-  std::vector<CohMsg>& waiting = active_[row].waiting;
-  if (waiting.empty()) {
+  Txn& txn = active_[row];
+  const std::uint32_t q = txn.first_queued;
+  if (q == kNoQueued) {
     active_.release(row);
     return;
   }
-  const CohMsg next = waiting.front();
-  waiting.erase(waiting.begin());
+  const CohMsg next = queued_[q].req;
+  txn.first_queued = queued_[q].next;
+  if (txn.first_queued == kNoQueued) txn.last_queued = kNoQueued;
+  queued_[q].next = free_queued_;
+  free_queued_ = q;
   active_.attach(line, row);
   start_txn(row, next);
 }
@@ -270,7 +290,7 @@ void DirectorySlice::handle(const CohMsg& m) {
     case CohType::kExReq: {
       const std::uint32_t row = active_.find(m.line);
       if (row != active_.kNone) {
-        active_[row].waiting.push_back(m);
+        enqueue(active_[row], m);
       } else {
         start_txn(active_.insert(m.line), m);
       }

@@ -119,6 +119,8 @@ class DirectorySlice {
       state = LineState::kInvalid;
     }
   };
+  /// No entry of queued_.
+  static constexpr std::uint32_t kNoQueued = ~std::uint32_t{0};
   struct Txn {
     CohMsg req;
     int pending_acks = 0;
@@ -128,27 +130,37 @@ class DirectorySlice {
     /// A DirtyWb is known to be in flight; wait for it instead of fetching
     /// stale data from DRAM.
     bool expect_dirty_wb = false;
-    /// Later requests for the line, in arrival order; each starts the next
-    /// transaction when the one before it completes.
-    std::vector<CohMsg> waiting;
+    /// Later requests for the line, in arrival order: the first and last
+    /// entries of its queue in queued_. Each starts the next transaction
+    /// when the one before it completes.
+    std::uint32_t first_queued = kNoQueued;
+    std::uint32_t last_queued = kNoQueued;
 
-    /// A new transaction's state, except that `waiting` stays as it is.
+    /// A new transaction's state, except that the queue stays as it is.
     void restart() {
       pending_acks = 0;
       waiting_owner = have_data = dram_pending = expect_dirty_wb = false;
     }
     void clear() {
       restart();
-      clear_for_reuse(waiting);
+      first_queued = last_queued = kNoQueued;
     }
+  };
+  /// One request queued behind an open transaction on its line, and the
+  /// next one queued there (or the next free entry).
+  struct Queued {
+    CohMsg req;
+    std::uint32_t next;
   };
 
   /// The line's row in dir_, made on first use. The reference is valid
   /// until the next line is made.
   LineInfo& info(Addr line);
   /// Starts the transaction for `req` on `row`, a row of active_ open for
-  /// the line, keeping the row's waiting list.
+  /// the line, keeping the row's queue.
   void start_txn(std::uint32_t row, const CohMsg& req);
+  /// Queues `req` behind `txn`, the line's open transaction.
+  void enqueue(Txn& txn, const CohMsg& req);
   void maybe_complete(Addr line);
   void complete(Addr line);
   void fetch_dram(Addr line);
@@ -165,6 +177,12 @@ class DirectorySlice {
   MemController dram_;
   LineTable<LineInfo> dir_;  // every line seen here; rows never released
   LineTable<Txn> active_;
+  /// Every transaction's queue, each a linked list through this pool. A
+  /// served entry goes on the free list, so the pool grows only to the most
+  /// requests the slice has held queued at once, and queuing allocates
+  /// nothing after that.
+  std::vector<Queued> queued_;
+  std::uint32_t free_queued_ = kNoQueued;
   std::uint16_t seq_ = 0;
   Cycle send_free_ = 0;
 };

@@ -39,7 +39,7 @@ class SelfProfile {
   static SelfProfile& instance();
 
   /// Accumulates `wall_s` host seconds and `events` dispatched simulation
-  /// events under phase `name` (e.g. "simulate", "verify"), with the run's
+  /// events under phase `name` (e.g. "setup", "simulate", "verify"), with the run's
   /// queue load: the peak pending count is the phase's largest, the other
   /// counts are summed. They repeat exactly for a scenario, but they
   /// describe the host's work, not the simulated chip, so they stay out of

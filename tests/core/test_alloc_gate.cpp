@@ -4,8 +4,9 @@
 // Event records, delivery slots and MSHR and directory rows are reused once
 // a run has reached its peak, and the Machine's address frame table is
 // sized to the address space at the first access, so what is left is the
-// barrier's coroutine frames and the growth of reused storage and of the
-// line tables. The count is perfbench's (perfbench/alloc_count.cpp,
+// growth of reused storage and of the line tables. Coroutine frames are recycled (core/task.hpp), so once the
+// cores have reached their deepest nesting a barrier wait allocates
+// nothing. The count is perfbench's (perfbench/alloc_count.cpp,
 // compiled into this binary), which replaces the global operator new, plus
 // the over-aligned forms replaced below, which perfbench's counter does not
 // see: 64-byte-aligned cache tag arrays and address-space blocks.
@@ -23,6 +24,7 @@
 #include "alloc_count.hpp"
 #include "apps/app.hpp"
 #include "core/program.hpp"
+#include "core/sync.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -82,6 +84,35 @@ TEST(AllocGate, FmmRunAllocatesUnderOneBlockPerTenEvents) {
   ASSERT_GT(events, 100'000u);
   EXPECT_LE(allocs * 10, events)
       << allocs << " allocations for " << events << " events";
+}
+
+/// Allocations made by Program::run of a body in which every core of the
+/// 8x2 machine waits `waits` times at one barrier.
+std::uint64_t barrier_run_allocations(int waits) {
+  const MachineParams mp = MachineParams::small(8, 2);
+  sim::AddressSpace space;
+  core::Barrier barrier(mp.num_cores, space);
+  core::Program prog(mp, nullptr, /*validate=*/false);
+  prog.spawn_all({[&barrier, waits](core::CoreCtx& c) -> core::Task {
+                    core::Barrier::Sense sense;
+                    for (int i = 0; i < waits; ++i)
+                      co_await barrier.wait(c, sense);
+                  },
+                  &space});
+  const std::uint64_t before = allocations();
+  const core::RunResult r = prog.run();
+  const std::uint64_t allocs = allocations() - before;
+  EXPECT_TRUE(r.finished) << waits << " waits";
+  return allocs;
+}
+
+TEST(AllocGate, BarrierWaitsPastTheFirstAllocateNoFrames) {
+  // Every wait is a coroutine frame. Recycled, the frames of later waits
+  // reuse those of the first, so twenty times the waits cost no more.
+  const std::uint64_t two = barrier_run_allocations(2);
+  const std::uint64_t forty = barrier_run_allocations(40);
+  EXPECT_LE(forty, two) << forty << " allocations for 40 waits, " << two
+                        << " for 2";
 }
 
 TEST(AllocGate, PaperMachineTagStoresTakeEighteenMiB) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -263,69 +267,152 @@ TEST(CacheArray, RefusesALineBeyondTheTagField) {
   }
 }
 
-// Drives CacheArray and the tick-based reference with the same seeded random
-// calls and compares every return value, every victim and the occupancy
-// after each call. The addresses concentrate on a few sets (first, second,
-// middle, last) so that sets overflow and evict, and tags come in pairs that
-// differ only in the top bit of the 22-bit tag field.
-TEST(CacheArray, MatchesTickLruReference) {
+struct Geometry {
+  int size_KB, assoc;
+};
+
+/// The differential's geometries. 255 ways fill the 8-bit rank field;
+/// 1 KB 16-way is a single set, so the tag starts right above the line
+/// offset.
+constexpr Geometry kGeometries[] = {
+    Geometry{1, 1},  Geometry{1, 4},   Geometry{1, 16}, Geometry{2, 2},
+    Geometry{32, 4}, Geometry{256, 8}, Geometry{64, 16}, Geometry{1020, 255}};
+
+/// Sets glibc's M_PERTURB for its scope: malloc then fills every block it
+/// hands out with the complement of `byte` (0x5A for 165), so a tag store
+/// that reads a word before writing it sees a valid Modified line.
+class DirtyHeap {
+ public:
+  explicit DirtyHeap(int byte) { mallopt(M_PERTURB, byte); }
+  ~DirtyHeap() { mallopt(M_PERTURB, 0); }
+  DirtyHeap(const DirtyHeap&) = delete;
+  DirtyHeap& operator=(const DirtyHeap&) = delete;
+};
+
+/// A CacheArray of 64 B lines built over a dirty heap, and the tag its
+/// garbage words would hold.
+struct DirtyArray {
+  std::unique_ptr<CacheArray> array;
+  Addr garbage_tag = 0;
+};
+
+DirtyArray build_over_garbage(const Geometry& g) {
+  DirtyArray out;
+  std::uint32_t garbage = 0;
+  {
+    DirtyHeap dirty(165);
+    // A block of the size and alignment of the array's words shows what
+    // the heap hands out; the array then gets this block or one like it.
+    const std::size_t bytes =
+        static_cast<std::size_t>(g.size_KB) * 1024 / 64 * sizeof garbage;
+    void* probe = ::operator new(bytes, std::align_val_t{64});
+    std::memcpy(&garbage, probe, sizeof garbage);
+    ::operator delete(probe, std::align_val_t{64});
+    out.array = std::make_unique<CacheArray>(g.size_KB, g.assoc, 64);
+  }
+  // Unless the heap's garbage reads as a valid line, these tests show
+  // nothing.
+  EXPECT_NE(garbage & 3, 0u) << "heap word 0x" << std::hex << garbage;
+  out.garbage_tag = garbage >> 10;
+  return out;
+}
+
+// Drives `c` and the tick-based reference with the same seeded random calls
+// and compares every return value, every victim and the occupancy after each
+// call. The addresses concentrate on a few sets (first, second, middle,
+// last) so that sets overflow and evict, and tags come in pairs that differ
+// only in the top bit of the 22-bit tag field. With `garbage_tag`, one call
+// in about 3 x assoc names a line of that tag, the one a set's unwritten
+// words would hold.
+void expect_matches_reference(CacheArray& c, const Geometry& g,
+                              std::optional<Addr> garbage_tag) {
   constexpr int kOpsPerGeometry = 100'000;
   constexpr LineState kStates[] = {LineState::kInvalid, LineState::kShared,
                                    LineState::kModified};
-  struct Geometry {
-    int size_KB, assoc;
-  };
-  // 255 ways fill the 8-bit rank field; 1 KB 16-way is a single set, so
-  // the tag starts right above the line offset.
-  for (const Geometry g :
-       {Geometry{1, 1}, Geometry{1, 4}, Geometry{1, 16}, Geometry{2, 2},
-        Geometry{32, 4}, Geometry{256, 8}, Geometry{64, 16},
-        Geometry{1020, 255}}) {
+  TickLruArray ref(g.size_KB, g.assoc, 64);
+  const Addr sets = static_cast<Addr>(c.num_sets());
+  const Addr hot_sets[] = {0, 1, sets / 2, sets - 1};
+  const Addr tags = 3 * static_cast<Addr>(g.assoc) + 1;
+  Xoshiro256 rng(static_cast<std::uint64_t>(g.size_KB * 1000 + g.assoc));
+  for (int op = 0; op < kOpsPerGeometry; ++op) {
+    const Addr t = rng.next_below(tags + (garbage_tag ? 1 : 0));
+    const Addr tag = t == tags ? *garbage_tag : (t >> 1) | ((t & 1) << 21);
+    const Addr line = (tag * sets + hot_sets[rng.next_below(4)]) * 64;
+    switch (rng.next_below(6)) {
+      case 0:
+        ASSERT_EQ(c.lookup(line), ref.lookup(line)) << "op " << op;
+        break;
+      case 1:
+        ASSERT_EQ(c.peek(line), ref.peek(line)) << "op " << op;
+        break;
+      case 2: {
+        const LineState s = kStates[1 + rng.next_below(2)];
+        const auto got = c.install(line, s);
+        const auto want = ref.install(line, s);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+        if (got) {
+          ASSERT_EQ(got->line, want->line) << "op " << op;
+          ASSERT_EQ(got->state, want->state) << "op " << op;
+        }
+        break;
+      }
+      case 3: {
+        const LineState s = kStates[rng.next_below(3)];
+        c.set_state(line, s);
+        ref.set_state(line, s);
+        break;
+      }
+      case 4: {
+        const bool write = rng.next_below(2) != 0;
+        ASSERT_EQ(c.hit(line, write), ref.hit(line, write)) << "op " << op;
+        break;
+      }
+      default:
+        ASSERT_EQ(c.invalidate(line), ref.invalidate(line)) << "op " << op;
+    }
+    ASSERT_EQ(c.occupancy(), ref.occupancy()) << "op " << op;
+  }
+}
+
+TEST(CacheArray, MatchesTickLruReference) {
+  for (const Geometry& g : kGeometries) {
     SCOPED_TRACE(testing::Message()
                  << g.size_KB << " KB, " << g.assoc << "-way");
     CacheArray c(g.size_KB, g.assoc, 64);
-    TickLruArray ref(g.size_KB, g.assoc, 64);
+    expect_matches_reference(c, g, std::nullopt);
+  }
+}
+
+// The same differential on arrays whose tag words the heap handed out
+// full of garbage: a set reads as empty until its first install zeroes it.
+TEST(CacheArray, MatchesTickLruReferenceOverGarbage) {
+  for (const Geometry& g : kGeometries) {
+    SCOPED_TRACE(testing::Message()
+                 << g.size_KB << " KB, " << g.assoc << "-way");
+    DirtyArray d = build_over_garbage(g);
+    expect_matches_reference(*d.array, g, d.garbage_tag);
+  }
+}
+
+TEST(CacheArray, AFreshArrayOverGarbageHoldsNoLine) {
+  for (const Geometry& g : kGeometries) {
+    SCOPED_TRACE(testing::Message()
+                 << g.size_KB << " KB, " << g.assoc << "-way");
+    DirtyArray d = build_over_garbage(g);
+    CacheArray& c = *d.array;
+    EXPECT_EQ(c.occupancy(), 0);
     const Addr sets = static_cast<Addr>(c.num_sets());
-    const Addr hot_sets[] = {0, 1, sets / 2, sets - 1};
-    Xoshiro256 rng(static_cast<std::uint64_t>(g.size_KB * 1000 + g.assoc));
-    for (int op = 0; op < kOpsPerGeometry; ++op) {
-      const Addr t = rng.next_below(3 * static_cast<Addr>(g.assoc) + 1);
-      const Addr tag = (t >> 1) | ((t & 1) << 21);
-      const Addr line = (tag * sets + hot_sets[rng.next_below(4)]) * 64;
-      switch (rng.next_below(6)) {
-        case 0:
-          ASSERT_EQ(c.lookup(line), ref.lookup(line)) << "op " << op;
-          break;
-        case 1:
-          ASSERT_EQ(c.peek(line), ref.peek(line)) << "op " << op;
-          break;
-        case 2: {
-          const LineState s = kStates[1 + rng.next_below(2)];
-          const auto got = c.install(line, s);
-          const auto want = ref.install(line, s);
-          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
-          if (got) {
-            ASSERT_EQ(got->line, want->line) << "op " << op;
-            ASSERT_EQ(got->state, want->state) << "op " << op;
-          }
-          break;
-        }
-        case 3: {
-          const LineState s = kStates[rng.next_below(3)];
-          c.set_state(line, s);
-          ref.set_state(line, s);
-          break;
-        }
-        case 4: {
-          const bool write = rng.next_below(2) != 0;
-          ASSERT_EQ(c.hit(line, write), ref.hit(line, write)) << "op " << op;
-          break;
-        }
-        default:
-          ASSERT_EQ(c.invalidate(line), ref.invalidate(line)) << "op " << op;
+    for (Addr set = 0; set < sets; ++set) {
+      for (const Addr tag : {d.garbage_tag, Addr{0}}) {
+        const Addr line = (tag * sets + set) * 64;
+        ASSERT_EQ(c.peek(line), LineState::kInvalid) << "set " << set;
+        ASSERT_EQ(c.hit(line, false), LineState::kInvalid) << "set " << set;
+        ASSERT_EQ(c.lookup(line), LineState::kInvalid) << "set " << set;
+        c.set_state(line, LineState::kShared);
+        ASSERT_EQ(c.invalidate(line), LineState::kInvalid) << "set " << set;
       }
-      ASSERT_EQ(c.occupancy(), ref.occupancy()) << "op " << op;
     }
+    EXPECT_EQ(c.occupancy(), 0);
   }
 }
 

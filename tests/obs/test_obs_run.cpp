@@ -216,6 +216,33 @@ TEST(ObsRun, SelfProfileCountsTheEventQueueLoadOfEachRun) {
   fs::remove_all(dir);
 }
 
+TEST(ObsRun, SelfProfileTimesTheSetUpOfEachRun) {
+  // Set-up (the app's inputs, the Machine, the kernels' spawn) is a phase
+  // of its own: it takes host time and dispatches no event.
+  const auto dir = fs::temp_directory_path() / "atacsim_obs_setup";
+  fs::remove_all(dir);
+  ObsArmed armed(dir.string());
+  obs::SelfProfile::instance().reset();
+  ASSERT_EQ(run_scenario(small_scenario()).verify_msg, "");
+  std::ostringstream os;
+  obs::SelfProfile::instance().write_json(os, "setup");
+  obs::json::Value doc;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse(os.str(), doc, &err)) << err;
+  EXPECT_EQ(obs::validate_profile(doc), "");
+  const auto* phases = doc.find("phases");
+  const auto* setup = phases ? phases->find("setup") : nullptr;
+  ASSERT_NE(setup, nullptr);
+  const auto* wall = setup->find("wall_seconds");
+  const auto* events = setup->find("events");
+  ASSERT_NE(wall, nullptr);
+  ASSERT_NE(events, nullptr);
+  EXPECT_GT(wall->number, 0.0);
+  EXPECT_EQ(events->number, 0.0);
+  obs::SelfProfile::instance().reset();
+  fs::remove_all(dir);
+}
+
 /// The epoch series of the small scenario, run with telemetry armed.
 obs::json::Value real_series(const fs::path& dir) {
   fs::remove_all(dir);
