@@ -112,11 +112,10 @@ const std::vector<Claim> kClaims = {
        }
        return v;
      },
-     "radix +3.6 % / +5.8 % / +49.4 % at lag 1 / 2 / 4 (barnes within "
-     "+1.2 %); at lag 4 radix has 10.7 % more L2 misses and 8.8 % more "
-     "unicasts than at lag 2 while its SWMR utilization falls from 9.9 % to "
-     "7.5 %, so it is not link saturation; ROADMAP \"explain the three "
-     "unexplained scale-1 results\""},
+     "radix's runtime jumps at lag 4 with more L2 misses and unicasts than "
+     "at lag 2 while its SWMR utilization falls, so it is not link "
+     "saturation; ROADMAP \"explain the three unexplained scale-1 "
+     "results\""},
 };
 
 }  // namespace

@@ -62,10 +62,9 @@ const std::vector<Claim> kClaims = {
          }
        return v;
      },
-     "water_nsq runs 2,203,407 cycles on EMesh-BCast against ATAC+'s "
-     "2,418,754 (0.91x; EDP 0.87x); it is lock-bound, and each ticket-lock "
-     "handoff is a broadcast invalidation; ROADMAP \"explain the three "
-     "unexplained scale-1 results\""},
+     "water_nsq finishes sooner on EMesh-BCast than on ATAC+; it is "
+     "lock-bound, and each ticket-lock handoff is a broadcast invalidation; "
+     "ROADMAP \"explain the three unexplained scale-1 results\""},
     {"ext_extension_apps: EMesh-Pure is slowest on fft, whose transposes "
      "turn the next phase's writes into broadcast invalidations",
      [](const Report& r) {
@@ -83,8 +82,9 @@ const std::vector<Claim> kClaims = {
        return Verdict{water < fft, "water_nsq " + num(water) + "x, fft " +
                                        num(fft) + "x"};
      },
-     "water_nsq runs 2.44x longer on EMesh-Pure, fft 2.05x; not yet "
-     "explained"},
+     "not yet explained; water_nsq's ticket-lock handoffs are broadcast "
+     "invalidations, which EMesh-Pure sends as one unicast per core, "
+     "ROADMAP \"explain the three unexplained scale-1 results\""},
 };
 
 }  // namespace

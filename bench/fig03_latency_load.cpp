@@ -143,10 +143,9 @@ const std::vector<Claim> kClaims = {
        return Verdict{path == "Distance-5 -> Distance-15 -> Distance-25",
                       path};
      },
-     "the optimum runs Distance-5 (to 0.06) -> Distance-25 (0.08, 80.5 "
-     "cycles) -> Distance-35 (0.10, 91.3 against Distance-25's 97.6), "
-     "skipping Distance-15; synthetic traffic, so the address layout is not "
-     "the cause (ROADMAP \"explain the three unexplained scale-1 results\")"},
+     "the optimum skips Distance-15 and ends at Distance-35; synthetic "
+     "traffic, so the address layout is not the cause, ROADMAP \"explain "
+     "the three unexplained scale-1 results\""},
 };
 
 }  // namespace

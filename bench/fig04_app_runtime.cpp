@@ -69,8 +69,8 @@ const std::vector<Claim> kClaims = {
        return Verdict{heavy, worst + " " +
                                  num(slowdown(r, worst, "EMesh-Pure")) + "x"};
      },
-     "ocean_contig 20.62x (radix 9.18x): v4's first-touch address layout "
-     "makes ocean broadcast-heavy (Fig. 5), ROADMAP \"Model v6\""},
+     "v4's first-touch address layout makes ocean broadcast-heavy (Fig. 5), "
+     "ROADMAP \"Model v6\""},
 };
 
 }  // namespace

@@ -50,16 +50,15 @@ Verdict unicast_dominated(const Report& r,
 const std::vector<Claim> kClaims = {
     {"Fig. 5: ocean_contig is unicast-dominated (< 50 % broadcast flits)",
      [](const Report& r) { return unicast_dominated(r, {"ocean_contig"}); },
-     "83.2 %: v4's first-touch address layout packs ocean's rows so its "
-     "writes broadcast (20,485 invalidations; the v6 prototype measures "
-     "0.3 %), ROADMAP \"Model v6\""},
+     "v4's first-touch address layout packs ocean's rows into shared lines, "
+     "so its writes broadcast, ROADMAP \"Model v6\""},
     {"Fig. 5: lu_contig and lu_non_contig are unicast-dominated (< 50 % "
      "broadcast flits)",
      [](const Report& r) {
        return unicast_dominated(r, {"lu_contig", "lu_non_contig"});
      },
-     "70.3 % and 72.6 % on v4; the v6 prototype measures 43.8 % for "
-     "lu_non_contig, ROADMAP \"Model v6\""},
+     "v4's first-touch address layout makes lu broadcast-heavy, ROADMAP "
+     "\"Model v6\""},
     {"Fig. 5: dynamic_graph, radix, barnes and fmm each out-broadcast ocean "
      "and lu",
      [](const Report& r) {
@@ -74,9 +73,9 @@ const std::vector<Claim> kClaims = {
                                          " %, most of ocean and lu " +
                                          num(100 * light, 1) + " %"};
      },
-     "fmm 18.5 % and barnes 37.1 % against ocean 83.2 % and lu 70.3-72.6 % "
-     "on v4; the v6 prototype still fails (barnes 24.0 %, lu_non_contig "
-     "43.8 %), ROADMAP \"Model v6\""},
+     "v4's first-touch address layout makes ocean and lu broadcast-heavy, "
+     "and the v6 prototype still puts lu_non_contig above barnes, ROADMAP "
+     "\"Model v6\""},
 };
 
 }  // namespace

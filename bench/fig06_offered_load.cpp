@@ -60,9 +60,10 @@ const std::vector<Claim> kClaims = {
                                              "ocean_non_contig", "fmm"},
            by_load(r).listing};
      },
-     "radix (0.0065) out-loads fmm (0.0052), and barnes (0.0049) and fmm "
-     "load less than dynamic_graph (0.0053); ocean (0.0375) and lu "
-     "(0.0025-0.0026) do lead and trail"},
+     "radix out-loads fmm, and dynamic_graph out-loads barnes and fmm, "
+     "while ocean and lu do lead and trail; not yet explained, and the "
+     "inputs at scale 1 are far smaller than SPLASH-2's, ROADMAP \"say what "
+     "scale 1 simulates\""},
     {"Fig. 6: offered loads differ by about 10x across the apps (within "
      "1.5x)",
      [](const Report& r) {
@@ -78,9 +79,9 @@ const std::vector<Claim> kClaims = {
        const double hi = load(r, by_load(r).names.back());
        return Verdict{hi < 0.03, "highest load " + num(hi, 4)};
      },
-     "both oceans offer 0.0375 flits/cycle/core on v4, between "
-     "abl_netmodel_xcheck's 0.01 (flow/cycle 1.03) and 0.05 (1.16) points; "
-     "the other six stay below 0.0066, ROADMAP \"Model v6\""},
+     "v4's first-touch address layout makes both oceans broadcast-heavy, "
+     "which lifts their load past the tight region while the other six "
+     "apps stay in it, ROADMAP \"Model v6\""},
 };
 
 }  // namespace

@@ -133,9 +133,9 @@ const std::vector<Claim> kClaims = {
                           num(growth(r, "l1d"), 3) + "x, L2 " +
                           num(growth(r, "l2"), 3) + "x"};
      },
-     "L1-I grows 4.80x and L1-D 4.79x against the L2's 4.79x: no access "
-     "increments l1i_accesses (0 in every row), so the L1-I bar is leakage "
-     "and clock only, ROADMAP \"Model v5\""},
+     "every cache bar grows with the runtime alike, so leakage and clock "
+     "dominate them; no access increments l1i_accesses, so the L1-I bar is "
+     "leakage and clock only, ROADMAP \"Model v5\""},
     {"Fig. 7: the directory is the smallest cache component",
      [](const Report& r) {
        const double dir = bar(r, "ATAC+", "directory"),
@@ -144,9 +144,8 @@ const std::vector<Claim> kClaims = {
                       "directory " + num(dir, 3) + ", L1-I " + num(l1i, 3) +
                           ", L1-D " + num(l1d, 3) + " of Ideal"};
      },
-     "the directory bar (0.092 of the Ideal total) exceeds L1-D (0.082) and "
-     "L1-I (0.081); v5's fetch counting moves L1-I only to 0.082, ROADMAP "
-     "\"Model v5\""},
+     "the directory bar exceeds both L1 bars, and v5's fetch counting "
+     "barely moves the L1-I bar, ROADMAP \"Model v5\""},
 };
 
 }  // namespace

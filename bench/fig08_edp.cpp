@@ -52,10 +52,9 @@ const std::vector<Claim> kClaims = {
        const double x = edp_over(r, "EMesh-Pure", "ATAC+");
        return Verdict{near_paper(x, 4.8), num(x) + "x"};
      },
-     "29.69x (29.90x against ATAC+(Ideal)), carried by ocean (302.1x) and "
-     "radix (81.6x): EMesh-Pure sends each of v4's broadcast invalidations "
-     "as one unicast per core; the v6 prototype measures 6.81x, ROADMAP "
-     "\"Model v6\""},
+     "ocean and radix carry the geomean: EMesh-Pure sends each of v4's "
+     "broadcast invalidations as one unicast per core, ROADMAP \"Model "
+     "v6\""},
     {"Fig. 8: ATAC+'s EDP is within 10 % of ATAC+(Ideal)'s (geomean)",
      [](const Report& r) {
        const double x = edp_over(r, "ATAC+", "ATAC+(Ideal)");

@@ -71,9 +71,8 @@ const std::vector<Claim> kClaims = {
        const double wide = runtime(r, "256-bit");
        return Verdict{wide >= 0.8, num(wide) + " of 64-bit"};
      },
-     "256-bit runs at 0.43 of 64-bit: 10-flit data messages serialize at "
-     "the directory's single send port, so halving flit counts keeps "
-     "helping (EXPERIMENTS.md delta 5)"},
+     "multi-flit data messages serialize at the directory's single send "
+     "port, so halving flit counts keeps helping (EXPERIMENTS.md delta 5)"},
 };
 
 }  // namespace

@@ -70,10 +70,9 @@ const std::vector<Claim> kClaims = {
                           num(100 * saving(r, "ocean_contig"), 1) +
                           " %, geomean " + num(100 * saving(r), 1) + " %"};
      },
-     "radix saves 5.3 % against the 7.0 % geomean (ocean_contig 14.6 %): "
-     "the saving follows each app's receive-net share of BNet energy "
-     "(radix 10.3 %, ocean_contig 33.8 %), and v4 makes radix and ocean "
-     "broadcast-heavy (Fig. 5), ROADMAP \"Model v6\""},
+     "the saving follows each app's receive-net share of BNet energy, and "
+     "v4 makes radix and ocean broadcast-heavy (Fig. 5), ROADMAP \"Model "
+     "v6\""},
 };
 
 }  // namespace

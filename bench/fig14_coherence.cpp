@@ -95,9 +95,8 @@ const std::vector<Claim> kClaims = {
        const double x = penalty(r, "ocean_contig", "ATAC+");
        return Verdict{x < 1.1, num(x) + "x"};
      },
-     "21.31x on ATAC+ (27.1x on EMesh-BCast): v4's first-touch address "
-     "layout gives ocean 20,485 broadcast invalidations; the v6 prototype "
-     "measures 1.01x, ROADMAP \"Model v6\""},
+     "v4's first-touch address layout gives ocean more broadcast "
+     "invalidations than any other app (Fig. 5), ROADMAP \"Model v6\""},
 };
 
 }  // namespace

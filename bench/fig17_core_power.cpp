@@ -93,10 +93,9 @@ const std::vector<Claim> kClaims = {
        return Verdict{below.empty(),
                       below.empty() ? "every cell" : "below:" + below};
      },
-     "at 10 % NDD both oceans' core NDD energy falls below caches+network, "
-     "0.453 against 0.493 mJ on ATAC+ and 0.728 against 0.752 mJ on "
-     "EMesh-BCast: v4's ocean runs are the shortest and broadcast-heavy, "
-     "ROADMAP \"Model v6\"; every other cell holds"},
+     "at the lower NDD fraction both oceans' core NDD energy falls below "
+     "caches+network: v4's ocean runs are the shortest and broadcast-heavy, "
+     "ROADMAP \"Model v6\""},
     {"Fig. 17: ATAC+ burns less core-NDD energy than EMesh-BCast on every "
      "app (its runs are shorter)",
      [](const Report& r) {

@@ -56,9 +56,8 @@ const std::vector<Claim> kClaims = {
        });
        return Verdict{utilization(r, k.names.back()) <= 0.3, k.listing + " %"};
      },
-     "ocean_contig and ocean_non_contig are 42.37 % busy: v4's first-touch "
-     "address layout makes ocean broadcast-heavy (Fig. 5); the v6 prototype "
-     "measures 25.86 %, ROADMAP \"Model v6\""},
+     "v4's first-touch address layout makes ocean broadcast-heavy (Fig. 5), "
+     "ROADMAP \"Model v6\""},
     {"Table V: ocean_non_contig has the busiest SWMR link",
      [](const Report& r) {
        bool busiest = true;
@@ -72,18 +71,18 @@ const std::vector<Claim> kClaims = {
                           " %, ocean_contig " +
                           num(100 * utilization(r, "ocean_contig"), 2) + " %"};
      },
-     "a tie at 42.37 %: the two oceans differ only by a row permutation that "
-     "v4's first-touch numbering erases; the v6 prototype puts "
-     "ocean_non_contig second (25.33 % against 25.86 %), ROADMAP \"Give "
-     "ocean_contig SPLASH-2's tile-contiguous layout\""},
+     "the two oceans differ only by a row permutation that v4's first-touch "
+     "numbering erases, so they tie, and the v6 prototype still puts "
+     "ocean_non_contig second, ROADMAP \"Give ocean_contig SPLASH-2's "
+     "tile-contiguous layout\""},
     {"Table V: lu_contig has the most unicasts per broadcast",
      [](const Report& r) {
        const Ranking k = by_unicasts(r);
        return Verdict{k.names.back() == "lu_contig", k.listing};
      },
-     "fmm has the most (1,164), lu_contig 117, ocean 64; the spread is 18x, "
-     "not the paper's three orders of magnitude; v6 prototype: ocean about "
-     "91,000, lu_contig 5,285, ROADMAP \"Model v6\""},
+     "v4's broadcast storms (Fig. 5) give ocean and lu many broadcasts, so "
+     "the spread is far narrower than the paper's three orders of "
+     "magnitude, ROADMAP \"Model v6\""},
     {"Table V: the N-body and graph codes (barnes, fmm, dynamic_graph) have "
      "the fewest unicasts per broadcast",
      [](const Report& r) {
@@ -94,8 +93,7 @@ const std::vector<Claim> kClaims = {
                                                       "dynamic_graph"},
                       k.listing};
      },
-     "ocean (64), radix (73) and dynamic_graph (86) have the fewest, barnes "
-     "467 and fmm 1,164: v4's ocean and radix broadcast storms (Fig. 5), "
+     "v4's ocean and radix broadcast storms (Fig. 5) give them the fewest, "
      "ROADMAP \"Model v6\""},
 };
 

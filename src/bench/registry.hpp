@@ -30,8 +30,10 @@ struct Verdict {
 
 /// One statement of the paper, checked against the rows its entry returns
 /// (read through bench::stat). `known_failure` is empty for a claim that
-/// holds on the paper machine at scale 1; otherwise it says what fails
-/// there and why, and the claim is expected to fail.
+/// holds on the paper machine at scale 1; otherwise it says why the claim
+/// fails there and where that is tracked, and the claim is expected to
+/// fail. It quotes no measured value: the Verdict's `measured` prints
+/// those on the same claim line.
 struct Claim {
   std::string text;
   Verdict (*check)(const exp::report::Report&) = nullptr;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -511,6 +512,22 @@ TEST(Registry, EveryEntryCarriesAClaim) {
       EXPECT_NE(c.check, nullptr) << e->name << ": " << c.text;
     }
   }
+}
+
+TEST(Registry, KnownFailuresGiveAReasonNotAMeasurement) {
+  // The claim line's measured field prints what a failing claim reads, so
+  // a listing says why it fails and where that is tracked, and quotes no
+  // value a run would have to re-copy: no decimal, no number followed by
+  // "x" or "%", no comma-grouped number.
+  const std::regex measurement(
+      R"(\d+\.\d+|\d+\s*[x%]|\d{1,3}(,\d{3})+)");
+  for (const Entry* e : Registry::instance().all())
+    for (const Claim& c : e->claims) {
+      std::smatch m;
+      EXPECT_FALSE(std::regex_search(c.known_failure, m, measurement))
+          << e->name << ": " << c.text << "\n  quotes \"" << m.str()
+          << "\" in: " << c.known_failure;
+    }
 }
 
 }  // namespace
